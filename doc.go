@@ -34,7 +34,6 @@
 //	rep, err := simsym.CheckOpts(sys, simsym.InstrL, prog,
 //	    simsym.WithObserver(rec),
 //	    simsym.WithBudget(500_000, 30*time.Second, 1<<30),
-//	    simsym.WithWorkers(4),
 //	    simsym.WithSymmetry(true),
 //	    simsym.WithContext(ctx))
 //
@@ -75,7 +74,7 @@
 // session-create endpoint — a config that drives CheckOpts locally is
 // the same document a session carries over HTTP:
 //
-//	cfg := simsym.RunConfig{MaxStates: 500_000, Workers: 4, Symmetry: true}
+//	cfg := simsym.RunConfig{MaxStates: 500_000, Symmetry: true}
 //	rep, err := simsym.CheckOpts(sys, instr, prog, simsym.WithConfig(cfg))
 //
 // # Dynamic topologies

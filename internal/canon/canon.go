@@ -341,7 +341,8 @@ func HashBytes(b []byte) uint64 {
 // unit and indices are strictly increasing. The codec is deterministic:
 // equal (base, key) pairs always produce byte-identical deltas, and
 // ApplyKeyDelta(base, AppendKeyDelta(base, key)) == key exactly. The
-// model checker's sharded visited index stores cold keys this way.
+// model checker's visited index stores a key this way whenever the delta
+// against its BFS parent's keyframe is at most half the key's size.
 
 // keyUnitEnd returns the end offset of the length-prefixed unit starting
 // at off, or -1 when the framing is malformed.

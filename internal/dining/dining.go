@@ -178,7 +178,7 @@ func Check(sys *system.System, prog *machine.Program, maxStates int) (*Report, e
 }
 
 // CheckWith is Check with full control over the engine: symmetry
-// reduction, parallel expansion, budgets, and progress reporting. The
+// reduction, budgets, spill, and progress reporting. The
 // exclusion and deadlock predicates are installed on top of opts.
 func CheckWith(sys *system.System, prog *machine.Program, opts mc.Options) (*Report, error) {
 	exclusion, err := ExclusionPred(sys)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"simsym/internal/adversary"
@@ -245,9 +244,9 @@ func E4DP5() (*Table, error) {
 // E5DP6 reproduces Figure 5 / DP': the flipped six-table makes every fork
 // a shared-left or shared-right fork; the same uniform program is now
 // deadlock-free (model-checked) and everyone eats under round-robin.
-// With maxStates above the table's ~8.56M-state closure, the sharded
-// engine closes the space exhaustively (the bounded single-index probe
-// stays capped at 60k regardless).
+// With maxStates above the table's ~8.56M-state closure, the capacity
+// check (delta keys, spill allowed) closes the space exhaustively (the
+// bounded in-memory probe stays capped at 60k regardless).
 func E5DP6(maxStates int) (*Table, error) {
 	t := &Table{
 		ID:     "E5",
@@ -276,8 +275,8 @@ func E5DP6(maxStates int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The single-index bounded probe stays capped where earlier PRs left
-	// it; the sharded engine below is what takes the table to closure.
+	// The bounded in-memory probe stays capped at 60k states; the
+	// capacity check below is what takes the table to closure.
 	bounded := maxStates
 	if bounded > 60_000 {
 		bounded = 60_000
@@ -296,19 +295,10 @@ func E5DP6(maxStates int) (*Table, error) {
 	t.AddRow("model check: dedup hits / states per second",
 		fmt.Sprintf("%d / %.0f", rep.Stats.DedupHits, rep.Stats.StatesPerSec))
 
-	// Capacity headline: the sharded index (per-worker shards, BFS-parent
-	// delta keys, disk spill allowed) closes the full 8.5M-state table
-	// that the single in-memory index above cannot afford. At least four
-	// shards even on small hosts, so the sharded pipeline itself — not
-	// the sequential fallback — is what closes the space.
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 4 {
-		workers = 4
-	}
-	repSh, err := dining.CheckWith(s, prog, mc.Options{
+	// Capacity headline: BFS-parent delta keys plus a 256 MiB hot-index
+	// cap with disk spill close the full 8.56M-state table.
+	repCap, err := dining.CheckWith(s, prog, mc.Options{
 		MaxStates:     maxStates,
-		Workers:       workers,
-		Shards:        workers,
 		HotIndexBytes: 256 << 20,
 		Progress:      MCProgress,
 		Obs:           Obs,
@@ -316,24 +306,19 @@ func E5DP6(maxStates int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("sharded check (spill allowed): states explored",
-		fmt.Sprintf("%d (complete=%v, safe=%v, depth=%d)", repSh.StatesExplored, repSh.Complete,
-			repSh.ExclusionViolated == nil && repSh.Deadlocked == nil, repSh.Stats.Depth))
-	cores := runtime.GOMAXPROCS(0)
-	if cores > workers {
-		cores = workers
-	}
-	perCore := repSh.Stats.StatesPerSec / float64(cores)
+	t.AddRow("capacity check (spill allowed): states explored",
+		fmt.Sprintf("%d (complete=%v, safe=%v, depth=%d)", repCap.StatesExplored, repCap.Complete,
+			repCap.ExclusionViolated == nil && repCap.Deadlocked == nil, repCap.Stats.Depth))
 	bytesPerState := "n/a"
-	if repSh.StatesExplored > 0 {
-		bytesPerState = fmt.Sprintf("%.1f", float64(repSh.Stats.PeakMemBytes)/float64(repSh.StatesExplored))
+	if repCap.StatesExplored > 0 {
+		bytesPerState = fmt.Sprintf("%.1f", float64(repCap.Stats.PeakMemBytes)/float64(repCap.StatesExplored))
 	}
-	t.AddRow("sharded check: states/sec/core",
-		fmt.Sprintf("%.0f (%.0f total across %d workers)", perCore, repSh.Stats.StatesPerSec, workers))
-	t.AddRow("sharded check: peak bytes/state",
+	t.AddRow("capacity check: states/sec",
+		fmt.Sprintf("%.0f (one goroutine, %s elapsed)", repCap.Stats.StatesPerSec, repCap.Stats.Elapsed.Round(time.Millisecond)))
+	t.AddRow("capacity check: peak bytes/state",
 		fmt.Sprintf("%s (delta-encoded %d of %d states, key bytes %d stored / %d logical, %d spilled)",
-			bytesPerState, repSh.Stats.DeltaStates, repSh.StatesExplored,
-			repSh.Stats.StoredKeyBytes, repSh.Stats.LogicalKeyBytes, repSh.Stats.SpilledBytes))
+			bytesPerState, repCap.Stats.DeltaStates, repCap.StatesExplored,
+			repCap.Stats.StoredKeyBytes, repCap.Stats.LogicalKeyBytes, repCap.Stats.SpilledBytes))
 
 	mealProg, err := dining.Program("left", "right", 3)
 	if err != nil {

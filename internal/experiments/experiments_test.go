@@ -76,14 +76,14 @@ func TestE5DP6(t *testing.T) {
 	assertCell(t, tbl, "model check: exclusion violated", "no")
 	assertCell(t, tbl, "model check: deadlock found", "no")
 	assertCell(t, tbl, "round-robin progress (3 meals each)", "yes")
-	if got := cell(t, tbl, "sharded check (spill allowed): states explored"); !strings.Contains(got, "safe=true") {
-		t.Errorf("sharded capacity row = %q, want a safe verdict", got)
+	if got := cell(t, tbl, "capacity check (spill allowed): states explored"); !strings.Contains(got, "safe=true") {
+		t.Errorf("capacity row = %q, want a safe verdict", got)
 	}
-	if got := cell(t, tbl, "sharded check: states/sec/core"); got == "" {
-		t.Error("missing sharded throughput row")
+	if got := cell(t, tbl, "capacity check: states/sec"); got == "" {
+		t.Error("missing capacity throughput row")
 	}
-	if got := cell(t, tbl, "sharded check: peak bytes/state"); got == "" {
-		t.Error("missing sharded memory row")
+	if got := cell(t, tbl, "capacity check: peak bytes/state"); got == "" {
+		t.Error("missing capacity memory row")
 	}
 }
 

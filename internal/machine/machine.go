@@ -326,7 +326,7 @@ func (p *slabPool[T]) rotate(clearChunks bool) {
 // SetSlab points the machine's copy-on-write allocations at a
 // caller-owned slab. The caller must guarantee that machines sharing a
 // slab never allocate concurrently; the model checker satisfies this by
-// only priming kept machines on the sequential commit path.
+// priming kept machines one at a time on its checking goroutine.
 func (m *Machine) SetSlab(s *Slab) { m.slab = s }
 
 // isSharedKind reports whether the opcode addresses a shared variable.
@@ -1808,8 +1808,7 @@ func valueForCanon(v any) any {
 // spans — is shared copy-on-write between the two machines, and the
 // first mutating step on either side copies just the array group it
 // touches. Clearing the ownership bits here covers both machines (a
-// machine is only ever touched by one goroutine at a time; the model
-// checker's parallel engine assigns each machine to exactly one worker).
+// machine is only ever touched by one goroutine at a time).
 //
 // The fingerprint arena is frozen on both sides: neither machine may
 // append to the shared arena, so cache fills stop until one rebases
@@ -1892,8 +1891,8 @@ func (m *Machine) cloneInto(dst *Machine) {
 	// The compaction scratch is exclusively the parent's: sharing it
 	// would let two machines compact into the same buffer. The bin
 	// stays with the slot it was salvaged from. The slab is the
-	// checker's and is only safe on the sequential commit path — a
-	// child stepping in a parallel expansion must not carve from it.
+	// checker's and only kept machines it primes may carve from it — a
+	// pool child must not.
 	dst.fpScratch = nil
 	dst.spares = sp
 	dst.slab = nil

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -157,56 +158,66 @@ func TestStatsPopulated(t *testing.T) {
 	}
 }
 
+// TestProgressCallback: snapshots arrive repeatedly, the last one
+// mirrors the Result, and every snapshot is internally consistent —
+// counters monotone, and Transitions never behind StatesExplored-1
+// (every non-root state is found by a counted transition) — both on a
+// closing space and on a run stopped by its state budget.
 func TestProgressCallback(t *testing.T) {
-	var snaps []Stats
-	res, err := Check(factoryFor(t, system.Fig1(), system.InstrS, naiveClaim), Options{
-		ProgressEvery: 1,
-		Progress:      func(s Stats) { snaps = append(snaps, s) },
-		StuckBad:      NotAllHalted,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) < 2 {
-		t.Fatalf("expected several progress snapshots, got %d", len(snaps))
-	}
-	last := snaps[len(snaps)-1]
-	if last.StatesExplored != res.StatesExplored {
-		t.Errorf("final snapshot states = %d, want %d", last.StatesExplored, res.StatesExplored)
-	}
-	for i := 1; i < len(snaps); i++ {
-		if snaps[i].StatesExplored < snaps[i-1].StatesExplored {
-			t.Error("snapshots should be monotone in states explored")
+	for _, tc := range []struct {
+		name    string
+		factory func() (*machine.Machine, error)
+		opts    Options
+	}{
+		{"closing", factoryFor(t, system.Fig1(), system.InstrS, naiveClaim),
+			Options{ProgressEvery: 1, StuckBad: NotAllHalted}},
+		{"budget", factoryFor(t, system.Fig1(), system.InstrS, spinForever),
+			Options{ProgressEvery: 64, MaxStates: 3000, Partial: true}},
+	} {
+		var snaps []Stats
+		o := tc.opts
+		o.Progress = func(s Stats) { snaps = append(snaps, s) }
+		res, err := Check(tc.factory, o)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(snaps) < 2 {
+			t.Fatalf("%s: expected several progress snapshots, got %d", tc.name, len(snaps))
+		}
+		last := snaps[len(snaps)-1]
+		if last.StatesExplored != res.StatesExplored {
+			t.Errorf("%s: final snapshot states = %d, want %d", tc.name, last.StatesExplored, res.StatesExplored)
+		}
+		for i, s := range snaps {
+			if s.Transitions < int64(s.StatesExplored)-1 {
+				t.Errorf("%s: snapshot %d: %d transitions < %d states - 1", tc.name, i, s.Transitions, s.StatesExplored)
+			}
+			if i > 0 && (s.StatesExplored < snaps[i-1].StatesExplored || s.Transitions < snaps[i-1].Transitions) {
+				t.Errorf("%s: snapshot %d regressed: %+v after %+v", tc.name, i, s, snaps[i-1])
+			}
 		}
 	}
 }
 
-// checkModes runs the same check in every engine mode — sequential,
-// parallel, symmetry-reduced, sharded, and sharded with a spill tier so
-// tight that every finalized index chunk lands on disk — and returns the
+// checkModes runs the same check in every engine mode — in memory, and
+// with a spill tier so tight that every finalized index chunk lands on
+// disk, each with and without symmetry reduction — and returns the
 // results keyed by mode name.
 func checkModes(t *testing.T, factory func() (*machine.Machine, error), opts Options) map[string]*Result {
 	t.Helper()
 	out := make(map[string]*Result)
 	for _, mode := range []struct {
-		name    string
-		sym     bool
-		workers int
-		shards  int
-		hot     int64
+		name string
+		sym  bool
+		hot  int64
 	}{
-		{"seq", false, 0, 0, 0},
-		{"par", false, 4, 0, 0},
-		{"sym", true, 0, 0, 0},
-		{"sym+par", true, 4, 0, 0},
-		{"shard", false, 4, 4, 0},
-		{"shard+sym", true, 4, 4, 0},
-		{"shard+spill", false, 4, 4, 1},
+		{"seq", false, 0},
+		{"sym", true, 0},
+		{"spill", false, 1},
+		{"sym+spill", true, 1},
 	} {
 		o := opts
 		o.SymmetryReduce = mode.sym
-		o.Workers = mode.workers
-		o.Shards = mode.shards
 		o.HotIndexBytes = mode.hot
 		if mode.hot > 0 {
 			o.SpillDir = t.TempDir()
@@ -220,8 +231,8 @@ func checkModes(t *testing.T, factory func() (*machine.Machine, error), opts Opt
 	return out
 }
 
-// assertIdentical enforces the parallel engine's label-for-label
-// guarantee against its sequential twin.
+// assertIdentical enforces that two runs agree label for label: verdict,
+// witness schedule, state counts, and every exploration counter.
 func assertIdentical(t *testing.T, a, b *Result, what string) {
 	t.Helper()
 	if (a.Violation == nil) != (b.Violation == nil) {
@@ -250,31 +261,6 @@ func assertIdentical(t *testing.T, a, b *Result, what string) {
 		a.Stats.Depth != b.Stats.Depth ||
 		a.Stats.PeakFrontier != b.Stats.PeakFrontier {
 		t.Errorf("%s: stats differ:\n%+v\n%+v", what, a.Stats, b.Stats)
-	}
-}
-
-func TestParallelIdenticalToSequential(t *testing.T) {
-	cases := []struct {
-		name    string
-		factory func() (*machine.Machine, error)
-		opts    Options
-	}{
-		{"fig1-naive-violation", factoryFor(t, system.Fig1(), system.InstrS, naiveClaim),
-			Options{StatePreds: []StatePredicate{UniquenessPred}}},
-		{"fig1-lock-safe", factoryFor(t, system.Fig1(), system.InstrL, lockClaim),
-			Options{StatePreds: []StatePredicate{UniquenessPred}, TransPreds: []TransitionPredicate{StabilityPred}}},
-		{"crossed-locks-deadlock", factoryFor(t, crossedLocks(), system.InstrL, spinLockBoth),
-			Options{StuckBad: NotAllHalted}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			modes := checkModes(t, tc.factory, tc.opts)
-			assertIdentical(t, modes["seq"], modes["par"], "parallel vs sequential")
-			assertIdentical(t, modes["sym"], modes["sym+par"], "sym parallel vs sym sequential")
-			assertIdentical(t, modes["seq"], modes["shard"], "sharded vs sequential")
-			assertIdentical(t, modes["seq"], modes["shard+spill"], "sharded+spill vs sequential")
-			assertIdentical(t, modes["sym"], modes["shard+sym"], "sharded sym vs sym sequential")
-		})
 	}
 }
 
@@ -328,5 +314,144 @@ func TestSymmetryVerdictEquivalence(t *testing.T) {
 	}
 	if stuck["sym"].Violation == nil || !strings.Contains(stuck["sym"].Violation.Reason, "stuck") {
 		t.Errorf("symmetry-reduced check should still find the deadlock: %+v", stuck["sym"].Violation)
+	}
+}
+
+// TestSpillIdenticalToInMemory: forcing the visited set through the
+// spill tier must change residency only — verdict, witness, and every
+// counter stay identical to the in-memory run, with and without symmetry
+// reduction.
+func TestSpillIdenticalToInMemory(t *testing.T) {
+	cases := []struct {
+		name    string
+		factory func() (*machine.Machine, error)
+		opts    Options
+	}{
+		{"fig1-naive-violation", factoryFor(t, system.Fig1(), system.InstrS, naiveClaim),
+			Options{StatePreds: []StatePredicate{UniquenessPred}}},
+		{"fig1-lock-safe", factoryFor(t, system.Fig1(), system.InstrL, lockClaim),
+			Options{StatePreds: []StatePredicate{UniquenessPred}, TransPreds: []TransitionPredicate{StabilityPred}}},
+		{"crossed-locks-deadlock", factoryFor(t, crossedLocks(), system.InstrL, spinLockBoth),
+			Options{StuckBad: NotAllHalted}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			modes := checkModes(t, tc.factory, tc.opts)
+			assertIdentical(t, modes["seq"], modes["spill"], "spill vs in-memory")
+			assertIdentical(t, modes["sym"], modes["sym+spill"], "sym+spill vs sym")
+		})
+	}
+}
+
+// TestSpillDegradesNotCorrupts: a spill-forced run keeps what the
+// in-memory run finds. The crossed-locks deadlock must survive with its
+// witness, and the flipped 4-table is large enough that index chunks
+// really are read back from disk (SpilledBytes > 0).
+func TestSpillDegradesNotCorrupts(t *testing.T) {
+	s4, prog4 := spillFaultModel(t)
+	cases := []struct {
+		name                 string
+		factory              func() (*machine.Machine, error)
+		opts                 Options
+		wantStuck, wantSpill bool
+	}{
+		{"crossed-locks-deadlock", factoryFor(t, crossedLocks(), system.InstrL, spinLockBoth),
+			Options{StuckBad: NotAllHalted}, true, false},
+		{"flipped-4-table", func() (*machine.Machine, error) { return machine.New(s4, system.InstrL, prog4) },
+			Options{StuckBad: NotAllHalted, MaxStates: 100_000}, false, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			modes := checkModes(t, tc.factory, tc.opts)
+			assertIdentical(t, modes["seq"], modes["spill"], "spill vs in-memory")
+			assertIdentical(t, modes["sym"], modes["sym+spill"], "sym+spill vs sym")
+			if v := modes["spill"].Violation; tc.wantStuck && (v == nil || !strings.Contains(v.Reason, "stuck") || len(v.Schedule) == 0) {
+				t.Errorf("deadlock and its witness must survive the spill tier, got %+v", v)
+			}
+			if tc.wantSpill && modes["spill"].Stats.SpilledBytes == 0 {
+				t.Error("spill tier never engaged; the comparison read nothing back from disk")
+			}
+		})
+	}
+}
+
+// TestBudgetMidLevelDeterministic: when MaxStates lands in the middle of
+// a BFS level the run stops at exactly the budget with the same partial
+// result, run after run, with or without the spill tier. spinForever's
+// frontier widens level over level, so a budget of 97 (prime, far from
+// any level boundary) is guaranteed to land mid-level.
+func TestBudgetMidLevelDeterministic(t *testing.T) {
+	factory := factoryFor(t, system.Fig1(), system.InstrS, spinForever)
+	var first *Result
+	for _, hot := range []int64{0, 1} {
+		for run := 0; run < 3; run++ {
+			o := Options{MaxStates: 97, Partial: true, HotIndexBytes: hot}
+			if hot > 0 {
+				o.SpillDir = t.TempDir()
+			}
+			res, err := Check(factory, o)
+			if err != nil {
+				t.Fatalf("hot=%d run %d: %v", hot, run, err)
+			}
+			if res.StatesExplored != 97 || res.Complete || res.Exhausted != "states" {
+				t.Fatalf("hot=%d run %d: want exactly 97 states, budget-exhausted: %+v", hot, run, res)
+			}
+			if first == nil {
+				first = res
+				continue
+			}
+			assertIdentical(t, first, res, fmt.Sprintf("hot=%d run %d", hot, run))
+		}
+	}
+}
+
+// TestDeltaStatsConsistent: the delta-key telemetry is internally
+// consistent, the BFS-parent ancestor wiring actually delta-encodes
+// states, and storage decisions do not depend on residency — the spill
+// run reports exactly the in-memory run's compression counters.
+func TestDeltaStatsConsistent(t *testing.T) {
+	modes := checkModes(t, factoryFor(t, system.Fig1(), system.InstrL, lockClaim), Options{})
+	seq, spill := modes["seq"], modes["spill"]
+	assertIdentical(t, seq, spill, "delta stats run")
+	for _, r := range []*Result{seq, spill} {
+		if r.Stats.StoredKeyBytes > r.Stats.LogicalKeyBytes {
+			t.Errorf("stored %d > logical %d key bytes", r.Stats.StoredKeyBytes, r.Stats.LogicalKeyBytes)
+		}
+		if r.Stats.DeltaStates == 0 && r.StatesExplored > 2 {
+			t.Errorf("no states delta-encoded across %d states; ancestor wiring looks dead", r.StatesExplored)
+		}
+	}
+	if seq.Stats.DeltaStates != spill.Stats.DeltaStates ||
+		seq.Stats.StoredKeyBytes != spill.Stats.StoredKeyBytes ||
+		seq.Stats.LogicalKeyBytes != spill.Stats.LogicalKeyBytes {
+		t.Errorf("storage telemetry diverged:\nin-memory %+v\nspill %+v", seq.Stats, spill.Stats)
+	}
+}
+
+// TestMemoryBudgetFiresPromptly pins the capacity-accounting fix at the
+// engine level: with an honest estimate the memory budget must trip
+// before the footprint meaningfully overshoots the cap (the old
+// length-based estimate lagged allocations by whole growth steps), and
+// must still return a graceful partial result with work done.
+func TestMemoryBudgetFiresPromptly(t *testing.T) {
+	const budget = 512 << 10
+	res, err := Check(factoryFor(t, system.Fig1(), system.InstrS, spinForever), Options{
+		MaxMemBytes: budget,
+		Partial:     true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Exhausted != "memory" || res.Complete {
+		t.Fatalf("result = %+v, want graceful memory exhaustion", res)
+	}
+	if res.StatesExplored == 0 {
+		t.Error("partial result should carry explored states")
+	}
+	// The estimate is checked after every push, so the recorded peak can
+	// exceed the budget by at most one allocation growth step — doubling
+	// in the worst case — never by an unaccounted multiple.
+	if res.Stats.PeakMemBytes > 3*budget {
+		t.Errorf("peak estimate %d overshot the %d budget by more than one growth step", res.Stats.PeakMemBytes, budget)
 	}
 }

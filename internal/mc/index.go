@@ -4,92 +4,67 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"simsym/internal/canon"
 )
 
-// stateIndex is the checker's visited set: a hash-sharded, delta-encoded
-// index over binary state keys built to hold 10⁸⁺ states. Keys are
-// routed to a shard by the top bits of their 64-bit FNV-1a hash; inside
-// a shard they are bucketed by the full hash and a bucket hit is
-// confirmed by comparing the exact encodings, so ids are collision-free
-// by construction — hash quality affects only speed, never verdicts.
+// stateIndex is the checker's visited set: a delta-encoded index over
+// binary state keys built to hold 10⁸⁺ states. Keys are bucketed by their
+// full 64-bit FNV-1a hash and a bucket hit is confirmed by comparing the
+// exact encodings, so ids are collision-free by construction — hash
+// quality affects only speed, never verdicts.
 //
 // Three mechanisms keep the per-state footprint small:
 //
 //   - Ids are int64 (they used to be int32, which silently truncated
 //     and aliased distinct states past 2³¹ — exactly the scale this
-//     index targets). Ids are dense and assigned in insertion order, so
-//     they double as node indices in the checker's bookkeeping; baseID
-//     lets tests pin the id stream right at the old 32-bit boundary.
-//   - Key bytes live in per-shard chunked arenas (fixed-size chunks,
-//     append-only, never moved once allocated), and a key whose BFS
-//     lineage stays close to a full-stored ancestor is stored as a
-//     canon.AppendKeyDelta patch against that ancestor. Every delta
-//     points directly at a full-stored ancestor (chain length one by
-//     construction): a state delta-encodes against its parent's
-//     keyframe while the patch stays small, and becomes a new keyframe
-//     once the lineage has drifted too far.
-//   - When a hot-bytes cap is set, cold chunks spill FIFO to a per-shard
-//     file (BFS rarely re-touches old levels, so the spilled majority is
-//     read back only on genuine dedup hits against deep history). File
+//     index targets). States are inserted in BFS commit order, so a
+//     state's id is baseID plus its entry index and doubles as its node
+//     index in the checker's bookkeeping; baseID lets tests pin the id
+//     stream right at the old 32-bit boundary.
+//   - Key bytes live in a chunked arena (fixed-size chunks, append-only,
+//     never moved once allocated), and a key whose BFS lineage stays
+//     close to a full-stored ancestor is stored as a canon.AppendKeyDelta
+//     patch against that ancestor. Every delta points directly at a
+//     full-stored ancestor (chain length one by construction): a state
+//     delta-encodes against its parent's keyframe while the patch stays
+//     small, and becomes a new keyframe once the lineage has drifted too
+//     far.
+//   - When a hot-bytes cap is set, cold chunks spill FIFO to a temp file
+//     (BFS rarely re-touches old levels, so the spilled majority is read
+//     back only on genuine dedup hits against deep history). File
 //     offsets equal logical arena offsets, so spilling never rewrites an
 //     entry.
-//
-// Concurrency contract (the engine's sharded level pipeline): during the
-// staging phase each shard is touched only by its owner goroutine, and
-// staging never reads another shard — cross-shard work (ancestor
-// resolution, deferred exact comparisons, spilling) happens only on the
-// coordinating goroutine between phases. The index therefore needs no
-// locks; determinism comes from reduction, not serialization.
 type stateIndex struct {
-	shards     []indexShard
-	shardShift uint // shard id = hash >> shardShift (len(shards) > 1)
-	// where maps gid-baseID to its shard and shard-local entry index,
-	// packed shard<<48 | idx. Dense: one word per visited state.
-	where  []uint64
-	baseID int64 // first gid assigned; nonzero only in boundary tests
+	buckets bucketTable // full key hash -> entry index
+	entries []entry     // entries[i] is the state with id baseID+i
+	baseID  int64       // first id assigned; nonzero only in boundary tests
 
-	hotCapBytes int64  // spill threshold over all shards; 0 = never spill
-	spillDir    string // parent dir for the spill tempdir
-	spillPath   string // created tempdir; "" until first spill
-
-	// Coordinator-side scratch for exact comparisons of spilled entries.
-	scrA, scrB []byte
-
-	// Spill accounting (coordinator-only writes).
-	spilledBytes int64
-	spillFlushes int64
-}
-
-// indexShard holds one hash slice of the visited set. All mutation goes
-// through its owner: the staging goroutine during the parallel phase,
-// the coordinator otherwise.
-type indexShard struct {
-	buckets bucketTable // full key hash -> shard-local entry indices
-	entries []entry
 	chunks  [][]byte // chunk i covers logical offsets [i<<chunkShift, ...)
 	used    int64    // logical end offset of written bytes
 	bound   int64    // offsets below bound are on disk, chunks nil-ed
-	file    *os.File
-	scratch []byte // delta-encode buffer, reused across stages
+	scratch []byte   // delta-encode buffer, reused across inserts
 
-	// Exact capacity accounting, maintained incrementally on append.
-	padBytes int64 // alignment waste inside chunks
+	hotCapBytes int64    // spill threshold; 0 = never spill
+	spillDir    string   // directory for the spill file ("" = os.TempDir())
+	file        *os.File // spill file; nil until the first spill
 
-	// Delta statistics (owner-only writes, summed on snapshot).
+	// Scratch for exact comparisons of spilled entries.
+	scrA, scrB []byte
+
+	// Delta and spill statistics.
 	deltaStates  int64
 	storedBytes  int64 // bytes as stored (full or delta)
 	logicalBytes int64 // bytes the full keys would have taken
+	spilledBytes int64
+	spillFlushes int64
 }
 
 // entry is one visited state: where its (full or delta) bytes live and
 // which full-stored ancestor a delta patches.
 type entry struct {
-	gid int64 // dense id; -1 while staged and not yet committed
-	anc int64 // gid of the full-stored ancestor a delta patches; -1 = full
-	off int64 // logical offset of the stored bytes in the shard arena
+	anc int64 // id of the full-stored ancestor a delta patches; -1 = full
+	off int64 // logical offset of the stored bytes in the arena
 	n   int32 // stored length
 }
 
@@ -101,7 +76,7 @@ const (
 	// entrySize feeds the memory estimate: the entry struct itself. The
 	// bucket directory's footprint is exact — bucketSlotSize bytes per
 	// allocated open-addressing slot.
-	entrySize      = 32
+	entrySize      = 24
 	bucketSlotSize = 16 // one uint64 hash + one int64 entry index
 
 	// A delta is stored only while it is meaningfully smaller than the
@@ -109,34 +84,15 @@ const (
 	deltaNum, deltaDen = 1, 2
 )
 
-// newStateIndex sizes the index: shards is clamped to a power of two in
-// [1, 256]; hotCapBytes > 0 arms the spill tier, writing under dir
-// (os.TempDir() when dir is empty).
-func newStateIndex(shards int, hotCapBytes int64, dir string) *stateIndex {
-	s := 1
-	for s < shards && s < 256 {
-		s <<= 1
-	}
-	return &stateIndex{
-		shards:      make([]indexShard, s),
-		shardShift:  64 - uint(bitLen(s-1)),
-		hotCapBytes: hotCapBytes,
-		spillDir:    dir,
-	}
-}
-
-func bitLen(x int) int {
-	n := 0
-	for x > 0 {
-		n++
-		x >>= 1
-	}
-	return n
+// newStateIndex builds an empty index; hotCapBytes > 0 arms the spill
+// tier, writing under dir (os.TempDir() when dir is empty).
+func newStateIndex(hotCapBytes int64, dir string) *stateIndex {
+	return &stateIndex{hotCapBytes: hotCapBytes, spillDir: dir}
 }
 
 // bucketTable is an open-addressed multimap from full key hashes to
-// shard-local entry indices — the shard's bucket directory. It replaces
-// a map[uint64][]int64 on the probe-per-candidate hot path: a lookup is
+// entry indices — the index's bucket directory. It replaces a
+// map[uint64][]int64 on the probe-per-candidate hot path: a lookup is
 // one masked index plus a short linear scan (load never exceeds 3/4),
 // with no hashing of the already-hashed key and no per-key slice
 // headers. Entries sharing a full 64-bit hash (collisions, effectively
@@ -160,19 +116,6 @@ func (bt *bucketTable) add(hash uint64, ei int64) {
 	}
 	bt.hashes[sl], bt.eis[sl] = hash, ei
 	bt.n++
-}
-
-// has reports whether any entry is bucketed under hash.
-func (bt *bucketTable) has(hash uint64) bool {
-	if bt.eis == nil {
-		return false
-	}
-	for sl := hash & bt.mask; bt.eis[sl] >= 0; sl = (sl + 1) & bt.mask {
-		if bt.hashes[sl] == hash {
-			return true
-		}
-	}
-	return false
 }
 
 func (bt *bucketTable) grow() {
@@ -199,30 +142,13 @@ func (bt *bucketTable) grow() {
 	}
 }
 
-// shardOf routes a key hash to its owning shard.
-func (t *stateIndex) shardOf(hash uint64) int {
-	if len(t.shards) == 1 {
-		return 0
-	}
-	return int(hash >> t.shardShift)
-}
-
-// nextGID is the id the next committed state will receive.
-func (t *stateIndex) nextGID() int64 { return t.baseID + int64(len(t.where)) }
-
-// entryAt resolves a committed gid to its shard and entry.
-func (t *stateIndex) entryAt(gid int64) (*indexShard, *entry) {
-	loc := t.where[gid-t.baseID]
-	sh := &t.shards[loc>>48]
-	return sh, &sh.entries[loc&(1<<48-1)]
-}
+// entryAt resolves an id to its entry.
+func (t *stateIndex) entryAt(id int64) *entry { return &t.entries[id-t.baseID] }
 
 // lookupHashed reports whether key (with its precomputed hash) is
-// already indexed, and its id if so. Coordinator-only: comparing against
-// delta-stored or spilled entries may touch any shard.
-func (t *stateIndex) lookupHashed(key []byte, hash uint64) (gid int64, ok bool, err error) {
-	sh := &t.shards[t.shardOf(hash)]
-	bt := &sh.buckets
+// already indexed, and its id if so.
+func (t *stateIndex) lookupHashed(key []byte, hash uint64) (id int64, ok bool, err error) {
+	bt := &t.buckets
 	if bt.eis == nil {
 		return 0, false, nil
 	}
@@ -230,13 +156,13 @@ func (t *stateIndex) lookupHashed(key []byte, hash uint64) (gid int64, ok bool, 
 		if bt.hashes[sl] != hash {
 			continue
 		}
-		e := &sh.entries[bt.eis[sl]]
-		eq, err := t.entryEqual(sh, e, key)
+		ei := bt.eis[sl]
+		eq, err := t.entryEqual(&t.entries[ei], key)
 		if err != nil {
 			return 0, false, err
 		}
 		if eq {
-			return e.gid, true, nil
+			return t.baseID + ei, true, nil
 		}
 	}
 	return 0, false, nil
@@ -246,108 +172,70 @@ func (t *stateIndex) lookupHashed(key []byte, hash uint64) (gid int64, ok bool, 
 // Full entries compare directly; delta entries stream-compare via
 // canon.KeyDeltaEqual against their ancestor's bytes without
 // materializing the patched key. Spilled bytes are read back through the
-// coordinator scratch buffers.
-func (t *stateIndex) entryEqual(sh *indexShard, e *entry, key []byte) (bool, error) {
-	raw, err := sh.read(e.off, int(e.n), &t.scrA)
+// scratch buffers.
+func (t *stateIndex) entryEqual(e *entry, key []byte) (bool, error) {
+	raw, err := t.read(e.off, int(e.n), &t.scrA)
 	if err != nil {
 		return false, err
 	}
 	if e.anc < 0 {
 		return bytes.Equal(raw, key), nil
 	}
-	ancSh, ancE := t.entryAt(e.anc)
-	ancRaw, err := ancSh.read(ancE.off, int(ancE.n), &t.scrB)
+	a := t.entryAt(e.anc)
+	ancRaw, err := t.read(a.off, int(a.n), &t.scrB)
 	if err != nil {
 		return false, err
 	}
 	return canon.KeyDeltaEqual(ancRaw, raw, key), nil
 }
 
-// ancestorFor returns the full-stored ancestor of a committed state: the
+// ancestorFor returns the full-stored ancestor of an indexed state: the
 // state itself when stored full, its keyframe otherwise. Hot entries are
-// returned zero-copy (chunks never move, so the slice stays valid);
-// spilled entries are appended into arena with stable-arena semantics —
-// earlier slices handed out from the same arena remain valid.
-// Coordinator-only.
-func (t *stateIndex) ancestorFor(gid int64, arena *[]byte) (ancGID int64, ancKey []byte, err error) {
-	sh, e := t.entryAt(gid)
+// returned zero-copy (chunks never move, and spilling happens only
+// between BFS levels); spilled entries are read into *buf, so the result
+// is valid until the next read through buf.
+func (t *stateIndex) ancestorFor(id int64, buf *[]byte) (ancID int64, ancKey []byte, err error) {
+	e := t.entryAt(id)
 	if e.anc >= 0 {
-		gid = e.anc
-		sh, e = t.entryAt(gid)
+		id = e.anc
+		e = t.entryAt(id)
 	}
 	// Ancestors are full-stored by construction (a delta's anc always
 	// names a keyframe).
-	key, err := sh.readStable(e.off, int(e.n), arena)
+	key, err := t.read(e.off, int(e.n), buf)
 	if err != nil {
 		return 0, nil, err
 	}
-	return gid, key, nil
+	return id, key, nil
 }
 
-// insert commits key (not yet present; hash as from lookupHashed) with
-// the next dense id and returns it. ancGID/ancKey name the full-stored
-// ancestor candidate for delta encoding; ancGID < 0 forces full storage.
-// key is copied; the caller keeps ownership of its buffer.
-// Coordinator-only.
-func (t *stateIndex) insert(key []byte, hash uint64, ancGID int64, ancKey []byte) int64 {
-	si := t.shardOf(hash)
-	ei := t.shards[si].stage(key, hash, ancGID, ancKey)
-	return t.commitStaged(si, ei)
-}
-
-// stageNew stages key into shard si if and only if its hash bucket is
-// empty, returning the shard-local entry index. A non-empty bucket
-// defers the exact comparison to the coordinator's commit pass — this is
-// what keeps the staging phase free of cross-shard reads. Owner-only.
-func (t *stateIndex) stageNew(si int, key []byte, hash uint64, ancGID int64, ancKey []byte) (ei int64, staged bool) {
-	sh := &t.shards[si]
-	if sh.buckets.has(hash) {
-		return 0, false
-	}
-	return sh.stage(key, hash, ancGID, ancKey), true
-}
-
-// commitStaged assigns the next dense id to a staged entry.
-// Coordinator-only.
-func (t *stateIndex) commitStaged(si int, ei int64) int64 {
-	sh := &t.shards[si]
-	gid := t.nextGID()
-	sh.entries[ei].gid = gid
-	t.where = append(t.where, uint64(si)<<48|uint64(ei))
-	return gid
-}
-
-// entryRef returns a staged or committed entry by shard-local index.
-func (t *stateIndex) entryRef(si int, ei int64) (*indexShard, *entry) {
-	sh := &t.shards[si]
-	return sh, &sh.entries[ei]
-}
-
-// stage appends key to the shard: delta-encoded against ancKey when the
-// patch wins by the deltaNum/deltaDen margin, full otherwise. The entry
-// starts uncommitted (gid -1). Owner-only.
-func (sh *indexShard) stage(key []byte, hash uint64, ancGID int64, ancKey []byte) int64 {
+// insert appends key (not yet present; hash as from lookupHashed) with
+// the next dense id and returns it: delta-encoded against ancKey when
+// the patch wins by the deltaNum/deltaDen margin, full otherwise.
+// ancID/ancKey name the full-stored ancestor candidate; ancID < 0 forces
+// full storage. key is copied; the caller keeps ownership of its buffer.
+func (t *stateIndex) insert(key []byte, hash uint64, ancID int64, ancKey []byte) int64 {
 	stored := key
 	anc := int64(-1)
-	if ancGID >= 0 && len(ancKey) > 0 {
-		if delta, ok := canon.AppendKeyDelta(sh.scratch[:0], ancKey, key); ok {
-			sh.scratch = delta
+	if ancID >= 0 && len(ancKey) > 0 {
+		if delta, ok := canon.AppendKeyDelta(t.scratch[:0], ancKey, key); ok {
+			t.scratch = delta
 			if len(delta)*deltaDen <= len(key)*deltaNum {
 				stored = delta
-				anc = ancGID
+				anc = ancID
 			}
 		}
 	}
-	off := sh.write(stored)
+	off := t.write(stored)
 	if anc >= 0 {
-		sh.deltaStates++
+		t.deltaStates++
 	}
-	sh.storedBytes += int64(len(stored))
-	sh.logicalBytes += int64(len(key))
-	ei := int64(len(sh.entries))
-	sh.entries = append(sh.entries, entry{gid: -1, anc: anc, off: off, n: int32(len(stored))})
-	sh.buckets.add(hash, ei)
-	return ei
+	t.storedBytes += int64(len(stored))
+	t.logicalBytes += int64(len(key))
+	ei := int64(len(t.entries))
+	t.entries = append(t.entries, entry{anc: anc, off: off, n: int32(len(stored))})
+	t.buckets.add(hash, ei)
+	return t.baseID + ei
 }
 
 // write appends b to the chunked arena and returns its logical offset.
@@ -355,31 +243,28 @@ func (sh *indexShard) stage(key []byte, hash uint64, ancGID int64, ancKey []byte
 // is padding, and an item larger than a chunk gets a dedicated
 // exactly-sized chunk whose trailing slots are nil placeholders so chunk
 // indices keep matching off >> chunkShift.
-func (sh *indexShard) write(b []byte) int64 {
+func (t *stateIndex) write(b []byte) int64 {
 	n := len(b)
-	pos := int(sh.used & chunkMask)
+	pos := int(t.used & chunkMask)
 	if pos > 0 && pos+n > chunkSize {
-		sh.padBytes += int64(chunkSize - pos)
-		sh.used = (sh.used + chunkMask) &^ int64(chunkMask)
+		t.used = (t.used + chunkMask) &^ int64(chunkMask)
 		pos = 0
 	}
-	ci := int(sh.used >> chunkShift)
-	if ci >= len(sh.chunks) {
+	ci := int(t.used >> chunkShift)
+	if ci >= len(t.chunks) {
 		size := chunkSize
 		if n > chunkSize {
 			size = n
 		}
-		sh.chunks = append(sh.chunks, make([]byte, size))
+		t.chunks = append(t.chunks, make([]byte, size))
 	}
-	copy(sh.chunks[ci][pos:], b)
-	off := sh.used
-	sh.used += int64(n)
+	copy(t.chunks[ci][pos:], b)
+	off := t.used
+	t.used += int64(n)
 	if n > chunkSize {
-		end := (sh.used + chunkMask) &^ int64(chunkMask)
-		sh.padBytes += end - sh.used
-		sh.used = end
-		for int64(len(sh.chunks))<<chunkShift < sh.used {
-			sh.chunks = append(sh.chunks, nil)
+		t.used = (t.used + chunkMask) &^ int64(chunkMask)
+		for int64(len(t.chunks))<<chunkShift < t.used {
+			t.chunks = append(t.chunks, nil)
 		}
 	}
 	return off
@@ -388,50 +273,25 @@ func (sh *indexShard) write(b []byte) int64 {
 // read returns the stored bytes at [off, off+n): zero-copy from a hot
 // chunk, read through scratch from the spill file otherwise. The result
 // is valid until the next read through the same scratch.
-func (sh *indexShard) read(off int64, n int, scratch *[]byte) ([]byte, error) {
-	if off >= sh.bound {
+func (t *stateIndex) read(off int64, n int, scratch *[]byte) ([]byte, error) {
+	if off >= t.bound {
 		pos := int(off & chunkMask)
-		return sh.chunks[off>>chunkShift][pos : pos+n], nil
+		return t.chunks[off>>chunkShift][pos : pos+n], nil
 	}
 	if cap(*scratch) < n {
 		*scratch = make([]byte, n+n/2)
 	}
 	buf := (*scratch)[:n]
-	if _, err := sh.file.ReadAt(buf, off); err != nil {
+	if _, err := t.file.ReadAt(buf, off); err != nil {
 		return nil, fmt.Errorf("mc: spill read: %w", err)
 	}
 	return buf, nil
 }
 
-// readStable is read with stable-arena semantics for spilled entries:
-// when the arena block is full a fresh block is started rather than
-// grown, so slices previously returned from the same arena stay valid
-// (the old blocks are garbage-collected once their slices die).
-func (sh *indexShard) readStable(off int64, n int, arena *[]byte) ([]byte, error) {
-	if off >= sh.bound {
-		pos := int(off & chunkMask)
-		return sh.chunks[off>>chunkShift][pos : pos+n], nil
-	}
-	a := *arena
-	if cap(a)-len(a) < n {
-		size := chunkSize
-		if n > size {
-			size = n
-		}
-		a = make([]byte, 0, size)
-	}
-	buf := a[len(a) : len(a)+n]
-	if _, err := sh.file.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("mc: spill read: %w", err)
-	}
-	*arena = a[:len(a)+n]
-	return buf, nil
-}
-
-// hotBytes is the in-memory arena footprint of the shard.
-func (sh *indexShard) hotBytes() int64 {
+// hotBytes is the in-memory arena footprint.
+func (t *stateIndex) hotBytes() int64 {
 	var total int64
-	for _, c := range sh.chunks {
+	for _, c := range t.chunks {
 		total += int64(len(c))
 	}
 	return total
@@ -440,81 +300,59 @@ func (sh *indexShard) hotBytes() int64 {
 // spillWriteHook, when non-nil, intercepts each chunk write to the spill
 // tier and can force it to fail — a test seam for fault-injecting the
 // write path (disk full, revoked permissions) without a real bad disk.
-var spillWriteHook func(shard int) error
+var spillWriteHook func() error
 
-// maybeSpill flushes finalized cold chunks FIFO to the per-shard spill
-// files until the hot arenas fit under the cap again. Coordinator-only,
-// called between BFS levels so no staging goroutine holds hot slices.
-// Returns the bytes moved to disk by this call.
+// maybeSpill flushes finalized cold chunks FIFO to the spill file until
+// the hot arena fits under the cap again. Called between BFS levels, when
+// no caller holds a zero-copy slice of a hot chunk. Returns the bytes
+// moved to disk by this call.
 //
-// Any mid-spill failure releases the whole spill tier before returning:
-// the index is unusable for further lookups once a chunk write is lost,
-// so holding per-shard file descriptors or the on-disk directory open
-// would only leak them — the caller surfaces the error (or degrades to a
-// partial result) and never touches the spilled tier again.
+// Any mid-spill failure releases the spill tier before returning: the
+// index is unusable for further lookups once a chunk write is lost, so
+// holding the file open would only leak it — the caller surfaces the
+// error (or degrades to a partial result) and never touches the spilled
+// tier again.
 func (t *stateIndex) maybeSpill() (int64, error) {
 	if t.hotCapBytes <= 0 {
 		return 0, nil
 	}
-	var hot int64
-	for i := range t.shards {
-		hot += t.shards[i].hotBytes()
-	}
-	if hot <= t.hotCapBytes {
-		return 0, nil
-	}
-	if t.spillPath == "" {
-		dir := t.spillDir
-		if dir == "" {
-			dir = os.TempDir()
-		}
-		path, err := os.MkdirTemp(dir, "mc-spill-*")
-		if err != nil {
-			return 0, fmt.Errorf("mc: spill: %w", err)
-		}
-		t.spillPath = path
-	}
+	hot := t.hotBytes()
 	var freed int64
-	for i := range t.shards {
-		sh := &t.shards[i]
-		for hot-freed > t.hotCapBytes {
-			ci := int(sh.bound >> chunkShift)
-			if ci >= len(sh.chunks) {
-				break
+	for hot-freed > t.hotCapBytes {
+		ci := int(t.bound >> chunkShift)
+		if ci >= len(t.chunks) {
+			break
+		}
+		c := t.chunks[ci]
+		if c == nil { // placeholder slot of an already-spilled jumbo chunk
+			t.bound = int64(ci+1) << chunkShift
+			continue
+		}
+		chunkEnd := int64(ci)<<chunkShift + int64(len(c))
+		if chunkEnd > t.used {
+			break // the active chunk still accepts appends
+		}
+		if t.file == nil {
+			f, err := os.CreateTemp(t.spillDir, "mc-spill-*")
+			if err != nil {
+				return freed, fmt.Errorf("mc: spill: %w", err)
 			}
-			c := sh.chunks[ci]
-			if c == nil { // placeholder slot of an already-spilled jumbo chunk
-				sh.bound = int64(ci+1) << chunkShift
-				continue
-			}
-			chunkEnd := int64(ci)<<chunkShift + int64(len(c))
-			if chunkEnd > sh.used {
-				break // the active chunk still accepts appends
-			}
-			if sh.file == nil {
-				f, err := os.OpenFile(filepath.Join(t.spillPath, fmt.Sprintf("shard-%03d", i)),
-					os.O_RDWR|os.O_CREATE, 0o600)
-				if err != nil {
-					t.release()
-					return freed, fmt.Errorf("mc: spill: %w", err)
-				}
-				sh.file = f
-			}
-			if spillWriteHook != nil {
-				if err := spillWriteHook(i); err != nil {
-					t.release()
-					return freed, fmt.Errorf("mc: spill write: %w", err)
-				}
-			}
-			if _, err := sh.file.WriteAt(c, int64(ci)<<chunkShift); err != nil {
+			t.file = f
+		}
+		if spillWriteHook != nil {
+			if err := spillWriteHook(); err != nil {
 				t.release()
 				return freed, fmt.Errorf("mc: spill write: %w", err)
 			}
-			freed += int64(len(c))
-			t.spilledBytes += int64(len(c))
-			sh.chunks[ci] = nil
-			sh.bound = (chunkEnd + chunkMask) &^ int64(chunkMask)
 		}
+		if _, err := t.file.WriteAt(c, int64(ci)<<chunkShift); err != nil {
+			t.release()
+			return freed, fmt.Errorf("mc: spill write: %w", err)
+		}
+		freed += int64(len(c))
+		t.spilledBytes += int64(len(c))
+		t.chunks[ci] = nil
+		t.bound = (chunkEnd + chunkMask) &^ int64(chunkMask)
 	}
 	if freed > 0 {
 		t.spillFlushes++
@@ -522,57 +360,24 @@ func (t *stateIndex) maybeSpill() (int64, error) {
 	return freed, nil
 }
 
-// release closes and removes the spill tier. Idempotent.
+// release closes and removes the spill file. Idempotent.
 func (t *stateIndex) release() {
-	for i := range t.shards {
-		if f := t.shards[i].file; f != nil {
-			f.Close()
-			t.shards[i].file = nil
-		}
+	if t.file != nil {
+		t.file.Close()
+		os.Remove(t.file.Name())
+		t.file = nil
 	}
-	if t.spillPath != "" {
-		os.RemoveAll(t.spillPath)
-		t.spillPath = ""
-	}
-}
-
-// indexStats is the index's observability snapshot.
-type indexStats struct {
-	shards       int
-	deltaStates  int64
-	storedBytes  int64
-	logicalBytes int64
-	spilledBytes int64
-	spillFlushes int64
-}
-
-func (t *stateIndex) statsSnapshot() indexStats {
-	s := indexStats{shards: len(t.shards), spilledBytes: t.spilledBytes, spillFlushes: t.spillFlushes}
-	for i := range t.shards {
-		sh := &t.shards[i]
-		s.deltaStates += sh.deltaStates
-		s.storedBytes += sh.storedBytes
-		s.logicalBytes += sh.logicalBytes
-	}
-	return s
 }
 
 // memBytes estimates the index's resident memory footprint from
 // capacities, not lengths: allocated chunk bytes (a half-filled chunk
-// costs its full size), the entry tables' capacity, the bucket slices'
-// exact capacity (tracked as they grow), the bucket maps' per-key
-// overhead, and the dense id table. Spilled bytes live on disk and are
-// deliberately excluded. Keeping this honest is what lets MaxMemBytes
-// degrade into a Partial result instead of an OOM.
+// costs its full size), the entry table's capacity, the bucket
+// directory's exact slot count, and the scratch buffers. Spilled bytes
+// live on disk and are deliberately excluded. Keeping this honest is
+// what lets MaxMemBytes degrade into a Partial result instead of an OOM.
 func (t *stateIndex) memBytes() int64 {
-	total := int64(cap(t.where)) * 8
-	total += int64(cap(t.scrA) + cap(t.scrB))
-	for i := range t.shards {
-		sh := &t.shards[i]
-		total += sh.hotBytes()
-		total += int64(cap(sh.entries)) * entrySize
-		total += int64(len(sh.buckets.eis)) * bucketSlotSize
-		total += int64(cap(sh.scratch))
-	}
-	return total
+	return t.hotBytes() +
+		int64(cap(t.entries))*entrySize +
+		int64(len(t.buckets.eis))*bucketSlotSize +
+		int64(cap(t.scratch)+cap(t.scrA)+cap(t.scrB))
 }

@@ -36,7 +36,7 @@ func mustInsert(t *testing.T, idx *stateIndex, key []byte, ancGID int64, ancKey 
 // distinct states past 2³¹. The baseID hook pins the stream right at the
 // boundary; crossing it must neither truncate nor alias.
 func TestIndexIDWidthBoundary(t *testing.T) {
-	idx := newStateIndex(4, 0, "")
+	idx := newStateIndex(0, "")
 	idx.baseID = (int64(1) << 31) - 2
 
 	keys := make([][]byte, 6)
@@ -73,7 +73,7 @@ func TestIndexIDWidthBoundary(t *testing.T) {
 // charged a full chunk — the old length-based estimate undercounted by
 // nearly the whole allocation and fired the memory budget late.
 func TestIndexMemBytesCountsCapacities(t *testing.T) {
-	idx := newStateIndex(1, 0, "")
+	idx := newStateIndex(0, "")
 	small := testKey("a")
 	mustInsert(t, idx, small, -1, nil)
 	if got := idx.memBytes(); got < chunkSize {
@@ -84,14 +84,13 @@ func TestIndexMemBytesCountsCapacities(t *testing.T) {
 	// allocated open-addressing slot, and entries forced to share one
 	// full hash must land in separate slots that all still resolve
 	// exactly (the probe chain disambiguates by key comparison).
-	idx2 := newStateIndex(1, 0, "")
+	idx2 := newStateIndex(0, "")
 	hash := canon.HashBytes(testKey("seed"))
 	for i := 0; i < 100; i++ {
 		idx2.insert(testKey(fmt.Sprintf("k=%d", i)), hash, -1, nil)
 	}
-	sh := &idx2.shards[0]
-	if sh.buckets.n != 100 {
-		t.Errorf("bucket table holds %d entries, want 100", sh.buckets.n)
+	if idx2.buckets.n != 100 {
+		t.Errorf("bucket table holds %d entries, want 100", idx2.buckets.n)
 	}
 	for i := 0; i < 100; i++ {
 		gid, ok, err := idx2.lookupHashed(testKey(fmt.Sprintf("k=%d", i)), hash)
@@ -102,11 +101,11 @@ func TestIndexMemBytesCountsCapacities(t *testing.T) {
 			t.Errorf("same-hash key %d resolved to gid %d", i, gid)
 		}
 	}
-	if got, wantMin := idx2.memBytes(), int64(len(sh.buckets.eis))*bucketSlotSize; got < wantMin {
+	if got, wantMin := idx2.memBytes(), int64(len(idx2.buckets.eis))*bucketSlotSize; got < wantMin {
 		t.Errorf("memBytes = %d must cover the bucket directory's %d bytes", got, wantMin)
 	}
-	if got := idx2.memBytes(); got < int64(cap(sh.entries))*entrySize {
-		t.Errorf("memBytes = %d must cover the entries table capacity %d", got, cap(sh.entries)*entrySize)
+	if got := idx2.memBytes(); got < int64(cap(idx2.entries))*entrySize {
+		t.Errorf("memBytes = %d must cover the entries table capacity %d", got, cap(idx2.entries)*entrySize)
 	}
 }
 
@@ -114,7 +113,7 @@ func TestIndexMemBytesCountsCapacities(t *testing.T) {
 // component is stored as a delta, resolves exactly, and never aliases a
 // near-miss key.
 func TestIndexDeltaStorage(t *testing.T) {
-	idx := newStateIndex(2, 0, "")
+	idx := newStateIndex(0, "")
 	parent := testKey("pc=0", "pc=0", "lock=free", "turn=0")
 	pgid := mustInsert(t, idx, parent, -1, nil)
 
@@ -128,12 +127,11 @@ func TestIndexDeltaStorage(t *testing.T) {
 
 	child := testKey("pc=1", "pc=0", "lock=free", "turn=0")
 	cgid := mustInsert(t, idx, child, ancGID, ancKey)
-	snap := idx.statsSnapshot()
-	if snap.deltaStates != 1 {
-		t.Errorf("deltaStates = %d, want 1", snap.deltaStates)
+	if idx.deltaStates != 1 {
+		t.Errorf("deltaStates = %d, want 1", idx.deltaStates)
 	}
-	if snap.storedBytes >= snap.logicalBytes {
-		t.Errorf("delta storage should compress: stored %d >= logical %d", snap.storedBytes, snap.logicalBytes)
+	if idx.storedBytes >= idx.logicalBytes {
+		t.Errorf("delta storage should compress: stored %d >= logical %d", idx.storedBytes, idx.logicalBytes)
 	}
 
 	// Exact resolution, no aliasing with a near-miss.
@@ -157,17 +155,17 @@ func TestIndexDeltaStorage(t *testing.T) {
 
 // TestIndexSpillRoundTrip: with a hot cap far below the written volume,
 // chunks migrate to disk and every key still resolves bit-exactly
-// through file reads; release removes the spill directory.
+// through file reads; release removes the spill file.
 func TestIndexSpillRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	idx := newStateIndex(2, chunkSize/2, dir) // cap below one chunk: spill everything finalized
+	idx := newStateIndex(chunkSize/2, dir) // cap below one chunk: spill everything finalized
 	var keys [][]byte
 	var gids []int64
 	// Write a few chunks' worth of keys with some delta-encoded entries.
 	var ancGID int64 = -1
 	var ancKey []byte
 	for i := 0; i < 3000; i++ {
-		// Wide, mostly-unique keys so each shard finalizes several
+		// Wide, mostly-unique keys so the arena finalizes several
 		// chunks (only finalized chunks are spillable).
 		key := testKey(fmt.Sprintf("pc=%d", i%7), fmt.Sprintf("x=%0200d", i), "padpadpadpadpadpadpadpad")
 		gid := mustInsert(t, idx, key, ancGID, ancKey)
@@ -193,12 +191,8 @@ func TestIndexSpillRoundTrip(t *testing.T) {
 	if idx.spilledBytes == 0 {
 		t.Fatal("spill tier never engaged despite a sub-chunk hot cap")
 	}
-	var hot int64
-	for i := range idx.shards {
-		hot += idx.shards[i].hotBytes()
-	}
-	if hot > chunkSize*int64(len(idx.shards)) {
-		t.Errorf("hot tier holds %d bytes after spilling; at most the active chunk per shard should remain", hot)
+	if hot := idx.hotBytes(); hot > chunkSize {
+		t.Errorf("hot tier holds %d bytes after spilling; at most the active chunk should remain", hot)
 	}
 
 	for i := range keys {
@@ -211,45 +205,12 @@ func TestIndexSpillRoundTrip(t *testing.T) {
 		}
 	}
 
-	if idx.spillPath == "" {
-		t.Fatal("spillPath unset after spilling")
+	if idx.file == nil {
+		t.Fatal("no spill file after spilling")
 	}
-	path := idx.spillPath
+	path := idx.file.Name()
 	idx.release()
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("release must remove the spill dir; stat err = %v", err)
-	}
-}
-
-// TestIndexShardRouting: with multiple shards, keys land on more than
-// one shard and the where-table round-trips every gid to its entry.
-func TestIndexShardRouting(t *testing.T) {
-	idx := newStateIndex(4, 0, "")
-	if len(idx.shards) != 4 {
-		t.Fatalf("shard count = %d, want 4", len(idx.shards))
-	}
-	for i := 0; i < 200; i++ {
-		key := testKey(fmt.Sprintf("state-%d", i))
-		gid := mustInsert(t, idx, key, -1, nil)
-		sh, e := idx.entryAt(gid)
-		if e.gid != gid {
-			t.Fatalf("entryAt(%d) round-trip gave gid %d", gid, e.gid)
-		}
-		raw, err := sh.read(e.off, int(e.n), &idx.scrA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(raw, key) {
-			t.Fatalf("gid %d stored bytes mismatch", gid)
-		}
-	}
-	used := 0
-	for i := range idx.shards {
-		if len(idx.shards[i].entries) > 0 {
-			used++
-		}
-	}
-	if used < 2 {
-		t.Errorf("only %d of 4 shards used across 200 keys; hash routing looks degenerate", used)
+		t.Errorf("release must remove the spill file; stat err = %v", err)
 	}
 }

@@ -18,14 +18,15 @@
 //   - The visited set is a compact hashed index over binary state keys
 //     (stateIndex, mirroring partition.SigTable) rather than a map of
 //     canonical strings, backed by machine.AppendStateKey's cheap binary
-//     fingerprint path.
+//     fingerprint path. Keys are stored as deltas against a BFS
+//     ancestor's key when that is smaller, and Options.HotIndexBytes
+//     spills cold key bytes to disk.
 //   - Opt-in symmetry reduction (Options.SymmetryReduce) dedups states
 //     modulo the system's automorphism group — the orbit-quotient
 //     construction the paper's symmetry results suggest.
-//   - Opt-in deterministic parallel frontier expansion (Options.Workers)
-//     fans state expansion over a bounded worker pool with an in-order
-//     sequential merge, so results are label-for-label identical to the
-//     sequential engine.
+//   - There is one engine: each BFS level is expanded and merged one
+//     state at a time on the calling goroutine, so verdicts, witness
+//     schedules and counters are deterministic by construction.
 //   - Stats (states/sec, depth, dedup hits, memory estimate, group
 //     order) are surfaced through Result and a progress callback, and
 //     time/memory/state budgets can degrade gracefully into a partial
@@ -89,33 +90,17 @@ type Options struct {
 	// AutLimit bounds automorphism enumeration for SymmetryReduce;
 	// 0 means the autgrp default.
 	AutLimit int
-	// Workers > 1 expands each BFS level in parallel over that many
-	// goroutines. Successors are merged sequentially in frontier order,
-	// so verdicts, witness schedules, state counts, and stats are
-	// label-for-label identical to the sequential engine; predicates are
-	// only ever called from the merging goroutine.
-	Workers int
-	// Shards > 1 selects the sharded level pipeline: the visited index
-	// splits into Shards hash-addressed shards (rounded up to a power of
-	// two, capped at 256) and each BFS level runs as parallel expansion,
-	// parallel per-shard staging (each shard owned by one goroutine, no
-	// locks, no cross-shard reads), and a canonical-order commit pass.
-	// The commit pass processes successors in exactly the frontier order
-	// the sequential merge would, so verdicts, witness schedules, state
-	// counts, and stats stay label-for-label identical to the sequential
-	// engine — determinism by reduction rather than by serializing index
-	// probes. Combine with Workers to parallelize expansion too.
-	Shards int
-	// HotIndexBytes > 0 caps the visited index's in-memory key arenas:
+	// HotIndexBytes > 0 caps the visited index's in-memory key arena:
 	// when the hot tier outgrows the cap, cold arena chunks spill FIFO to
-	// per-shard temp files under SpillDir at level boundaries and are
-	// read back transparently on dedup probes against deep history. The
-	// cap governs only key storage; bucket tables and node bookkeeping
+	// a temp file under SpillDir at level boundaries and are read back
+	// transparently on dedup probes against deep history. The cap
+	// governs only key storage; the bucket table and node bookkeeping
 	// stay resident (MaxMemBytes still bounds the estimated total, which
-	// excludes spilled bytes).
+	// excludes spilled bytes). Verdicts, witnesses and counters do not
+	// depend on the cap.
 	HotIndexBytes int64
-	// SpillDir is the parent directory for spill files (os.TempDir()
-	// when empty); the spill tier is removed when the check returns.
+	// SpillDir is the directory for the spill file (os.TempDir() when
+	// empty); the file is removed when the check returns.
 	SpillDir string
 	// Progress, when non-nil, receives a Stats snapshot roughly every
 	// ProgressEvery explored states and once when the check finishes.
@@ -185,9 +170,6 @@ type Stats struct {
 	// GroupOrder is the automorphism count used for symmetry reduction
 	// (1 when reduction is off or the group is trivial).
 	GroupOrder int
-	// Shards is the visited-index shard count in effect (1 for the
-	// unsharded layout).
-	Shards int
 	// DeltaStates counts visited states whose key is stored as a delta
 	// against a BFS ancestor's key rather than in full.
 	DeltaStates int64
@@ -228,8 +210,8 @@ type node struct {
 	succs  []int
 }
 
-// succSpan locates one successor's key inside a batch arena, along with
-// the key's hash (computed during expansion, off the merge path).
+// succSpan locates one successor's key inside the batch arena, along with
+// the key's hash and whether the step was a stutter (self-loop).
 type succSpan struct {
 	start, end int
 	hash       uint64
@@ -237,21 +219,20 @@ type succSpan struct {
 }
 
 // batch is the per-state expansion output: successor machines plus their
-// canonical keys packed into a reusable arena. Batches are reused across
-// levels so steady-state expansion does not allocate per state.
+// canonical keys packed into a reusable arena. The one batch is reused
+// for every expanded state, so steady-state expansion does not allocate
+// per state.
 //
 // pool holds the W sibling clones expand steps in lockstep: CloneInto
 // overwrites a slot with an O(1) snapshot of the parent (no heap machine
-// per child), and only children the merge/commit pass decides to keep
-// are detached onto the heap. succs[p] points into pool — those pointers
-// die when the next level's expansion overwrites the slots.
+// per child), and only children merge decides to keep are detached onto
+// the heap. succs[p] points into pool — those pointers die when the next
+// expansion overwrites the slots.
 type batch struct {
-	m       *machine.Machine
 	pool    []machine.Machine
 	arena   []byte
 	spans   []succSpan
 	succs   []*machine.Machine
-	err     error
 	scratch [3][]byte
 }
 
@@ -265,29 +246,22 @@ type checker struct {
 	perms         []system.Permutation // non-identity automorphisms
 	idx           *stateIndex
 	nodes         []node
-	level         []*machine.Machine
-	levelIdx      []int
-	next          []*machine.Machine
-	nextIdx       []int
+	// level and next are the current and next BFS frontiers. States are
+	// pushed in node order, so a frontier's node ids are contiguous:
+	// level[i] is node levelStart+i.
+	level, next   []*machine.Machine
+	levelStart    int
 	res           *Result
 	stats         *Stats
 	sinceProgress int
-	seqBatch      batch
-	parBatches    []batch
-
-	// Sharded-pipeline bookkeeping (see sharded.go): per-frontier-state
-	// delta ancestors resolved before expansion, per-successor staging
-	// outcomes, and the stable arena spilled ancestor keys are read into.
-	ancGIDs  []int64
-	ancKeys  [][]byte
-	ancArena []byte
-	outcomes []int64
+	batch         batch
+	ancBuf        []byte // spilled delta-ancestor keys are read into this
 
 	// succArena backs every node's succs list. A node's successors are
-	// committed contiguously (the commit passes walk (frontier index,
-	// processor) in canonical order, one node at a time), so each list is
-	// a window re-sliced from the arena tail after each append — one
-	// amortized allocation for the whole graph instead of one per node.
+	// committed contiguously (merge walks (frontier index, processor) in
+	// order, one node at a time), so each list is a window re-sliced from
+	// the arena tail after each append — one amortized allocation for the
+	// whole graph instead of one per node.
 	succArena []int
 
 	// machSlab carves storage for kept machines (DetachTo) in chunks, one
@@ -300,8 +274,8 @@ type checker struct {
 	machFree [][]machine.Machine
 
 	// cowSlab backs the arrays kept machines privatize while being
-	// primed — adopt runs on the sequential commit path in every engine
-	// mode, so one slab serves all of them without synchronization.
+	// primed — push primes them one at a time on the checking goroutine,
+	// so one slab serves all of them without synchronization.
 	cowSlab machine.Slab
 }
 
@@ -364,7 +338,7 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 		progressEvery: opts.ProgressEvery,
 		start:         time.Now(),
 		res:           &Result{},
-		idx:           newStateIndex(opts.Shards, opts.HotIndexBytes, opts.SpillDir),
+		idx:           newStateIndex(opts.HotIndexBytes, opts.SpillDir),
 	}
 	defer c.idx.release()
 	c.stats = &c.res.Stats
@@ -404,42 +378,27 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 			}
 		}
 	}
-	rootIdx := c.push(m0, rootKey, -1, -1)
+	rootIdx := c.push(m0, rootKey, canon.HashBytes(rootKey), -1, -1, -1, nil)
 	if v := c.checkState(m0, rootIdx); v != nil {
 		c.res.Violation = v
 		return c.finish(nil)
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	c.level, c.levelIdx = c.next, c.nextIdx
-	c.next, c.nextIdx = nil, nil
+	c.level, c.next = c.next, nil
 	for len(c.level) > 0 {
 		c.stats.Depth++
 		if len(c.level) > c.stats.PeakFrontier {
 			c.stats.PeakFrontier = len(c.level)
 		}
-		var done bool
-		var err error
-		switch {
-		case opts.Shards > 1:
-			done, err = c.runLevelSharded(workers)
-		case workers > 1 && len(c.level) > 1:
-			done, err = c.runLevelParallel(workers)
-		default:
-			done, err = c.runLevelSequential()
-		}
-		if done {
+		if done, err := c.runLevel(); done {
 			return c.finish(err)
 		}
 		if opts.Obs.Enabled() {
 			opts.Obs.StateExpansion("mc", c.res.StatesExplored, c.stats.Depth, c.stats.Transitions)
 		}
-		// The level boundary is the one point where no staging goroutine
-		// can hold hot-chunk slices, so it is the safe place to migrate
-		// cold index chunks to disk.
+		// The level boundary is the one point where merge holds no
+		// zero-copy slice of a hot chunk, so it is the safe place to
+		// migrate cold index chunks to disk.
 		freed, serr := c.idx.maybeSpill()
 		if serr != nil {
 			// A failed spill (disk full, unwritable dir) ends exploration,
@@ -456,12 +415,12 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 		if freed > 0 && opts.Obs.Enabled() {
 			opts.Obs.Spill("mc", freed, c.idx.spilledBytes, c.idx.spillFlushes)
 		}
+		c.levelStart = len(c.nodes) - len(c.next)
 		c.level, c.next = c.next, c.level[:0]
-		c.levelIdx, c.nextIdx = c.nextIdx, c.levelIdx[:0]
-		// Every machine of the just-expanded level is dead (the merge and
-		// commit passes nil the level slots as they finish), so the slab
-		// generations advance: chunks retired two boundaries ago are
-		// reused for the machines the next level will keep.
+		// Every machine of the just-expanded level is dead (runLevel nils
+		// the level slots as it goes), so the slab generations advance:
+		// chunks retired two boundaries ago are reused for the machines
+		// the next level will keep.
 		c.recycleKept()
 		c.cowSlab.Recycle()
 	}
@@ -489,12 +448,10 @@ func (c *checker) finish(err error) (*Result, error) {
 	if mem := c.memEstimate(); mem > c.stats.PeakMemBytes {
 		c.stats.PeakMemBytes = mem
 	}
-	snap := c.idx.statsSnapshot()
-	c.stats.Shards = snap.shards
-	c.stats.DeltaStates = snap.deltaStates
-	c.stats.StoredKeyBytes = snap.storedBytes
-	c.stats.LogicalKeyBytes = snap.logicalBytes
-	c.stats.SpilledBytes = snap.spilledBytes
+	c.stats.DeltaStates = c.idx.deltaStates
+	c.stats.StoredKeyBytes = c.idx.storedBytes
+	c.stats.LogicalKeyBytes = c.idx.logicalBytes
+	c.stats.SpilledBytes = c.idx.spilledBytes
 	if c.opts.Progress != nil {
 		c.opts.Progress(*c.stats)
 	}
@@ -504,15 +461,14 @@ func (c *checker) finish(err error) (*Result, error) {
 		rec.Count("mc.transitions", c.stats.Transitions)
 		rec.Count("mc.dedup_hits", c.stats.DedupHits)
 		rec.Count("mc.self_loops", c.stats.SelfLoops)
-		if c.opts.Shards > 1 || c.opts.HotIndexBytes > 0 {
-			// Sharded/spill-mode telemetry only: the emissions below
-			// would perturb the deterministic event streams golden-file
-			// tests pin for the classic configurations.
-			rec.Count("mc.delta_states", snap.deltaStates)
-			rec.Count("mc.stored_key_bytes", snap.storedBytes)
-			rec.Count("mc.logical_key_bytes", snap.logicalBytes)
-			rec.Count("mc.spilled_bytes", snap.spilledBytes)
-			rec.Stat("mc.shards", int64(snap.shards))
+		if c.opts.HotIndexBytes > 0 {
+			// Spill-mode telemetry only: the emissions below would
+			// perturb the deterministic event stream golden-file tests
+			// pin for the in-memory configuration.
+			rec.Count("mc.delta_states", c.stats.DeltaStates)
+			rec.Count("mc.stored_key_bytes", c.stats.StoredKeyBytes)
+			rec.Count("mc.logical_key_bytes", c.stats.LogicalKeyBytes)
+			rec.Count("mc.spilled_bytes", c.stats.SpilledBytes)
 		}
 		rec.Stat("mc.depth", int64(c.stats.Depth))
 		rec.Stat("mc.peak_frontier", int64(c.stats.PeakFrontier))
@@ -530,76 +486,32 @@ func (c *checker) finish(err error) (*Result, error) {
 	return c.res, err
 }
 
-// runLevelSequential expands and merges the current level one state at a
-// time, reusing a single batch.
-func (c *checker) runLevelSequential() (bool, error) {
+// runLevel expands and merges the current level one state at a time, in
+// frontier order, reusing a single batch.
+func (c *checker) runLevel() (bool, error) {
 	for i, cur := range c.level {
 		c.level[i] = nil // allow GC of expanded states
-		c.seqBatch.m = cur
-		c.expand(cur, &c.seqBatch)
-		if done, err := c.merge(c.levelIdx[i], &c.seqBatch); done {
+		if err := c.expand(cur); err != nil {
 			return true, err
 		}
-		c.seqBatch.m = nil
+		if done, err := c.merge(c.levelStart+i, cur); done {
+			return true, err
+		}
 	}
 	return false, nil
 }
 
-// runLevelParallel fans expansion of the current level over a worker
-// pool, then merges the per-state batches sequentially in frontier
-// order. The merge order — and therefore every verdict, witness, counter,
-// and the exact visited set — matches the sequential engine.
-func (c *checker) runLevelParallel(workers int) (bool, error) {
-	n := len(c.level)
-	if workers > n {
-		workers = n
-	}
-	for len(c.parBatches) < n {
-		c.parBatches = append(c.parBatches, batch{})
-	}
-	batches := c.parBatches[:n]
-	chunk := (n + workers - 1) / workers
-	done := make(chan struct{}, workers)
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			done <- struct{}{}
-			continue
-		}
-		go func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				batches[i].m = c.level[i]
-				c.expand(c.level[i], &batches[i])
-			}
-			done <- struct{}{}
-		}(lo, hi)
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	for i := range batches {
-		c.level[i] = nil
-		if stop, err := c.merge(c.levelIdx[i], &batches[i]); stop {
-			return true, err
-		}
-		batches[i].m = nil
-	}
-	return false, nil
-}
-
-// expand computes all successors of cur into b: cloned machines plus
-// their canonical binary keys. Pure with respect to checker state except
-// for b, so level expansion parallelizes; predicates never run here.
+// expand computes all successors of cur into c.batch: cloned machines
+// plus their canonical binary keys and hashes. Predicates never run here.
 //
 // This is the batch-stepping hot loop: cur was primed when it was
-// adopted (every fingerprint window valid in its private arena), so its
+// pushed (every fingerprint window valid in its private arena), so its
 // own key is a pure window copy, and each sibling clone stepped out of
 // the pool re-encodes only the ≤1 frame and ≤2 variables its step
 // touched — every other component is copied straight out of the
 // parent's frozen arena.
-func (c *checker) expand(cur *machine.Machine, b *batch) {
-	b.err = nil
+func (c *checker) expand(cur *machine.Machine) error {
+	b := &c.batch
 	b.arena = b.arena[:0]
 	b.spans = b.spans[:0]
 	b.succs = b.succs[:0]
@@ -612,8 +524,7 @@ func (c *checker) expand(cur *machine.Machine, b *batch) {
 		next := &b.pool[p]
 		cur.CloneInto(next)
 		if err := next.Step(p); err != nil {
-			b.err = fmt.Errorf("mc: stepping %d: %w", p, err)
-			return
+			return fmt.Errorf("mc: stepping %d: %w", p, err)
 		}
 		start := len(b.arena)
 		var hash uint64
@@ -642,6 +553,7 @@ func (c *checker) expand(cur *machine.Machine, b *batch) {
 		b.spans = append(b.spans, succSpan{start: start, end: len(b.arena), hash: hash, selfLoop: selfLoop})
 		b.succs = append(b.succs, next)
 	}
+	return nil
 }
 
 // minimizeKey returns the lexicographically least state key of m over
@@ -660,24 +572,22 @@ func (c *checker) minimizeKey(m *machine.Machine, b *batch) []byte {
 	return best
 }
 
-// merge folds one expanded batch into the exploration: transition
+// merge folds the expanded batch of cur into the exploration: transition
 // predicates (before the self-loop skip — stutter steps are visible to
 // predicates, excluded only from the successor graph), dedup against the
 // hashed index, budget checks before each push, state predicates on new
-// states. Runs only on the coordinating goroutine, in frontier order.
-func (c *checker) merge(curIdx int, b *batch) (bool, error) {
-	if b.err != nil {
-		return true, b.err
-	}
+// states.
+func (c *checker) merge(curIdx int, cur *machine.Machine) (bool, error) {
+	b := &c.batch
 	// The parent's full-stored key ancestor (for delta-encoding new
 	// successors) is resolved lazily, once per batch: dedup-only batches
 	// never touch it.
-	ancGID := int64(-2)
+	ancID := int64(-2)
 	var ancKey []byte
 	for p, sp := range b.spans {
 		next := b.succs[p]
 		for _, pred := range c.opts.TransPreds {
-			if reason := pred(b.m, next, p); reason != "" {
+			if reason := pred(cur, next, p); reason != "" {
 				c.res.Violation = &Violation{
 					Reason:   reason,
 					Schedule: append(c.scheduleTo(curIdx), p),
@@ -691,20 +601,19 @@ func (c *checker) merge(curIdx int, b *batch) (bool, error) {
 		}
 		c.stats.Transitions++
 		key := b.arena[sp.start:sp.end]
-		if gid, ok, err := c.idx.lookupHashed(key, sp.hash); err != nil {
+		if id, ok, err := c.idx.lookupHashed(key, sp.hash); err != nil {
 			return true, err
 		} else if ok {
 			c.stats.DedupHits++
-			c.appendSucc(curIdx, int(gid-c.idx.baseID))
+			c.appendSucc(curIdx, int(id-c.idx.baseID))
 			continue
 		} else if c.res.StatesExplored >= c.maxStates {
 			// Budget check strictly before the push: the checker
 			// explores exactly MaxStates states, never MaxStates+1.
 			return true, c.exhaust("states")
 		} else {
-			if ancGID == -2 {
-				c.ancArena = c.ancArena[:0]
-				ancGID, ancKey, err = c.idx.ancestorFor(c.idx.baseID+int64(curIdx), &c.ancArena)
+			if ancID == -2 {
+				ancID, ancKey, err = c.idx.ancestorFor(c.idx.baseID+int64(curIdx), &c.ancBuf)
 				if err != nil {
 					return true, err
 				}
@@ -713,7 +622,7 @@ func (c *checker) merge(curIdx int, b *batch) (bool, error) {
 			// pool pointer must not be read past this point (priming the
 			// kept machine rebases span arrays the slot still aliases).
 			kept := next.DetachTo(c.newKept())
-			id := c.pushHashed(kept, key, sp.hash, curIdx, p, ancGID, ancKey)
+			id := c.push(kept, key, sp.hash, curIdx, p, ancID, ancKey)
 			c.appendSucc(curIdx, id)
 			if v := c.checkState(kept, id); v != nil {
 				c.res.Violation = v
@@ -727,28 +636,18 @@ func (c *checker) merge(curIdx int, b *batch) (bool, error) {
 	return false, nil
 }
 
-// push interns a state under key and appends its node; the id equals the
-// node index.
-func (c *checker) push(m *machine.Machine, key []byte, parent, step int) int {
-	return c.pushHashed(m, key, canon.HashBytes(key), parent, step, -1, nil)
-}
-
-func (c *checker) pushHashed(m *machine.Machine, key []byte, hash uint64, parent, step int, ancGID int64, ancKey []byte) int {
-	gid := c.idx.insert(key, hash, ancGID, ancKey)
-	c.adopt(m, parent, step)
-	return int(gid - c.idx.baseID)
-}
-
-// adopt appends the exploration bookkeeping for a state that was just
-// committed to the index: its node, frontier slot, stuck flag, and the
-// explored-state counters. The node index always equals the committed
-// gid minus baseID because ids are dense and assigned in commit order.
+// push commits a new state: it interns key (delta-encoded against ancKey
+// when that pays; ancID < 0 stores it full) and appends the state's node,
+// frontier slot, stuck flag, and the explored-state counters. It returns
+// the node index, which equals the index id minus baseID because ids are
+// dense and assigned in the same order as nodes.
 //
 // Priming here — once per kept state, never per candidate — rebases the
 // machine onto a private fingerprint arena with every window valid, so
 // the next level's expansion reads it (and its own children read the
 // frozen arena) without encoding anything that didn't change.
-func (c *checker) adopt(m *machine.Machine, parent, step int) int {
+func (c *checker) push(m *machine.Machine, key []byte, hash uint64, parent, step int, ancID int64, ancKey []byte) int {
+	c.idx.insert(key, hash, ancID, ancKey)
 	m.SetSlab(&c.cowSlab)
 	m.PrimeFingerprints()
 	stuck := ""
@@ -758,7 +657,6 @@ func (c *checker) adopt(m *machine.Machine, parent, step int) int {
 	id := len(c.nodes)
 	c.nodes = append(c.nodes, node{parent: parent, step: step, stuck: stuck})
 	c.next = append(c.next, m)
-	c.nextIdx = append(c.nextIdx, id)
 	c.res.StatesExplored++
 	c.sinceProgress++
 	return id

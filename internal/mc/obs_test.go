@@ -126,23 +126,6 @@ func TestObsGoldenEventStream(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("event stream diverged from golden file:\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
 	}
-	// Parallel expansion must produce the identical stream.
-	var pbuf bytes.Buffer
-	psink := obs.NewJSONL(&pbuf)
-	if _, err := Check(factoryFor(t, system.Fig1(), system.InstrL, lockClaim), Options{
-		StatePreds: []StatePredicate{UniquenessPred},
-		TransPreds: []TransitionPredicate{StabilityPred},
-		Workers:    4,
-		Obs:        obs.New(psink),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := psink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pbuf.Bytes(), want) {
-		t.Error("parallel engine emitted a different event stream than sequential")
-	}
 }
 
 // TestContextCancellation: a canceled context degrades like any other

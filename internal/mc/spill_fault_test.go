@@ -12,8 +12,8 @@ import (
 	"simsym/internal/system"
 )
 
-// fillSpillable inserts enough wide keys that every shard finalizes at
-// least one chunk — only finalized chunks are spillable.
+// fillSpillable inserts enough wide keys that the arena finalizes
+// several chunks — only finalized chunks are spillable.
 func fillSpillable(t *testing.T, idx *stateIndex, start, n int) {
 	t.Helper()
 	for i := start; i < start+n; i++ {
@@ -23,36 +23,30 @@ func fillSpillable(t *testing.T, idx *stateIndex, start, n int) {
 }
 
 // assertSpillReleased checks the invariant the error paths must uphold:
-// no per-shard file handle stays open and the spill directory is gone.
-func assertSpillReleased(t *testing.T, idx *stateIndex, dir string) {
+// the spill file handle is closed and the file is gone.
+func assertSpillReleased(t *testing.T, idx *stateIndex, path string) {
 	t.Helper()
-	for i := range idx.shards {
-		if idx.shards[i].file != nil {
-			t.Errorf("shard %d spill file left open after failed spill", i)
-		}
+	if idx.file != nil {
+		t.Errorf("spill file %q left open after failed spill", idx.file.Name())
 	}
-	if idx.spillPath != "" {
-		t.Errorf("spillPath %q not cleared after failed spill", idx.spillPath)
-	}
-	if dir != "" {
-		if _, err := os.Stat(dir); !os.IsNotExist(err) {
-			t.Errorf("spill dir %q not removed after failed spill; stat err = %v", dir, err)
+	if path != "" {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("spill file %q not removed after failed spill; stat err = %v", path, err)
 		}
 	}
 }
 
 // TestSpillWriteErrorReleasesTier: a chunk write failing on the very
-// first spill must close the just-opened shard file and remove the fresh
-// spill directory — the old code returned with both still live, leaking
-// an fd and a temp dir per failed run.
+// first spill must close and remove the just-created spill file rather
+// than leak an fd and a temp file per failed run.
 func TestSpillWriteErrorReleasesTier(t *testing.T) {
-	idx := newStateIndex(2, chunkSize/2, t.TempDir())
+	idx := newStateIndex(chunkSize/2, t.TempDir())
 	defer idx.release()
 	fillSpillable(t, idx, 0, 1500)
 
-	var dir string
-	spillWriteHook = func(shard int) error {
-		dir = idx.spillPath // capture the MkdirTemp result before release clears it
+	var path string
+	spillWriteHook = func() error {
+		path = idx.file.Name() // capture the CreateTemp result before release clears it
 		return errors.New("injected: disk full")
 	}
 	defer func() { spillWriteHook = nil }()
@@ -61,18 +55,17 @@ func TestSpillWriteErrorReleasesTier(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "injected") {
 		t.Fatalf("maybeSpill err = %v, want injected write error", err)
 	}
-	if dir == "" {
+	if path == "" {
 		t.Fatal("hook never ran; test exercised nothing")
 	}
-	assertSpillReleased(t, idx, dir)
+	assertSpillReleased(t, idx, path)
 }
 
 // TestSpillWriteErrorMidLevelReleasesTier: the failure lands after
 // several chunks already spilled successfully — the established tier
-// (open files on possibly several shards, non-empty directory) must be
-// torn down just the same.
+// (an open, non-empty spill file) must be torn down just the same.
 func TestSpillWriteErrorMidLevelReleasesTier(t *testing.T) {
-	idx := newStateIndex(2, chunkSize/2, t.TempDir())
+	idx := newStateIndex(chunkSize/2, t.TempDir())
 	defer idx.release()
 	fillSpillable(t, idx, 0, 1500)
 
@@ -80,15 +73,15 @@ func TestSpillWriteErrorMidLevelReleasesTier(t *testing.T) {
 	if _, err := idx.maybeSpill(); err != nil {
 		t.Fatal(err)
 	}
-	if idx.spilledBytes == 0 || idx.spillPath == "" {
+	if idx.spilledBytes == 0 || idx.file == nil {
 		t.Fatal("setup: first spill never engaged the tier")
 	}
-	dir := idx.spillPath
+	path := idx.file.Name()
 
 	// More keys, then a spill that dies on its third chunk write.
 	fillSpillable(t, idx, 1500, 1500)
 	calls := 0
-	spillWriteHook = func(shard int) error {
+	spillWriteHook = func() error {
 		calls++
 		if calls >= 3 {
 			return errors.New("injected: disk full")
@@ -101,11 +94,11 @@ func TestSpillWriteErrorMidLevelReleasesTier(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "injected") {
 		t.Fatalf("maybeSpill err = %v (freed %d), want injected write error", err, freed)
 	}
-	assertSpillReleased(t, idx, dir)
+	assertSpillReleased(t, idx, path)
 
 	// Idempotence under the existing defer idx.release() in Check.
 	idx.release()
-	assertSpillReleased(t, idx, dir)
+	assertSpillReleased(t, idx, path)
 }
 
 // spillFaultModel is a small closed model (the Figure 5 four-philosopher
@@ -141,7 +134,7 @@ func spillFaultModel(t *testing.T) (*system.System, *machine.Program) {
 // injected error surfaces. Either way the temp dir must be cleaned up.
 func TestCheckSpillErrorPartial(t *testing.T) {
 	s, prog := spillFaultModel(t)
-	spillWriteHook = func(shard int) error { return errors.New("injected: disk full") }
+	spillWriteHook = func() error { return errors.New("injected: disk full") }
 	defer func() { spillWriteHook = nil }()
 
 	for _, partial := range []bool{true, false} {
@@ -180,32 +173,19 @@ func TestCheckSpillErrorPartial(t *testing.T) {
 	}
 }
 
-// TestSpillOpenErrorReleasesTier: failing to open a shard file (revoked
-// directory permissions after the tier was created) must also release
-// the directory rather than leak it.
+// TestSpillOpenErrorReleasesTier: failing to create the spill file (here
+// SpillDir does not exist, which fails for every user, root included)
+// must surface the error and leave no file handle behind.
 func TestSpillOpenErrorReleasesTier(t *testing.T) {
-	if os.Getuid() == 0 {
-		t.Skip("permission-based injection is a no-op for root")
-	}
-	idx := newStateIndex(1, chunkSize/2, t.TempDir())
+	idx := newStateIndex(chunkSize/2, filepath.Join(t.TempDir(), "missing"))
 	defer idx.release()
 	fillSpillable(t, idx, 0, 1500)
 
-	// Pre-create the spill dir, then make it unwritable so OpenFile fails.
-	parent := t.TempDir()
-	path, err := os.MkdirTemp(parent, "mc-spill-*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx.spillPath = path
-	if err := os.Chmod(path, 0o500); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chmod(path, 0o700) // let TempDir cleanup succeed if the test fails
-
 	if _, err := idx.maybeSpill(); err == nil {
-		t.Fatal("maybeSpill succeeded despite unwritable spill dir")
+		t.Fatal("maybeSpill succeeded despite a missing spill dir")
 	}
-	os.Chmod(path, 0o700) // RemoveAll already ran; restore for the assert below
-	assertSpillReleased(t, idx, path)
+	if idx.spilledBytes != 0 {
+		t.Errorf("spilledBytes = %d after a failed create, want 0", idx.spilledBytes)
+	}
+	assertSpillReleased(t, idx, "")
 }

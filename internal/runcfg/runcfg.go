@@ -61,14 +61,13 @@ type Common struct {
 	MaxDuration Duration `json:"max_duration,omitempty"`
 	// MaxMemBytes bounds the checker's estimated footprint (0 = unbounded).
 	MaxMemBytes int64 `json:"max_mem_bytes,omitempty"`
-	// Workers > 1 parallelizes deterministic hot loops; results are
-	// identical to sequential runs.
+	// Workers > 1 spreads statistical trials and the similarity
+	// signature pass over that many goroutines; results are identical to
+	// sequential runs. The exhaustive model checker always runs
+	// sequentially and ignores it.
 	Workers int `json:"workers,omitempty"`
-	// Shards > 1 shards the model checker's visited-state index by key
-	// hash; results stay identical to sequential runs.
-	Shards int `json:"shards,omitempty"`
 	// HotIndexBytes > 0 caps the checker's in-memory key storage; colder
-	// key bytes spill to temp files under SpillDir.
+	// key bytes spill to a temp file under SpillDir.
 	HotIndexBytes int64 `json:"hot_index_bytes,omitempty"`
 	// SpillDir hosts the checker's spill files (os.TempDir() when empty).
 	SpillDir string `json:"spill_dir,omitempty"`

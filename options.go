@@ -63,8 +63,8 @@ func ReadJSONL(r io.Reader) ([]ObsEvent, error) { return obs.ReadJSONL(r) }
 
 // RunConfig is the serializable option set shared by the options-based
 // entry points and the simsymd daemon's session API: budgets, workers,
-// sharding and spill, seed, symmetry reduction, the statistical stopping
-// rule, fault classes, and the schedule kind. Its JSON form is exactly
+// spill, seed, symmetry reduction, the statistical stopping rule, fault
+// classes, and the schedule kind. Its JSON form is exactly
 // the "config" object a simsymd session-create request carries, so
 // daemon configs and Go options are one vocabulary. Apply a whole
 // RunConfig at once with WithConfig, or set individual fields through
@@ -120,17 +120,15 @@ func WithBudget(maxStates int, maxDuration time.Duration, maxMemBytes int64) Opt
 	}
 }
 
-// WithWorkers parallelizes deterministic hot loops over n goroutines.
+// WithWorkers spreads the statistical checkers' trials
+// (CheckStatistical, CheckStatisticalDining) and the similarity
+// signature pass (SimilarityOpts, NewDynSystem) over n goroutines;
+// results are identical at every n. The exhaustive checkers (CheckOpts,
+// CheckDiningOpts) always run sequentially and ignore it.
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 
-// WithShards splits the model checker's visited-state index into n
-// hash-addressed shards (rounded up to a power of two, capped at 256)
-// staged in parallel per BFS level; verdicts remain identical to the
-// sequential engine.
-func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
-
 // WithSpill caps the model checker's in-memory key storage at hotBytes
-// and spills colder key bytes to temp files under dir ("" uses the
+// and spills colder key bytes to a temp file under dir ("" uses the
 // system temp directory). Exploration verdicts are unaffected; only
 // residency changes.
 func WithSpill(hotBytes int64, dir string) Option {
@@ -190,8 +188,6 @@ func (o Options) mcOptions() mc.Options {
 		MaxStates:      o.MaxStates,
 		MaxDuration:    o.MaxDuration.Std(),
 		MaxMemBytes:    o.MaxMemBytes,
-		Workers:        o.Workers,
-		Shards:         o.Shards,
 		HotIndexBytes:  o.HotIndexBytes,
 		SpillDir:       o.SpillDir,
 		SymmetryReduce: o.Symmetry,
@@ -284,7 +280,7 @@ type CheckReport struct {
 // unselects one (Stability). Budget exhaustion and context cancellation
 // yield a partial report (Safe=true, Complete=false, Exhausted set), not
 // an error. Recognized options: WithObserver, WithMaxStates, WithBudget,
-// WithWorkers, WithSymmetry, WithContext.
+// WithSpill, WithSymmetry, WithContext.
 func CheckOpts(sys *System, instr InstrSet, prog *Program, opts ...Option) (*CheckReport, error) {
 	if sys == nil || prog == nil {
 		return nil, fmt.Errorf("%w: Check: nil system or program", ErrBadArgs)
@@ -318,7 +314,7 @@ func CheckOpts(sys *System, instr InstrSet, prog *Program, opts ...Option) (*Che
 
 // CheckDiningOpts model-checks a dining program for exclusion and
 // deadlock with full engine control. Recognized options: WithObserver,
-// WithMaxStates, WithBudget, WithWorkers, WithSymmetry, WithContext.
+// WithMaxStates, WithBudget, WithSpill, WithSymmetry, WithContext.
 func CheckDiningOpts(sys *System, prog *Program, opts ...Option) (*DiningReport, error) {
 	if sys == nil || prog == nil {
 		return nil, fmt.Errorf("%w: CheckDining: nil system or program", ErrBadArgs)

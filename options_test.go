@@ -195,8 +195,7 @@ func TestCheckDiningOptsBudgetAndSymmetry(t *testing.T) {
 	}
 	sym, err := simsym.CheckDiningOpts(table, prog,
 		simsym.WithBudget(100_000, time.Minute, 0),
-		simsym.WithSymmetry(true),
-		simsym.WithWorkers(2))
+		simsym.WithSymmetry(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,10 +211,10 @@ func TestCheckDiningOptsBudgetAndSymmetry(t *testing.T) {
 	}
 }
 
-// TestCheckOptsShardedSpill: the sharded index and spill tier reach the
-// checker through the facade options and leave the verdict, counters,
-// and witness identical to the plain engine.
-func TestCheckOptsShardedSpill(t *testing.T) {
+// TestCheckOptsSpill: the spill tier reaches the checker through the
+// facade options and leaves the verdict and counters identical to the
+// in-memory run.
+func TestCheckOptsSpill(t *testing.T) {
 	table, err := simsym.DiningFlipped(4)
 	if err != nil {
 		t.Fatal(err)
@@ -228,20 +227,22 @@ func TestCheckOptsShardedSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := simsym.CheckDiningOpts(table, prog,
+	spilled, err := simsym.CheckDiningOpts(table, prog,
 		simsym.WithMaxStates(100_000),
-		simsym.WithWorkers(4),
-		simsym.WithShards(4),
 		simsym.WithSpill(1, t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.StatesExplored != sharded.StatesExplored || plain.Complete != sharded.Complete {
-		t.Errorf("sharded+spill facade run diverged: plain %d/%v, sharded %d/%v",
-			plain.StatesExplored, plain.Complete, sharded.StatesExplored, sharded.Complete)
+	if plain.StatesExplored != spilled.StatesExplored || plain.Complete != spilled.Complete ||
+		plain.Stats.Transitions != spilled.Stats.Transitions || plain.Stats.DedupHits != spilled.Stats.DedupHits {
+		t.Errorf("spill facade run diverged: plain %d/%v %+v, spilled %d/%v %+v",
+			plain.StatesExplored, plain.Complete, plain.Stats, spilled.StatesExplored, spilled.Complete, spilled.Stats)
 	}
-	if sharded.Deadlocked != nil || sharded.ExclusionViolated != nil {
-		t.Error("flipped table must stay safe under the sharded engine")
+	if spilled.Stats.SpilledBytes == 0 {
+		t.Error("a 1-byte hot cap must spill index chunks on the flipped 4-table")
+	}
+	if spilled.Deadlocked != nil || spilled.ExclusionViolated != nil {
+		t.Error("flipped table must stay safe with the spill tier")
 	}
 }
 
