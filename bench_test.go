@@ -266,6 +266,52 @@ func BenchmarkChurnSplice(b *testing.B) {
 	}
 }
 
+// benchTreeSplice drives b.N leaf join/leave event pairs through the
+// incremental engine on an n-processor tree. Iteration i hangs a new
+// leaf under processor i mod n and removes it again, so every join
+// reveals structure along one root path and the merge pass restores the
+// tree's classes on the leave.
+func benchTreeSplice(b *testing.B, n int) {
+	sys, err := system.Tree(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := core.NewDynSystem(sys, core.RuleQ, core.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	classes := d.NumClasses()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := i % n
+		own := sys.VarIDs[sys.Nbr[p][1]]
+		vx := fmt.Sprintf("xv%d", i)
+		px := fmt.Sprintf("xp%d", i)
+		if _, err := d.Apply(
+			core.Mutation{Op: core.OpAddVar, Var: vx, Init: "0"},
+			core.Mutation{Op: core.OpAddProc, Proc: px, Init: "0", Bind: []string{own, vx}},
+		); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := d.Apply(core.Mutation{Op: core.OpRemoveProc, Proc: px}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if d.NumClasses() != classes {
+		b.Fatalf("tree classes %d after churn, want %d", d.NumClasses(), classes)
+	}
+}
+
+// BenchmarkChurnTree is the structure-revealing counterpart of
+// BenchmarkChurnSplice: ns/op is the cost of a leaf join and its leave,
+// both of which move the labeling along a root path and run the
+// quotient merge pass.
+func BenchmarkChurnTree(b *testing.B) {
+	b.Run("n=1000", func(b *testing.B) { benchTreeSplice(b, 1000) })
+}
+
 // BenchmarkChurnRecompute is the static half of the comparison: the
 // full Similarity fixpoint a non-incremental caller pays per topology
 // event, growing linearly in n.

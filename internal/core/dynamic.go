@@ -240,6 +240,31 @@ func (st *dynStruct) Dependents(i int) []int {
 	return deps
 }
 
+// OutEdges tags edges as the static adapter's OutEdges does: a processor
+// reads its n-neighbor through an edge tagged by the name index, and a
+// variable reads each incident processor the same way.
+func (st *dynStruct) OutEdges(i int) []partition.TaggedEdge {
+	d := st.d
+	if d.kind[i] == 'P' {
+		out := make([]partition.TaggedEdge, len(d.nbr[i]))
+		for k, vs := range d.nbr[i] {
+			out[k] = partition.TaggedEdge{To: vs, Tag: k}
+		}
+		return out
+	}
+	out := make([]partition.TaggedEdge, len(d.edges[i]))
+	for k, e := range d.edges[i] {
+		out[k] = partition.TaggedEdge{To: e.proc, Tag: e.name}
+	}
+	return out
+}
+
+// Counting carries the rule to the merge pass: Q environments count
+// neighbors, so its quotient gets the Hopcroft driver, while S
+// environments are sets and get the worklist driver, exactly as in
+// SimilarityWith.
+func (st *dynStruct) Counting() bool { return st.d.rule == RuleQ }
+
 // slot returns the slot of an external id of the wanted kind.
 func (d *DynSystem) slot(id string, kind byte) (int, error) {
 	s, ok := d.byID[id]
@@ -474,6 +499,9 @@ func (d *DynSystem) Apply(muts ...Mutation) (partition.UpdateStats, error) {
 		d.rec.Count("dyn.merges", int64(st.Merges))
 		d.rec.Count("dyn.touched_classes", int64(st.TouchedClasses))
 		d.rec.Count("dyn.relabeled", int64(st.Relabeled))
+		// dyn.rebuilds counts events that rebuilt the partition from
+		// scratch. Only the initial build does that, never an Apply, so
+		// the counter stays at zero.
 		if st.Rebuild {
 			d.rec.Count("dyn.rebuilds", 1)
 		}
@@ -554,10 +582,13 @@ func (d *DynSystem) NumVars() int { return d.nVars }
 // NumClasses returns the current number of similarity classes.
 func (d *DynSystem) NumClasses() int { return d.dyn.NumClasses() }
 
-// LastStats returns the work profile of the most recent Apply.
+// LastStats returns the work profile of the most recent Apply, or of
+// the initial build (Rebuild set) before the first Apply.
 func (d *DynSystem) LastStats() partition.UpdateStats { return d.dyn.LastStats() }
 
-// TotalStats returns accumulated work counters since construction.
+// TotalStats returns the work profiles of every Apply since
+// construction, summed. The initial build is not included: right after
+// NewDynSystem the totals are zero and Rebuild is false.
 func (d *DynSystem) TotalStats() partition.UpdateStats { return d.dyn.TotalStats() }
 
 // HasProc reports whether a live processor has this id.

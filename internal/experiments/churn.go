@@ -14,28 +14,28 @@ import (
 // locality-preserving churn: seeded streams of splice events that grow
 // and shrink a ring (processor splices into an edge, later unsplices)
 // and a tree (leaf joins under a random node, later leaves). Both
-// preserve the family's shape, so the incremental engine's certificate
-// and bounded merge pass keep per-event work proportional to the event's
-// neighborhood, not the population. Each row reports event throughput,
-// the per-event relabel latency distribution, the split/merge work
-// profile, and the wall-clock cost of one full Similarity recompute on
-// the same population — the price a static-engine user would pay per
-// event — with the resulting speedup.
+// preserve the family's shape. Each row reports event throughput, the
+// per-event relabel latency distribution, the splits and merges of the
+// stream's events (TotalStats, which leaves out the initial build), and
+// the wall-clock cost of one full Similarity recompute on the same
+// population — the price a static-engine user would pay per event —
+// with the resulting speedup.
 //
 // The two families probe opposite regimes. Ring splices are
 // symmetry-preserving: the answer never changes (two classes before
 // and after), the certificate skips the merge pass, and per-event cost
 // is O(degree) — flat in n, microseconds against seconds of recompute.
 // Tree leaf churn is structure-revealing: one leaf changes the subtree
-// shape of every ancestor, so the labeling itself moves globally
-// (~10²–10³ class changes per event) and any correct maintainer pays
-// for the answer's motion; per-event cost still grows sublinearly in n
-// and the speedup over recompute widens with scale, but by small
-// factors, not orders of magnitude. Crash-heavy churn is deliberately
-// excluded here: crashing a processor on a marked ring destroys the
-// global symmetry, the quotient inflates to Θ(n), and the engine
-// honestly falls back to a full rebuild (the Rebuild counter). The
-// headline locality claim is scoped to shape-preserving events;
+// shape of every ancestor, so classes along the root path split, and
+// the leave merges them back. Every tree event therefore runs the
+// quotient merge pass, which refines the class graph with Hopcroft's
+// driver in O(m_q log k) for k classes, plus the relabeling of the
+// slots whose class actually moved; that relabeling grows with the
+// subtrees on the root path and dominates at n=10⁶. Crash-heavy churn
+// is deliberately excluded here: crashing a processor on a marked ring
+// destroys the global symmetry and the quotient inflates to Θ(n)
+// classes, so such an event costs about a recompute. The headline
+// locality claim is scoped to shape-preserving events;
 // TestDynSystemAllFamilies and the differential fuzzer cover the
 // adversarial mixes.
 func E17Churn(sizes []int, events int) (*Table, error) {

@@ -9,17 +9,28 @@ import (
 // may be born, die, change their initial key, or change their
 // environment between calls to Dyn.Update. Len reports the slot-space
 // size (dead slots included); Alive reports whether slot i currently
-// exists. Signatures and Dependents must never reference dead slots.
-// Structures that additionally implement TokenStructure get the
+// exists. Signatures, Dependents and OutEdges must never reference dead
+// slots. Structures that additionally implement TokenStructure get the
 // interned token path; others fall back to string interning.
 type DynStructure interface {
 	Structure
 	// Alive reports whether slot i is currently part of the structure.
 	Alive(i int) bool
+	// OutEdges returns slot i's tagged dependency edges, one for every
+	// slot whose label i's Signature reads, in a fresh slice: the merge
+	// pass builds its class quotient from one representative's edges per
+	// class, rewriting their targets in place.
+	OutEdges(i int) []TaggedEdge
+	// Counting reports whether Signature is the multiset of (Tag,
+	// label(To)) pairs over OutEdges, as for a CountStructure. The merge
+	// pass then refines the quotient with Hopcroft's smaller-half rule;
+	// set-valued signatures, for which that rule is unsound, must report
+	// false and get the worklist driver.
+	Counting() bool
 }
 
 // UpdateStats describes the work one Dyn.Update performed. Counters are
-// per event; Dyn.TotalStats accumulates them.
+// per event; Dyn.TotalStats accumulates them over Updates.
 type UpdateStats struct {
 	// Touched is the number of slots the caller reported.
 	Touched int
@@ -31,15 +42,21 @@ type UpdateStats struct {
 	Merges int
 	// Relabeled counts slots whose class assignment changed.
 	Relabeled int
-	// SigComputes counts signature encodings performed.
+	// SigComputes counts signature encodings of slots. The merge pass
+	// adds one per quotient node for reading its representative's
+	// out-edges, plus every quotient signature the worklist driver
+	// encodes (set rule); the signature-id compaction adds one per live
+	// class.
 	SigComputes int
-	// Rounds counts settle rounds (split propagation waves).
+	// Rounds counts settle rounds (split propagation waves) plus the
+	// quotient driver's refinement rounds: splitter iterations that
+	// carved a class (Hopcroft) or worklist rounds (set rule).
 	Rounds int
 	// MergePass reports whether the quotient merge pass ran.
 	MergePass bool
-	// Rebuild reports whether the engine fell back to a full rebuild
-	// (symmetry-destroying events where the quotient would be larger
-	// than recomputing from scratch).
+	// Rebuild reports a from-scratch build. Only NewDyn's initial build
+	// sets it, so it shows in LastStats until the first Update and
+	// never in an Update's stats.
 	Rebuild bool
 	// Classes is the number of live classes after the event.
 	Classes int
@@ -55,9 +72,6 @@ func (u UpdateStats) add(v UpdateStats) UpdateStats {
 	u.Rounds += v.Rounds
 	if v.MergePass {
 		u.MergePass = true
-	}
-	if v.Rebuild {
-		u.Rebuild = true
 	}
 	u.Classes = v.Classes
 	return u
@@ -93,6 +107,14 @@ func (e *dynEncoder) reset() {
 	e.strs = make(map[string]int)
 }
 
+// len returns the number of interned signature ids.
+func (e *dynEncoder) len() int {
+	if e.ts != nil {
+		return e.tab.Len()
+	}
+	return len(e.strs)
+}
+
 func (e *dynEncoder) sigID(i int, label func(int) int) int {
 	if e.ts != nil {
 		e.buf = e.ts.AppendSignature(e.buf[:0], i, label)
@@ -126,10 +148,17 @@ func (e *dynEncoder) sigID(i int, label func(int) int) int {
 //     unchanged (no class born or freed, no stable signature or init
 //     key drift), the pre-event partition was coarsest, so the
 //     post-event one still is and the pass is skipped. Otherwise the
-//     coarsest stable partition of the quotient (classes as nodes,
-//     signatures evaluated through the composed labeling) is computed
-//     and pulled back: quotient classes that coalesce are merged,
-//     which is exactly — and only — where coarseness is restorable.
+//     quotient (one node per live class, edges read off a
+//     representative) is refined from its init keys by the static
+//     drivers — Hopcroft for counting signatures, the worklist for
+//     set signatures — and pulled back: quotient classes that coalesce
+//     are merged, which is exactly — and only — where coarseness is
+//     restorable. The pass costs O(m_q log k) on a k-class quotient
+//     with m_q edges, never more than refining the structure itself.
+//  4. Compact: once the persistent signature-id table outgrows the
+//     live classes, every live class's stable signature is
+//     re-interned into a fresh table, so ids stay O(classes + 1024)
+//     however long the churn runs.
 //
 // The full-recompute drivers (FixpointNaive/FixpointWorklist) survive
 // untouched as the cross-checked oracle; the differential fuzzer
@@ -137,16 +166,16 @@ func (e *dynEncoder) sigID(i int, label func(int) int) int {
 //
 // Dyn is not goroutine-safe.
 type Dyn struct {
-	s    DynStructure
-	enc  dynEncoder // persistent id space for stable class signatures
-	qenc dynEncoder // scratch space for quotient passes, reset per round
+	s   DynStructure
+	enc dynEncoder // persistent id space for stable class signatures
 
-	label   []int   // slot -> class id, -1 when dead
-	pos     []int   // slot -> index within members[label[slot]]
-	members [][]int // class -> member slots (internal; see ClassMembers)
-	freeCls []int   // recycled class ids
-	csig    []int   // class -> stable signature id, -1 unknown
-	cinit   []int   // class -> interned init-key id
+	label   []int         // slot -> class id, -1 when dead
+	lbl     func(int) int // reads label; built once, as a method value would allocate per signature
+	pos     []int         // slot -> index within members[label[slot]]
+	members [][]int       // class -> member slots (internal; see ClassMembers)
+	freeCls []int         // recycled class ids
+	csig    []int         // class -> stable signature id, -1 unknown
+	cinit   []int         // class -> interned init-key id
 
 	initTab map[string]int // init key -> dense id
 	initStr []string       // dense id -> init key
@@ -176,17 +205,14 @@ func NewDyn(s DynStructure) (*Dyn, error) {
 		initTab: make(map[string]int),
 		byInit:  make(map[int][]int),
 	}
+	d.lbl = func(v int) int { return d.label[v] }
 	d.enc.init(s)
-	d.qenc.init(s)
 	d.grow(s.Len())
-	var st UpdateStats
-	d.rebuild(&st)
+	st := d.build()
 	if d.aliveSlots == 0 {
 		return nil, ErrEmptyStructure
 	}
-	st.Classes = d.liveClasses
 	d.last = st
-	d.total = d.total.add(st)
 	return d, nil
 }
 
@@ -240,11 +266,13 @@ func (d *Dyn) ClassMembers(c int) []int {
 	return out
 }
 
-// LastStats returns the statistics of the most recent Update (or the
-// initial build).
+// LastStats returns the statistics of the most recent Update, or of the
+// initial build (Rebuild set) before the first Update.
 func (d *Dyn) LastStats() UpdateStats { return d.last }
 
-// TotalStats returns statistics accumulated since NewDyn.
+// TotalStats returns the statistics of every Update since NewDyn,
+// summed; the initial build is not included, so it is zero-valued
+// before the first Update.
 func (d *Dyn) TotalStats() UpdateStats { return d.total }
 
 // Update repairs the partition after a mutation of the underlying
@@ -264,18 +292,9 @@ func (d *Dyn) Update(touched []int) UpdateStats {
 	}
 	d.settle(&st, &quotChanged)
 	if quotChanged && d.liveClasses > 1 {
-		k := d.liveClasses
-		if k > 256 && k*k > 64*d.aliveSlots {
-			// The quotient is within a constant factor of the full
-			// structure: symmetry is already shattered, and refining
-			// the quotient would cost more than refining the
-			// structure. Rebuild from scratch (and reclaim the
-			// signature-id space while at it).
-			d.rebuild(&st)
-		} else {
-			d.mergePass(&st)
-		}
+		d.mergePass(&st)
 	}
+	d.compactIDs(&st)
 	st.Classes = d.liveClasses
 	d.last = st
 	d.total = d.total.add(st)
@@ -289,8 +308,6 @@ func (d *Dyn) grow(n int) {
 		d.dirty = append(d.dirty, false)
 	}
 }
-
-func (d *Dyn) lbl(v int) int { return d.label[v] }
 
 func (d *Dyn) initID(key string) int {
 	id, ok := d.initTab[key]
@@ -571,130 +588,58 @@ func (d *Dyn) splitOut(c int, work []int, ids []int, keep int, st *UpdateStats, 
 	return out
 }
 
-// mergePass computes the coarsest stable partition of the quotient
-// structure (one node per live class, signatures of a representative
-// member evaluated through the composed labeling) and merges the
-// classes that coalesce. Any stable partition refining the initial one
-// also refines the coarsest, so the settled partition refines the
-// target and the pullback of the quotient's coarsest partition is
-// exactly the global coarsest — merging happens precisely where
-// coarseness is restorable.
+// mergePass refines the class quotient and merges the classes that
+// coalesce. Any stable partition refining the initial one also refines
+// the coarsest, so the settled partition refines the target and the
+// pullback of the quotient's coarsest partition is exactly the global
+// coarsest — merging happens precisely where coarseness is restorable.
+// The driver is the one core.SimilarityWith would pick for the
+// structure's signatures: Hopcroft when they count, the worklist when
+// they are sets.
 func (d *Dyn) mergePass(st *UpdateStats) {
 	st.MergePass = true
-	qids := make([]int, 0, d.liveClasses)
-	for c := range d.members {
-		if len(d.members[c]) > 0 {
-			qids = append(qids, c)
+	q := d.newQuotient()
+	st.SigComputes += len(q.cls)
+	hook := func(int, int, int) { st.Rounds++ }
+	var p *Partition
+	var err error
+	if d.s.Counting() {
+		p, err = fixpointHopcroft(q, 1, hook)
+	} else {
+		q.linkDependents()
+		var s Structure = q
+		if d.enc.ts != nil {
+			s = tokQuotient{q}
 		}
+		p, err = fixpointWorklist(s, 1, hook)
+		st.SigComputes += q.sigs
 	}
-	k := len(qids)
-	qidx := make(map[int]int, k)
-	for qi, c := range qids {
-		qidx[c] = qi
-	}
-	// Initial quotient labels: group classes by init key, in sorted key
-	// order for determinism.
-	ordered := append([]int(nil), qids...)
-	sort.Slice(ordered, func(a, b int) bool {
-		ka, kb := d.initStr[d.cinit[ordered[a]]], d.initStr[d.cinit[ordered[b]]]
-		if ka != kb {
-			return ka < kb
-		}
-		return ordered[a] < ordered[b]
-	})
-	qlabel := make([]int, k)
-	next := 0
-	for i, c := range ordered {
-		if i > 0 && d.cinit[c] != d.cinit[ordered[i-1]] {
-			next++
-		}
-		qlabel[qidx[c]] = next
-	}
-	next++
-
-	compLbl := func(v int) int { return qlabel[qidx[d.label[v]]] }
-	sig := make([]int, k)
-	type qnode struct{ label, sig, qi int }
-	nodes := make([]qnode, k)
-	for round := 0; ; round++ {
-		st.Rounds++
-		d.qenc.reset()
-		for qi, c := range qids {
-			sig[qi] = d.qenc.sigID(d.members[c][0], compLbl)
-		}
-		st.SigComputes += k
-		for qi := range nodes {
-			nodes[qi] = qnode{qlabel[qi], sig[qi], qi}
-		}
-		sort.Slice(nodes, func(a, b int) bool {
-			if nodes[a].label != nodes[b].label {
-				return nodes[a].label < nodes[b].label
-			}
-			if nodes[a].sig != nodes[b].sig {
-				return nodes[a].sig < nodes[b].sig
-			}
-			return nodes[a].qi < nodes[b].qi
-		})
-		changed := false
-		for i := 0; i < len(nodes); {
-			j := i
-			for j < len(nodes) && nodes[j].label == nodes[i].label {
-				j++
-			}
-			// Subgroups by signature within one label group: the
-			// subgroup holding the smallest qi keeps the label.
-			minQi, minSig := nodes[i].qi, nodes[i].sig
-			for t := i; t < j; t++ {
-				if nodes[t].qi < minQi {
-					minQi, minSig = nodes[t].qi, nodes[t].sig
-				}
-			}
-			for t := i; t < j; {
-				u := t
-				for u < j && nodes[u].sig == nodes[t].sig {
-					u++
-				}
-				if nodes[t].sig != minSig {
-					for w := t; w < u; w++ {
-						qlabel[nodes[w].qi] = next
-					}
-					next++
-					changed = true
-				}
-				t = u
-			}
-			i = j
-		}
-		if !changed {
-			break
-		}
+	if err != nil {
+		panic("partition: quotient refinement: " + err.Error())
 	}
 
-	// Pull back: quotient classes holding >1 structure classes merge.
-	groups := make(map[int][]int)
-	for qi, c := range qids {
-		groups[qlabel[qi]] = append(groups[qlabel[qi]], c)
-	}
-	keys := make([]int, 0, len(groups))
-	for l, g := range groups {
-		if len(g) > 1 {
-			keys = append(keys, l)
-		}
-	}
-	sort.Ints(keys)
+	// Pull back: every quotient class holding more than one slot class
+	// merges, groups in order of their smallest class id. Survivor: the
+	// largest class (fewest relabels), smallest id on ties. Both orders
+	// depend only on the quotient's relation, never on how the driver
+	// numbered its classes.
 	var moved []int
-	for _, l := range keys {
-		g := groups[l]
-		// Survivor: the largest class (fewest relabels), smallest id on
-		// ties — deterministic.
-		surv := g[0]
-		for _, c := range g[1:] {
-			if len(d.members[c]) > len(d.members[surv]) ||
-				(len(d.members[c]) == len(d.members[surv]) && c < surv) {
+	done := make([]bool, p.NumClasses())
+	for node := range q.cls {
+		l := p.label[node]
+		if done[l] || len(p.members[l]) < 2 {
+			continue
+		}
+		done[l] = true
+		group := p.Members(l) // ascending nodes, so ascending class ids
+		surv := q.cls[group[0]]
+		for _, n := range group[1:] {
+			if c := q.cls[n]; len(d.members[c]) > len(d.members[surv]) {
 				surv = c
 			}
 		}
-		for _, c := range g {
+		for _, n := range group {
+			c := q.cls[n]
 			if c == surv {
 				continue
 			}
@@ -714,18 +659,14 @@ func (d *Dyn) mergePass(st *UpdateStats) {
 	if len(moved) == 0 {
 		return
 	}
-	// Labels moved, so stored stable ids are stale wherever a dependent
-	// of a moved slot lives. Refresh every live class from a
-	// representative (members are uniform by the theory above), then
-	// re-settle defensively: if an implementation bug ever left the
-	// pullback unstable, the worklist restores stability and the
-	// differential fuzzer flags the coarseness gap.
-	for c := range d.members {
-		if len(d.members[c]) > 0 {
-			d.csig[c] = d.enc.sigID(d.members[c][0], d.lbl)
-		}
-	}
-	st.SigComputes += d.liveClasses
+	// Labels moved, so the stored stable id of every class that reads a
+	// moved slot is stale. The settled partition was stable, so all
+	// members of a class read the same classes: marking the moved slots'
+	// dependents dirties such a class whole, and settle's full-regroup
+	// path re-derives its stable id. Classes that read no moved slot kept
+	// their signature. The same settle is the defensive check: were the
+	// pullback ever unstable, it would split again and the differential
+	// fuzzer would flag the coarseness gap.
 	for _, x := range moved {
 		d.markDirty(x)
 		for _, dep := range d.s.Dependents(x) {
@@ -736,34 +677,115 @@ func (d *Dyn) mergePass(st *UpdateStats) {
 	d.settle(st, &dummy)
 }
 
-// rebuild recomputes the partition from scratch: initial classes by
-// init key (sorted for determinism), everything dirty, one settle to
-// the fixpoint. Also reclaims the persistent signature-id space.
-func (d *Dyn) rebuild(st *UpdateStats) {
-	st.Rebuild = true
-	d.enc.reset()
-	d.members = d.members[:0]
-	d.freeCls = d.freeCls[:0]
-	d.csig = d.csig[:0]
-	d.cinit = d.cinit[:0]
-	d.byInit = make(map[int][]int)
-	d.liveClasses = 0
-	d.aliveSlots = 0
-	for i := range d.dirty {
-		d.dirty[i] = false
-	}
-	d.queue = d.queue[:0]
+// quotient is the class graph the merge pass refines: one node per live
+// class, in ascending class id, whose edges and signature are read off
+// one representative member with every target mapped to its class's
+// node. The settled partition is stable, so every member of a class
+// sees the same classes through its edges and any representative does.
+// It is a CountStructure for the Hopcroft driver and a Structure for
+// the worklist driver.
+type quotient struct {
+	d    *Dyn
+	cls  []int          // node -> class id
+	node []int          // class id -> node, for live classes
+	out  [][]TaggedEdge // node -> representative's out-edges, targets as nodes
+	deps [][]int        // node -> nodes with an edge into it (worklist only)
 
-	n := d.s.Len()
-	byKey := make(map[string][]int)
-	for i := 0; i < n; i++ {
-		if !d.s.Alive(i) {
-			d.label[i] = -1
-			continue
+	lbl  func(int) int // the worklist driver's current quotient labeling
+	comp func(int) int // slot -> lbl(node of the slot's class)
+	sigs int           // quotient signatures the worklist driver encoded
+}
+
+func (d *Dyn) newQuotient() *quotient {
+	q := &quotient{d: d, node: make([]int, len(d.members))}
+	q.cls = make([]int, 0, d.liveClasses)
+	for c, m := range d.members {
+		if len(m) > 0 {
+			q.node[c] = len(q.cls)
+			q.cls = append(q.cls, c)
 		}
-		d.aliveSlots++
-		k := d.s.InitKey(i)
-		byKey[k] = append(byKey[k], i)
+	}
+	q.out = make([][]TaggedEdge, len(q.cls))
+	for n, c := range q.cls {
+		es := d.s.OutEdges(d.members[c][0])
+		for k := range es {
+			es[k].To = q.node[d.label[es[k].To]]
+		}
+		q.out[n] = es
+	}
+	q.comp = func(v int) int { return q.lbl(q.node[d.label[v]]) }
+	return q
+}
+
+// linkDependents builds the reverse quotient edges the worklist driver
+// propagates splits along.
+func (q *quotient) linkDependents() {
+	q.deps = make([][]int, len(q.cls))
+	for n, es := range q.out {
+		for _, e := range es {
+			q.deps[e.To] = append(q.deps[e.To], n)
+		}
+	}
+}
+
+func (q *quotient) Len() int                    { return len(q.cls) }
+func (q *quotient) InitKey(n int) string        { return q.d.initStr[q.d.cinit[q.cls[n]]] }
+func (q *quotient) OutEdges(n int) []TaggedEdge { return q.out[n] }
+func (q *quotient) Dependents(n int) []int      { return q.deps[n] }
+
+func (q *quotient) Signature(n int, label func(int) int) string {
+	q.lbl = label
+	q.sigs++
+	return q.d.s.Signature(q.d.members[q.cls[n]][0], q.comp)
+}
+
+// tokQuotient adds the token encoder when the structure has one, so the
+// worklist driver interns quotient signatures the way Dyn does.
+type tokQuotient struct{ *quotient }
+
+func (q tokQuotient) AppendSignature(buf []uint64, n int, label func(int) int) []uint64 {
+	q.lbl = label
+	q.sigs++
+	return q.d.enc.ts.AppendSignature(buf, q.d.members[q.cls[n]][0], q.comp)
+}
+
+// compactIDs bounds the persistent signature-id space. Settling interns
+// an id for every signature it meets and only csig holds ids across
+// events, so once the table outgrows the live structure it is replaced
+// by a fresh one holding each live class's stable signature, encoded
+// from a representative.
+func (d *Dyn) compactIDs(st *UpdateStats) {
+	if d.enc.len() <= d.idBound() {
+		return
+	}
+	d.enc.reset()
+	for c, m := range d.members {
+		if len(m) > 0 {
+			d.csig[c] = d.enc.sigID(m[0], d.lbl)
+		}
+	}
+	st.SigComputes += d.liveClasses
+}
+
+// idBound is the interned-id count past which compactIDs runs. A
+// compaction leaves at most one id per live class, so the next one
+// comes after at least classes + 1024 new ids: one re-encoding per new
+// id at most, and the slack keeps small quotients from compacting on
+// every event.
+func (d *Dyn) idBound() int { return 2*d.liveClasses + 1024 }
+
+// build computes the initial partition from scratch: classes by init
+// key (sorted for determinism), everything dirty, one settle to the
+// fixpoint.
+func (d *Dyn) build() UpdateStats {
+	st := UpdateStats{Rebuild: true}
+	byKey := make(map[string][]int)
+	for i := 0; i < d.s.Len(); i++ {
+		if d.s.Alive(i) {
+			d.aliveSlots++
+			k := d.s.InitKey(i)
+			byKey[k] = append(byKey[k], i)
+		}
 	}
 	keys := make([]string, 0, len(byKey))
 	for k := range byKey {
@@ -778,7 +800,9 @@ func (d *Dyn) rebuild(st *UpdateStats) {
 		}
 	}
 	var dummy bool
-	d.settle(st, &dummy)
+	d.settle(&st, &dummy)
+	st.Classes = d.liveClasses
+	return st
 }
 
 // Check audits the engine's invariants: membership/position coherence,

@@ -9,20 +9,27 @@ import (
 // DynStructure: states can be added, removed (with their in-edges
 // redirected), rewired, and re-colored between Update calls. It is the
 // in-package churn harness mirroring the static dfa of the other tests.
+//
+// A state's signature is its successors' labels in symbol order, which
+// is the multiset of (symbol, label) pairs over its out-edges, so both
+// quotient drivers are sound on it: counting selects Hopcroft, and
+// clearing it selects the worklist driver the set rule uses.
 type dyndfa struct {
-	alive  []bool
-	accept []bool
-	next   [][]int
-	prev   [][]int // reverse edges, duplicates kept in sync with next
+	alive    []bool
+	accept   []bool
+	next     [][]int
+	prev     [][]int // reverse edges, duplicates kept in sync with next
+	counting bool
 }
 
 func newDynDFA(d *dfa) *dyndfa {
 	n := d.Len()
 	m := &dyndfa{
-		alive:  make([]bool, n),
-		accept: append([]bool(nil), d.accept...),
-		next:   make([][]int, n),
-		prev:   make([][]int, n),
+		alive:    make([]bool, n),
+		accept:   append([]bool(nil), d.accept...),
+		next:     make([][]int, n),
+		prev:     make([][]int, n),
+		counting: true,
 	}
 	for s := 0; s < n; s++ {
 		m.alive[s] = true
@@ -80,6 +87,16 @@ func (m *dyndfa) AppendSignature(buf []uint64, i int, label func(int) int) []uin
 }
 
 func (m *dyndfa) Dependents(i int) []int { return m.prev[i] }
+
+func (m *dyndfa) OutEdges(i int) []TaggedEdge {
+	out := make([]TaggedEdge, len(m.next[i]))
+	for sym, t := range m.next[i] {
+		out[sym] = TaggedEdge{To: t, Tag: sym}
+	}
+	return out
+}
+
+func (m *dyndfa) Counting() bool { return m.counting }
 
 func (m *dyndfa) dropPrev(t, s int) {
 	for k, v := range m.prev[t] {
@@ -260,15 +277,29 @@ func TestDynMergeRestoresCoarseness(t *testing.T) {
 	if d.NumClasses() != 1 {
 		t.Fatalf("restored cycle classes = %d, want 1", d.NumClasses())
 	}
-	if !st.MergePass && !st.Rebuild {
-		t.Fatalf("expected a merge pass or rebuild, got %+v", st)
+	if !st.MergePass || st.Merges == 0 || st.Rebuild {
+		t.Fatalf("expected a merge pass with merges and no rebuild, got %+v", st)
 	}
-	if st.Merges == 0 && !st.Rebuild {
-		t.Fatalf("expected merges, got %+v", st)
+}
+
+// forEachDriver runs f once per quotient driver. dyndfa's signatures
+// count, so Hopcroft and the worklist driver (the set rule's) are both
+// sound on it and must agree with the oracle.
+func forEachDriver(t *testing.T, f func(t *testing.T, counting bool)) {
+	t.Helper()
+	for _, tc := range []struct {
+		name     string
+		counting bool
+	}{{"hopcroft", true}, {"worklist", false}} {
+		t.Run(tc.name, func(t *testing.T) { f(t, tc.counting) })
 	}
 }
 
 func TestDynRandomTraces(t *testing.T) {
+	forEachDriver(t, testDynRandomTraces)
+}
+
+func testDynRandomTraces(t *testing.T, counting bool) {
 	rng := rand.New(rand.NewSource(20260809))
 	for trace := 0; trace < 60; trace++ {
 		nd := 2 + rng.Intn(12)
@@ -279,6 +310,7 @@ func TestDynRandomTraces(t *testing.T) {
 			next[i] = []int{rng.Intn(nd), rng.Intn(nd)}
 		}
 		m := newDynDFA(newDFA(acc, next))
+		m.counting = counting
 		d, err := NewDyn(m)
 		if err != nil {
 			t.Fatal(err)
@@ -312,6 +344,10 @@ func TestDynRandomTraces(t *testing.T) {
 }
 
 func TestDynStringFallbackMatchesTokenPath(t *testing.T) {
+	forEachDriver(t, testDynStringFallbackMatchesTokenPath)
+}
+
+func testDynStringFallbackMatchesTokenPath(t *testing.T, counting bool) {
 	rng := rand.New(rand.NewSource(7))
 	for trace := 0; trace < 10; trace++ {
 		nd := 3 + rng.Intn(8)
@@ -322,6 +358,7 @@ func TestDynStringFallbackMatchesTokenPath(t *testing.T) {
 			next[i] = []int{rng.Intn(nd), rng.Intn(nd)}
 		}
 		m := newDynDFA(newDFA(acc, next))
+		m.counting = counting
 		d, err := NewDyn(m)
 		if err != nil {
 			t.Fatal(err)
@@ -365,26 +402,126 @@ func (s stripTokens) Alive(i int) bool                        { return s.m.Alive
 func (s stripTokens) InitKey(i int) string                    { return s.m.InitKey(i) }
 func (s stripTokens) Signature(i int, l func(int) int) string { return s.m.Signature(i, l) }
 func (s stripTokens) Dependents(i int) []int                  { return s.m.Dependents(i) }
+func (s stripTokens) OutEdges(i int) []TaggedEdge             { return s.m.OutEdges(i) }
+func (s stripTokens) Counting() bool                          { return s.m.Counting() }
 
-func TestDynRebuildFallback(t *testing.T) {
+func TestDynLargeQuotientMerge(t *testing.T) {
 	// modDFA(331, 2): 662 states, 331 classes (odd modulus keeps every
-	// residue distinguishable under the doubling map). Any
-	// quotient-changing event then satisfies k > 256 && k^2 > 64*alive,
-	// forcing the rebuild path instead of a 331-node quotient
-	// refinement.
-	m := newDynDFA(modDFA(331, 2))
+	// residue distinguishable under the doubling map), so a
+	// quotient-changing event refines a quotient half the structure's
+	// size: k² > 64·slots, and the merge pass still handles it.
+	forEachDriver(t, func(t *testing.T, counting bool) {
+		m := newDynDFA(modDFA(331, 2))
+		m.counting = counting
+		d, err := NewDyn(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.NumClasses() != 331 {
+			t.Fatalf("classes = %d, want 331", d.NumClasses())
+		}
+		for _, acc := range []bool{true, false} {
+			st := d.Update(m.setAccept(1, acc))
+			if !st.MergePass || st.Rebuild {
+				t.Fatalf("setAccept(1, %v): expected a merge pass and no rebuild, got %+v", acc, st)
+			}
+			dynOracleCheck(t, d, m)
+		}
+		if d.NumClasses() != 331 {
+			t.Fatalf("classes after revert = %d, want 331", d.NumClasses())
+		}
+	})
+}
+
+// TestDynTotalStatsCountsUpdatesOnly pins that the initial build shows
+// in LastStats but never in TotalStats, which sums the Updates alone.
+func TestDynTotalStatsCountsUpdatesOnly(t *testing.T) {
+	m := newDynDFA(modDFA(5, 3))
 	d, err := NewDyn(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumClasses() != 331 {
-		t.Fatalf("classes = %d, want 331", d.NumClasses())
+	if !d.LastStats().Rebuild || d.LastStats().SigComputes == 0 {
+		t.Fatalf("LastStats after NewDyn = %+v, want the build's work", d.LastStats())
 	}
-	st := d.Update(m.setAccept(1, true))
-	if !st.Rebuild {
-		t.Fatalf("expected rebuild fallback, got %+v", st)
+	if got := d.TotalStats(); got != (UpdateStats{}) {
+		t.Fatalf("TotalStats after NewDyn = %+v, want zero", got)
 	}
-	dynOracleCheck(t, d, m)
+	var want UpdateStats
+	steps := []func() []int{
+		func() []int { return m.setAccept(4, true) },
+		func() []int { return m.rewire(1, 0, 7) },
+		func() []int { return m.setAccept(4, false) },
+		func() []int { return m.rewire(1, 0, 2) },
+	}
+	for _, step := range steps {
+		st := d.Update(step())
+		if st != d.LastStats() {
+			t.Fatalf("Update returned %+v, LastStats %+v", st, d.LastStats())
+		}
+		want.Touched += st.Touched
+		want.TouchedClasses += st.TouchedClasses
+		want.Splits += st.Splits
+		want.Merges += st.Merges
+		want.Relabeled += st.Relabeled
+		want.SigComputes += st.SigComputes
+		want.Rounds += st.Rounds
+		want.MergePass = want.MergePass || st.MergePass
+		want.Classes = st.Classes
+	}
+	if got := d.TotalStats(); got != want {
+		t.Fatalf("TotalStats = %+v, want the sum of the Updates %+v", got, want)
+	}
+	if !want.MergePass || want.Merges == 0 {
+		t.Fatalf("trace never merged (%+v); it no longer exercises the merge pass", want)
+	}
+}
+
+// TestDynIDSpaceBounded drives a long join/leave stream and checks that
+// the persistent signature-id table never outgrows its compaction
+// bound. Each join hangs a fresh state into the DFA, which relabels its
+// predecessors' classes and interns new signatures; without compaction
+// the table only grows.
+func TestDynIDSpaceBounded(t *testing.T) {
+	forEachDriver(t, func(t *testing.T, counting bool) {
+		m := newDynDFA(modDFA(7, 8))
+		m.counting = counting
+		d, err := NewDyn(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(5000))
+		compactions := 0
+		type join struct{ x, y, sym, old int }
+		var stack []join
+		for ev := 0; ev < 5000; ev++ {
+			live := m.liveStates()
+			var touched []int
+			if len(stack) > 0 && (len(stack) == 8 || rng.Intn(2) == 1) {
+				j := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				touched = m.removeState(j.x, j.old)
+			} else {
+				y, sym := live[rng.Intn(len(live))], rng.Intn(2)
+				old := m.next[y][sym]
+				touched = m.addState(rng.Intn(2) == 1, live[rng.Intn(len(live))], live[rng.Intn(len(live))])
+				x := touched[0]
+				touched = append(touched, m.rewire(y, sym, x)...)
+				stack = append(stack, join{x, y, sym, old})
+			}
+			before := d.enc.len()
+			d.Update(touched)
+			if after := d.enc.len(); after > d.idBound() {
+				t.Fatalf("event %d: %d interned ids, bound %d", ev, after, d.idBound())
+			} else if after < before {
+				compactions++
+			}
+		}
+		if compactions == 0 {
+			t.Fatal("the id table never compacted; the stream no longer exercises the bound")
+		}
+		dynOracleCheck(t, d, m)
+	})
 }
 
 // TestDynClassMembersCopied is the mutation-unsafe-sharing regression

@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -48,10 +50,15 @@ type segments struct {
 
 func newSegments(keys []string) *segments {
 	n := len(keys)
+	// A partition of n nodes has at most n classes, so the per-class
+	// slices are sized once and carving never regrows them.
 	s := &segments{
 		order:   make([]int, n),
 		pos:     make([]int, n),
 		classOf: make([]int, n),
+		start:   make([]int, 0, n),
+		length:  make([]int, 0, n),
+		carved:  make([]int, 0, n),
 	}
 	idx := make([]int, n)
 	for i := range idx {
@@ -226,19 +233,24 @@ func fixpointHopcroft(cs CountStructure, workers int, hook RoundHook) (*Partitio
 	}
 
 	// Reusable scratch, cleared after each splitter: nodeTags[x] holds
-	// the tags of x's edges into the current splitter, byClass[c] the
-	// touched members of class c, groups[id] the members whose interned
-	// tag multiset got dense id `id`.
+	// the tags of x's edges into the current splitter, groups[id] the
+	// members whose interned tag multiset got dense id `id`.
 	var (
-		tab      SigTable
-		tokBuf   []uint64
-		touched  []int
-		classIDs []int
-		groups   [][]int
+		tab     SigTable
+		tokBuf  []uint64
+		touched []int
+		groups  [][]int
 	)
 	inTouched := make([]bool, n)
+	// x has at most len(outs[x]) edges into any splitter, so nodeTags
+	// windows carved from one edge-count-sized array never regrow.
 	nodeTags := make([][]int, n)
-	byClass := make([][]int, len(seg.start), 2*n)
+	tagBacking := make([]int, total)
+	off = 0
+	for x := 0; x < n; x++ {
+		nodeTags[x] = tagBacking[off : off : off+len(outs[x])]
+		off += len(outs[x])
+	}
 
 	for head := 0; head < len(queue); head++ {
 		splitter := queue[head]
@@ -261,26 +273,23 @@ func fixpointHopcroft(cs CountStructure, workers int, hook RoundHook) (*Partitio
 			continue
 		}
 
-		// Group touched nodes by class, deterministically.
-		sort.Ints(touched)
-		classIDs = classIDs[:0]
-		for _, x := range touched {
-			c := seg.classOf[x]
-			for c >= len(byClass) {
-				byClass = append(byClass, nil)
+		// Group touched nodes by class, deterministically: classes in
+		// ascending id, members ascending. Carving a class relabels only
+		// its own members, so the runs found before carving stay valid.
+		slices.SortFunc(touched, func(x, y int) int {
+			return cmp.Or(cmp.Compare(seg.classOf[x], seg.classOf[y]), cmp.Compare(x, y))
+		})
+		for lo := 0; lo < len(touched); {
+			c := seg.classOf[touched[lo]]
+			hi := lo + 1
+			for hi < len(touched) && seg.classOf[touched[hi]] == c {
+				hi++
 			}
-			if len(byClass[c]) == 0 {
-				classIDs = append(classIDs, c)
-			}
-			byClass[c] = append(byClass[c], x)
-		}
-		sort.Ints(classIDs)
-
-		for _, c := range classIDs {
+			xs := touched[lo:hi]
+			lo = hi
 			if seg.length[c] <= 1 {
 				continue
 			}
-			xs := byClass[c]
 			// Group the touched members by interned tag-multiset id; ids
 			// are dense per class in first-appearance order.
 			tab.Reset()
@@ -364,28 +373,29 @@ func fixpointHopcroft(cs CountStructure, workers int, hook RoundHook) (*Partitio
 			inTouched[x] = false
 			nodeTags[x] = nodeTags[x][:0]
 		}
-		for _, c := range classIDs {
-			byClass[c] = byClass[c][:0]
-		}
 		if hook != nil && len(seg.start) > classesBefore {
 			hook(head+1, len(seg.start), len(seg.start)-classesBefore)
 		}
 	}
 
-	// Convert segments into a Partition with deterministic ids.
-	p := &Partition{label: make([]int, n)}
+	// Convert segments into a Partition with deterministic ids: classes
+	// numbered by first member, member lists ascending, all carved from
+	// one backing array sized by the segment lengths.
+	p := &Partition{label: make([]int, n), members: make([][]int, 0, len(seg.start))}
 	remap := make([]int, len(seg.start))
 	for c := range remap {
 		remap[c] = -1
 	}
+	memberBacking := make([]int, n)
+	used := 0
 	for i := 0; i < n; i++ {
 		c := seg.classOf[i]
-		id := remap[c]
-		if id < 0 {
-			id = len(p.members)
-			remap[c] = id
-			p.members = append(p.members, nil)
+		if remap[c] < 0 {
+			remap[c] = len(p.members)
+			p.members = append(p.members, memberBacking[used:used:used+seg.length[c]])
+			used += seg.length[c]
 		}
+		id := remap[c]
 		p.label[i] = id
 		p.members[id] = append(p.members[id], i)
 	}

@@ -245,8 +245,9 @@ type RelabelStats struct {
 	// Splits and Merges count the class repairs the delta forced.
 	Splits int `json:"splits"`
 	Merges int `json:"merges"`
-	// Rebuild reports a fall-back to full recomputation (the delta
-	// destroyed too much symmetry for incremental repair to win).
+	// Rebuild reports a from-scratch rebuild of the labeling. The
+	// incremental engine repairs every reload in place, so it is false
+	// and omitted; the field stays for clients of the JSON contract.
 	Rebuild bool `json:"rebuild,omitempty"`
 	// Classes is the similarity class count after the reload.
 	Classes int `json:"classes"`
