@@ -6,7 +6,6 @@ package simsym_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"simsym"
@@ -68,20 +67,6 @@ func BenchmarkExp6Scaling(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Similarity(s, core.RuleQ); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	// Opt-in parallel signature pass at the sizes where single-core
-	// signature encoding dominates.
-	for _, n := range []int{16384, 65536} {
-		b.Run(fmt.Sprintf("parallel/n=%d", n), func(b *testing.B) {
-			s := markedRing(b, n)
-			workers := runtime.GOMAXPROCS(0)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.SimilarityParallel(s, core.RuleQ, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -20,7 +20,6 @@ import (
 	"simsym/internal/adversary"
 	"simsym/internal/dining"
 	"simsym/internal/mc"
-	"simsym/internal/obs"
 	"simsym/internal/obsflag"
 	"simsym/internal/randomized"
 	"simsym/internal/system"
@@ -102,7 +101,20 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *faults != "" {
-		if err := runFaulted(out, sys, *meals, *faults, *seed, *replay, rec); err != nil {
+		// Crashes and stalls must never break exclusion (they only cost
+		// progress), while lock-drop attacks the locking assumption
+		// itself and may surface a replayable exclusion violation.
+		h, err := adversary.NewDiningHarness(sys, *meals,
+			adversary.Shuffled(rand.New(rand.NewSource(*seed)), sys.NumProcs()))
+		if err != nil {
+			return err
+		}
+		h.MaxSlots = 20000
+		h.Obs = rec
+		err = h.RunFaulted(out, *faults, *seed, *replay, func(res *adversary.Result) string {
+			return fmt.Sprintf("exclusion held, meals %v", dining.Meals(res.Final))
+		})
+		if err != nil {
 			return err
 		}
 	}
@@ -125,52 +137,4 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return obsFlags.Close(out)
-}
-
-// runFaulted drives the table through the adversary harness with seeded
-// fault injection: crashes and stalls must never break exclusion (they
-// only cost progress), while lock-drop attacks the locking assumption
-// itself and may surface a replayable exclusion violation.
-func runFaulted(out io.Writer, sys *system.System, meals int, faults string, seed int64, replay bool, rec *obs.Recorder) error {
-	spec, err := adversary.ParseSpec(faults, seed)
-	if err != nil {
-		return err
-	}
-	h, err := adversary.NewDiningHarness(sys, meals,
-		adversary.Shuffled(rand.New(rand.NewSource(seed)), sys.NumProcs()))
-	if err != nil {
-		return err
-	}
-	h.Faults = adversary.NewFaults(spec, sys.NumProcs(), sys.NumVars())
-	h.MaxSlots = 20000
-	h.Obs = rec
-	res, err := h.Run()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "fault run (seed %d, faults %s): steps=%d slots=%d events=%d done=%v\n",
-		seed, faults, res.Steps, res.Slots, len(res.FaultLog), res.Done)
-	for _, e := range res.FaultLog {
-		if e.Kind != adversary.KindStall {
-			fmt.Fprintf(out, "  fault %v\n", e)
-		}
-	}
-	if res.Violation != nil {
-		fmt.Fprintf(out, "fault run: VIOLATION %s (slot %d, %d-slot trace recorded)\n",
-			res.Violation.Reason, res.Violation.Slot, len(res.Schedule))
-	} else {
-		fmt.Fprintf(out, "fault run: exclusion held, meals %v\n", dining.Meals(res.Final))
-	}
-	if replay {
-		rep, err := h.Replay(res)
-		if err != nil {
-			return err
-		}
-		if d := res.Diff(rep); d != "" {
-			return fmt.Errorf("replay diverged: %s", d)
-		}
-		fmt.Fprintf(out, "replay: byte-identical (%d slots, %d fault events, fingerprint match)\n",
-			rep.Slots, len(rep.FaultLog))
-	}
-	return nil
 }

@@ -19,7 +19,6 @@ import (
 	"simsym/internal/adversary"
 	"simsym/internal/machine"
 	"simsym/internal/mc"
-	"simsym/internal/obs"
 	"simsym/internal/obsflag"
 	"simsym/internal/sched"
 	"simsym/internal/selection"
@@ -55,15 +54,15 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	sys, err := loadSystem(*spec, *gen)
+	sys, err := sysdsl.Load(*spec, *gen)
 	if err != nil {
 		return err
 	}
-	is, err := parseInstr(*instr)
+	is, err := system.ParseInstrSet(*instr)
 	if err != nil {
 		return err
 	}
-	sc, err := parseSched(*schedFlag)
+	sc, err := system.ParseScheduleClass(*schedFlag)
 	if err != nil {
 		return err
 	}
@@ -118,7 +117,25 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *faults != "" {
-		if err := runFaulted(out, sys, is, sc, *faults, *seed, *replay, rec); err != nil {
+		// The fault run drives the SELECT program through the adversary
+		// harness, reporting convergence and any invariant violation.
+		h, err := adversary.NewSelectHarness(sys, is, sc,
+			adversary.Shuffled(rand.New(rand.NewSource(*seed)), sys.NumProcs()))
+		if err != nil {
+			return err
+		}
+		h.Obs = rec
+		err = h.RunFaulted(out, *faults, *seed, *replay, func(res *adversary.Result) string {
+			if !res.Done {
+				return "no convergence within budget (faults may have blocked progress)"
+			}
+			winner := "none"
+			if sel := res.Final.SelectedProcs(); len(sel) == 1 {
+				winner = sys.ProcIDs[sel[0]]
+			}
+			return "converged, winner " + winner
+		})
+		if err != nil {
 			return err
 		}
 	}
@@ -145,105 +162,4 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return obsFlags.Close(out)
-}
-
-// runFaulted drives the SELECT program through the adversary harness
-// with seeded fault injection, reporting convergence and any invariant
-// violation, and optionally proving the trace replays byte-identically.
-func runFaulted(out io.Writer, sys *system.System, is system.InstrSet, sc system.ScheduleClass, faults string, seed int64, replay bool, rec *obs.Recorder) error {
-	spec, err := adversary.ParseSpec(faults, seed)
-	if err != nil {
-		return err
-	}
-	h, err := adversary.NewSelectHarness(sys, is, sc,
-		adversary.Shuffled(rand.New(rand.NewSource(seed)), sys.NumProcs()))
-	if err != nil {
-		return err
-	}
-	h.Faults = adversary.NewFaults(spec, sys.NumProcs(), sys.NumVars())
-	h.Obs = rec
-	res, err := h.Run()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "fault run (seed %d, faults %s): steps=%d slots=%d events=%d done=%v\n",
-		seed, faults, res.Steps, res.Slots, len(res.FaultLog), res.Done)
-	for _, e := range res.FaultLog {
-		if e.Kind != adversary.KindStall {
-			fmt.Fprintf(out, "  fault %v\n", e)
-		}
-	}
-	switch {
-	case res.Violation != nil:
-		fmt.Fprintf(out, "fault run: VIOLATION %s (slot %d, %d-slot trace recorded)\n",
-			res.Violation.Reason, res.Violation.Slot, len(res.Schedule))
-	case res.Done:
-		sel := res.Final.SelectedProcs()
-		winner := "none"
-		if len(sel) == 1 {
-			winner = sys.ProcIDs[sel[0]]
-		}
-		fmt.Fprintf(out, "fault run: converged, winner %s\n", winner)
-	default:
-		fmt.Fprintf(out, "fault run: no convergence within budget (faults may have blocked progress)\n")
-	}
-	if replay {
-		rep, err := h.Replay(res)
-		if err != nil {
-			return err
-		}
-		if d := res.Diff(rep); d != "" {
-			return fmt.Errorf("replay diverged: %s", d)
-		}
-		fmt.Fprintf(out, "replay: byte-identical (%d slots, %d fault events, fingerprint match)\n",
-			rep.Slots, len(rep.FaultLog))
-	}
-	return nil
-}
-
-func parseInstr(s string) (system.InstrSet, error) {
-	switch s {
-	case "s":
-		return system.InstrS, nil
-	case "l":
-		return system.InstrL, nil
-	case "q":
-		return system.InstrQ, nil
-	default:
-		return 0, fmt.Errorf("unknown instruction set %q (want s, l, or q)", s)
-	}
-}
-
-func parseSched(s string) (system.ScheduleClass, error) {
-	switch s {
-	case "general":
-		return system.SchedGeneral, nil
-	case "fair":
-		return system.SchedFair, nil
-	case "bounded":
-		return system.SchedBoundedFair, nil
-	default:
-		return 0, fmt.Errorf("unknown schedule class %q (want general, fair, or bounded)", s)
-	}
-}
-
-func loadSystem(spec, gen string) (*system.System, error) {
-	switch {
-	case gen != "":
-		return sysdsl.Parse("gen " + gen)
-	case spec == "-":
-		data, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			return nil, fmt.Errorf("reading stdin: %w", err)
-		}
-		return sysdsl.Parse(string(data))
-	case spec != "":
-		data, err := os.ReadFile(spec)
-		if err != nil {
-			return nil, fmt.Errorf("reading spec: %w", err)
-		}
-		return sysdsl.Parse(string(data))
-	default:
-		return nil, fmt.Errorf("need -spec or -gen")
-	}
 }

@@ -59,7 +59,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	sys, err := loadSystem(*spec, *gen)
+	sys, err := sysdsl.Load(*spec, *gen)
 	if err != nil {
 		return err
 	}
@@ -156,25 +156,4 @@ func runChurn(out io.Writer, sys *system.System, r core.Rule, cfg runcfg.Common,
 	fmt.Fprintf(out, "final: %d processors, %d variables, %d classes\n",
 		d.NumProcs(), d.NumVars(), d.NumClasses())
 	return nil
-}
-
-func loadSystem(spec, gen string) (*system.System, error) {
-	switch {
-	case gen != "":
-		return sysdsl.Parse("gen " + gen)
-	case spec == "-":
-		data, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			return nil, fmt.Errorf("reading stdin: %w", err)
-		}
-		return sysdsl.Parse(string(data))
-	case spec != "":
-		data, err := os.ReadFile(spec)
-		if err != nil {
-			return nil, fmt.Errorf("reading spec: %w", err)
-		}
-		return sysdsl.Parse(string(data))
-	default:
-		return nil, fmt.Errorf("need -spec or -gen")
-	}
 }

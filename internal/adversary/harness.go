@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"fmt"
+	"io"
 
 	"simsym/internal/dining"
 	"simsym/internal/distlabel"
@@ -342,6 +343,50 @@ func (h *Harness) Replay(rec *Result) (*Result, error) {
 		h2.MaxSlots = rec.Slots
 	}
 	return h2.Run()
+}
+
+// RunFaulted installs seeded faults on h, runs it, and writes the
+// commands' fault report to out: the run summary, every fault but
+// stalls, and the outcome — the violation when one fired, else
+// outcome(res). faults is a ParseSpec class list seeded by seed. With
+// replay set it also replays the recorded trace and fails unless the
+// replay is byte-identical.
+func (h *Harness) RunFaulted(out io.Writer, faults string, seed int64, replay bool, outcome func(*Result) string) error {
+	spec, err := ParseSpec(faults, seed)
+	if err != nil {
+		return err
+	}
+	h.Faults = NewFaults(spec, h.Sys.NumProcs(), h.Sys.NumVars())
+	res, err := h.Run()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "fault run (seed %d, faults %s): steps=%d slots=%d events=%d done=%v\n",
+		seed, faults, res.Steps, res.Slots, len(res.FaultLog), res.Done)
+	for _, e := range res.FaultLog {
+		if e.Kind != KindStall {
+			fmt.Fprintf(out, "  fault %v\n", e)
+		}
+	}
+	if res.Violation != nil {
+		fmt.Fprintf(out, "fault run: VIOLATION %s (slot %d, %d-slot trace recorded)\n",
+			res.Violation.Reason, res.Violation.Slot, len(res.Schedule))
+	} else {
+		fmt.Fprintf(out, "fault run: %s\n", outcome(res))
+	}
+	if !replay {
+		return nil
+	}
+	rep, err := h.Replay(res)
+	if err != nil {
+		return err
+	}
+	if d := res.Diff(rep); d != "" {
+		return fmt.Errorf("replay diverged: %s", d)
+	}
+	fmt.Fprintf(out, "replay: byte-identical (%d slots, %d fault events, fingerprint match)\n",
+		rep.Slots, len(rep.FaultLog))
+	return nil
 }
 
 // NewSelectHarness builds a harness running the paper's SELECT program

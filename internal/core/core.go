@@ -81,7 +81,9 @@ type Labeling struct {
 	VarLabels  []int
 }
 
-// structure adapts a system + rule to partition.Structure. Node indexing:
+// structure adapts a system + rule to partition.TokenStructure and
+// partition.CountStructure for the production drivers, and to the string
+// partition.Structure for the naive oracle and IsStable. Node indexing:
 // processors are 0..NP-1, variables NP..NP+NV-1.
 type structure struct {
 	sys  *system.System
@@ -173,8 +175,7 @@ func (st *structure) Signature(i int, label func(int) int) string {
 //   - variable under S: the sorted set of (name, label) pairs.
 //
 // Two nodes of one kind produce equal token sequences iff their
-// Signature strings are equal. No shared scratch is used, so concurrent
-// calls on distinct buffers are safe (the parallel drivers rely on it).
+// Signature strings are equal.
 func (st *structure) AppendSignature(buf []uint64, i int, label func(int) int) []uint64 {
 	np := st.sys.NumProcs()
 	if i < np {
@@ -272,14 +273,10 @@ func fromPartition(sys *system.System, p *partition.Partition) *Labeling {
 	return lab
 }
 
-// Config carries the optional knobs of a similarity computation: the
-// signature-pass worker count (0 or 1 means sequential) and an event
-// recorder for per-round refinement observability. The zero Config is
-// the default sequential, unobserved run.
+// Config carries the optional knobs of a similarity computation: an
+// event recorder for per-round refinement observability. The zero
+// Config is the default unobserved run.
 type Config struct {
-	// Workers > 1 fans the signature pass over that many goroutines
-	// (deterministic; see SimilarityParallel).
-	Workers int
 	// Obs receives phase, refine-round, and stat events plus the
 	// core.* counters; nil records nothing.
 	Obs *obs.Recorder
@@ -292,16 +289,6 @@ type Config struct {
 // in the split-off part), uses the worklist driver.
 func Similarity(sys *system.System, rule Rule) (*Labeling, error) {
 	return SimilarityWith(sys, rule, Config{})
-}
-
-// SimilarityParallel computes the same labeling as Similarity with the
-// signature pass fanned out over `workers` goroutines: the Hopcroft
-// driver parallelizes its initial key/edge collection, the worklist
-// driver its per-round per-class signature encoding. Deterministic and
-// identical to Similarity; opt in where single-core signature encoding
-// dominates (the 65k-node tier of BenchmarkExp6Scaling).
-func SimilarityParallel(sys *system.System, rule Rule, workers int) (*Labeling, error) {
-	return SimilarityWith(sys, rule, Config{Workers: workers})
 }
 
 // SimilarityWith is Similarity with full Config control. When cfg.Obs
@@ -334,9 +321,9 @@ func SimilarityWith(sys *system.System, rule Rule, cfg Config) (*Labeling, error
 	}
 	var p *partition.Partition
 	if rule == RuleQ {
-		p, err = partition.FixpointHopcroftHooked(st, cfg.Workers, hook)
+		p, err = partition.FixpointHopcroft(st, hook)
 	} else {
-		p, err = partition.FixpointWorklistHooked(st, cfg.Workers, hook)
+		p, err = partition.FixpointWorklist(st, hook)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: refining: %w", err)
@@ -361,7 +348,7 @@ func SimilarityWorklist(sys *system.System, rule Rule) (*Labeling, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := partition.FixpointWorklist(st)
+	p, err := partition.FixpointWorklist(st, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: refining: %w", err)
 	}

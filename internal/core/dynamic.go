@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -145,9 +144,9 @@ func NewDynSystem(sys *system.System, rule Rule, cfg Config) (*DynSystem, error)
 }
 
 // dynStruct adapts DynSystem's slot tables to partition.DynStructure
-// with the same key and signature semantics as the static adapter, so
-// the incremental partition is comparable class-for-class with the
-// Similarity oracle on Snapshot.
+// with the same key and token signature semantics as the static
+// adapter, so the incremental partition is comparable class-for-class
+// with the Similarity oracle on Snapshot.
 type dynStruct struct{ d *DynSystem }
 
 func (st *dynStruct) Len() int         { return len(st.d.kind) }
@@ -163,41 +162,6 @@ func (st *dynStruct) InitKey(i int) string {
 		return "P" + strconv.Itoa(len(init)) + ":" + init
 	}
 	return "V" + strconv.Itoa(len(init)) + ":" + init
-}
-
-func (st *dynStruct) Signature(i int, label func(int) int) string {
-	d := st.d
-	var b strings.Builder
-	if d.kind[i] == 'P' {
-		for _, vs := range d.nbr[i] {
-			fmt.Fprintf(&b, "%d,", label(vs))
-		}
-		return b.String()
-	}
-	pairs := make([][2]int, 0, len(d.edges[i]))
-	for _, e := range d.edges[i] {
-		pairs = append(pairs, [2]int{e.name, label(e.proc)})
-	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a][0] != pairs[b][0] {
-			return pairs[a][0] < pairs[b][0]
-		}
-		return pairs[a][1] < pairs[b][1]
-	})
-	switch d.rule {
-	case RuleQ:
-		for _, p := range pairs {
-			fmt.Fprintf(&b, "%d:%d;", p[0], p[1])
-		}
-	default: // RuleSetS: distinct pairs only
-		for k, p := range pairs {
-			if k > 0 && p == pairs[k-1] {
-				continue
-			}
-			fmt.Fprintf(&b, "%d:%d;", p[0], p[1])
-		}
-	}
-	return b.String()
 }
 
 func (st *dynStruct) AppendSignature(buf []uint64, i int, label func(int) int) []uint64 {

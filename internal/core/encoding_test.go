@@ -171,9 +171,9 @@ func labelsKey(lab *Labeling) string {
 
 // TestDriversMatchNaiveOracle is the interned-pipeline cross-check: on
 // rings, marked rings, stars, and randomized systems, the interned
-// worklist driver, the Hopcroft driver, and the parallel drivers must
-// produce exactly the labeling of the naive string-signature oracle,
-// under both environment rules.
+// worklist driver and the Hopcroft driver must produce exactly the
+// labeling of the naive string-signature oracle, under both environment
+// rules.
 func TestDriversMatchNaiveOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	var cases []*system.System
@@ -212,12 +212,6 @@ func TestDriversMatchNaiveOracle(t *testing.T) {
 			}
 			if got["SimilarityWorklist"], err = SimilarityWorklist(s, rule); err != nil {
 				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 4} {
-				got[fmt.Sprintf("SimilarityParallel(%d)", workers)], err = SimilarityParallel(s, rule, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
 			}
 			for name, lab := range got {
 				if labelsKey(lab) != want {

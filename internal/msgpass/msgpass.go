@@ -205,7 +205,7 @@ func Similarity(n *Network, counting bool) ([]int, error) {
 		return nil, err
 	}
 	st := &netStructure{net: n, in: n.In(), counting: counting}
-	p, err := partition.FixpointWorklist(st)
+	p, err := partition.FixpointWorklist(st, nil)
 	if err != nil {
 		return nil, fmt.Errorf("msgpass: %w", err)
 	}

@@ -354,7 +354,7 @@ func TestTokenSignatureMatchesStringOracle(t *testing.T) {
 		}
 		for _, counting := range []bool{true, false} {
 			st := &netStructure{net: net, in: net.In(), counting: counting}
-			fast, err := partition.FixpointWorklist(st)
+			fast, err := partition.FixpointWorklist(st, nil)
 			if err != nil {
 				t.Fatalf("trial %d counting=%v: worklist: %v", trial, counting, err)
 			}

@@ -1,27 +1,28 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
-// DynStructure is a Structure whose node set mutates in place: slots
-// may be born, die, change their initial key, or change their
+// DynStructure is a TokenStructure whose node set mutates in place:
+// slots may be born, die, change their initial key, or change their
 // environment between calls to Dyn.Update. Len reports the slot-space
 // size (dead slots included); Alive reports whether slot i currently
 // exists. Signatures, Dependents and OutEdges must never reference dead
-// slots. Structures that additionally implement TokenStructure get the
-// interned token path; others fall back to string interning.
+// slots.
 type DynStructure interface {
-	Structure
+	TokenStructure
 	// Alive reports whether slot i is currently part of the structure.
 	Alive(i int) bool
 	// OutEdges returns slot i's tagged dependency edges, one for every
-	// slot whose label i's Signature reads, in a fresh slice: the merge
+	// slot whose label i's signature reads, in a fresh slice: the merge
 	// pass builds its class quotient from one representative's edges per
 	// class, rewriting their targets in place.
 	OutEdges(i int) []TaggedEdge
-	// Counting reports whether Signature is the multiset of (Tag,
+	// Counting reports whether the signature is the multiset of (Tag,
 	// label(To)) pairs over OutEdges, as for a CountStructure. The merge
 	// pass then refines the quotient with Hopcroft's smaller-half rule;
 	// set-valued signatures, for which that rule is unsound, must report
@@ -77,58 +78,6 @@ func (u UpdateStats) add(v UpdateStats) UpdateStats {
 	return u
 }
 
-// dynEncoder interns signatures into a persistent id space: unlike the
-// per-class sigEncoder windows of the static drivers, ids stay
-// comparable across events, which is what lets Dyn store one stable
-// signature id per class and certify "nothing changed" without
-// recomputing unaffected classes.
-type dynEncoder struct {
-	s    Structure
-	ts   TokenStructure // nil when s is string-only
-	tab  SigTable
-	strs map[string]int
-	buf  []uint64
-}
-
-func (e *dynEncoder) init(s Structure) {
-	e.s = s
-	if ts, ok := s.(TokenStructure); ok {
-		e.ts = ts
-	} else {
-		e.strs = make(map[string]int)
-	}
-}
-
-func (e *dynEncoder) reset() {
-	if e.ts != nil {
-		e.tab.Reset()
-		return
-	}
-	e.strs = make(map[string]int)
-}
-
-// len returns the number of interned signature ids.
-func (e *dynEncoder) len() int {
-	if e.ts != nil {
-		return e.tab.Len()
-	}
-	return len(e.strs)
-}
-
-func (e *dynEncoder) sigID(i int, label func(int) int) int {
-	if e.ts != nil {
-		e.buf = e.ts.AppendSignature(e.buf[:0], i, label)
-		return e.tab.Intern(e.buf)
-	}
-	s := e.s.Signature(i, label)
-	id, ok := e.strs[s]
-	if !ok {
-		id = len(e.strs)
-		e.strs[s] = id
-	}
-	return id
-}
-
 // Dyn maintains the coarsest stable partition of a mutating structure
 // incrementally. Between events it keeps, per class, the interned
 // signature id the class stabilized at; an event only pays for the
@@ -166,8 +115,13 @@ func (e *dynEncoder) sigID(i int, label func(int) int) int {
 //
 // Dyn is not goroutine-safe.
 type Dyn struct {
-	s   DynStructure
-	enc dynEncoder // persistent id space for stable class signatures
+	s DynStructure
+	// enc interns signatures into a persistent id space: unlike the
+	// per-class windows of the static drivers, ids stay comparable
+	// across events, which is what lets Dyn store one stable signature
+	// id per class and certify "nothing changed" without recomputing
+	// unaffected classes.
+	enc sigEncoder
 
 	label   []int         // slot -> class id, -1 when dead
 	lbl     func(int) int // reads label; built once, as a method value would allocate per signature
@@ -190,7 +144,7 @@ type Dyn struct {
 	// reusable scratch
 	batch   []int
 	idsBuf  []int
-	moveBuf []int
+	moveBuf []mover
 
 	last  UpdateStats
 	total UpdateStats
@@ -202,11 +156,11 @@ type Dyn struct {
 func NewDyn(s DynStructure) (*Dyn, error) {
 	d := &Dyn{
 		s:       s,
+		enc:     sigEncoder{s: s},
 		initTab: make(map[string]int),
 		byInit:  make(map[int][]int),
 	}
 	d.lbl = func(v int) int { return d.label[v] }
-	d.enc.init(s)
 	d.grow(s.Len())
 	st := d.build()
 	if d.aliveSlots == 0 {
@@ -535,55 +489,38 @@ func (d *Dyn) settleClass(c int, dirtyMembers []int, st *UpdateStats, quotChange
 	return d.splitOut(c, work, ids, keep, st, out)
 }
 
+// mover is a slot leaving its class for the new class of signature id.
+type mover struct{ slot, id int }
+
 // splitOut moves every slot of work whose id differs from keep into a
 // new class per distinct id (ascending id order), leaving keep-id slots
 // in place. Returns out extended with the relabeled slots.
 func (d *Dyn) splitOut(c int, work []int, ids []int, keep int, st *UpdateStats, out []int) []int {
-	distinct := d.moveBuf[:0]
-	for _, id := range ids {
-		if id == keep {
-			continue
-		}
-		seen := false
-		for _, v := range distinct {
-			if v == id {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			distinct = append(distinct, id)
-		}
-	}
-	d.moveBuf = distinct
-	if len(distinct) == 0 {
-		return out
-	}
-	sort.Ints(distinct)
 	// Snapshot the movers before detaching: detach swap-mutates the
 	// member list work may alias (the stable<0 path passes members[c]).
-	type mover struct{ slot, id int }
-	movers := make([]mover, 0, len(work))
+	// One stable sort groups them by id and keeps work order within a
+	// group, so a k-way split costs O(m log m), not O(k·m).
+	movers := d.moveBuf[:0]
 	for k, x := range work {
 		if ids[k] != keep {
 			movers = append(movers, mover{x, ids[k]})
 		}
 	}
+	d.moveBuf = movers
+	slices.SortStableFunc(movers, func(a, b mover) int { return cmp.Compare(a.id, b.id) })
 	initID := d.cinit[c]
 	var dummy bool
-	for _, id := range distinct {
-		nc := d.allocClass(initID)
-		d.csig[nc] = id
-		st.Splits++
-		for _, m := range movers {
-			if m.id != id {
-				continue
-			}
-			d.detach(m.slot, &dummy)
-			d.seat(m.slot, nc)
-			st.Relabeled++
-			out = append(out, m.slot)
+	nc := -1
+	for k, m := range movers {
+		if k == 0 || m.id != movers[k-1].id {
+			nc = d.allocClass(initID)
+			d.csig[nc] = m.id
+			st.Splits++
 		}
+		d.detach(m.slot, &dummy)
+		d.seat(m.slot, nc)
+		st.Relabeled++
+		out = append(out, m.slot)
 	}
 	return out
 }
@@ -604,14 +541,10 @@ func (d *Dyn) mergePass(st *UpdateStats) {
 	var p *Partition
 	var err error
 	if d.s.Counting() {
-		p, err = fixpointHopcroft(q, 1, hook)
+		p, err = FixpointHopcroft(q, hook)
 	} else {
 		q.linkDependents()
-		var s Structure = q
-		if d.enc.ts != nil {
-			s = tokQuotient{q}
-		}
-		p, err = fixpointWorklist(s, 1, hook)
+		p, err = FixpointWorklist(q, hook)
 		st.SigComputes += q.sigs
 	}
 	if err != nil {
@@ -682,8 +615,8 @@ func (d *Dyn) mergePass(st *UpdateStats) {
 // one representative member with every target mapped to its class's
 // node. The settled partition is stable, so every member of a class
 // sees the same classes through its edges and any representative does.
-// It is a CountStructure for the Hopcroft driver and a Structure for
-// the worklist driver.
+// It is a CountStructure for the Hopcroft driver and a TokenStructure
+// for the worklist driver.
 type quotient struct {
 	d    *Dyn
 	cls  []int          // node -> class id
@@ -733,20 +666,12 @@ func (q *quotient) InitKey(n int) string        { return q.d.initStr[q.d.cinit[q
 func (q *quotient) OutEdges(n int) []TaggedEdge { return q.out[n] }
 func (q *quotient) Dependents(n int) []int      { return q.deps[n] }
 
-func (q *quotient) Signature(n int, label func(int) int) string {
+// AppendSignature encodes quotient node n as its representative's
+// signature under the composed labeling.
+func (q *quotient) AppendSignature(buf []uint64, n int, label func(int) int) []uint64 {
 	q.lbl = label
 	q.sigs++
-	return q.d.s.Signature(q.d.members[q.cls[n]][0], q.comp)
-}
-
-// tokQuotient adds the token encoder when the structure has one, so the
-// worklist driver interns quotient signatures the way Dyn does.
-type tokQuotient struct{ *quotient }
-
-func (q tokQuotient) AppendSignature(buf []uint64, n int, label func(int) int) []uint64 {
-	q.lbl = label
-	q.sigs++
-	return q.d.enc.ts.AppendSignature(buf, q.d.members[q.cls[n]][0], q.comp)
+	return q.d.s.AppendSignature(buf, q.d.members[q.cls[n]][0], q.comp)
 }
 
 // compactIDs bounds the persistent signature-id space. Settling interns
@@ -755,10 +680,10 @@ func (q tokQuotient) AppendSignature(buf []uint64, n int, label func(int) int) [
 // by a fresh one holding each live class's stable signature, encoded
 // from a representative.
 func (d *Dyn) compactIDs(st *UpdateStats) {
-	if d.enc.len() <= d.idBound() {
+	if d.enc.tab.Len() <= d.idBound() {
 		return
 	}
-	d.enc.reset()
+	d.enc.tab.Reset()
 	for c, m := range d.members {
 		if len(m) > 0 {
 			d.csig[c] = d.enc.sigID(m[0], d.lbl)

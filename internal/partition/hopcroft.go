@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // TaggedEdge is a directed, integer-tagged edge: the color of From (the
@@ -131,63 +130,21 @@ func (s *segments) finishCarve(c int) int {
 // SigTable, so the hot loop compares small dense ints and reuses its
 // scratch arrays instead of formatting strings and allocating maps per
 // splitter.
-func FixpointHopcroft(cs CountStructure) (*Partition, error) {
-	return fixpointHopcroft(cs, 1, nil)
-}
-
-// FixpointHopcroftHooked is FixpointHopcroft with a progress hook and an
-// optional parallel initial collection pass (workers > 1). The hook
-// fires once per splitter iteration that carved at least one new class
-// — quiet iterations (no edges into the splitter, or no refinement) are
-// skipped so observed runs stay proportional to actual refinement work.
-func FixpointHopcroftHooked(cs CountStructure, workers int, hook RoundHook) (*Partition, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	return fixpointHopcroft(cs, workers, hook)
-}
-
-// FixpointHopcroftParallel is FixpointHopcroft with the initial
-// signature pass — collecting every node's InitKey and OutEdges — fanned
-// out over `workers` goroutines on disjoint node ranges, merged
-// deterministically by node index. The refinement loop itself is
-// inherently sequential (each splitter's carves feed the next), so it is
-// unchanged. CountStructure methods must be safe for concurrent
-// read-only use.
-func FixpointHopcroftParallel(cs CountStructure, workers int) (*Partition, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	return fixpointHopcroft(cs, workers, nil)
-}
-
-func fixpointHopcroft(cs CountStructure, workers int, hook RoundHook) (*Partition, error) {
+//
+// hook, when non-nil, fires once per splitter iteration that carved at
+// least one new class; quiet iterations (no edges into the splitter, or
+// no refinement) are skipped so observed runs stay proportional to
+// actual refinement work.
+func FixpointHopcroft(cs CountStructure, hook RoundHook) (*Partition, error) {
 	n := cs.Len()
 	if n == 0 {
 		return nil, ErrEmptyStructure
 	}
 	keys := make([]string, n)
 	outs := make([][]TaggedEdge, n)
-	collect := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			keys[i] = cs.InitKey(i)
-			outs[i] = cs.OutEdges(i)
-		}
-	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		chunk := (n + workers - 1) / workers
-		for lo := 0; lo < n; lo += chunk {
-			hi := min(lo+chunk, n)
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				collect(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		collect(0, n)
+	for i := 0; i < n; i++ {
+		keys[i] = cs.InitKey(i)
+		outs[i] = cs.OutEdges(i)
 	}
 	seg := newSegments(keys)
 

@@ -21,7 +21,7 @@ func TestHopcroftMinimizesDFA(t *testing.T) {
 	for _, tc := range []struct{ n, k int }{{3, 1}, {3, 4}, {5, 3}, {7, 2}, {1, 5}} {
 		t.Run(fmt.Sprintf("mod%dx%d", tc.n, tc.k), func(t *testing.T) {
 			d := modDFA(tc.n, tc.k)
-			p, err := FixpointHopcroft(d)
+			p, err := FixpointHopcroft(d, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +51,7 @@ func TestHopcroftMatchesNaiveOnRandomDFAs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := FixpointHopcroft(d)
+		b, err := FixpointHopcroft(d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,10 +62,10 @@ func TestHopcroftMatchesNaiveOnRandomDFAs(t *testing.T) {
 }
 
 func TestHopcroftEmptyAndErrors(t *testing.T) {
-	if _, err := FixpointHopcroft(newDFA(nil, nil)); !errors.Is(err, ErrEmptyStructure) {
+	if _, err := FixpointHopcroft(newDFA(nil, nil), nil); !errors.Is(err, ErrEmptyStructure) {
 		t.Errorf("empty = %v", err)
 	}
-	if _, err := FixpointHopcroft(badEdgeStructure{}); err == nil {
+	if _, err := FixpointHopcroft(badEdgeStructure{}, nil); err == nil {
 		t.Error("out-of-range edge should fail")
 	}
 }
@@ -75,7 +75,7 @@ func TestHopcroftChainIsFast(t *testing.T) {
 	// smaller-half driver must separate a 4096-node chain quickly.
 	d := chainDFA(4096)
 	start := time.Now()
-	p, err := FixpointHopcroft(d)
+	p, err := FixpointHopcroft(d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func BenchmarkHopcroftChain(b *testing.B) {
 			d := chainDFA(n)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := FixpointHopcroft(d); err != nil {
+				if _, err := FixpointHopcroft(d, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

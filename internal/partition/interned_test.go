@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -85,106 +84,6 @@ func TestSortTokenPairs(t *testing.T) {
 			if a0 > b0 || (a0 == b0 && a1 > b1) {
 				t.Fatalf("trial %d: pairs out of order at %d: %v", trial, i, toks)
 			}
-		}
-	}
-}
-
-func randomDFA(rng *rand.Rand, n int) *dfa {
-	accept := make([]bool, n)
-	next := make([][]int, n)
-	for s := 0; s < n; s++ {
-		accept[s] = rng.Intn(2) == 0
-		next[s] = []int{rng.Intn(n), rng.Intn(n)}
-	}
-	return newDFA(accept, next)
-}
-
-// TestParallelWorklistMatchesSequential checks that the opt-in parallel
-// signature pass is invisible: for every worker count the result is
-// label-for-label identical to the sequential driver (not just the same
-// relation — the merge is deterministic).
-func TestParallelWorklistMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 60; trial++ {
-		d := randomDFA(rng, 2+rng.Intn(60))
-		seq, err := FixpointWorklist(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{0, 1, 2, 4, 8} {
-			par, err := FixpointWorklistParallel(d, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(seq.Labels()) != fmt.Sprint(par.Labels()) {
-				t.Fatalf("trial %d workers %d: %v != %v", trial, workers, seq.Labels(), par.Labels())
-			}
-		}
-	}
-}
-
-// TestParallelHopcroftMatchesSequential checks the parallel initial
-// signature pass of the Hopcroft driver the same way.
-func TestParallelHopcroftMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 60; trial++ {
-		d := randomDFA(rng, 2+rng.Intn(60))
-		seq, err := FixpointHopcroft(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 5} {
-			par, err := FixpointHopcroftParallel(d, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(seq.Labels()) != fmt.Sprint(par.Labels()) {
-				t.Fatalf("trial %d workers %d: %v != %v", trial, workers, seq.Labels(), par.Labels())
-			}
-		}
-	}
-}
-
-// stringOnlyDFA hides the TokenStructure implementation of dfa (the
-// field is deliberately not embedded, so AppendSignature is not
-// promoted), forcing the string-interning fallback of the worklist
-// driver.
-type stringOnlyDFA struct{ d *dfa }
-
-func (s stringOnlyDFA) Len() int                                { return s.d.Len() }
-func (s stringOnlyDFA) InitKey(i int) string                    { return s.d.InitKey(i) }
-func (s stringOnlyDFA) Signature(i int, l func(int) int) string { return s.d.Signature(i, l) }
-func (s stringOnlyDFA) Dependents(i int) []int                  { return s.d.Dependents(i) }
-
-// TestTokenPathMatchesStringFallback cross-checks the interned token
-// path against the string fallback and the naive string oracle.
-func TestTokenPathMatchesStringFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 60; trial++ {
-		d := randomDFA(rng, 2+rng.Intn(60))
-		if _, ok := any(d).(TokenStructure); !ok {
-			t.Fatal("dfa should implement TokenStructure")
-		}
-		if _, ok := any(stringOnlyDFA{d: d}).(TokenStructure); ok {
-			t.Fatal("stringOnlyDFA must not implement TokenStructure")
-		}
-		tok, err := FixpointWorklist(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		str, err := FixpointWorklist(stringOnlyDFA{d: d})
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle, err := FixpointNaive(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(tok.Labels()) != fmt.Sprint(str.Labels()) {
-			t.Fatalf("trial %d: token %v != string %v", trial, tok.Labels(), str.Labels())
-		}
-		if !SameRelation(tok, oracle) {
-			t.Fatalf("trial %d: interned relation differs from naive oracle", trial)
 		}
 	}
 }

@@ -4,17 +4,24 @@
 // The paper computes similarity labelings by refining a trivial
 // subsimilarity labeling until nodes with the same label have the same
 // environment, citing Hopcroft's set-partition algorithm [H71] for an
-// O(n log n) bound. This package provides the partition data structure and
-// two fixpoint drivers over a pluggable Structure:
+// O(n log n) bound. This package provides the partition data structure,
+// one fixpoint driver per signature kind, and an incremental engine:
 //
-//   - FixpointNaive recomputes every signature every round. It is the
-//     direct transcription of Algorithm 1 and serves as the oracle.
+//   - FixpointNaive recomputes every string signature every round. It is
+//     the direct transcription of Algorithm 1 and serves as the oracle
+//     the other drivers are tested against.
 //   - FixpointWorklist recomputes signatures only for nodes whose
-//     dependencies changed, propagating splits along the dependency
-//     graph. This is the production driver.
+//     dependencies changed, interning them as token sequences. It is the
+//     driver for set signatures (the paper's S rule), for which the
+//     smaller-half rule is unsound.
+//   - FixpointHopcroft refines counting signatures with Hopcroft's
+//     smaller-half splitter rule (the paper's Q rule, Theorem 5).
+//   - Dyn keeps the coarsest stable partition of a mutating structure
+//     up to date, refining its class quotient with the driver that fits
+//     the signature kind.
 //
-// Both produce identical partitions; tests cross-check them and benchmarks
-// compare them (the DESIGN.md ablation).
+// All drivers produce the same relation; tests cross-check them against
+// FixpointNaive and benchmarks compare them (the DESIGN.md ablation).
 package partition
 
 import (
@@ -22,14 +29,13 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
-// Structure describes a refinable structure: a set of nodes, an initial
-// coloring, a per-node signature that may read current labels, and the
-// dependency graph saying whose signatures are affected when a node's
-// label changes.
+// Structure describes a refinable structure with string signatures: a
+// set of nodes, an initial coloring, a per-node signature that may read
+// current labels, and the dependency graph saying whose signatures are
+// affected when a node's label changes. It is the input of the naive
+// oracle.
 type Structure interface {
 	// Len returns the number of nodes, indexed 0..Len()-1.
 	Len() int
@@ -45,33 +51,35 @@ type Structure interface {
 	Dependents(i int) []int
 }
 
-// TokenStructure extends Structure with an allocation-free signature
+// TokenStructure is the input of FixpointWorklist and Dyn: Structure
+// with the string Signature replaced by an allocation-free token
 // encoder. AppendSignature appends node i's environment under the
 // current labeling to buf as uint64 tokens and returns the extended
 // slice; two nodes of the same class must produce equal token sequences
-// iff their Signature strings are equal. FixpointWorklist interns the
-// token sequences through a SigTable and splits classes by comparing
-// small ints, skipping the string formatting of the oracle path
-// entirely; structures that do not implement TokenStructure fall back to
-// interning their Signature strings.
-//
-// Implementations must not retain buf and must be safe for concurrent
-// calls on distinct buffers (the parallel drivers fan the signature pass
-// out over a worker pool).
+// iff they should share a class. The drivers intern the sequences
+// through a SigTable and split classes by comparing small ints.
+// Implementations must not retain buf.
 type TokenStructure interface {
-	Structure
+	// Len returns the number of nodes, indexed 0..Len()-1.
+	Len() int
+	// InitKey returns the initial-coloring key of node i.
+	InitKey(i int) string
+	// AppendSignature appends node i's environment tokens to buf.
 	AppendSignature(buf []uint64, i int, label func(int) int) []uint64
+	// Dependents returns the nodes whose signature may change when node
+	// i's label changes. It may contain duplicates and i itself.
+	Dependents(i int) []int
 }
 
 // ErrEmptyStructure is returned when refining a structure with no nodes.
 var ErrEmptyStructure = errors.New("partition: empty structure")
 
-// RoundHook observes refinement progress: round is the 1-based round
-// (worklist/naive drivers) or splitter iteration (Hopcroft), classes the
-// partition size after the round, and splits the number of new classes
-// carved during it. Hooks run synchronously on the refining goroutine —
-// they are the observability tap the core package threads its event
-// recorder through — and a nil hook costs one branch per round.
+// RoundHook observes refinement progress: round is the 1-based worklist
+// round or Hopcroft splitter iteration, classes the partition size after
+// it, and splits the number of new classes carved during it. Hooks run
+// synchronously on the refining goroutine — they are the observability
+// tap the core package threads its event recorder through. A nil hook
+// means unobserved and costs one branch per round.
 type RoundHook func(round, classes, splits int)
 
 // Partition assigns each node a class label in 0..NumClasses()-1.
@@ -82,16 +90,15 @@ type Partition struct {
 	members [][]int
 }
 
-// newPartition builds the initial partition from InitKey, with class ids
-// assigned in sorted key order for determinism.
-func newPartition(s Structure) (*Partition, error) {
-	n := s.Len()
+// newPartition builds the initial partition of n nodes from their
+// InitKey, with class ids assigned in sorted key order for determinism.
+func newPartition(n int, initKey func(int) string) (*Partition, error) {
 	if n == 0 {
 		return nil, ErrEmptyStructure
 	}
 	byKey := make(map[string][]int)
 	for i := 0; i < n; i++ {
-		k := s.InitKey(i)
+		k := initKey(i)
 		byKey[k] = append(byKey[k], i)
 	}
 	keys := make([]string, 0, len(byKey))
@@ -322,48 +329,19 @@ func (p *Partition) splitClassIDs(c int, ids []int) []int {
 	return changed
 }
 
-// sigEncoder turns per-node signatures into small interned ids, using
-// the token path when the structure supports it and interning the oracle
-// strings otherwise. Ids are dense per reset window in first-appearance
-// order; ids from different windows are not comparable.
+// sigEncoder interns the token signatures of s through a SigTable,
+// reusing one token buffer across calls. Ids are dense per reset window
+// in first-appearance order; ids from different windows are not
+// comparable.
 type sigEncoder struct {
-	s    Structure
-	ts   TokenStructure // nil when s is string-only
-	tab  SigTable
-	strs map[string]int
-	buf  []uint64
-}
-
-func newSigEncoder(s Structure) *sigEncoder {
-	e := &sigEncoder{s: s}
-	if ts, ok := s.(TokenStructure); ok {
-		e.ts = ts
-	}
-	return e
-}
-
-func (e *sigEncoder) reset() {
-	if e.ts != nil {
-		e.tab.Reset()
-		return
-	}
-	// A fresh small map each window: Go maps never shrink, so one that
-	// grew for a large class would tax every later window.
-	e.strs = make(map[string]int)
+	s   TokenStructure
+	tab SigTable
+	buf []uint64
 }
 
 func (e *sigEncoder) sigID(i int, label func(int) int) int {
-	if e.ts != nil {
-		e.buf = e.ts.AppendSignature(e.buf[:0], i, label)
-		return e.tab.Intern(e.buf)
-	}
-	s := e.s.Signature(i, label)
-	id, ok := e.strs[s]
-	if !ok {
-		id = len(e.strs)
-		e.strs[s] = id
-	}
-	return id
+	e.buf = e.s.AppendSignature(e.buf[:0], i, label)
+	return e.tab.Intern(e.buf)
 }
 
 // FixpointNaive refines the initial partition of s until stable,
@@ -371,17 +349,12 @@ func (e *sigEncoder) sigID(i int, label func(int) int) int {
 // Algorithm 1 exactly: "do nodes x and y have the same label but different
 // environments → relabel".
 func FixpointNaive(s Structure) (*Partition, error) {
-	return FixpointNaiveHooked(s, nil)
-}
-
-// FixpointNaiveHooked is FixpointNaive reporting each round to hook.
-func FixpointNaiveHooked(s Structure, hook RoundHook) (*Partition, error) {
-	p, err := newPartition(s)
+	p, err := newPartition(s.Len(), s.InitKey)
 	if err != nil {
 		return nil, err
 	}
 	lbl := func(i int) int { return p.label[i] }
-	for round := 1; ; round++ {
+	for {
 		sigCache := make([]string, s.Len())
 		for i := 0; i < s.Len(); i++ {
 			sigCache[i] = s.Signature(i, lbl)
@@ -395,9 +368,6 @@ func FixpointNaiveHooked(s Structure, hook RoundHook) (*Partition, error) {
 				changedAny = true
 			}
 		}
-		if hook != nil {
-			hook(round, len(p.members), len(p.members)-numBefore)
-		}
 		if !changedAny {
 			return p, nil
 		}
@@ -408,37 +378,10 @@ func FixpointNaiveHooked(s Structure, hook RoundHook) (*Partition, error) {
 // recomputing signatures only for nodes whose dependencies changed. This
 // is the efficient driver in the spirit of [H71]: work propagates only
 // from split classes to their dependents. Signatures are interned to
-// small ints per class (see TokenStructure and SigTable), so splitting
-// never compares or sorts strings.
-func FixpointWorklist(s Structure) (*Partition, error) {
-	return fixpointWorklist(s, 1, nil)
-}
-
-// FixpointWorklistHooked is FixpointWorklist with a per-round progress
-// hook and an optional parallel signature pass (workers > 1).
-func FixpointWorklistHooked(s Structure, workers int, hook RoundHook) (*Partition, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	return fixpointWorklist(s, workers, hook)
-}
-
-// FixpointWorklistParallel is FixpointWorklist with the per-round
-// signature pass fanned out over a pool of `workers` goroutines, one
-// dirty class at a time, each worker owning its own intern table and
-// token buffer. Per-class ids are independent of scheduling and the
-// split merge applies them sequentially in ascending class order, so the
-// result is deterministic and identical to FixpointWorklist. Structure
-// methods must be safe for concurrent read-only use.
-func FixpointWorklistParallel(s Structure, workers int) (*Partition, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	return fixpointWorklist(s, workers, nil)
-}
-
-func fixpointWorklist(s Structure, workers int, hook RoundHook) (*Partition, error) {
-	p, err := newPartition(s)
+// small ints per class (see SigTable), so splitting never compares or
+// sorts strings. hook, when non-nil, observes every round.
+func FixpointWorklist(s TokenStructure, hook RoundHook) (*Partition, error) {
+	p, err := newPartition(s.Len(), s.InitKey)
 	if err != nil {
 		return nil, err
 	}
@@ -452,12 +395,11 @@ func fixpointWorklist(s Structure, workers int, hook RoundHook) (*Partition, err
 		queue = append(queue, i)
 	}
 
-	enc := newSigEncoder(s)
+	enc := sigEncoder{s: s}
 	var classSeen []bool
 	classes := make([]int, 0, 16)
 	work := make([]int, 0, 16)
-	var idsBuf []int
-	var offsBuf []int
+	var ids, offs []int
 
 	round := 0
 	for len(queue) > 0 {
@@ -492,56 +434,19 @@ func fixpointWorklist(s Structure, workers int, hook RoundHook) (*Partition, err
 		}
 
 		// Signature pass: every dirty class's signatures are computed
-		// against the round-start labeling (splits apply only in the
-		// merge below), so the parallel pass is label-for-label
-		// identical to the sequential one.
+		// against the round-start labeling; splits apply only after it.
+		ids, offs = ids[:0], offs[:0]
+		for _, c := range work {
+			enc.tab.Reset()
+			offs = append(offs, len(ids))
+			for _, i := range p.members[c] {
+				ids = append(ids, enc.sigID(i, lbl))
+			}
+		}
+		offs = append(offs, len(ids))
 		var changed []int
-		if workers > 1 && len(work) > 1 {
-			// Workers claim classes from a shared counter and fill
-			// disjoint result slots; the labels they read are not
-			// mutated until the merge.
-			idsByClass := make([][]int, len(work))
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < min(workers, len(work)); w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					we := newSigEncoder(s)
-					for {
-						k := int(next.Add(1)) - 1
-						if k >= len(work) {
-							return
-						}
-						we.reset()
-						ids := make([]int, 0, len(p.members[work[k]]))
-						for _, i := range p.members[work[k]] {
-							ids = append(ids, we.sigID(i, lbl))
-						}
-						idsByClass[k] = ids
-					}
-				}()
-			}
-			wg.Wait()
-			// Deterministic merge: splits apply in ascending class order.
-			for k, c := range work {
-				changed = append(changed, p.splitClassIDs(c, idsByClass[k])...)
-			}
-		} else {
-			idsBuf = idsBuf[:0]
-			offs := offsBuf[:0]
-			for _, c := range work {
-				enc.reset()
-				offs = append(offs, len(idsBuf))
-				for _, i := range p.members[c] {
-					idsBuf = append(idsBuf, enc.sigID(i, lbl))
-				}
-			}
-			offs = append(offs, len(idsBuf))
-			offsBuf = offs
-			for k, c := range work {
-				changed = append(changed, p.splitClassIDs(c, idsBuf[offs[k]:offs[k+1]])...)
-			}
+		for k, c := range work {
+			changed = append(changed, p.splitClassIDs(c, ids[offs[k]:offs[k+1]])...)
 		}
 		for _, i := range changed {
 			for _, d := range s.Dependents(i) {

@@ -103,7 +103,7 @@ func TestWorklistMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := FixpointWorklist(d)
+		b, err := FixpointWorklist(d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestEmptyStructure(t *testing.T) {
 	if _, err := FixpointNaive(d); !errors.Is(err, ErrEmptyStructure) {
 		t.Errorf("naive on empty = %v", err)
 	}
-	if _, err := FixpointWorklist(d); !errors.Is(err, ErrEmptyStructure) {
+	if _, err := FixpointWorklist(d, nil); !errors.Is(err, ErrEmptyStructure) {
 		t.Errorf("worklist on empty = %v", err)
 	}
 }
@@ -135,7 +135,7 @@ func TestStabilityInvariant(t *testing.T) {
 			next[s] = []int{rng.Intn(n), rng.Intn(n), rng.Intn(n)}
 		}
 		d := newDFA(accept, next)
-		p, err := FixpointWorklist(d)
+		p, err := FixpointWorklist(d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,6 +295,12 @@ func (c chainStructure) Signature(i int, label func(int) int) string {
 	}
 	return fmt.Sprintf("%d", label(i+1))
 }
+func (c chainStructure) AppendSignature(buf []uint64, i int, label func(int) int) []uint64 {
+	if i == c.n-1 {
+		return buf
+	}
+	return append(buf, uint64(label(i+1)))
+}
 func (c chainStructure) Dependents(i int) []int {
 	if i == 0 {
 		return nil
@@ -302,11 +308,17 @@ func (c chainStructure) Dependents(i int) []int {
 	return []int{i - 1}
 }
 
+// chainDrivers runs the naive oracle and the worklist driver on a chain.
+var chainDrivers = []struct {
+	name string
+	run  func(chainStructure) (*Partition, error)
+}{
+	{"naive", func(c chainStructure) (*Partition, error) { return FixpointNaive(c) }},
+	{"worklist", func(c chainStructure) (*Partition, error) { return FixpointWorklist(c, nil) }},
+}
+
 func TestChainFullySeparates(t *testing.T) {
-	for _, driver := range []struct {
-		name string
-		run  func(Structure) (*Partition, error)
-	}{{"naive", FixpointNaive}, {"worklist", FixpointWorklist}} {
+	for _, driver := range chainDrivers {
 		t.Run(driver.name, func(t *testing.T) {
 			p, err := driver.run(chainStructure{n: 64})
 			if err != nil {
@@ -320,14 +332,14 @@ func TestChainFullySeparates(t *testing.T) {
 }
 
 func BenchmarkNaiveChain(b *testing.B) {
-	benchDriver(b, FixpointNaive)
+	benchDriver(b, chainDrivers[0].run)
 }
 
 func BenchmarkWorklistChain(b *testing.B) {
-	benchDriver(b, FixpointWorklist)
+	benchDriver(b, chainDrivers[1].run)
 }
 
-func benchDriver(b *testing.B, run func(Structure) (*Partition, error)) {
+func benchDriver(b *testing.B, run func(chainStructure) (*Partition, error)) {
 	for _, n := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			s := chainStructure{n: n}
@@ -371,7 +383,7 @@ func TestClassesAndString(t *testing.T) {
 // load-bearing (see also TestDynClassMembersCopied).
 func TestPartitionAccessorsCopy(t *testing.T) {
 	d := modDFA(6, 2)
-	p, err := FixpointWorklist(d)
+	p, err := FixpointWorklist(d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

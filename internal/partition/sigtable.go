@@ -8,18 +8,18 @@ import (
 
 // SigTable interns uint64 signature token sequences as small dense
 // integer ids: the first distinct sequence gets id 0, the next id 1, and
-// so on. Refinement drivers intern every node's signature once and then
-// split classes by comparing small ints instead of strings — the
-// constant-time signature comparison Hopcroft's bound [H71] and the
-// paper's Theorem 5 assume.
+// so on. FixpointWorklist and Dyn intern every node's signature and
+// FixpointHopcroft every touched node's tag multiset, then split classes
+// by comparing small ints instead of strings — the constant-time
+// signature comparison Hopcroft's bound [H71] and the paper's Theorem 5
+// assume.
 //
 // Buckets are keyed on canon.HashTokens and collisions are resolved by
 // comparing the token sequences themselves, so ids are collision-free by
 // construction. Interned sequences are copied into a shared backing
 // array; callers may reuse their token buffer between Intern calls.
 //
-// The zero value is ready to use. A SigTable is not goroutine-safe; the
-// parallel drivers give each worker its own table.
+// The zero value is ready to use. A SigTable is not goroutine-safe.
 type SigTable struct {
 	buckets map[uint64][]int32
 	toks    []uint64

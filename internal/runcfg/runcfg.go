@@ -61,9 +61,8 @@ type Common struct {
 	MaxDuration Duration `json:"max_duration,omitempty"`
 	// MaxMemBytes bounds the checker's estimated footprint (0 = unbounded).
 	MaxMemBytes int64 `json:"max_mem_bytes,omitempty"`
-	// Workers > 1 spreads statistical trials and the similarity
-	// signature pass over that many goroutines; results are identical to
-	// sequential runs. The exhaustive model checker always runs
+	// Workers > 1 spreads statistical trials over that many goroutines;
+	// results are identical to sequential runs. Every other engine runs
 	// sequentially and ignores it.
 	Workers int `json:"workers,omitempty"`
 	// HotIndexBytes > 0 caps the checker's in-memory key storage; colder

@@ -94,10 +94,12 @@ func decide(sys *system.System, instr system.InstrSet, sch system.ScheduleClass,
 	}
 	switch instr {
 	case system.InstrQ:
-		return decideByLabeling(sys, instr, sch, core.RuleQ, rec)
+		d, _, err := decideByLabeling(sys, instr, sch, core.RuleQ, rec)
+		return d, err
 	case system.InstrS:
 		if sch == system.SchedBoundedFair {
-			return decideByLabeling(sys, instr, sch, core.RuleSetS, rec)
+			d, _, err := decideByLabeling(sys, instr, sch, core.RuleSetS, rec)
+			return d, err
 		}
 		return decideFairS(sys)
 	case system.InstrL:
@@ -107,10 +109,12 @@ func decide(sys *system.System, instr system.InstrSet, sch system.ScheduleClass,
 	}
 }
 
-func decideByLabeling(sys *system.System, instr system.InstrSet, sch system.ScheduleClass, rule core.Rule, rec *obs.Recorder) (*Decision, error) {
+// decideByLabeling decides from the similarity labeling under rule and
+// returns that labeling with the decision.
+func decideByLabeling(sys *system.System, instr system.InstrSet, sch system.ScheduleClass, rule core.Rule, rec *obs.Recorder) (*Decision, *core.Labeling, error) {
 	lab, err := core.SimilarityWith(sys, rule, core.Config{Obs: rec})
 	if err != nil {
-		return nil, fmt.Errorf("selection: %w", err)
+		return nil, nil, fmt.Errorf("selection: %w", err)
 	}
 	d := &Decision{Instr: instr, Sched: sch, UniqueProcs: lab.UniqueProcs()}
 	if len(d.UniqueProcs) > 0 {
@@ -119,7 +123,7 @@ func decideByLabeling(sys *system.System, instr system.InstrSet, sch system.Sche
 	} else {
 		d.Reason = "every processor is similar to another (Theorems 2 and 3)"
 	}
-	return d, nil
+	return d, lab, nil
 }
 
 func decideFairS(sys *system.System) (*Decision, error) {
@@ -274,8 +278,15 @@ func SelectWith(sys *system.System, instr system.InstrSet, sch system.ScheduleCl
 
 func buildSelect(sys *system.System, instr system.InstrSet, sch system.ScheduleClass, rec *obs.Recorder) (*machine.Program, *Decision, error) {
 	switch instr {
-	case system.InstrQ:
-		d, err := decideByLabeling(sys, instr, sch, core.RuleQ, rec)
+	case system.InstrQ, system.InstrS:
+		rule, algorithm2 := core.RuleQ, distlabel.Algorithm2
+		if instr == system.InstrS {
+			if sch != system.SchedBoundedFair {
+				return nil, nil, fmt.Errorf("%w: S selection programs need bounded-fair schedules", ErrUnsupportedModel)
+			}
+			rule, algorithm2 = core.RuleSetS, distlabel.Algorithm2S
+		}
+		d, lab, err := decideByLabeling(sys, instr, sch, rule, rec)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -285,46 +296,12 @@ func buildSelect(sys *system.System, instr system.InstrSet, sch system.ScheduleC
 		if err := distlabel.ValidateRuntime(sys); err != nil {
 			return nil, nil, fmt.Errorf("selection: %w", err)
 		}
-		lab, err := core.SimilarityWith(sys, core.RuleQ, core.Config{Obs: rec})
-		if err != nil {
-			return nil, nil, fmt.Errorf("selection: %w", err)
-		}
 		topo, err := distlabel.TopologyFromSystem(sys, lab)
 		if err != nil {
 			return nil, nil, fmt.Errorf("selection: %w", err)
 		}
-		elite := []int{lab.ProcLabels[d.UniqueProcs[0]]}
-		d.Elite = elite
-		prog, err := distlabel.Algorithm2(topo, distlabel.Options{Elite: elite})
-		if err != nil {
-			return nil, nil, fmt.Errorf("selection: %w", err)
-		}
-		return prog, d, nil
-	case system.InstrS:
-		if sch != system.SchedBoundedFair {
-			return nil, nil, fmt.Errorf("%w: S selection programs need bounded-fair schedules", ErrUnsupportedModel)
-		}
-		d, err := decideByLabeling(sys, instr, sch, core.RuleSetS, rec)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !d.Solvable {
-			return nil, d, fmt.Errorf("%w: %s", ErrNotSolvable, d.Reason)
-		}
-		if err := distlabel.ValidateRuntime(sys); err != nil {
-			return nil, nil, fmt.Errorf("selection: %w", err)
-		}
-		lab, err := core.SimilarityWith(sys, core.RuleSetS, core.Config{Obs: rec})
-		if err != nil {
-			return nil, nil, fmt.Errorf("selection: %w", err)
-		}
-		topo, err := distlabel.TopologyFromSystem(sys, lab)
-		if err != nil {
-			return nil, nil, fmt.Errorf("selection: %w", err)
-		}
-		elite := []int{lab.ProcLabels[d.UniqueProcs[0]]}
-		d.Elite = elite
-		prog, err := distlabel.Algorithm2S(topo, distlabel.Options{Elite: elite})
+		d.Elite = []int{lab.ProcLabels[d.UniqueProcs[0]]}
+		prog, err := algorithm2(topo, distlabel.Options{Elite: d.Elite})
 		if err != nil {
 			return nil, nil, fmt.Errorf("selection: %w", err)
 		}

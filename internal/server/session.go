@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -102,13 +103,13 @@ func buildHarness(cfg SessionConfig, sys *system.System) (*adversary.Harness, er
 	var err error
 	switch cfg.Kind {
 	case "select":
-		instr, err := parseInstr(cfg.Instr)
+		instr, err := system.ParseInstrSet(cmp.Or(cfg.Instr, "q"))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %v", ErrBadSession, err)
 		}
-		sc, err := parseSchedClass(cfg.SchedClass)
+		sc, err := system.ParseScheduleClass(cmp.Or(cfg.SchedClass, "fair"))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %v", ErrBadSession, err)
 		}
 		h, err = adversary.NewSelectHarness(sys, instr, sc, nil)
 		if err != nil {
@@ -317,30 +318,4 @@ func (s *session) snapshot(withTrace bool) Snapshot {
 		}
 	}
 	return snap
-}
-
-func parseInstr(s string) (system.InstrSet, error) {
-	switch s {
-	case "", "q":
-		return system.InstrQ, nil
-	case "s":
-		return system.InstrS, nil
-	case "l":
-		return system.InstrL, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown instruction set %q (want s, l, or q)", ErrBadSession, s)
-	}
-}
-
-func parseSchedClass(s string) (system.ScheduleClass, error) {
-	switch s {
-	case "", "fair":
-		return system.SchedFair, nil
-	case "general":
-		return system.SchedGeneral, nil
-	case "bounded":
-		return system.SchedBoundedFair, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown schedule class %q (want general, fair, or bounded)", ErrBadSession, s)
-	}
 }

@@ -26,6 +26,8 @@ package sysdsl
 import (
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,6 +41,30 @@ var (
 	ErrUnknown    = errors.New("sysdsl: unknown reference")
 	ErrIncomplete = errors.New("sysdsl: incomplete description")
 )
+
+// Load reads the system the commands' -gen and -spec flags name: the
+// generator directive gen when set, else the DSL file spec ("-" for
+// standard input).
+func Load(spec, gen string) (*system.System, error) {
+	switch {
+	case gen != "":
+		return Parse("gen " + gen)
+	case spec == "-":
+		data, err := io.ReadAll(os.Stdin)
+		if err != nil {
+			return nil, fmt.Errorf("reading stdin: %w", err)
+		}
+		return Parse(string(data))
+	case spec != "":
+		data, err := os.ReadFile(spec)
+		if err != nil {
+			return nil, fmt.Errorf("reading spec: %w", err)
+		}
+		return Parse(string(data))
+	default:
+		return nil, errors.New("need -spec or -gen")
+	}
+}
 
 // Parse reads the DSL (or a generator directive) and returns the system.
 func Parse(src string) (*system.System, error) {

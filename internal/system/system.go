@@ -80,6 +80,36 @@ func (s ScheduleClass) String() string {
 	}
 }
 
+// ParseInstrSet parses the command-line and session spelling of an
+// instruction set: "s", "l" or "q".
+func ParseInstrSet(s string) (InstrSet, error) {
+	switch s {
+	case "s":
+		return InstrS, nil
+	case "l":
+		return InstrL, nil
+	case "q":
+		return InstrQ, nil
+	default:
+		return 0, fmt.Errorf("unknown instruction set %q (want s, l, or q)", s)
+	}
+}
+
+// ParseScheduleClass parses the command-line and session spelling of a
+// schedule class: "general", "fair" or "bounded".
+func ParseScheduleClass(s string) (ScheduleClass, error) {
+	switch s {
+	case "general":
+		return SchedGeneral, nil
+	case "fair":
+		return SchedFair, nil
+	case "bounded":
+		return SchedBoundedFair, nil
+	default:
+		return 0, fmt.Errorf("unknown schedule class %q (want general, fair, or bounded)", s)
+	}
+}
+
 // Name is a local name a processor gives to one of its shared variables
 // (an element of the paper's NAMES set).
 type Name string
@@ -178,6 +208,8 @@ var (
 	ErrUnknownName   = errors.New("unknown name")
 	ErrUnknownNode   = errors.New("unknown node")
 	ErrEmptySubsetPs = errors.New("induced subsystem needs at least one processor")
+	// ErrVarInUse reports removing a variable a processor still binds.
+	ErrVarInUse = errors.New("variable still referenced by a processor")
 )
 
 // NumProcs returns |P|.

@@ -423,3 +423,26 @@ func TestDiningPlainForksUseBothNames(t *testing.T) {
 		}
 	}
 }
+
+func TestTreeShape(t *testing.T) {
+	if _, err := Tree(0); !errors.Is(err, ErrShape) {
+		t.Fatalf("Tree(0) err = %v, want ErrShape", err)
+	}
+	s, err := Tree(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.ProcIDs); got != 7 {
+		t.Fatalf("procs = %d, want 7", got)
+	}
+	// Heap parents: proc 5's "up" binds var 2, proc 0 self-loops.
+	if s.Nbr[5][0] != 2 || s.Nbr[0][0] != 0 {
+		t.Fatalf("unexpected parents: %v", s.Nbr)
+	}
+	if !s.Connected() {
+		t.Fatal("tree not connected")
+	}
+}

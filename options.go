@@ -121,10 +121,9 @@ func WithBudget(maxStates int, maxDuration time.Duration, maxMemBytes int64) Opt
 }
 
 // WithWorkers spreads the statistical checkers' trials
-// (CheckStatistical, CheckStatisticalDining) and the similarity
-// signature pass (SimilarityOpts, NewDynSystem) over n goroutines;
-// results are identical at every n. The exhaustive checkers (CheckOpts,
-// CheckDiningOpts) always run sequentially and ignore it.
+// (CheckStatistical, CheckStatisticalDining) over n goroutines; results
+// are identical at every n. Every other entry point runs sequentially
+// and ignores it.
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 
 // WithSpill caps the model checker's in-memory key storage at hotBytes
@@ -199,13 +198,13 @@ func (o Options) mcOptions() mc.Options {
 
 // SimilarityOpts computes the similarity labeling Θ of sys under the
 // given environment rule (Algorithm 1 / Theorem 5). Recognized options:
-// WithObserver, WithWorkers.
+// WithObserver.
 func SimilarityOpts(sys *System, rule Rule, opts ...Option) (*Labeling, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("%w: Similarity: nil system", ErrBadArgs)
 	}
 	o := buildOptions(opts)
-	return core.SimilarityWith(sys, rule, core.Config{Workers: o.Workers, Obs: o.Obs})
+	return core.SimilarityWith(sys, rule, core.Config{Obs: o.Obs})
 }
 
 // NewDynSystem builds a dynamic similarity engine seeded from sys under
@@ -219,7 +218,7 @@ func NewDynSystem(sys *System, rule Rule, opts ...Option) (*DynSystem, error) {
 		return nil, fmt.Errorf("%w: NewDynSystem: nil system", ErrBadArgs)
 	}
 	o := buildOptions(opts)
-	return core.NewDynSystem(sys, rule, core.Config{Workers: o.Workers, Obs: o.Obs})
+	return core.NewDynSystem(sys, rule, core.Config{Obs: o.Obs})
 }
 
 // NewChurn builds a seeded, replayable churn stream over d: each Step
@@ -235,7 +234,7 @@ func NewChurn(seed int64, d *DynSystem, copts ChurnOpts) (*Churn, error) {
 
 // DecideOpts solves the selection problem's decision half for the given
 // model (Theorems 1–3, 7–9 and the section 6 mimicry criterion).
-// Recognized options: WithObserver, WithWorkers.
+// Recognized options: WithObserver.
 func DecideOpts(sys *System, instr InstrSet, sch ScheduleClass, opts ...Option) (*Decision, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("%w: Decide: nil system", ErrBadArgs)
