@@ -103,7 +103,7 @@ func splitKey(t *testing.T, key []byte, comps int) [][]byte {
 }
 
 // TestEmptyWindowIsNotUncached documents the bitmask invariant: cache
-// validity lives in procValid/varValid, never in the span. A zero-length
+// validity lives in the valid bitmask, never in the span. A zero-length
 // window with its valid bit set is a legitimate cached value — the
 // encode paths must emit it (a bare 0x00 length prefix) without
 // re-encoding — while the same span bytes with the bit cleared must be
@@ -114,20 +114,21 @@ func TestEmptyWindowIsNotUncached(t *testing.T) {
 	m := warmQMachine(t)
 	procs, vars := m.NumProcs(), len(m.varVal)
 	const v = 0
+	c := procs + v // v's slot in the component table
 
 	// Manufacture an empty cached window for variable v at the arena
 	// tail: a 0x00 uvarint length prefix followed by a zero-length body.
 	m.fpArena = append(m.fpArena, 0)
-	m.varSpan[v] = fpSpan{off: int32(len(m.fpArena)), n: 0}
-	if !m.varCached(v) {
+	m.spans[c] = fpSpan{off: int32(len(m.fpArena)), n: 0}
+	if !m.cached(c) {
 		t.Fatal("setup: priming must have left v's valid bit set")
 	}
 	arenaLen := len(m.fpArena)
 
 	key := m.AppendStateKey(nil, nil, nil)
 	comps := splitKey(t, key, procs+vars)
-	if len(comps[procs+v]) != 0 {
-		t.Fatalf("valid empty window re-encoded to %q; must be emitted as-is", comps[procs+v])
+	if len(comps[c]) != 0 {
+		t.Fatalf("valid empty window re-encoded to %q; must be emitted as-is", comps[c])
 	}
 	if len(m.fpArena) != arenaLen {
 		t.Errorf("arena grew %d → %d: the cached empty window was re-encoded", arenaLen, len(m.fpArena))
@@ -148,14 +149,14 @@ func TestEmptyWindowIsNotUncached(t *testing.T) {
 
 	// Clearing the valid bit — span bytes untouched — must force a
 	// re-encode: empty window ≠ uncached, and uncached ≠ empty window.
-	m.varValid[v>>6] &^= 1 << uint(v&63)
+	m.valid[c>>6] &^= 1 << uint(c&63)
 	key2 := m.AppendStateKey(nil, nil, nil)
 	comps2 := splitKey(t, key2, procs+vars)
-	if len(comps2[procs+v]) == 0 {
+	if len(comps2[c]) == 0 {
 		t.Fatal("cleared valid bit still served the stale empty window")
 	}
 	want := m.appendVarFP(nil, v)
-	if !bytes.Equal(comps2[procs+v], want) {
-		t.Errorf("re-encoded component = %q, want %q", comps2[procs+v], want)
+	if !bytes.Equal(comps2[c], want) {
+		t.Errorf("re-encoded component = %q, want %q", comps2[c], want)
 	}
 }

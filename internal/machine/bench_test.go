@@ -137,8 +137,9 @@ func BenchmarkStepJumpIf(b *testing.B) {
 //	       scripts/benchgate.sh enforces it).
 //	step — the model checker's hot path: one step invalidates ≤1 frame
 //	       and ≤2 variables, the key re-encodes only those.
-//	string — the legacy Fingerprint() string materialization, kept for
-//	       scale (this is what the arena replaced).
+//	string — the test oracle's string encoding (FingerprintOracle, the
+//	       pre-arena Fingerprint), kept for scale: this is what the
+//	       arena replaced.
 func BenchmarkFingerprint(b *testing.B) {
 	setup := func() *Machine {
 		return benchMachine(b, system.InstrQ, func(bl *Builder) {
@@ -184,7 +185,7 @@ func BenchmarkFingerprint(b *testing.B) {
 			if err := m.Step(i % 3); err != nil {
 				b.Fatal(err)
 			}
-			_ = m.Fingerprint()
+			_ = m.FingerprintOracle()
 		}
 	})
 }

@@ -129,11 +129,11 @@ type Machine struct {
 	// procsOwned, varsOwned, and spansOwned are machine-level
 	// copy-on-write bits over the backing arrays themselves, making Clone
 	// O(1): procsOwned guards frames/crashed, varsOwned guards
-	// varVal/locked/varSub/subOwned, and spansOwned guards the four
-	// fingerprint bookkeeping arrays (procSpan/varSpan/procValid/
-	// varValid). Clone clears all bits on both machines and shares every
-	// array; the first mutating step afterwards copies just the group it
-	// touches (cowProcs/cowVars/cowSpans). The span group is split out
+	// varVal/locked/varSub/subOwned, and spansOwned guards the fingerprint
+	// bookkeeping (spans/valid). Clone clears all bits on both machines
+	// and shares every array; the first mutating step afterwards copies
+	// just the group it touches (cowProcs/cowVars/cowSpans). The span
+	// group is split out
 	// because every step invalidates a cache bit but most steps leave
 	// whole value groups untouched — and PrimeFingerprints must rewrite
 	// span offsets without paying for a var-side value copy. When an
@@ -155,44 +155,40 @@ type Machine struct {
 
 	// Fingerprint caches: a step touches one processor frame and at most
 	// one variable, so caching makes whole-state fingerprints (the model
-	// checker's hot path) incremental. Cached encodings live as byte
-	// windows in fpArena addressed by procSpan/varSpan; the procValid/
-	// varValid bitmasks — not the windows — are the cache authority, so a
-	// legitimately empty encoding can never alias "uncached" (the hazard
-	// the old ""-sentinel string caches had by construction).
+	// checker's hot path) incremental. The cache is one component table
+	// in the state key's order: component c < NumProcs is processor c,
+	// and component NumProcs+v is variable v. Cached encodings live as
+	// byte windows in fpArena addressed by spans[c]; the valid bitmask —
+	// not the window — is the cache authority, so a legitimately empty
+	// encoding can never alias "uncached".
 	//
 	// fpArena is append-only while arenaOwned; a Clone freezes it (both
 	// sides drop ownership and treat it as read-only shared storage whose
-	// still-valid windows they keep serving). fpLive tracks the bytes
-	// covered by valid spans so arenaReserve can compact garbage into
-	// fpScratch (a ping-pong buffer, never shared: Clone nils it on the
-	// child) instead of growing forever. Invariant: arenaOwned implies
+	// still-valid windows they keep serving). When an append would
+	// overflow it, arenaReserve compacts the valid windows into fpScratch
+	// (a ping-pong buffer, never shared: Clone nils it on the child)
+	// instead of growing forever. Invariant: arenaOwned implies
 	// spansOwned — only New and rebuildArena (which cows the span group)
 	// set it, so cache fills may always write spans.
 	fpArena    []byte
 	fpScratch  []byte
-	fpLive     int
 	arenaOwned bool
-	procSpan   []fpSpan
-	varSpan    []fpSpan
-	procValid  []uint64
-	varValid   []uint64
+	spans      []fpSpan
+	valid      []uint64
 
-	// pStale/vStale defer cache invalidation on machines whose span group
-	// is still shared: a batch-expansion child steps once, staling ≤1
-	// frame and ≤2 variables, and copying four span arrays just to clear
-	// bits would dominate expansion — most children are then discarded as
-	// duplicates without ever owning spans. procCached/varCached treat a
-	// pending component as uncached; applyStales folds the entries into
-	// the bitmasks when the machine does privatize its span group (every
-	// path to spansOwned runs through it, so a spansOwned — a fortiori
+	// stale defers cache invalidation on machines whose span group is
+	// still shared: a batch-expansion child steps once, staling ≤1 frame
+	// and ≤2 variables, and copying the span arrays just to clear bits
+	// would dominate expansion — most children are then discarded as
+	// duplicates without ever owning spans. cached treats a pending
+	// component as uncached; applyStales folds the entries into the
+	// bitmask when the machine does privatize its span group (every path
+	// to spansOwned runs through it, so a spansOwned — a fortiori
 	// arenaOwned — machine never carries pendings and cache fills may
-	// write bits directly). Fixed arrays, copied wholesale by clone and
+	// write bits directly). A fixed array, copied wholesale by clone and
 	// detach; overflow falls back to an immediate apply.
-	pStale  [4]int32
-	vStale  [4]int32
-	nPStale int8
-	nVStale int8
+	stale  [8]int32
+	nStale int8
 
 	// Single-component overrides, the write-side twin of the pending
 	// stales: a machine whose value arrays are still clone-shared keeps
@@ -338,29 +334,20 @@ type fpSpan struct {
 	n   int32
 }
 
-// spareArrays is a machine-private recycling bin for the copy-on-write
-// array groups. CloneInto salvages the exclusively owned arrays of the
-// pool slot it overwrites (a batch-expansion child that was not kept),
-// and the next cowProcs/cowVars consumes them instead of allocating —
-// steady-state batch stepping copies only the group a step touches,
-// into recycled memory. The bin is never shared: cloneInto keeps it
-// with the overwritten slot, Detach strips it from the heap copy.
+// spareArrays is a machine-private recycling bin for the arrays a step
+// copies most. CloneInto salvages the exclusively owned variable arrays
+// and private Locals slices of the pool slot it overwrites (a
+// batch-expansion child that was not kept), and the next cowVars/
+// frameCow consumes them instead of allocating. The bin is never
+// shared: cloneInto keeps it with the overwritten slot, DetachTo strips
+// it from the kept copy. The processor and span groups have no arm: a
+// pool child steps once, so it never owns them.
 type spareArrays struct {
-	frames   []Frame
-	crashed  []bool
-	hasProcs bool
-
 	varVal   []any
 	locked   []bool
 	varSub   [][]any
 	subOwned []bool
 	hasVars  bool
-
-	procSpan  []fpSpan
-	varSpan   []fpSpan
-	procValid []uint64
-	varValid  []uint64
-	hasSpans  bool
 
 	// locals recycles dead frames' private Locals slices for frameCow.
 	locals [][]any
@@ -373,33 +360,22 @@ func (m *Machine) cowProcs() {
 	if m.procsOwned {
 		return
 	}
-	if sp := m.spares; sp != nil && sp.hasProcs && len(sp.frames) == len(m.frames) {
-		sp.hasProcs = false
-		copy(sp.frames, m.frames)
-		for i := range sp.frames {
-			sp.frames[i].owned = false
-		}
-		copy(sp.crashed, m.crashed)
-		m.frames, sp.frames = sp.frames, nil
-		m.crashed, sp.crashed = sp.crashed, nil
+	var frames []Frame
+	var crashed []bool
+	if s := m.slab; s != nil {
+		frames = s.frames.take(len(m.frames), 512)
+		crashed = s.bools.take(len(m.crashed), 2048)
 	} else {
-		var frames []Frame
-		var crashed []bool
-		if s := m.slab; s != nil {
-			frames = s.frames.take(len(m.frames), 512)
-			crashed = s.bools.take(len(m.crashed), 2048)
-		} else {
-			frames = make([]Frame, len(m.frames))
-			crashed = make([]bool, len(m.crashed))
-		}
-		copy(frames, m.frames)
-		for i := range frames {
-			frames[i].owned = false
-		}
-		copy(crashed, m.crashed)
-		m.frames = frames
-		m.crashed = crashed
+		frames = make([]Frame, len(m.frames))
+		crashed = make([]bool, len(m.crashed))
 	}
+	copy(frames, m.frames)
+	for i := range frames {
+		frames[i].owned = false
+	}
+	copy(crashed, m.crashed)
+	m.frames = frames
+	m.crashed = crashed
 	if m.ovProc >= 0 {
 		m.frames[m.ovProc] = m.ovFrame
 		m.ovFrame = Frame{}
@@ -458,46 +434,26 @@ func (m *Machine) cowVars() {
 	m.varsOwned = true
 }
 
-// cowSpans makes the fingerprint bookkeeping arrays (procSpan, varSpan,
-// procValid, varValid) private to this machine. Split from the value
-// groups so the per-step cache invalidation and PrimeFingerprints'
-// offset rewrite copy four small pointer-free arrays, not the frame and
-// variable values.
+// cowSpans makes the fingerprint bookkeeping arrays (spans, valid)
+// private to this machine. Split from the value groups so the per-step
+// cache invalidation and PrimeFingerprints' offset rewrite copy two
+// small pointer-free arrays, not the frame and variable values.
 func (m *Machine) cowSpans() {
 	if m.spansOwned {
 		return
 	}
-	if sp := m.spares; sp != nil && sp.hasSpans &&
-		len(sp.procSpan) == len(m.procSpan) && len(sp.varSpan) == len(m.varSpan) {
-		sp.hasSpans = false
-		copy(sp.procSpan, m.procSpan)
-		copy(sp.varSpan, m.varSpan)
-		copy(sp.procValid, m.procValid)
-		copy(sp.varValid, m.varValid)
-		m.procSpan, sp.procSpan = sp.procSpan, nil
-		m.varSpan, sp.varSpan = sp.varSpan, nil
-		m.procValid, sp.procValid = sp.procValid, nil
-		m.varValid, sp.varValid = sp.varValid, nil
-		m.spansOwned = true
-		return
-	}
-	np, nv := len(m.procSpan), len(m.varSpan)
-	pw, vw := len(m.procValid), len(m.varValid)
-	var blk []fpSpan
-	var vblk []uint64
+	var spans []fpSpan
+	var valid []uint64
 	if s := m.slab; s != nil {
-		blk = s.spans.take(np+nv, 2048)
-		vblk = s.words.take(pw+vw, 1024)
+		spans = s.spans.take(len(m.spans), 2048)
+		valid = s.words.take(len(m.valid), 1024)
 	} else {
-		blk = make([]fpSpan, np+nv)
-		vblk = make([]uint64, pw+vw)
+		spans = make([]fpSpan, len(m.spans))
+		valid = make([]uint64, len(m.valid))
 	}
-	copy(blk[:np], m.procSpan)
-	copy(blk[np:], m.varSpan)
-	m.procSpan, m.varSpan = blk[:np:np], blk[np:]
-	copy(vblk[:pw], m.procValid)
-	copy(vblk[pw:], m.varValid)
-	m.procValid, m.varValid = vblk[:pw:pw], vblk[pw:]
+	copy(spans, m.spans)
+	copy(valid, m.valid)
+	m.spans, m.valid = spans, valid
 	m.spansOwned = true
 }
 
@@ -600,105 +556,54 @@ func (m *Machine) setLocked(v int, b bool) {
 	m.locked[v] = b
 }
 
-// procCached and varCached report whether a component's cached window is
-// valid: the bitmask decides — window length is state, not status — and
-// a pending deferred invalidation vetoes the bit.
-func (m *Machine) procCached(p int) bool {
-	if m.procValid[p>>6]&(1<<uint(p&63)) == 0 {
+// cached reports whether component c's cached window is valid: the
+// bitmask decides — window length is state, not status — and a pending
+// deferred invalidation vetoes the bit.
+func (m *Machine) cached(c int) bool {
+	if m.valid[c>>6]&(1<<uint(c&63)) == 0 {
 		return false
 	}
-	for i := int8(0); i < m.nPStale; i++ {
-		if m.pStale[i] == int32(p) {
+	for _, s := range m.stale[:m.nStale] {
+		if s == int32(c) {
 			return false
 		}
 	}
 	return true
 }
 
-func (m *Machine) varCached(v int) bool {
-	if m.varValid[v>>6]&(1<<uint(v&63)) == 0 {
-		return false
-	}
-	for i := int8(0); i < m.nVStale; i++ {
-		if m.vStale[i] == int32(v) {
-			return false
-		}
-	}
-	return true
-}
-
-// staleProc and staleVar invalidate a component's cached window. The
-// arena bytes become garbage (reclaimed by the next compaction) but are
-// never rewritten in place: shared arenas stay frozen. On a machine that
-// owns its span group the bit is cleared directly; otherwise the
-// invalidation is deferred to the pending lists so a clone that steps
-// once and is discarded never copies span arrays at all.
-func (m *Machine) staleProc(p int) {
+// markStale invalidates component c's cached window. The arena bytes
+// become garbage (reclaimed by the next compaction) but are never
+// rewritten in place: shared arenas stay frozen. On a machine that owns
+// its span group the bit is cleared directly; otherwise the invalidation
+// is deferred to the pending list so a clone that steps once and is
+// discarded never copies span arrays at all.
+func (m *Machine) markStale(c int) {
 	if !m.spansOwned {
-		for i := int8(0); i < m.nPStale; i++ {
-			if m.pStale[i] == int32(p) {
+		for _, s := range m.stale[:m.nStale] {
+			if s == int32(c) {
 				return
 			}
 		}
-		if int(m.nPStale) < len(m.pStale) {
-			m.pStale[m.nPStale] = int32(p)
-			m.nPStale++
+		if int(m.nStale) < len(m.stale) {
+			m.stale[m.nStale] = int32(c)
+			m.nStale++
 			return
 		}
 		m.applyStales()
 	}
-	w, bit := p>>6, uint64(1)<<uint(p&63)
-	if m.procValid[w]&bit != 0 {
-		m.procValid[w] &^= bit
-		m.fpLive -= int(m.procSpan[p].n)
-	}
-}
-
-func (m *Machine) staleVar(v int) {
-	if !m.spansOwned {
-		for i := int8(0); i < m.nVStale; i++ {
-			if m.vStale[i] == int32(v) {
-				return
-			}
-		}
-		if int(m.nVStale) < len(m.vStale) {
-			m.vStale[m.nVStale] = int32(v)
-			m.nVStale++
-			return
-		}
-		m.applyStales()
-	}
-	w, bit := v>>6, uint64(1)<<uint(v&63)
-	if m.varValid[w]&bit != 0 {
-		m.varValid[w] &^= bit
-		m.fpLive -= int(m.varSpan[v].n)
-	}
+	m.valid[c>>6] &^= 1 << uint(c&63)
 }
 
 // applyStales privatizes the span group and folds the deferred
-// invalidations into the validity bitmasks. It is the gateway to
+// invalidations into the validity bitmask. It is the gateway to
 // spansOwned: rebuildArena and the stale overflow path both come
 // through here, so an owned span group never coexists with pendings.
 func (m *Machine) applyStales() {
 	m.cowSpans()
-	for i := int8(0); i < m.nPStale; i++ {
-		p := int(m.pStale[i])
-		w, bit := p>>6, uint64(1)<<uint(p&63)
-		if m.procValid[w]&bit != 0 {
-			m.procValid[w] &^= bit
-			m.fpLive -= int(m.procSpan[p].n)
-		}
+	for _, c := range m.stale[:m.nStale] {
+		m.valid[c>>6] &^= 1 << uint(c&63)
 	}
-	m.nPStale = 0
-	for i := int8(0); i < m.nVStale; i++ {
-		v := int(m.vStale[i])
-		w, bit := v>>6, uint64(1)<<uint(v&63)
-		if m.varValid[w]&bit != 0 {
-			m.varValid[w] &^= bit
-			m.fpLive -= int(m.varSpan[v].n)
-		}
-	}
-	m.nVStale = 0
+	m.nStale = 0
 }
 
 // New initializes a machine: every processor at PC 0 with local slot
@@ -720,20 +625,18 @@ func New(sys *system.System, instr system.InstrSet, program *Program) (*Machine,
 	}
 	np, nv := sys.NumProcs(), sys.NumVars()
 	m := &Machine{
-		sys:       sys,
-		instr:     instr,
-		program:   program,
-		frames:    make([]Frame, np),
-		varVal:    make([]any, nv),
-		locked:    make([]bool, nv),
-		varSub:    make([][]any, nv),
-		subOwned:  make([]bool, nv),
-		crashed:   make([]bool, np),
-		procSpan:  make([]fpSpan, np),
-		varSpan:   make([]fpSpan, nv),
-		procValid: make([]uint64, (np+63)/64),
-		varValid:  make([]uint64, (nv+63)/64),
-		selSym:    -1,
+		sys:      sys,
+		instr:    instr,
+		program:  program,
+		frames:   make([]Frame, np),
+		varVal:   make([]any, nv),
+		locked:   make([]bool, nv),
+		varSub:   make([][]any, nv),
+		subOwned: make([]bool, nv),
+		crashed:  make([]bool, np),
+		spans:    make([]fpSpan, np+nv),
+		valid:    make([]uint64, (np+nv+63)/64),
+		selSym:   -1,
 		// Freshly built machines own every backing array, including the
 		// (still empty) fingerprint arena.
 		procsOwned: true,
@@ -882,7 +785,7 @@ func (m *Machine) Step(p int) error {
 	if fr.PC >= len(m.program.code) {
 		// Running off the end halts the processor — a real state change.
 		m.steps++
-		m.staleProc(p)
+		m.markStale(p)
 		fr = m.writableFrame(p)
 		fr.Halted = true
 		return nil
@@ -901,7 +804,7 @@ func (m *Machine) Step(p int) error {
 	case opRead:
 		v := m.bound[p][fr.PC]
 		m.steps++
-		m.staleProc(p)
+		m.markStale(p)
 		m.frameCow(fr)
 		fr.Locals[in.sym] = m.varValAt(int(v))
 		fr.PC++
@@ -912,34 +815,34 @@ func (m *Machine) Step(p int) error {
 			return fmt.Errorf("%w: %q", ErrMissingLocal, m.program.names[in.sym])
 		}
 		m.steps++
-		m.staleProc(p)
+		m.markStale(p)
 		m.setVarVal(int(v), val)
-		m.staleVar(int(v))
+		m.markStale(len(m.frames) + int(v))
 		fr.PC++
 	case opLock:
 		v := m.bound[p][fr.PC]
 		m.steps++
-		m.staleProc(p)
+		m.markStale(p)
 		m.frameCow(fr)
 		if m.lockedAt(int(v)) {
 			fr.Locals[in.sym] = false
 		} else {
 			m.setLocked(int(v), true)
-			m.staleVar(int(v))
+			m.markStale(len(m.frames) + int(v))
 			fr.Locals[in.sym] = true
 		}
 		fr.PC++
 	case opUnlock:
 		v := m.bound[p][fr.PC]
 		m.steps++
-		m.staleProc(p)
+		m.markStale(p)
 		m.setLocked(int(v), false)
-		m.staleVar(int(v))
+		m.markStale(len(m.frames) + int(v))
 		fr.PC++
 	case opPeek:
 		v := m.bound[p][fr.PC]
 		m.steps++
-		m.staleProc(p)
+		m.markStale(p)
 		m.frameCow(fr)
 		fr.Locals[in.sym] = m.peekValue(int(v))
 		fr.PC++
@@ -950,7 +853,7 @@ func (m *Machine) Step(p int) error {
 			return fmt.Errorf("%w: %q", ErrMissingLocal, m.program.names[in.sym])
 		}
 		m.steps++
-		m.staleProc(p)
+		m.markStale(p)
 		m.cowVars()
 		// Copy-on-write so snapshots are not aliased.
 		sub := m.varSub[v]
@@ -960,11 +863,11 @@ func (m *Machine) Step(p int) error {
 			m.subOwned[v] = true
 		}
 		sub[p] = val
-		m.staleVar(int(v))
+		m.markStale(len(m.frames) + int(v))
 		fr.PC++
 	case opCompute:
 		m.steps++
-		m.staleProc(p)
+		m.markStale(p)
 		m.frameCow(fr)
 		m.regs.slots = fr.Locals
 		in.f(&m.regs)
@@ -972,7 +875,7 @@ func (m *Machine) Step(p int) error {
 		fr.PC++
 	case opJumpIf:
 		m.steps++
-		m.staleProc(p)
+		m.markStale(p)
 		m.regs.slots = fr.Locals
 		taken := in.cond(&m.regs)
 		m.regs.slots = nil
@@ -983,11 +886,11 @@ func (m *Machine) Step(p int) error {
 		}
 	case opJump:
 		m.steps++
-		m.staleProc(p)
+		m.markStale(p)
 		fr.PC = in.tgt
 	case opHalt:
 		m.steps++
-		m.staleProc(p)
+		m.markStale(p)
 		fr.Halted = true
 	default:
 		return fmt.Errorf("machine: unknown opcode %v", in.kind)
@@ -1101,7 +1004,7 @@ func (m *Machine) Crash(p int) error {
 		m.cowProcs()
 		m.frames[p].Halted = true
 		m.crashed[p] = true
-		m.staleProc(p)
+		m.markStale(p)
 	}
 	return nil
 }
@@ -1123,7 +1026,7 @@ func (m *Machine) DropLock(v int) error {
 	if m.lockedAt(v) {
 		m.cowVars()
 		m.locked[v] = false
-		m.staleVar(v)
+		m.markStale(len(m.frames) + v)
 	}
 	return nil
 }
@@ -1163,45 +1066,35 @@ func uvarintLen(n int32) int32 {
 	return l
 }
 
-// Arena window layout: every cached window is stored with its uvarint
-// length prefix immediately before the body, and the span points at the
-// body. appendProcKeyed/appendVarKeyed therefore emit a cached
-// component with one copy of [off-uvarintLen(n), off+n), and runs of
-// windows that are adjacent in the arena — the common case after
-// PrimeFingerprints, which writes them back to back — collapse into a
-// single bulk copy in AppendStateKey's unpermuted fast path.
-
-// cacheProcFP records win — just encoded into a caller buffer — as
-// processor p's cached window by copying it (length-prefixed) into the
-// arena. A machine that does not own its arena (post-Clone,
-// pre-rebuild) skips caching: shared arenas are frozen.
-func (m *Machine) cacheProcFP(p int, win []byte) {
-	if !m.arenaOwned {
-		return
+// appendFP writes component c's canonical encoding into buf.
+func (m *Machine) appendFP(buf []byte, c int) []byte {
+	if np := len(m.frames); c >= np {
+		return m.appendVarFP(buf, c-np)
 	}
-	pl := uvarintLen(int32(len(win)))
-	m.arenaReserve(int(pl) + len(win))
-	m.fpArena = binary.AppendUvarint(m.fpArena, uint64(len(win)))
-	off := len(m.fpArena)
-	m.fpArena = append(m.fpArena, win...)
-	m.procSpan[p] = fpSpan{off: int32(off), n: int32(len(win))}
-	m.procValid[p>>6] |= 1 << uint(p&63)
-	m.fpLive += int(pl) + len(win)
+	return m.appendProcFP(buf, c)
 }
 
-// cacheVarFP is cacheProcFP for variable windows.
-func (m *Machine) cacheVarFP(v int, win []byte) {
+// Arena window layout: every cached window is stored with its uvarint
+// length prefix immediately before the body, and the span points at the
+// body. appendKeyed therefore emits a cached component with one copy of
+// [off-uvarintLen(n), off+n), and runs of windows that are adjacent in
+// the arena — the common case after PrimeFingerprints, which writes them
+// back to back — collapse into a single bulk copy in AppendStateKey's
+// unpermuted fast path.
+
+// cacheFP records win — just encoded into a caller buffer — as component
+// c's cached window by copying it (length-prefixed) into the arena. A
+// machine that does not own its arena (post-Clone, pre-rebuild) skips
+// caching: shared arenas are frozen.
+func (m *Machine) cacheFP(c int, win []byte) {
 	if !m.arenaOwned {
 		return
 	}
-	pl := uvarintLen(int32(len(win)))
-	m.arenaReserve(int(pl) + len(win))
+	m.arenaReserve(int(uvarintLen(int32(len(win)))) + len(win))
 	m.fpArena = binary.AppendUvarint(m.fpArena, uint64(len(win)))
-	off := len(m.fpArena)
+	m.spans[c] = fpSpan{off: int32(len(m.fpArena)), n: int32(len(win))}
 	m.fpArena = append(m.fpArena, win...)
-	m.varSpan[v] = fpSpan{off: int32(off), n: int32(len(win))}
-	m.varValid[v>>6] |= 1 << uint(v&63)
-	m.fpLive += int(pl) + len(win)
+	m.valid[c>>6] |= 1 << uint(c&63)
 }
 
 // arenaReserve makes room to append n more bytes to an owned arena
@@ -1219,25 +1112,18 @@ func (m *Machine) arenaReserve(n int) {
 // rebuildArena rebases every valid window into a privately owned arena
 // sized for live bytes plus extra headroom, taking ownership. This is
 // both the compactor (owned arena full of garbage) and the rebase step
-// a cloned machine performs before its first cache fill — cowProcs/
-// cowVars here is what makes the arenaOwned ⇒ procsOwned ∧ varsOwned
-// invariant hold.
+// a cloned machine performs before its first cache fill — the
+// applyStales here is what makes the arenaOwned ⇒ spansOwned invariant
+// hold.
 func (m *Machine) rebuildArena(extra int) {
 	// Rewriting span offsets needs only the span group privatized — the
 	// frame and variable values are untouched. Deferred invalidations
 	// must land first so the live-byte walk sees final validity bits.
 	m.applyStales()
 	live := 0
-	for p := range m.procSpan {
-		if m.procCached(p) {
-			n := m.procSpan[p].n
-			live += int(uvarintLen(n) + n)
-		}
-	}
-	for v := range m.varSpan {
-		if m.varCached(v) {
-			n := m.varSpan[v].n
-			live += int(uvarintLen(n) + n)
+	for c, sp := range m.spans {
+		if m.cached(c) {
+			live += int(uvarintLen(sp.n) + sp.n)
 		}
 	}
 	need := live + extra
@@ -1255,30 +1141,14 @@ func (m *Machine) rebuildArena(extra int) {
 	// Valid windows that sit back to back in the source arena move as
 	// single runs: after a batch step all but the few stale components
 	// are still in prime order, so the whole compaction collapses into
-	// one or two bulk copies (runs may span the proc/var boundary).
+	// one or two bulk copies.
 	runSrc, runEnd := int32(-1), int32(-1)
 	runDst := int32(0)
-	for p := range m.procSpan {
-		if !m.procCached(p) {
+	for c := range m.spans {
+		if !m.cached(c) {
 			continue
 		}
-		sp := &m.procSpan[p]
-		oldOff := sp.off
-		if wStart := oldOff - uvarintLen(sp.n); wStart != runEnd {
-			if runSrc >= 0 {
-				dst = append(dst, m.fpArena[runSrc:runEnd]...)
-			}
-			runDst = int32(len(dst))
-			runSrc = wStart
-		}
-		sp.off = runDst + (oldOff - runSrc)
-		runEnd = oldOff + sp.n
-	}
-	for v := range m.varSpan {
-		if !m.varCached(v) {
-			continue
-		}
-		sp := &m.varSpan[v]
+		sp := &m.spans[c]
 		oldOff := sp.off
 		if wStart := oldOff - uvarintLen(sp.n); wStart != runEnd {
 			if runSrc >= 0 {
@@ -1299,16 +1169,13 @@ func (m *Machine) rebuildArena(extra int) {
 		m.fpScratch = nil // old arena is shared — never write into it
 	}
 	m.fpArena = dst
-	m.fpLive = live
 	m.arenaOwned = true
 }
 
 // PrimeFingerprints re-encodes every stale component into a privately
 // owned arena so subsequent AppendStateKey calls are pure window copies.
-// The model checker calls this once per state it keeps: the one rebase
-// replaces the per-component string materializations the encode path
-// used to pay, and children cloned from a primed machine inherit every
-// window read-only.
+// The model checker calls this once per state it keeps: children cloned
+// from a primed machine inherit every window read-only.
 func (m *Machine) PrimeFingerprints() {
 	// A kept machine is about to parent whole batches of clones: fold
 	// its step's frame/variable overrides into privately owned arrays so
@@ -1324,65 +1191,56 @@ func (m *Machine) PrimeFingerprints() {
 	if !m.arenaOwned {
 		m.rebuildArena(64)
 	}
-	for p := range m.frames {
-		if m.procCached(p) {
+	np := len(m.frames)
+	for c := range m.spans {
+		if m.cached(c) {
 			continue
 		}
-		m.arenaReserve(48)
-		start := len(m.fpArena)
-		m.fpArena = append(m.fpArena, 0) // length-prefix placeholder
-		m.fpArena = m.appendProcFP(m.fpArena, p)
-		n := int32(len(m.fpArena) - start - 1)
-		m.fpArena = fixupLenPrefix(m.fpArena, start+1)
-		m.procSpan[p] = fpSpan{off: int32(start) + uvarintLen(n), n: n}
-		m.procValid[p>>6] |= 1 << uint(p&63)
-		m.fpLive += len(m.fpArena) - start
-	}
-	for v := range m.varVal {
-		if m.varCached(v) {
-			continue
+		hint := 48 // a typical frame window; variable windows run smaller
+		if c >= np {
+			hint = 24
 		}
-		m.arenaReserve(24)
+		m.arenaReserve(hint)
 		start := len(m.fpArena)
 		m.fpArena = append(m.fpArena, 0) // length-prefix placeholder
-		m.fpArena = m.appendVarFP(m.fpArena, v)
+		m.fpArena = m.appendFP(m.fpArena, c)
 		n := int32(len(m.fpArena) - start - 1)
 		m.fpArena = fixupLenPrefix(m.fpArena, start+1)
-		m.varSpan[v] = fpSpan{off: int32(start) + uvarintLen(n), n: n}
-		m.varValid[v>>6] |= 1 << uint(v&63)
-		m.fpLive += len(m.fpArena) - start
+		m.spans[c] = fpSpan{off: int32(start) + uvarintLen(n), n: n}
+		m.valid[c>>6] |= 1 << uint(c&63)
 	}
-}
-
-// ProcFingerprint returns a canonical encoding of processor p's state
-// (program counter + locals). Two processors running the same program
-// "have the same state" in the paper's sense exactly when their
-// fingerprints are equal. The encoding walks the local slots in
-// declaration order — injectivity survives because every component is
-// self-delimiting and the slot layout is fixed per program.
-func (m *Machine) ProcFingerprint(p int) string {
-	if m.procCached(p) {
-		sp := m.procSpan[p]
-		return string(m.fpArena[sp.off : sp.off+sp.n])
-	}
-	buf := m.appendProcFP(make([]byte, 0, 48), p)
-	m.cacheProcFP(p, buf)
-	return string(buf)
 }
 
 // AppendProcFingerprint appends processor p's canonical fingerprint bytes
 // to buf and returns the extended slice, refreshing the cache when stale.
-// Comparing appended windows with bytes.Equal is equivalent to comparing
-// ProcFingerprint strings, without materializing strings per check —
-// trace's per-round witness scans run on reused buffers through here.
+// Two processors running the same program "have the same state" in the
+// paper's sense exactly when their fingerprints are equal. The encoding
+// walks the local slots in declaration order — injectivity survives
+// because every component is self-delimiting and the slot layout is
+// fixed per program. trace's per-round witness scans compare these
+// windows with bytes.Equal on reused buffers.
 func (m *Machine) AppendProcFingerprint(buf []byte, p int) []byte {
-	if m.procCached(p) {
-		sp := m.procSpan[p]
+	return m.appendWindow(buf, p)
+}
+
+// AppendVarFingerprint appends variable v's canonical fingerprint bytes
+// to buf, the variable counterpart of AppendProcFingerprint. Q subvalues
+// are encoded as an unordered multiset; the leading tag byte separates
+// the Q and S/L regimes.
+func (m *Machine) AppendVarFingerprint(buf []byte, v int) []byte {
+	return m.appendWindow(buf, len(m.frames)+v)
+}
+
+// appendWindow appends component c's window without its length prefix.
+// A miss encodes directly into buf and caches from the appended window.
+func (m *Machine) appendWindow(buf []byte, c int) []byte {
+	if m.cached(c) {
+		sp := m.spans[c]
 		return append(buf, m.fpArena[sp.off:sp.off+sp.n]...)
 	}
 	start := len(buf)
-	buf = m.appendProcFP(buf, p)
-	m.cacheProcFP(p, buf[start:])
+	buf = m.appendFP(buf, c)
+	m.cacheFP(c, buf[start:])
 	return buf
 }
 
@@ -1502,58 +1360,20 @@ func (m *Machine) appendQVarFP(buf []byte, v int) []byte {
 
 func fpWin(buf []byte, sp fpSpan) []byte { return buf[sp.off : sp.off+sp.n] }
 
-// VarFingerprint returns a canonical encoding of variable v's state.
-// Q subvalues are encoded as an unordered multiset. The leading tag byte
-// separates the Q and S/L regimes.
-func (m *Machine) VarFingerprint(v int) string {
-	if m.varCached(v) {
-		sp := m.varSpan[v]
-		return string(m.fpArena[sp.off : sp.off+sp.n])
-	}
-	buf := m.appendVarFP(make([]byte, 0, 24), v)
-	m.cacheVarFP(v, buf)
-	return string(buf)
-}
-
-// AppendVarFingerprint appends variable v's canonical fingerprint bytes
-// to buf, the VarFingerprint counterpart of AppendProcFingerprint: a
-// miss encodes directly into the caller's buffer and caches from the
-// appended window, never materializing a string. (It used to build the
-// string cache even on first fill, the one remaining allocation on the
-// warm encode path.)
-func (m *Machine) AppendVarFingerprint(buf []byte, v int) []byte {
-	if m.varCached(v) {
-		sp := m.varSpan[v]
-		return append(buf, m.fpArena[sp.off:sp.off+sp.n]...)
-	}
-	start := len(buf)
-	buf = m.appendVarFP(buf, v)
-	m.cacheVarFP(v, buf[start:])
-	return buf
-}
-
-// Fingerprint returns the canonical encoding of the whole machine state
-// (all frames and all variables). Used as the model checker's visited-set
-// key.
+// Fingerprint returns the state key (AppendStateKey) as a string: two
+// machines over the same system and program have equal fingerprints
+// exactly when they are in the same state.
 func (m *Machine) Fingerprint() string {
-	procs := make([]any, len(m.frames))
-	for p := range m.frames {
-		procs[p] = m.ProcFingerprint(p)
-	}
-	vars := make([]any, len(m.varVal))
-	for v := range m.varVal {
-		vars[v] = m.VarFingerprint(v)
-	}
-	return canon.String([]any{procs, vars})
+	return string(m.AppendStateKey(nil, nil, nil))
 }
 
 // AppendStateKey appends a compact binary encoding of the whole machine
 // state to buf and returns the extended slice. The key concatenates the
-// length-prefixed per-processor and per-variable canonical fingerprints,
-// so two machines over the same system have equal keys iff their
-// Fingerprint strings are equal — without materializing a new string per
-// state. This is the model checker's visited-set key: callers reuse buf
-// across states and the per-component fingerprints stay cached.
+// uvarint-length-prefixed component windows in table order — every
+// processor, then every variable — so two machines over the same system
+// have equal keys iff they are in the same state. This is the model
+// checker's visited-set key: callers reuse buf across states and the
+// per-component fingerprints stay cached.
 //
 // When procAt/varAt are non-nil they relabel the key's node positions:
 // position i of the key takes processor procAt[i]'s (variable varAt[i]'s)
@@ -1564,19 +1384,15 @@ func (m *Machine) AppendStateKey(buf []byte, procAt, varAt []int) []byte {
 	if procAt == nil && varAt == nil {
 		return m.appendStateKeyFast(buf)
 	}
-	for i := range m.frames {
-		p := i
-		if procAt != nil {
-			p = procAt[i]
+	np := len(m.frames)
+	for i := range m.spans {
+		c := i
+		if i < np && procAt != nil {
+			c = procAt[i]
+		} else if i >= np && varAt != nil {
+			c = np + varAt[i-np]
 		}
-		buf = m.appendProcKeyed(buf, p)
-	}
-	for i := range m.varVal {
-		v := i
-		if varAt != nil {
-			v = varAt[i]
-		}
-		buf = m.appendVarKeyed(buf, v)
+		buf = m.appendKeyed(buf, c)
 	}
 	return buf
 }
@@ -1589,9 +1405,9 @@ func (m *Machine) AppendStateKey(buf []byte, procAt, varAt []int) []byte {
 // bulk-copies everything between them.
 func (m *Machine) appendStateKeyFast(buf []byte) []byte {
 	runStart, runEnd := int32(-1), int32(-1)
-	for p := range m.frames {
-		if m.procCached(p) {
-			sp := m.procSpan[p]
+	for c := range m.spans {
+		if m.cached(c) {
+			sp := m.spans[c]
 			start := sp.off - uvarintLen(sp.n)
 			if start == runEnd {
 				runEnd = sp.off + sp.n
@@ -1609,35 +1425,7 @@ func (m *Machine) appendStateKeyFast(buf []byte) []byte {
 		}
 		// The miss path may cache into (and thereby compact) the arena,
 		// so no run may be held open across it.
-		buf = append(buf, 0)
-		start := len(buf)
-		buf = m.appendProcFP(buf, p)
-		m.cacheProcFP(p, buf[start:])
-		buf = fixupLenPrefix(buf, start)
-	}
-	for v := range m.varVal {
-		if m.varCached(v) {
-			sp := m.varSpan[v]
-			start := sp.off - uvarintLen(sp.n)
-			if start == runEnd {
-				runEnd = sp.off + sp.n
-				continue
-			}
-			if runStart >= 0 {
-				buf = append(buf, m.fpArena[runStart:runEnd]...)
-			}
-			runStart, runEnd = start, sp.off+sp.n
-			continue
-		}
-		if runStart >= 0 {
-			buf = append(buf, m.fpArena[runStart:runEnd]...)
-			runStart, runEnd = -1, -1
-		}
-		buf = append(buf, 0)
-		start := len(buf)
-		buf = m.appendVarFP(buf, v)
-		m.cacheVarFP(v, buf[start:])
-		buf = fixupLenPrefix(buf, start)
+		buf = m.appendKeyed(buf, c)
 	}
 	if runStart >= 0 {
 		buf = append(buf, m.fpArena[runStart:runEnd]...)
@@ -1645,33 +1433,20 @@ func (m *Machine) appendStateKeyFast(buf []byte) []byte {
 	return buf
 }
 
-// appendProcKeyed appends one uvarint-length-prefixed processor
-// component. A cached window is a pure copy; a miss encodes in place
-// behind a reserved 1-byte prefix that fixupLenPrefix widens in the
-// (rare) ≥128-byte case, and the freshly encoded window is cached when
-// the arena is owned.
-func (m *Machine) appendProcKeyed(buf []byte, p int) []byte {
-	if m.procCached(p) {
-		sp := m.procSpan[p]
+// appendKeyed appends component c with its uvarint length prefix. A
+// cached window is a pure copy; a miss encodes in place behind a
+// reserved 1-byte prefix that fixupLenPrefix widens in the (rare)
+// ≥128-byte case, and the freshly encoded window is cached when the
+// arena is owned.
+func (m *Machine) appendKeyed(buf []byte, c int) []byte {
+	if m.cached(c) {
+		sp := m.spans[c]
 		return append(buf, m.fpArena[sp.off-uvarintLen(sp.n):sp.off+sp.n]...)
 	}
 	buf = append(buf, 0)
 	start := len(buf)
-	buf = m.appendProcFP(buf, p)
-	m.cacheProcFP(p, buf[start:])
-	return fixupLenPrefix(buf, start)
-}
-
-// appendVarKeyed is appendProcKeyed for variable components.
-func (m *Machine) appendVarKeyed(buf []byte, v int) []byte {
-	if m.varCached(v) {
-		sp := m.varSpan[v]
-		return append(buf, m.fpArena[sp.off-uvarintLen(sp.n):sp.off+sp.n]...)
-	}
-	buf = append(buf, 0)
-	start := len(buf)
-	buf = m.appendVarFP(buf, v)
-	m.cacheVarFP(v, buf[start:])
+	buf = m.appendFP(buf, c)
+	m.cacheFP(c, buf[start:])
 	return fixupLenPrefix(buf, start)
 }
 
@@ -1691,107 +1466,6 @@ func fixupLenPrefix(buf []byte, start int) []byte {
 	copy(buf[start+w-1:], buf[start:start+n])
 	copy(buf[start-1:], tmp[:w])
 	return buf
-}
-
-// ProcFingerprintOracle reproduces the pre-compilation processor encoding
-// — locals as a count-prefixed, name-sorted (name, value) list — from the
-// slot representation. It exists purely as a cross-check oracle for the
-// compiled fingerprint path (the way partition.FixpointNaive anchors the
-// interned similarity path): equality classes under the oracle encoding
-// must match equality classes under ProcFingerprint.
-func (m *Machine) ProcFingerprintOracle(p int) string {
-	fr := m.frameAt(p)
-	buf := make([]byte, 0, 48)
-	buf = binary.AppendVarint(buf, int64(fr.PC))
-	if fr.Halted {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	n := 0
-	for _, v := range fr.Locals {
-		if v != unset {
-			n++
-		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(n))
-	for _, s := range m.program.sortedSyms {
-		v := fr.Locals[s]
-		if v == unset {
-			continue
-		}
-		buf = canon.AppendLenPrefixed(buf, m.program.names[s])
-		buf = appendLocalValueOracle(buf, v)
-	}
-	return string(buf)
-}
-
-// appendLocalValueOracle is the pre-arena local-value encoding: scalars
-// direct, everything composite (including PeekResult) through the 'c'
-// canonical-string fallback. appendLocalValue since gained a direct
-// PeekResult path; the oracle keeps the original bytes so its encoding
-// stays frozen while the fast path evolves.
-func appendLocalValueOracle(buf []byte, v any) []byte {
-	switch x := v.(type) {
-	case nil:
-		return append(buf, 'n')
-	case bool:
-		if x {
-			return append(buf, 'b', 1)
-		}
-		return append(buf, 'b', 0)
-	case int:
-		buf = append(buf, 'i')
-		return binary.AppendVarint(buf, int64(x))
-	case string:
-		buf = append(buf, 's')
-		return canon.AppendLenPrefixed(buf, x)
-	default:
-		buf = append(buf, 'c')
-		return canon.AppendLenPrefixed(buf, canon.String(valueForCanon(v)))
-	}
-}
-
-// VarFingerprintOracle reproduces the pre-arena variable encoding — the
-// Q regime as "q"+canon.String of an {init, sub-multiset} map, S/L as
-// the tagged lock-byte form. It anchors the direct binary encoding in
-// appendVarFP the way ProcFingerprintOracle anchors the slot walk:
-// equality classes under the two encodings must coincide.
-func (m *Machine) VarFingerprintOracle(v int) string {
-	if m.instr == system.InstrQ {
-		sub := m.varSub[v]
-		ms := make(canon.Multiset, 0, len(sub))
-		for _, s := range sub {
-			if s != unset {
-				ms = append(ms, s)
-			}
-		}
-		return "q" + canon.String(map[string]any{"init": m.sys.VarInit[v], "sub": ms})
-	}
-	buf := make([]byte, 0, 24)
-	buf = append(buf, 'v')
-	if m.lockedAt(v) {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = appendLocalValueOracle(buf, m.varValAt(v))
-	return string(buf)
-}
-
-// FingerprintOracle composes whole-state fingerprints from the oracle
-// processor encoding — byte-identical to the pre-compilation Fingerprint.
-// Cross-check tests compare its equality classes against Fingerprint's.
-func (m *Machine) FingerprintOracle() string {
-	procs := make([]any, len(m.frames))
-	for p := range m.frames {
-		procs[p] = m.ProcFingerprintOracle(p)
-	}
-	vars := make([]any, len(m.varVal))
-	for v := range m.varVal {
-		vars[v] = m.VarFingerprintOracle(v)
-	}
-	return canon.String([]any{procs, vars})
 }
 
 func valueForCanon(v any) any {
@@ -1830,34 +1504,24 @@ func (m *Machine) Clone() *Machine {
 // concurrently with m's other clones (one goroutine per machine, as
 // everywhere).
 //
-// When dst still exclusively owns proc/var arrays of matching shape —
-// a pool slot whose previous occupant was not kept — CloneInto salvages
-// them into the slot's recycling bin, and the child's first
-// copy-on-write consumes them instead of allocating: steady-state batch
-// expansion copies only the array group a step touches, into recycled
-// memory, and pays no GC write barriers for groups the step leaves
-// shared. The fingerprint arena itself is never recycled this way; it
-// is frozen and shared exactly as in Clone.
+// When dst still exclusively owns variable arrays of matching shape or
+// a private Locals slice — a pool slot whose previous occupant was not
+// kept — CloneInto salvages them into the slot's recycling bin, and the
+// child's first copy-on-write consumes them instead of allocating:
+// steady-state batch expansion copies only the array group a step
+// touches, into recycled memory, and pays no GC write barriers for
+// groups the step leaves shared. The fingerprint arena itself is never
+// recycled this way; it is frozen and shared exactly as in Clone.
 func (m *Machine) CloneInto(dst *Machine) { m.cloneInto(dst) }
 
 func (m *Machine) cloneInto(dst *Machine) {
 	sp := dst.spares
-	if dst != m && (dst.procsOwned || dst.varsOwned || dst.spansOwned ||
-		(dst.ovProc >= 0 && dst.ovFrame.owned)) {
+	if dst != m && (dst.varsOwned || (dst.ovProc >= 0 && dst.ovFrame.owned)) {
 		// The previous occupant's exclusively owned arrays are dead
 		// (the checker detaches kept machines, clearing these bits):
-		// bank them for the next cowProcs/cowVars/cowSpans/frameCow.
+		// bank them for the next cowVars/frameCow.
 		if sp == nil {
 			sp = new(spareArrays)
-		}
-		if dst.procsOwned && !sp.hasProcs && len(dst.frames) == len(m.frames) {
-			for i := range dst.frames {
-				if dst.frames[i].owned {
-					sp.locals = append(sp.locals, dst.frames[i].Locals)
-				}
-			}
-			sp.frames, sp.crashed = dst.frames, dst.crashed
-			sp.hasProcs = true
 		}
 		if dst.ovProc >= 0 && dst.ovFrame.owned {
 			// The dead occupant's override frame privatized its Locals:
@@ -1868,12 +1532,6 @@ func (m *Machine) cloneInto(dst *Machine) {
 			sp.varVal, sp.locked = dst.varVal, dst.locked
 			sp.varSub, sp.subOwned = dst.varSub, dst.subOwned
 			sp.hasVars = true
-		}
-		if dst.spansOwned && !sp.hasSpans &&
-			len(dst.procSpan) == len(m.procSpan) && len(dst.varSpan) == len(m.varSpan) {
-			sp.procSpan, sp.varSpan = dst.procSpan, dst.varSpan
-			sp.procValid, sp.varValid = dst.procValid, dst.varValid
-			sp.hasSpans = true
 		}
 	}
 	m.procsOwned = false
@@ -1898,19 +1556,14 @@ func (m *Machine) cloneInto(dst *Machine) {
 	dst.slab = nil
 }
 
-// Detach returns a heap copy of the machine, transferring its state and
-// array ownership: the receiver's ownership bits are cleared so a later
-// CloneInto cannot recycle arrays the detached copy now owns. It exists
-// for pool-backed expansion: a pool slot the checker decides to keep is
-// detached onto the heap and the slot is dead until the next CloneInto
-// overwrites it. The receiver must not be stepped after Detach.
-func (m *Machine) Detach() *Machine {
-	return m.DetachTo(new(Machine))
-}
-
-// DetachTo is Detach into caller-provided storage — the model checker
-// carves kept machines out of slab chunks, one allocation per dozens of
-// adopted states. dst is overwritten entirely.
+// DetachTo moves the machine into caller-provided storage, transferring
+// its state and array ownership: the receiver's ownership bits are
+// cleared so a later CloneInto cannot recycle arrays the copy now owns.
+// It exists for pool-backed expansion: a pool slot the checker decides
+// to keep is detached into a slab-carved machine (one allocation per
+// dozens of adopted states), and the slot is dead until the next
+// CloneInto overwrites it. dst is overwritten entirely; the receiver
+// must not be stepped afterwards.
 func (m *Machine) DetachTo(dst *Machine) *Machine {
 	*dst = *m
 	dst.spares = nil // the recycling bin stays with the pool slot

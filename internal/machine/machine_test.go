@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"simsym/internal/sched"
@@ -276,7 +277,7 @@ func TestAnonymityIdenticalInitsStayIdentical(t *testing.T) {
 		if err := m.Step(1); err != nil {
 			t.Fatal(err)
 		}
-		if m.ProcFingerprint(0) != m.ProcFingerprint(1) {
+		if procFP(m, 0) != procFP(m, 1) {
 			t.Fatalf("round %d: fingerprints diverged for identical processors", round)
 		}
 	}
@@ -293,19 +294,20 @@ func TestHaltedStepIsNoop(t *testing.T) {
 	if !m.Halted(0) {
 		t.Fatal("proc 0 should be halted")
 	}
-	before := m.ProcFingerprint(0)
+	before := procFP(m, 0)
 	if err := m.Step(0); err != nil {
 		t.Fatal(err)
 	}
-	if m.ProcFingerprint(0) != before {
+	if procFP(m, 0) != before {
 		t.Error("stepping a halted processor changed its state")
 	}
 }
 
 // TestHaltedStepPreservesFingerprintCache is the regression test for the
 // halted-step cache bug: stepping an already-halted processor used to
-// clear m.procFP[p] (and re-assign Halted), forcing a pointless re-encode
-// of an unchanged state. The halted no-op must keep the cache warm.
+// clear p's cached window (and re-assign Halted), forcing a pointless
+// re-encode of an unchanged state. The halted no-op must keep the cache
+// warm.
 func TestHaltedStepPreservesFingerprintCache(t *testing.T) {
 	m, err := New(system.Fig1(), system.InstrS, mustProg(t, func(b *Builder) { b.Halt() }))
 	if err != nil {
@@ -314,9 +316,9 @@ func TestHaltedStepPreservesFingerprintCache(t *testing.T) {
 	if err := m.Step(0); err != nil {
 		t.Fatal(err)
 	}
-	fp := m.ProcFingerprint(0)
-	if !m.procCached(0) {
-		t.Fatal("fingerprint should be cached after ProcFingerprint")
+	fp := procFP(m, 0)
+	if !m.cached(0) {
+		t.Fatal("fingerprint should be cached after AppendProcFingerprint")
 	}
 	stepsBefore := m.Steps()
 	if err := m.Step(0); err != nil {
@@ -325,10 +327,10 @@ func TestHaltedStepPreservesFingerprintCache(t *testing.T) {
 	if m.Steps() != stepsBefore+1 {
 		t.Error("halted step must still count as a schedule step")
 	}
-	if !m.procCached(0) {
+	if !m.cached(0) {
 		t.Error("halted step invalidated the cached fingerprint window")
 	}
-	if got := m.ProcFingerprint(0); got != fp {
+	if got := procFP(m, 0); got != fp {
 		t.Errorf("halted step changed the cached fingerprint: %q -> %q", fp, got)
 	}
 }
@@ -423,6 +425,27 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
+// TestBuilderRejectsDuplicateLabel is the regression test for labels
+// defined twice: Label used to overwrite the earlier definition, so
+// every jump to the label silently landed on the last one. Build must
+// fail with ErrDupLabel and name the label.
+func TestBuilderRejectsDuplicateLabel(t *testing.T) {
+	b := NewBuilder()
+	b.Label("top")
+	b.Halt()
+	b.Label("loop")
+	b.Jump("top")
+	b.Label("top")
+	b.Jump("loop")
+	_, err := b.Build()
+	if !errors.Is(err, ErrDupLabel) {
+		t.Fatalf("Build error = %v, want ErrDupLabel", err)
+	}
+	if !strings.Contains(err.Error(), `"top"`) {
+		t.Errorf("error %q does not name the duplicate label", err)
+	}
+}
+
 func TestStepErrors(t *testing.T) {
 	m, err := New(system.Fig1(), system.InstrS, mustProg(t, func(b *Builder) {
 		b.Write("n", "unset")
@@ -460,6 +483,9 @@ func TestNewBindsSharedNames(t *testing.T) {
 		t.Errorf("New with unknown shared name = %v, want ErrUnknownName", err)
 	}
 }
+
+// procFP is processor p's fingerprint window as a string.
+func procFP(m *Machine, p int) string { return string(m.AppendProcFingerprint(nil, p)) }
 
 func mustProg(t *testing.T, f func(*Builder)) *Program {
 	t.Helper()

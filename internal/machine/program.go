@@ -9,12 +9,19 @@
 // state canonically, which is how the paper's similarity claims ("same
 // state at the same time infinitely often") are checked empirically.
 //
+// A machine keeps one encoding of its state: a component table holding
+// every processor, then every variable, each with a cached canonical
+// window. The state key (AppendStateKey) concatenates the windows in
+// table order; it keys the model checker's visited set, and Fingerprint
+// is the same key as a string.
+//
 // Programs are compiled: the Builder interns every local-variable name to
-// a dense Sym slot and Build resolves jump labels to instruction indices,
-// so the interpreter addresses locals by slot and jumps by index — no
-// string or map work on the step path. machine.New then pre-binds every
-// shared-variable operand to its per-processor variable index (the
-// paper's n-nbr function, evaluated once instead of per step).
+// a dense Sym slot and appends compiled ops directly, and Build resolves
+// jump labels to instruction indices, so the interpreter addresses locals
+// by slot and jumps by index — no string or map work on the step path.
+// machine.New then pre-binds every shared-variable operand to its
+// per-processor variable index (the paper's n-nbr function, evaluated
+// once instead of per step).
 //
 // Instruction sets are enforced: S programs may only read/write, L adds
 // lock/unlock, and Q replaces read/write with peek/post on multiset
@@ -24,7 +31,6 @@ package machine
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"simsym/internal/system"
 )
@@ -83,85 +89,7 @@ func (r *Regs) Bool(s Sym) bool {
 	return b
 }
 
-// Instr is one atomic instruction (the Builder's intermediate form;
-// Build compiles instructions into the interpreter's internal ops).
-type Instr interface{ isInstr() }
-
-// Read loads the value of the shared variable called Name into slot Dst.
-// Requires instruction set S or L.
-type Read struct {
-	Name system.Name
-	Dst  Sym
-}
-
-// Write stores slot Src into the shared variable called Name. Requires S
-// or L.
-type Write struct {
-	Name system.Name
-	Src  Sym
-}
-
-// Lock attempts to set the lock bit of the variable called Name, storing
-// true into Dst if the bit was clear (acquisition succeeded) and false if
-// it was already set. Requires L.
-type Lock struct {
-	Name system.Name
-	Dst  Sym
-}
-
-// Unlock clears the lock bit of the variable called Name. Requires L.
-type Unlock struct {
-	Name system.Name
-}
-
-// Peek loads the state of the multiset variable called Name into Dst as a
-// PeekResult. Requires Q.
-type Peek struct {
-	Name system.Name
-	Dst  Sym
-}
-
-// Post stores slot Src as this processor's subvalue in the multiset
-// variable called Name. Requires Q.
-type Post struct {
-	Name system.Name
-	Src  Sym
-}
-
-// Compute runs an arbitrary local instruction. F must be deterministic,
-// must not mutate values in place, and must not capture mutable state —
-// it sees and edits only the processor's local slots.
-type Compute struct {
-	F func(r *Regs)
-}
-
-// JumpIf transfers control to the instruction labeled Target when Cond
-// evaluates true on the locals. Cond must be deterministic and read-only.
-type JumpIf struct {
-	Cond   func(r *Regs) bool
-	Target string
-}
-
-// Jump unconditionally transfers control to Target.
-type Jump struct {
-	Target string
-}
-
-// Halt stops the processor; further steps are no-ops.
-type Halt struct{}
-
-func (Read) isInstr()    {}
-func (Write) isInstr()   {}
-func (Lock) isInstr()    {}
-func (Unlock) isInstr()  {}
-func (Peek) isInstr()    {}
-func (Post) isInstr()    {}
-func (Compute) isInstr() {}
-func (JumpIf) isInstr()  {}
-func (Jump) isInstr()    {}
-func (Halt) isInstr()    {}
-
-// PeekResult is what Peek stores: the variable's initial state plus the
+// PeekResult is what a peek stores: the variable's initial state plus the
 // current multiset of subvalues. The multiset is stored canonically
 // encoded so that processor states compare correctly.
 type PeekResult struct {
@@ -186,12 +114,13 @@ const (
 )
 
 // op is one compiled instruction: opcode plus pre-resolved operands. The
-// shared-variable Name survives compilation only so machine.New can bind
-// it to per-processor variable indices; Step never touches it.
+// shared-variable name survives compilation only so machine.New can bind
+// it to per-processor variable indices; Step never touches it. kind and
+// sym share the first word, which keeps an op at 48 bytes.
 type op struct {
 	kind opKind
+	sym  Sym         // destination/source slot operand
 	name system.Name // shared-variable operand (binding key; zero for local ops)
-	sym  Sym         // Dst/Src slot operand
 	tgt  int         // resolved jump target pc
 	f    func(*Regs)
 	cond func(*Regs) bool
@@ -204,9 +133,6 @@ type Program struct {
 	// slot s, in declaration (interning) order. Slot 0 is always "init".
 	names  []string
 	symIdx map[string]Sym
-	// sortedSyms lists all slots ordered by name — the iteration order of
-	// the legacy sorted-name fingerprint, kept for the oracle encoders.
-	sortedSyms []Sym
 }
 
 // Len returns the number of instructions.
@@ -214,15 +140,6 @@ func (p *Program) Len() int { return len(p.code) }
 
 // NumSyms returns the number of interned local slots.
 func (p *Program) NumSyms() int { return len(p.names) }
-
-// SymName returns the local name interned to slot s.
-func (p *Program) SymName(s Sym) string { return p.names[s] }
-
-// LookupSym returns the slot for a local name, if the program interned it.
-func (p *Program) LookupSym(name string) (Sym, bool) {
-	s, ok := p.symIdx[name]
-	return s, ok
-}
 
 // Sentinel errors for program construction.
 var (
@@ -232,13 +149,23 @@ var (
 )
 
 // Builder assembles a Program with named labels and an interned symbol
-// table. Local names used in instructions intern automatically; closures
-// address locals through Syms obtained from Sym before Build.
+// table. Each instruction method appends one compiled op; local names
+// used in instructions intern automatically, and closures address locals
+// through Syms obtained from Sym before Build. Jump targets are recorded
+// by label and resolved by Build.
 type Builder struct {
-	instrs []Instr
+	code   []op
 	labels map[string]int
+	dup    string   // first label defined twice, reported by Build
+	jumps  []jumpTo // unresolved jump targets, in emission order
 	names  []string
 	symIdx map[string]Sym
+}
+
+// jumpTo is the label a jump at pc targets.
+type jumpTo struct {
+	pc    int
+	label string
 }
 
 // NewBuilder returns an empty program builder with "init" pre-interned
@@ -261,128 +188,111 @@ func (b *Builder) Sym(name string) Sym {
 	return s
 }
 
-// Label marks the next instruction with a name (jump target).
+// Label marks the next instruction with a name (jump target). A label
+// may be defined once; Build rejects a program that defines one twice.
 func (b *Builder) Label(name string) *Builder {
-	b.labels[name] = len(b.instrs)
+	if _, ok := b.labels[name]; ok {
+		if b.dup == "" {
+			b.dup = name
+		}
+		return b
+	}
+	b.labels[name] = len(b.code)
 	return b
 }
 
-// Emit appends an instruction.
-func (b *Builder) Emit(i Instr) *Builder {
-	b.instrs = append(b.instrs, i)
+func (b *Builder) emit(o op) *Builder {
+	b.code = append(b.code, o)
 	return b
 }
 
-// Read appends a Read instruction.
+// Read appends an instruction loading the value of the shared variable
+// called name into local dst. Requires instruction set S or L.
 func (b *Builder) Read(name system.Name, dst string) *Builder {
-	return b.Emit(Read{Name: name, Dst: b.Sym(dst)})
+	return b.emit(op{kind: opRead, name: name, sym: b.Sym(dst)})
 }
 
-// Write appends a Write instruction.
+// Write appends an instruction storing local src into the shared
+// variable called name. Requires S or L.
 func (b *Builder) Write(name system.Name, src string) *Builder {
-	return b.Emit(Write{Name: name, Src: b.Sym(src)})
+	return b.emit(op{kind: opWrite, name: name, sym: b.Sym(src)})
 }
 
-// Lock appends a Lock instruction.
+// Lock appends an instruction attempting to set the lock bit of the
+// variable called name, storing true into dst if the bit was clear
+// (acquisition succeeded) and false if it was already set. Requires L.
 func (b *Builder) Lock(name system.Name, dst string) *Builder {
-	return b.Emit(Lock{Name: name, Dst: b.Sym(dst)})
+	return b.emit(op{kind: opLock, name: name, sym: b.Sym(dst)})
 }
 
-// Unlock appends an Unlock instruction.
+// Unlock appends an instruction clearing the lock bit of the variable
+// called name. Requires L.
 func (b *Builder) Unlock(name system.Name) *Builder {
-	return b.Emit(Unlock{Name: name})
+	return b.emit(op{kind: opUnlock, name: name})
 }
 
-// Peek appends a Peek instruction.
+// Peek appends an instruction loading the state of the multiset variable
+// called name into dst as a PeekResult. Requires Q.
 func (b *Builder) Peek(name system.Name, dst string) *Builder {
-	return b.Emit(Peek{Name: name, Dst: b.Sym(dst)})
+	return b.emit(op{kind: opPeek, name: name, sym: b.Sym(dst)})
 }
 
-// Post appends a Post instruction.
+// Post appends an instruction storing local src as this processor's
+// subvalue in the multiset variable called name. Requires Q.
 func (b *Builder) Post(name system.Name, src string) *Builder {
-	return b.Emit(Post{Name: name, Src: b.Sym(src)})
+	return b.emit(op{kind: opPost, name: name, sym: b.Sym(src)})
 }
 
-// Compute appends a local computation.
+// Compute appends an arbitrary local instruction. f must be
+// deterministic, must not mutate values in place, and must not capture
+// mutable state — it sees and edits only the processor's local slots.
 func (b *Builder) Compute(f func(r *Regs)) *Builder {
-	return b.Emit(Compute{F: f})
+	return b.emit(op{kind: opCompute, f: f})
 }
 
-// JumpIf appends a conditional jump.
+// JumpIf appends a conditional jump to the instruction labeled target,
+// taken when cond evaluates true on the locals. cond must be
+// deterministic and read-only.
 func (b *Builder) JumpIf(cond func(r *Regs) bool, target string) *Builder {
-	return b.Emit(JumpIf{Cond: cond, Target: target})
+	b.jumps = append(b.jumps, jumpTo{pc: len(b.code), label: target})
+	return b.emit(op{kind: opJumpIf, cond: cond})
 }
 
-// Jump appends an unconditional jump.
+// Jump appends an unconditional jump to the instruction labeled target.
 func (b *Builder) Jump(target string) *Builder {
-	return b.Emit(Jump{Target: target})
+	b.jumps = append(b.jumps, jumpTo{pc: len(b.code), label: target})
+	return b.emit(op{kind: opJump})
 }
 
-// Halt appends a Halt.
+// Halt appends a Halt: the processor stops and further steps are no-ops.
 func (b *Builder) Halt() *Builder {
-	return b.Emit(Halt{})
+	return b.emit(op{kind: opHalt})
 }
 
-// Build resolves labels, freezes the symbol table, and compiles the
-// instruction list into the slot-addressed op sequence the interpreter
-// executes.
+// Build resolves jump labels and freezes the code and the symbol table
+// into a Program. The program keeps the builder's op array, clipped to
+// its length: ops appended afterwards land past its end, and a later
+// Build resolves the same jumps to the same targets, so further Builder
+// calls never change a built program.
 func (b *Builder) Build() (*Program, error) {
-	if len(b.instrs) == 0 {
+	if len(b.code) == 0 {
 		return nil, ErrEmptyProgram
 	}
-	target := func(pc int, label string) (int, error) {
-		idx, ok := b.labels[label]
-		if !ok {
-			return 0, fmt.Errorf("%w: %q at pc %d", ErrUnknownLabel, label, pc)
-		}
-		return idx, nil
+	if b.dup != "" {
+		return nil, fmt.Errorf("%w: %q", ErrDupLabel, b.dup)
 	}
-	code := make([]op, len(b.instrs))
-	for pc, in := range b.instrs {
-		switch x := in.(type) {
-		case Read:
-			code[pc] = op{kind: opRead, name: x.Name, sym: x.Dst}
-		case Write:
-			code[pc] = op{kind: opWrite, name: x.Name, sym: x.Src}
-		case Lock:
-			code[pc] = op{kind: opLock, name: x.Name, sym: x.Dst}
-		case Unlock:
-			code[pc] = op{kind: opUnlock, name: x.Name}
-		case Peek:
-			code[pc] = op{kind: opPeek, name: x.Name, sym: x.Dst}
-		case Post:
-			code[pc] = op{kind: opPost, name: x.Name, sym: x.Src}
-		case Compute:
-			code[pc] = op{kind: opCompute, f: x.F}
-		case JumpIf:
-			tgt, err := target(pc, x.Target)
-			if err != nil {
-				return nil, err
-			}
-			code[pc] = op{kind: opJumpIf, cond: x.Cond, tgt: tgt}
-		case Jump:
-			tgt, err := target(pc, x.Target)
-			if err != nil {
-				return nil, err
-			}
-			code[pc] = op{kind: opJump, tgt: tgt}
-		case Halt:
-			code[pc] = op{kind: opHalt}
-		default:
-			return nil, fmt.Errorf("machine: unknown instruction %T at pc %d", in, pc)
+	code := b.code[:len(b.code):len(b.code)]
+	for _, j := range b.jumps {
+		tgt, ok := b.labels[j.label]
+		if !ok {
+			return nil, fmt.Errorf("%w: %q at pc %d", ErrUnknownLabel, j.label, j.pc)
 		}
+		code[j.pc].tgt = tgt
 	}
 	names := append([]string(nil), b.names...)
 	symIdx := make(map[string]Sym, len(names))
 	for s, n := range names {
 		symIdx[n] = Sym(s)
 	}
-	sortedSyms := make([]Sym, len(names))
-	for i := range sortedSyms {
-		sortedSyms[i] = Sym(i)
-	}
-	sort.Slice(sortedSyms, func(a, b int) bool {
-		return names[sortedSyms[a]] < names[sortedSyms[b]]
-	})
-	return &Program{code: code, names: names, symIdx: symIdx, sortedSyms: sortedSyms}, nil
+	return &Program{code: code, names: names, symIdx: symIdx}, nil
 }

@@ -12,9 +12,9 @@ import (
 
 // TestStateKeyIffFingerprintQuick pins the soundness premise of
 // mc.stateIndex as a property: for machines over the same system and
-// program, AppendStateKey keys are equal exactly when Fingerprint strings
-// are equal. Property-checked with testing/quick over random systems,
-// random programs, and random schedules.
+// program, AppendStateKey keys are equal exactly when FingerprintOracle
+// strings are equal. Property-checked with testing/quick over random
+// systems, random programs, and random schedules.
 func TestStateKeyIffFingerprintQuick(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -51,7 +51,7 @@ func TestStateKeyIffFingerprintQuick(t *testing.T) {
 				return false
 			}
 			keys = append(keys, m.AppendStateKey(nil, nil, nil))
-			fps = append(fps, m.Fingerprint())
+			fps = append(fps, m.FingerprintOracle())
 		}
 		for i := range keys {
 			for j := range keys {

@@ -9,7 +9,7 @@ import (
 )
 
 // TestAppendStateKeyMatchesFingerprint checks the binary key and the
-// canonical string fingerprint agree on equality across random runs.
+// oracle string fingerprint agree on equality across random runs.
 func TestAppendStateKeyMatchesFingerprint(t *testing.T) {
 	s := system.Fig1()
 	rng := rand.New(rand.NewSource(11))
@@ -33,7 +33,7 @@ func TestAppendStateKeyMatchesFingerprint(t *testing.T) {
 			}
 			machines = append(machines, m)
 			keys = append(keys, m.AppendStateKey(nil, nil, nil))
-			fps = append(fps, m.Fingerprint())
+			fps = append(fps, m.FingerprintOracle())
 		}
 		for i := range machines {
 			for j := range machines {

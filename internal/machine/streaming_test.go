@@ -157,7 +157,7 @@ func TestDropLockReleasesHeldLock(t *testing.T) {
 	if !m.Locked(0) {
 		t.Fatal("processor 0 should hold the lock")
 	}
-	fpHeld := m.VarFingerprint(0)
+	fpHeld := string(m.AppendVarFingerprint(nil, 0))
 	steps := m.Steps()
 	if err := m.DropLock(0); err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestDropLockReleasesHeldLock(t *testing.T) {
 	if m.Steps() != steps {
 		t.Fatal("DropLock must not consume a step")
 	}
-	if m.VarFingerprint(0) == fpHeld {
+	if string(m.AppendVarFingerprint(nil, 0)) == fpHeld {
 		t.Fatal("drop must invalidate the variable fingerprint")
 	}
 	// The oblivious holder can now be raced: processor 1 acquires the

@@ -1,6 +1,7 @@
 package mimic
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -34,7 +35,7 @@ func TestFig3OperationalMimicry(t *testing.T) {
 			if err := m.Step(1); err != nil {
 				t.Fatal(err)
 			}
-			if m.ProcFingerprint(0) != m.ProcFingerprint(1) {
+			if !bytes.Equal(m.AppendProcFingerprint(nil, 0), m.AppendProcFingerprint(nil, 1)) {
 				t.Fatalf("trial %d round %d: p and q diverged with z starved", trial, round)
 			}
 		}
@@ -65,7 +66,7 @@ func TestFig3DivergenceOnceZRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.ProcFingerprint(0) == m.ProcFingerprint(1) {
+	if bytes.Equal(m.AppendProcFingerprint(nil, 0), m.AppendProcFingerprint(nil, 1)) {
 		t.Fatal("after z runs, q's peek of w should differ from p's peek of u")
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -9,6 +10,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"simsym/internal/adversary"
+	"simsym/internal/sysdsl"
 )
 
 func doJSON(t *testing.T, client *http.Client, method, url string, body any, wantStatus int, out any) {
@@ -291,5 +295,57 @@ func TestHTTPTopologyReload(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestSnapshotFingerprintIsHexStateKey pins the wire form of
+// Snapshot.Fingerprint: the hex encoding of the final machine's state
+// key. The key is binary (fig2 SELECT keys are not valid UTF-8, so raw
+// bytes would not survive JSON). Each session's fingerprint, read
+// through the HTTP JSON round trip, must decode to the state key of a
+// replay of its trace, and sessions that end in different states must
+// get different fingerprints.
+func TestSnapshotFingerprintIsHexStateKey(t *testing.T) {
+	s := New(Config{Shards: 1})
+	defer drainOrFail(t, s)
+	ts := httptest.NewServer(Handler(s, nil))
+	defer ts.Close()
+	c := ts.Client()
+
+	keys := make(map[string]int64) // hex fingerprint → seed
+	for seed := int64(1); seed <= 4; seed++ {
+		cfg := selectConfig(seed)
+		var snap Snapshot
+		doJSON(t, c, "POST", ts.URL+"/v1/sessions", cfg, http.StatusCreated, &snap)
+		doJSON(t, c, "POST", ts.URL+"/v1/sessions/"+snap.ID+"/run", nil, http.StatusOK, &snap)
+		var insp Snapshot
+		doJSON(t, c, "GET", ts.URL+"/v1/sessions/"+snap.ID+"?trace=1", nil, http.StatusOK, &insp)
+		if !snap.Finished || snap.Fingerprint == "" {
+			t.Fatalf("seed %d: finished session without a fingerprint: %+v", seed, snap)
+		}
+		got, err := hex.DecodeString(snap.Fingerprint)
+		if err != nil {
+			t.Fatalf("seed %d: fingerprint %q is not hex: %v", seed, snap.Fingerprint, err)
+		}
+
+		sys, err := sysdsl.Parse(cfg.Topology)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := buildHarness(cfg, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := h.Replay(&adversary.Result{Schedule: insp.Schedule, Slots: snap.Slots})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := rep.Final.AppendStateKey(nil, nil, nil); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: fingerprint decodes to %q, want the replayed state key %q", seed, got, want)
+		}
+		keys[snap.Fingerprint] = seed
+	}
+	if len(keys) < 2 {
+		t.Fatalf("every seed ended with the same fingerprint; want sessions in different states to differ")
 	}
 }

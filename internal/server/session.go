@@ -2,6 +2,7 @@ package server
 
 import (
 	"cmp"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -56,6 +57,9 @@ type session struct {
 	h      *adversary.Harness
 	exec   *adversary.Exec
 	res    *adversary.Result // set once finalized
+	// fpHex is res.Fingerprint hex-encoded, computed once at finalize so
+	// every later snapshot (run, inspect, delete replies) reuses it.
+	fpHex string
 
 	// dyn mirrors the session topology once the first hot-reload arrives;
 	// subsequent reloads diff against it incrementally instead of
@@ -218,14 +222,11 @@ func (s *session) advance(maxSlots int) (consumed int, err error) {
 	s.slots = s.exec.Slots()
 	s.steps = s.exec.Steps()
 	s.batches++
-	if err != nil {
+	if err != nil || finished {
 		s.res = s.exec.Finalize()
-		return consumed, err
+		s.fpHex = hex.EncodeToString([]byte(s.res.Fingerprint))
 	}
-	if finished {
-		s.res = s.exec.Finalize()
-	}
-	return consumed, nil
+	return consumed, err
 }
 
 // runToEnd drives the session to its overall budget.
@@ -273,7 +274,10 @@ type Snapshot struct {
 	Halted   bool          `json:"halted"`
 	// Violation is the first invariant breach's message ("" while clean).
 	Violation string `json:"violation,omitempty"`
-	// Fingerprint identifies the final machine state (set once finished).
+	// Fingerprint is the final machine's state key, hex-encoded (set
+	// once finished): two sessions over the same system and program end
+	// in the same state exactly when their fingerprints are equal. The
+	// raw key is binary, so it is hex-encoded to survive JSON.
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Schedule and Faults are the replayable trace, included only when
 	// the caller asked for it (inspect ?trace=1).
@@ -300,7 +304,7 @@ func (s *session) snapshot(withTrace bool) Snapshot {
 		snap.Finished = true
 		snap.Done = s.res.Done
 		snap.Halted = s.res.Halted
-		snap.Fingerprint = s.res.Fingerprint
+		snap.Fingerprint = s.fpHex
 	}
 	if withTrace {
 		res := s.res
