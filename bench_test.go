@@ -48,9 +48,10 @@ func BenchmarkExp5DP6(b *testing.B) {
 
 // BenchmarkExp6Scaling regenerates E6's rows: per-size sub-benchmarks
 // showing the Theorem 5 shape. The production driver (Hopcroft
-// smaller-half) is near-linearithmic on marked rings; the dirty-class
-// worklist and the naive Algorithm 1 transcription are the DESIGN.md
-// ablations and blow up super-linearly, so they stop at smaller sizes.
+// smaller-half) is near-linearithmic on marked rings; the worklist (a
+// partition.Dyn build) and the naive Algorithm 1 transcription are the
+// DESIGN.md ablations and blow up super-linearly, so they stop at
+// smaller sizes.
 func BenchmarkExp6Scaling(b *testing.B) {
 	markedRing := func(b *testing.B, n int) *system.System {
 		b.Helper()

@@ -16,8 +16,7 @@
 // restart, rewire) through the incremental relabeling engine instead of
 // labeling once, reporting events/sec, a per-event latency histogram,
 // and split/merge totals. -churn-min and -churn-max bound the population
-// during churn; the three flags mirror the churn_* fields of the shared
-// run-config vocabulary.
+// during churn.
 package main
 
 import (
@@ -32,7 +31,6 @@ import (
 	"simsym/internal/adversary"
 	"simsym/internal/autgrp"
 	"simsym/internal/core"
-	"simsym/internal/runcfg"
 	"simsym/internal/sysdsl"
 	"simsym/internal/system"
 )
@@ -76,11 +74,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "system: %d processors, %d variables, names %v\n",
 		sys.NumProcs(), sys.NumVars(), sys.Names)
 	if *churn > 0 {
-		// The flags are the CLI spelling of the shared churn vocabulary
-		// (runcfg.Common), so a simlabel invocation and a daemon session
-		// config describe the same run.
-		cfg := runcfg.Common{ChurnEvents: *churn, ChurnMinProcs: *churnMin, ChurnMaxProcs: *churnMax}
-		return runChurn(out, sys, r, cfg, *seed)
+		return runChurn(out, sys, r, *churn, adversary.ChurnOpts{MinProcs: *churnMin, MaxProcs: *churnMax}, *seed)
 	}
 	lab, err := core.Similarity(sys, r)
 	if err != nil {
@@ -112,14 +106,12 @@ func run(args []string, out io.Writer) error {
 // runChurn drives a seeded mutation stream through the dynamic engine
 // and prints throughput, a per-event latency histogram, and the
 // accumulated split/merge work profile.
-func runChurn(out io.Writer, sys *system.System, r core.Rule, cfg runcfg.Common, seed int64) error {
+func runChurn(out io.Writer, sys *system.System, r core.Rule, events int, opts adversary.ChurnOpts, seed int64) error {
 	d, err := core.NewDynSystem(sys, r, core.Config{})
 	if err != nil {
 		return err
 	}
-	events := cfg.ChurnEvents
-	ch := adversary.NewChurn(rand.New(rand.NewSource(seed)), d,
-		adversary.ChurnOpts{MinProcs: cfg.ChurnMinProcs, MaxProcs: cfg.ChurnMaxProcs})
+	ch := adversary.NewChurn(rand.New(rand.NewSource(seed)), d, opts)
 	lat := make([]time.Duration, 0, events)
 	kinds := map[string]int{}
 	start := time.Now()

@@ -100,8 +100,8 @@
 // the result always equals a from-scratch SimilarityOpts on that
 // snapshot — the fuzzer FuzzIncrementalSimilarity holds the two paths
 // equal after every event. NewChurn wraps a DynSystem in a seeded,
-// replayable stream of weighted join/leave/crash/restart/rewire events
-// for soak tests and benchmarks; the simsymd daemon exposes the same
+// replayable stream of join/leave/crash/restart/rewire events for soak
+// tests and benchmarks; the simsymd daemon exposes the same
 // engine per session via POST /v1/sessions/{id}/topology.
 //
 // # Migrating from the positional API

@@ -8,34 +8,26 @@ import (
 	"simsym/internal/partition"
 )
 
-// ChurnOpts weights the event mix of a churn stream. Zero weights drop
-// the event kind; an all-zero struct gets the defaults (join 3, leave 3,
-// crash 1, restart 1, rewire 2).
+// ChurnOpts bounds the population of a churn stream.
 type ChurnOpts struct {
-	JoinWeight    int
-	LeaveWeight   int
-	CrashWeight   int
-	RestartWeight int
-	RewireWeight  int
 	// MinProcs suppresses leaves that would shrink the population below
 	// this floor (default 2; the engine itself refuses to drop the last
 	// processor).
 	MinProcs int
 	// MaxProcs suppresses joins above this ceiling (0 = unbounded).
 	MaxProcs int
-	// Join, when set, builds the mutation batch for a join event given a
-	// uniformly chosen template processor; it returns the new
-	// processor's id as well. The default clone-join gives the new
-	// processor the template's exact bindings. Topology-aware callers
-	// (the ring-splice benchmark) substitute a locality-preserving
-	// splice here.
-	Join func(rng *rand.Rand, d *core.DynSystem, template string, seq int) (id string, muts []core.Mutation)
 }
 
+// The event mix of every churn stream, as relative weights.
+const (
+	joinWeight    = 3
+	leaveWeight   = 3
+	crashWeight   = 1
+	restartWeight = 1
+	rewireWeight  = 2
+)
+
 func (o ChurnOpts) withDefaults() ChurnOpts {
-	if o.JoinWeight == 0 && o.LeaveWeight == 0 && o.CrashWeight == 0 && o.RestartWeight == 0 && o.RewireWeight == 0 {
-		o.JoinWeight, o.LeaveWeight, o.CrashWeight, o.RestartWeight, o.RewireWeight = 3, 3, 1, 1, 2
-	}
 	if o.MinProcs < 2 {
 		o.MinProcs = 2
 	}
@@ -45,7 +37,8 @@ func (o ChurnOpts) withDefaults() ChurnOpts {
 // Churn is a seeded stream of topology mutation events over a dynamic
 // similarity engine: processors join, leave, crash, restart, and rewire,
 // extending the fault vocabulary of the scheduler layer to the topology
-// itself. Every stream is a deterministic function of (seed, options,
+// itself. A joining processor clones a uniformly chosen processor's
+// bindings. Every stream is a deterministic function of (seed, options,
 // initial population), so churn runs replay exactly. Event generation
 // is O(1) (amortized) regardless of population size: the stream keeps
 // its own id pools instead of asking the engine for full listings.
@@ -94,15 +87,6 @@ func (c *Churn) dropProc(id string) {
 	}
 }
 
-func (c *Churn) cloneJoin(template string) (string, []core.Mutation) {
-	bind, err := c.d.Bindings(template)
-	if err != nil {
-		return "", nil
-	}
-	id := fmt.Sprintf("c%d", c.seq)
-	return id, []core.Mutation{{Op: core.OpAddProc, Proc: id, Init: "0", Bind: bind}}
-}
-
 // Step generates and applies one churn event, returning its kind and
 // the relabel stats. Suppressed events (leave at the population floor,
 // join at the ceiling, crash with everyone crashed, ...) degrade to the
@@ -110,7 +94,7 @@ func (c *Churn) cloneJoin(template string) (string, []core.Mutation) {
 // which indicates a bug in the stream.
 func (c *Churn) Step() (kind string, st partition.UpdateStats, err error) {
 	o := c.opts
-	weights := [5]int{o.JoinWeight, o.LeaveWeight, o.CrashWeight, o.RestartWeight, o.RewireWeight}
+	weights := [5]int{joinWeight, leaveWeight, crashWeight, restartWeight, rewireWeight}
 	if len(c.procs) <= o.MinProcs {
 		weights[1] = 0
 	}
@@ -123,12 +107,9 @@ func (c *Churn) Step() (kind string, st partition.UpdateStats, err error) {
 	if len(c.crashed) == 0 {
 		weights[3] = 0
 	}
-	total := 0
+	total := 0 // rewires are always viable, so total > 0
 	for _, w := range weights {
 		total += w
-	}
-	if total == 0 {
-		return "", st, fmt.Errorf("adversary: churn stream has no viable events")
 	}
 	pick := c.rng.Intn(total)
 	ev := 0
@@ -141,20 +122,13 @@ func (c *Churn) Step() (kind string, st partition.UpdateStats, err error) {
 	c.total++
 	switch ev {
 	case 0: // join
-		template := c.procs[c.rng.Intn(len(c.procs))]
-		join := c.opts.Join
-		var id string
-		var muts []core.Mutation
-		if join != nil {
-			id, muts = join(c.rng, c.d, template, c.seq)
-		} else {
-			id, muts = c.cloneJoin(template)
+		bind, berr := c.d.Bindings(c.procs[c.rng.Intn(len(c.procs))])
+		if berr != nil {
+			return "", st, berr
 		}
+		id := fmt.Sprintf("c%d", c.seq)
 		c.seq++
-		if len(muts) == 0 {
-			return "", st, fmt.Errorf("adversary: join produced no mutations")
-		}
-		st, err = c.d.Apply(muts...)
+		st, err = c.d.Apply(core.Mutation{Op: core.OpAddProc, Proc: id, Init: "0", Bind: bind})
 		if err == nil {
 			c.procAt[id] = len(c.procs)
 			c.procs = append(c.procs, id)
@@ -162,7 +136,7 @@ func (c *Churn) Step() (kind string, st partition.UpdateStats, err error) {
 		return "join", st, err
 	case 1: // leave
 		id := c.procs[c.rng.Intn(len(c.procs))]
-		st, err = c.d.RemoveProc(id)
+		st, err = c.d.Apply(core.Mutation{Op: core.OpRemoveProc, Proc: id})
 		if err == nil {
 			c.dropProc(id)
 		}
@@ -176,7 +150,7 @@ func (c *Churn) Step() (kind string, st partition.UpdateStats, err error) {
 				break
 			}
 		}
-		st, err = c.d.Crash(id)
+		st, err = c.d.Apply(core.Mutation{Op: core.OpCrash, Proc: id})
 		if err == nil {
 			c.crashAt[id] = len(c.crashed)
 			c.crashed = append(c.crashed, id)
@@ -184,7 +158,7 @@ func (c *Churn) Step() (kind string, st partition.UpdateStats, err error) {
 		return "crash", st, err
 	case 3: // restart
 		id := c.crashed[c.rng.Intn(len(c.crashed))]
-		st, err = c.d.Restart(id)
+		st, err = c.d.Apply(core.Mutation{Op: core.OpRestart, Proc: id})
 		if err == nil {
 			j := c.crashAt[id]
 			last := len(c.crashed) - 1
@@ -203,7 +177,7 @@ func (c *Churn) Step() (kind string, st partition.UpdateStats, err error) {
 		if berr != nil {
 			return "", st, berr
 		}
-		st, err = c.d.Rewire(p, names[k], bind[k])
+		st, err = c.d.Apply(core.Mutation{Op: core.OpRewire, Proc: p, Name: string(names[k]), Var: bind[k]})
 		return "rewire", st, err
 	}
 }

@@ -81,87 +81,114 @@ type Labeling struct {
 	VarLabels  []int
 }
 
-// structure adapts a system + rule to partition.TokenStructure and
-// partition.CountStructure for the production drivers, and to the string
-// partition.Structure for the naive oracle and IsStable. Node indexing:
-// processors are 0..NP-1, variables NP..NP+NV-1.
-type structure struct {
-	sys  *system.System
-	rule Rule
-	vn   [][]system.Edge
+// graph is the one refinement structure behind every entry point: a
+// system's bipartite graph laid out in slots, processors and variables
+// alike, read under an environment rule. newGraph lays out a static
+// System (processor p is slot p, variable v is slot NumProcs+v) for the
+// static entry points, and DynSystem mutates one in place. It is a
+// partition.DynStructure and partition.CountStructure for the
+// production drivers, and a partition.Structure for the naive oracle
+// and IsStable.
+type graph struct {
+	rule    Rule
+	kind    []byte   // 'P' or 'V', 0 for a free slot
+	init    []string // slot -> initial state
+	crashed []bool   // proc slot -> crashed (crashMark in its InitKey)
+	nbr     [][]int  // proc slot -> var slot per name index
+	edges   [][]edge // var slot -> incident (proc slot, name index)
 }
 
-func (st *structure) Len() int { return st.sys.NumNodes() }
+type edge struct{ proc, name int }
 
-func (st *structure) InitKey(i int) string {
+// newGraph validates sys and rule and lays sys out as a graph.
+func newGraph(sys *system.System, rule Rule) (*graph, error) {
+	if rule != RuleQ && rule != RuleSetS {
+		return nil, fmt.Errorf("%w: %d", ErrBadRule, int(rule))
+	}
+	if err := sys.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSystemShape, err)
+	}
+	np, n := sys.NumProcs(), sys.NumNodes()
+	g := &graph{
+		rule:    rule,
+		kind:    make([]byte, n),
+		init:    append(append(make([]string, 0, n), sys.ProcInit...), sys.VarInit...),
+		crashed: make([]bool, n),
+		nbr:     make([][]int, n),
+		edges:   make([][]edge, n),
+	}
+	for s := range g.kind {
+		g.kind[s] = 'V'
+	}
+	for p, row := range sys.Nbr {
+		g.kind[p] = 'P'
+		g.nbr[p] = make([]int, len(row))
+		for k, v := range row {
+			g.nbr[p][k] = np + v
+			g.edges[np+v] = append(g.edges[np+v], edge{p, k})
+		}
+	}
+	return g, nil
+}
+
+func (g *graph) Len() int         { return len(g.kind) }
+func (g *graph) Alive(i int) bool { return g.kind[i] != 0 }
+
+// Counting carries the rule to the drivers: Q environments count
+// neighbors and get Hopcroft, S environments are sets and get the
+// worklist.
+func (g *graph) Counting() bool { return g.rule == RuleQ }
+
+func (g *graph) InitKey(i int) string {
 	// Kind tag plus length-prefixed initial state: the length field runs
 	// to the first ':', then exactly that many bytes follow, so an
 	// initial state containing separator bytes can never shift the frame
 	// and collide with another node's key.
-	np := st.sys.NumProcs()
-	if i < np {
-		init := st.sys.ProcInit[i]
-		return "P" + strconv.Itoa(len(init)) + ":" + init
+	init := g.init[i]
+	if g.kind[i] == 'V' {
+		return "V" + strconv.Itoa(len(init)) + ":" + init
 	}
-	init := st.sys.VarInit[i-np]
-	return "V" + strconv.Itoa(len(init)) + ":" + init
+	if g.crashed[i] {
+		init = crashMark + init
+	}
+	return "P" + strconv.Itoa(len(init)) + ":" + init
 }
 
-func (st *structure) Signature(i int, label func(int) int) string {
-	np := st.sys.NumProcs()
+// Signature is the string spelling of AppendSignature that the naive
+// oracle and IsStable read.
+func (g *graph) Signature(i int, label func(int) int) string {
 	var b strings.Builder
-	if i < np {
+	if g.kind[i] == 'P' {
 		// Condition (2): the labels of the n-neighbors, in NAMES order.
-		for _, v := range st.sys.Nbr[i] {
-			fmt.Fprintf(&b, "%d,", label(np+v))
+		for _, vs := range g.nbr[i] {
+			fmt.Fprintf(&b, "%d,", label(vs))
 		}
 		return b.String()
 	}
-	v := i - np
-	switch st.rule {
-	case RuleQ:
-		// Condition (3): per (name, processor label), neighbor counts.
-		counts := make(map[[2]int]int)
-		for _, e := range st.vn[v] {
-			counts[[2]int{e.NameIdx, label(e.Proc)}]++
-		}
-		keys := make([][2]int, 0, len(counts))
-		for k := range counts {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(a, b int) bool {
-			if keys[a][0] != keys[b][0] {
-				return keys[a][0] < keys[b][0]
-			}
-			return keys[a][1] < keys[b][1]
-		})
-		for _, k := range keys {
-			fmt.Fprintf(&b, "%d:%d=%d;", k[0], k[1], counts[k])
-		}
-		return b.String()
-	case RuleSetS:
-		// Set-based: per name, the set of labels of n-neighbors.
-		seen := make(map[[2]int]bool)
-		for _, e := range st.vn[v] {
-			seen[[2]int{e.NameIdx, label(e.Proc)}] = true
-		}
-		keys := make([][2]int, 0, len(seen))
-		for k := range seen {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(a, b int) bool {
-			if keys[a][0] != keys[b][0] {
-				return keys[a][0] < keys[b][0]
-			}
-			return keys[a][1] < keys[b][1]
-		})
-		for _, k := range keys {
-			fmt.Fprintf(&b, "%d:%d;", k[0], k[1])
-		}
-		return b.String()
-	default:
-		return "!badrule"
+	// Condition (3): per (name, processor label), neighbor counts under
+	// Q; under S only which pairs occur.
+	counts := make(map[[2]int]int)
+	for _, e := range g.edges[i] {
+		counts[[2]int{e.name, label(e.proc)}]++
 	}
+	keys := make([][2]int, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(a, b int) bool {
+		if keys[a][0] != keys[b][0] {
+			return keys[a][0] < keys[b][0]
+		}
+		return keys[a][1] < keys[b][1]
+	})
+	for _, k := range keys {
+		fmt.Fprintf(&b, "%d:%d", k[0], k[1])
+		if g.rule == RuleQ {
+			fmt.Fprintf(&b, "=%d", counts[k])
+		}
+		b.WriteByte(';')
+	}
+	return b.String()
 }
 
 // AppendSignature implements partition.TokenStructure: the same
@@ -176,21 +203,19 @@ func (st *structure) Signature(i int, label func(int) int) string {
 //
 // Two nodes of one kind produce equal token sequences iff their
 // Signature strings are equal.
-func (st *structure) AppendSignature(buf []uint64, i int, label func(int) int) []uint64 {
-	np := st.sys.NumProcs()
-	if i < np {
-		for _, v := range st.sys.Nbr[i] {
-			buf = append(buf, uint64(int64(label(np+v))))
+func (g *graph) AppendSignature(buf []uint64, i int, label func(int) int) []uint64 {
+	if g.kind[i] == 'P' {
+		for _, vs := range g.nbr[i] {
+			buf = append(buf, uint64(int64(label(vs))))
 		}
 		return buf
 	}
-	v := i - np
 	start := len(buf)
-	for _, e := range st.vn[v] {
-		buf = append(buf, uint64(int64(e.NameIdx)), uint64(int64(label(e.Proc))))
+	for _, e := range g.edges[i] {
+		buf = append(buf, uint64(int64(e.name)), uint64(int64(label(e.proc))))
 	}
 	partition.SortTokenPairs(buf[start:])
-	if st.rule == RuleQ {
+	if g.rule == RuleQ {
 		return buf
 	}
 	// Set rule: writes overwrite, so only distinct pairs are observable.
@@ -210,50 +235,32 @@ func (st *structure) AppendSignature(buf []uint64, i int, label func(int) int) [
 // the name index, and a variable depends on each incident processor the
 // same way. The multiset of tags into a class is exactly the paper's
 // environment conditions (2) and (3).
-func (st *structure) OutEdges(i int) []partition.TaggedEdge {
-	np := st.sys.NumProcs()
-	if i < np {
-		out := make([]partition.TaggedEdge, 0, len(st.sys.Nbr[i]))
-		for j, v := range st.sys.Nbr[i] {
-			out = append(out, partition.TaggedEdge{To: np + v, Tag: j})
+func (g *graph) OutEdges(i int) []partition.TaggedEdge {
+	if g.kind[i] == 'P' {
+		out := make([]partition.TaggedEdge, len(g.nbr[i]))
+		for k, vs := range g.nbr[i] {
+			out[k] = partition.TaggedEdge{To: vs, Tag: k}
 		}
 		return out
 	}
-	v := i - np
-	out := make([]partition.TaggedEdge, 0, len(st.vn[v]))
-	for _, e := range st.vn[v] {
-		out = append(out, partition.TaggedEdge{To: e.Proc, Tag: e.NameIdx})
+	out := make([]partition.TaggedEdge, len(g.edges[i]))
+	for k, e := range g.edges[i] {
+		out[k] = partition.TaggedEdge{To: e.proc, Tag: e.name}
 	}
 	return out
 }
 
-func (st *structure) Dependents(i int) []int {
-	np := st.sys.NumProcs()
-	if i < np {
-		// A processor's label feeds the environments of its variables.
-		out := make([]int, 0, len(st.sys.Nbr[i]))
-		for _, v := range st.sys.Nbr[i] {
-			out = append(out, np+v)
-		}
-		return out
+// Dependents: a processor's label feeds the environments of its
+// variables, and a variable's label those of its processors.
+func (g *graph) Dependents(i int) []int {
+	if g.kind[i] == 'P' {
+		return g.nbr[i]
 	}
-	// A variable's label feeds the environments of its processors.
-	v := i - np
-	out := make([]int, 0, len(st.vn[v]))
-	for _, e := range st.vn[v] {
-		out = append(out, e.Proc)
+	deps := make([]int, len(g.edges[i]))
+	for k, e := range g.edges[i] {
+		deps[k] = e.proc
 	}
-	return out
-}
-
-func newStructure(sys *system.System, rule Rule) (*structure, error) {
-	if rule != RuleQ && rule != RuleSetS {
-		return nil, fmt.Errorf("%w: %d", ErrBadRule, int(rule))
-	}
-	if err := sys.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSystemShape, err)
-	}
-	return &structure{sys: sys, rule: rule, vn: sys.VarNeighbors()}, nil
+	return deps
 }
 
 func fromPartition(sys *system.System, p *partition.Partition) *Labeling {
@@ -298,7 +305,7 @@ func Similarity(sys *system.System, rule Rule) (*Labeling, error) {
 // and latency histogram; with a nil recorder the instrumentation
 // reduces to one branch per round.
 func SimilarityWith(sys *system.System, rule Rule, cfg Config) (*Labeling, error) {
-	st, err := newStructure(sys, rule)
+	g, err := newGraph(sys, rule)
 	if err != nil {
 		return nil, err
 	}
@@ -321,9 +328,9 @@ func SimilarityWith(sys *system.System, rule Rule, cfg Config) (*Labeling, error
 	}
 	var p *partition.Partition
 	if rule == RuleQ {
-		p, err = partition.FixpointHopcroft(st, hook)
+		p, err = partition.FixpointHopcroft(g, hook)
 	} else {
-		p, err = partition.FixpointWorklist(st, hook)
+		p, err = partition.FixpointWorklist(g, hook)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: refining: %w", err)
@@ -341,14 +348,15 @@ func SimilarityWith(sys *system.System, rule Rule, cfg Config) (*Labeling, error
 	return lab, nil
 }
 
-// SimilarityWorklist computes the Q labeling with the worklist driver;
-// kept alongside the Hopcroft driver as the DESIGN.md ablation.
+// SimilarityWorklist computes the labeling with FixpointWorklist, a
+// partition.Dyn build, under either rule. Under Q it is the DESIGN.md
+// ablation against the Hopcroft driver Similarity uses.
 func SimilarityWorklist(sys *system.System, rule Rule) (*Labeling, error) {
-	st, err := newStructure(sys, rule)
+	g, err := newGraph(sys, rule)
 	if err != nil {
 		return nil, err
 	}
-	p, err := partition.FixpointWorklist(st, nil)
+	p, err := partition.FixpointWorklist(g, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: refining: %w", err)
 	}
@@ -359,11 +367,11 @@ func SimilarityWorklist(sys *system.System, rule Rule) (*Labeling, error) {
 // literal transcription of Algorithm 1). Kept as the testing oracle and
 // the DESIGN.md ablation baseline.
 func SimilarityNaive(sys *system.System, rule Rule) (*Labeling, error) {
-	st, err := newStructure(sys, rule)
+	g, err := newGraph(sys, rule)
 	if err != nil {
 		return nil, err
 	}
-	p, err := partition.FixpointNaive(st)
+	p, err := partition.FixpointNaive(g)
 	if err != nil {
 		return nil, fmt.Errorf("core: refining: %w", err)
 	}
@@ -494,7 +502,7 @@ func (l *Labeling) String() string {
 // implies same environment. By Theorem 4, a stable labeling is a
 // supersimilarity labeling (same label really does imply similar).
 func IsStable(sys *system.System, rule Rule, lab *Labeling) (bool, error) {
-	st, err := newStructure(sys, rule)
+	g, err := newGraph(sys, rule)
 	if err != nil {
 		return false, err
 	}
@@ -528,14 +536,8 @@ func IsStable(sys *system.System, rule Rule, lab *Labeling) (bool, error) {
 	// separator bytes cannot collide with the environment encoding.
 	type nodeSig struct{ init, env string }
 	sigByClass := make(map[int]nodeSig)
-	for i := 0; i < sys.NumNodes(); i++ {
-		var init string
-		if i < np {
-			init = sys.ProcInit[i]
-		} else {
-			init = sys.VarInit[i-np]
-		}
-		sig := nodeSig{init: init, env: st.Signature(i, label)}
+	for i := range g.kind {
+		sig := nodeSig{init: g.init[i], env: g.Signature(i, label)}
 		cls := label(i)
 		if prev, ok := sigByClass[cls]; ok {
 			if prev != sig {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"simsym/internal/obs"
 	"simsym/internal/system"
 )
 
@@ -591,6 +592,51 @@ func TestWorklistDriverMatchesHopcroft(t *testing.T) {
 						trial, p, q, s.Describe())
 				}
 			}
+		}
+	}
+}
+
+// TestSimilarityWithSetRuleRounds checks that the set rule's
+// refine_round events meet the partition.RoundHook contract: rounds run
+// 1..R without gaps, the last event reports the final class count, the
+// splits sum to the final count minus the initial one, and
+// core.refine_rounds counts R.
+func TestSimilarityWithSetRuleRounds(t *testing.T) {
+	marked := mustRing(t, 12)
+	marked.ProcInit[0] = "leader"
+	for _, sys := range []*system.System{system.Fig1(), system.Fig2(), system.QOverSWitness(), marked} {
+		ring := obs.NewRing(1024)
+		rec := obs.New(ring)
+		lab, err := SimilarityWith(sys, RuleSetS, Config{Obs: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inits := make(map[string]bool)
+		for _, s := range sys.ProcInit {
+			inits["P"+s] = true
+		}
+		for _, s := range sys.VarInit {
+			inits["V"+s] = true
+		}
+		final := int64(lab.NumProcClasses() + lab.NumVarClasses())
+		var rounds, splits int64
+		last := int64(len(inits))
+		for _, e := range ring.Events() {
+			if e.Kind != obs.KindRefineRound {
+				continue
+			}
+			rounds++
+			if e.Name != "worklist" || e.A != rounds {
+				t.Fatalf("event %d: driver %q round %d", rounds, e.Name, e.A)
+			}
+			last = e.B
+			splits += e.C
+		}
+		if rounds == 0 || last != final || splits != final-int64(len(inits)) {
+			t.Fatalf("%d rounds, last reports %d classes, splits %d; want %d classes from %d", rounds, last, splits, final, len(inits))
+		}
+		if got := rec.Metrics().Counter("core.refine_rounds").Value(); got != rounds {
+			t.Fatalf("core.refine_rounds = %d, want %d", got, rounds)
 		}
 	}
 }

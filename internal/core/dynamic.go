@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -12,9 +11,9 @@ import (
 )
 
 // crashMark prefixes the initial state of a crashed processor in every
-// key the labeling sees (the dynamic engine's InitKey and Snapshot's
-// ProcInit alike), so a crashed processor is never similar to a live
-// one with the same program: a crash is observable in the environment,
+// key the labeling sees (graph.InitKey and Snapshot's ProcInit alike),
+// so a crashed processor is never similar to a live one with the same
+// program: a crash is observable in the environment,
 // exactly the PR 3 fault vocabulary. The prefix starts with a NUL byte
 // so no user-supplied initial state can collide with it; DSL inits are
 // printable by construction.
@@ -41,8 +40,8 @@ const (
 	OpRemoveProc  MutOp = "remove_proc"   // Proc (orphaned vars cascade)
 	OpRemoveVar   MutOp = "remove_var"    // Var (must be unreferenced)
 	OpRewire      MutOp = "rewire"        // Proc, Name, Var
-	OpCrash       MutOp = "crash"         // Proc
-	OpRestart     MutOp = "restart"       // Proc
+	OpCrash       MutOp = "crash"         // Proc: marked in its InitKey, edges kept
+	OpRestart     MutOp = "restart"       // Proc: clears the crash mark
 	OpSetProcInit MutOp = "set_proc_init" // Proc, Init
 	OpSetVarInit  MutOp = "set_var_init"  // Var, Init
 )
@@ -51,188 +50,64 @@ const (
 // incrementally: each Apply batch relabels only the classes the edit
 // actually invalidates (split) or re-coarsens (merge), via
 // partition.Dyn. The full-recompute Similarity on Snapshot() is the
-// cross-checked oracle, exactly as the string-signature and naive
-// drivers are for the static engines.
+// cross-checked oracle.
 //
 // Node identity is slot-based: a processor or variable keeps its slot
 // for life, so labels and obs events remain comparable across events
 // even as the population churns. Snapshot compacts live slots (ascending)
 // into an ordinary *system.System.
 type DynSystem struct {
-	rule    Rule
+	g       *graph
 	names   []system.Name
 	nameIdx map[system.Name]int
 	rec     *obs.Recorder
 
-	// Slot tables. kind is 0 for free slots, 'P' or 'V' otherwise.
-	kind    []byte
-	ids     []string
-	init    []string
-	crashed []bool
-	nbr     [][]int  // proc slot -> var slot per name index
-	edges   [][]edge // var slot -> incident (proc slot, name index)
-	free    []int
-	byID    map[string]int
+	ids  []string // slot -> external id
+	byID map[string]int
+	free []int
 
 	nProcs, nVars int
 
 	dyn *partition.Dyn
 }
 
-type edge struct{ proc, name int }
-
-// NewDynSystem builds a dynamic engine seeded from sys (which is cloned;
-// the argument is not retained) under the given rule.
+// NewDynSystem builds a dynamic engine seeded from sys (which is not
+// retained) under the given rule: sys laid out as a graph, plus the
+// external ids mutations name slots by.
 func NewDynSystem(sys *system.System, rule Rule, cfg Config) (*DynSystem, error) {
-	if rule != RuleQ && rule != RuleSetS {
-		return nil, fmt.Errorf("%w: %d", ErrBadRule, int(rule))
+	g, err := newGraph(sys, rule)
+	if err != nil {
+		return nil, err
 	}
-	if err := sys.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSystemShape, err)
-	}
-	np, nv := sys.NumProcs(), sys.NumVars()
 	d := &DynSystem{
-		rule:    rule,
+		g:       g,
 		names:   append([]system.Name(nil), sys.Names...),
 		nameIdx: make(map[system.Name]int, len(sys.Names)),
 		rec:     cfg.Obs,
-		kind:    make([]byte, np+nv),
-		ids:     make([]string, np+nv),
-		init:    make([]string, np+nv),
-		crashed: make([]bool, np+nv),
-		nbr:     make([][]int, np+nv),
-		edges:   make([][]edge, np+nv),
-		byID:    make(map[string]int, np+nv),
-		nProcs:  np,
-		nVars:   nv,
+		ids:     append(append(make([]string, 0, g.Len()), sys.ProcIDs...), sys.VarIDs...),
+		byID:    make(map[string]int, g.Len()),
+		nProcs:  sys.NumProcs(),
+		nVars:   sys.NumVars(),
 	}
 	for k, n := range d.names {
 		d.nameIdx[n] = k
 	}
-	for i := 0; i < np; i++ {
-		d.kind[i] = 'P'
-		d.ids[i] = sys.ProcIDs[i]
-		d.init[i] = sys.ProcInit[i]
-		d.nbr[i] = make([]int, len(d.names))
-		for k, v := range sys.Nbr[i] {
-			d.nbr[i][k] = np + v
-		}
-	}
-	for v := 0; v < nv; v++ {
-		s := np + v
-		d.kind[s] = 'V'
-		d.ids[s] = sys.VarIDs[v]
-		d.init[s] = sys.VarInit[v]
-	}
-	for i := 0; i < np; i++ {
-		for k, vs := range d.nbr[i] {
-			d.edges[vs] = append(d.edges[vs], edge{i, k})
-		}
-	}
 	for s, id := range d.ids {
-		if _, dup := d.byID[id]; dup && d.kind[s] != 0 {
+		if _, dup := d.byID[id]; dup {
 			return nil, fmt.Errorf("%w: duplicate node id %q", ErrSystemShape, id)
 		}
 		d.byID[id] = s
 	}
-	dyn, err := partition.NewDyn(&dynStruct{d})
-	if err != nil {
+	if d.dyn, err = partition.NewDyn(g); err != nil {
 		return nil, err
 	}
-	d.dyn = dyn
 	return d, nil
 }
-
-// dynStruct adapts DynSystem's slot tables to partition.DynStructure
-// with the same key and token signature semantics as the static
-// adapter, so the incremental partition is comparable class-for-class
-// with the Similarity oracle on Snapshot.
-type dynStruct struct{ d *DynSystem }
-
-func (st *dynStruct) Len() int         { return len(st.d.kind) }
-func (st *dynStruct) Alive(i int) bool { return st.d.kind[i] != 0 }
-
-func (st *dynStruct) InitKey(i int) string {
-	d := st.d
-	init := d.init[i]
-	if d.kind[i] == 'P' {
-		if d.crashed[i] {
-			init = crashMark + init
-		}
-		return "P" + strconv.Itoa(len(init)) + ":" + init
-	}
-	return "V" + strconv.Itoa(len(init)) + ":" + init
-}
-
-func (st *dynStruct) AppendSignature(buf []uint64, i int, label func(int) int) []uint64 {
-	d := st.d
-	if d.kind[i] == 'P' {
-		for _, vs := range d.nbr[i] {
-			buf = append(buf, uint64(int64(label(vs))))
-		}
-		return buf
-	}
-	start := len(buf)
-	for _, e := range d.edges[i] {
-		buf = append(buf, uint64(int64(e.name)), uint64(int64(label(e.proc))))
-	}
-	partition.SortTokenPairs(buf[start:])
-	if d.rule == RuleQ {
-		return buf
-	}
-	out := start
-	for k := start; k < len(buf); k += 2 {
-		if k > start && buf[k] == buf[k-2] && buf[k+1] == buf[k-1] {
-			continue
-		}
-		buf[out] = buf[k]
-		buf[out+1] = buf[k+1]
-		out += 2
-	}
-	return buf[:out]
-}
-
-func (st *dynStruct) Dependents(i int) []int {
-	d := st.d
-	if d.kind[i] == 'P' {
-		return d.nbr[i]
-	}
-	deps := make([]int, len(d.edges[i]))
-	for k, e := range d.edges[i] {
-		deps[k] = e.proc
-	}
-	return deps
-}
-
-// OutEdges tags edges as the static adapter's OutEdges does: a processor
-// reads its n-neighbor through an edge tagged by the name index, and a
-// variable reads each incident processor the same way.
-func (st *dynStruct) OutEdges(i int) []partition.TaggedEdge {
-	d := st.d
-	if d.kind[i] == 'P' {
-		out := make([]partition.TaggedEdge, len(d.nbr[i]))
-		for k, vs := range d.nbr[i] {
-			out[k] = partition.TaggedEdge{To: vs, Tag: k}
-		}
-		return out
-	}
-	out := make([]partition.TaggedEdge, len(d.edges[i]))
-	for k, e := range d.edges[i] {
-		out[k] = partition.TaggedEdge{To: e.proc, Tag: e.name}
-	}
-	return out
-}
-
-// Counting carries the rule to the merge pass: Q environments count
-// neighbors, so its quotient gets the Hopcroft driver, while S
-// environments are sets and get the worklist driver, exactly as in
-// SimilarityWith.
-func (st *dynStruct) Counting() bool { return st.d.rule == RuleQ }
 
 // slot returns the slot of an external id of the wanted kind.
 func (d *DynSystem) slot(id string, kind byte) (int, error) {
 	s, ok := d.byID[id]
-	if !ok || d.kind[s] != kind {
+	if !ok || d.g.kind[s] != kind {
 		what := "processor"
 		if kind == 'V' {
 			what = "variable"
@@ -242,27 +117,51 @@ func (d *DynSystem) slot(id string, kind byte) (int, error) {
 	return s, nil
 }
 
-func (d *DynSystem) allocSlot() int {
+// allocSlot seats a new live node in a recycled or fresh slot.
+func (d *DynSystem) allocSlot(kind byte, id, init string) int {
+	g := d.g
+	var s int
 	if n := len(d.free); n > 0 {
-		s := d.free[n-1]
+		s = d.free[n-1]
 		d.free = d.free[:n-1]
-		return s
+	} else {
+		s = len(g.kind)
+		g.kind = append(g.kind, 0)
+		g.init = append(g.init, "")
+		g.crashed = append(g.crashed, false)
+		g.nbr = append(g.nbr, nil)
+		g.edges = append(g.edges, nil)
+		d.ids = append(d.ids, "")
 	}
-	d.kind = append(d.kind, 0)
-	d.ids = append(d.ids, "")
-	d.init = append(d.init, "")
-	d.crashed = append(d.crashed, false)
-	d.nbr = append(d.nbr, nil)
-	d.edges = append(d.edges, nil)
-	return len(d.kind) - 1
+	g.kind[s], g.init[s], d.ids[s] = kind, init, id
+	d.byID[id] = s
+	if kind == 'P' {
+		d.nProcs++
+	} else {
+		d.nVars++
+	}
+	return s
+}
+
+// freeSlot removes the live node in slot s from the topology.
+func (d *DynSystem) freeSlot(s int) {
+	if d.g.kind[s] == 'P' {
+		d.g.crashed[s] = false
+		d.nProcs--
+	} else {
+		d.nVars--
+	}
+	d.g.kind[s] = 0
+	delete(d.byID, d.ids[s])
+	d.free = append(d.free, s)
 }
 
 func (d *DynSystem) dropEdge(v, p, name int) {
-	es := d.edges[v]
+	es := d.g.edges[v]
 	for k, e := range es {
 		if e.proc == p && e.name == name {
 			es[k] = es[len(es)-1]
-			d.edges[v] = es[:len(es)-1]
+			d.g.edges[v] = es[:len(es)-1]
 			return
 		}
 	}
@@ -274,18 +173,14 @@ func (d *DynSystem) dropEdge(v, p, name int) {
 // contract: dead slots no longer report dependents, so their former
 // neighbors must be listed here).
 func (d *DynSystem) apply(m Mutation, touched []int) ([]int, error) {
+	g := d.g
 	switch m.Op {
 	case OpAddVar:
 		if _, dup := d.byID[m.Var]; dup {
 			return touched, fmt.Errorf("%w: duplicate id %q", ErrSystemShape, m.Var)
 		}
-		s := d.allocSlot()
-		d.kind[s] = 'V'
-		d.ids[s] = m.Var
-		d.init[s] = m.Init
-		d.edges[s] = d.edges[s][:0]
-		d.byID[m.Var] = s
-		d.nVars++
+		s := d.allocSlot('V', m.Var, m.Init)
+		g.edges[s] = g.edges[s][:0]
 		return append(touched, s), nil
 
 	case OpAddProc:
@@ -304,17 +199,11 @@ func (d *DynSystem) apply(m Mutation, touched []int) ([]int, error) {
 			}
 			binds[k] = vs
 		}
-		s := d.allocSlot()
-		d.kind[s] = 'P'
-		d.ids[s] = m.Proc
-		d.init[s] = m.Init
-		d.crashed[s] = false
-		d.nbr[s] = append(d.nbr[s][:0], binds...)
-		d.byID[m.Proc] = s
-		d.nProcs++
+		s := d.allocSlot('P', m.Proc, m.Init)
+		g.nbr[s] = append(g.nbr[s][:0], binds...)
 		touched = append(touched, s)
 		for k, vs := range binds {
-			d.edges[vs] = append(d.edges[vs], edge{s, k})
+			g.edges[vs] = append(g.edges[vs], edge{s, k})
 			touched = append(touched, vs)
 		}
 		return touched, nil
@@ -327,23 +216,16 @@ func (d *DynSystem) apply(m Mutation, touched []int) ([]int, error) {
 		if d.nProcs == 1 {
 			return touched, fmt.Errorf("%w: cannot remove last processor %q", system.ErrNoProcessors, m.Proc)
 		}
-		for k, vs := range d.nbr[s] {
+		for k, vs := range g.nbr[s] {
 			d.dropEdge(vs, s, k)
 			touched = append(touched, vs)
 		}
-		for _, vs := range d.nbr[s] {
-			if len(d.edges[vs]) == 0 && d.kind[vs] == 'V' {
-				d.kind[vs] = 0
-				delete(d.byID, d.ids[vs])
-				d.free = append(d.free, vs)
-				d.nVars--
+		for _, vs := range g.nbr[s] {
+			if len(g.edges[vs]) == 0 && g.kind[vs] == 'V' {
+				d.freeSlot(vs)
 			}
 		}
-		d.kind[s] = 0
-		d.crashed[s] = false
-		delete(d.byID, d.ids[s])
-		d.free = append(d.free, s)
-		d.nProcs--
+		d.freeSlot(s)
 		return append(touched, s), nil
 
 	case OpRemoveVar:
@@ -351,13 +233,10 @@ func (d *DynSystem) apply(m Mutation, touched []int) ([]int, error) {
 		if err != nil {
 			return touched, err
 		}
-		if len(d.edges[s]) > 0 {
+		if len(g.edges[s]) > 0 {
 			return touched, fmt.Errorf("%w: %q", system.ErrVarInUse, m.Var)
 		}
-		d.kind[s] = 0
-		delete(d.byID, d.ids[s])
-		d.free = append(d.free, s)
-		d.nVars--
+		d.freeSlot(s)
 		return append(touched, s), nil
 
 	case OpRewire:
@@ -373,13 +252,13 @@ func (d *DynSystem) apply(m Mutation, touched []int) ([]int, error) {
 		if !ok {
 			return touched, fmt.Errorf("%w: %q", system.ErrUnknownName, m.Name)
 		}
-		old := d.nbr[s][k]
+		old := g.nbr[s][k]
 		if old == vs {
 			return touched, nil
 		}
 		d.dropEdge(old, s, k)
-		d.nbr[s][k] = vs
-		d.edges[vs] = append(d.edges[vs], edge{s, k})
+		g.nbr[s][k] = vs
+		g.edges[vs] = append(g.edges[vs], edge{s, k})
 		return append(touched, s, old, vs), nil
 
 	case OpCrash, OpRestart:
@@ -388,32 +267,25 @@ func (d *DynSystem) apply(m Mutation, touched []int) ([]int, error) {
 			return touched, err
 		}
 		want := m.Op == OpCrash
-		if d.crashed[s] == want {
+		if g.crashed[s] == want {
 			return touched, nil
 		}
-		d.crashed[s] = want
+		g.crashed[s] = want
 		return append(touched, s), nil
 
-	case OpSetProcInit:
-		s, err := d.slot(m.Proc, 'P')
+	case OpSetProcInit, OpSetVarInit:
+		kind, id := byte('P'), m.Proc
+		if m.Op == OpSetVarInit {
+			kind, id = 'V', m.Var
+		}
+		s, err := d.slot(id, kind)
 		if err != nil {
 			return touched, err
 		}
-		if d.init[s] == m.Init {
+		if g.init[s] == m.Init {
 			return touched, nil
 		}
-		d.init[s] = m.Init
-		return append(touched, s), nil
-
-	case OpSetVarInit:
-		s, err := d.slot(m.Var, 'V')
-		if err != nil {
-			return touched, err
-		}
-		if d.init[s] == m.Init {
-			return touched, nil
-		}
-		d.init[s] = m.Init
+		g.init[s] = m.Init
 		return append(touched, s), nil
 	}
 	return touched, fmt.Errorf("%w: unknown mutation op %q", ErrSystemShape, m.Op)
@@ -421,13 +293,14 @@ func (d *DynSystem) apply(m Mutation, touched []int) ([]int, error) {
 
 // Apply performs the batch as ONE churn event: all mutations mutate the
 // topology, then a single incremental relabel settles the partition.
-// Composite events (a ring splice is add_var+add_proc+rewire) therefore
-// pay one settle, and intermediate states never need to validate — only
-// the final state does. A variable left unreferenced when the batch
-// ends is cascade-removed (the compact System forbids orphans), so add
-// a variable and its first binder in the same batch. On error the
-// topology may be partially edited but the labeling is still settled
-// consistently against it.
+// It is the only way to mutate a DynSystem. Composite events (a ring
+// splice is add_var+add_proc+rewire) therefore pay one settle, and
+// intermediate states never need to validate — only the final state
+// does. A variable left unreferenced when the batch ends is
+// cascade-removed (the compact System forbids orphans), so add a
+// variable and its first binder in the same batch. Apply stops at the
+// first failing mutation and keeps the ones before it; the labeling is
+// still settled consistently against the edited topology.
 func (d *DynSystem) Apply(muts ...Mutation) (partition.UpdateStats, error) {
 	var touched []int
 	var firstErr error
@@ -444,11 +317,8 @@ func (d *DynSystem) Apply(muts ...Mutation) (partition.UpdateStats, error) {
 	// Orphan sweep: only a var whose edge set changed can end the batch
 	// unreferenced, and every such var is already in touched.
 	for _, s := range touched {
-		if d.kind[s] == 'V' && len(d.edges[s]) == 0 {
-			d.kind[s] = 0
-			delete(d.byID, d.ids[s])
-			d.free = append(d.free, s)
-			d.nVars--
+		if d.g.kind[s] == 'V' && len(d.g.edges[s]) == 0 {
+			d.freeSlot(s)
 		}
 	}
 	start := time.Time{}
@@ -463,61 +333,13 @@ func (d *DynSystem) Apply(muts ...Mutation) (partition.UpdateStats, error) {
 		d.rec.Count("dyn.merges", int64(st.Merges))
 		d.rec.Count("dyn.touched_classes", int64(st.TouchedClasses))
 		d.rec.Count("dyn.relabeled", int64(st.Relabeled))
-		// dyn.rebuilds counts events that rebuilt the partition from
-		// scratch. Only the initial build does that, never an Apply, so
-		// the counter stays at zero.
-		if st.Rebuild {
-			d.rec.Count("dyn.rebuilds", 1)
-		}
 		d.rec.Observe("dyn.update", time.Since(start))
 	}
 	return st, firstErr
 }
 
-// Convenience single-mutation wrappers; each is one churn event.
-
-func (d *DynSystem) AddVar(id, init string) (partition.UpdateStats, error) {
-	return d.Apply(Mutation{Op: OpAddVar, Var: id, Init: init})
-}
-
-func (d *DynSystem) AddProc(id, init string, bind []string) (partition.UpdateStats, error) {
-	return d.Apply(Mutation{Op: OpAddProc, Proc: id, Init: init, Bind: bind})
-}
-
-func (d *DynSystem) RemoveProc(id string) (partition.UpdateStats, error) {
-	return d.Apply(Mutation{Op: OpRemoveProc, Proc: id})
-}
-
-func (d *DynSystem) RemoveVar(id string) (partition.UpdateStats, error) {
-	return d.Apply(Mutation{Op: OpRemoveVar, Var: id})
-}
-
-func (d *DynSystem) Rewire(procID string, name system.Name, varID string) (partition.UpdateStats, error) {
-	return d.Apply(Mutation{Op: OpRewire, Proc: procID, Name: string(name), Var: varID})
-}
-
-// Crash marks the processor crashed: it stays in the topology (its
-// variables keep their edges) but its initial key is marked, so it can
-// never be similar to a live processor. Restart reverts it — the
-// classic merge exerciser.
-func (d *DynSystem) Crash(id string) (partition.UpdateStats, error) {
-	return d.Apply(Mutation{Op: OpCrash, Proc: id})
-}
-
-func (d *DynSystem) Restart(id string) (partition.UpdateStats, error) {
-	return d.Apply(Mutation{Op: OpRestart, Proc: id})
-}
-
-func (d *DynSystem) SetProcInit(id, init string) (partition.UpdateStats, error) {
-	return d.Apply(Mutation{Op: OpSetProcInit, Proc: id, Init: init})
-}
-
-func (d *DynSystem) SetVarInit(id, init string) (partition.UpdateStats, error) {
-	return d.Apply(Mutation{Op: OpSetVarInit, Var: id, Init: init})
-}
-
 // Rule returns the environment rule the engine labels under.
-func (d *DynSystem) Rule() Rule { return d.rule }
+func (d *DynSystem) Rule() Rule { return d.g.rule }
 
 // Names returns the system's name alphabet (NAMES order).
 func (d *DynSystem) Names() []system.Name {
@@ -530,8 +352,8 @@ func (d *DynSystem) Bindings(id string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]string, len(d.nbr[s]))
-	for k, vs := range d.nbr[s] {
+	out := make([]string, len(d.g.nbr[s]))
+	for k, vs := range d.g.nbr[s] {
 		out[k] = d.ids[vs]
 	}
 	return out, nil
@@ -558,26 +380,26 @@ func (d *DynSystem) TotalStats() partition.UpdateStats { return d.dyn.TotalStats
 // HasProc reports whether a live processor has this id.
 func (d *DynSystem) HasProc(id string) bool {
 	s, ok := d.byID[id]
-	return ok && d.kind[s] == 'P'
+	return ok && d.g.kind[s] == 'P'
 }
 
 // HasVar reports whether a live variable has this id.
 func (d *DynSystem) HasVar(id string) bool {
 	s, ok := d.byID[id]
-	return ok && d.kind[s] == 'V'
+	return ok && d.g.kind[s] == 'V'
 }
 
 // Crashed reports whether processor id is currently crashed.
 func (d *DynSystem) Crashed(id string) bool {
 	s, ok := d.byID[id]
-	return ok && d.kind[s] == 'P' && d.crashed[s]
+	return ok && d.g.kind[s] == 'P' && d.g.crashed[s]
 }
 
 // ProcIDs returns the live processor ids in slot order (stable across
 // events for surviving processors).
 func (d *DynSystem) ProcIDs() []string {
 	out := make([]string, 0, d.nProcs)
-	for s, k := range d.kind {
+	for s, k := range d.g.kind {
 		if k == 'P' {
 			out = append(out, d.ids[s])
 		}
@@ -588,7 +410,7 @@ func (d *DynSystem) ProcIDs() []string {
 // VarIDs returns the live variable ids in slot order.
 func (d *DynSystem) VarIDs() []string {
 	out := make([]string, 0, d.nVars)
-	for s, k := range d.kind {
+	for s, k := range d.g.kind {
 		if k == 'V' {
 			out = append(out, d.ids[s])
 		}
@@ -612,25 +434,25 @@ func (d *DynSystem) Snapshot() *system.System {
 		VarInit:  make([]string, 0, d.nVars),
 	}
 	varAt := make(map[int]int, d.nVars)
-	for s, k := range d.kind {
+	for s, k := range d.g.kind {
 		if k == 'V' {
 			varAt[s] = len(sys.VarIDs)
 			sys.VarIDs = append(sys.VarIDs, d.ids[s])
-			sys.VarInit = append(sys.VarInit, d.init[s])
+			sys.VarInit = append(sys.VarInit, d.g.init[s])
 		}
 	}
-	for s, k := range d.kind {
+	for s, k := range d.g.kind {
 		if k != 'P' {
 			continue
 		}
 		sys.ProcIDs = append(sys.ProcIDs, d.ids[s])
-		init := d.init[s]
-		if d.crashed[s] {
+		init := d.g.init[s]
+		if d.g.crashed[s] {
 			init = crashMark + init
 		}
 		sys.ProcInit = append(sys.ProcInit, init)
-		row := make([]int, len(d.nbr[s]))
-		for kn, vs := range d.nbr[s] {
+		row := make([]int, len(d.g.nbr[s]))
+		for kn, vs := range d.g.nbr[s] {
 			row[kn] = varAt[vs]
 		}
 		sys.Nbr = append(sys.Nbr, row)
@@ -658,12 +480,12 @@ func (d *DynSystem) Labeling() *Labeling {
 		}
 		return n
 	}
-	for s, k := range d.kind {
+	for s, k := range d.g.kind {
 		if k == 'P' {
 			lab.ProcLabels = append(lab.ProcLabels, canon(s))
 		}
 	}
-	for s, k := range d.kind {
+	for s, k := range d.g.kind {
 		if k == 'V' {
 			lab.VarLabels = append(lab.VarLabels, canon(s))
 		}
@@ -671,20 +493,11 @@ func (d *DynSystem) Labeling() *Labeling {
 	return lab
 }
 
-// ProcLabel returns the canonical-free internal class id of a live
-// processor (comparable between two processors at the same instant).
-func (d *DynSystem) ProcLabel(id string) (int, error) {
-	s, err := d.slot(id, 'P')
-	if err != nil {
-		return 0, err
-	}
-	return d.dyn.Label(s), nil
-}
-
 // ApplyDiff mutates the topology to match target (by external ids) as
 // one churn event. Names must agree. Crash flags of surviving
 // processors are preserved; target initial states win. Returns the
-// relabel stats of the single settle.
+// relabel stats of the single settle. A rejected target leaves the
+// engine untouched: every check runs before the first edit.
 func (d *DynSystem) ApplyDiff(target *system.System) (partition.UpdateStats, error) {
 	var zero partition.UpdateStats
 	if err := target.Validate(); err != nil {
@@ -698,18 +511,39 @@ func (d *DynSystem) ApplyDiff(target *system.System) (partition.UpdateStats, err
 			return zero, fmt.Errorf("%w: name %d is %q, engine has %q", ErrSystemShape, k, n, d.names[k])
 		}
 	}
+	// Apply stops at the first failing mutation, so every mutation below
+	// must succeed: target ids are unique across processors and
+	// variables, and none names a live node of the other kind (removals
+	// run last, so that node would still hold the id when it is added).
+	seen := make(map[string]bool, target.NumNodes())
+	claim := func(id string, kind byte) error {
+		if seen[id] {
+			return fmt.Errorf("%w: duplicate node id %q", ErrSystemShape, id)
+		}
+		seen[id] = true
+		if s, live := d.byID[id]; live && d.g.kind[s] != kind {
+			return fmt.Errorf("%w: id %q names a live node of the other kind", ErrSystemShape, id)
+		}
+		return nil
+	}
 	var muts []Mutation
 	tVar := make(map[string]int, len(target.VarIDs))
 	for v, id := range target.VarIDs {
+		if err := claim(id, 'V'); err != nil {
+			return zero, err
+		}
 		tVar[id] = v
 		if !d.HasVar(id) {
 			muts = append(muts, Mutation{Op: OpAddVar, Var: id, Init: target.VarInit[v]})
-		} else if s := d.byID[id]; d.init[s] != target.VarInit[v] {
+		} else if s := d.byID[id]; d.g.init[s] != target.VarInit[v] {
 			muts = append(muts, Mutation{Op: OpSetVarInit, Var: id, Init: target.VarInit[v]})
 		}
 	}
 	tProc := make(map[string]int, len(target.ProcIDs))
 	for p, id := range target.ProcIDs {
+		if err := claim(id, 'P'); err != nil {
+			return zero, err
+		}
 		tProc[id] = p
 		bind := make([]string, len(target.Nbr[p]))
 		for k, v := range target.Nbr[p] {
@@ -721,11 +555,11 @@ func (d *DynSystem) ApplyDiff(target *system.System) (partition.UpdateStats, err
 		}
 		s := d.byID[id]
 		for k, vid := range bind {
-			if d.ids[d.nbr[s][k]] != vid {
+			if d.ids[d.g.nbr[s][k]] != vid {
 				muts = append(muts, Mutation{Op: OpRewire, Proc: id, Name: string(d.names[k]), Var: vid})
 			}
 		}
-		if d.init[s] != target.ProcInit[p] {
+		if d.g.init[s] != target.ProcInit[p] {
 			muts = append(muts, Mutation{Op: OpSetProcInit, Proc: id, Init: target.ProcInit[p]})
 		}
 	}
@@ -736,28 +570,24 @@ func (d *DynSystem) ApplyDiff(target *system.System) (partition.UpdateStats, err
 	// rewires land first and only target target vars), so explicit
 	// OpRemoveVar is emitted only for absent vars no removal cascades.
 	cascaded := make(map[string]bool)
-	for s, k := range d.kind {
+	for s, k := range d.g.kind {
 		if k == 'P' {
 			if _, keep := tProc[d.ids[s]]; !keep {
 				muts = append(muts, Mutation{Op: OpRemoveProc, Proc: d.ids[s]})
-				for _, vs := range d.nbr[s] {
+				for _, vs := range d.g.nbr[s] {
 					cascaded[d.ids[vs]] = true
 				}
 			}
 		}
 	}
-	for s, k := range d.kind {
+	for s, k := range d.g.kind {
 		if k == 'V' {
 			if _, keep := tVar[d.ids[s]]; !keep && !cascaded[d.ids[s]] {
 				muts = append(muts, Mutation{Op: OpRemoveVar, Var: d.ids[s]})
 			}
 		}
 	}
-	st, err := d.Apply(muts...)
-	if err != nil {
-		return st, err
-	}
-	return st, nil
+	return d.Apply(muts...)
 }
 
 // Check audits the engine's internal invariants (slot/edge symmetry and
@@ -765,19 +595,19 @@ func (d *DynSystem) ApplyDiff(target *system.System) (partition.UpdateStats, err
 // event.
 func (d *DynSystem) Check() error {
 	np, nv := 0, 0
-	for s, k := range d.kind {
+	for s, k := range d.g.kind {
 		switch k {
 		case 'P':
 			np++
-			if len(d.nbr[s]) != len(d.names) {
-				return fmt.Errorf("core: proc slot %d binds %d names", s, len(d.nbr[s]))
+			if len(d.g.nbr[s]) != len(d.names) {
+				return fmt.Errorf("core: proc slot %d binds %d names", s, len(d.g.nbr[s]))
 			}
-			for kn, vs := range d.nbr[s] {
-				if d.kind[vs] != 'V' {
+			for kn, vs := range d.g.nbr[s] {
+				if d.g.kind[vs] != 'V' {
 					return fmt.Errorf("core: proc slot %d name %d -> non-var slot %d", s, kn, vs)
 				}
 				found := false
-				for _, e := range d.edges[vs] {
+				for _, e := range d.g.edges[vs] {
 					if e.proc == s && e.name == kn {
 						found = true
 						break
@@ -789,8 +619,8 @@ func (d *DynSystem) Check() error {
 			}
 		case 'V':
 			nv++
-			for _, e := range d.edges[s] {
-				if d.kind[e.proc] != 'P' || d.nbr[e.proc][e.name] != s {
+			for _, e := range d.g.edges[s] {
+				if d.g.kind[e.proc] != 'P' || d.g.nbr[e.proc][e.name] != s {
 					return fmt.Errorf("core: stale edge on var slot %d: %+v", s, e)
 				}
 			}

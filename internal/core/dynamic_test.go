@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"simsym/internal/obs"
@@ -83,14 +84,14 @@ func TestDynSystemRingSpliceChurn(t *testing.T) {
 
 	// Crash fully separates a ring (the marked-ring theorem), restart
 	// must merge every distance class back together.
-	if _, err := d.Crash("p3"); err != nil {
+	if _, err := d.Apply(Mutation{Op: OpCrash, Proc: "p3"}); err != nil {
 		t.Fatal(err)
 	}
 	assertDynOracle(t, d)
 	if !d.Crashed("p3") || d.NumClasses() <= 2 {
 		t.Fatalf("crash did not separate: %d classes", d.NumClasses())
 	}
-	st, err = d.Restart("p3")
+	st, err = d.Apply(Mutation{Op: OpRestart, Proc: "p3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +145,9 @@ func TestDynSystemAllFamilies(t *testing.T) {
 				var st interface{}
 				var err2 error
 
-				st, err2 = d.Crash(first)
+				st, err2 = d.Apply(Mutation{Op: OpCrash, Proc: first})
 				step("crash", st, err2)
-				st, err2 = d.Restart(first)
+				st, err2 = d.Apply(Mutation{Op: OpRestart, Proc: first})
 				step("restart", st, err2)
 
 				// Clone-join: a new processor with the last processor's
@@ -155,21 +156,21 @@ func TestDynSystemAllFamilies(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				st, err2 = d.AddProc("zz", "0", bind)
+				st, err2 = d.Apply(Mutation{Op: OpAddProc, Proc: "zz", Init: "0", Bind: bind})
 				step("clone-join", st, err2)
 
-				st, err2 = d.SetProcInit(first, "marked")
+				st, err2 = d.Apply(Mutation{Op: OpSetProcInit, Proc: first, Init: "marked"})
 				step("mark", st, err2)
-				st, err2 = d.SetVarInit(bind[0], "markedvar")
+				st, err2 = d.Apply(Mutation{Op: OpSetVarInit, Var: bind[0], Init: "markedvar"})
 				step("markvar", st, err2)
 
-				st, err2 = d.Rewire("zz", d.Names()[0], bind[len(bind)-1])
+				st, err2 = d.Apply(Mutation{Op: OpRewire, Proc: "zz", Name: string(d.Names()[0]), Var: bind[len(bind)-1]})
 				step("rewire", st, err2)
 
-				st, err2 = d.RemoveProc("zz")
+				st, err2 = d.Apply(Mutation{Op: OpRemoveProc, Proc: "zz"})
 				step("leave", st, err2)
 
-				st, err2 = d.SetProcInit(first, sys.ProcInit[0])
+				st, err2 = d.Apply(Mutation{Op: OpSetProcInit, Proc: first, Init: sys.ProcInit[0]})
 				step("unmark", st, err2)
 			})
 		}
@@ -223,31 +224,89 @@ func TestDynSystemApplyDiff(t *testing.T) {
 	}
 }
 
+// TestDynSystemApplyDiffRejectedLeavesEngine pins that a rejected diff
+// edits nothing: both targets fail only after ApplyDiff would have
+// emitted earlier mutations (a new proc, a new var and a rewire).
+func TestDynSystemApplyDiffRejectedLeavesEngine(t *testing.T) {
+	// p reads a, q reads x, over one name.
+	base := &system.System{
+		Names:    []system.Name{"n"},
+		ProcIDs:  []string{"p", "q"},
+		VarIDs:   []string{"a", "x"},
+		Nbr:      [][]int{{0}, {1}},
+		ProcInit: []string{"0", "1"},
+		VarInit:  []string{"0", "0"},
+	}
+	targets := map[string]*system.System{
+		// Two processors share the id r.
+		"duplicate proc id": {
+			Names:    []system.Name{"n"},
+			ProcIDs:  []string{"p", "q", "r", "r"},
+			VarIDs:   []string{"a", "x"},
+			Nbr:      [][]int{{0}, {1}, {0}, {1}},
+			ProcInit: []string{"0", "1", "0", "0"},
+			VarInit:  []string{"0", "0"},
+		},
+		// q is rewired to a new var c before the new proc x, whose id
+		// the live var x still holds.
+		"proc id of a live var": {
+			Names:    []system.Name{"n"},
+			ProcIDs:  []string{"p", "q", "x"},
+			VarIDs:   []string{"a", "c"},
+			Nbr:      [][]int{{0}, {1}, {0}},
+			ProcInit: []string{"0", "1", "0"},
+			VarInit:  []string{"0", "0"},
+		},
+	}
+	for name, target := range targets {
+		t.Run(name, func(t *testing.T) {
+			d, err := NewDynSystem(base, RuleQ, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			procs, vars, lab := d.ProcIDs(), d.VarIDs(), d.Labeling()
+			if _, err := d.ApplyDiff(target); !errors.Is(err, ErrSystemShape) {
+				t.Fatalf("ApplyDiff err = %v, want ErrSystemShape", err)
+			}
+			if got := d.ProcIDs(); !reflect.DeepEqual(got, procs) {
+				t.Errorf("procs %v, want %v", got, procs)
+			}
+			if got := d.VarIDs(); !reflect.DeepEqual(got, vars) {
+				t.Errorf("vars %v, want %v", got, vars)
+			}
+			if got := d.Labeling(); !reflect.DeepEqual(got, lab) {
+				t.Errorf("labeling %v, want %v", got, lab)
+			}
+			assertDynOracle(t, d)
+		})
+	}
+}
+
 func TestDynSystemErrors(t *testing.T) {
 	sys := system.Fig1()
 	d, err := NewDynSystem(sys, RuleQ, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Crash("ghost"); !errors.Is(err, system.ErrUnknownNode) {
+	if _, err := d.Apply(Mutation{Op: OpCrash, Proc: "ghost"}); !errors.Is(err, system.ErrUnknownNode) {
 		t.Fatalf("crash ghost: %v", err)
 	}
-	if _, err := d.AddProc("p", "0", []string{"v"}); !errors.Is(err, ErrSystemShape) {
+	if _, err := d.Apply(Mutation{Op: OpAddProc, Proc: "p", Init: "0", Bind: []string{"v"}}); !errors.Is(err, ErrSystemShape) {
 		t.Fatalf("dup proc: %v", err)
 	}
-	if _, err := d.AddProc("p9", "0", []string{"v", "v"}); !errors.Is(err, ErrSystemShape) {
+	if _, err := d.Apply(Mutation{Op: OpAddProc, Proc: "p9", Init: "0", Bind: []string{"v", "v"}}); !errors.Is(err, ErrSystemShape) {
 		t.Fatalf("bad bind arity: %v", err)
 	}
-	if _, err := d.RemoveVar("v"); !errors.Is(err, system.ErrVarInUse) {
+	if _, err := d.Apply(Mutation{Op: OpRemoveVar, Var: "v"}); !errors.Is(err, system.ErrVarInUse) {
 		t.Fatalf("remove bound var: %v", err)
 	}
-	if _, err := d.RemoveProc("p"); err != nil {
+	if _, err := d.Apply(Mutation{Op: OpRemoveProc, Proc: "p"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.RemoveProc("q"); !errors.Is(err, system.ErrNoProcessors) {
+	if _, err := d.Apply(Mutation{Op: OpRemoveProc, Proc: "q"}); !errors.Is(err, system.ErrNoProcessors) {
 		t.Fatalf("remove last proc: %v", err)
 	}
-	if _, err := d.Rewire("q", "nope", "v"); !errors.Is(err, system.ErrUnknownName) {
+	if _, err := d.Apply(Mutation{Op: OpRewire, Proc: "q", Name: "nope", Var: "v"}); !errors.Is(err, system.ErrUnknownName) {
 		t.Fatalf("rewire bad name: %v", err)
 	}
 	// Engine still consistent after all the rejected edits.
@@ -270,10 +329,10 @@ func TestDynSystemObsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Crash("p0"); err != nil {
+	if _, err := d.Apply(Mutation{Op: OpCrash, Proc: "p0"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Restart("p0"); err != nil {
+	if _, err := d.Apply(Mutation{Op: OpRestart, Proc: "p0"}); err != nil {
 		t.Fatal(err)
 	}
 	events := ring.Events()

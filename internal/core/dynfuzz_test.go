@@ -94,11 +94,11 @@ func FuzzIncrementalSimilarity(f *testing.F) {
 			p := procs[int(arg)%len(procs)]
 			switch op % 7 {
 			case 0:
-				if _, err := d.Crash(p); err != nil {
+				if _, err := d.Apply(Mutation{Op: OpCrash, Proc: p}); err != nil {
 					t.Fatalf("crash %s: %v", p, err)
 				}
 			case 1:
-				if _, err := d.Restart(p); err != nil {
+				if _, err := d.Apply(Mutation{Op: OpRestart, Proc: p}); err != nil {
 					t.Fatalf("restart %s: %v", p, err)
 				}
 			case 2: // clone-join: adopt p's bindings wholesale
@@ -108,12 +108,12 @@ func FuzzIncrementalSimilarity(f *testing.F) {
 				}
 				id := fmt.Sprintf("j%d", joined)
 				joined++
-				if _, err := d.AddProc(id, "0", bind); err != nil {
+				if _, err := d.Apply(Mutation{Op: OpAddProc, Proc: id, Init: "0", Bind: bind}); err != nil {
 					t.Fatalf("join %s: %v", id, err)
 				}
 			case 3: // leave (never the last processor)
 				if d.NumProcs() > 1 {
-					if _, err := d.RemoveProc(p); err != nil {
+					if _, err := d.Apply(Mutation{Op: OpRemoveProc, Proc: p}); err != nil {
 						t.Fatalf("leave %s: %v", p, err)
 					}
 				}
@@ -122,17 +122,17 @@ func FuzzIncrementalSimilarity(f *testing.F) {
 				name := names[int(arg)%len(names)]
 				vars := d.VarIDs()
 				v := vars[int(arg/3)%len(vars)]
-				if _, err := d.Rewire(p, name, v); err != nil {
+				if _, err := d.Apply(Mutation{Op: OpRewire, Proc: p, Name: string(name), Var: v}); err != nil {
 					t.Fatalf("rewire %s: %v", p, err)
 				}
 			case 5:
-				if _, err := d.SetProcInit(p, fmt.Sprintf("s%d", arg%3)); err != nil {
+				if _, err := d.Apply(Mutation{Op: OpSetProcInit, Proc: p, Init: fmt.Sprintf("s%d", arg%3)}); err != nil {
 					t.Fatalf("set init %s: %v", p, err)
 				}
 			default:
 				vars := d.VarIDs()
 				v := vars[int(arg)%len(vars)]
-				if _, err := d.SetVarInit(v, fmt.Sprintf("w%d", arg%3)); err != nil {
+				if _, err := d.Apply(Mutation{Op: OpSetVarInit, Var: v, Init: fmt.Sprintf("w%d", arg%3)}); err != nil {
 					t.Fatalf("set var init %s: %v", v, err)
 				}
 			}

@@ -30,13 +30,13 @@ func TestInitKeyInjective(t *testing.T) {
 		sys.VarIDs[i] = fmt.Sprintf("v%d", i)
 		sys.Nbr[i] = []int{i}
 	}
-	st, err := newStructure(sys, RuleQ)
+	g, err := newGraph(sys, RuleQ)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := make(map[string]int)
 	for i := 0; i < sys.NumNodes(); i++ {
-		key := st.InitKey(i)
+		key := g.InitKey(i)
 		if j, dup := seen[key]; dup {
 			t.Errorf("nodes %d and %d collide on InitKey %q", j, i, key)
 		}
@@ -45,11 +45,11 @@ func TestInitKeyInjective(t *testing.T) {
 	// Same init, same kind must still coincide.
 	sys2 := sys.Clone()
 	sys2.ProcInit[1] = sys2.ProcInit[0]
-	st2, err := newStructure(sys2, RuleQ)
+	g2, err := newGraph(sys2, RuleQ)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.InitKey(0) != st2.InitKey(1) {
+	if g2.InitKey(0) != g2.InitKey(1) {
 		t.Error("equal inits produced different InitKeys")
 	}
 }

@@ -413,8 +413,9 @@ func E5DP6(maxStates int) (*Table, error) {
 // E6Scaling reproduces Theorem 5: Algorithm 1 runs in O(N log N) with
 // Hopcroft's smaller-half strategy. A marked ring is the adversarial
 // input — the distinction propagates one hop per round, so the naive
-// Algorithm 1 transcription is cubic-ish, a dirty-class worklist is
-// quadratic, and only the smaller-half driver achieves the [H71] bound.
+// Algorithm 1 transcription is cubic-ish, the dirty-slot worklist (a
+// partition.Dyn build) is quadratic, and only the smaller-half driver
+// achieves the [H71] bound.
 // All three are timed as the DESIGN.md ablation.
 func E6Scaling(sizes []int, slowLimit int) (*Table, error) {
 	t := &Table{

@@ -26,7 +26,7 @@ type DynStructure interface {
 	// label(To)) pairs over OutEdges, as for a CountStructure. The merge
 	// pass then refines the quotient with Hopcroft's smaller-half rule;
 	// set-valued signatures, for which that rule is unsound, must report
-	// false and get the worklist driver.
+	// false and get a nested Dyn build.
 	Counting() bool
 }
 
@@ -45,13 +45,12 @@ type UpdateStats struct {
 	Relabeled int
 	// SigComputes counts signature encodings of slots. The merge pass
 	// adds one per quotient node for reading its representative's
-	// out-edges, plus every quotient signature the worklist driver
-	// encodes (set rule); the signature-id compaction adds one per live
-	// class.
+	// out-edges, plus every quotient signature the nested build encodes
+	// (set rule); the signature-id compaction adds one per live class.
 	SigComputes int
 	// Rounds counts settle rounds (split propagation waves) plus the
-	// quotient driver's refinement rounds: splitter iterations that
-	// carved a class (Hopcroft) or worklist rounds (set rule).
+	// quotient refinement's rounds: splitter iterations that carved a
+	// class (Hopcroft) or the nested build's settle rounds (set rule).
 	Rounds int
 	// MergePass reports whether the quotient merge pass ran.
 	MergePass bool
@@ -92,15 +91,17 @@ func (u UpdateStats) add(v UpdateStats) UpdateStats {
 //  2. Settle: a worklist recomputes signatures for dirty slots only and
 //     splits a class exactly when a member's interned signature id
 //     diverges from the class's stored stable id. Split-off labels
-//     propagate dirtiness through Dependents, as in FixpointWorklist.
+//     propagate dirtiness through Dependents. The initial build is one
+//     settle from the init-key partition with every slot dirty, which is
+//     all FixpointWorklist runs.
 //  3. Merge: if the event provably left the class-quotient structure
 //     unchanged (no class born or freed, no stable signature or init
 //     key drift), the pre-event partition was coarsest, so the
 //     post-event one still is and the pass is skipped. Otherwise the
 //     quotient (one node per live class, edges read off a
-//     representative) is refined from its init keys by the static
-//     drivers — Hopcroft for counting signatures, the worklist for
-//     set signatures — and pulled back: quotient classes that coalesce
+//     representative) is refined from its init keys — by Hopcroft for
+//     counting signatures, by a nested Dyn build for set signatures —
+//     and pulled back: quotient classes that coalesce
 //     are merged, which is exactly — and only — where coarseness is
 //     restorable. The pass costs O(m_q log k) on a k-class quotient
 //     with m_q edges, never more than refining the structure itself.
@@ -109,15 +110,18 @@ func (u UpdateStats) add(v UpdateStats) UpdateStats {
 //     re-interned into a fresh table, so ids stay O(classes + 1024)
 //     however long the churn runs.
 //
-// The full-recompute drivers (FixpointNaive/FixpointWorklist) survive
-// untouched as the cross-checked oracle; the differential fuzzer
-// asserts relation-for-relation equality after every event.
+// FixpointNaive is the cross-checked oracle; the differential fuzzers
+// assert relation-for-relation equality with a from-scratch refinement
+// after every event.
 //
 // Dyn is not goroutine-safe.
 type Dyn struct {
 	s DynStructure
-	// enc interns signatures into a persistent id space: unlike the
-	// per-class windows of the static drivers, ids stay comparable
+	// hook observes the initial build's settle rounds; only
+	// FixpointWorklist sets it.
+	hook RoundHook
+	// enc interns signatures into a persistent id space: unlike
+	// Hopcroft's per-class windows, ids stay comparable
 	// across events, which is what lets Dyn store one stable signature
 	// id per class and certify "nothing changed" without recomputing
 	// unaffected classes.
@@ -153,9 +157,13 @@ type Dyn struct {
 // NewDyn computes the initial coarsest stable partition of s and
 // returns the engine ready for Update calls. Returns ErrEmptyStructure
 // when s has no alive slots.
-func NewDyn(s DynStructure) (*Dyn, error) {
+func NewDyn(s DynStructure) (*Dyn, error) { return newDyn(s, nil) }
+
+// newDyn is NewDyn with hook observing the initial build.
+func newDyn(s DynStructure, hook RoundHook) (*Dyn, error) {
 	d := &Dyn{
 		s:       s,
+		hook:    hook,
 		enc:     sigEncoder{s: s},
 		initTab: make(map[string]int),
 		byInit:  make(map[int][]int),
@@ -389,6 +397,7 @@ func (d *Dyn) reconcile(x int, st *UpdateStats, quotChanged *bool) {
 func (d *Dyn) settle(st *UpdateStats, quotChanged *bool) {
 	for len(d.queue) > 0 {
 		st.Rounds++
+		splits := st.Splits
 		batch := d.batch[:0]
 		for _, x := range d.queue {
 			if d.dirty[x] {
@@ -424,6 +433,9 @@ func (d *Dyn) settle(st *UpdateStats, quotChanged *bool) {
 			for _, dep := range d.s.Dependents(x) {
 				d.markDirty(dep)
 			}
+		}
+		if d.hook != nil {
+			d.hook(st.Rounds, d.liveClasses, st.Splits-splits)
 		}
 	}
 }
@@ -473,8 +485,8 @@ func (d *Dyn) settleClass(c int, dirtyMembers []int, st *UpdateStats, quotChange
 	}
 
 	// Full regroup: keep the group containing the smallest member under
-	// the old class id (deterministic, mirrors splitClassIDs) and carve
-	// the rest out in ascending id order.
+	// the old class id (deterministic) and carve the rest out in
+	// ascending id order.
 	minAt := 0
 	for k, x := range work {
 		if x < work[minAt] {
@@ -530,22 +542,28 @@ func (d *Dyn) splitOut(c int, work []int, ids []int, keep int, st *UpdateStats, 
 // the coarsest, so the settled partition refines the target and the
 // pullback of the quotient's coarsest partition is exactly the global
 // coarsest — merging happens precisely where coarseness is restorable.
-// The driver is the one core.SimilarityWith would pick for the
-// structure's signatures: Hopcroft when they count, the worklist when
+// The algorithm is the one core.SimilarityWith would pick for the
+// structure's signatures: Hopcroft when they count, a Dyn build when
 // they are sets.
 func (d *Dyn) mergePass(st *UpdateStats) {
 	st.MergePass = true
 	q := d.newQuotient()
 	st.SigComputes += len(q.cls)
-	hook := func(int, int, int) { st.Rounds++ }
 	var p *Partition
 	var err error
 	if d.s.Counting() {
-		p, err = FixpointHopcroft(q, hook)
+		p, err = FixpointHopcroft(q, func(int, int, int) { st.Rounds++ })
 	} else {
+		// The nested build's work is read off its stats: a hook closure
+		// over st would be kept by the heap Dyn and move st, and with it
+		// every Update's stats, to the heap.
 		q.linkDependents()
-		p, err = FixpointWorklist(q, hook)
-		st.SigComputes += q.sigs
+		var qd *Dyn
+		if qd, err = newDyn(allAlive{q}, nil); err == nil {
+			st.Rounds += qd.last.Rounds
+			st.SigComputes += qd.last.SigComputes
+			p = qd.partition()
+		}
 	}
 	if err != nil {
 		panic("partition: quotient refinement: " + err.Error())
@@ -616,17 +634,16 @@ func (d *Dyn) mergePass(st *UpdateStats) {
 // node. The settled partition is stable, so every member of a class
 // sees the same classes through its edges and any representative does.
 // It is a CountStructure for the Hopcroft driver and a TokenStructure
-// for the worklist driver.
+// for the nested build.
 type quotient struct {
 	d    *Dyn
 	cls  []int          // node -> class id
 	node []int          // class id -> node, for live classes
 	out  [][]TaggedEdge // node -> representative's out-edges, targets as nodes
-	deps [][]int        // node -> nodes with an edge into it (worklist only)
+	deps [][]int        // node -> nodes with an edge into it (set rule only)
 
-	lbl  func(int) int // the worklist driver's current quotient labeling
+	lbl  func(int) int // the nested build's current quotient labeling
 	comp func(int) int // slot -> lbl(node of the slot's class)
-	sigs int           // quotient signatures the worklist driver encoded
 }
 
 func (d *Dyn) newQuotient() *quotient {
@@ -650,7 +667,7 @@ func (d *Dyn) newQuotient() *quotient {
 	return q
 }
 
-// linkDependents builds the reverse quotient edges the worklist driver
+// linkDependents builds the reverse quotient edges the nested build
 // propagates splits along.
 func (q *quotient) linkDependents() {
 	q.deps = make([][]int, len(q.cls))
@@ -670,7 +687,6 @@ func (q *quotient) Dependents(n int) []int      { return q.deps[n] }
 // signature under the composed labeling.
 func (q *quotient) AppendSignature(buf []uint64, n int, label func(int) int) []uint64 {
 	q.lbl = label
-	q.sigs++
 	return q.d.s.AppendSignature(buf, q.d.members[q.cls[n]][0], q.comp)
 }
 
@@ -729,6 +745,20 @@ func (d *Dyn) build() UpdateStats {
 	st.Classes = d.liveClasses
 	return st
 }
+
+// allAlive views a static TokenStructure as a DynStructure with every
+// node alive. Only builds run over it, and a build never runs the merge
+// pass, so OutEdges and Counting are never called.
+type allAlive struct{ TokenStructure }
+
+func (allAlive) Alive(int) bool            { return true }
+func (allAlive) OutEdges(int) []TaggedEdge { return nil }
+func (allAlive) Counting() bool            { return false }
+
+// partition returns the classes of a build over an allAlive view. A
+// build never empties a class and every slot is alive, so the labels and
+// member lists already form a Partition; d must not be updated after.
+func (d *Dyn) partition() *Partition { return &Partition{label: d.label, members: d.members} }
 
 // Check audits the engine's invariants: membership/position coherence,
 // init-key uniformity, and — the stability certificate — that every

@@ -124,3 +124,76 @@ type badEdgeStructure struct{}
 func (badEdgeStructure) Len() int                  { return 1 }
 func (badEdgeStructure) InitKey(int) string        { return "x" }
 func (badEdgeStructure) OutEdges(int) []TaggedEdge { return []TaggedEdge{{To: 5, Tag: 0}} }
+
+// OutEdges makes the chain a CountStructure: node i reads node i+1.
+func (c chainStructure) OutEdges(i int) []TaggedEdge {
+	if i == c.n-1 {
+		return nil
+	}
+	return []TaggedEdge{{To: i + 1}}
+}
+
+// TestRoundHookContract pins the RoundHook contract for both drivers on
+// random DFAs and on the chain: rounds ascend from 1 (FixpointWorklist's
+// settle rounds run 1..R without gaps; Hopcroft reports the splitter
+// iterations that carved, so it may skip), the last call reports the
+// final class count, and the splits sum to the final class count minus
+// the initial one.
+func TestRoundHookContract(t *testing.T) {
+	type structure interface {
+		CountStructure
+		TokenStructure
+	}
+	structs := []structure{chainStructure{n: 64}, modDFA(7, 3)}
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 100; trial++ {
+		n := 2 + rng.Intn(40)
+		accept := make([]bool, n)
+		next := make([][]int, n)
+		for s := 0; s < n; s++ {
+			accept[s] = rng.Intn(2) == 0
+			next[s] = []int{rng.Intn(n), rng.Intn(n)}
+		}
+		structs = append(structs, newDFA(accept, next))
+	}
+	drivers := []struct {
+		name       string
+		contiguous bool
+		run        func(structure, RoundHook) (*Partition, error)
+	}{
+		{"hopcroft", false, func(s structure, h RoundHook) (*Partition, error) { return FixpointHopcroft(s, h) }},
+		{"worklist", true, func(s structure, h RoundHook) (*Partition, error) { return FixpointWorklist(s, h) }},
+	}
+	for _, drv := range drivers {
+		for k, s := range structs {
+			keys := make(map[string]bool)
+			for i := 0; i < s.Len(); i++ {
+				keys[s.InitKey(i)] = true
+			}
+			var rounds []int
+			last, splits := len(keys), 0
+			p, err := drv.run(s, func(round, classes, split int) {
+				rounds = append(rounds, round)
+				last = classes
+				splits += split
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, r := range rounds {
+				if r < j+1 || drv.contiguous && r != j+1 || j > 0 && r <= rounds[j-1] {
+					t.Fatalf("%s structure %d: rounds %v", drv.name, k, rounds)
+				}
+			}
+			if drv.contiguous && len(rounds) == 0 {
+				t.Fatalf("%s structure %d: no round reported", drv.name, k)
+			}
+			if last != p.NumClasses() {
+				t.Fatalf("%s structure %d: last call reports %d classes, partition has %d", drv.name, k, last, p.NumClasses())
+			}
+			if splits != p.NumClasses()-len(keys) {
+				t.Fatalf("%s structure %d: splits sum to %d, want %d", drv.name, k, splits, p.NumClasses()-len(keys))
+			}
+		}
+	}
+}

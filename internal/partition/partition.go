@@ -4,21 +4,21 @@
 // The paper computes similarity labelings by refining a trivial
 // subsimilarity labeling until nodes with the same label have the same
 // environment, citing Hopcroft's set-partition algorithm [H71] for an
-// O(n log n) bound. This package provides the partition data structure,
-// one fixpoint driver per signature kind, and an incremental engine:
+// O(n log n) bound. This package provides the partition data structure
+// and two refinement algorithms, one per signature kind, plus the naive
+// oracle:
 //
+//   - FixpointHopcroft refines counting signatures with Hopcroft's
+//     smaller-half splitter rule (the paper's Q rule, Theorem 5).
+//   - Dyn refines set signatures (the paper's S rule, for which the
+//     smaller-half rule is unsound) with a dirty-slot worklist, and keeps
+//     the coarsest stable partition of a mutating structure up to date,
+//     refining its class quotient with the algorithm that fits the
+//     signature kind. FixpointWorklist is a Dyn build over a static
+//     structure.
 //   - FixpointNaive recomputes every string signature every round. It is
 //     the direct transcription of Algorithm 1 and serves as the oracle
 //     the other drivers are tested against.
-//   - FixpointWorklist recomputes signatures only for nodes whose
-//     dependencies changed, interning them as token sequences. It is the
-//     driver for set signatures (the paper's S rule), for which the
-//     smaller-half rule is unsound.
-//   - FixpointHopcroft refines counting signatures with Hopcroft's
-//     smaller-half splitter rule (the paper's Q rule, Theorem 5).
-//   - Dyn keeps the coarsest stable partition of a mutating structure
-//     up to date, refining its class quotient with the driver that fits
-//     the signature kind.
 //
 // All drivers produce the same relation; tests cross-check them against
 // FixpointNaive and benchmarks compare them (the DESIGN.md ablation).
@@ -56,8 +56,8 @@ type Structure interface {
 // encoder. AppendSignature appends node i's environment under the
 // current labeling to buf as uint64 tokens and returns the extended
 // slice; two nodes of the same class must produce equal token sequences
-// iff they should share a class. The drivers intern the sequences
-// through a SigTable and split classes by comparing small ints.
+// iff they should share a class. Dyn interns the sequences through a
+// SigTable and splits classes by comparing small ints.
 // Implementations must not retain buf.
 type TokenStructure interface {
 	// Len returns the number of nodes, indexed 0..Len()-1.
@@ -74,9 +74,11 @@ type TokenStructure interface {
 // ErrEmptyStructure is returned when refining a structure with no nodes.
 var ErrEmptyStructure = errors.New("partition: empty structure")
 
-// RoundHook observes refinement progress: round is the 1-based worklist
-// round or Hopcroft splitter iteration, classes the partition size after
-// it, and splits the number of new classes carved during it. Hooks run
+// RoundHook observes refinement progress: round is the 1-based settle
+// round (FixpointWorklist: 1..R without gaps) or Hopcroft splitter
+// iteration (quiet iterations skipped), classes the partition size after
+// it, and splits the number of new classes carved during it, so the
+// splits sum to the final class count minus the initial one. Hooks run
 // synchronously on the refining goroutine — they are the observability
 // tap the core package threads its event recorder through. A nil hook
 // means unobserved and costs one branch per round.
@@ -274,61 +276,6 @@ func (p *Partition) splitClass(c int, sig func(i int) string) []int {
 	return changed
 }
 
-// splitClassIDs regroups the members of class c by interned signature
-// id, keeping the group containing the smallest member under the old id
-// and allocating new ids for the rest in ascending signature-id order.
-// ids is aligned with p.members[c] and must be dense per class (the
-// per-class interners hand out 0,1,2,... in first-appearance order). It
-// returns the nodes whose label changed.
-func (p *Partition) splitClassIDs(c int, ids []int) []int {
-	members := p.members[c]
-	if len(members) <= 1 {
-		return nil
-	}
-	same := true
-	for _, id := range ids[1:] {
-		if id != ids[0] {
-			same = false
-			break
-		}
-	}
-	if same {
-		return nil
-	}
-	ngroups := 0
-	for _, id := range ids {
-		if id+1 > ngroups {
-			ngroups = id + 1
-		}
-	}
-	groups := make([][]int, ngroups)
-	for k, i := range members {
-		groups[ids[k]] = append(groups[ids[k]], i)
-	}
-	keep := ids[0]
-	minNode := members[0]
-	for k, i := range members {
-		if i < minNode {
-			minNode = i
-			keep = ids[k]
-		}
-	}
-	var changed []int
-	p.members[c] = groups[keep]
-	for id, g := range groups {
-		if id == keep || len(g) == 0 {
-			continue
-		}
-		nid := len(p.members)
-		p.members = append(p.members, g)
-		for _, i := range g {
-			p.label[i] = nid
-			changed = append(changed, i)
-		}
-	}
-	return changed
-}
-
 // sigEncoder interns the token signatures of s through a SigTable,
 // reusing one token buffer across calls. Ids are dense per reset window
 // in first-appearance order; ids from different windows are not
@@ -374,99 +321,18 @@ func FixpointNaive(s Structure) (*Partition, error) {
 	}
 }
 
-// FixpointWorklist refines the initial partition of s until stable,
-// recomputing signatures only for nodes whose dependencies changed. This
-// is the efficient driver in the spirit of [H71]: work propagates only
-// from split classes to their dependents. Signatures are interned to
-// small ints per class (see SigTable), so splitting never compares or
-// sorts strings. hook, when non-nil, observes every round.
+// FixpointWorklist refines the initial partition of s until stable with
+// Dyn's dirty-slot worklist: it builds a Dyn over s, every node alive,
+// and returns the settled classes. Each round re-encodes only the nodes
+// whose dependencies changed, and signatures are interned into one
+// SigTable, so splitting compares small ints. hook, when non-nil, is
+// called once per settle round.
 func FixpointWorklist(s TokenStructure, hook RoundHook) (*Partition, error) {
-	p, err := newPartition(s.Len(), s.InitKey)
+	d, err := newDyn(allAlive{s}, hook)
 	if err != nil {
 		return nil, err
 	}
-	lbl := func(i int) int { return p.label[i] }
-	n := s.Len()
-
-	dirty := make([]bool, n)
-	queue := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		dirty[i] = true
-		queue = append(queue, i)
-	}
-
-	enc := sigEncoder{s: s}
-	var classSeen []bool
-	classes := make([]int, 0, 16)
-	work := make([]int, 0, 16)
-	var ids, offs []int
-
-	round := 0
-	for len(queue) > 0 {
-		round++
-		numBefore := len(p.members)
-		// Gather the dirty classes this round.
-		classes = classes[:0]
-		for _, i := range queue {
-			if !dirty[i] {
-				continue
-			}
-			dirty[i] = false
-			c := p.label[i]
-			for c >= len(classSeen) {
-				classSeen = append(classSeen, false)
-			}
-			if !classSeen[c] {
-				classSeen[c] = true
-				classes = append(classes, c)
-			}
-		}
-		queue = queue[:0]
-		sort.Ints(classes)
-		work = work[:0]
-		for _, c := range classes {
-			classSeen[c] = false
-			// A split decision needs signatures for the whole class, so
-			// singleton classes can never split.
-			if len(p.members[c]) > 1 {
-				work = append(work, c)
-			}
-		}
-
-		// Signature pass: every dirty class's signatures are computed
-		// against the round-start labeling; splits apply only after it.
-		ids, offs = ids[:0], offs[:0]
-		for _, c := range work {
-			enc.tab.Reset()
-			offs = append(offs, len(ids))
-			for _, i := range p.members[c] {
-				ids = append(ids, enc.sigID(i, lbl))
-			}
-		}
-		offs = append(offs, len(ids))
-		var changed []int
-		for k, c := range work {
-			changed = append(changed, p.splitClassIDs(c, ids[offs[k]:offs[k+1]])...)
-		}
-		for _, i := range changed {
-			for _, d := range s.Dependents(i) {
-				if !dirty[d] {
-					dirty[d] = true
-					queue = append(queue, d)
-				}
-			}
-			// A relabeled node's own signature may also change if it
-			// depends on itself transitively; re-mark it.
-			if !dirty[i] {
-				dirty[i] = true
-				queue = append(queue, i)
-			}
-		}
-		if hook != nil {
-			hook(round, len(p.members), len(p.members)-numBefore)
-		}
-	}
-	return p, nil
+	return d.partition(), nil
 }
 
 // String renders the partition as sorted class lists, for debugging and

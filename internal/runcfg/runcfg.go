@@ -95,11 +95,4 @@ type Common struct {
 	// skipped ones (0 = harness default, 10000). Consumed by daemon
 	// sessions and statistical trials' depth fallback.
 	MaxSlots int `json:"max_slots,omitempty"`
-	// ChurnEvents is the number of topology mutation events a churn run
-	// drives through the dynamic similarity engine (0 = no churn).
-	ChurnEvents int `json:"churn_events,omitempty"`
-	// ChurnMinProcs / ChurnMaxProcs bound the population during churn
-	// (0 = the generator defaults: floor 2, no ceiling).
-	ChurnMinProcs int `json:"churn_min_procs,omitempty"`
-	ChurnMaxProcs int `json:"churn_max_procs,omitempty"`
 }

@@ -476,12 +476,6 @@ func (s *Server) apply(sh *shard, req request) reply {
 		s.reg.Counter("dyn.splits").Add(int64(st.Splits))
 		s.reg.Counter("dyn.merges").Add(int64(st.Merges))
 		s.reg.Counter("dyn.relabeled").Add(int64(st.Relabeled))
-		// A reload repairs the labeling in place and never rebuilds it
-		// from scratch, so dyn.rebuilds is never incremented and never
-		// appears in /metrics; readers of it see zero.
-		if st.Rebuild {
-			s.reg.Counter("dyn.rebuilds").Inc()
-		}
 		return reply{snap: sess.snapshot(false)}
 	case opList:
 		snaps := make([]Snapshot, 0, len(sh.sessions))

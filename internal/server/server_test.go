@@ -461,6 +461,52 @@ func TestStepCoalescing(t *testing.T) {
 	}
 }
 
+// TestSessionReloadRejectedKeepsEngine pins that a reload the engine
+// rejects leaves the session's engine as it was: the next reload reports
+// the same relabel stats as in a session that never saw the rejected one.
+func TestSessionReloadRejectedKeepsEngine(t *testing.T) {
+	s := New(Config{Shards: 1})
+	defer drainOrFail(t, s)
+
+	// A dining ring of 4 the harness accepts, but whose processor fork3
+	// takes the id of a live variable of dining 4. The diff would add f9
+	// and rewire phil0 before it reached fork3.
+	const rejected = `names left right
+var fork0
+var fork1
+var fork2
+var f9
+proc phil0 left=f9 right=fork0
+proc phil1 left=fork0 right=fork1
+proc phil2 left=fork1 right=fork2
+proc fork3 left=fork2 right=f9
+`
+	reloadBack := func(reject bool) *RelabelStats {
+		t.Helper()
+		snap, err := s.Create(SessionConfig{Topology: "gen dining 3", Kind: "dining", Meals: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Reload(snap.ID, "gen dining 4", ""); err != nil {
+			t.Fatal(err)
+		}
+		if reject {
+			if _, err := s.Reload(snap.ID, rejected, ""); !errors.Is(err, ErrBadSession) {
+				t.Fatalf("reload with a kind-changing id: err = %v, want ErrBadSession", err)
+			}
+		}
+		snap, err = s.Reload(snap.ID, "gen dining 3", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap.Relabel
+	}
+	clean, afterReject := reloadBack(false), reloadBack(true)
+	if clean == nil || afterReject == nil || *afterReject != *clean {
+		t.Fatalf("reload back after a rejected reload = %+v, want %+v", afterReject, clean)
+	}
+}
+
 func TestSessionTopologyReload(t *testing.T) {
 	s := New(Config{Shards: 2})
 	defer drainOrFail(t, s)

@@ -83,6 +83,7 @@ func Parse(src string) (*system.System, error) {
 	var procs []procDecl
 	var vars []varDecl
 	varIdx := make(map[string]int)
+	procSeen := make(map[string]bool)
 
 	for lineNo, raw := range lines {
 		line := raw
@@ -127,6 +128,10 @@ func Parse(src string) (*system.System, error) {
 			if len(fields) < 2 {
 				return nil, fmt.Errorf("%w: line %d: proc needs an id", ErrSyntax, lineNo+1)
 			}
+			if procSeen[fields[1]] {
+				return nil, fmt.Errorf("%w: line %d: duplicate proc %q", ErrSyntax, lineNo+1, fields[1])
+			}
+			procSeen[fields[1]] = true
 			p := procDecl{id: fields[1], init: "0", binds: make(map[string]string), line: lineNo + 1}
 			for _, attr := range fields[2:] {
 				k, val, ok := strings.Cut(attr, "=")

@@ -114,6 +114,7 @@ func TestParseErrors(t *testing.T) {
 		{"unknown var", "names a\nproc p a=ghost", ErrUnknown},
 		{"unknown name bound", "names a\nvar v\nproc p a=v b=v", ErrUnknown},
 		{"dup var", "names a\nvar v\nvar v\nproc p a=v", ErrSyntax},
+		{"dup proc", "names a\nvar v\nproc p a=v\nproc p a=v", ErrSyntax},
 		{"dup names line", "names a\nnames b\nvar v\nproc p a=v", ErrSyntax},
 		{"bad keyword", "wibble", ErrSyntax},
 		{"bad var attr", "names a\nvar v color=red\nproc p a=v", ErrSyntax},

@@ -210,7 +210,7 @@ func SimilarityOpts(sys *System, rule Rule, opts ...Option) (*Labeling, error) {
 // NewDynSystem builds a dynamic similarity engine seeded from sys under
 // the given environment rule: the labeling is maintained incrementally
 // as processors and variables are added, removed, crashed, and rewired
-// through Apply and its convenience wrappers, and Similarity on
+// through Apply, and Similarity on
 // Snapshot() is always the cross-checked oracle. Recognized options:
 // WithObserver (relabel events and dyn.* counters).
 func NewDynSystem(sys *System, rule Rule, opts ...Option) (*DynSystem, error) {

@@ -62,7 +62,7 @@ type (
 	// Churn is a seeded, replayable stream of topology mutation events
 	// over a DynSystem. Build one with NewChurn.
 	Churn = adversary.Churn
-	// ChurnOpts weights a churn stream's event mix.
+	// ChurnOpts bounds a churn stream's population.
 	ChurnOpts = adversary.ChurnOpts
 
 	// Decision is a selection-problem verdict.
