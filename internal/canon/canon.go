@@ -23,6 +23,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"sort"
 	"strconv"
@@ -509,23 +510,21 @@ func KeyDeltaEqual(base, delta, key []byte) bool {
 	return !haveNext && do == len(delta) && ko == len(key)
 }
 
-// HashTokens returns a 64-bit FNV-1a hash of a uint64 token stream,
-// folding each token a byte at a time in little-endian order. It is the
-// token-stream companion of Hash: the interned-signature tables of the
-// partition package key their buckets on it and resolve collisions by
-// comparing the token sequences themselves, so hash quality affects only
-// speed, never correctness.
+// HashTokens returns a 64-bit hash of a uint64 token stream. Each step
+// folds one whole token in (rotate, xor, multiply, as in FxHash) and a
+// final avalanche (MurmurHash3's fmix64) spreads every input bit into
+// the low bits, which open-addressed tables index by. It is the
+// token-stream companion of Hash: the partition package's SigTable
+// probes on it and resolves collisions by comparing the token sequences
+// themselves, so hash quality affects only speed, never correctness.
 func HashTokens(tokens []uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var h uint64 = offset64
+	h := uint64(len(tokens))
 	for _, t := range tokens {
-		for s := 0; s < 64; s += 8 {
-			h ^= (t >> s) & 0xff
-			h *= prime64
-		}
+		h = (bits.RotateLeft64(h, 5) ^ t) * 0x517cc1b727220a95
 	}
-	return h
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
 }

@@ -89,16 +89,18 @@ type Labeling struct {
 // partition.DynStructure and partition.CountStructure for the
 // production drivers, and a partition.Structure for the naive oracle
 // and IsStable.
+//
+// A variable's incident edges are kept as two parallel lists, so
+// Dependents hands out the stored processor list without building one.
 type graph struct {
 	rule    Rule
 	kind    []byte   // 'P' or 'V', 0 for a free slot
 	init    []string // slot -> initial state
 	crashed []bool   // proc slot -> crashed (crashMark in its InitKey)
 	nbr     [][]int  // proc slot -> var slot per name index
-	edges   [][]edge // var slot -> incident (proc slot, name index)
+	inProc  [][]int  // var slot -> incident proc slots
+	inName  [][]int  // var slot -> name index of each inProc edge
 }
-
-type edge struct{ proc, name int }
 
 // newGraph validates sys and rule and lays sys out as a graph.
 func newGraph(sys *system.System, rule Rule) (*graph, error) {
@@ -115,17 +117,32 @@ func newGraph(sys *system.System, rule Rule) (*graph, error) {
 		init:    append(append(make([]string, 0, n), sys.ProcInit...), sys.VarInit...),
 		crashed: make([]bool, n),
 		nbr:     make([][]int, n),
-		edges:   make([][]edge, n),
+		inProc:  make([][]int, n),
+		inName:  make([][]int, n),
 	}
-	for s := range g.kind {
+	m, deg := 0, make([]int, n)
+	for _, row := range sys.Nbr {
+		m += len(row)
+		for _, v := range row {
+			deg[np+v]++
+		}
+	}
+	// Every slot's lists are windows of three edge-count-sized arrays,
+	// capped so that a DynSystem append moves a list out instead of
+	// overwriting the next one.
+	nbrs, procs, names := make([]int, m), make([]int, 0, m), make([]int, 0, m)
+	for s, off := np, 0; s < n; s++ {
 		g.kind[s] = 'V'
+		g.inProc[s], g.inName[s] = procs[off:off:off+deg[s]], names[off:off:off+deg[s]]
+		off += deg[s]
 	}
 	for p, row := range sys.Nbr {
 		g.kind[p] = 'P'
-		g.nbr[p] = make([]int, len(row))
+		g.nbr[p], nbrs = nbrs[:len(row):len(row)], nbrs[len(row):]
 		for k, v := range row {
 			g.nbr[p][k] = np + v
-			g.edges[np+v] = append(g.edges[np+v], edge{p, k})
+			g.inProc[np+v] = append(g.inProc[np+v], p)
+			g.inName[np+v] = append(g.inName[np+v], k)
 		}
 	}
 	return g, nil
@@ -168,8 +185,8 @@ func (g *graph) Signature(i int, label func(int) int) string {
 	// Condition (3): per (name, processor label), neighbor counts under
 	// Q; under S only which pairs occur.
 	counts := make(map[[2]int]int)
-	for _, e := range g.edges[i] {
-		counts[[2]int{e.name, label(e.proc)}]++
+	for k, p := range g.inProc[i] {
+		counts[[2]int{g.inName[i][k], label(p)}]++
 	}
 	keys := make([][2]int, 0, len(counts))
 	for k := range counts {
@@ -211,8 +228,8 @@ func (g *graph) AppendSignature(buf []uint64, i int, label func(int) int) []uint
 		return buf
 	}
 	start := len(buf)
-	for _, e := range g.edges[i] {
-		buf = append(buf, uint64(int64(e.name)), uint64(int64(label(e.proc))))
+	for k, p := range g.inProc[i] {
+		buf = append(buf, uint64(int64(g.inName[i][k])), uint64(int64(label(p))))
 	}
 	partition.SortTokenPairs(buf[start:])
 	if g.rule == RuleQ {
@@ -230,37 +247,32 @@ func (g *graph) AppendSignature(buf []uint64, i int, label func(int) int) []uint
 	return buf[:out]
 }
 
-// OutEdges implements partition.CountStructure for the Q (counting)
-// rule: a processor depends on its n-neighbor through an edge tagged by
-// the name index, and a variable depends on each incident processor the
-// same way. The multiset of tags into a class is exactly the paper's
-// environment conditions (2) and (3).
-func (g *graph) OutEdges(i int) []partition.TaggedEdge {
+// AppendOutEdges implements partition.CountStructure for the Q
+// (counting) rule: a processor depends on its n-neighbor through an
+// edge tagged by the name index, and a variable depends on each
+// incident processor the same way. The multiset of tags into a class is
+// exactly the paper's environment conditions (2) and (3).
+func (g *graph) AppendOutEdges(buf []partition.TaggedEdge, i int) []partition.TaggedEdge {
 	if g.kind[i] == 'P' {
-		out := make([]partition.TaggedEdge, len(g.nbr[i]))
 		for k, vs := range g.nbr[i] {
-			out[k] = partition.TaggedEdge{To: vs, Tag: k}
+			buf = append(buf, partition.TaggedEdge{To: vs, Tag: k})
 		}
-		return out
+		return buf
 	}
-	out := make([]partition.TaggedEdge, len(g.edges[i]))
-	for k, e := range g.edges[i] {
-		out[k] = partition.TaggedEdge{To: e.proc, Tag: e.name}
+	for k, p := range g.inProc[i] {
+		buf = append(buf, partition.TaggedEdge{To: p, Tag: g.inName[i][k]})
 	}
-	return out
+	return buf
 }
 
 // Dependents: a processor's label feeds the environments of its
-// variables, and a variable's label those of its processors.
+// variables, and a variable's label those of its processors. Both are
+// stored lists, returned as they are.
 func (g *graph) Dependents(i int) []int {
 	if g.kind[i] == 'P' {
 		return g.nbr[i]
 	}
-	deps := make([]int, len(g.edges[i]))
-	for k, e := range g.edges[i] {
-		deps[k] = e.proc
-	}
-	return deps
+	return g.inProc[i]
 }
 
 func fromPartition(sys *system.System, p *partition.Partition) *Labeling {

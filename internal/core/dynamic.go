@@ -130,7 +130,8 @@ func (d *DynSystem) allocSlot(kind byte, id, init string) int {
 		g.init = append(g.init, "")
 		g.crashed = append(g.crashed, false)
 		g.nbr = append(g.nbr, nil)
-		g.edges = append(g.edges, nil)
+		g.inProc = append(g.inProc, nil)
+		g.inName = append(g.inName, nil)
 		d.ids = append(d.ids, "")
 	}
 	g.kind[s], g.init[s], d.ids[s] = kind, init, id
@@ -156,12 +157,20 @@ func (d *DynSystem) freeSlot(s int) {
 	d.free = append(d.free, s)
 }
 
-func (d *DynSystem) dropEdge(v, p, name int) {
-	es := d.g.edges[v]
-	for k, e := range es {
-		if e.proc == p && e.name == name {
-			es[k] = es[len(es)-1]
-			d.g.edges[v] = es[:len(es)-1]
+// addEdge records that processor p binds variable v under name.
+func (g *graph) addEdge(v, p, name int) {
+	g.inProc[v] = append(g.inProc[v], p)
+	g.inName[v] = append(g.inName[v], name)
+}
+
+// dropEdge removes that record, swapping the last edge into its place.
+func (g *graph) dropEdge(v, p, name int) {
+	ps, ns := g.inProc[v], g.inName[v]
+	for k := range ps {
+		if ps[k] == p && ns[k] == name {
+			last := len(ps) - 1
+			ps[k], ns[k] = ps[last], ns[last]
+			g.inProc[v], g.inName[v] = ps[:last], ns[:last]
 			return
 		}
 	}
@@ -180,7 +189,7 @@ func (d *DynSystem) apply(m Mutation, touched []int) ([]int, error) {
 			return touched, fmt.Errorf("%w: duplicate id %q", ErrSystemShape, m.Var)
 		}
 		s := d.allocSlot('V', m.Var, m.Init)
-		g.edges[s] = g.edges[s][:0]
+		g.inProc[s], g.inName[s] = g.inProc[s][:0], g.inName[s][:0]
 		return append(touched, s), nil
 
 	case OpAddProc:
@@ -203,7 +212,7 @@ func (d *DynSystem) apply(m Mutation, touched []int) ([]int, error) {
 		g.nbr[s] = append(g.nbr[s][:0], binds...)
 		touched = append(touched, s)
 		for k, vs := range binds {
-			g.edges[vs] = append(g.edges[vs], edge{s, k})
+			g.addEdge(vs, s, k)
 			touched = append(touched, vs)
 		}
 		return touched, nil
@@ -217,11 +226,11 @@ func (d *DynSystem) apply(m Mutation, touched []int) ([]int, error) {
 			return touched, fmt.Errorf("%w: cannot remove last processor %q", system.ErrNoProcessors, m.Proc)
 		}
 		for k, vs := range g.nbr[s] {
-			d.dropEdge(vs, s, k)
+			g.dropEdge(vs, s, k)
 			touched = append(touched, vs)
 		}
 		for _, vs := range g.nbr[s] {
-			if len(g.edges[vs]) == 0 && g.kind[vs] == 'V' {
+			if len(g.inProc[vs]) == 0 && g.kind[vs] == 'V' {
 				d.freeSlot(vs)
 			}
 		}
@@ -233,7 +242,7 @@ func (d *DynSystem) apply(m Mutation, touched []int) ([]int, error) {
 		if err != nil {
 			return touched, err
 		}
-		if len(g.edges[s]) > 0 {
+		if len(g.inProc[s]) > 0 {
 			return touched, fmt.Errorf("%w: %q", system.ErrVarInUse, m.Var)
 		}
 		d.freeSlot(s)
@@ -256,9 +265,9 @@ func (d *DynSystem) apply(m Mutation, touched []int) ([]int, error) {
 		if old == vs {
 			return touched, nil
 		}
-		d.dropEdge(old, s, k)
+		g.dropEdge(old, s, k)
 		g.nbr[s][k] = vs
-		g.edges[vs] = append(g.edges[vs], edge{s, k})
+		g.addEdge(vs, s, k)
 		return append(touched, s, old, vs), nil
 
 	case OpCrash, OpRestart:
@@ -304,20 +313,18 @@ func (d *DynSystem) apply(m Mutation, touched []int) ([]int, error) {
 func (d *DynSystem) Apply(muts ...Mutation) (partition.UpdateStats, error) {
 	var touched []int
 	var firstErr error
-	ops := make([]string, 0, len(muts))
-	for _, m := range muts {
+	applied := len(muts)
+	for k, m := range muts {
 		var err error
-		touched, err = d.apply(m, touched)
-		if err != nil {
-			firstErr = err
+		if touched, err = d.apply(m, touched); err != nil {
+			firstErr, applied = err, k
 			break
 		}
-		ops = append(ops, string(m.Op))
 	}
 	// Orphan sweep: only a var whose edge set changed can end the batch
 	// unreferenced, and every such var is already in touched.
 	for _, s := range touched {
-		if d.g.kind[s] == 'V' && len(d.g.edges[s]) == 0 {
+		if d.g.kind[s] == 'V' && len(d.g.inProc[s]) == 0 {
 			d.freeSlot(s)
 		}
 	}
@@ -327,6 +334,10 @@ func (d *DynSystem) Apply(muts ...Mutation) (partition.UpdateStats, error) {
 	}
 	st := d.dyn.Update(touched)
 	if d.rec.Enabled() {
+		ops := make([]string, applied)
+		for k, m := range muts[:applied] {
+			ops[k] = string(m.Op)
+		}
 		d.rec.Relabel("dyn", st.Touched, st.Splits, st.Merges, strings.Join(ops, "+"))
 		d.rec.Count("dyn.events", 1)
 		d.rec.Count("dyn.splits", int64(st.Splits))
@@ -607,8 +618,8 @@ func (d *DynSystem) Check() error {
 					return fmt.Errorf("core: proc slot %d name %d -> non-var slot %d", s, kn, vs)
 				}
 				found := false
-				for _, e := range d.g.edges[vs] {
-					if e.proc == s && e.name == kn {
+				for k, p := range d.g.inProc[vs] {
+					if p == s && d.g.inName[vs][k] == kn {
 						found = true
 						break
 					}
@@ -619,9 +630,12 @@ func (d *DynSystem) Check() error {
 			}
 		case 'V':
 			nv++
-			for _, e := range d.g.edges[s] {
-				if d.g.kind[e.proc] != 'P' || d.g.nbr[e.proc][e.name] != s {
-					return fmt.Errorf("core: stale edge on var slot %d: %+v", s, e)
+			if len(d.g.inProc[s]) != len(d.g.inName[s]) {
+				return fmt.Errorf("core: var slot %d has %d procs, %d names", s, len(d.g.inProc[s]), len(d.g.inName[s]))
+			}
+			for k, p := range d.g.inProc[s] {
+				if d.g.kind[p] != 'P' || d.g.nbr[p][d.g.inName[s][k]] != s {
+					return fmt.Errorf("core: stale edge on var slot %d: proc %d name %d", s, p, d.g.inName[s][k])
 				}
 			}
 		}

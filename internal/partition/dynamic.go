@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -11,22 +10,24 @@ import (
 // slots may be born, die, change their initial key, or change their
 // environment between calls to Dyn.Update. Len reports the slot-space
 // size (dead slots included); Alive reports whether slot i currently
-// exists. Signatures, Dependents and OutEdges must never reference dead
-// slots.
+// exists. Signatures, Dependents and out-edges must never reference
+// dead slots.
+//
+// From CountStructure it takes AppendOutEdges, which must append slot
+// i's tagged dependency edges, one for every slot whose label i's
+// signature reads: the merge pass builds its class quotient by
+// appending one representative's edges per class into an array it
+// reuses, rewriting their targets in place.
 type DynStructure interface {
 	TokenStructure
+	CountStructure
 	// Alive reports whether slot i is currently part of the structure.
 	Alive(i int) bool
-	// OutEdges returns slot i's tagged dependency edges, one for every
-	// slot whose label i's signature reads, in a fresh slice: the merge
-	// pass builds its class quotient from one representative's edges per
-	// class, rewriting their targets in place.
-	OutEdges(i int) []TaggedEdge
 	// Counting reports whether the signature is the multiset of (Tag,
-	// label(To)) pairs over OutEdges, as for a CountStructure. The merge
-	// pass then refines the quotient with Hopcroft's smaller-half rule;
-	// set-valued signatures, for which that rule is unsound, must report
-	// false and get a nested Dyn build.
+	// label(To)) pairs over the out-edges, as for a CountStructure. The
+	// merge pass then refines the quotient with Hopcroft's smaller-half
+	// rule; set-valued signatures, for which that rule is unsound, must
+	// report false and get a nested Dyn build.
 	Counting() bool
 }
 
@@ -145,10 +146,19 @@ type Dyn struct {
 	dirty []bool
 	queue []int
 
-	// reusable scratch
-	batch   []int
-	idsBuf  []int
-	moveBuf []mover
+	// Reusable scratch. Settle and splitOut sort packed uint64 keys
+	// (class<<32 | slot, id<<32 | position), so slots, class ids and
+	// signature ids must stay below 2^32.
+	keys      []uint64
+	batch     []int
+	relabeled []int
+	idsBuf    []int
+	moveKeys  []uint64
+	moveSlots []int
+	quot      quotient
+	ref       refiner // the merge pass's Hopcroft refiner
+	done      []bool
+	moved     []int
 
 	last  UpdateStats
 	total UpdateStats
@@ -398,36 +408,38 @@ func (d *Dyn) settle(st *UpdateStats, quotChanged *bool) {
 	for len(d.queue) > 0 {
 		st.Rounds++
 		splits := st.Splits
-		batch := d.batch[:0]
+		// Group dirty slots by their class at gather time, members
+		// ascending, with one sort of class<<32 | slot keys; splits only
+		// relabel slots within the group being processed, so later
+		// groups stay intact.
+		keys := d.keys[:0]
 		for _, x := range d.queue {
 			if d.dirty[x] {
 				d.dirty[x] = false
 				if d.label[x] >= 0 {
-					batch = append(batch, x)
+					keys = append(keys, uint64(d.label[x])<<32|uint64(x))
 				}
 			}
 		}
 		d.queue = d.queue[:0]
-		// Group dirty slots by their class at gather time; splits only
-		// relabel slots within the group being processed, so later
-		// groups stay intact.
-		sort.Slice(batch, func(a, b int) bool {
-			if d.label[batch[a]] != d.label[batch[b]] {
-				return d.label[batch[a]] < d.label[batch[b]]
-			}
-			return batch[a] < batch[b]
-		})
+		slices.Sort(keys)
+		d.keys = keys
+		batch := d.batch[:0]
+		for _, k := range keys {
+			batch = append(batch, int(uint32(k)))
+		}
 		d.batch = batch
-		var relabeled []int
+		relabeled := d.relabeled[:0]
 		for i := 0; i < len(batch); {
-			c := d.label[batch[i]]
-			j := i
-			for j < len(batch) && d.label[batch[j]] == c {
+			c := keys[i] >> 32
+			j := i + 1
+			for j < len(batch) && keys[j]>>32 == c {
 				j++
 			}
-			relabeled = d.settleClass(c, batch[i:j], st, quotChanged, relabeled)
+			relabeled = d.settleClass(int(c), batch[i:j], st, quotChanged, relabeled)
 			i = j
 		}
+		d.relabeled = relabeled
 		for _, x := range relabeled {
 			d.markDirty(x)
 			for _, dep := range d.s.Dependents(x) {
@@ -501,38 +513,38 @@ func (d *Dyn) settleClass(c int, dirtyMembers []int, st *UpdateStats, quotChange
 	return d.splitOut(c, work, ids, keep, st, out)
 }
 
-// mover is a slot leaving its class for the new class of signature id.
-type mover struct{ slot, id int }
-
 // splitOut moves every slot of work whose id differs from keep into a
 // new class per distinct id (ascending id order), leaving keep-id slots
 // in place. Returns out extended with the relabeled slots.
 func (d *Dyn) splitOut(c int, work []int, ids []int, keep int, st *UpdateStats, out []int) []int {
 	// Snapshot the movers before detaching: detach swap-mutates the
 	// member list work may alias (the stable<0 path passes members[c]).
-	// One stable sort groups them by id and keeps work order within a
-	// group, so a k-way split costs O(m log m), not O(k·m).
-	movers := d.moveBuf[:0]
+	// One sort of id<<32 | position keys groups them by id and keeps
+	// work order within a group, so a k-way split costs O(m log m), not
+	// O(k·m).
+	keys, slots := d.moveKeys[:0], d.moveSlots[:0]
 	for k, x := range work {
 		if ids[k] != keep {
-			movers = append(movers, mover{x, ids[k]})
+			keys = append(keys, uint64(ids[k])<<32|uint64(len(slots)))
+			slots = append(slots, x)
 		}
 	}
-	d.moveBuf = movers
-	slices.SortStableFunc(movers, func(a, b mover) int { return cmp.Compare(a.id, b.id) })
+	slices.Sort(keys)
+	d.moveKeys, d.moveSlots = keys, slots
 	initID := d.cinit[c]
 	var dummy bool
 	nc := -1
-	for k, m := range movers {
-		if k == 0 || m.id != movers[k-1].id {
+	for k, key := range keys {
+		if k == 0 || key>>32 != keys[k-1]>>32 {
 			nc = d.allocClass(initID)
-			d.csig[nc] = m.id
+			d.csig[nc] = int(key >> 32)
 			st.Splits++
 		}
-		d.detach(m.slot, &dummy)
-		d.seat(m.slot, nc)
+		x := slots[uint32(key)]
+		d.detach(x, &dummy)
+		d.seat(x, nc)
 		st.Relabeled++
-		out = append(out, m.slot)
+		out = append(out, x)
 	}
 	return out
 }
@@ -552,7 +564,7 @@ func (d *Dyn) mergePass(st *UpdateStats) {
 	var p *Partition
 	var err error
 	if d.s.Counting() {
-		p, err = FixpointHopcroft(q, func(int, int, int) { st.Rounds++ })
+		p, err = d.ref.run(q, func(int, int, int) { st.Rounds++ })
 	} else {
 		// The nested build's work is read off its stats: a hook closure
 		// over st would be kept by the heap Dyn and move st, and with it
@@ -574,15 +586,18 @@ func (d *Dyn) mergePass(st *UpdateStats) {
 	// largest class (fewest relabels), smallest id on ties. Both orders
 	// depend only on the quotient's relation, never on how the driver
 	// numbered its classes.
-	var moved []int
-	done := make([]bool, p.NumClasses())
+	moved := d.moved[:0]
+	d.done = fit(d.done, p.NumClasses())
 	for node := range q.cls {
 		l := p.label[node]
-		if done[l] || len(p.members[l]) < 2 {
+		if d.done[l] || len(p.members[l]) < 2 {
 			continue
 		}
-		done[l] = true
-		group := p.Members(l) // ascending nodes, so ascending class ids
+		d.done[l] = true
+		// Ascending nodes, so ascending class ids. p is this pass's
+		// scratch, so its member list is sorted in place.
+		group := p.members[l]
+		slices.Sort(group)
 		surv := q.cls[group[0]]
 		for _, n := range group[1:] {
 			if c := q.cls[n]; len(d.members[c]) > len(d.members[surv]) {
@@ -607,6 +622,7 @@ func (d *Dyn) mergePass(st *UpdateStats) {
 			st.Merges++
 		}
 	}
+	d.moved = moved
 	if len(moved) == 0 {
 		return
 	}
@@ -634,36 +650,43 @@ func (d *Dyn) mergePass(st *UpdateStats) {
 // node. The settled partition is stable, so every member of a class
 // sees the same classes through its edges and any representative does.
 // It is a CountStructure for the Hopcroft driver and a TokenStructure
-// for the nested build.
+// for the nested build. Dyn keeps one and rebuilds it in place.
 type quotient struct {
-	d    *Dyn
-	cls  []int          // node -> class id
-	node []int          // class id -> node, for live classes
-	out  [][]TaggedEdge // node -> representative's out-edges, targets as nodes
-	deps [][]int        // node -> nodes with an edge into it (set rule only)
+	d     *Dyn
+	cls   []int        // node -> class id
+	node  []int        // class id -> node, for live classes
+	off   []int        // node -> its first edge in edges; off[len(cls)] = len(edges)
+	edges []TaggedEdge // representatives' out-edges, targets as nodes
+	deps  [][]int      // node -> nodes with an edge into it (set rule only)
 
 	lbl  func(int) int // the nested build's current quotient labeling
 	comp func(int) int // slot -> lbl(node of the slot's class)
 }
 
 func (d *Dyn) newQuotient() *quotient {
-	q := &quotient{d: d, node: make([]int, len(d.members))}
-	q.cls = make([]int, 0, d.liveClasses)
+	q := &d.quot
+	if q.d == nil {
+		q.d = d
+		q.comp = func(v int) int { return q.lbl(q.node[d.label[v]]) }
+	}
+	q.node = fit(q.node, len(d.members))
+	q.cls = q.cls[:0]
 	for c, m := range d.members {
 		if len(m) > 0 {
 			q.node[c] = len(q.cls)
 			q.cls = append(q.cls, c)
 		}
 	}
-	q.out = make([][]TaggedEdge, len(q.cls))
+	q.off = fit(q.off, len(q.cls)+1)
+	q.edges = q.edges[:0]
 	for n, c := range q.cls {
-		es := d.s.OutEdges(d.members[c][0])
-		for k := range es {
-			es[k].To = q.node[d.label[es[k].To]]
+		q.off[n] = len(q.edges)
+		q.edges = d.s.AppendOutEdges(q.edges, d.members[c][0])
+		for k := q.off[n]; k < len(q.edges); k++ {
+			q.edges[k].To = q.node[d.label[q.edges[k].To]]
 		}
-		q.out[n] = es
 	}
-	q.comp = func(v int) int { return q.lbl(q.node[d.label[v]]) }
+	q.off[len(q.cls)] = len(q.edges)
 	return q
 }
 
@@ -671,17 +694,20 @@ func (d *Dyn) newQuotient() *quotient {
 // propagates splits along.
 func (q *quotient) linkDependents() {
 	q.deps = make([][]int, len(q.cls))
-	for n, es := range q.out {
-		for _, e := range es {
+	for n := range q.cls {
+		for _, e := range q.edges[q.off[n]:q.off[n+1]] {
 			q.deps[e.To] = append(q.deps[e.To], n)
 		}
 	}
 }
 
-func (q *quotient) Len() int                    { return len(q.cls) }
-func (q *quotient) InitKey(n int) string        { return q.d.initStr[q.d.cinit[q.cls[n]]] }
-func (q *quotient) OutEdges(n int) []TaggedEdge { return q.out[n] }
-func (q *quotient) Dependents(n int) []int      { return q.deps[n] }
+func (q *quotient) Len() int               { return len(q.cls) }
+func (q *quotient) InitKey(n int) string   { return q.d.initStr[q.d.cinit[q.cls[n]]] }
+func (q *quotient) Dependents(n int) []int { return q.deps[n] }
+
+func (q *quotient) AppendOutEdges(buf []TaggedEdge, n int) []TaggedEdge {
+	return append(buf, q.edges[q.off[n]:q.off[n+1]]...)
+}
 
 // AppendSignature encodes quotient node n as its representative's
 // signature under the composed labeling.
@@ -748,12 +774,12 @@ func (d *Dyn) build() UpdateStats {
 
 // allAlive views a static TokenStructure as a DynStructure with every
 // node alive. Only builds run over it, and a build never runs the merge
-// pass, so OutEdges and Counting are never called.
+// pass, so AppendOutEdges and Counting are never called.
 type allAlive struct{ TokenStructure }
 
-func (allAlive) Alive(int) bool            { return true }
-func (allAlive) OutEdges(int) []TaggedEdge { return nil }
-func (allAlive) Counting() bool            { return false }
+func (allAlive) Alive(int) bool                                      { return true }
+func (allAlive) AppendOutEdges(buf []TaggedEdge, _ int) []TaggedEdge { return buf }
+func (allAlive) Counting() bool                                      { return false }
 
 // partition returns the classes of a build over an allAlive view. A
 // build never empties a class and every slot is alive, so the labels and

@@ -66,12 +66,11 @@ func (m *dyndfa) AppendSignature(buf []uint64, i int, label func(int) int) []uin
 
 func (m *dyndfa) Dependents(i int) []int { return m.prev[i] }
 
-func (m *dyndfa) OutEdges(i int) []TaggedEdge {
-	out := make([]TaggedEdge, len(m.next[i]))
+func (m *dyndfa) AppendOutEdges(buf []TaggedEdge, i int) []TaggedEdge {
 	for sym, t := range m.next[i] {
-		out[sym] = TaggedEdge{To: t, Tag: sym}
+		buf = append(buf, TaggedEdge{To: t, Tag: sym})
 	}
-	return out
+	return buf
 }
 
 func (m *dyndfa) Counting() bool { return m.counting }
@@ -351,27 +350,23 @@ func (f fanDyn) Signature(i int, label func(int) int) string {
 }
 
 func (f fanDyn) AppendSignature(buf []uint64, i int, label func(int) int) []uint64 {
-	for _, e := range f.OutEdges(i) {
+	for _, e := range f.AppendOutEdges(nil, i) {
 		buf = append(buf, uint64(label(e.To)))
 	}
 	return buf
 }
 
-func (f fanDyn) OutEdges(i int) []TaggedEdge {
-	if i >= f.n {
-		return nil
+func (f fanDyn) AppendOutEdges(buf []TaggedEdge, i int) []TaggedEdge {
+	for d := 0; i < f.n && d < f.digits; d++ {
+		buf = append(buf, TaggedEdge{To: f.n + i>>(8*d)&255, Tag: d})
 	}
-	out := make([]TaggedEdge, f.digits)
-	for d := range out {
-		out[d] = TaggedEdge{To: f.n + i>>(8*d)&255, Tag: d}
-	}
-	return out
+	return buf
 }
 
 func (f fanDyn) Dependents(i int) []int {
 	var out []int
 	for x := 0; i >= f.n && x < f.n; x++ {
-		for _, e := range f.OutEdges(x) {
+		for _, e := range f.AppendOutEdges(nil, x) {
 			if e.To == i {
 				out = append(out, x)
 			}

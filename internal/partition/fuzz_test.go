@@ -1,6 +1,9 @@
 package partition
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // dfaFromBytes decodes an arbitrary byte string into a small DFA over a
 // two-symbol alphabet: byte 0 sizes the machine, then each state reads
@@ -28,9 +31,12 @@ func dfaFromBytes(data []byte) *dfa {
 	return newDFA(accept, next)
 }
 
-// FuzzInternedSignatures cross-checks the interned token signature path
-// of the worklist driver against the naive refinement oracle on
-// fuzzer-shaped DFAs: the relation must match FixpointNaive.
+// FuzzInternedSignatures cross-checks the interned token signature
+// paths against the naive refinement oracle on fuzzer-shaped DFAs: the
+// worklist driver and FixpointHopcroft must give FixpointNaive's
+// relation. One refiner is also reused over the input's DFA, a smaller
+// one decoded from its second half and the first again, and each run
+// must give the fresh FixpointHopcroft's class ids and RoundHook stream.
 func FuzzInternedSignatures(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{3, 1, 0, 1, 0, 2, 2, 1, 1, 0})
@@ -49,6 +55,21 @@ func FuzzInternedSignatures(f *testing.F) {
 		if !SameRelation(tok, oracle) {
 			t.Fatalf("interned relation %v differs from naive oracle %v (n=%d)",
 				tok.Labels(), oracle.Labels(), d.Len())
+		}
+		hop, err := FixpointHopcroft(d, nil)
+		if err != nil {
+			t.Fatalf("hopcroft: %v", err)
+		}
+		if !SameRelation(hop, oracle) {
+			t.Fatalf("hopcroft relation %v differs from naive oracle %v (n=%d)",
+				hop.Labels(), oracle.Labels(), d.Len())
+		}
+		var r refiner
+		for k, dd := range []*dfa{d, dfaFromBytes(data[len(data)/2:]), d} {
+			fresh := runHopcroft(FixpointHopcroft, dd)
+			if reused := runHopcroft(r.run, dd); !reflect.DeepEqual(reused, fresh) {
+				t.Fatalf("run %d (n=%d): reused refiner gave %+v, fresh %+v", k, dd.Len(), reused, fresh)
+			}
 		}
 	})
 }

@@ -1,10 +1,8 @@
 package partition
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // TaggedEdge is a directed, integer-tagged edge: the color of From (the
@@ -30,8 +28,11 @@ type CountStructure interface {
 	Len() int
 	// InitKey returns the initial-coloring key of node i.
 	InitKey(i int) string
-	// OutEdges returns node i's dependency edges. Called once per node.
-	OutEdges(i int) []TaggedEdge
+	// AppendOutEdges appends node i's dependency edges to buf and
+	// returns the extended slice, as AppendSignature does for tokens:
+	// the drivers read every node's edges into one backing array they
+	// reuse. Implementations must not retain buf.
+	AppendOutEdges(buf []TaggedEdge, i int) []TaggedEdge
 }
 
 // segments is the classic Hopcroft partition structure: a permutation of
@@ -45,49 +46,6 @@ type segments struct {
 	start   []int // class id -> first index of its segment
 	length  []int // class id -> segment length
 	carved  []int // class id -> nodes carved off the segment front (scratch)
-}
-
-func newSegments(keys []string) *segments {
-	n := len(keys)
-	// A partition of n nodes has at most n classes, so the per-class
-	// slices are sized once and carving never regrows them.
-	s := &segments{
-		order:   make([]int, n),
-		pos:     make([]int, n),
-		classOf: make([]int, n),
-		start:   make([]int, 0, n),
-		length:  make([]int, 0, n),
-		carved:  make([]int, 0, n),
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if keys[idx[a]] != keys[idx[b]] {
-			return keys[idx[a]] < keys[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	for i, node := range idx {
-		s.order[i] = node
-		s.pos[node] = i
-	}
-	for i := 0; i < n; {
-		j := i
-		for j < n && keys[idx[j]] == keys[idx[i]] {
-			j++
-		}
-		c := len(s.start)
-		s.start = append(s.start, i)
-		s.length = append(s.length, j-i)
-		s.carved = append(s.carved, 0)
-		for k := i; k < j; k++ {
-			s.classOf[idx[k]] = c
-		}
-		i = j
-	}
-	return s
 }
 
 // moveToFront swaps node x to the carved prefix of its class segment.
@@ -119,6 +77,52 @@ func (s *segments) finishCarve(c int) int {
 	return nc
 }
 
+// fit returns s resized to n zeroed elements, reusing its storage when
+// it is large enough.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// refiner holds every array of a Hopcroft run, so a caller that refines
+// repeatedly (Dyn's merge pass) allocates nothing once its refiner has
+// seen a structure as large as the current one. Each run resets the
+// state it reads before reading it, so a failed run leaves nothing
+// behind. The returned Partition aliases the refiner and is valid until
+// its next run.
+type refiner struct {
+	seg    segments
+	keyID  map[string]int // init key -> first-appearance id
+	keys   []string       // distinct init keys
+	rank   []int          // first-appearance id -> rank in key order
+	off    []int          // node -> first out-edge in out; off[n] = m
+	out    []TaggedEdge   // every node's out-edges, node by node
+	revOff []int          // node -> first in-edge in rev; revOff[n] = m
+	rev    []TaggedEdge   // (x, tag) per edge x --tag--> y, grouped by y
+
+	inQueue []bool
+	queue   []int
+	// Splitter scratch: touched holds class<<32 | node of every node
+	// with edges into the splitter (nodes and class ids stay below
+	// 2^32), and node x's tags into it are tags[off[x]:off[x]+ntags[x]];
+	// x has at most off[x+1]-off[x] of them, so the windows never
+	// overlap. groups[id] lists the members whose interned tag multiset
+	// got dense id `id`.
+	touched []uint64
+	ntags   []int
+	tags    []uint64
+	tab     SigTable
+	groups  [][]int
+
+	part    Partition
+	remap   []int
+	members []int // backing of part.members
+}
+
 // FixpointHopcroft computes the coarsest stable partition of s with the
 // smaller-half splitter strategy of Hopcroft [H71], as Theorem 5
 // prescribes: split work is proportional to the edges into the splitter
@@ -127,105 +131,62 @@ func (s *segments) finishCarve(c int) int {
 // processed O(log n) times per incident edge — O((n + m) log n) overall.
 //
 // Touched-member grouping interns sorted tag multisets through a
-// SigTable, so the hot loop compares small dense ints and reuses its
-// scratch arrays instead of formatting strings and allocating maps per
-// splitter.
+// SigTable, so the hot loop compares small dense ints. Every array of
+// the run lives in an unexported refiner; this entry point runs a fresh
+// one, and Dyn's merge pass keeps one and reuses its storage across
+// passes, so a warm pass allocates nothing.
 //
 // hook, when non-nil, fires once per splitter iteration that carved at
 // least one new class; quiet iterations (no edges into the splitter, or
 // no refinement) are skipped so observed runs stay proportional to
 // actual refinement work.
 func FixpointHopcroft(cs CountStructure, hook RoundHook) (*Partition, error) {
+	var r refiner
+	p, err := r.run(cs, hook)
+	if err != nil {
+		return nil, err
+	}
+	// A partition the caller keeps must not keep the run's other arrays.
+	return &Partition{label: p.label, members: p.members}, nil
+}
+
+func (r *refiner) run(cs CountStructure, hook RoundHook) (*Partition, error) {
 	n := cs.Len()
 	if n == 0 {
 		return nil, ErrEmptyStructure
 	}
-	keys := make([]string, n)
-	outs := make([][]TaggedEdge, n)
-	for i := 0; i < n; i++ {
-		keys[i] = cs.InitKey(i)
-		outs[i] = cs.OutEdges(i)
+	if err := r.readEdges(cs, n); err != nil {
+		return nil, err
 	}
-	seg := newSegments(keys)
-
-	// Reverse adjacency: rev[y] lists (x, tag) for each edge x --tag--> y.
-	// Counted first so the whole adjacency lives in one backing array.
-	deg := make([]int, n)
-	total := 0
-	for i := 0; i < n; i++ {
-		for _, e := range outs[i] {
-			if e.To < 0 || e.To >= n {
-				return nil, fmt.Errorf("partition: edge target %d out of range", e.To)
-			}
-			deg[e.To]++
-			total++
-		}
-	}
-	backing := make([]TaggedEdge, total)
-	rev := make([][]TaggedEdge, n)
-	off := 0
-	for y := 0; y < n; y++ {
-		rev[y] = backing[off : off : off+deg[y]]
-		off += deg[y]
-	}
-	for i := 0; i < n; i++ {
-		for _, e := range outs[i] {
-			rev[e.To] = append(rev[e.To], TaggedEdge{To: i, Tag: e.Tag})
-		}
-	}
-
-	inQueue := make([]bool, len(seg.start), 2*n)
-	queue := make([]int, 0, 2*n)
-	enqueue := func(c int) {
-		for c >= len(inQueue) {
-			inQueue = append(inQueue, false)
-		}
-		if !inQueue[c] {
-			inQueue[c] = true
-			queue = append(queue, c)
-		}
-	}
+	r.initSegments(cs, n)
+	seg := &r.seg
+	r.inQueue = fit(r.inQueue, n) // a partition of n nodes has at most n classes
+	r.queue = r.queue[:0]
 	for c := range seg.start {
-		enqueue(c)
+		r.enqueue(c)
 	}
+	r.ntags = fit(r.ntags, n)
+	r.tags = fit(r.tags, len(r.out))
 
-	// Reusable scratch, cleared after each splitter: nodeTags[x] holds
-	// the tags of x's edges into the current splitter, groups[id] the
-	// members whose interned tag multiset got dense id `id`.
-	var (
-		tab     SigTable
-		tokBuf  []uint64
-		touched []int
-		groups  [][]int
-	)
-	inTouched := make([]bool, n)
-	// x has at most len(outs[x]) edges into any splitter, so nodeTags
-	// windows carved from one edge-count-sized array never regrow.
-	nodeTags := make([][]int, n)
-	tagBacking := make([]int, total)
-	off = 0
-	for x := 0; x < n; x++ {
-		nodeTags[x] = tagBacking[off : off : off+len(outs[x])]
-		off += len(outs[x])
-	}
-
-	for head := 0; head < len(queue); head++ {
-		splitter := queue[head]
-		inQueue[splitter] = false
+	for head := 0; head < len(r.queue); head++ {
+		splitter := r.queue[head]
+		r.inQueue[splitter] = false
 		classesBefore := len(seg.start)
 
 		// Gather the nodes with edges into the splitter and their tags.
-		touched = touched[:0]
+		touched := r.touched[:0]
 		for i := seg.start[splitter]; i < seg.start[splitter]+seg.length[splitter]; i++ {
 			y := seg.order[i]
-			for _, e := range rev[y] {
-				if !inTouched[e.To] {
-					inTouched[e.To] = true
-					touched = append(touched, e.To)
+			for _, e := range r.rev[r.revOff[y]:r.revOff[y+1]] {
+				x := e.To
+				if r.ntags[x] == 0 {
+					touched = append(touched, uint64(seg.classOf[x])<<32|uint64(x))
 				}
-				nodeTags[e.To] = append(nodeTags[e.To], e.Tag)
+				r.tags[r.off[x]+r.ntags[x]] = uint64(int64(e.Tag))
+				r.ntags[x]++
 			}
 		}
+		r.touched = touched
 		if len(touched) == 0 {
 			continue
 		}
@@ -233,13 +194,11 @@ func FixpointHopcroft(cs CountStructure, hook RoundHook) (*Partition, error) {
 		// Group touched nodes by class, deterministically: classes in
 		// ascending id, members ascending. Carving a class relabels only
 		// its own members, so the runs found before carving stay valid.
-		slices.SortFunc(touched, func(x, y int) int {
-			return cmp.Or(cmp.Compare(seg.classOf[x], seg.classOf[y]), cmp.Compare(x, y))
-		})
+		slices.Sort(touched)
 		for lo := 0; lo < len(touched); {
-			c := seg.classOf[touched[lo]]
+			c := int(touched[lo] >> 32)
 			hi := lo + 1
-			for hi < len(touched) && seg.classOf[touched[hi]] == c {
+			for hi < len(touched) && int(touched[hi]>>32) == c {
 				hi++
 			}
 			xs := touched[lo:hi]
@@ -249,25 +208,22 @@ func FixpointHopcroft(cs CountStructure, hook RoundHook) (*Partition, error) {
 			}
 			// Group the touched members by interned tag-multiset id; ids
 			// are dense per class in first-appearance order.
-			tab.Reset()
+			r.tab.Reset()
 			ngroups := 0
-			for _, x := range xs {
-				tags := nodeTags[x]
-				sort.Ints(tags)
-				tokBuf = tokBuf[:0]
-				for _, t := range tags {
-					tokBuf = append(tokBuf, uint64(int64(t)))
-				}
-				id := tab.Intern(tokBuf)
+			for _, key := range xs {
+				x := int(uint32(key))
+				tags := r.tags[r.off[x] : r.off[x]+r.ntags[x]]
+				slices.Sort(tags)
+				id := r.tab.Intern(tags)
 				if id == ngroups {
-					if ngroups < len(groups) {
-						groups[ngroups] = groups[ngroups][:0]
+					if ngroups < len(r.groups) {
+						r.groups[ngroups] = r.groups[ngroups][:0]
 					} else {
-						groups = append(groups, nil)
+						r.groups = append(r.groups, nil)
 					}
 					ngroups++
 				}
-				groups[id] = append(groups[id], x)
+				r.groups[id] = append(r.groups[id], x)
 			}
 			untouched := seg.length[c] - len(xs)
 			if untouched == 0 && ngroups == 1 {
@@ -280,12 +236,12 @@ func FixpointHopcroft(cs CountStructure, hook RoundHook) (*Partition, error) {
 			largestID := -1
 			largestSize := untouched
 			for id := 0; id < ngroups; id++ {
-				if len(groups[id]) > largestSize {
-					largestSize = len(groups[id])
+				if len(r.groups[id]) > largestSize {
+					largestSize = len(r.groups[id])
 					largestID = id
 				}
 			}
-			wasQueued := inQueue[c]
+			wasQueued := r.inQueue[c]
 
 			// Carve every touched group except, when the remainder is
 			// empty, the largest touched group (something must keep the
@@ -301,17 +257,14 @@ func FixpointHopcroft(cs CountStructure, hook RoundHook) (*Partition, error) {
 				if id == skipID {
 					continue
 				}
-				for _, x := range groups[id] {
+				for _, x := range r.groups[id] {
 					seg.moveToFront(x)
 				}
 				nc := seg.finishCarve(c)
-				for nc >= len(inQueue) {
-					inQueue = append(inQueue, false)
-				}
 				// Queue policy: if c was pending, every part must be a
 				// splitter; otherwise all parts except the largest.
 				if wasQueued || id != largestID {
-					enqueue(nc)
+					r.enqueue(nc)
 				}
 			}
 			if wasQueued {
@@ -322,39 +275,140 @@ func FixpointHopcroft(cs CountStructure, hook RoundHook) (*Partition, error) {
 			// be enqueued too.
 			remainderIsLargest := (skipID == -1 && largestID == -1) || (skipID != -1 && skipID == largestID)
 			if !remainderIsLargest {
-				enqueue(c)
+				r.enqueue(c)
 			}
 		}
 
-		for _, x := range touched {
-			inTouched[x] = false
-			nodeTags[x] = nodeTags[x][:0]
+		for _, key := range touched {
+			r.ntags[uint32(key)] = 0
 		}
 		if hook != nil && len(seg.start) > classesBefore {
 			hook(head+1, len(seg.start), len(seg.start)-classesBefore)
 		}
 	}
+	return r.partition(n), nil
+}
 
-	// Convert segments into a Partition with deterministic ids: classes
-	// numbered by first member, member lists ascending, all carved from
-	// one backing array sized by the segment lengths.
-	p := &Partition{label: make([]int, n), members: make([][]int, 0, len(seg.start))}
-	remap := make([]int, len(seg.start))
-	for c := range remap {
-		remap[c] = -1
+func (r *refiner) enqueue(c int) {
+	if !r.inQueue[c] {
+		r.inQueue[c] = true
+		r.queue = append(r.queue, c)
 	}
-	memberBacking := make([]int, n)
+}
+
+// readEdges appends every node's out-edges into one array and builds the
+// reverse adjacency in another, each node's run of in-edges ascending by
+// source as the edges were read.
+func (r *refiner) readEdges(cs CountStructure, n int) error {
+	r.off = fit(r.off, n+1)
+	r.out = r.out[:0]
+	for i := 0; i < n; i++ {
+		r.off[i] = len(r.out)
+		r.out = cs.AppendOutEdges(r.out, i)
+	}
+	m := len(r.out)
+	r.off[n] = m
+	r.revOff = fit(r.revOff, n+1)
+	for _, e := range r.out {
+		if e.To < 0 || e.To >= n {
+			return fmt.Errorf("partition: edge target %d out of range", e.To)
+		}
+		r.revOff[e.To]++
+	}
+	// Prefix sums make revOff[y] the end of y's run; filling each run
+	// backwards from its end leaves revOff[y] at its start.
+	for y := 1; y <= n; y++ {
+		r.revOff[y] += r.revOff[y-1]
+	}
+	r.rev = fit(r.rev, m)
+	for x := n - 1; x >= 0; x-- {
+		for k := r.off[x+1] - 1; k >= r.off[x]; k-- {
+			e := r.out[k]
+			r.revOff[e.To]--
+			r.rev[r.revOff[e.To]] = TaggedEdge{To: x, Tag: e.Tag}
+		}
+	}
+	return nil
+}
+
+// initSegments lays out the initial partition: one class per distinct
+// init key, numbered in key order, each segment holding its nodes
+// ascending. The keys are interned to dense ids and only the distinct
+// ones are sorted; a counting sort then places the nodes.
+func (r *refiner) initSegments(cs CountStructure, n int) {
+	seg := &r.seg
+	if r.keyID == nil {
+		r.keyID = make(map[string]int)
+	}
+	clear(r.keyID)
+	r.keys = r.keys[:0]
+	seg.classOf = fit(seg.classOf, n)
+	for i := 0; i < n; i++ {
+		k := cs.InitKey(i)
+		id, ok := r.keyID[k]
+		if !ok {
+			id = len(r.keys)
+			r.keyID[k] = id
+			r.keys = append(r.keys, k)
+		}
+		seg.classOf[i] = id
+	}
+	k := len(r.keys)
+	r.rank = fit(r.rank, k)
+	slices.Sort(r.keys)
+	for rank, key := range r.keys {
+		r.rank[r.keyID[key]] = rank
+	}
+	// Carving appends a class per split, at most n in all, so the
+	// per-class arrays get capacity n once and never regrow.
+	seg.start = slices.Grow(seg.start[:0], n)[:k]
+	seg.length = fit(slices.Grow(seg.length[:0], n), k)
+	seg.carved = fit(slices.Grow(seg.carved[:0], n), k)
+	for i := 0; i < n; i++ {
+		c := r.rank[seg.classOf[i]]
+		seg.classOf[i] = c
+		seg.length[c]++
+	}
+	for c, at := 0, 0; c < k; c++ {
+		seg.start[c] = at
+		at += seg.length[c]
+	}
+	// carved serves as each class's fill cursor, and is zero again after.
+	seg.order = fit(seg.order, n)
+	seg.pos = fit(seg.pos, n)
+	for i := 0; i < n; i++ {
+		c := seg.classOf[i]
+		at := seg.start[c] + seg.carved[c]
+		seg.carved[c]++
+		seg.order[at], seg.pos[i] = i, at
+	}
+	clear(seg.carved)
+}
+
+// partition converts the segments into a Partition with deterministic
+// ids: classes numbered by first member, member lists ascending, all
+// carved from one backing array sized by the segment lengths.
+func (r *refiner) partition(n int) *Partition {
+	seg := &r.seg
+	p := &r.part
+	p.label = fit(p.label, n)
+	p.members = slices.Grow(p.members[:0], len(seg.start))
+	r.members = fit(r.members, n)
+	r.remap = fit(r.remap, len(seg.start))
+	for c := range r.remap {
+		r.remap[c] = -1
+	}
 	used := 0
 	for i := 0; i < n; i++ {
 		c := seg.classOf[i]
-		if remap[c] < 0 {
-			remap[c] = len(p.members)
-			p.members = append(p.members, memberBacking[used:used:used+seg.length[c]])
+		if r.remap[c] < 0 {
+			r.remap[c] = len(p.members)
+			p.members = append(p.members, r.members[used:used:used+seg.length[c]])
 			used += seg.length[c]
 		}
-		id := remap[c]
+		id := r.remap[c]
 		p.label[i] = id
 		p.members[id] = append(p.members[id], i)
 	}
-	return p, nil
+	return p
 }

@@ -4,17 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
 
 // dfa implements CountStructure as well: transitions become tagged edges.
-func (d *dfa) OutEdges(i int) []TaggedEdge {
-	out := make([]TaggedEdge, 0, len(d.next[i]))
+func (d *dfa) AppendOutEdges(buf []TaggedEdge, i int) []TaggedEdge {
 	for sym, t := range d.next[i] {
-		out = append(out, TaggedEdge{To: t, Tag: sym})
+		buf = append(buf, TaggedEdge{To: t, Tag: sym})
 	}
-	return out
+	return buf
 }
 
 func TestHopcroftMinimizesDFA(t *testing.T) {
@@ -118,19 +118,96 @@ func BenchmarkHopcroftChain(b *testing.B) {
 	}
 }
 
+// randomDFA draws an n-state DFA over the given number of symbols.
+func randomDFA(rng *rand.Rand, n, symbols int) *dfa {
+	accept := make([]bool, n)
+	next := make([][]int, n)
+	for s := range next {
+		accept[s] = rng.Intn(2) == 0
+		next[s] = make([]int, symbols)
+		for j := range next[s] {
+			next[s][j] = rng.Intn(n)
+		}
+	}
+	return newDFA(accept, next)
+}
+
+// badTail is a DFA whose last state also has an edge past the node
+// range, so a run reads every edge before it fails.
+type badTail struct{ *dfa }
+
+func (b badTail) AppendOutEdges(buf []TaggedEdge, i int) []TaggedEdge {
+	buf = b.dfa.AppendOutEdges(buf, i)
+	if i == b.Len()-1 {
+		buf = append(buf, TaggedEdge{To: b.Len(), Tag: 1})
+	}
+	return buf
+}
+
+// hopcroftRun is one refinement's observable output: its labels, its
+// RoundHook stream and whether it failed.
+type hopcroftRun struct {
+	labels []int
+	hooks  [][3]int
+	failed bool
+}
+
+func runHopcroft(run func(CountStructure, RoundHook) (*Partition, error), cs CountStructure) hopcroftRun {
+	var out hopcroftRun
+	p, err := run(cs, func(round, classes, splits int) {
+		out.hooks = append(out.hooks, [3]int{round, classes, splits})
+	})
+	if out.failed = err != nil; !out.failed {
+		out.labels = p.Labels()
+	}
+	return out
+}
+
+// TestRefinerReuseMatchesFresh runs one refiner big, failing, small and
+// big again, the way Dyn's merge pass reuses it across quotients of
+// changing size. Every run must equal a fresh FixpointHopcroft in class
+// ids, RoundHook stream and failure: a flag, tag count or queue entry
+// left over from an earlier run would show as a difference.
+func TestRefinerReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	runs := []CountStructure{
+		randomDFA(rng, 400, 3),
+		badTail{randomDFA(rng, 450, 2)},
+		randomDFA(rng, 6, 2),
+		chainDFA(300),
+		randomDFA(rng, 3, 1),
+		randomDFA(rng, 500, 2),
+		modDFA(7, 3),
+	}
+	var r refiner
+	for k, cs := range runs {
+		want := runHopcroft(FixpointHopcroft, cs)
+		got := runHopcroft(r.run, cs)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d (n=%d): reused refiner gave %+v, fresh %+v", k, cs.Len(), got, want)
+		}
+		if k == 1 && !got.failed {
+			t.Fatalf("run %d: out-of-range edge accepted", k)
+		}
+	}
+}
+
 // badEdgeStructure has an edge pointing outside the node range.
 type badEdgeStructure struct{}
 
-func (badEdgeStructure) Len() int                  { return 1 }
-func (badEdgeStructure) InitKey(int) string        { return "x" }
-func (badEdgeStructure) OutEdges(int) []TaggedEdge { return []TaggedEdge{{To: 5, Tag: 0}} }
+func (badEdgeStructure) Len() int           { return 1 }
+func (badEdgeStructure) InitKey(int) string { return "x" }
+func (badEdgeStructure) AppendOutEdges(buf []TaggedEdge, _ int) []TaggedEdge {
+	return append(buf, TaggedEdge{To: 5, Tag: 0})
+}
 
-// OutEdges makes the chain a CountStructure: node i reads node i+1.
-func (c chainStructure) OutEdges(i int) []TaggedEdge {
+// AppendOutEdges makes the chain a CountStructure: node i reads node
+// i+1.
+func (c chainStructure) AppendOutEdges(buf []TaggedEdge, i int) []TaggedEdge {
 	if i == c.n-1 {
-		return nil
+		return buf
 	}
-	return []TaggedEdge{{To: i + 1}}
+	return append(buf, TaggedEdge{To: i + 1})
 }
 
 // TestRoundHookContract pins the RoundHook contract for both drivers on

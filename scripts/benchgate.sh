@@ -5,8 +5,9 @@
 #
 # Two classes of check, with very different tolerances:
 #   * allocs/op is host-independent and pinned tightly: at most
-#     baseline*1.10+2, and BenchmarkFingerprint/warm must be exactly 0
-#     (the arena's whole contract).
+#     baseline*1.10+2, and BenchmarkFingerprint/warm and
+#     BenchmarkSigTable/warm must be exactly 0 (the arena's and the
+#     warm signature table's whole contract).
 #   * ns/op varies wildly across CI hosts, so it only gates
 #     order-of-magnitude regressions: fail at > baseline*4. Real
 #     performance work is measured with interleaved same-host A/B runs
@@ -19,6 +20,7 @@ OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
 
 go test -run '^$' -bench 'BenchmarkFingerprint/warm' -benchtime 2000x ./internal/machine/ | tee -a "$OUT"
+go test -run '^$' -bench 'BenchmarkSigTable/warm' -benchtime 2000x ./internal/partition/ | tee -a "$OUT"
 go test -run '^$' -bench 'BenchmarkCheckThroughput/(seq|sym)$' -benchtime 10x ./internal/mc/ | tee -a "$OUT"
 go test -run '^$' -bench 'BenchmarkChurnSplice/n=1024$' -benchtime 2000x . | tee -a "$OUT"
 go test -run '^$' -bench 'BenchmarkChurnTree/n=1000$' -benchtime 1000x . | tee -a "$OUT"
