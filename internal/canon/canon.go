@@ -20,7 +20,6 @@
 package canon
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -311,9 +310,9 @@ func AppendLenPrefixed(buf []byte, s string) []byte {
 }
 
 // HashBytes returns the 64-bit FNV-1a hash of b. It is the byte-slice
-// companion of Hash/HashTokens: the model checker's visited index keys
-// its buckets on it and confirms hits by comparing the exact encodings,
-// so hash quality affects only speed, never correctness.
+// companion of Hash/HashTokens: the model checker's component table
+// keys its buckets on it and confirms hits by comparing the exact
+// windows, so hash quality affects only speed, never correctness.
 func HashBytes(b []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -327,200 +326,19 @@ func HashBytes(b []byte) uint64 {
 	return h
 }
 
-// State-key delta encoding.
-//
-// A model-checker state key (machine.AppendStateKey) is a sequence of
-// uvarint-length-prefixed components — one per processor frame and one
-// per shared variable. Successive BFS states differ in very few
-// components (one stepped frame, at most a couple of touched variables),
-// so a key can be stored as a patch against a nearby ancestor key: the
-// delta encodes only the components that differ. The encoding is
-//
-//	uvarint(changed) (uvarint(index) component)*
-//
-// where each component is its original self-delimiting length-prefixed
-// unit and indices are strictly increasing. The codec is deterministic:
-// equal (base, key) pairs always produce byte-identical deltas, and
-// ApplyKeyDelta(base, AppendKeyDelta(base, key)) == key exactly. The
-// model checker's visited index stores a key this way whenever the delta
-// against its BFS parent's keyframe is at most half the key's size.
-
-// keyUnitEnd returns the end offset of the length-prefixed unit starting
-// at off, or -1 when the framing is malformed.
-func keyUnitEnd(key []byte, off int) int {
-	n, w := binary.Uvarint(key[off:])
-	if w <= 0 {
-		return -1
-	}
-	end := off + w + int(n)
-	if end > len(key) {
-		return -1
-	}
-	return end
-}
-
-// AppendKeyDelta appends to dst a delta encoding key relative to base
-// and returns the extended slice. ok is false — and dst is returned
-// unchanged — when the two keys are not comparable (different component
-// counts or malformed framing); the caller should then store key in
-// full. An empty delta (changed=0) is valid and means key == base.
-func AppendKeyDelta(dst, base, key []byte) (out []byte, ok bool) {
-	// Two passes over the framing: count the changed components (the
-	// uvarint count prefix must be emitted first), then emit the patches.
-	mark := len(dst)
-	var changed uint64
-	bo, ko := 0, 0
-	for bo < len(base) && ko < len(key) {
-		be, ke := keyUnitEnd(base, bo), keyUnitEnd(key, ko)
-		if be < 0 || ke < 0 {
-			return dst[:mark], false
-		}
-		if !bytes.Equal(base[bo:be], key[ko:ke]) {
-			changed++
-		}
-		bo, ko = be, ke
-	}
-	if bo != len(base) || ko != len(key) {
-		// Component counts differ or trailing garbage.
-		return dst[:mark], false
-	}
-	dst = binary.AppendUvarint(dst, changed)
-	bo, ko = 0, 0
-	idx := uint64(0)
-	for bo < len(base) && ko < len(key) {
-		be, ke := keyUnitEnd(base, bo), keyUnitEnd(key, ko)
-		if !bytes.Equal(base[bo:be], key[ko:ke]) {
-			dst = binary.AppendUvarint(dst, idx)
-			dst = append(dst, key[ko:ke]...)
-		}
-		bo, ko = be, ke
-		idx++
-	}
-	return dst, true
-}
-
-// ApplyKeyDelta appends to dst the key encoded by delta relative to base
-// and returns the extended slice. It is the exact inverse of
-// AppendKeyDelta for the (base, key) pair that produced delta.
-func ApplyKeyDelta(dst, base, delta []byte) ([]byte, error) {
-	changed, w := binary.Uvarint(delta)
-	if w <= 0 {
-		return dst, fmt.Errorf("canon: key delta: bad count")
-	}
-	do := w
-	nextIdx, haveNext := uint64(0), false
-	advance := func() error {
-		if changed == 0 {
-			haveNext = false
-			return nil
-		}
-		i, w := binary.Uvarint(delta[do:])
-		if w <= 0 {
-			return fmt.Errorf("canon: key delta: bad index")
-		}
-		do += w
-		nextIdx, haveNext = i, true
-		changed--
-		return nil
-	}
-	if err := advance(); err != nil {
-		return dst, err
-	}
-	bo := 0
-	for idx := uint64(0); bo < len(base); idx++ {
-		be := keyUnitEnd(base, bo)
-		if be < 0 {
-			return dst, fmt.Errorf("canon: key delta: malformed base")
-		}
-		if haveNext && nextIdx == idx {
-			de := keyUnitEnd(delta, do)
-			if de < 0 {
-				return dst, fmt.Errorf("canon: key delta: malformed component")
-			}
-			dst = append(dst, delta[do:de]...)
-			do = de
-			if err := advance(); err != nil {
-				return dst, err
-			}
-		} else {
-			dst = append(dst, base[bo:be]...)
-		}
-		bo = be
-	}
-	if haveNext || do != len(delta) {
-		return dst, fmt.Errorf("canon: key delta: component index out of range")
-	}
-	return dst, nil
-}
-
-// KeyDeltaEqual reports whether applying delta to base yields exactly
-// key, without materializing the decoded result. It is the visited
-// index's hot dedup comparison: a streaming walk that memcmp-s patched
-// and copied components directly against the candidate key.
-func KeyDeltaEqual(base, delta, key []byte) bool {
-	changed, w := binary.Uvarint(delta)
-	if w <= 0 {
-		return false
-	}
-	do := w
-	nextIdx, haveNext := uint64(0), false
-	advance := func() bool {
-		if changed == 0 {
-			haveNext = false
-			return true
-		}
-		i, w := binary.Uvarint(delta[do:])
-		if w <= 0 {
-			return false
-		}
-		do += w
-		nextIdx, haveNext = i, true
-		changed--
-		return true
-	}
-	if !advance() {
-		return false
-	}
-	bo, ko := 0, 0
-	for idx := uint64(0); bo < len(base); idx++ {
-		be := keyUnitEnd(base, bo)
-		if be < 0 {
-			return false
-		}
-		var unit []byte
-		if haveNext && nextIdx == idx {
-			de := keyUnitEnd(delta, do)
-			if de < 0 {
-				return false
-			}
-			unit = delta[do:de]
-			do = de
-			if !advance() {
-				return false
-			}
-		} else {
-			unit = base[bo:be]
-		}
-		if ko+len(unit) > len(key) || !bytes.Equal(key[ko:ko+len(unit)], unit) {
-			return false
-		}
-		ko += len(unit)
-		bo = be
-	}
-	return !haveNext && do == len(delta) && ko == len(key)
-}
-
-// HashTokens returns a 64-bit hash of a uint64 token stream. Each step
+// HashTokens returns a 64-bit hash of a token stream of words. Each step
 // folds one whole token in (rotate, xor, multiply, as in FxHash) and a
 // final avalanche (MurmurHash3's fmix64) spreads every input bit into
 // the low bits, which open-addressed tables index by. It is the
 // token-stream companion of Hash: the partition package's SigTable
-// probes on it and resolves collisions by comparing the token sequences
-// themselves, so hash quality affects only speed, never correctness.
-func HashTokens(tokens []uint64) uint64 {
+// probes on it over uint64 signatures and the model checker's visited
+// index over uint32 component-id vectors, and both resolve collisions
+// by comparing the token sequences themselves, so hash quality affects
+// only speed, never correctness.
+func HashTokens[T uint32 | uint64](tokens []T) uint64 {
 	h := uint64(len(tokens))
 	for _, t := range tokens {
-		h = (bits.RotateLeft64(h, 5) ^ t) * 0x517cc1b727220a95
+		h = (bits.RotateLeft64(h, 5) ^ uint64(t)) * 0x517cc1b727220a95
 	}
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd

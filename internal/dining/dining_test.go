@@ -3,6 +3,7 @@ package dining
 import (
 	"testing"
 
+	"simsym/internal/mc"
 	"simsym/internal/system"
 )
 
@@ -127,6 +128,55 @@ func TestDP4FlippedIsCorrect(t *testing.T) {
 	}
 	if rep.ExclusionViolated != nil || rep.Deadlocked != nil {
 		t.Fatalf("flipped table of 4 should be correct: %+v", rep)
+	}
+}
+
+// TestE5FlippedFourCounts pins E5's two checks of the flipped table of
+// four (one meal each, plain and symmetry-reduced) to counts recorded
+// before the visited set moved to component-id vectors, in every engine
+// mode. Under reduction the stored orbit representative is the least id
+// vector, so these counts also pin that dedup depends only on orbit
+// identity, never on which representative is stored.
+func TestE5FlippedFourCounts(t *testing.T) {
+	s := table(t, 4, true)
+	prog, err := Program("left", "right", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type counts struct {
+		states                            int
+		transitions, dedupHits, selfLoops int64
+		depth, peakFrontier               int
+	}
+	plain := counts{41737, 152628, 110892, 14320, 53, 1936}
+	reduced := counts{10524, 38481, 27958, 3615, 53, 489}
+	for _, mode := range []struct {
+		name string
+		opts mc.Options
+		want counts
+	}{
+		{"seq", mc.Options{}, plain},
+		{"spill", mc.Options{HotIndexBytes: 1}, plain},
+		{"sym", mc.Options{SymmetryReduce: true}, reduced},
+		{"sym+spill", mc.Options{SymmetryReduce: true, HotIndexBytes: 1}, reduced},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			o := mode.opts
+			o.MaxStates = 10_000_000
+			o.SpillDir = t.TempDir()
+			rep, err := CheckWith(s, prog, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Complete || rep.ExclusionViolated != nil || rep.Deadlocked != nil {
+				t.Fatalf("flipped table of 4 must close safe: %+v", rep)
+			}
+			st := rep.Stats
+			got := counts{rep.StatesExplored, st.Transitions, st.DedupHits, st.SelfLoops, st.Depth, st.PeakFrontier}
+			if got != mode.want {
+				t.Errorf("counts = %+v, want %+v", got, mode.want)
+			}
+		})
 	}
 }
 

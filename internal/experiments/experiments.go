@@ -245,8 +245,9 @@ func E4DP5() (*Table, error) {
 // a shared-left or shared-right fork; the same uniform program is now
 // deadlock-free (model-checked) and everyone eats under round-robin.
 // With maxStates above the table's ~8.56M-state closure, the capacity
-// check (delta keys, spill allowed) closes the space exhaustively (the
-// bounded in-memory probe stays capped at 60k regardless).
+// check (collapse-compressed keys, spill allowed) closes the space
+// exhaustively (the bounded in-memory probe stays capped at 60k
+// regardless).
 func E5DP6(maxStates int) (*Table, error) {
 	t := &Table{
 		ID:     "E5",
@@ -295,7 +296,7 @@ func E5DP6(maxStates int) (*Table, error) {
 	t.AddRow("model check: dedup hits / states per second",
 		fmt.Sprintf("%d / %.0f", rep.Stats.DedupHits, rep.Stats.StatesPerSec))
 
-	// Capacity headline: BFS-parent delta keys plus a 256 MiB hot-index
+	// Capacity headline: component-id vectors plus a 256 MiB hot-index
 	// cap with disk spill close the full 8.56M-state table.
 	repCap, err := dining.CheckWith(s, prog, mc.Options{
 		MaxStates:     maxStates,
@@ -316,9 +317,8 @@ func E5DP6(maxStates int) (*Table, error) {
 	t.AddRow("capacity check: states/sec",
 		fmt.Sprintf("%.0f (one goroutine, %s elapsed)", repCap.Stats.StatesPerSec, repCap.Stats.Elapsed.Round(time.Millisecond)))
 	t.AddRow("capacity check: peak bytes/state",
-		fmt.Sprintf("%s (delta-encoded %d of %d states, key bytes %d stored / %d logical, %d spilled)",
-			bytesPerState, repCap.Stats.DeltaStates, repCap.StatesExplored,
-			repCap.Stats.StoredKeyBytes, repCap.Stats.LogicalKeyBytes, repCap.Stats.SpilledBytes))
+		fmt.Sprintf("%s (key bytes %d stored as id vectors + windows / %d logical, %d spilled)",
+			bytesPerState, repCap.Stats.StoredKeyBytes, repCap.Stats.LogicalKeyBytes, repCap.Stats.SpilledBytes))
 
 	mealProg, err := dining.Program("left", "right", 3)
 	if err != nil {

@@ -186,7 +186,8 @@ type Machine struct {
 	// to spansOwned runs through it, so a spansOwned — a fortiori
 	// arenaOwned — machine never carries pendings and cache fills may
 	// write bits directly). A fixed array, copied wholesale by clone and
-	// detach; overflow falls back to an immediate apply.
+	// detach; overflow falls back to an immediate apply. The list doubles
+	// as the touched set Touched reports to the model checker.
 	stale  [8]int32
 	nStale int8
 
@@ -228,7 +229,7 @@ type Machine struct {
 
 	// slab, when non-nil, is a caller-owned bump allocator the cow paths
 	// carve fresh arrays from instead of calling make — the model checker
-	// sets it on kept machines so priming a whole BFS level costs a few
+	// sets it on kept machines so settling a whole BFS level costs a few
 	// chunk allocations, not five per state. Never shared with concurrent
 	// steppers: cloneInto strips it from children.
 	slab *Slab
@@ -242,11 +243,11 @@ type Machine struct {
 // Chunks are recycled generationally: Recycle retires everything carved
 // since the previous Recycle and makes the generation before that
 // reusable. The model checker calls Recycle at each BFS level boundary,
-// which matches machine lifetime exactly — machines primed while
+// which matches machine lifetime exactly — machines settled while
 // expanding level L die when level L+1 finishes expanding, two
-// boundaries later. PrimeFingerprints guarantees the lifetime premise
-// by privatizing every mutable group, so no machine ever references a
-// slab chunk of an older generation than its own.
+// boundaries later. Settle guarantees the lifetime premise by
+// privatizing every mutable group, so no machine ever references a slab
+// chunk of an older generation than its own.
 type Slab struct {
 	frames slabPool[Frame]
 	anys   slabPool[any]
@@ -254,7 +255,6 @@ type Slab struct {
 	bools  slabPool[bool]
 	spans  slabPool[fpSpan]
 	words  slabPool[uint64]
-	bytes  slabPool[byte]
 }
 
 // Recycle advances the slab's generations at a point where the caller
@@ -270,7 +270,6 @@ func (s *Slab) Recycle() {
 	s.bools.rotate(true)
 	s.spans.rotate(false)
 	s.words.rotate(false)
-	s.bytes.rotate(false)
 }
 
 // slabPool is one element type's chunk store: a bump tail plus three
@@ -322,7 +321,7 @@ func (p *slabPool[T]) rotate(clearChunks bool) {
 // SetSlab points the machine's copy-on-write allocations at a
 // caller-owned slab. The caller must guarantee that machines sharing a
 // slab never allocate concurrently; the model checker satisfies this by
-// priming kept machines one at a time on its checking goroutine.
+// settling kept machines one at a time on its checking goroutine.
 func (m *Machine) SetSlab(s *Slab) { m.slab = s }
 
 // isSharedKind reports whether the opcode addresses a shared variable.
@@ -435,9 +434,9 @@ func (m *Machine) cowVars() {
 }
 
 // cowSpans makes the fingerprint bookkeeping arrays (spans, valid)
-// private to this machine. Split from the value groups so the per-step
-// cache invalidation and PrimeFingerprints' offset rewrite copy two
-// small pointer-free arrays, not the frame and variable values.
+// private to this machine. Split from the value groups so folding cache
+// invalidations and rewriting span offsets copy two small pointer-free
+// arrays, not the frame and variable values.
 func (m *Machine) cowSpans() {
 	if m.spansOwned {
 		return
@@ -596,7 +595,7 @@ func (m *Machine) markStale(c int) {
 
 // applyStales privatizes the span group and folds the deferred
 // invalidations into the validity bitmask. It is the gateway to
-// spansOwned: rebuildArena and the stale overflow path both come
+// spansOwned: Settle, rebuildArena and the stale overflow path all come
 // through here, so an owned span group never coexists with pendings.
 func (m *Machine) applyStales() {
 	m.cowSpans()
@@ -604,6 +603,46 @@ func (m *Machine) applyStales() {
 		m.valid[c>>6] &^= 1 << uint(c&63)
 	}
 	m.nStale = 0
+}
+
+// Touched returns the components the machine has changed since it was
+// cloned: processor p is component p and variable v is component
+// NumProcs()+v, the state key's order. Every mutation records the
+// components it writes in the pending-invalidation list this reads, so a
+// component not listed is unchanged since the clone; a listed one may
+// still hold its old value (a jump back to its own pc). A clone of a
+// settled machine lists exactly its own mutations — a step touches one
+// frame and at most one variable. ok is false when the machine cannot
+// tell: its span group is private (fresh from New, settled, or
+// privatized by a mutation), so invalidations went straight to the
+// validity mask. The slice aliases the machine and is valid until its
+// next mutation.
+func (m *Machine) Touched() (comps []int32, ok bool) {
+	if m.spansOwned {
+		return nil, false
+	}
+	return m.stale[:m.nStale], true
+}
+
+// Settle privatizes the machine's frame, variable and span groups and
+// folds its pending invalidations into the validity mask, leaving the
+// fingerprint arena alone: afterwards the machine shares no mutable
+// array with the machine it was cloned from, and each clone of it
+// reports only its own steps through Touched. The model checker settles
+// every state it keeps — the copies land in the caller's slab (SetSlab),
+// so this costs a few small memmoves, not allocations.
+func (m *Machine) Settle() {
+	// A kept machine is about to parent whole batches of clones: fold its
+	// step's frame/variable overrides into privately owned arrays so
+	// children inherit clean shared state (an inherited override would
+	// force every child's first write through the privatizing fallback).
+	// Both groups are privatized even when no override is pending — a
+	// kept machine must not share any mutable array with its parent,
+	// whose slab generation the checker recycles one level before this
+	// machine dies.
+	m.cowProcs()
+	m.cowVars()
+	m.applyStales()
 }
 
 // New initializes a machine: every processor at PC 0 with local slot
@@ -1129,14 +1168,7 @@ func (m *Machine) rebuildArena(extra int) {
 	need := live + extra
 	dst := m.fpScratch[:0]
 	if cap(dst) < need {
-		if s := m.slab; s != nil {
-			// Kept machines' arenas are frozen after priming (children
-			// never append to an arena they don't own), so a tight carve
-			// is safe; run-mode machines keep the doubling growth.
-			dst = s.bytes.take(need+64, 16384)[:0]
-		} else {
-			dst = make([]byte, 0, 2*need+64)
-		}
+		dst = make([]byte, 0, 2*need+64)
 	}
 	// Valid windows that sit back to back in the source arena move as
 	// single runs: after a batch step all but the few stale components
@@ -1172,22 +1204,12 @@ func (m *Machine) rebuildArena(extra int) {
 	m.arenaOwned = true
 }
 
-// PrimeFingerprints re-encodes every stale component into a privately
-// owned arena so subsequent AppendStateKey calls are pure window copies.
-// The model checker calls this once per state it keeps: children cloned
-// from a primed machine inherit every window read-only.
+// PrimeFingerprints settles the machine and re-encodes every stale
+// component into a privately owned arena, so subsequent AppendStateKey
+// calls are pure window copies and clones inherit every window
+// read-only.
 func (m *Machine) PrimeFingerprints() {
-	// A kept machine is about to parent whole batches of clones: fold
-	// its step's frame/variable overrides into privately owned arrays so
-	// children inherit clean shared state (an inherited override would
-	// force every child's first write through the privatizing fallback).
-	// Both groups are privatized even when no override is pending — a
-	// kept machine must not share any mutable array with its parent,
-	// whose slab generation the checker recycles one level before this
-	// machine dies. The copies land in the same recycled slab, so this
-	// costs a small memmove, not an allocation.
-	m.cowProcs()
-	m.cowVars()
+	m.Settle()
 	if !m.arenaOwned {
 		m.rebuildArena(64)
 	}
@@ -1549,7 +1571,7 @@ func (m *Machine) cloneInto(dst *Machine) {
 	// The compaction scratch is exclusively the parent's: sharing it
 	// would let two machines compact into the same buffer. The bin
 	// stays with the slot it was salvaged from. The slab is the
-	// checker's and only kept machines it primes may carve from it — a
+	// checker's and only kept machines it settles may carve from it — a
 	// pool child must not.
 	dst.fpScratch = nil
 	dst.spares = sp

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"simsym/internal/autgrp"
 	"simsym/internal/machine"
 	"simsym/internal/system"
 )
@@ -405,27 +406,130 @@ func TestBudgetMidLevelDeterministic(t *testing.T) {
 	}
 }
 
-// TestDeltaStatsConsistent: the delta-key telemetry is internally
-// consistent, the BFS-parent ancestor wiring actually delta-encodes
-// states, and storage decisions do not depend on residency — the spill
-// run reports exactly the in-memory run's compression counters.
-func TestDeltaStatsConsistent(t *testing.T) {
-	modes := checkModes(t, factoryFor(t, system.Fig1(), system.InstrL, lockClaim), Options{})
-	seq, spill := modes["seq"], modes["spill"]
-	assertIdentical(t, seq, spill, "delta stats run")
-	for _, r := range []*Result{seq, spill} {
-		if r.Stats.StoredKeyBytes > r.Stats.LogicalKeyBytes {
-			t.Errorf("stored %d > logical %d key bytes", r.Stats.StoredKeyBytes, r.Stats.LogicalKeyBytes)
-		}
-		if r.Stats.DeltaStates == 0 && r.StatesExplored > 2 {
-			t.Errorf("no states delta-encoded across %d states; ancestor wiring looks dead", r.StatesExplored)
-		}
+// TestStorageStatsExact: the storage telemetry is exact and does not
+// depend on residency. StoredKeyBytes is 4·W bytes per stored vector plus
+// the component table's distinct windows, and LogicalKeyBytes is the
+// stored states' full key lengths — both recomputed here from an
+// independent breadth-first walk of the reachable states. A complete
+// symmetry-reduced run interns the same windows as the plain one (a
+// state's window set is invariant under automorphisms, and every orbit
+// is expanded), while its logical bytes sum one key per orbit. Spilling
+// changes neither counter.
+func TestStorageStatsExact(t *testing.T) {
+	s4, prog4 := spillFaultModel(t)
+	cases := []struct {
+		name    string
+		sys     *system.System
+		factory func() (*machine.Machine, error)
+	}{
+		{"fig1-lock", system.Fig1(), factoryFor(t, system.Fig1(), system.InstrL, lockClaim)},
+		{"flipped-4-table", s4, func() (*machine.Machine, error) { return machine.New(s4, system.InstrL, prog4) }},
 	}
-	if seq.Stats.DeltaStates != spill.Stats.DeltaStates ||
-		seq.Stats.StoredKeyBytes != spill.Stats.StoredKeyBytes ||
-		seq.Stats.LogicalKeyBytes != spill.Stats.LogicalKeyBytes {
-		t.Errorf("storage telemetry diverged:\nin-memory %+v\nspill %+v", seq.Stats, spill.Stats)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			modes := checkModes(t, tc.factory, Options{StuckBad: NotAllHalted})
+			ref := reachableStorage(t, tc.sys, tc.factory)
+			width := int64(tc.sys.NumProcs() + tc.sys.NumVars())
+			for name, want := range map[string]struct{ states, logical int64 }{
+				"seq": {ref.states, ref.logical}, "spill": {ref.states, ref.logical},
+				"sym": {ref.orbits, ref.orbitLogical}, "sym+spill": {ref.orbits, ref.orbitLogical},
+			} {
+				st := modes[name].Stats
+				if !modes[name].Complete || int64(modes[name].StatesExplored) != want.states {
+					t.Fatalf("%s: %d states (complete=%v), reference %d", name, modes[name].StatesExplored, modes[name].Complete, want.states)
+				}
+				if wantStored := 4*width*want.states + ref.windowBytes; st.StoredKeyBytes != wantStored {
+					t.Errorf("%s: StoredKeyBytes = %d, want 4·%d·%d + %d = %d", name, st.StoredKeyBytes, width, want.states, ref.windowBytes, wantStored)
+				}
+				if st.LogicalKeyBytes != want.logical {
+					t.Errorf("%s: LogicalKeyBytes = %d, want %d", name, st.LogicalKeyBytes, want.logical)
+				}
+			}
+			for _, pair := range [][2]string{{"seq", "spill"}, {"sym", "sym+spill"}} {
+				a, b := modes[pair[0]].Stats, modes[pair[1]].Stats
+				if a.StoredKeyBytes != b.StoredKeyBytes || a.LogicalKeyBytes != b.LogicalKeyBytes {
+					t.Errorf("%s vs %s: storage telemetry diverged:\n%+v\n%+v", pair[0], pair[1], a, b)
+				}
+			}
+			if modes["spill"].Stats.SpilledBytes == 0 && tc.name == "flipped-4-table" {
+				t.Error("spill tier never engaged; the residency comparison is vacuous")
+			}
+		})
 	}
+}
+
+// storageRef is the storage telemetry of a closed state space, computed
+// without the checker.
+type storageRef struct {
+	states, orbits        int64
+	windowBytes           int64 // distinct component windows, summed
+	logical, orbitLogical int64 // full key bytes: every state, one per orbit
+}
+
+// reachableStorage walks every reachable state breadth-first, keyed by
+// its full state key, and canonicalizes each into its orbit as the least
+// permuted key over the automorphism group.
+func reachableStorage(t *testing.T, sys *system.System, factory func() (*machine.Machine, error)) storageRef {
+	t.Helper()
+	auts, err := autgrp.Automorphisms(sys, autgrp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m0, err := factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref storageRef
+	seen := map[string]bool{}
+	windows := map[string]bool{}
+	orbits := map[string]bool{}
+	visit := func(m *machine.Machine) bool {
+		key := string(m.AppendStateKey(nil, nil, nil))
+		if seen[key] {
+			return false
+		}
+		seen[key] = true
+		ref.states++
+		ref.logical += int64(len(key))
+		for p := 0; p < m.NumProcs(); p++ {
+			windows[string(m.AppendProcFingerprint(nil, p))] = true
+		}
+		for v := 0; v < m.NumVars(); v++ {
+			windows[string(m.AppendVarFingerprint(nil, v))] = true
+		}
+		least := key
+		for _, a := range auts {
+			if k := string(m.AppendStateKey(nil, a.ProcPerm, a.VarPerm)); k < least {
+				least = k
+			}
+		}
+		if !orbits[least] {
+			orbits[least] = true
+			ref.orbits++
+			ref.orbitLogical += int64(len(least))
+		}
+		return true
+	}
+	visit(m0)
+	for level := []*machine.Machine{m0}; len(level) > 0; {
+		var next []*machine.Machine
+		for _, m := range level {
+			for p := 0; p < m.NumProcs(); p++ {
+				child := m.Clone()
+				if err := child.Step(p); err != nil {
+					t.Fatal(err)
+				}
+				if visit(child) {
+					next = append(next, child)
+				}
+			}
+		}
+		level = next
+	}
+	for w := range windows {
+		ref.windowBytes += int64(len(w))
+	}
+	return ref
 }
 
 // TestMemoryBudgetFiresPromptly pins the capacity-accounting fix at the

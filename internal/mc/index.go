@@ -2,102 +2,100 @@ package mc
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 
 	"simsym/internal/canon"
+	"simsym/internal/machine"
 )
 
-// stateIndex is the checker's visited set: a delta-encoded index over
-// binary state keys built to hold 10⁸⁺ states. Keys are bucketed by their
-// full 64-bit FNV-1a hash and a bucket hit is confirmed by comparing the
-// exact encodings, so ids are collision-free by construction — hash
-// quality affects only speed, never verdicts.
-//
-// Three mechanisms keep the per-state footprint small:
+// stateIndex is the checker's visited set, collapse-compressed (SPIN's
+// COLLAPSE): a state key is a sequence of component windows — one per
+// processor frame and one per variable, the units machine.AppendStateKey
+// length-prefixes — and the index stores each state as the fixed-width
+// vector of its windows' ids in a component table (compTable) instead of
+// as key bytes. Window ids are exact, so two states are equal exactly
+// when their vectors are. Vectors are bucketed by their full 64-bit
+// HashTokens hash and a bucket hit is confirmed by one fixed-width
+// compare, so ids are collision-free by construction — hash quality
+// affects only speed, never verdicts.
 //
 //   - Ids are int64 (they used to be int32, which silently truncated
 //     and aliased distinct states past 2³¹ — exactly the scale this
 //     index targets). States are inserted in BFS commit order, so a
-//     state's id is baseID plus its entry index and doubles as its node
+//     state's id is baseID plus its record index and doubles as its node
 //     index in the checker's bookkeeping; baseID lets tests pin the id
 //     stream right at the old 32-bit boundary.
-//   - Key bytes live in a chunked arena (fixed-size chunks, append-only,
-//     never moved once allocated), and a key whose BFS lineage stays
-//     close to a full-stored ancestor is stored as a canon.AppendKeyDelta
-//     patch against that ancestor. Every delta points directly at a
-//     full-stored ancestor (chain length one by construction): a state
-//     delta-encodes against its parent's keyframe while the patch stays
-//     small, and becomes a new keyframe once the lineage has drifted too
-//     far.
-//   - When a hot-bytes cap is set, cold chunks spill FIFO to a temp file
+//   - Vectors live in a chunked arena (fixed-size chunks, append-only,
+//     never moved once allocated) at a fixed stride: record i sits at
+//     logical byte offset (i/perChunk)<<shift + (i%perChunk)·4W, so no
+//     per-state location table is needed.
+//   - When a hot-bytes cap is set, full chunks spill FIFO to a temp file
 //     (BFS rarely re-touches old levels, so the spilled majority is read
 //     back only on genuine dedup hits against deep history). File
-//     offsets equal logical arena offsets, so spilling never rewrites an
-//     entry.
+//     offsets equal logical offsets, so a spilled record is one ReadAt.
+//     The component table is small and stays resident.
 type stateIndex struct {
-	buckets bucketTable // full key hash -> entry index
-	entries []entry     // entries[i] is the state with id baseID+i
-	baseID  int64       // first id assigned; nonzero only in boundary tests
+	buckets bucketTable // full vector hash -> record index
+	comps   compTable
+	baseID  int64 // first id assigned; nonzero only in boundary tests
 
-	chunks  [][]byte // chunk i covers logical offsets [i<<chunkShift, ...)
-	used    int64    // logical end offset of written bytes
-	bound   int64    // offsets below bound are on disk, chunks nil-ed
-	scratch []byte   // delta-encode buffer, reused across inserts
+	width    int   // W: components per vector
+	perChunk int64 // records per chunk
+	shift    uint  // a chunk spans 1<<shift logical bytes
+	n        int64 // records written
+
+	chunks  [][]uint32 // chunk i holds records [i·perChunk, (i+1)·perChunk)
+	spilled int        // chunks[:spilled] are on disk and nil-ed
+	hot     int64      // resident chunk bytes, kept by write and maybeSpill
 
 	hotCapBytes int64    // spill threshold; 0 = never spill
 	spillDir    string   // directory for the spill file ("" = os.TempDir())
 	file        *os.File // spill file; nil until the first spill
 
-	// Scratch for exact comparisons of spilled entries.
-	scrA, scrB []byte
+	// Scratch for spill I/O: one chunk's bytes on the way out, one
+	// record's bytes and words on the way back in.
+	chunkBuf []byte
+	recBuf   []byte
+	recVec   []uint32
 
-	// Delta and spill statistics.
-	deltaStates  int64
-	storedBytes  int64 // bytes as stored (full or delta)
-	logicalBytes int64 // bytes the full keys would have taken
 	spilledBytes int64
 	spillFlushes int64
 }
 
-// entry is one visited state: where its (full or delta) bytes live and
-// which full-stored ancestor a delta patches.
-type entry struct {
-	anc int64 // id of the full-stored ancestor a delta patches; -1 = full
-	off int64 // logical offset of the stored bytes in the arena
-	n   int32 // stored length
-}
-
 const (
-	chunkShift = 16 // 64 KiB chunks
+	chunkShift = 16 // 64 KiB chunks, widened only for vectors larger than that
 	chunkSize  = 1 << chunkShift
-	chunkMask  = chunkSize - 1
 
-	// entrySize feeds the memory estimate: the entry struct itself. The
-	// bucket directory's footprint is exact — bucketSlotSize bytes per
-	// allocated open-addressing slot.
-	entrySize      = 24
-	bucketSlotSize = 16 // one uint64 hash + one int64 entry index
-
-	// A delta is stored only while it is meaningfully smaller than the
-	// full key; otherwise the state becomes a new full-stored keyframe.
-	deltaNum, deltaDen = 1, 2
+	// bucketSlotSize is the bucket directory's exact footprint per
+	// allocated open-addressing slot: one uint64 hash + one int64 index.
+	bucketSlotSize = 16
 )
 
-// newStateIndex builds an empty index; hotCapBytes > 0 arms the spill
-// tier, writing under dir (os.TempDir() when dir is empty).
-func newStateIndex(hotCapBytes int64, dir string) *stateIndex {
-	return &stateIndex{hotCapBytes: hotCapBytes, spillDir: dir}
+// newStateIndex builds an empty index over width-component vectors;
+// hotCapBytes > 0 arms the spill tier, writing under dir (os.TempDir()
+// when dir is empty).
+func newStateIndex(width int, hotCapBytes int64, dir string) *stateIndex {
+	t := &stateIndex{width: width, hotCapBytes: hotCapBytes, spillDir: dir, shift: chunkShift}
+	for 1<<t.shift < 4*width {
+		t.shift++
+	}
+	t.perChunk = int64(1<<t.shift) / int64(4*width)
+	return t
 }
 
-// bucketTable is an open-addressed multimap from full key hashes to
-// entry indices — the index's bucket directory. It replaces a
-// map[uint64][]int64 on the probe-per-candidate hot path: a lookup is
-// one masked index plus a short linear scan (load never exceeds 3/4),
-// with no hashing of the already-hashed key and no per-key slice
-// headers. Entries sharing a full 64-bit hash (collisions, effectively
-// nonexistent) occupy separate slots along the probe chain; exact key
-// comparison disambiguates them, so probe order never affects verdicts.
+// bucketTable is an open-addressed multimap from full 64-bit hashes to
+// dense indices — the bucket directory of both the visited index and
+// the component table. A lookup is one masked index plus a short linear
+// scan (load never exceeds 3/4), with no hashing of the already-hashed
+// key and no per-key slice headers. Indices sharing a full hash
+// (collisions, effectively nonexistent) occupy separate slots along the
+// probe chain; exact comparison disambiguates them, so probe order never
+// affects results.
 type bucketTable struct {
 	hashes []uint64
 	eis    []int64 // -1 marks an empty slot
@@ -105,7 +103,7 @@ type bucketTable struct {
 	n      int
 }
 
-// add inserts an entry index under hash, growing at 3/4 load.
+// add inserts an index under hash, growing at 3/4 load.
 func (bt *bucketTable) add(hash uint64, ei int64) {
 	if bt.n*4 >= len(bt.eis)*3 {
 		bt.grow()
@@ -142,12 +140,9 @@ func (bt *bucketTable) grow() {
 	}
 }
 
-// entryAt resolves an id to its entry.
-func (t *stateIndex) entryAt(id int64) *entry { return &t.entries[id-t.baseID] }
-
-// lookupHashed reports whether key (with its precomputed hash) is
+// lookupHashed reports whether vec (with its precomputed hash) is
 // already indexed, and its id if so.
-func (t *stateIndex) lookupHashed(key []byte, hash uint64) (id int64, ok bool, err error) {
+func (t *stateIndex) lookupHashed(vec []uint32, hash uint64) (id int64, ok bool, err error) {
 	bt := &t.buckets
 	if bt.eis == nil {
 		return 0, false, nil
@@ -157,144 +152,68 @@ func (t *stateIndex) lookupHashed(key []byte, hash uint64) (id int64, ok bool, e
 			continue
 		}
 		ei := bt.eis[sl]
-		eq, err := t.entryEqual(&t.entries[ei], key)
+		rec, err := t.record(ei)
 		if err != nil {
 			return 0, false, err
 		}
-		if eq {
+		if slices.Equal(rec, vec) {
 			return t.baseID + ei, true, nil
 		}
 	}
 	return 0, false, nil
 }
 
-// entryEqual compares a stored entry against a candidate key exactly.
-// Full entries compare directly; delta entries stream-compare via
-// canon.KeyDeltaEqual against their ancestor's bytes without
-// materializing the patched key. Spilled bytes are read back through the
-// scratch buffers.
-func (t *stateIndex) entryEqual(e *entry, key []byte) (bool, error) {
-	raw, err := t.read(e.off, int(e.n), &t.scrA)
-	if err != nil {
-		return false, err
-	}
-	if e.anc < 0 {
-		return bytes.Equal(raw, key), nil
-	}
-	a := t.entryAt(e.anc)
-	ancRaw, err := t.read(a.off, int(a.n), &t.scrB)
-	if err != nil {
-		return false, err
-	}
-	return canon.KeyDeltaEqual(ancRaw, raw, key), nil
-}
-
-// ancestorFor returns the full-stored ancestor of an indexed state: the
-// state itself when stored full, its keyframe otherwise. Hot entries are
-// returned zero-copy (chunks never move, and spilling happens only
-// between BFS levels); spilled entries are read into *buf, so the result
-// is valid until the next read through buf.
-func (t *stateIndex) ancestorFor(id int64, buf *[]byte) (ancID int64, ancKey []byte, err error) {
-	e := t.entryAt(id)
-	if e.anc >= 0 {
-		id = e.anc
-		e = t.entryAt(id)
-	}
-	// Ancestors are full-stored by construction (a delta's anc always
-	// names a keyframe).
-	key, err := t.read(e.off, int(e.n), buf)
-	if err != nil {
-		return 0, nil, err
-	}
-	return id, key, nil
-}
-
-// insert appends key (not yet present; hash as from lookupHashed) with
-// the next dense id and returns it: delta-encoded against ancKey when
-// the patch wins by the deltaNum/deltaDen margin, full otherwise.
-// ancID/ancKey name the full-stored ancestor candidate; ancID < 0 forces
-// full storage. key is copied; the caller keeps ownership of its buffer.
-func (t *stateIndex) insert(key []byte, hash uint64, ancID int64, ancKey []byte) int64 {
-	stored := key
-	anc := int64(-1)
-	if ancID >= 0 && len(ancKey) > 0 {
-		if delta, ok := canon.AppendKeyDelta(t.scratch[:0], ancKey, key); ok {
-			t.scratch = delta
-			if len(delta)*deltaDen <= len(key)*deltaNum {
-				stored = delta
-				anc = ancID
-			}
-		}
-	}
-	off := t.write(stored)
-	if anc >= 0 {
-		t.deltaStates++
-	}
-	t.storedBytes += int64(len(stored))
-	t.logicalBytes += int64(len(key))
-	ei := int64(len(t.entries))
-	t.entries = append(t.entries, entry{anc: anc, off: off, n: int32(len(stored))})
+// insert appends vec (not yet present; hash as from lookupHashed) with
+// the next dense id and returns it. vec is copied.
+func (t *stateIndex) insert(vec []uint32, hash uint64) int64 {
+	ei := t.write(vec)
 	t.buckets.add(hash, ei)
 	return t.baseID + ei
 }
 
-// write appends b to the chunked arena and returns its logical offset.
-// Items never straddle a chunk boundary: a tail that cannot fit the item
-// is padding, and an item larger than a chunk gets a dedicated
-// exactly-sized chunk whose trailing slots are nil placeholders so chunk
-// indices keep matching off >> chunkShift.
-func (t *stateIndex) write(b []byte) int64 {
-	n := len(b)
-	pos := int(t.used & chunkMask)
-	if pos > 0 && pos+n > chunkSize {
-		t.used = (t.used + chunkMask) &^ int64(chunkMask)
-		pos = 0
+// write appends vec as the next record and returns its index, opening a
+// new chunk when the last one is full.
+func (t *stateIndex) write(vec []uint32) int64 {
+	ei := t.n
+	ci := int(ei / t.perChunk)
+	if ci == len(t.chunks) {
+		t.chunks = append(t.chunks, make([]uint32, int(t.perChunk)*t.width))
+		t.hot += 4 * t.perChunk * int64(t.width)
 	}
-	ci := int(t.used >> chunkShift)
-	if ci >= len(t.chunks) {
-		size := chunkSize
-		if n > chunkSize {
-			size = n
-		}
-		t.chunks = append(t.chunks, make([]byte, size))
-	}
-	copy(t.chunks[ci][pos:], b)
-	off := t.used
-	t.used += int64(n)
-	if n > chunkSize {
-		t.used = (t.used + chunkMask) &^ int64(chunkMask)
-		for int64(len(t.chunks))<<chunkShift < t.used {
-			t.chunks = append(t.chunks, nil)
-		}
-	}
-	return off
+	pos := int(ei%t.perChunk) * t.width
+	copy(t.chunks[ci][pos:pos+t.width], vec)
+	t.n++
+	return ei
 }
 
-// read returns the stored bytes at [off, off+n): zero-copy from a hot
-// chunk, read through scratch from the spill file otherwise. The result
-// is valid until the next read through the same scratch.
-func (t *stateIndex) read(off int64, n int, scratch *[]byte) ([]byte, error) {
-	if off >= t.bound {
-		pos := int(off & chunkMask)
-		return t.chunks[off>>chunkShift][pos : pos+n], nil
+// record returns record ei: zero-copy from a hot chunk, read back from
+// the spill file into scratch otherwise (valid until the next spilled
+// read).
+func (t *stateIndex) record(ei int64) ([]uint32, error) {
+	ci := int(ei / t.perChunk)
+	slot := ei % t.perChunk
+	if ci >= t.spilled {
+		pos := int(slot) * t.width
+		return t.chunks[ci][pos : pos+t.width], nil
 	}
-	if cap(*scratch) < n {
-		*scratch = make([]byte, n+n/2)
+	n := 4 * t.width
+	if t.recBuf == nil {
+		t.recBuf = make([]byte, n)
+		t.recVec = make([]uint32, t.width)
 	}
-	buf := (*scratch)[:n]
-	if _, err := t.file.ReadAt(buf, off); err != nil {
+	if _, err := t.file.ReadAt(t.recBuf, int64(ci)<<t.shift+slot*int64(n)); err != nil {
 		return nil, fmt.Errorf("mc: spill read: %w", err)
 	}
-	return buf, nil
+	for i := range t.recVec {
+		t.recVec[i] = binary.LittleEndian.Uint32(t.recBuf[4*i:])
+	}
+	return t.recVec, nil
 }
 
-// hotBytes is the in-memory arena footprint.
-func (t *stateIndex) hotBytes() int64 {
-	var total int64
-	for _, c := range t.chunks {
-		total += int64(len(c))
-	}
-	return total
+// storedBytes is what the index stores per state key: the vectors plus
+// the component table's distinct windows.
+func (t *stateIndex) storedBytes() int64 {
+	return 4*int64(t.width)*t.n + int64(len(t.comps.data))
 }
 
 // spillWriteHook, when non-nil, intercepts each chunk write to the spill
@@ -302,10 +221,10 @@ func (t *stateIndex) hotBytes() int64 {
 // write path (disk full, revoked permissions) without a real bad disk.
 var spillWriteHook func() error
 
-// maybeSpill flushes finalized cold chunks FIFO to the spill file until
-// the hot arena fits under the cap again. Called between BFS levels, when
-// no caller holds a zero-copy slice of a hot chunk. Returns the bytes
-// moved to disk by this call.
+// maybeSpill flushes full chunks FIFO to the spill file until the hot
+// arena fits under the cap again. Called between BFS levels, when no
+// caller holds a zero-copy record slice. Returns the bytes moved to disk
+// by this call.
 //
 // Any mid-spill failure releases the spill tier before returning: the
 // index is unusable for further lookups once a chunk write is lost, so
@@ -316,20 +235,10 @@ func (t *stateIndex) maybeSpill() (int64, error) {
 	if t.hotCapBytes <= 0 {
 		return 0, nil
 	}
-	hot := t.hotBytes()
 	var freed int64
-	for hot-freed > t.hotCapBytes {
-		ci := int(t.bound >> chunkShift)
-		if ci >= len(t.chunks) {
-			break
-		}
-		c := t.chunks[ci]
-		if c == nil { // placeholder slot of an already-spilled jumbo chunk
-			t.bound = int64(ci+1) << chunkShift
-			continue
-		}
-		chunkEnd := int64(ci)<<chunkShift + int64(len(c))
-		if chunkEnd > t.used {
+	for t.hot > t.hotCapBytes {
+		ci := t.spilled
+		if int64(ci+1)*t.perChunk > t.n {
 			break // the active chunk still accepts appends
 		}
 		if t.file == nil {
@@ -345,14 +254,21 @@ func (t *stateIndex) maybeSpill() (int64, error) {
 				return freed, fmt.Errorf("mc: spill write: %w", err)
 			}
 		}
-		if _, err := t.file.WriteAt(c, int64(ci)<<chunkShift); err != nil {
+		c := t.chunks[ci]
+		t.chunkBuf = t.chunkBuf[:0]
+		for _, w := range c {
+			t.chunkBuf = binary.LittleEndian.AppendUint32(t.chunkBuf, w)
+		}
+		if _, err := t.file.WriteAt(t.chunkBuf, int64(ci)<<t.shift); err != nil {
 			t.release()
 			return freed, fmt.Errorf("mc: spill write: %w", err)
 		}
-		freed += int64(len(c))
-		t.spilledBytes += int64(len(c))
+		n := int64(4 * len(c))
+		freed += n
+		t.hot -= n
+		t.spilledBytes += n
 		t.chunks[ci] = nil
-		t.bound = (chunkEnd + chunkMask) &^ int64(chunkMask)
+		t.spilled++
 	}
 	if freed > 0 {
 		t.spillFlushes++
@@ -371,13 +287,133 @@ func (t *stateIndex) release() {
 
 // memBytes estimates the index's resident memory footprint from
 // capacities, not lengths: allocated chunk bytes (a half-filled chunk
-// costs its full size), the entry table's capacity, the bucket
-// directory's exact slot count, and the scratch buffers. Spilled bytes
-// live on disk and are deliberately excluded. Keeping this honest is
-// what lets MaxMemBytes degrade into a Partial result instead of an OOM.
+// costs its full size), the bucket directory's exact slot count, the
+// component table and the spill scratch. Spilled bytes live on disk and
+// are deliberately excluded. Keeping this honest is what lets
+// MaxMemBytes degrade into a Partial result instead of an OOM; it is
+// O(1), because the budget polls it after every push.
 func (t *stateIndex) memBytes() int64 {
-	return t.hotBytes() +
-		int64(cap(t.entries))*entrySize +
+	return t.hot +
 		int64(len(t.buckets.eis))*bucketSlotSize +
-		int64(cap(t.scratch)+cap(t.scrA)+cap(t.scrB))
+		t.comps.memBytes() +
+		int64(cap(t.chunkBuf)+cap(t.recBuf)+4*cap(t.recVec))
+}
+
+// errCompIDs reports a component table that ran out of uint32 ids.
+var errCompIDs = errors.New("mc: more than 2³² distinct component windows")
+
+// compTable interns component windows — the canonical encodings of
+// single processor frames and variables — as dense uint32 ids in
+// first-appearance order. A hash match is confirmed by comparing the
+// exact window bytes, so ids are collision-free. Ids name byte strings,
+// not positions: a state's vector says which window each of its
+// components holds. The zero value is an empty table.
+type compTable struct {
+	buckets bucketTable // window hash -> local index
+	offs    []int       // window i is data[offs[i]:offs[i+1]]; offs[0] = 0 once non-empty
+	data    []byte
+	base    uint64 // first id assigned; nonzero only in overflow tests
+	win     []byte // encode scratch for vector and childVector
+}
+
+// intern returns win's id, assigning the next one on first appearance.
+func (ct *compTable) intern(win []byte) (uint32, error) {
+	return ct.internHashed(win, canon.HashBytes(win))
+}
+
+// internHashed is intern with a precomputed hash — the seam tests use to
+// force equal hashes.
+func (ct *compTable) internHashed(win []byte, hash uint64) (uint32, error) {
+	bt := &ct.buckets
+	if bt.eis != nil {
+		for sl := hash & bt.mask; bt.eis[sl] >= 0; sl = (sl + 1) & bt.mask {
+			if bt.hashes[sl] != hash {
+				continue
+			}
+			i := bt.eis[sl]
+			if bytes.Equal(ct.data[ct.offs[i]:ct.offs[i+1]], win) {
+				return uint32(ct.base + uint64(i)), nil
+			}
+		}
+	}
+	if ct.offs == nil {
+		ct.offs = []int{0}
+	}
+	i := len(ct.offs) - 1
+	if ct.base+uint64(i) > math.MaxUint32 {
+		return 0, errCompIDs
+	}
+	ct.data = append(ct.data, win...)
+	ct.offs = append(ct.offs, len(ct.data))
+	bt.add(hash, int64(i))
+	return uint32(ct.base + uint64(i)), nil
+}
+
+// window returns the bytes of window id.
+func (ct *compTable) window(id uint32) []byte {
+	i := uint64(id) - ct.base
+	return ct.data[ct.offs[i]:ct.offs[i+1]]
+}
+
+// keyLen is the length of the full state key (machine.AppendStateKey)
+// vec stands for: every window plus its uvarint length prefix.
+func (ct *compTable) keyLen(vec []uint32) int64 {
+	var total int64
+	for _, id := range vec {
+		n := len(ct.window(id))
+		total += int64(n + 1)
+		for v := n; v >= 0x80; v >>= 7 {
+			total++
+		}
+	}
+	return total
+}
+
+// memBytes is the table's resident footprint, from capacities.
+func (ct *compTable) memBytes() int64 {
+	return int64(cap(ct.data)+8*cap(ct.offs)+cap(ct.win)) + int64(len(ct.buckets.eis))*bucketSlotSize
+}
+
+// internComponent interns m's window for component c (processors first,
+// then variables — the state key's order).
+func (ct *compTable) internComponent(m *machine.Machine, c int) (uint32, error) {
+	if np := m.NumProcs(); c >= np {
+		ct.win = m.AppendVarFingerprint(ct.win[:0], c-np)
+	} else {
+		ct.win = m.AppendProcFingerprint(ct.win[:0], c)
+	}
+	return ct.intern(ct.win)
+}
+
+// vector fills dst with the component-id vector of m, interning every
+// window.
+func (ct *compTable) vector(dst []uint32, m *machine.Machine) error {
+	for c := range dst {
+		id, err := ct.internComponent(m, c)
+		if err != nil {
+			return err
+		}
+		dst[c] = id
+	}
+	return nil
+}
+
+// childVector fills dst with the vector of child, a clone of the settled
+// state whose vector is parent that has stepped since: the parent's ids,
+// with only the components the step touched re-interned. Every other
+// window is unchanged, so none of it is read.
+func (ct *compTable) childVector(dst, parent []uint32, child *machine.Machine) error {
+	touched, ok := child.Touched()
+	if !ok {
+		return ct.vector(dst, child)
+	}
+	copy(dst, parent)
+	for _, c := range touched {
+		id, err := ct.internComponent(child, int(c))
+		if err != nil {
+			return err
+		}
+		dst[c] = id
+	}
+	return nil
 }

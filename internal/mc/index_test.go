@@ -2,33 +2,50 @@ package mc
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"testing"
 
 	"simsym/internal/canon"
 )
 
-// testKey builds a canonically framed state key (uvarint length-prefixed
-// components, like machine.AppendStateKey) from the component values.
-func testKey(vals ...string) []byte {
-	var buf []byte
-	for _, v := range vals {
-		buf = canon.AppendLenPrefixed(buf, v)
+// testWidth is wide enough (256-byte records, 256 per chunk) that a few
+// thousand vectors finalize several chunks — only full chunks spill.
+const testWidth = 64
+
+// testVec builds a distinct width-component vector for each i.
+func testVec(i, width int) []uint32 {
+	vec := make([]uint32, width)
+	for c := range vec {
+		vec[c] = uint32(c)
 	}
-	return buf
+	vec[0] = uint32(i % 7)
+	vec[width-1] = uint32(i)
+	return vec
 }
 
-// mustInsert inserts a key known to be absent and returns its gid.
-func mustInsert(t *testing.T, idx *stateIndex, key []byte, ancGID int64, ancKey []byte) int64 {
+// mustInsert inserts a vector known to be absent and returns its gid.
+func mustInsert(t *testing.T, idx *stateIndex, vec []uint32) int64 {
 	t.Helper()
-	hash := canon.HashBytes(key)
-	if _, ok, err := idx.lookupHashed(key, hash); err != nil {
+	hash := canon.HashTokens(vec)
+	if _, ok, err := idx.lookupHashed(vec, hash); err != nil {
 		t.Fatal(err)
 	} else if ok {
-		t.Fatalf("key %q unexpectedly present", key)
+		t.Fatalf("vector %v unexpectedly present", vec)
 	}
-	return idx.insert(key, hash, ancGID, ancKey)
+	return idx.insert(vec, hash)
+}
+
+// recountHot is the O(chunks) walk the running hot-bytes count replaces.
+func recountHot(idx *stateIndex) int64 {
+	var total int64
+	for _, c := range idx.chunks {
+		total += int64(4 * len(c))
+	}
+	return total
 }
 
 // TestIndexIDWidthBoundary pins the int32 → int64 id fix: the old index
@@ -36,14 +53,14 @@ func mustInsert(t *testing.T, idx *stateIndex, key []byte, ancGID int64, ancKey 
 // distinct states past 2³¹. The baseID hook pins the stream right at the
 // boundary; crossing it must neither truncate nor alias.
 func TestIndexIDWidthBoundary(t *testing.T) {
-	idx := newStateIndex(0, "")
+	idx := newStateIndex(3, 0, "")
 	idx.baseID = (int64(1) << 31) - 2
 
-	keys := make([][]byte, 6)
+	vecs := make([][]uint32, 6)
 	gids := make([]int64, 6)
-	for i := range keys {
-		keys[i] = testKey(fmt.Sprintf("pc=%d", i), "x=0", "halted")
-		gids[i] = mustInsert(t, idx, keys[i], -1, nil)
+	for i := range vecs {
+		vecs[i] = testVec(i, 3)
+		gids[i] = mustInsert(t, idx, vecs[i])
 		if want := idx.baseID + int64(i); gids[i] != want {
 			t.Fatalf("gid %d = %d, want %d", i, gids[i], want)
 		}
@@ -51,166 +68,229 @@ func TestIndexIDWidthBoundary(t *testing.T) {
 	if gids[5] <= int64(1)<<31 {
 		t.Fatalf("test must cross the int32 boundary; last gid = %d", gids[5])
 	}
-	// Every key must resolve to its own id — an int32-width index would
-	// alias ids 2147483646 and beyond after truncation.
-	for i, key := range keys {
-		gid, ok, err := idx.lookupHashed(key, canon.HashBytes(key))
+	// Every vector must resolve to its own id — an int32-width index
+	// would alias ids 2147483646 and beyond after truncation.
+	for i, vec := range vecs {
+		gid, ok, err := idx.lookupHashed(vec, canon.HashTokens(vec))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok || gid != gids[i] {
-			t.Errorf("key %d resolved to gid %d (ok=%v), want %d", i, gid, ok, gids[i])
-		}
-		if int32(gid) == int32(gids[(i+1)%len(gids)]) && gid != gids[(i+1)%len(gids)] {
-			// Purely documentary: truncation would have collided these.
-			t.Logf("gids %d and %d collide after int32 truncation", gid, gids[(i+1)%len(gids)])
+			t.Errorf("vector %d resolved to gid %d (ok=%v), want %d", i, gid, ok, gids[i])
 		}
 	}
 }
 
 // TestIndexMemBytesCountsCapacities pins the capacity-accounting fix:
-// the arena allocates whole chunks, so even a single tiny key must be
+// the arena allocates whole chunks, so even a single tiny vector must be
 // charged a full chunk — the old length-based estimate undercounted by
 // nearly the whole allocation and fired the memory budget late.
 func TestIndexMemBytesCountsCapacities(t *testing.T) {
-	idx := newStateIndex(0, "")
-	small := testKey("a")
-	mustInsert(t, idx, small, -1, nil)
+	idx := newStateIndex(2, 0, "")
+	mustInsert(t, idx, []uint32{1, 2})
 	if got := idx.memBytes(); got < chunkSize {
 		t.Errorf("memBytes = %d after one insert; a %d-byte chunk is allocated and must be charged", got, chunkSize)
 	}
 
 	// The bucket directory must charge exactly bucketSlotSize per
-	// allocated open-addressing slot, and entries forced to share one
+	// allocated open-addressing slot, and vectors forced to share one
 	// full hash must land in separate slots that all still resolve
-	// exactly (the probe chain disambiguates by key comparison).
-	idx2 := newStateIndex(0, "")
-	hash := canon.HashBytes(testKey("seed"))
+	// exactly (the probe chain disambiguates by vector comparison).
+	idx2 := newStateIndex(3, 0, "")
+	hash := canon.HashTokens([]uint32{7})
 	for i := 0; i < 100; i++ {
-		idx2.insert(testKey(fmt.Sprintf("k=%d", i)), hash, -1, nil)
+		idx2.insert(testVec(i, 3), hash)
 	}
 	if idx2.buckets.n != 100 {
 		t.Errorf("bucket table holds %d entries, want 100", idx2.buckets.n)
 	}
 	for i := 0; i < 100; i++ {
-		gid, ok, err := idx2.lookupHashed(testKey(fmt.Sprintf("k=%d", i)), hash)
+		gid, ok, err := idx2.lookupHashed(testVec(i, 3), hash)
 		if err != nil || !ok {
-			t.Fatalf("same-hash key %d not found (ok=%v, err=%v)", i, ok, err)
+			t.Fatalf("same-hash vector %d not found (ok=%v, err=%v)", i, ok, err)
 		}
 		if gid != int64(i) {
-			t.Errorf("same-hash key %d resolved to gid %d", i, gid)
+			t.Errorf("same-hash vector %d resolved to gid %d", i, gid)
 		}
 	}
 	if got, wantMin := idx2.memBytes(), int64(len(idx2.buckets.eis))*bucketSlotSize; got < wantMin {
 		t.Errorf("memBytes = %d must cover the bucket directory's %d bytes", got, wantMin)
 	}
-	if got := idx2.memBytes(); got < int64(cap(idx2.entries))*entrySize {
-		t.Errorf("memBytes = %d must cover the entries table capacity %d", got, cap(idx2.entries)*entrySize)
-	}
-}
 
-// TestIndexDeltaStorage: a child key differing from its ancestor in one
-// component is stored as a delta, resolves exactly, and never aliases a
-// near-miss key.
-func TestIndexDeltaStorage(t *testing.T) {
-	idx := newStateIndex(0, "")
-	parent := testKey("pc=0", "pc=0", "lock=free", "turn=0")
-	pgid := mustInsert(t, idx, parent, -1, nil)
-
-	ancGID, ancKey, err := idx.ancestorFor(pgid, &[]byte{})
-	if err != nil {
+	// The component table is resident and charged too.
+	before := idx2.memBytes()
+	if _, err := idx2.comps.intern([]byte("a window")); err != nil {
 		t.Fatal(err)
 	}
-	if ancGID != pgid || !bytes.Equal(ancKey, parent) {
-		t.Fatalf("full-stored parent must be its own ancestor")
-	}
-
-	child := testKey("pc=1", "pc=0", "lock=free", "turn=0")
-	cgid := mustInsert(t, idx, child, ancGID, ancKey)
-	if idx.deltaStates != 1 {
-		t.Errorf("deltaStates = %d, want 1", idx.deltaStates)
-	}
-	if idx.storedBytes >= idx.logicalBytes {
-		t.Errorf("delta storage should compress: stored %d >= logical %d", idx.storedBytes, idx.logicalBytes)
-	}
-
-	// Exact resolution, no aliasing with a near-miss.
-	if gid, ok, _ := idx.lookupHashed(child, canon.HashBytes(child)); !ok || gid != cgid {
-		t.Errorf("child resolved to %d/%v, want %d", gid, ok, cgid)
-	}
-	near := testKey("pc=1", "pc=0", "lock=free", "turn=1")
-	if _, ok, _ := idx.lookupHashed(near, canon.HashBytes(near)); ok {
-		t.Error("near-miss key must not match the delta-stored child")
-	}
-
-	// A delta-stored state's ancestor is its keyframe, not itself.
-	cAncGID, cAncKey, err := idx.ancestorFor(cgid, &[]byte{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cAncGID != pgid || !bytes.Equal(cAncKey, parent) {
-		t.Errorf("delta child's ancestor = %d, want keyframe %d", cAncGID, pgid)
+	if got := idx2.memBytes(); got-before < int64(len(idx2.comps.buckets.eis))*bucketSlotSize {
+		t.Errorf("memBytes grew %d after the first intern; the component table's bucket directory must be charged", got-before)
 	}
 }
 
 // TestIndexSpillRoundTrip: with a hot cap far below the written volume,
-// chunks migrate to disk and every key still resolves bit-exactly
-// through file reads; release removes the spill file.
+// full chunks migrate to disk at their logical offsets and every vector
+// still resolves exactly through file reads; release removes the file.
 func TestIndexSpillRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	idx := newStateIndex(chunkSize/2, dir) // cap below one chunk: spill everything finalized
-	var keys [][]byte
-	var gids []int64
-	// Write a few chunks' worth of keys with some delta-encoded entries.
-	var ancGID int64 = -1
-	var ancKey []byte
-	for i := 0; i < 3000; i++ {
-		// Wide, mostly-unique keys so the arena finalizes several
-		// chunks (only finalized chunks are spillable).
-		key := testKey(fmt.Sprintf("pc=%d", i%7), fmt.Sprintf("x=%0200d", i), "padpadpadpadpadpadpadpad")
-		gid := mustInsert(t, idx, key, ancGID, ancKey)
-		keys = append(keys, key)
-		gids = append(gids, gid)
-		if i%10 == 0 {
-			var arena []byte
-			ag, ak, err := idx.ancestorFor(gid, &arena)
-			if err != nil {
-				t.Fatal(err)
+	for _, width := range []int{testWidth, chunkSize/4 + 1} { // the second needs widened chunks
+		t.Run(fmt.Sprint("W=", width), func(t *testing.T) {
+			idx := newStateIndex(width, chunkSize/2, t.TempDir()) // cap below one chunk: spill every full one
+			n := 3000
+			if width > chunkSize/4 {
+				n = 5
 			}
-			ancGID, ancKey = ag, append([]byte(nil), ak...)
-		}
-		if i%500 == 499 {
+			gids := make([]int64, n)
+			for i := range gids {
+				gids[i] = mustInsert(t, idx, testVec(i, width))
+				if i%500 == 499 {
+					if _, err := idx.maybeSpill(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 			if _, err := idx.maybeSpill(); err != nil {
 				t.Fatal(err)
 			}
+			if idx.spilledBytes == 0 {
+				t.Fatal("spill tier never engaged despite a sub-chunk hot cap")
+			}
+			if idx.hot > int64(1)<<idx.shift {
+				t.Errorf("hot tier holds %d bytes after spilling; at most the active chunk should remain", idx.hot)
+			}
+
+			for i, gid := range gids {
+				vec := testVec(i, width)
+				got, ok, err := idx.lookupHashed(vec, canon.HashTokens(vec))
+				if err != nil {
+					t.Fatalf("vector %d: %v", i, err)
+				}
+				if !ok || got != gid {
+					t.Errorf("vector %d resolved to %d/%v, want %d", i, got, ok, gid)
+				}
+			}
+
+			// File offset equals logical offset: record i sits at
+			// (i/perChunk)<<shift + (i%perChunk)·4W.
+			rec := make([]byte, 4*width)
+			for _, i := range []int64{0, idx.perChunk - 1, int64(idx.spilled)*idx.perChunk - 1} {
+				off := (i/idx.perChunk)<<idx.shift + (i%idx.perChunk)*int64(4*width)
+				if _, err := idx.file.ReadAt(rec, off); err != nil {
+					t.Fatal(err)
+				}
+				want := testVec(int(i), width)
+				for c := range want {
+					if got := binary.LittleEndian.Uint32(rec[4*c:]); got != want[c] {
+						t.Fatalf("record %d word %d on disk = %d, want %d", i, c, got, want[c])
+					}
+				}
+			}
+
+			path := idx.file.Name()
+			idx.release()
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("release must remove the spill file; stat err = %v", err)
+			}
+		})
+	}
+}
+
+// TestIndexHotBytesRunningCount pins the memory-budget fix: memBytes
+// used to walk every chunk, and the budget polls it after every push,
+// so a budgeted check was quadratic in its chunk count. The running
+// count must equal a recount after inserts and after spills.
+func TestIndexHotBytesRunningCount(t *testing.T) {
+	idx := newStateIndex(testWidth, 3*chunkSize, t.TempDir())
+	defer idx.release()
+	for i := 0; i < 4000; i++ {
+		mustInsert(t, idx, testVec(i, testWidth))
+		if got, want := idx.hot, recountHot(idx); got != want {
+			t.Fatalf("after insert %d: hot = %d, recount %d", i, got, want)
 		}
+		if i%700 == 699 {
+			if _, err := idx.maybeSpill(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := idx.hot, recountHot(idx); got != want {
+				t.Fatalf("after spill at %d: hot = %d, recount %d", i, got, want)
+			}
+		}
+	}
+	if idx.spilled == 0 {
+		t.Fatal("spill tier never engaged; the test covered inserts only")
 	}
 	if _, err := idx.maybeSpill(); err != nil {
 		t.Fatal(err)
 	}
-	if idx.spilledBytes == 0 {
-		t.Fatal("spill tier never engaged despite a sub-chunk hot cap")
+	if idx.hot != recountHot(idx) || idx.hot > idx.hotCapBytes {
+		t.Errorf("hot = %d after spilling, cap %d", idx.hot, idx.hotCapBytes)
 	}
-	if hot := idx.hotBytes(); hot > chunkSize {
-		t.Errorf("hot tier holds %d bytes after spilling; at most the active chunk should remain", hot)
-	}
+}
 
-	for i := range keys {
-		gid, ok, err := idx.lookupHashed(keys[i], canon.HashBytes(keys[i]))
-		if err != nil {
-			t.Fatalf("key %d: %v", i, err)
-		}
-		if !ok || gid != gids[i] {
-			t.Errorf("key %d resolved to %d/%v, want %d", i, gid, ok, gids[i])
-		}
+// TestCompTableMatchesMapReference interns a stream of windows with
+// repeats through table growth against a map reference: ids are dense
+// in first-appearance order and every window keeps its id. Forcing all
+// hashes equal — and onto the last slot, so every probe chain wraps to
+// slot 0 — must change nothing but speed.
+func TestCompTableMatchesMapReference(t *testing.T) {
+	for _, forced := range []bool{false, true} {
+		t.Run(fmt.Sprint("forced=", forced), func(t *testing.T) {
+			var ct compTable
+			ref := map[string]uint32{}
+			for i := 0; i < 3000; i++ {
+				// Repeats interleave with first appearances; the empty
+				// window is a legitimate distinct value.
+				win := []byte(fmt.Sprintf("w%d", (i*7919)%1900))
+				if i%97 == 0 {
+					win = nil
+				}
+				hash := canon.HashBytes(win)
+				if forced {
+					hash = math.MaxUint64
+				}
+				id, err := ct.internHashed(win, hash)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, seen := ref[string(win)]
+				if !seen {
+					want = uint32(len(ref))
+					ref[string(win)] = want
+				}
+				if id != want {
+					t.Fatalf("intern %d (%q) = %d, want %d", i, win, id, want)
+				}
+			}
+			if len(ct.buckets.eis) <= 1024 {
+				t.Errorf("table never grew: %d slots", len(ct.buckets.eis))
+			}
+			for w, id := range ref {
+				if got := ct.window(id); !bytes.Equal(got, []byte(w)) {
+					t.Errorf("window(%d) = %q, want %q", id, got, w)
+				}
+			}
+			if got := len(ct.offs) - 1; got != len(ref) {
+				t.Errorf("table holds %d windows, reference %d", got, len(ref))
+			}
+		})
 	}
+}
 
-	if idx.file == nil {
-		t.Fatal("no spill file after spilling")
+// TestCompTableIDOverflow: running past 2³² ids is an error, never a
+// wrap that would alias a new window with id 0. The base hook starts the
+// id stream two short of the limit.
+func TestCompTableIDOverflow(t *testing.T) {
+	var ct compTable
+	ct.base = math.MaxUint32 - 1
+	for i, want := range []uint32{math.MaxUint32 - 1, math.MaxUint32} {
+		id, err := ct.intern([]byte{byte(i)})
+		if err != nil || id != want {
+			t.Fatalf("intern %d = %d, %v; want %d", i, id, err, want)
+		}
 	}
-	path := idx.file.Name()
-	idx.release()
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("release must remove the spill file; stat err = %v", err)
+	if id, err := ct.intern([]byte{9}); !errors.Is(err, errCompIDs) {
+		t.Fatalf("intern past the last id = %d, %v; want errCompIDs", id, err)
+	}
+	// Known windows still resolve after the failure.
+	if id, err := ct.intern([]byte{1}); err != nil || id != math.MaxUint32 {
+		t.Errorf("re-intern of a known window = %d, %v", id, err)
 	}
 }

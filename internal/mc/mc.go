@@ -15,12 +15,14 @@
 //
 // The engine is built for scale and observability:
 //
-//   - The visited set is a compact hashed index over binary state keys
-//     (stateIndex, mirroring partition.SigTable) rather than a map of
-//     canonical strings, backed by machine.AppendStateKey's cheap binary
-//     fingerprint path. Keys are stored as deltas against a BFS
-//     ancestor's key when that is smaller, and Options.HotIndexBytes
-//     spills cold key bytes to disk.
+//   - The visited set is collapse-compressed: a component table interns
+//     each processor frame's and variable's canonical window (the units
+//     of machine.AppendStateKey) as a dense uint32 id, and the hashed
+//     index (stateIndex, mirroring partition.SigTable) stores each state
+//     as its fixed-width vector of ids. A successor copies its parent's
+//     vector and re-interns only the components its step touched
+//     (machine.Touched), and Options.HotIndexBytes spills cold vectors
+//     to disk.
 //   - Opt-in symmetry reduction (Options.SymmetryReduce) dedups states
 //     modulo the system's automorphism group — the orbit-quotient
 //     construction the paper's symmetry results suggest.
@@ -34,10 +36,10 @@
 package mc
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"simsym/internal/autgrp"
@@ -80,7 +82,7 @@ type Options struct {
 	Partial bool
 	// SymmetryReduce dedups states modulo the automorphism group of the
 	// system (computed via autgrp): each newly discovered state is
-	// canonicalized to the lexicographically least key over its orbit, so
+	// canonicalized to the least component-id vector over its orbit, so
 	// only one representative per orbit is explored. Sound when every
 	// predicate is invariant under the group — true for the shipped
 	// predicates (Uniqueness, Stability, stuck/halt/eating predicates),
@@ -90,14 +92,14 @@ type Options struct {
 	// AutLimit bounds automorphism enumeration for SymmetryReduce;
 	// 0 means the autgrp default.
 	AutLimit int
-	// HotIndexBytes > 0 caps the visited index's in-memory key arena:
+	// HotIndexBytes > 0 caps the visited index's in-memory vector arena:
 	// when the hot tier outgrows the cap, cold arena chunks spill FIFO to
 	// a temp file under SpillDir at level boundaries and are read back
 	// transparently on dedup probes against deep history. The cap
-	// governs only key storage; the bucket table and node bookkeeping
-	// stay resident (MaxMemBytes still bounds the estimated total, which
-	// excludes spilled bytes). Verdicts, witnesses and counters do not
-	// depend on the cap.
+	// governs only state-vector storage; the component table, the bucket
+	// table and node bookkeeping stay resident (MaxMemBytes still bounds
+	// the estimated total, which excludes spilled bytes). Verdicts,
+	// witnesses and counters do not depend on the cap.
 	HotIndexBytes int64
 	// SpillDir is the directory for the spill file (os.TempDir() when
 	// empty); the file is removed when the check returns.
@@ -170,11 +172,11 @@ type Stats struct {
 	// GroupOrder is the automorphism count used for symmetry reduction
 	// (1 when reduction is off or the group is trivial).
 	GroupOrder int
-	// DeltaStates counts visited states whose key is stored as a delta
-	// against a BFS ancestor's key rather than in full.
-	DeltaStates int64
-	// StoredKeyBytes and LogicalKeyBytes measure delta compression:
-	// key bytes as stored versus what full keys would have occupied.
+	// StoredKeyBytes and LogicalKeyBytes measure key compression:
+	// StoredKeyBytes is what the visited set stores — 4 bytes per
+	// component per state for the id vectors, plus the component
+	// table's distinct windows — and LogicalKeyBytes is what the full
+	// state keys (machine.AppendStateKey) would have occupied.
 	StoredKeyBytes  int64
 	LogicalKeyBytes int64
 	// SpilledBytes counts visited-index bytes resident on disk (their
@@ -210,30 +212,29 @@ type node struct {
 	succs  []int
 }
 
-// succSpan locates one successor's key inside the batch arena, along with
-// the key's hash and whether the step was a stutter (self-loop).
-type succSpan struct {
-	start, end int
-	hash       uint64
-	selfLoop   bool
+// succInfo is one successor's dedup key hash and whether the step was a
+// stutter (self-loop).
+type succInfo struct {
+	hash     uint64
+	selfLoop bool
 }
 
-// batch is the per-state expansion output: successor machines plus their
-// canonical keys packed into a reusable arena. The one batch is reused
+// batch is the per-state expansion output: one successor machine per
+// processor plus its vectors, at fixed strides. The one batch is reused
 // for every expanded state, so steady-state expansion does not allocate
 // per state.
 //
-// pool holds the W sibling clones expand steps in lockstep: CloneInto
+// pool holds the sibling clones expand steps in lockstep: CloneInto
 // overwrites a slot with an O(1) snapshot of the parent (no heap machine
-// per child), and only children merge decides to keep are detached onto
-// the heap. succs[p] points into pool — those pointers die when the next
-// expansion overwrites the slots.
+// per child), and only children merge decides to keep are detached into
+// slab storage. raw[p·W:] is successor p's vector; keys[p·W:] is its
+// dedup key — the orbit's least vector under symmetry reduction, raw
+// itself otherwise.
 type batch struct {
-	pool    []machine.Machine
-	arena   []byte
-	spans   []succSpan
-	succs   []*machine.Machine
-	scratch [3][]byte
+	pool  []machine.Machine
+	raw   []uint32
+	keys  []uint32
+	succs []succInfo
 }
 
 type checker struct {
@@ -243,19 +244,24 @@ type checker struct {
 	progressEvery int
 	deadline      time.Time
 	start         time.Time
-	perms         []system.Permutation // non-identity automorphisms
+	width         int   // W: components per state vector
+	permAt        []int // non-identity automorphisms, W positions each (see minimize)
 	idx           *stateIndex
 	nodes         []node
 	// level and next are the current and next BFS frontiers. States are
 	// pushed in node order, so a frontier's node ids are contiguous:
-	// level[i] is node levelStart+i.
-	level, next   []*machine.Machine
-	levelStart    int
-	res           *Result
-	stats         *Stats
-	sinceProgress int
-	batch         batch
-	ancBuf        []byte // spilled delta-ancestor keys are read into this
+	// level[i] is node levelStart+i. levelVecs and nextVecs hold the
+	// frontiers' raw (unpermuted) vectors, W per state in frontier order:
+	// expansion reads the parent's vector here, never from the index,
+	// which stores permuted representatives and may have spilled them.
+	level, next         []*machine.Machine
+	levelVecs, nextVecs []uint32
+	levelStart          int
+	res                 *Result
+	stats               *Stats
+	sinceProgress       int
+	batch               batch
+	logicalKeyBytes     int64 // full key bytes of the stored states
 
 	// succArena backs every node's succs list. A node's successors are
 	// committed contiguously (merge walks (frontier index, processor) in
@@ -274,8 +280,8 @@ type checker struct {
 	machFree [][]machine.Machine
 
 	// cowSlab backs the arrays kept machines privatize while being
-	// primed — push primes them one at a time on the checking goroutine,
-	// so one slab serves all of them without synchronization.
+	// settled — push settles them one at a time on the checking
+	// goroutine, so one slab serves all of them without synchronization.
 	cowSlab machine.Slab
 }
 
@@ -331,14 +337,16 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 	if err != nil {
 		return nil, fmt.Errorf("mc: %w", err)
 	}
+	width := m0.NumProcs() + m0.NumVars()
 	c := &checker{
 		opts:          opts,
-		nProcs:        m0.System().NumProcs(),
+		nProcs:        m0.NumProcs(),
+		width:         width,
 		maxStates:     opts.MaxStates,
 		progressEvery: opts.ProgressEvery,
 		start:         time.Now(),
 		res:           &Result{},
-		idx:           newStateIndex(opts.HotIndexBytes, opts.SpillDir),
+		idx:           newStateIndex(width, opts.HotIndexBytes, opts.SpillDir),
 	}
 	defer c.idx.release()
 	c.stats = &c.res.Stats
@@ -359,32 +367,42 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 		}
 		c.stats.GroupOrder = len(auts)
 		for _, a := range auts {
-			if !isIdentity(a) {
-				c.perms = append(c.perms, a)
+			if isIdentity(a) {
+				continue
+			}
+			for _, p := range a.ProcPerm {
+				c.permAt = append(c.permAt, p)
+			}
+			for _, v := range a.VarPerm {
+				c.permAt = append(c.permAt, c.nProcs+v)
 			}
 		}
 	}
+	b := &c.batch
+	b.pool = make([]machine.Machine, c.nProcs)
+	b.raw = make([]uint32, c.nProcs*width)
+	b.keys = b.raw
+	if len(c.permAt) > 0 {
+		b.keys = make([]uint32, c.nProcs*width)
+	}
+	b.succs = make([]succInfo, c.nProcs)
 
 	// Root. The initial state is fixed by every automorphism (they
 	// preserve initial values), but canonicalize anyway for uniformity.
 	opts.Obs.PhaseStart("mc.check")
-	rootKey := m0.AppendStateKey(nil, nil, nil)
-	if len(c.perms) > 0 {
-		cand := make([]byte, 0, len(rootKey))
-		for _, perm := range c.perms {
-			cand = m0.AppendStateKey(cand[:0], perm.ProcPerm, perm.VarPerm)
-			if bytes.Compare(cand, rootKey) < 0 {
-				rootKey, cand = cand, rootKey
-			}
-		}
+	raw, key := b.raw[:width], b.keys[:width]
+	if err := c.idx.comps.vector(raw, m0); err != nil {
+		return nil, err
 	}
-	rootIdx := c.push(m0, rootKey, canon.HashBytes(rootKey), -1, -1, -1, nil)
+	c.minimize(key, raw)
+	rootIdx := c.push(m0, raw, key, canon.HashTokens(key), -1, -1)
 	if v := c.checkState(m0, rootIdx); v != nil {
 		c.res.Violation = v
 		return c.finish(nil)
 	}
 
 	c.level, c.next = c.next, nil
+	c.levelVecs, c.nextVecs = c.nextVecs, nil
 	for len(c.level) > 0 {
 		c.stats.Depth++
 		if len(c.level) > c.stats.PeakFrontier {
@@ -417,6 +435,7 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 		}
 		c.levelStart = len(c.nodes) - len(c.next)
 		c.level, c.next = c.next, c.level[:0]
+		c.levelVecs, c.nextVecs = c.nextVecs, c.levelVecs[:0]
 		// Every machine of the just-expanded level is dead (runLevel nils
 		// the level slots as it goes), so the slab generations advance:
 		// chunks retired two boundaries ago are reused for the machines
@@ -448,9 +467,8 @@ func (c *checker) finish(err error) (*Result, error) {
 	if mem := c.memEstimate(); mem > c.stats.PeakMemBytes {
 		c.stats.PeakMemBytes = mem
 	}
-	c.stats.DeltaStates = c.idx.deltaStates
-	c.stats.StoredKeyBytes = c.idx.storedBytes
-	c.stats.LogicalKeyBytes = c.idx.logicalBytes
+	c.stats.StoredKeyBytes = c.idx.storedBytes()
+	c.stats.LogicalKeyBytes = c.logicalKeyBytes
 	c.stats.SpilledBytes = c.idx.spilledBytes
 	if c.opts.Progress != nil {
 		c.opts.Progress(*c.stats)
@@ -465,7 +483,6 @@ func (c *checker) finish(err error) (*Result, error) {
 			// Spill-mode telemetry only: the emissions below would
 			// perturb the deterministic event stream golden-file tests
 			// pin for the in-memory configuration.
-			rec.Count("mc.delta_states", c.stats.DeltaStates)
 			rec.Count("mc.stored_key_bytes", c.stats.StoredKeyBytes)
 			rec.Count("mc.logical_key_bytes", c.stats.LogicalKeyBytes)
 			rec.Count("mc.spilled_bytes", c.stats.SpilledBytes)
@@ -491,7 +508,7 @@ func (c *checker) finish(err error) (*Result, error) {
 func (c *checker) runLevel() (bool, error) {
 	for i, cur := range c.level {
 		c.level[i] = nil // allow GC of expanded states
-		if err := c.expand(cur); err != nil {
+		if err := c.expand(cur, c.levelVecs[i*c.width:(i+1)*c.width]); err != nil {
 			return true, err
 		}
 		if done, err := c.merge(c.levelStart+i, cur); done {
@@ -502,74 +519,63 @@ func (c *checker) runLevel() (bool, error) {
 }
 
 // expand computes all successors of cur into c.batch: cloned machines
-// plus their canonical binary keys and hashes. Predicates never run here.
+// plus their vectors and dedup-key hashes. Predicates never run here.
 //
-// This is the batch-stepping hot loop: cur was primed when it was
-// pushed (every fingerprint window valid in its private arena), so its
-// own key is a pure window copy, and each sibling clone stepped out of
-// the pool re-encodes only the ≤1 frame and ≤2 variables its step
-// touched — every other component is copied straight out of the
-// parent's frozen arena.
-func (c *checker) expand(cur *machine.Machine) error {
+// This is the batch-stepping hot loop: cur was settled when it was
+// pushed, so each sibling clone stepped out of the pool reports exactly
+// the ≤1 frame and ≤1 variable its step touched (machine.Touched).
+// Its vector is the parent's with just those re-interned — no other
+// component is encoded, copied or read.
+func (c *checker) expand(cur *machine.Machine, curVec []uint32) error {
 	b := &c.batch
-	b.arena = b.arena[:0]
-	b.spans = b.spans[:0]
-	b.succs = b.succs[:0]
-	if len(b.pool) < c.nProcs {
-		b.pool = make([]machine.Machine, c.nProcs)
-	}
-	curKey := cur.AppendStateKey(b.scratch[0][:0], nil, nil)
-	b.scratch[0] = curKey
+	w := c.width
 	for p := 0; p < c.nProcs; p++ {
 		next := &b.pool[p]
 		cur.CloneInto(next)
 		if err := next.Step(p); err != nil {
 			return fmt.Errorf("mc: stepping %d: %w", p, err)
 		}
-		start := len(b.arena)
-		var hash uint64
-		var selfLoop bool
-		if len(c.perms) == 0 {
-			// Encode straight into the batch arena — no scratch bounce.
-			b.arena = next.AppendStateKey(b.arena, nil, nil)
-			key := b.arena[start:]
-			selfLoop = bytes.Equal(key, curKey)
-			if !selfLoop {
-				hash = canon.HashBytes(key)
-			}
-		} else {
-			// Symmetry mode compares the raw key against its whole orbit
-			// before committing one representative to the arena.
-			raw := next.AppendStateKey(b.scratch[1][:0], nil, nil)
-			b.scratch[1] = raw
-			selfLoop = bytes.Equal(raw, curKey)
-			key := raw
-			if !selfLoop {
-				key = c.minimizeKey(next, b)
-				hash = canon.HashBytes(key)
-			}
-			b.arena = append(b.arena, key...)
+		raw := b.raw[p*w : (p+1)*w]
+		if err := c.idx.comps.childVector(raw, curVec, next); err != nil {
+			return err
 		}
-		b.spans = append(b.spans, succSpan{start: start, end: len(b.arena), hash: hash, selfLoop: selfLoop})
-		b.succs = append(b.succs, next)
+		si := &b.succs[p]
+		si.selfLoop = slices.Equal(raw, curVec)
+		if !si.selfLoop {
+			key := b.keys[p*w : (p+1)*w]
+			c.minimize(key, raw)
+			si.hash = canon.HashTokens(key)
+		}
 	}
 	return nil
 }
 
-// minimizeKey returns the lexicographically least state key of m over
-// the automorphism group — the orbit-canonical representative key. The
-// raw key is already in b.scratch[1].
-func (c *checker) minimizeKey(m *machine.Machine, b *batch) []byte {
-	best := b.scratch[1]
-	cand := b.scratch[2]
-	for _, perm := range c.perms {
-		cand = m.AppendStateKey(cand[:0], perm.ProcPerm, perm.VarPerm)
-		if bytes.Compare(cand, best) < 0 {
-			best, cand = cand, best
+// minimize writes into key the least image of raw, in lexicographic id
+// order, over the automorphism group — the orbit-canonical dedup key.
+// Automorphism k maps position i to the component at permAt[k·W+i]
+// (processors by ProcPerm, variables by VarPerm), the relabeling
+// machine.AppendStateKey's procAt/varAt apply to keys. Without symmetry
+// reduction key aliases raw and this is a no-op.
+func (c *checker) minimize(key, raw []uint32) {
+	if len(c.permAt) == 0 {
+		return
+	}
+	copy(key, raw)
+	for k := 0; k < len(c.permAt); k += c.width {
+		at := c.permAt[k : k+c.width]
+		for i, src := range at {
+			x := raw[src]
+			if x == key[i] {
+				continue
+			}
+			if x < key[i] {
+				for j := i; j < len(at); j++ {
+					key[j] = raw[at[j]]
+				}
+			}
+			break
 		}
 	}
-	b.scratch[1], b.scratch[2] = best, cand
-	return best
 }
 
 // merge folds the expanded batch of cur into the exploration: transition
@@ -579,13 +585,9 @@ func (c *checker) minimizeKey(m *machine.Machine, b *batch) []byte {
 // states.
 func (c *checker) merge(curIdx int, cur *machine.Machine) (bool, error) {
 	b := &c.batch
-	// The parent's full-stored key ancestor (for delta-encoding new
-	// successors) is resolved lazily, once per batch: dedup-only batches
-	// never touch it.
-	ancID := int64(-2)
-	var ancKey []byte
-	for p, sp := range b.spans {
-		next := b.succs[p]
+	w := c.width
+	for p, si := range b.succs {
+		next := &b.pool[p]
 		for _, pred := range c.opts.TransPreds {
 			if reason := pred(cur, next, p); reason != "" {
 				c.res.Violation = &Violation{
@@ -595,13 +597,13 @@ func (c *checker) merge(curIdx int, cur *machine.Machine) (bool, error) {
 				return true, nil
 			}
 		}
-		if sp.selfLoop {
+		if si.selfLoop {
 			c.stats.SelfLoops++
 			continue
 		}
 		c.stats.Transitions++
-		key := b.arena[sp.start:sp.end]
-		if id, ok, err := c.idx.lookupHashed(key, sp.hash); err != nil {
+		key := b.keys[p*w : (p+1)*w]
+		if id, ok, err := c.idx.lookupHashed(key, si.hash); err != nil {
 			return true, err
 		} else if ok {
 			c.stats.DedupHits++
@@ -612,17 +614,11 @@ func (c *checker) merge(curIdx int, cur *machine.Machine) (bool, error) {
 			// explores exactly MaxStates states, never MaxStates+1.
 			return true, c.exhaust("states")
 		} else {
-			if ancID == -2 {
-				ancID, ancKey, err = c.idx.ancestorFor(c.idx.baseID+int64(curIdx), &c.ancBuf)
-				if err != nil {
-					return true, err
-				}
-			}
-			// Detach the pool slot onto the heap before adoption; the
-			// pool pointer must not be read past this point (priming the
-			// kept machine rebases span arrays the slot still aliases).
+			// Detach the pool slot into slab storage before adoption; the
+			// pool pointer must not be read past this point (the slot is
+			// dead until the next CloneInto overwrites it).
 			kept := next.DetachTo(c.newKept())
-			id := c.push(kept, key, sp.hash, curIdx, p, ancID, ancKey)
+			id := c.push(kept, b.raw[p*w:(p+1)*w], key, si.hash, curIdx, p)
 			c.appendSucc(curIdx, id)
 			if v := c.checkState(kept, id); v != nil {
 				c.res.Violation = v
@@ -636,20 +632,23 @@ func (c *checker) merge(curIdx int, cur *machine.Machine) (bool, error) {
 	return false, nil
 }
 
-// push commits a new state: it interns key (delta-encoded against ancKey
-// when that pays; ancID < 0 stores it full) and appends the state's node,
-// frontier slot, stuck flag, and the explored-state counters. It returns
-// the node index, which equals the index id minus baseID because ids are
-// dense and assigned in the same order as nodes.
+// push commits a new state: it indexes key (the state's dedup vector)
+// and appends the state's node, frontier slot and raw vector, stuck
+// flag, and the explored-state counters. It returns the node index,
+// which equals the index id minus baseID because ids are dense and
+// assigned in the same order as nodes.
 //
-// Priming here — once per kept state, never per candidate — rebases the
-// machine onto a private fingerprint arena with every window valid, so
-// the next level's expansion reads it (and its own children read the
-// frozen arena) without encoding anything that didn't change.
-func (c *checker) push(m *machine.Machine, key []byte, hash uint64, parent, step int, ancID int64, ancKey []byte) int {
-	c.idx.insert(key, hash, ancID, ancKey)
+// Settling here — once per kept state, never per candidate — gives the
+// machine private frame, variable and span arrays in the current slab
+// generation and an empty pending-invalidation list, so each of its
+// children reports only its own step's components. No window is
+// encoded: the vector already names every component.
+func (c *checker) push(m *machine.Machine, raw, key []uint32, hash uint64, parent, step int) int {
+	c.idx.insert(key, hash)
+	c.logicalKeyBytes += c.idx.comps.keyLen(raw)
+	c.nextVecs = append(c.nextVecs, raw...)
 	m.SetSlab(&c.cowSlab)
-	m.PrimeFingerprints()
+	m.Settle()
 	stuck := ""
 	if c.opts.StuckBad != nil {
 		stuck = c.opts.StuckBad(m)

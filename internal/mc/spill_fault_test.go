@@ -2,7 +2,6 @@ package mc
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,13 +11,12 @@ import (
 	"simsym/internal/system"
 )
 
-// fillSpillable inserts enough wide keys that the arena finalizes
-// several chunks — only finalized chunks are spillable.
+// fillSpillable inserts enough wide vectors that the arena fills
+// several chunks — only full chunks are spillable.
 func fillSpillable(t *testing.T, idx *stateIndex, start, n int) {
 	t.Helper()
 	for i := start; i < start+n; i++ {
-		key := testKey(fmt.Sprintf("pc=%d", i%7), fmt.Sprintf("x=%0200d", i), "padpadpadpadpadpadpadpad")
-		mustInsert(t, idx, key, -1, nil)
+		mustInsert(t, idx, testVec(i, testWidth))
 	}
 }
 
@@ -40,7 +38,7 @@ func assertSpillReleased(t *testing.T, idx *stateIndex, path string) {
 // first spill must close and remove the just-created spill file rather
 // than leak an fd and a temp file per failed run.
 func TestSpillWriteErrorReleasesTier(t *testing.T) {
-	idx := newStateIndex(chunkSize/2, t.TempDir())
+	idx := newStateIndex(testWidth, chunkSize/2, t.TempDir())
 	defer idx.release()
 	fillSpillable(t, idx, 0, 1500)
 
@@ -65,7 +63,7 @@ func TestSpillWriteErrorReleasesTier(t *testing.T) {
 // several chunks already spilled successfully — the established tier
 // (an open, non-empty spill file) must be torn down just the same.
 func TestSpillWriteErrorMidLevelReleasesTier(t *testing.T) {
-	idx := newStateIndex(chunkSize/2, t.TempDir())
+	idx := newStateIndex(testWidth, chunkSize/2, t.TempDir())
 	defer idx.release()
 	fillSpillable(t, idx, 0, 1500)
 
@@ -177,7 +175,7 @@ func TestCheckSpillErrorPartial(t *testing.T) {
 // SpillDir does not exist, which fails for every user, root included)
 // must surface the error and leave no file handle behind.
 func TestSpillOpenErrorReleasesTier(t *testing.T) {
-	idx := newStateIndex(chunkSize/2, filepath.Join(t.TempDir(), "missing"))
+	idx := newStateIndex(testWidth, chunkSize/2, filepath.Join(t.TempDir(), "missing"))
 	defer idx.release()
 	fillSpillable(t, idx, 0, 1500)
 

@@ -126,10 +126,11 @@ func WithBudget(maxStates int, maxDuration time.Duration, maxMemBytes int64) Opt
 // and ignores it.
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 
-// WithSpill caps the model checker's in-memory key storage at hotBytes
-// and spills colder key bytes to a temp file under dir ("" uses the
-// system temp directory). Exploration verdicts are unaffected; only
-// residency changes.
+// WithSpill caps the model checker's in-memory state-vector storage at
+// hotBytes and spills colder vectors to a temp file under dir ("" uses
+// the system temp directory). The component table the vectors index
+// stays resident. Exploration verdicts are unaffected; only residency
+// changes.
 func WithSpill(hotBytes int64, dir string) Option {
 	return func(o *Options) {
 		o.HotIndexBytes = hotBytes
