@@ -30,7 +30,7 @@ func warmQMachine(t *testing.T) *Machine {
 			t.Fatal(err)
 		}
 	}
-	m.PrimeFingerprints()
+	m.AppendStateKey(nil, nil, nil)
 	return m
 }
 

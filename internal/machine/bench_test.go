@@ -135,8 +135,10 @@ func BenchmarkStepJumpIf(b *testing.B) {
 //	warm — every window cached: AppendStateKey is pure arena copies and
 //	       MUST report 0 allocs/op (the tentpole's contract; the gate in
 //	       scripts/benchgate.sh enforces it).
-//	step — the model checker's hot path: one step invalidates ≤1 frame
-//	       and ≤2 variables, the key re-encodes only those.
+//	step — one running machine's incremental key, as a repeated
+//	       Fingerprint() of a machine from New pays it: one step
+//	       invalidates ≤1 frame and ≤2 variables, the key re-encodes
+//	       only those.
 //	string — the test oracle's string encoding (FingerprintOracle, the
 //	       pre-arena Fingerprint), kept for scale: this is what the
 //	       arena replaced.
@@ -156,7 +158,7 @@ func BenchmarkFingerprint(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		m.PrimeFingerprints()
+		m.AppendStateKey(nil, nil, nil)
 		buf := make([]byte, 0, 4*len(m.AppendStateKey(nil, nil, nil)))
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -166,7 +168,7 @@ func BenchmarkFingerprint(b *testing.B) {
 	})
 	b.Run("step", func(b *testing.B) {
 		m := setup()
-		m.PrimeFingerprints()
+		m.AppendStateKey(nil, nil, nil)
 		buf := make([]byte, 0, 256)
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -126,23 +126,16 @@ type Machine struct {
 	varSub   [][]any
 	subOwned []bool
 
-	// procsOwned, varsOwned, and spansOwned are machine-level
-	// copy-on-write bits over the backing arrays themselves, making Clone
-	// O(1): procsOwned guards frames/crashed, varsOwned guards
-	// varVal/locked/varSub/subOwned, and spansOwned guards the fingerprint
-	// bookkeeping (spans/valid). Clone clears all bits on both machines
-	// and shares every array; the first mutating step afterwards copies
-	// just the group it touches (cowProcs/cowVars/cowSpans). The span
-	// group is split out
-	// because every step invalidates a cache bit but most steps leave
-	// whole value groups untouched — and PrimeFingerprints must rewrite
-	// span offsets without paying for a var-side value copy. When an
-	// array group is shared, its finer-grained ownership bits
-	// (Frame.owned, subOwned) are stale and ignored — the cow of the
-	// outer array resets them.
+	// procsOwned and varsOwned are machine-level copy-on-write bits over
+	// the backing arrays themselves, making Clone O(1): procsOwned guards
+	// frames/crashed and varsOwned guards varVal/locked/varSub/subOwned.
+	// Clone clears both bits on both machines and shares every array; the
+	// first mutating step afterwards copies just the group it touches
+	// (cowProcs/cowVars). When an array group is shared, its
+	// finer-grained ownership bits (Frame.owned, subOwned) are stale and
+	// ignored — the cow of the outer array resets them.
 	procsOwned bool
 	varsOwned  bool
-	spansOwned bool
 
 	steps int
 
@@ -153,46 +146,34 @@ type Machine struct {
 	// processors from convergence and correctness obligations.
 	crashed []bool
 
-	// Fingerprint caches: a step touches one processor frame and at most
-	// one variable, so caching makes whole-state fingerprints (the model
-	// checker's hot path) incremental. The cache is one component table
-	// in the state key's order: component c < NumProcs is processor c,
-	// and component NumProcs+v is variable v. Cached encodings live as
-	// byte windows in fpArena addressed by spans[c]; the valid bitmask —
-	// not the window — is the cache authority, so a legitimately empty
-	// encoding can never alias "uncached".
-	//
-	// fpArena is append-only while arenaOwned; a Clone freezes it (both
-	// sides drop ownership and treat it as read-only shared storage whose
-	// still-valid windows they keep serving). When an append would
-	// overflow it, arenaReserve compacts the valid windows into fpScratch
-	// (a ping-pong buffer, never shared: Clone nils it on the child)
-	// instead of growing forever. Invariant: arenaOwned implies
-	// spansOwned — only New and rebuildArena (which cows the span group)
-	// set it, so cache fills may always write spans.
-	fpArena    []byte
-	fpScratch  []byte
-	arenaOwned bool
-	spans      []fpSpan
-	valid      []uint64
+	// Fingerprint cache. It belongs to the machine New built and to no
+	// copy of it: Clone, CloneInto and Keep leave all four fields nil, so
+	// a copy encodes every window on demand while the original keeps
+	// caching. A step touches one processor frame and at most one
+	// variable, so the cache makes repeated whole-state fingerprints of
+	// one running machine incremental. It is one component table in the
+	// state key's order: component c < NumProcs is processor c, and
+	// component NumProcs+v is variable v. Cached encodings live as byte
+	// windows in fpArena addressed by spans[c]; the valid bitmask — not
+	// the window — is the cache authority, so a legitimately empty
+	// encoding can never alias "uncached". fpArena is append-only; when
+	// an append would overflow it, arenaReserve compacts the valid
+	// windows into fpScratch (a ping-pong buffer) instead of growing
+	// forever.
+	fpArena   []byte
+	fpScratch []byte
+	spans     []fpSpan
+	valid     []uint64
 
-	// stale defers cache invalidation on machines whose span group is
-	// still shared: a batch-expansion child steps once, staling ≤1 frame
-	// and ≤2 variables, and copying the span arrays just to clear bits
-	// would dominate expansion — most children are then discarded as
-	// duplicates without ever owning spans. cached treats a pending
-	// component as uncached; applyStales folds the entries into the
-	// bitmask when the machine does privatize its span group (every path
-	// to spansOwned runs through it, so a spansOwned — a fortiori
-	// arenaOwned — machine never carries pendings and cache fills may
-	// write bits directly). A fixed array, copied wholesale by clone and
-	// detach; overflow falls back to an immediate apply. The list doubles
-	// as the touched set Touched reports to the model checker.
-	stale  [8]int32
-	nStale int8
+	// touched lists the components changed since the machine was copied,
+	// the set Touched reports to the model checker. nTouched is -1 when
+	// the list cannot tell: on a machine from New, and once more than
+	// len(touched) distinct components have changed.
+	touched  [8]int32
+	nTouched int8
 
-	// Single-component overrides, the write-side twin of the pending
-	// stales: a machine whose value arrays are still clone-shared keeps
+	// Single-component overrides, the write side of copy-on-write: a
+	// machine whose value arrays are still clone-shared keeps
 	// its first touched frame in ovFrame (ovProc = which, -1 for none)
 	// and up to two touched variables in the ovVar slots (value + lock
 	// bit), so a batch-expansion child that steps once — one frame, at
@@ -226,16 +207,11 @@ type Machine struct {
 	// spares is the pool slot's recycling bin (see spareArrays); nil on
 	// machines that never host batch-expansion children.
 	spares *spareArrays
-
-	// slab, when non-nil, is a caller-owned bump allocator the cow paths
-	// carve fresh arrays from instead of calling make — the model checker
-	// sets it on kept machines so settling a whole BFS level costs a few
-	// chunk allocations, not five per state. Never shared with concurrent
-	// steppers: cloneInto strips it from children.
-	slab *Slab
 }
 
-// Slab is a bump allocator for the machine's copy-on-write arrays. The
+// Slab is a bump allocator for kept machines: Keep carves the machine
+// struct and its private frame and variable arrays from it, so keeping a
+// whole BFS level costs a few chunk allocations, not six per state. The
 // zero value is ready to use. Carved windows are full-capacity slices,
 // so a later append inside one machine can never bleed into a
 // neighbour's window.
@@ -243,18 +219,17 @@ type Machine struct {
 // Chunks are recycled generationally: Recycle retires everything carved
 // since the previous Recycle and makes the generation before that
 // reusable. The model checker calls Recycle at each BFS level boundary,
-// which matches machine lifetime exactly — machines settled while
+// which matches machine lifetime exactly — machines kept while
 // expanding level L die when level L+1 finishes expanding, two
-// boundaries later. Settle guarantees the lifetime premise by
-// privatizing every mutable group, so no machine ever references a slab
-// chunk of an older generation than its own.
+// boundaries later. Keep guarantees the lifetime premise by privatizing
+// every mutable array group into the slab, so no kept machine references
+// a slab chunk of an older generation than its own.
 type Slab struct {
-	frames slabPool[Frame]
-	anys   slabPool[any]
-	subs   slabPool[[]any]
-	bools  slabPool[bool]
-	spans  slabPool[fpSpan]
-	words  slabPool[uint64]
+	machines slabPool[Machine]
+	frames   slabPool[Frame]
+	anys     slabPool[any]
+	subs     slabPool[[]any]
+	bools    slabPool[bool]
 }
 
 // Recycle advances the slab's generations at a point where the caller
@@ -262,14 +237,15 @@ type Slab struct {
 // Pools whose consumers rely on zeroed storage (bools: the subOwned
 // half restarts zeroed) or whose elements carry pointers (a stale
 // pointer in a free chunk would retain dead state) are cleared as their
-// chunks become reusable; pointer-free pools skip the memclr.
+// chunks become reusable. The machine pool is not: Keep overwrites a
+// carved struct whole, and what a free machine chunk still points at
+// is released when its structs are reused.
 func (s *Slab) Recycle() {
+	s.machines.rotate(false)
 	s.frames.rotate(true)
 	s.anys.rotate(true)
 	s.subs.rotate(true)
 	s.bools.rotate(true)
-	s.spans.rotate(false)
-	s.words.rotate(false)
 }
 
 // slabPool is one element type's chunk store: a bump tail plus three
@@ -318,12 +294,6 @@ func (p *slabPool[T]) rotate(clearChunks bool) {
 	p.tail = nil
 }
 
-// SetSlab points the machine's copy-on-write allocations at a
-// caller-owned slab. The caller must guarantee that machines sharing a
-// slab never allocate concurrently; the model checker satisfies this by
-// settling kept machines one at a time on its checking goroutine.
-func (m *Machine) SetSlab(s *Slab) { m.slab = s }
-
 // isSharedKind reports whether the opcode addresses a shared variable.
 func isSharedKind(k opKind) bool { return k >= opRead && k <= opPost }
 
@@ -338,9 +308,9 @@ type fpSpan struct {
 // and private Locals slices of the pool slot it overwrites (a
 // batch-expansion child that was not kept), and the next cowVars/
 // frameCow consumes them instead of allocating. The bin is never
-// shared: cloneInto keeps it with the overwritten slot, DetachTo strips
-// it from the kept copy. The processor and span groups have no arm: a
-// pool child steps once, so it never owns them.
+// shared: CloneInto keeps it with the overwritten slot, and no copy
+// inherits it. The processor group has no arm: a pool child steps once,
+// so its frame write lands in the override slot.
 type spareArrays struct {
 	varVal   []any
 	locked   []bool
@@ -353,15 +323,16 @@ type spareArrays struct {
 }
 
 // cowProcs makes the processor-side arrays (frames, crashed) private to
-// this machine, copying once after a Clone. The fresh frame copies drop
-// their owned bits: their Locals slices are still shared.
-func (m *Machine) cowProcs() {
+// this machine, copying once after a Clone — into s when it is non-nil.
+// The fresh frame copies drop their owned bits: their Locals slices are
+// still shared.
+func (m *Machine) cowProcs(s *Slab) {
 	if m.procsOwned {
 		return
 	}
 	var frames []Frame
 	var crashed []bool
-	if s := m.slab; s != nil {
+	if s != nil {
 		frames = s.frames.take(len(m.frames), 512)
 		crashed = s.bools.take(len(m.crashed), 2048)
 	} else {
@@ -384,10 +355,10 @@ func (m *Machine) cowProcs() {
 }
 
 // cowVars makes the variable-side arrays (varVal, locked, varSub,
-// subOwned) private to this machine. subOwned restarts zeroed: the inner
-// subvalue slices are still shared and must be copied on the next post
-// to each.
-func (m *Machine) cowVars() {
+// subOwned) private to this machine, into s when it is non-nil.
+// subOwned restarts zeroed: the inner subvalue slices are still shared
+// and must be copied on the next post to each.
+func (m *Machine) cowVars(s *Slab) {
 	if m.varsOwned {
 		return
 	}
@@ -408,7 +379,7 @@ func (m *Machine) cowVars() {
 		var vv []any
 		var lk []bool
 		var vs [][]any
-		if s := m.slab; s != nil {
+		if s != nil {
 			vv = s.anys.take(len(m.varVal), 1024)
 			vs = s.subs.take(len(m.varSub), 1024)
 			lk = s.bools.take(nl+len(m.subOwned), 2048)
@@ -431,29 +402,6 @@ func (m *Machine) cowVars() {
 	}
 	m.nOvVar = 0
 	m.varsOwned = true
-}
-
-// cowSpans makes the fingerprint bookkeeping arrays (spans, valid)
-// private to this machine. Split from the value groups so folding cache
-// invalidations and rewriting span offsets copy two small pointer-free
-// arrays, not the frame and variable values.
-func (m *Machine) cowSpans() {
-	if m.spansOwned {
-		return
-	}
-	var spans []fpSpan
-	var valid []uint64
-	if s := m.slab; s != nil {
-		spans = s.spans.take(len(m.spans), 2048)
-		valid = s.words.take(len(m.valid), 1024)
-	} else {
-		spans = make([]fpSpan, len(m.spans))
-		valid = make([]uint64, len(m.valid))
-	}
-	copy(spans, m.spans)
-	copy(valid, m.valid)
-	m.spans, m.valid = spans, valid
-	m.spansOwned = true
 }
 
 // frameAt returns the authoritative view of processor p's frame,
@@ -483,7 +431,7 @@ func (m *Machine) writableFrame(p int) *Frame {
 		m.ovFrame.owned = false // Locals still shared
 		return &m.ovFrame
 	}
-	m.cowProcs()
+	m.cowProcs(nil)
 	return &m.frames[p]
 }
 
@@ -539,7 +487,7 @@ func (m *Machine) setVarVal(v int, val any) {
 			m.ovVal[i] = val
 			return
 		}
-		m.cowVars()
+		m.cowVars(nil)
 	}
 	m.varVal[v] = val
 }
@@ -550,99 +498,57 @@ func (m *Machine) setLocked(v int, b bool) {
 			m.ovLocked[i] = b
 			return
 		}
-		m.cowVars()
+		m.cowVars(nil)
 	}
 	m.locked[v] = b
 }
 
 // cached reports whether component c's cached window is valid: the
-// bitmask decides — window length is state, not status — and a pending
-// deferred invalidation vetoes the bit.
+// bitmask decides — window length is state, not status. A machine
+// without a cache has no bits.
 func (m *Machine) cached(c int) bool {
-	if m.valid[c>>6]&(1<<uint(c&63)) == 0 {
-		return false
-	}
-	for _, s := range m.stale[:m.nStale] {
-		if s == int32(c) {
-			return false
-		}
-	}
-	return true
+	w := c >> 6
+	return w < len(m.valid) && m.valid[w]&(1<<uint(c&63)) != 0
 }
 
-// markStale invalidates component c's cached window. The arena bytes
-// become garbage (reclaimed by the next compaction) but are never
-// rewritten in place: shared arenas stay frozen. On a machine that owns
-// its span group the bit is cleared directly; otherwise the invalidation
-// is deferred to the pending list so a clone that steps once and is
-// discarded never copies span arrays at all.
+// markStale records that component c changed: it clears c's valid bit
+// when the machine has a cache — the window's arena bytes become
+// garbage, reclaimed by the next compaction — and adds c to the touched
+// list.
 func (m *Machine) markStale(c int) {
-	if !m.spansOwned {
-		for _, s := range m.stale[:m.nStale] {
-			if s == int32(c) {
-				return
-			}
-		}
-		if int(m.nStale) < len(m.stale) {
-			m.stale[m.nStale] = int32(c)
-			m.nStale++
-			return
-		}
-		m.applyStales()
-	}
-	m.valid[c>>6] &^= 1 << uint(c&63)
-}
-
-// applyStales privatizes the span group and folds the deferred
-// invalidations into the validity bitmask. It is the gateway to
-// spansOwned: Settle, rebuildArena and the stale overflow path all come
-// through here, so an owned span group never coexists with pendings.
-func (m *Machine) applyStales() {
-	m.cowSpans()
-	for _, c := range m.stale[:m.nStale] {
+	if m.valid != nil {
 		m.valid[c>>6] &^= 1 << uint(c&63)
 	}
-	m.nStale = 0
+	if m.nTouched < 0 {
+		return
+	}
+	for _, t := range m.touched[:m.nTouched] {
+		if t == int32(c) {
+			return
+		}
+	}
+	if int(m.nTouched) == len(m.touched) {
+		m.nTouched = -1
+		return
+	}
+	m.touched[m.nTouched] = int32(c)
+	m.nTouched++
 }
 
-// Touched returns the components the machine has changed since it was
-// cloned: processor p is component p and variable v is component
-// NumProcs()+v, the state key's order. Every mutation records the
-// components it writes in the pending-invalidation list this reads, so a
-// component not listed is unchanged since the clone; a listed one may
-// still hold its old value (a jump back to its own pc). A clone of a
-// settled machine lists exactly its own mutations — a step touches one
-// frame and at most one variable. ok is false when the machine cannot
-// tell: its span group is private (fresh from New, settled, or
-// privatized by a mutation), so invalidations went straight to the
-// validity mask. The slice aliases the machine and is valid until its
-// next mutation.
+// Touched returns the components the machine has changed since Clone,
+// CloneInto or Keep made it: processor p is component p and variable v
+// is component NumProcs()+v, the state key's order. Every mutation
+// records the components it writes, so a component not listed is
+// unchanged since the copy; a listed one may still hold its old value (a
+// jump back to its own pc). A step lists its frame and at most one
+// variable. ok is false when the machine cannot tell: it came from New,
+// or more than eight distinct components have changed. The slice
+// aliases the machine and is valid until its next mutation.
 func (m *Machine) Touched() (comps []int32, ok bool) {
-	if m.spansOwned {
+	if m.nTouched < 0 {
 		return nil, false
 	}
-	return m.stale[:m.nStale], true
-}
-
-// Settle privatizes the machine's frame, variable and span groups and
-// folds its pending invalidations into the validity mask, leaving the
-// fingerprint arena alone: afterwards the machine shares no mutable
-// array with the machine it was cloned from, and each clone of it
-// reports only its own steps through Touched. The model checker settles
-// every state it keeps — the copies land in the caller's slab (SetSlab),
-// so this costs a few small memmoves, not allocations.
-func (m *Machine) Settle() {
-	// A kept machine is about to parent whole batches of clones: fold its
-	// step's frame/variable overrides into privately owned arrays so
-	// children inherit clean shared state (an inherited override would
-	// force every child's first write through the privatizing fallback).
-	// Both groups are privatized even when no override is pending — a
-	// kept machine must not share any mutable array with its parent,
-	// whose slab generation the checker recycles one level before this
-	// machine dies.
-	m.cowProcs()
-	m.cowVars()
-	m.applyStales()
+	return m.touched[:m.nTouched], true
 }
 
 // New initializes a machine: every processor at PC 0 with local slot
@@ -676,12 +582,11 @@ func New(sys *system.System, instr system.InstrSet, program *Program) (*Machine,
 		spans:    make([]fpSpan, np+nv),
 		valid:    make([]uint64, (np+nv+63)/64),
 		selSym:   -1,
-		// Freshly built machines own every backing array, including the
-		// (still empty) fingerprint arena.
+		// Freshly built machines own every backing array and the (still
+		// empty) fingerprint cache, and keep no touched list.
 		procsOwned: true,
 		varsOwned:  true,
-		spansOwned: true,
-		arenaOwned: true,
+		nTouched:   -1,
 		ovProc:     -1,
 	}
 	if s, ok := program.symIdx["selected"]; ok {
@@ -893,7 +798,7 @@ func (m *Machine) Step(p int) error {
 		}
 		m.steps++
 		m.markStale(p)
-		m.cowVars()
+		m.cowVars(nil)
 		// Copy-on-write so snapshots are not aliased.
 		sub := m.varSub[v]
 		if !m.subOwned[v] {
@@ -1040,7 +945,7 @@ func (m *Machine) Crash(p int) error {
 		return fmt.Errorf("%w: %d", ErrBadProcessor, p)
 	}
 	if !m.frameAt(p).Halted {
-		m.cowProcs()
+		m.cowProcs(nil)
 		m.frames[p].Halted = true
 		m.crashed[p] = true
 		m.markStale(p)
@@ -1063,7 +968,7 @@ func (m *Machine) DropLock(v int) error {
 		return fmt.Errorf("%w: %d", ErrBadVariable, v)
 	}
 	if m.lockedAt(v) {
-		m.cowVars()
+		m.cowVars(nil)
 		m.locked[v] = false
 		m.markStale(len(m.frames) + v)
 	}
@@ -1117,16 +1022,15 @@ func (m *Machine) appendFP(buf []byte, c int) []byte {
 // length prefix immediately before the body, and the span points at the
 // body. appendKeyed therefore emits a cached component with one copy of
 // [off-uvarintLen(n), off+n), and runs of windows that are adjacent in
-// the arena — the common case after PrimeFingerprints, which writes them
-// back to back — collapse into a single bulk copy in AppendStateKey's
-// unpermuted fast path.
+// the arena — the common case after a machine's first AppendStateKey,
+// which caches them back to back — collapse into a single bulk copy in
+// AppendStateKey's unpermuted fast path.
 
 // cacheFP records win — just encoded into a caller buffer — as component
 // c's cached window by copying it (length-prefixed) into the arena. A
-// machine that does not own its arena (post-Clone, pre-rebuild) skips
-// caching: shared arenas are frozen.
+// copy of a machine has no cache and skips this.
 func (m *Machine) cacheFP(c int, win []byte) {
-	if !m.arenaOwned {
+	if m.spans == nil {
 		return
 	}
 	m.arenaReserve(int(uvarintLen(int32(len(win)))) + len(win))
@@ -1136,44 +1040,30 @@ func (m *Machine) cacheFP(c int, win []byte) {
 	m.valid[c>>6] |= 1 << uint(c&63)
 }
 
-// arenaReserve makes room to append n more bytes to an owned arena
-// without growing forever: when the append would exceed capacity, the
-// still-valid windows are compacted into the scratch buffer (the two
-// swap roles each compaction, so steady-state caching allocates
-// nothing). Only called with arenaOwned set.
+// arenaReserve makes room to append n more bytes to the arena without
+// growing it forever: when the append would exceed capacity, the
+// still-valid windows are compacted into the scratch buffer, sized for
+// live bytes plus n, and the two buffers swap roles, so steady-state
+// caching allocates nothing.
 func (m *Machine) arenaReserve(n int) {
 	if len(m.fpArena)+n <= cap(m.fpArena) {
 		return
 	}
-	m.rebuildArena(n)
-}
-
-// rebuildArena rebases every valid window into a privately owned arena
-// sized for live bytes plus extra headroom, taking ownership. This is
-// both the compactor (owned arena full of garbage) and the rebase step
-// a cloned machine performs before its first cache fill — the
-// applyStales here is what makes the arenaOwned ⇒ spansOwned invariant
-// hold.
-func (m *Machine) rebuildArena(extra int) {
-	// Rewriting span offsets needs only the span group privatized — the
-	// frame and variable values are untouched. Deferred invalidations
-	// must land first so the live-byte walk sees final validity bits.
-	m.applyStales()
 	live := 0
 	for c, sp := range m.spans {
 		if m.cached(c) {
 			live += int(uvarintLen(sp.n) + sp.n)
 		}
 	}
-	need := live + extra
+	need := live + n
 	dst := m.fpScratch[:0]
 	if cap(dst) < need {
 		dst = make([]byte, 0, 2*need+64)
 	}
 	// Valid windows that sit back to back in the source arena move as
-	// single runs: after a batch step all but the few stale components
-	// are still in prime order, so the whole compaction collapses into
-	// one or two bulk copies.
+	// single runs: after a step all but the few stale components are
+	// still in key order, so the whole compaction collapses into one or
+	// two bulk copies.
 	runSrc, runEnd := int32(-1), int32(-1)
 	runDst := int32(0)
 	for c := range m.spans {
@@ -1195,42 +1085,8 @@ func (m *Machine) rebuildArena(extra int) {
 	if runSrc >= 0 {
 		dst = append(dst, m.fpArena[runSrc:runEnd]...)
 	}
-	if m.arenaOwned {
-		m.fpScratch = m.fpArena[:0] // ping-pong: old arena becomes scratch
-	} else {
-		m.fpScratch = nil // old arena is shared — never write into it
-	}
+	m.fpScratch = m.fpArena[:0]
 	m.fpArena = dst
-	m.arenaOwned = true
-}
-
-// PrimeFingerprints settles the machine and re-encodes every stale
-// component into a privately owned arena, so subsequent AppendStateKey
-// calls are pure window copies and clones inherit every window
-// read-only.
-func (m *Machine) PrimeFingerprints() {
-	m.Settle()
-	if !m.arenaOwned {
-		m.rebuildArena(64)
-	}
-	np := len(m.frames)
-	for c := range m.spans {
-		if m.cached(c) {
-			continue
-		}
-		hint := 48 // a typical frame window; variable windows run smaller
-		if c >= np {
-			hint = 24
-		}
-		m.arenaReserve(hint)
-		start := len(m.fpArena)
-		m.fpArena = append(m.fpArena, 0) // length-prefix placeholder
-		m.fpArena = m.appendFP(m.fpArena, c)
-		n := int32(len(m.fpArena) - start - 1)
-		m.fpArena = fixupLenPrefix(m.fpArena, start+1)
-		m.spans[c] = fpSpan{off: int32(start) + uvarintLen(n), n: n}
-		m.valid[c>>6] |= 1 << uint(c&63)
-	}
 }
 
 // AppendProcFingerprint appends processor p's canonical fingerprint bytes
@@ -1393,9 +1249,9 @@ func (m *Machine) Fingerprint() string {
 // state to buf and returns the extended slice. The key concatenates the
 // uvarint-length-prefixed component windows in table order — every
 // processor, then every variable — so two machines over the same system
-// have equal keys iff they are in the same state. This is the model
-// checker's visited-set key: callers reuse buf across states and the
-// per-component fingerprints stay cached.
+// have equal keys iff they are in the same state. Callers reuse buf
+// across states; on a machine from New the component windows stay
+// cached between calls, and a copy encodes them on demand.
 //
 // When procAt/varAt are non-nil they relabel the key's node positions:
 // position i of the key takes processor procAt[i]'s (variable varAt[i]'s)
@@ -1403,11 +1259,11 @@ func (m *Machine) Fingerprint() string {
 // symmetric image state, which is how symmetry reduction computes orbit
 // representatives without building permuted machines.
 func (m *Machine) AppendStateKey(buf []byte, procAt, varAt []int) []byte {
-	if procAt == nil && varAt == nil {
+	if procAt == nil && varAt == nil && m.spans != nil {
 		return m.appendStateKeyFast(buf)
 	}
 	np := len(m.frames)
-	for i := range m.spans {
+	for i := 0; i < np+len(m.varVal); i++ {
 		c := i
 		if i < np && procAt != nil {
 			c = procAt[i]
@@ -1419,12 +1275,12 @@ func (m *Machine) AppendStateKey(buf []byte, procAt, varAt []int) []byte {
 	return buf
 }
 
-// appendStateKeyFast is the unpermuted AppendStateKey: identical bytes,
-// but runs of cached components whose prefixed windows sit back to back
-// in the arena (the layout PrimeFingerprints produces) are emitted as
-// one bulk copy instead of one copy per component. A batch-stepped
-// child typically re-encodes its ≤1 touched frame and ≤2 variables and
-// bulk-copies everything between them.
+// appendStateKeyFast is the unpermuted AppendStateKey of a machine with
+// a cache: identical bytes, but runs of cached components whose prefixed
+// windows sit back to back in the arena (the layout a first full key
+// leaves) are emitted as one bulk copy instead of one copy per
+// component. After a step the key re-encodes the ≤1 touched frame and
+// ≤2 variables and bulk-copies everything between them.
 func (m *Machine) appendStateKeyFast(buf []byte) []byte {
 	runStart, runEnd := int32(-1), int32(-1)
 	for c := range m.spans {
@@ -1459,7 +1315,7 @@ func (m *Machine) appendStateKeyFast(buf []byte) []byte {
 // cached window is a pure copy; a miss encodes in place behind a
 // reserved 1-byte prefix that fixupLenPrefix widens in the (rare)
 // ≥128-byte case, and the freshly encoded window is cached when the
-// arena is owned.
+// machine has a cache.
 func (m *Machine) appendKeyed(buf []byte, c int) []byte {
 	if m.cached(c) {
 		sp := m.spans[c]
@@ -1500,22 +1356,18 @@ func valueForCanon(v any) any {
 }
 
 // Clone returns an independent snapshot of the machine in O(1): every
-// mutable array — frames, variable values, locks, subvalues, fingerprint
-// spans — is shared copy-on-write between the two machines, and the
-// first mutating step on either side copies just the array group it
-// touches. Clearing the ownership bits here covers both machines (a
-// machine is only ever touched by one goroutine at a time).
+// mutable array — frames, variable values, locks, subvalues — is shared
+// copy-on-write between the two machines, and the first mutating step on
+// either side copies just the array group it touches. Clearing the
+// ownership bits here covers both machines (a machine is only ever
+// touched by one goroutine at a time).
 //
-// The fingerprint arena is frozen on both sides: neither machine may
-// append to the shared arena, so cache fills stop until one rebases
-// onto a private arena (PrimeFingerprints / rebuildArena). Still-valid
-// windows keep being served read-only from the shared arena — this is
-// what lets W sibling clones of one parent re-encode only the ≤1 frame
-// and ≤2 variables their step touched while copying every other
-// component straight out of the parent's arena.
+// The fingerprint cache stays with m: the clone has none and encodes
+// every window on demand. Its touched list starts empty, so Touched
+// reports exactly what the clone changes afterwards.
 func (m *Machine) Clone() *Machine {
 	c := new(Machine)
-	m.cloneInto(c)
+	m.CloneInto(c)
 	return c
 }
 
@@ -1524,7 +1376,8 @@ func (m *Machine) Clone() *Machine {
 // batch expander uses to step W sibling clones out of a reusable pool.
 // dst must be a different machine from m and must not be stepped
 // concurrently with m's other clones (one goroutine per machine, as
-// everywhere).
+// everywhere). As with Clone, dst gets no fingerprint cache and an empty
+// touched list.
 //
 // When dst still exclusively owns variable arrays of matching shape or
 // a private Locals slice — a pool slot whose previous occupant was not
@@ -1532,16 +1385,14 @@ func (m *Machine) Clone() *Machine {
 // child's first copy-on-write consumes them instead of allocating:
 // steady-state batch expansion copies only the array group a step
 // touches, into recycled memory, and pays no GC write barriers for
-// groups the step leaves shared. The fingerprint arena itself is never
-// recycled this way; it is frozen and shared exactly as in Clone.
-func (m *Machine) CloneInto(dst *Machine) { m.cloneInto(dst) }
-
-func (m *Machine) cloneInto(dst *Machine) {
+// groups the step leaves shared.
+func (m *Machine) CloneInto(dst *Machine) {
 	sp := dst.spares
 	if dst != m && (dst.varsOwned || (dst.ovProc >= 0 && dst.ovFrame.owned)) {
 		// The previous occupant's exclusively owned arrays are dead
-		// (the checker detaches kept machines, clearing these bits):
-		// bank them for the next cowVars/frameCow.
+		// (copying a machine clears these bits on it, so a kept
+		// occupant's arrays never land here): bank them for the next
+		// cowVars/frameCow.
 		if sp == nil {
 			sp = new(spareArrays)
 		}
@@ -1556,48 +1407,55 @@ func (m *Machine) cloneInto(dst *Machine) {
 			sp.hasVars = true
 		}
 	}
-	m.procsOwned = false
-	m.varsOwned = false
-	m.spansOwned = false
-	m.arenaOwned = false
-	if m.ovProc >= 0 {
-		// Both machines now carry the same override frame by value; its
-		// Locals slice is shared between them, so neither may trust a
-		// stale owned bit (same rule as the cleared group bits above).
-		m.ovFrame.owned = false
-	}
-	*dst = *m
-	dst.regs = Regs{}
-	// The compaction scratch is exclusively the parent's: sharing it
-	// would let two machines compact into the same buffer. The bin
-	// stays with the slot it was salvaged from. The slab is the
-	// checker's and only kept machines it settles may carve from it — a
-	// pool child must not.
-	dst.fpScratch = nil
-	dst.spares = sp
-	dst.slab = nil
+	m.copyTo(dst)
+	dst.spares = sp // the bin stays with the slot it was salvaged from
 }
 
-// DetachTo moves the machine into caller-provided storage, transferring
-// its state and array ownership: the receiver's ownership bits are
-// cleared so a later CloneInto cannot recycle arrays the copy now owns.
-// It exists for pool-backed expansion: a pool slot the checker decides
-// to keep is detached into a slab-carved machine (one allocation per
-// dozens of adopted states), and the slot is dead until the next
-// CloneInto overwrites it. dst is overwritten entirely; the receiver
-// must not be stepped afterwards.
-func (m *Machine) DetachTo(dst *Machine) *Machine {
-	*dst = *m
-	dst.spares = nil // the recycling bin stays with the pool slot
+// copyTo overwrites dst with a copy of m that shares every array with m
+// copy-on-write and has no fingerprint cache, no recycling bin and an
+// empty touched list.
+func (m *Machine) copyTo(dst *Machine) {
 	m.procsOwned = false
 	m.varsOwned = false
-	m.spansOwned = false
-	m.arenaOwned = false
-	// The override frame's private Locals slice moves to the copy too:
-	// without this, the next CloneInto over the slot would recycle a
-	// slice the detached machine still references.
+	// Both machines now carry the same override frame by value; its
+	// Locals slice is shared between them, so neither may trust a stale
+	// owned bit (same rule as the cleared group bits above).
 	m.ovFrame.owned = false
-	return dst
+	*dst = *m
+	dst.regs = Regs{}
+	dst.fpArena, dst.fpScratch, dst.spans, dst.valid = nil, nil, nil, nil
+	dst.nTouched = 0
+	dst.spares = nil
+}
+
+// Keep returns a copy of the machine, like Clone, whose struct and frame
+// and variable arrays are carved from s (from the heap when s is nil):
+// given a slab, Keep allocates nothing. The model checker keeps every
+// state it pushes this way and calls s.Recycle at each level boundary,
+// so a kept machine must not be used after the second Recycle that
+// follows its Keep. The copy shares no frame or variable array with m,
+// so it outlives any later CloneInto over m, and each clone of it
+// reports only its own changes through Touched. Machines sharing a slab
+// must not be kept concurrently.
+func (m *Machine) Keep(s *Slab) *Machine {
+	var k *Machine
+	if s != nil {
+		k = &s.machines.take(1, 128)[0]
+	} else {
+		k = new(Machine)
+	}
+	m.copyTo(k)
+	// A kept machine is about to parent whole batches of clones: fold its
+	// step's frame/variable overrides into privately owned arrays so
+	// children inherit clean shared state (an inherited override would
+	// force every child's first write through the privatizing fallback).
+	// Both groups are privatized even when no override is pending — a
+	// kept machine must not share any mutable array with its parent,
+	// whose slab generation the checker recycles one level before this
+	// machine dies.
+	k.cowProcs(s)
+	k.cowVars(s)
+	return k
 }
 
 // Selected reports whether processor p's conventional "selected" local

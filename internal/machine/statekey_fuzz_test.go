@@ -105,7 +105,7 @@ func FuzzStateKeyOracle(f *testing.F) {
 					return m, i
 				}
 				if prime && i == n/2 {
-					m.PrimeFingerprints()
+					m.AppendStateKey(nil, nil, nil)
 				}
 			}
 			return m, n
@@ -167,7 +167,7 @@ func FuzzStateKeyOracle(f *testing.F) {
 					break
 				}
 				if prime && i == 24 {
-					m.PrimeFingerprints()
+					m.AppendStateKey(nil, nil, nil)
 				}
 			}
 			return m

@@ -398,7 +398,7 @@ func (ct *compTable) vector(dst []uint32, m *machine.Machine) error {
 	return nil
 }
 
-// childVector fills dst with the vector of child, a clone of the settled
+// childVector fills dst with the vector of child, a clone of the kept
 // state whose vector is parent that has stepped since: the parent's ids,
 // with only the components the step touched re-interned. Every other
 // window is unchanged, so none of it is read.

@@ -226,9 +226,9 @@ type succInfo struct {
 //
 // pool holds the sibling clones expand steps in lockstep: CloneInto
 // overwrites a slot with an O(1) snapshot of the parent (no heap machine
-// per child), and only children merge decides to keep are detached into
-// slab storage. raw[p·W:] is successor p's vector; keys[p·W:] is its
-// dedup key — the orbit's least vector under symmetry reduction, raw
+// per child), and only children merge decides to keep are copied into
+// slab storage (push). raw[p·W:] is successor p's vector; keys[p·W:] is
+// its dedup key — the orbit's least vector under symmetry reduction, raw
 // itself otherwise.
 type batch struct {
 	pool  []machine.Machine
@@ -270,47 +270,11 @@ type checker struct {
 	// whole graph instead of one per node.
 	succArena []int
 
-	// machSlab carves storage for kept machines (DetachTo) in chunks, one
-	// allocation per chunk instead of one per adopted state. Chunks
-	// rotate through three generations (handed out this level, previous
-	// level, reusable) in lockstep with cowSlab — see recycleKept.
-	machSlab []machine.Machine
-	machCur  [][]machine.Machine
-	machPrev [][]machine.Machine
-	machFree [][]machine.Machine
-
-	// cowSlab backs the arrays kept machines privatize while being
-	// settled — push settles them one at a time on the checking
-	// goroutine, so one slab serves all of them without synchronization.
-	cowSlab machine.Slab
-}
-
-// newKept hands out one machine's worth of slab storage.
-func (c *checker) newKept() *machine.Machine {
-	if len(c.machSlab) == 0 {
-		if k := len(c.machFree); k > 0 {
-			c.machSlab = c.machFree[k-1]
-			c.machFree[k-1] = nil
-			c.machFree = c.machFree[:k-1]
-		} else {
-			c.machSlab = make([]machine.Machine, 128)
-		}
-		c.machCur = append(c.machCur, c.machSlab)
-	}
-	m := &c.machSlab[0]
-	c.machSlab = c.machSlab[1:]
-	return m
-}
-
-// recycleKept advances the machine-struct chunk generations at a level
-// boundary: everything handed out while expanding the level before last
-// is dead (kept machines die when their own level finishes expanding),
-// so those chunks become reusable. Reuse overwrites each struct wholly
-// via DetachTo, so freed chunks are not cleared.
-func (c *checker) recycleKept() {
-	c.machFree = append(c.machFree, c.machPrev...)
-	c.machPrev, c.machCur = c.machCur, c.machPrev[:0]
-	c.machSlab = nil // a partial chunk must not span generations
+	// slab backs every machine push keeps (machine.Keep): push keeps them
+	// one at a time on the checking goroutine, so one slab serves all of
+	// them without synchronization, and Check recycles it at each level
+	// boundary.
+	slab machine.Slab
 }
 
 // appendSucc records id as curIdx's next successor. Relies on the
@@ -440,8 +404,7 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 		// the level slots as it goes), so the slab generations advance:
 		// chunks retired two boundaries ago are reused for the machines
 		// the next level will keep.
-		c.recycleKept()
-		c.cowSlab.Recycle()
+		c.slab.Recycle()
 	}
 	c.res.Complete = true
 
@@ -521,11 +484,11 @@ func (c *checker) runLevel() (bool, error) {
 // expand computes all successors of cur into c.batch: cloned machines
 // plus their vectors and dedup-key hashes. Predicates never run here.
 //
-// This is the batch-stepping hot loop: cur was settled when it was
-// pushed, so each sibling clone stepped out of the pool reports exactly
-// the ≤1 frame and ≤1 variable its step touched (machine.Touched).
-// Its vector is the parent's with just those re-interned — no other
-// component is encoded, copied or read.
+// This is the batch-stepping hot loop: each sibling clone stepped out of
+// the pool starts with an empty touched list and no fingerprint cache,
+// so it reports exactly the ≤1 frame and ≤1 variable its step touched
+// (machine.Touched). Its vector is the parent's with just those
+// re-interned — no other component is encoded, copied or read.
 func (c *checker) expand(cur *machine.Machine, curVec []uint32) error {
 	b := &c.batch
 	w := c.width
@@ -614,13 +577,9 @@ func (c *checker) merge(curIdx int, cur *machine.Machine) (bool, error) {
 			// explores exactly MaxStates states, never MaxStates+1.
 			return true, c.exhaust("states")
 		} else {
-			// Detach the pool slot into slab storage before adoption; the
-			// pool pointer must not be read past this point (the slot is
-			// dead until the next CloneInto overwrites it).
-			kept := next.DetachTo(c.newKept())
-			id := c.push(kept, b.raw[p*w:(p+1)*w], key, si.hash, curIdx, p)
+			id := c.push(next, b.raw[p*w:(p+1)*w], key, si.hash, curIdx, p)
 			c.appendSucc(curIdx, id)
-			if v := c.checkState(kept, id); v != nil {
+			if v := c.checkState(next, id); v != nil {
 				c.res.Violation = v
 				return true, nil
 			}
@@ -638,17 +597,17 @@ func (c *checker) merge(curIdx int, cur *machine.Machine) (bool, error) {
 // which equals the index id minus baseID because ids are dense and
 // assigned in the same order as nodes.
 //
-// Settling here — once per kept state, never per candidate — gives the
-// machine private frame, variable and span arrays in the current slab
-// generation and an empty pending-invalidation list, so each of its
-// children reports only its own step's components. No window is
-// encoded: the vector already names every component.
+// The frontier holds a Keep copy of m — made once per kept state, never
+// per candidate — with private frame and variable arrays in the current
+// slab generation, so m itself (a pool slot, or the root) stays free for
+// reuse, and each of the copy's children reports only its own step's
+// components. No window is encoded: the vector already names every
+// component.
 func (c *checker) push(m *machine.Machine, raw, key []uint32, hash uint64, parent, step int) int {
 	c.idx.insert(key, hash)
 	c.logicalKeyBytes += c.idx.comps.keyLen(raw)
 	c.nextVecs = append(c.nextVecs, raw...)
-	m.SetSlab(&c.cowSlab)
-	m.Settle()
+	m = m.Keep(&c.slab)
 	stuck := ""
 	if c.opts.StuckBad != nil {
 		stuck = c.opts.StuckBad(m)

@@ -17,7 +17,7 @@ import (
 // changed. Along seeded random walks — random programs over Fig1, Fig2
 // and the flipped table of four under S, L and Q, with Post/Peek
 // multisets, halting, running off the end and stutter steps — every
-// state's vector is built the way the checker builds it (the settled
+// state's vector is built the way the checker builds it (the kept
 // parent's vector with the touched components re-interned, for a whole
 // batch of pool clones) and must spell the state's full key: the
 // uvarint-prefixed concatenation of its windows equals AppendStateKey,
@@ -148,7 +148,7 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 	if err := ct.vector(curVec, cur); err != nil {
 		t.Fatal(err)
 	}
-	cur.Settle()
+	cur = cur.Keep(nil)
 	check(cur, curVec)
 	pool := make([]machine.Machine, np)
 	ops := make([][]walkOp, np)
@@ -184,11 +184,9 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 			}
 			check(child, vec, ops[p]...)
 		}
-		// Continue from one child, kept and settled as the checker keeps
-		// a new state.
+		// Continue from one child, kept as the checker keeps a new state.
 		p := rng.Intn(np)
-		cur = pool[p].DetachTo(new(machine.Machine))
-		cur.Settle()
+		cur = pool[p].Keep(nil)
 		curVec = append(curVec[:0], vecs[p*w:(p+1)*w]...)
 		walk = append(walk, ops[p]...)
 		check(cur, curVec)

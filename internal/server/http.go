@@ -33,8 +33,7 @@ func Handler(s *Server, onDrained func()) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		var cfg SessionConfig
-		if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &cfg) {
 			return
 		}
 		snap, err := s.Create(cfg)
@@ -64,11 +63,8 @@ func Handler(s *Server, onDrained func()) http.Handler {
 		var body struct {
 			Slots int `json:"slots"`
 		}
-		if r.ContentLength != 0 {
-			if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-				writeErr(w, http.StatusBadRequest, err)
-				return
-			}
+		if r.ContentLength != 0 && !decodeBody(w, r, &body) {
+			return
 		}
 		snap, err := s.Step(r.PathValue("id"), body.Slots, r.Header.Get(TenantHeader))
 		if err != nil {
@@ -89,8 +85,7 @@ func Handler(s *Server, onDrained func()) http.Handler {
 		var body struct {
 			Topology string `json:"topology"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &body) {
 			return
 		}
 		snap, err := s.Reload(r.PathValue("id"), body.Topology, r.Header.Get(TenantHeader))
@@ -135,6 +130,28 @@ func Handler(s *Server, onDrained func()) http.Handler {
 		}
 	})
 	return mux
+}
+
+// maxBodyBytes caps a request body. Bodies are a session config, a slot
+// count or a topology, and a gen directive names even a large topology
+// in a few bytes, so real requests stay far below it.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it writes the response — 413 for an oversized body, 400
+// for any other decode error — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, status, err)
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

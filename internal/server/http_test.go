@@ -158,6 +158,22 @@ func TestHTTPRateLimit429(t *testing.T) {
 	}
 }
 
+// TestHTTPOversizedBody413 pins the request-body cap: a create body over
+// 1 MiB is refused with 413, not a 5xx, and the server keeps serving
+// normal requests.
+func TestHTTPOversizedBody413(t *testing.T) {
+	s := New(Config{Shards: 1})
+	ts := httptest.NewServer(Handler(s, nil))
+	defer ts.Close()
+	defer drainOrFail(t, s)
+	c := ts.Client()
+
+	huge := selectConfig(0)
+	huge.Topology += strings.Repeat(" ", 2<<20)
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions", huge, http.StatusRequestEntityTooLarge, nil)
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions", selectConfig(0), http.StatusCreated, nil)
+}
+
 func TestHTTPConfigVocabularyMatchesFacade(t *testing.T) {
 	// The JSON a session-create request carries is the facade's
 	// RunConfig: the same field names unmarshal into runcfg.Common.

@@ -7,7 +7,11 @@
 #   * allocs/op is host-independent and pinned tightly: at most
 #     baseline*1.10+2, and BenchmarkFingerprint/warm and
 #     BenchmarkSigTable/warm must be exactly 0 (the arena's and the
-#     warm signature table's whole contract).
+#     warm signature table's whole contract). Only a machine from
+#     machine.New owns a fingerprint arena — clones and kept machines
+#     encode on demand — so the warm benchmark times that machine's
+#     cached key, and CheckThroughput's allocs/op cover the model
+#     checker, which keeps its states in one machine.Slab.
 #   * ns/op varies wildly across CI hosts, so it only gates
 #     order-of-magnitude regressions: fail at > baseline*4. Real
 #     performance work is measured with interleaved same-host A/B runs
