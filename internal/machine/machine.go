@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"simsym/internal/canon"
@@ -80,28 +81,6 @@ func (fr *Frame) cow() {
 	fr.owned = true
 }
 
-// frameCow is Frame.cow with recycling: the copy lands in a Locals slice
-// salvaged from a dead batch-expansion child when the bin has one.
-func (m *Machine) frameCow(fr *Frame) {
-	if fr.owned {
-		return
-	}
-	if sp := m.spares; sp != nil {
-		for n := len(sp.locals); n > 0; n-- {
-			l := sp.locals[n-1]
-			sp.locals[n-1] = nil
-			sp.locals = sp.locals[:n-1]
-			if len(l) == len(fr.Locals) {
-				copy(l, fr.Locals)
-				fr.Locals = l
-				fr.owned = true
-				return
-			}
-		}
-	}
-	fr.cow()
-}
-
 // Machine executes a program over a system.
 type Machine struct {
 	sys     *system.System
@@ -147,7 +126,7 @@ type Machine struct {
 	crashed []bool
 
 	// Fingerprint cache. It belongs to the machine New built and to no
-	// copy of it: Clone, CloneInto and Keep leave all four fields nil, so
+	// copy of it: Clone and CloneInto leave all four fields nil, so
 	// a copy encodes every window on demand while the original keeps
 	// caching. A step touches one processor frame and at most one
 	// variable, so the cache makes repeated whole-state fingerprints of
@@ -165,20 +144,21 @@ type Machine struct {
 	spans     []fpSpan
 	valid     []uint64
 
-	// touched lists the components changed since the machine was copied,
-	// the set Touched reports to the model checker. nTouched is -1 when
-	// the list cannot tell: on a machine from New, and once more than
-	// len(touched) distinct components have changed.
+	// touched lists the components changed since the machine was copied
+	// or ResetTouched ran, the set Touched reports to the model checker.
+	// nTouched is -1 when the list cannot tell: on a machine from New,
+	// and once more than len(touched) distinct components have changed.
 	touched  [8]int32
 	nTouched int8
 
 	// Single-component overrides, the write side of copy-on-write: a
-	// machine whose value arrays are still clone-shared keeps
-	// its first touched frame in ovFrame (ovProc = which, -1 for none)
-	// and up to two touched variables in the ovVar slots (value + lock
-	// bit), so a batch-expansion child that steps once — one frame, at
-	// most two variables — mutates nothing but its own struct. Reads go
-	// through frameAt/varValAt/lockedAt, which consult the overrides;
+	// machine whose value arrays are still clone-shared keeps its first
+	// touched frame in ovFrame (ovProc = which, -1 for none) and up to two
+	// touched variables in the ovVar slots (value + lock bit), so a clone
+	// that steps once — one frame, at most two variables — mutates nothing
+	// but its own struct: a daemon session that clones before each step,
+	// or an adversary's probe clone. Reads go through
+	// frameAt/varValAt/lockedAt, which consult the overrides;
 	// cowProcs/cowVars fold them back into the freshly privatized arrays
 	// (so procsOwned ⇒ no frame override, varsOwned ⇒ no var overrides),
 	// and writes that outgrow the slots fall back to privatizing.
@@ -203,95 +183,6 @@ type Machine struct {
 	// Step itself is never instrumented — it is the model checker's inner
 	// loop, where even a nil check per step would be measurable.
 	rec *obs.Recorder
-
-	// spares is the pool slot's recycling bin (see spareArrays); nil on
-	// machines that never host batch-expansion children.
-	spares *spareArrays
-}
-
-// Slab is a bump allocator for kept machines: Keep carves the machine
-// struct and its private frame and variable arrays from it, so keeping a
-// whole BFS level costs a few chunk allocations, not six per state. The
-// zero value is ready to use. Carved windows are full-capacity slices,
-// so a later append inside one machine can never bleed into a
-// neighbour's window.
-//
-// Chunks are recycled generationally: Recycle retires everything carved
-// since the previous Recycle and makes the generation before that
-// reusable. The model checker calls Recycle at each BFS level boundary,
-// which matches machine lifetime exactly — machines kept while
-// expanding level L die when level L+1 finishes expanding, two
-// boundaries later. Keep guarantees the lifetime premise by privatizing
-// every mutable array group into the slab, so no kept machine references
-// a slab chunk of an older generation than its own.
-type Slab struct {
-	machines slabPool[Machine]
-	frames   slabPool[Frame]
-	anys     slabPool[any]
-	subs     slabPool[[]any]
-	bools    slabPool[bool]
-}
-
-// Recycle advances the slab's generations at a point where the caller
-// asserts everything carved before the previous Recycle is unreachable.
-// Pools whose consumers rely on zeroed storage (bools: the subOwned
-// half restarts zeroed) or whose elements carry pointers (a stale
-// pointer in a free chunk would retain dead state) are cleared as their
-// chunks become reusable. The machine pool is not: Keep overwrites a
-// carved struct whole, and what a free machine chunk still points at
-// is released when its structs are reused.
-func (s *Slab) Recycle() {
-	s.machines.rotate(false)
-	s.frames.rotate(true)
-	s.anys.rotate(true)
-	s.subs.rotate(true)
-	s.bools.rotate(true)
-}
-
-// slabPool is one element type's chunk store: a bump tail plus three
-// chunk generations — handed out since the last rotate (cur), the
-// generation before that (prev), and reusable (free).
-type slabPool[T any] struct {
-	tail []T
-	cur  [][]T
-	prev [][]T
-	free [][]T
-}
-
-// take carves n elements, refilling from a free (or fresh) chunk of at
-// least `chunk` elements when the tail runs dry.
-func (p *slabPool[T]) take(n, chunk int) []T {
-	if len(p.tail) < n {
-		var c []T
-		if k := len(p.free); k > 0 && cap(p.free[k-1]) >= n {
-			c = p.free[k-1][:cap(p.free[k-1])]
-			p.free[k-1] = nil
-			p.free = p.free[:k-1]
-		} else {
-			if chunk < n {
-				chunk = n
-			}
-			c = make([]T, chunk)
-		}
-		p.cur = append(p.cur, c)
-		p.tail = c
-	}
-	s := p.tail[:n:n]
-	p.tail = p.tail[n:]
-	return s
-}
-
-func (p *slabPool[T]) rotate(clearChunks bool) {
-	for _, c := range p.prev {
-		if clearChunks {
-			clear(c)
-		}
-		p.free = append(p.free, c)
-	}
-	p.prev, p.cur = p.cur, p.prev[:0]
-	// Retire the partial chunk: carving more of it would let one chunk
-	// host two generations, breaking the rotation's lifetime argument.
-	p.tail = nil
 }
 
 // isSharedKind reports whether the opcode addresses a shared variable.
@@ -303,49 +194,18 @@ type fpSpan struct {
 	n   int32
 }
 
-// spareArrays is a machine-private recycling bin for the arrays a step
-// copies most. CloneInto salvages the exclusively owned variable arrays
-// and private Locals slices of the pool slot it overwrites (a
-// batch-expansion child that was not kept), and the next cowVars/
-// frameCow consumes them instead of allocating. The bin is never
-// shared: CloneInto keeps it with the overwritten slot, and no copy
-// inherits it. The processor group has no arm: a pool child steps once,
-// so its frame write lands in the override slot.
-type spareArrays struct {
-	varVal   []any
-	locked   []bool
-	varSub   [][]any
-	subOwned []bool
-	hasVars  bool
-
-	// locals recycles dead frames' private Locals slices for frameCow.
-	locals [][]any
-}
-
 // cowProcs makes the processor-side arrays (frames, crashed) private to
-// this machine, copying once after a Clone — into s when it is non-nil.
-// The fresh frame copies drop their owned bits: their Locals slices are
-// still shared.
-func (m *Machine) cowProcs(s *Slab) {
+// this machine, copying once after a Clone. The fresh frame copies drop
+// their owned bits: their Locals slices are still shared.
+func (m *Machine) cowProcs() {
 	if m.procsOwned {
 		return
 	}
-	var frames []Frame
-	var crashed []bool
-	if s != nil {
-		frames = s.frames.take(len(m.frames), 512)
-		crashed = s.bools.take(len(m.crashed), 2048)
-	} else {
-		frames = make([]Frame, len(m.frames))
-		crashed = make([]bool, len(m.crashed))
+	m.frames = slices.Clone(m.frames)
+	for i := range m.frames {
+		m.frames[i].owned = false
 	}
-	copy(frames, m.frames)
-	for i := range frames {
-		frames[i].owned = false
-	}
-	copy(crashed, m.crashed)
-	m.frames = frames
-	m.crashed = crashed
+	m.crashed = slices.Clone(m.crashed)
 	if m.ovProc >= 0 {
 		m.frames[m.ovProc] = m.ovFrame
 		m.ovFrame = Frame{}
@@ -355,45 +215,19 @@ func (m *Machine) cowProcs(s *Slab) {
 }
 
 // cowVars makes the variable-side arrays (varVal, locked, varSub,
-// subOwned) private to this machine, into s when it is non-nil.
-// subOwned restarts zeroed: the inner subvalue slices are still shared
-// and must be copied on the next post to each.
-func (m *Machine) cowVars(s *Slab) {
+// subOwned) private to this machine. subOwned restarts zeroed: the inner
+// subvalue slices are still shared and must be copied on the next post
+// to each.
+func (m *Machine) cowVars() {
 	if m.varsOwned {
 		return
 	}
-	if sp := m.spares; sp != nil && sp.hasVars && len(sp.varVal) == len(m.varVal) {
-		sp.hasVars = false
-		copy(sp.varVal, m.varVal)
-		copy(sp.locked, m.locked)
-		copy(sp.varSub, m.varSub)
-		for i := range sp.subOwned {
-			sp.subOwned[i] = false
-		}
-		m.varVal, sp.varVal = sp.varVal, nil
-		m.locked, sp.locked = sp.locked, nil
-		m.varSub, sp.varSub = sp.varSub, nil
-		m.subOwned, sp.subOwned = sp.subOwned, nil
-	} else {
-		nl := len(m.locked)
-		var vv []any
-		var lk []bool
-		var vs [][]any
-		if s != nil {
-			vv = s.anys.take(len(m.varVal), 1024)
-			vs = s.subs.take(len(m.varSub), 1024)
-			lk = s.bools.take(nl+len(m.subOwned), 2048)
-		} else {
-			vv = make([]any, len(m.varVal))
-			vs = make([][]any, len(m.varSub))
-			lk = make([]bool, nl+len(m.subOwned))
-		}
-		copy(vv, m.varVal)
-		copy(vs, m.varSub)
-		m.varVal, m.varSub = vv, vs
-		copy(lk[:nl], m.locked) // subOwned half restarts zeroed
-		m.locked, m.subOwned = lk[:nl:nl], lk[nl:]
-	}
+	nl := len(m.locked)
+	lk := make([]bool, nl+len(m.subOwned))
+	copy(lk[:nl], m.locked) // subOwned half restarts zeroed
+	m.locked, m.subOwned = lk[:nl:nl], lk[nl:]
+	m.varVal = slices.Clone(m.varVal)
+	m.varSub = slices.Clone(m.varSub)
 	for i := int8(0); i < m.nOvVar; i++ {
 		v := m.ovVar[i]
 		m.varVal[v] = m.ovVal[i]
@@ -431,7 +265,7 @@ func (m *Machine) writableFrame(p int) *Frame {
 		m.ovFrame.owned = false // Locals still shared
 		return &m.ovFrame
 	}
-	m.cowProcs(nil)
+	m.cowProcs()
 	return &m.frames[p]
 }
 
@@ -487,7 +321,7 @@ func (m *Machine) setVarVal(v int, val any) {
 			m.ovVal[i] = val
 			return
 		}
-		m.cowVars(nil)
+		m.cowVars()
 	}
 	m.varVal[v] = val
 }
@@ -498,7 +332,7 @@ func (m *Machine) setLocked(v int, b bool) {
 			m.ovLocked[i] = b
 			return
 		}
-		m.cowVars(nil)
+		m.cowVars()
 	}
 	m.locked[v] = b
 }
@@ -535,11 +369,11 @@ func (m *Machine) markStale(c int) {
 	m.nTouched++
 }
 
-// Touched returns the components the machine has changed since Clone,
-// CloneInto or Keep made it: processor p is component p and variable v
-// is component NumProcs()+v, the state key's order. Every mutation
-// records the components it writes, so a component not listed is
-// unchanged since the copy; a listed one may still hold its old value (a
+// Touched returns the components the machine has changed since Clone or
+// CloneInto made it, or since ResetTouched: processor p is component p
+// and variable v is component NumProcs()+v, the state key's order. Every
+// mutation records the components it writes, so a component not listed
+// is unchanged since then; a listed one may still hold its old value (a
 // jump back to its own pc). A step lists its frame and at most one
 // variable. ok is false when the machine cannot tell: it came from New,
 // or more than eight distinct components have changed. The slice
@@ -661,6 +495,9 @@ func (m *Machine) Observe(rec *obs.Recorder) { m.rec = rec }
 // System returns the underlying system.
 func (m *Machine) System() *system.System { return m.sys }
 
+// InstrSet returns the instruction set the machine runs.
+func (m *Machine) InstrSet() system.InstrSet { return m.instr }
+
 // Program returns the compiled program the machine runs.
 func (m *Machine) Program() *Program { return m.program }
 
@@ -740,16 +577,16 @@ func (m *Machine) Step(p int) error {
 	}
 	// Every committed step mutates the frame and invalidates p's cached
 	// fingerprint window. writableFrame routes the mutation through the
-	// override slot on a clone-shared machine — a batch-expansion child
-	// steps exactly once, so it never copies the frame array at all.
-	// Variable writes go through setVarVal/setLocked the same way.
+	// override slot on a clone-shared machine, so a clone that steps once
+	// never copies the frame array at all. Variable writes go through
+	// setVarVal/setLocked the same way.
 	fr = m.writableFrame(p)
 	switch in.kind {
 	case opRead:
 		v := m.bound[p][fr.PC]
 		m.steps++
 		m.markStale(p)
-		m.frameCow(fr)
+		fr.cow()
 		fr.Locals[in.sym] = m.varValAt(int(v))
 		fr.PC++
 	case opWrite:
@@ -767,7 +604,7 @@ func (m *Machine) Step(p int) error {
 		v := m.bound[p][fr.PC]
 		m.steps++
 		m.markStale(p)
-		m.frameCow(fr)
+		fr.cow()
 		if m.lockedAt(int(v)) {
 			fr.Locals[in.sym] = false
 		} else {
@@ -787,7 +624,7 @@ func (m *Machine) Step(p int) error {
 		v := m.bound[p][fr.PC]
 		m.steps++
 		m.markStale(p)
-		m.frameCow(fr)
+		fr.cow()
 		fr.Locals[in.sym] = m.peekValue(int(v))
 		fr.PC++
 	case opPost:
@@ -798,7 +635,7 @@ func (m *Machine) Step(p int) error {
 		}
 		m.steps++
 		m.markStale(p)
-		m.cowVars(nil)
+		m.cowVars()
 		// Copy-on-write so snapshots are not aliased.
 		sub := m.varSub[v]
 		if !m.subOwned[v] {
@@ -812,7 +649,7 @@ func (m *Machine) Step(p int) error {
 	case opCompute:
 		m.steps++
 		m.markStale(p)
-		m.frameCow(fr)
+		fr.cow()
 		m.regs.slots = fr.Locals
 		in.f(&m.regs)
 		m.regs.slots = nil
@@ -945,7 +782,7 @@ func (m *Machine) Crash(p int) error {
 		return fmt.Errorf("%w: %d", ErrBadProcessor, p)
 	}
 	if !m.frameAt(p).Halted {
-		m.cowProcs(nil)
+		m.cowProcs()
 		m.frames[p].Halted = true
 		m.crashed[p] = true
 		m.markStale(p)
@@ -968,7 +805,7 @@ func (m *Machine) DropLock(v int) error {
 		return fmt.Errorf("%w: %d", ErrBadVariable, v)
 	}
 	if m.lockedAt(v) {
-		m.cowVars(nil)
+		m.cowVars()
 		m.locked[v] = false
 		m.markStale(len(m.frames) + v)
 	}
@@ -1107,6 +944,25 @@ func (m *Machine) AppendProcFingerprint(buf []byte, p int) []byte {
 // the Q and S/L regimes.
 func (m *Machine) AppendVarFingerprint(buf []byte, v int) []byte {
 	return m.appendWindow(buf, len(m.frames)+v)
+}
+
+// AppendVarSlots appends variable v's Q subvalue slots to buf, one per
+// processor in processor order. The variable's window
+// (AppendVarFingerprint) holds only their multiset, so it forgets who
+// posted what, on which the next post depends. AppendVarSlots appends
+// nothing under the other instruction sets.
+func (m *Machine) AppendVarSlots(buf []byte, v int) []byte {
+	if m.instr != system.InstrQ {
+		return buf
+	}
+	for _, s := range m.varSub[v] {
+		if s == unset {
+			buf = append(buf, 'u')
+		} else {
+			buf = appendLocalValue(buf, s)
+		}
+	}
+	return buf
 }
 
 // appendWindow appends component c's window without its length prefix.
@@ -1372,49 +1228,11 @@ func (m *Machine) Clone() *Machine {
 }
 
 // CloneInto writes a snapshot of the machine into dst, overwriting
-// whatever dst held — the allocation-free Clone the model checker's
-// batch expander uses to step W sibling clones out of a reusable pool.
-// dst must be a different machine from m and must not be stepped
-// concurrently with m's other clones (one goroutine per machine, as
-// everywhere). As with Clone, dst gets no fingerprint cache and an empty
-// touched list.
-//
-// When dst still exclusively owns variable arrays of matching shape or
-// a private Locals slice — a pool slot whose previous occupant was not
-// kept — CloneInto salvages them into the slot's recycling bin, and the
-// child's first copy-on-write consumes them instead of allocating:
-// steady-state batch expansion copies only the array group a step
-// touches, into recycled memory, and pays no GC write barriers for
-// groups the step leaves shared.
+// whatever dst held — Clone without the allocation. dst must be a
+// different machine from m. As with Clone, the two share every array
+// copy-on-write, and dst gets no fingerprint cache and an empty touched
+// list.
 func (m *Machine) CloneInto(dst *Machine) {
-	sp := dst.spares
-	if dst != m && (dst.varsOwned || (dst.ovProc >= 0 && dst.ovFrame.owned)) {
-		// The previous occupant's exclusively owned arrays are dead
-		// (copying a machine clears these bits on it, so a kept
-		// occupant's arrays never land here): bank them for the next
-		// cowVars/frameCow.
-		if sp == nil {
-			sp = new(spareArrays)
-		}
-		if dst.ovProc >= 0 && dst.ovFrame.owned {
-			// The dead occupant's override frame privatized its Locals:
-			// that slice is dead too — recycle it.
-			sp.locals = append(sp.locals, dst.ovFrame.Locals)
-		}
-		if dst.varsOwned && !sp.hasVars && len(dst.varVal) == len(m.varVal) {
-			sp.varVal, sp.locked = dst.varVal, dst.locked
-			sp.varSub, sp.subOwned = dst.varSub, dst.subOwned
-			sp.hasVars = true
-		}
-	}
-	m.copyTo(dst)
-	dst.spares = sp // the bin stays with the slot it was salvaged from
-}
-
-// copyTo overwrites dst with a copy of m that shares every array with m
-// copy-on-write and has no fingerprint cache, no recycling bin and an
-// empty touched list.
-func (m *Machine) copyTo(dst *Machine) {
 	m.procsOwned = false
 	m.varsOwned = false
 	// Both machines now carry the same override frame by value; its
@@ -1425,38 +1243,63 @@ func (m *Machine) copyTo(dst *Machine) {
 	dst.regs = Regs{}
 	dst.fpArena, dst.fpScratch, dst.spans, dst.valid = nil, nil, nil, nil
 	dst.nTouched = 0
-	dst.spares = nil
 }
 
-// Keep returns a copy of the machine, like Clone, whose struct and frame
-// and variable arrays are carved from s (from the heap when s is nil):
-// given a slab, Keep allocates nothing. The model checker keeps every
-// state it pushes this way and calls s.Recycle at each level boundary,
-// so a kept machine must not be used after the second Recycle that
-// follows its Keep. The copy shares no frame or variable array with m,
-// so it outlives any later CloneInto over m, and each clone of it
-// reports only its own changes through Touched. Machines sharing a slab
-// must not be kept concurrently.
-func (m *Machine) Keep(s *Slab) *Machine {
-	var k *Machine
-	if s != nil {
-		k = &s.machines.take(1, 128)[0]
-	} else {
-		k = new(Machine)
-	}
-	m.copyTo(k)
-	// A kept machine is about to parent whole batches of clones: fold its
-	// step's frame/variable overrides into privately owned arrays so
-	// children inherit clean shared state (an inherited override would
-	// force every child's first write through the privatizing fallback).
-	// Both groups are privatized even when no override is pending — a
-	// kept machine must not share any mutable array with its parent,
-	// whose slab generation the checker recycles one level before this
-	// machine dies.
-	k.cowProcs(s)
-	k.cowVars(s)
-	return k
+// Component is the value of one state component, the value its window
+// (AppendProcFingerprint, AppendVarFingerprint) encodes: a processor's
+// Frame, or a variable's value, lock bit and Q subvalues (one slot per
+// processor). A processor component leaves the variable fields zero, and
+// a variable component leaves Frame zero.
+type Component struct {
+	Frame  Frame
+	Val    any
+	Locked bool
+	Sub    []any
 }
+
+// Component returns a copy of component c — processor c when c <
+// NumProcs(), variable c-NumProcs() otherwise, the state key's order —
+// that shares no array the machine may write later.
+func (m *Machine) Component(c int) Component {
+	if np := len(m.frames); c >= np {
+		v := c - np
+		return Component{Val: m.varValAt(v), Locked: m.lockedAt(v), Sub: slices.Clone(m.varSub[v])}
+	}
+	fr := *m.frameAt(c)
+	fr.Locals, fr.owned = slices.Clone(fr.Locals), false
+	return Component{Frame: fr}
+}
+
+// SetComponent overwrites component c with x, a value Component
+// returned. It copies x's Locals or subvalues into arrays the machine
+// owns, so x stays unshared, and a machine loaded over and over
+// allocates only on its first loads. Like a step, it records c as
+// changed (see Touched); crash marks are left as they are.
+func (m *Machine) SetComponent(c int, x Component) {
+	if np := len(m.frames); c >= np {
+		v := c - np
+		m.cowVars()
+		if !m.subOwned[v] {
+			m.varSub[v], m.subOwned[v] = nil, true
+		}
+		m.varVal[v], m.locked[v] = x.Val, x.Locked
+		m.varSub[v] = append(m.varSub[v][:0], x.Sub...)
+	} else {
+		m.cowProcs()
+		fr := &m.frames[c]
+		if !fr.owned {
+			fr.Locals, fr.owned = nil, true
+		}
+		fr.PC, fr.Halted = x.Frame.PC, x.Frame.Halted
+		fr.Locals = append(fr.Locals[:0], x.Frame.Locals...)
+	}
+	m.markStale(c)
+}
+
+// ResetTouched empties the touched list, so Touched reports only what
+// the machine changes from here on. The model checker calls it between
+// loading a pool machine with SetComponent and stepping it.
+func (m *Machine) ResetTouched() { m.nTouched = 0 }
 
 // Selected reports whether processor p's conventional "selected" local
 // holds true (false when the program has no such local or p is out of

@@ -12,8 +12,9 @@
 // A machine keeps one encoding of its state: a component table holding
 // every processor, then every variable, each with a cached canonical
 // window. The state key (AppendStateKey) concatenates the windows in
-// table order; it keys the model checker's visited set, and Fingerprint
-// is the same key as a string.
+// table order, and Fingerprint is the same key as a string. The model
+// checker interns the windows one by one, and rebuilds states from
+// their values (Component, SetComponent).
 //
 // Programs are compiled: the Builder interns every local-variable name to
 // a dense Sym slot and appends compiled ops directly, and Build resolves

@@ -53,7 +53,6 @@ func TestTouchedContract(t *testing.T) {
 		}
 	}
 	touched("fresh clone", m.Clone(), nil)
-	touched("fresh Keep copy", m.Keep(nil), nil)
 
 	// Processor 1's right variable is v1 and its left is v0. Each step
 	// runs on a fresh clone of the state before it.
@@ -116,9 +115,9 @@ func TestTouchedContract(t *testing.T) {
 }
 
 // TestCloneLeavesCacheWithOriginal pins who owns the fingerprint cache:
-// the machine New built keeps caching after it is cloned, and a copy —
-// Clone or Keep — has no cache, so its keys are fresh encodings that
-// must equal a replay's.
+// the machine New built keeps caching after it is cloned, and a clone
+// has no cache, so its keys are fresh encodings that must equal a
+// replay's.
 func TestCloneLeavesCacheWithOriginal(t *testing.T) {
 	prog := touchedProg(t)
 	sys, err := system.Ring(3)
@@ -143,7 +142,7 @@ func TestCloneLeavesCacheWithOriginal(t *testing.T) {
 	if _, err := m.Run([]int{0, 1, 0}); err != nil {
 		t.Fatal(err)
 	}
-	c, k := m.Clone(), m.Keep(nil)
+	c := m.Clone()
 
 	if err := m.Step(2); err != nil {
 		t.Fatal(err)
@@ -158,21 +157,16 @@ func TestCloneLeavesCacheWithOriginal(t *testing.T) {
 		t.Error("the original's cached key diverged from a replay")
 	}
 
-	for _, cp := range []struct {
-		name string
-		m    *Machine
-	}{{"clone", c}, {"keep", k}} {
-		if !bytes.Equal(cp.m.AppendStateKey(nil, nil, nil), replay(0, 1, 0)) {
-			t.Errorf("%s: key diverged from a replay", cp.name)
-		}
-		if err := cp.m.Step(1); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(cp.m.AppendStateKey(nil, nil, nil), replay(0, 1, 0, 1)) {
-			t.Errorf("%s: key after a step diverged from a replay", cp.name)
-		}
-		if cp.m.spans != nil || cp.m.cached(0) {
-			t.Errorf("%s: a copy holds a fingerprint cache", cp.name)
-		}
+	if !bytes.Equal(c.AppendStateKey(nil, nil, nil), replay(0, 1, 0)) {
+		t.Error("clone: key diverged from a replay")
+	}
+	if err := c.Step(1); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(c.AppendStateKey(nil, nil, nil), replay(0, 1, 0, 1)) {
+		t.Error("clone: key after a step diverged from a replay")
+	}
+	if c.spans != nil || c.cached(0) {
+		t.Error("clone: a copy holds a fingerprint cache")
 	}
 }

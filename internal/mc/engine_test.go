@@ -1,8 +1,11 @@
 package mc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -557,5 +560,80 @@ func TestMemoryBudgetFiresPromptly(t *testing.T) {
 	// in the worst case — never by an unaccounted multiple.
 	if res.Stats.PeakMemBytes > 3*budget {
 		t.Errorf("peak estimate %d overshot the %d budget by more than one growth step", res.Stats.PeakMemBytes, budget)
+	}
+}
+
+// TestMemEstimateTracksLiveHeap pins memEstimate to what the check holds
+// live, so MaxMemBytes bounds the real heap rather than a fraction of
+// it: at the first Progress callback past 100k states, after a
+// collection, the estimate (Stats.PeakMemBytes, which only grows on this
+// run) is within 15% of the heap the check added since it began.
+func TestMemEstimateTracksLiveHeap(t *testing.T) {
+	factory := factoryFor(t, system.Fig1(), system.InstrS, spinForever)
+	var before, at runtime.MemStats
+	var est int64
+	progress := func(s Stats) {
+		if est != 0 || s.StatesExplored < 100_000 {
+			return
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&at)
+		est = s.PeakMemBytes
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := Check(factory, Options{MaxStates: 120_000, Partial: true, StuckBad: NotAllHalted, Progress: progress})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est == 0 {
+		t.Fatal("no Progress callback past 100k states")
+	}
+	live := int64(at.HeapAlloc) - int64(before.HeapAlloc)
+	if off := math.Abs(float64(est-live)) / float64(live); off > 0.15 {
+		t.Errorf("estimate %d bytes against %d live: off by %.1f%%, more than 15%%", est, live, 100*off)
+	}
+}
+
+// TestProcVarWindowCollision: a frame at pc 59 encodes as the byte 'v',
+// not halted, then its locals, which is also how an unlocked S/L
+// variable holding the same value encodes. On Ring(2) every processor
+// jumps 59 times, writes its init value into its left variable and
+// halts, so the two windows coincide from the first state on, and the
+// component table must keep a processor's value and a variable's value
+// apart under one id: a store that keeps one value per id loads the
+// variable's value into a frame here.
+func TestProcVarWindowCollision(t *testing.T) {
+	ring, err := system.Ring(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory := factoryFor(t, ring, system.InstrL, func(b *machine.Builder) {
+		for i := 0; i < 59; i++ {
+			b.Jump(fmt.Sprint("j", i))
+			b.Label(fmt.Sprint("j", i))
+		}
+		b.Write("left", "init")
+		b.Halt()
+	})
+	m, err := factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 59; i++ {
+		if err := m.Step(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(m.AppendProcFingerprint(nil, 0), m.AppendVarFingerprint(nil, 0)) {
+		t.Fatal("the frame at pc 59 and the initial variable no longer share a window; the test is vacuous")
+	}
+	res, err := Check(factory, Options{StuckBad: NotAllHalted})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Complete || res.Violation != nil || res.StatesExplored != 3844 || res.Stats.Transitions != 7564 {
+		t.Errorf("complete=%v violation=%v states=%d transitions=%d; want a closed, safe space of 3844 states and 7564 transitions",
+			res.Complete, res.Violation, res.StatesExplored, res.Stats.Transitions)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"slices"
+	"unsafe"
 
 	"simsym/internal/canon"
 	"simsym/internal/machine"
@@ -307,13 +308,29 @@ var errCompIDs = errors.New("mc: more than 2³² distinct component windows")
 // first-appearance order. A hash match is confirmed by comparing the
 // exact window bytes, so ids are collision-free. Ids name byte strings,
 // not positions: a state's vector says which window each of its
-// components holds. The zero value is an empty table.
+// components holds. Beside each window the table keeps the value it
+// encodes, so a vector alone rebuilds its state (load). The zero value
+// is an empty table.
+//
+// A Q variable's window holds the multiset of its subvalues but not who
+// posted each, which the next post depends on. So a Q machine's vector
+// carries, after its W window ids, one id per variable from a second
+// table, slots, over the window followed by the slots
+// (machine.AppendVarSlots); Q variables load from those ids alone.
 type compTable struct {
 	buckets bucketTable // window hash -> local index
 	offs    []int       // window i is data[offs[i]:offs[i+1]]; offs[0] = 0 once non-empty
 	data    []byte
 	base    uint64 // first id assigned; nonzero only in overflow tests
 	win     []byte // encode scratch for vector and childVector
+
+	// vals[k][i] is the value window i encodes at a processor (k = 0) or
+	// variable (k = 1) position, copied from the machine that first
+	// interned it there. The kinds are kept apart because the bytes can
+	// coincide: a frame at pc 59 starts with 'v', as an S/L variable does.
+	vals     [2][]*machine.Component
+	valBytes int64      // the heap the stored values hold
+	slots    *compTable // nil until a Q machine needs it
 }
 
 // intern returns win's id, assigning the next one on first appearance.
@@ -369,51 +386,109 @@ func (ct *compTable) keyLen(vec []uint32) int64 {
 	return total
 }
 
-// memBytes is the table's resident footprint, from capacities.
+// memBytes is the table's resident footprint, from capacities: windows,
+// offsets, buckets, the stored values and the slot table.
 func (ct *compTable) memBytes() int64 {
-	return int64(cap(ct.data)+8*cap(ct.offs)+cap(ct.win)) + int64(len(ct.buckets.eis))*bucketSlotSize
-}
-
-// internComponent interns m's window for component c (processors first,
-// then variables — the state key's order).
-func (ct *compTable) internComponent(m *machine.Machine, c int) (uint32, error) {
-	if np := m.NumProcs(); c >= np {
-		ct.win = m.AppendVarFingerprint(ct.win[:0], c-np)
-	} else {
-		ct.win = m.AppendProcFingerprint(ct.win[:0], c)
+	n := int64(cap(ct.data)+8*cap(ct.offs)+cap(ct.win)) + int64(len(ct.buckets.eis))*bucketSlotSize +
+		8*int64(cap(ct.vals[0])+cap(ct.vals[1])) + ct.valBytes
+	if ct.slots != nil {
+		n += ct.slots.memBytes()
 	}
-	return ct.intern(ct.win)
+	return n
 }
 
-// vector fills dst with the component-id vector of m, interning every
-// window.
-func (ct *compTable) vector(dst []uint32, m *machine.Machine) error {
-	for c := range dst {
-		id, err := ct.internComponent(m, c)
-		if err != nil {
-			return err
+// internEntry sets entry e of vec, a vector of m: component e's window
+// id for e < W (processors first, then variables — the state key's
+// order), and past that variable e-W's id in the slot table, which
+// interns its window and slots. The component's value is stored the
+// first time the id appears at a position of its kind.
+func (ct *compTable) internEntry(vec []uint32, m *machine.Machine, e int) error {
+	np, w := m.NumProcs(), m.NumProcs()+m.NumVars()
+	t, k, c := ct, 1, e // the table, value kind and component of entry e
+	switch {
+	case e < np:
+		k, ct.win = 0, m.AppendProcFingerprint(ct.win[:0], c)
+	case e < w:
+		ct.win = m.AppendVarFingerprint(ct.win[:0], c-np)
+	default:
+		if ct.slots == nil {
+			ct.slots = new(compTable)
 		}
-		dst[c] = id
+		t, c = ct.slots, e-w+np
+		ct.win = m.AppendVarSlots(m.AppendVarFingerprint(ct.win[:0], c-np), c-np)
+	}
+	id, err := t.intern(ct.win)
+	if err != nil {
+		return err
+	}
+	vec[e] = id
+	i := int(uint64(id) - t.base)
+	for len(t.vals[k]) <= i {
+		t.vals[k] = append(t.vals[k], nil)
+	}
+	if t.vals[k][i] == nil {
+		x := m.Component(c)
+		t.vals[k][i] = &x
+		t.valBytes += int64(unsafe.Sizeof(x)) + 16*int64(cap(x.Frame.Locals)+cap(x.Sub))
 	}
 	return nil
 }
 
-// childVector fills dst with the vector of child, a clone of the kept
-// state whose vector is parent that has stepped since: the parent's ids,
-// with only the components the step touched re-interned. Every other
-// window is unchanged, so none of it is read.
+// load rewrites m from the state the vector have spells to the state
+// want spells: each component whose id differs is set to the value
+// stored for its new id, and have becomes want. A Q variable is set from
+// its slot id alone.
+func (ct *compTable) load(m *machine.Machine, have, want []uint32) {
+	np, w := m.NumProcs(), m.NumProcs()+m.NumVars()
+	for c, id := range want {
+		if have[c] == id {
+			continue
+		}
+		have[c] = id
+		switch {
+		case c < np:
+			m.SetComponent(c, *ct.vals[0][uint64(id)-ct.base])
+		case c >= w:
+			m.SetComponent(c-w+np, *ct.slots.vals[1][uint64(id)-ct.slots.base])
+		case len(want) == w:
+			m.SetComponent(c, *ct.vals[1][uint64(id)-ct.base])
+		}
+	}
+}
+
+// vector fills dst with the vector of m, interning every entry: W
+// window ids, then on a Q machine one slot id per variable.
+func (ct *compTable) vector(dst []uint32, m *machine.Machine) error {
+	for c := range dst {
+		if err := ct.internEntry(dst, m, c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// childVector fills dst with the vector of child, a machine in the state
+// whose vector is parent that has stepped since its touched list was
+// last emptied: the parent's ids, with only the entries of the
+// components the step touched re-interned. Every other window is
+// unchanged, so none of it is read.
 func (ct *compTable) childVector(dst, parent []uint32, child *machine.Machine) error {
 	touched, ok := child.Touched()
 	if !ok {
 		return ct.vector(dst, child)
 	}
 	copy(dst, parent)
-	for _, c := range touched {
-		id, err := ct.internComponent(child, int(c))
-		if err != nil {
+	np, w := child.NumProcs(), child.NumProcs()+child.NumVars()
+	for _, t := range touched {
+		c := int(t)
+		if err := ct.internEntry(dst, child, c); err != nil {
 			return err
 		}
-		dst[c] = id
+		if c >= np && len(dst) > w {
+			if err := ct.internEntry(dst, child, c+w-np); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -23,6 +23,12 @@
 //     vector and re-interns only the components its step touched
 //     (machine.Touched), and Options.HotIndexBytes spills cold vectors
 //     to disk.
+//   - A frontier state is nothing but its vector. The component table
+//     keeps the value each window encodes, so expansion rewrites one
+//     pool machine per processor from its last child to the parent,
+//     setting only the components whose ids differ, and steps it. Per
+//     state the checker keeps a parent, a step, a stuck bit and an end
+//     offset into one successor array.
 //   - Opt-in symmetry reduction (Options.SymmetryReduce) dedups states
 //     modulo the system's automorphism group — the orbit-quotient
 //     construction the paper's symmetry results suggest.
@@ -41,6 +47,7 @@ import (
 	"fmt"
 	"slices"
 	"time"
+	"unsafe"
 
 	"simsym/internal/autgrp"
 	"simsym/internal/canon"
@@ -166,8 +173,9 @@ type Stats struct {
 	Depth int
 	// PeakFrontier is the widest BFS level.
 	PeakFrontier int
-	// PeakMemBytes estimates the peak memory held by the visited index
-	// and exploration bookkeeping (machines pending expansion excluded).
+	// PeakMemBytes estimates the peak heap the check holds live: the
+	// visited index with its component table and stored values, the
+	// node and successor arrays and both frontier buffers, by capacity.
 	PeakMemBytes int64
 	// GroupOrder is the automorphism count used for symmetry reduction
 	// (1 when reduction is off or the group is trivial).
@@ -204,12 +212,15 @@ type Result struct {
 	Stats Stats
 }
 
-// node is interned exploration bookkeeping.
+// node is one explored state's bookkeeping. Its successors are
+// edges[start:end], where start is the previous node's end (0 for the
+// root): merge commits a node's successors contiguously, one node at a
+// time in node order.
 type node struct {
-	parent int // index of parent node; -1 for root
-	step   int // processor stepped to reach this state
-	stuck  string
-	succs  []int
+	parent int  // index of parent node; -1 for root
+	step   int  // processor stepped to reach this state
+	end    int  // end of the node's successors in edges
+	stuck  bool // Options.StuckBad flagged the state
 }
 
 // succInfo is one successor's dedup key hash and whether the step was a
@@ -224,12 +235,13 @@ type succInfo struct {
 // for every expanded state, so steady-state expansion does not allocate
 // per state.
 //
-// pool holds the sibling clones expand steps in lockstep: CloneInto
-// overwrites a slot with an O(1) snapshot of the parent (no heap machine
-// per child), and only children merge decides to keep are copied into
-// slab storage (push). raw[p·W:] is successor p's vector; keys[p·W:] is
-// its dedup key — the orbit's least vector under symmetry reduction, raw
-// itself otherwise.
+// pool[p] is processor p's successor machine and raw[p·S:] its vector,
+// where the stride S is W, plus one slot id per variable on a Q machine
+// (see compTable). Between expansions pool[p] still holds the child it
+// last stepped to, so expand rewrites only the components where that
+// child's vector differs from the parent's (compTable.load), then steps
+// it. keys[p·W:] is the successor's dedup key: the least image of its W
+// window ids under symmetry reduction, the ids themselves otherwise.
 type batch struct {
 	pool  []machine.Machine
 	raw   []uint32
@@ -244,49 +256,35 @@ type checker struct {
 	progressEvery int
 	deadline      time.Time
 	start         time.Time
-	width         int   // W: components per state vector
+	width         int   // W: components per state, the dedup key's length
+	stride        int   // S: ids per frontier vector (see batch)
 	permAt        []int // non-identity automorphisms, W positions each (see minimize)
 	idx           *stateIndex
 	nodes         []node
-	// level and next are the current and next BFS frontiers. States are
-	// pushed in node order, so a frontier's node ids are contiguous:
-	// level[i] is node levelStart+i. levelVecs and nextVecs hold the
-	// frontiers' raw (unpermuted) vectors, W per state in frontier order:
-	// expansion reads the parent's vector here, never from the index,
+	// edges holds every node's successors (see node). Only the stuck
+	// search reads them, so they are recorded only when Options.StuckBad
+	// is set.
+	edges []int
+	// levelVecs and nextVecs are the current and next BFS frontiers: the
+	// states' raw (unpermuted) vectors, S per state in frontier order.
+	// States are pushed in node order, so a frontier's node ids are
+	// contiguous: state i of the current level is node levelStart+i.
+	// Expansion reads the parent's vector here, never from the index,
 	// which stores permuted representatives and may have spilled them.
-	level, next         []*machine.Machine
 	levelVecs, nextVecs []uint32
 	levelStart          int
-	res                 *Result
-	stats               *Stats
-	sinceProgress       int
-	batch               batch
-	logicalKeyBytes     int64 // full key bytes of the stored states
-
-	// succArena backs every node's succs list. A node's successors are
-	// committed contiguously (merge walks (frontier index, processor) in
-	// order, one node at a time), so each list is a window re-sliced from
-	// the arena tail after each append — one amortized allocation for the
-	// whole graph instead of one per node.
-	succArena []int
-
-	// slab backs every machine push keeps (machine.Keep): push keeps them
-	// one at a time on the checking goroutine, so one slab serves all of
-	// them without synchronization, and Check recycles it at each level
-	// boundary.
-	slab machine.Slab
-}
-
-// appendSucc records id as curIdx's next successor. Relies on the
-// commit-order invariant above: a node's window is always the arena
-// tail while it is being appended to. A growth realloc copies the whole
-// arena, so re-slicing by index stays correct; stale windows in the old
-// backing are never mutated.
-func (c *checker) appendSucc(curIdx, id int) {
-	nd := &c.nodes[curIdx]
-	start := len(c.succArena) - len(nd.succs)
-	c.succArena = append(c.succArena, id)
-	nd.succs = c.succArena[start:len(c.succArena):len(c.succArena)]
+	// root is the initial machine, on which the stuck search replays its
+	// witness. parent, loaded to the state parentVec spells, is the
+	// "before" machine transition predicates see; it is kept only when
+	// there are any.
+	root            *machine.Machine
+	parent          *machine.Machine
+	parentVec       []uint32
+	res             *Result
+	stats           *Stats
+	sinceProgress   int
+	batch           batch
+	logicalKeyBytes int64 // full key bytes of the stored states
 }
 
 // Check explores all schedules of the machine produced by factory().
@@ -301,16 +299,21 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 	if err != nil {
 		return nil, fmt.Errorf("mc: %w", err)
 	}
-	width := m0.NumProcs() + m0.NumVars()
+	width, stride := m0.NumProcs()+m0.NumVars(), m0.NumProcs()+m0.NumVars()
+	if m0.InstrSet() == system.InstrQ {
+		stride += m0.NumVars()
+	}
 	c := &checker{
 		opts:          opts,
 		nProcs:        m0.NumProcs(),
 		width:         width,
+		stride:        stride,
 		maxStates:     opts.MaxStates,
 		progressEvery: opts.ProgressEvery,
 		start:         time.Now(),
 		res:           &Result{},
 		idx:           newStateIndex(width, opts.HotIndexBytes, opts.SpillDir),
+		root:          m0,
 	}
 	defer c.idx.release()
 	c.stats = &c.res.Stats
@@ -344,35 +347,41 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 	}
 	b := &c.batch
 	b.pool = make([]machine.Machine, c.nProcs)
-	b.raw = make([]uint32, c.nProcs*width)
-	b.keys = b.raw
-	if len(c.permAt) > 0 {
-		b.keys = make([]uint32, c.nProcs*width)
-	}
+	b.raw = make([]uint32, c.nProcs*stride)
+	b.keys = make([]uint32, c.nProcs*width)
 	b.succs = make([]succInfo, c.nProcs)
 
 	// Root. The initial state is fixed by every automorphism (they
 	// preserve initial values), but canonicalize anyway for uniformity.
+	// Every pool machine, and the parent machine, starts as a clone of
+	// the root.
 	opts.Obs.PhaseStart("mc.check")
-	raw, key := b.raw[:width], b.keys[:width]
+	raw, key := b.raw[:stride], b.keys[:width]
 	if err := c.idx.comps.vector(raw, m0); err != nil {
 		return nil, err
 	}
-	c.minimize(key, raw)
+	for p := range b.pool {
+		m0.CloneInto(&b.pool[p])
+		copy(b.raw[p*stride:(p+1)*stride], raw)
+	}
+	if len(opts.TransPreds) > 0 {
+		c.parent, c.parentVec = m0.Clone(), slices.Clone(raw)
+	}
+	c.minimize(key, raw[:width])
 	rootIdx := c.push(m0, raw, key, canon.HashTokens(key), -1, -1)
 	if v := c.checkState(m0, rootIdx); v != nil {
 		c.res.Violation = v
 		return c.finish(nil)
 	}
 
-	c.level, c.next = c.next, nil
-	c.levelVecs, c.nextVecs = c.nextVecs, nil
-	for len(c.level) > 0 {
+	for c.levelStart < len(c.nodes) {
+		n := len(c.nodes) - c.levelStart
+		c.levelVecs, c.nextVecs = c.nextVecs, c.levelVecs[:0]
 		c.stats.Depth++
-		if len(c.level) > c.stats.PeakFrontier {
-			c.stats.PeakFrontier = len(c.level)
+		if n > c.stats.PeakFrontier {
+			c.stats.PeakFrontier = n
 		}
-		if done, err := c.runLevel(); done {
+		if done, err := c.runLevel(n); done {
 			return c.finish(err)
 		}
 		if opts.Obs.Enabled() {
@@ -397,23 +406,23 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 		if freed > 0 && opts.Obs.Enabled() {
 			opts.Obs.Spill("mc", freed, c.idx.spilledBytes, c.idx.spillFlushes)
 		}
-		c.levelStart = len(c.nodes) - len(c.next)
-		c.level, c.next = c.next, c.level[:0]
-		c.levelVecs, c.nextVecs = c.nextVecs, c.levelVecs[:0]
-		// Every machine of the just-expanded level is dead (runLevel nils
-		// the level slots as it goes), so the slab generations advance:
-		// chunks retired two boundaries ago are reused for the machines
-		// the next level will keep.
-		c.slab.Recycle()
+		c.levelStart += n
 	}
 	c.res.Complete = true
 
 	if c.opts.StuckBad != nil {
-		if idx, reason := findStuckComponent(c.nodes); idx >= 0 {
-			c.res.Violation = &Violation{
-				Reason:   "stuck: " + reason,
-				Schedule: c.scheduleTo(idx),
+		if idx := findStuckComponent(c.nodes, c.edges); idx >= 0 {
+			// Nodes keep only a stuck flag, so the reason is recomputed
+			// once, for the reported state: its witness schedule is
+			// replayed with Step, which emits no events, on a clone of
+			// the root.
+			schedule, m := c.scheduleTo(idx), c.root.Clone()
+			for _, p := range schedule {
+				if err := m.Step(p); err != nil {
+					return c.finish(fmt.Errorf("mc: replaying the stuck witness: %w", err))
+				}
 			}
+			c.res.Violation = &Violation{Reason: "stuck: " + c.opts.StuckBad(m), Schedule: schedule}
 		}
 	}
 	return c.finish(nil)
@@ -466,49 +475,58 @@ func (c *checker) finish(err error) (*Result, error) {
 	return c.res, err
 }
 
-// runLevel expands and merges the current level one state at a time, in
-// frontier order, reusing a single batch.
-func (c *checker) runLevel() (bool, error) {
-	for i, cur := range c.level {
-		c.level[i] = nil // allow GC of expanded states
-		if err := c.expand(cur, c.levelVecs[i*c.width:(i+1)*c.width]); err != nil {
+// runLevel expands and merges the n states of the current level one at
+// a time, in frontier order, reusing a single batch.
+func (c *checker) runLevel(n int) (bool, error) {
+	s := c.stride
+	for i := 0; i < n; i++ {
+		if err := c.expand(c.levelVecs[i*s : (i+1)*s]); err != nil {
 			return true, err
 		}
-		if done, err := c.merge(c.levelStart+i, cur); done {
+		idx := c.levelStart + i
+		if done, err := c.merge(idx); done {
 			return true, err
 		}
+		c.nodes[idx].end = len(c.edges)
 	}
 	return false, nil
 }
 
-// expand computes all successors of cur into c.batch: cloned machines
-// plus their vectors and dedup-key hashes. Predicates never run here.
+// expand computes all successors of the state curVec spells into
+// c.batch: stepped pool machines plus their vectors and dedup-key
+// hashes. Predicates never run here.
 //
-// This is the batch-stepping hot loop: each sibling clone stepped out of
-// the pool starts with an empty touched list and no fingerprint cache,
-// so it reports exactly the ≤1 frame and ≤1 variable its step touched
+// This is the batch-stepping hot loop. Each pool machine is rewritten
+// to the parent through the component table, only where its last
+// child's ids differ, and stepped with an emptied touched list, so it
+// reports exactly the ≤1 frame and ≤1 variable its step touched
 // (machine.Touched). Its vector is the parent's with just those
 // re-interned — no other component is encoded, copied or read.
-func (c *checker) expand(cur *machine.Machine, curVec []uint32) error {
+func (c *checker) expand(curVec []uint32) error {
 	b := &c.batch
-	w := c.width
+	w, s := c.width, c.stride
+	ct := &c.idx.comps
 	for p := 0; p < c.nProcs; p++ {
 		next := &b.pool[p]
-		cur.CloneInto(next)
+		raw := b.raw[p*s : (p+1)*s]
+		ct.load(next, raw, curVec)
+		next.ResetTouched()
 		if err := next.Step(p); err != nil {
 			return fmt.Errorf("mc: stepping %d: %w", p, err)
 		}
-		raw := b.raw[p*w : (p+1)*w]
-		if err := c.idx.comps.childVector(raw, curVec, next); err != nil {
+		if err := ct.childVector(raw, curVec, next); err != nil {
 			return err
 		}
 		si := &b.succs[p]
-		si.selfLoop = slices.Equal(raw, curVec)
+		si.selfLoop = slices.Equal(raw[:w], curVec[:w])
 		if !si.selfLoop {
 			key := b.keys[p*w : (p+1)*w]
-			c.minimize(key, raw)
+			c.minimize(key, raw[:w])
 			si.hash = canon.HashTokens(key)
 		}
+	}
+	if c.parent != nil {
+		ct.load(c.parent, c.parentVec, curVec)
 	}
 	return nil
 }
@@ -518,11 +536,8 @@ func (c *checker) expand(cur *machine.Machine, curVec []uint32) error {
 // Automorphism k maps position i to the component at permAt[k·W+i]
 // (processors by ProcPerm, variables by VarPerm), the relabeling
 // machine.AppendStateKey's procAt/varAt apply to keys. Without symmetry
-// reduction key aliases raw and this is a no-op.
+// reduction the key is raw itself.
 func (c *checker) minimize(key, raw []uint32) {
-	if len(c.permAt) == 0 {
-		return
-	}
 	copy(key, raw)
 	for k := 0; k < len(c.permAt); k += c.width {
 		at := c.permAt[k : k+c.width]
@@ -541,18 +556,18 @@ func (c *checker) minimize(key, raw []uint32) {
 	}
 }
 
-// merge folds the expanded batch of cur into the exploration: transition
-// predicates (before the self-loop skip — stutter steps are visible to
-// predicates, excluded only from the successor graph), dedup against the
-// hashed index, budget checks before each push, state predicates on new
-// states.
-func (c *checker) merge(curIdx int, cur *machine.Machine) (bool, error) {
+// merge folds the expanded batch of node curIdx into the exploration:
+// transition predicates (before the self-loop skip — stutter steps are
+// visible to predicates, excluded only from the successor graph), dedup
+// against the hashed index, budget checks before each push, state
+// predicates on new states.
+func (c *checker) merge(curIdx int) (bool, error) {
 	b := &c.batch
-	w := c.width
+	s := c.stride
 	for p, si := range b.succs {
 		next := &b.pool[p]
 		for _, pred := range c.opts.TransPreds {
-			if reason := pred(cur, next, p); reason != "" {
+			if reason := pred(c.parent, next, p); reason != "" {
 				c.res.Violation = &Violation{
 					Reason:   reason,
 					Schedule: append(c.scheduleTo(curIdx), p),
@@ -565,20 +580,20 @@ func (c *checker) merge(curIdx int, cur *machine.Machine) (bool, error) {
 			continue
 		}
 		c.stats.Transitions++
-		key := b.keys[p*w : (p+1)*w]
+		key := b.keys[p*c.width : (p+1)*c.width]
 		if id, ok, err := c.idx.lookupHashed(key, si.hash); err != nil {
 			return true, err
 		} else if ok {
 			c.stats.DedupHits++
-			c.appendSucc(curIdx, int(id-c.idx.baseID))
+			c.addEdge(int(id - c.idx.baseID))
 			continue
 		} else if c.res.StatesExplored >= c.maxStates {
 			// Budget check strictly before the push: the checker
 			// explores exactly MaxStates states, never MaxStates+1.
 			return true, c.exhaust("states")
 		} else {
-			id := c.push(next, b.raw[p*w:(p+1)*w], key, si.hash, curIdx, p)
-			c.appendSucc(curIdx, id)
+			id := c.push(next, b.raw[p*s:(p+1)*s], key, si.hash, curIdx, p)
+			c.addEdge(id)
 			if v := c.checkState(next, id); v != nil {
 				c.res.Violation = v
 				return true, nil
@@ -591,30 +606,28 @@ func (c *checker) merge(curIdx int, cur *machine.Machine) (bool, error) {
 	return false, nil
 }
 
-// push commits a new state: it indexes key (the state's dedup vector)
-// and appends the state's node, frontier slot and raw vector, stuck
-// flag, and the explored-state counters. It returns the node index,
-// which equals the index id minus baseID because ids are dense and
-// assigned in the same order as nodes.
-//
-// The frontier holds a Keep copy of m — made once per kept state, never
-// per candidate — with private frame and variable arrays in the current
-// slab generation, so m itself (a pool slot, or the root) stays free for
-// reuse, and each of the copy's children reports only its own step's
-// components. No window is encoded: the vector already names every
-// component.
+// addEdge records id as the expanding node's next successor, when the
+// stuck search will need it.
+func (c *checker) addEdge(id int) {
+	if c.opts.StuckBad != nil {
+		c.edges = append(c.edges, id)
+	}
+}
+
+// push commits a new state m, whose vector is raw: it indexes key (the
+// state's dedup vector) and appends the state's node with its stuck
+// flag, its raw vector to the next frontier, and the explored-state
+// counters. It returns the node index, which equals the index id minus
+// baseID because ids are dense and assigned in the same order as nodes.
+// m itself is not kept: the vector rebuilds the state when its turn to
+// expand comes.
 func (c *checker) push(m *machine.Machine, raw, key []uint32, hash uint64, parent, step int) int {
 	c.idx.insert(key, hash)
-	c.logicalKeyBytes += c.idx.comps.keyLen(raw)
+	c.logicalKeyBytes += c.idx.comps.keyLen(key)
 	c.nextVecs = append(c.nextVecs, raw...)
-	m = m.Keep(&c.slab)
-	stuck := ""
-	if c.opts.StuckBad != nil {
-		stuck = c.opts.StuckBad(m)
-	}
 	id := len(c.nodes)
+	stuck := c.opts.StuckBad != nil && c.opts.StuckBad(m) != ""
 	c.nodes = append(c.nodes, node{parent: parent, step: step, stuck: stuck})
-	c.next = append(c.next, m)
 	c.res.StatesExplored++
 	c.sinceProgress++
 	return id
@@ -656,13 +669,15 @@ func (c *checker) pollBudgets() (bool, error) {
 	return false, nil
 }
 
-// memEstimate approximates the checker's resident footprint: the visited
-// index plus per-node bookkeeping and successor edges. Capacities, not
-// lengths: the nodes slice's grown backing array is real memory whether
-// or not it is full yet.
+// memEstimate approximates the checker's live heap: the visited index
+// (with the component table and its stored values), the node and edge
+// arrays, and both frontier vector buffers. Capacities, not lengths: a
+// grown backing array is real memory whether or not it is full yet.
 func (c *checker) memEstimate() int64 {
-	const nodeOverhead = 80 // node struct + slice headers, amortized
-	return c.idx.memBytes() + int64(cap(c.nodes))*nodeOverhead + c.stats.Transitions*8
+	return c.idx.memBytes() +
+		int64(cap(c.nodes))*int64(unsafe.Sizeof(node{})) +
+		8*int64(cap(c.edges)) +
+		4*int64(cap(c.levelVecs)+cap(c.nextVecs))
 }
 
 // exhaust records which budget ended the run; with Options.Partial the
@@ -713,14 +728,21 @@ func isIdentity(perm system.Permutation) bool {
 	return true
 }
 
-// findStuckComponent runs Tarjan's SCC algorithm (iteratively) and
-// returns a representative node of the first terminal SCC whose states
-// are all flagged stuck, or (-1, ""). Under symmetry reduction the graph
-// is the orbit quotient; a terminal all-bad component there corresponds
-// to one in the full graph because the stuck predicate is
-// automorphism-invariant.
-func findStuckComponent(nodes []node) (int, string) {
+// findStuckComponent runs Tarjan's SCC algorithm (iteratively) over the
+// successor graph nodes and edges spell, and returns a representative
+// node — the component's first in node order — of the first terminal
+// SCC whose states are all flagged stuck, or -1. Under symmetry
+// reduction the graph is the orbit quotient; a terminal all-bad
+// component there corresponds to one in the full graph because the stuck
+// predicate is automorphism-invariant.
+func findStuckComponent(nodes []node, edges []int) int {
 	n := len(nodes)
+	start := func(v int) int {
+		if v == 0 {
+			return 0
+		}
+		return nodes[v-1].end
+	}
 	const unvisited = -1
 	indexOf := make([]int, n)
 	low := make([]int, n)
@@ -734,32 +756,33 @@ func findStuckComponent(nodes []node) (int, string) {
 	counter := 0
 	nComps := 0
 
+	// A frame walks v's successors edges[pos:nodes[v].end].
 	type frame struct {
-		v, childPos int
+		v, pos int
 	}
-	for start := 0; start < n; start++ {
-		if indexOf[start] != unvisited {
+	for root := 0; root < n; root++ {
+		if indexOf[root] != unvisited {
 			continue
 		}
-		callStack := []frame{{v: start}}
-		indexOf[start] = counter
-		low[start] = counter
+		callStack := []frame{{v: root, pos: start(root)}}
+		indexOf[root] = counter
+		low[root] = counter
 		counter++
-		stack = append(stack, start)
-		onStack[start] = true
+		stack = append(stack, root)
+		onStack[root] = true
 		for len(callStack) > 0 {
 			fr := &callStack[len(callStack)-1]
 			v := fr.v
-			if fr.childPos < len(nodes[v].succs) {
-				w := nodes[v].succs[fr.childPos]
-				fr.childPos++
+			if fr.pos < nodes[v].end {
+				w := edges[fr.pos]
+				fr.pos++
 				if indexOf[w] == unvisited {
 					indexOf[w] = counter
 					low[w] = counter
 					counter++
 					stack = append(stack, w)
 					onStack[w] = true
-					callStack = append(callStack, frame{v: w})
+					callStack = append(callStack, frame{v: w, pos: start(w)})
 				} else if onStack[w] {
 					if indexOf[w] < low[v] {
 						low[v] = indexOf[w]
@@ -794,7 +817,6 @@ func findStuckComponent(nodes []node) (int, string) {
 	// when every member is flagged.
 	terminal := make([]bool, nComps)
 	allBad := make([]bool, nComps)
-	reason := make([]string, nComps)
 	repr := make([]int, nComps)
 	for c := range terminal {
 		terminal[c] = true
@@ -806,12 +828,10 @@ func findStuckComponent(nodes []node) (int, string) {
 		if repr[c] == -1 {
 			repr[c] = v
 		}
-		if nodes[v].stuck == "" {
+		if !nodes[v].stuck {
 			allBad[c] = false
-		} else if reason[c] == "" {
-			reason[c] = nodes[v].stuck
 		}
-		for _, w := range nodes[v].succs {
+		for _, w := range edges[start(v):nodes[v].end] {
 			if comp[w] != c {
 				terminal[c] = false
 			}
@@ -819,10 +839,10 @@ func findStuckComponent(nodes []node) (int, string) {
 	}
 	for c := 0; c < nComps; c++ {
 		if terminal[c] && allBad[c] {
-			return repr[c], reason[c]
+			return repr[c]
 		}
 	}
-	return -1, ""
+	return -1
 }
 
 // UniquenessPred flags states with two or more selected processors — the

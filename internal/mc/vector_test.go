@@ -12,20 +12,26 @@ import (
 	"simsym/internal/system"
 )
 
-// TestVectorRoundTrip pins the premise collapse compression rests on: a
-// step's touched set (machine.Touched) names every component the step
-// changed. Along seeded random walks — random programs over Fig1, Fig2
-// and the flipped table of four under S, L and Q, with Post/Peek
-// multisets, halting, running off the end and stutter steps — every
-// state's vector is built the way the checker builds it (the kept
-// parent's vector with the touched components re-interned, for a whole
-// batch of pool clones) and must spell the state's full key: the
-// uvarint-prefixed concatenation of its windows equals AppendStateKey,
-// and two vectors are equal exactly when their keys are. The reference
-// key comes from replaying the state's schedule on a fresh machine,
-// which encodes every window from scratch: the walked machines' cached
-// windows are only as fresh as their invalidations, the very thing
-// under test.
+// TestVectorRoundTrip pins the two premises the checker's frontier rests
+// on: a vector alone rebuilds its state through the component table
+// (compTable.load), and a step's touched set (machine.Touched) names
+// every component the step changed. Along seeded random walks — random
+// programs over Fig1, Fig2 and the flipped table of four under S, L and
+// Q, with Post/Peek multisets, halting, running off the end and stutter
+// steps — every state is expanded the way the checker expands it: each
+// processor's pool machine is rewritten from its last child's vector to
+// the parent's, its touched list is emptied, it steps, and the parent's
+// vector with the touched components re-interned is the child's. Every
+// loaded parent and every child must spell its state's full key: the
+// uvarint-prefixed concatenation of its vector's windows equals
+// AppendStateKey, and two vectors are equal exactly when their keys are.
+// On a Q machine each variable's slot id must also spell its window and
+// its slots (machine.AppendVarSlots), which the window forgets: loading
+// a Q variable from its window alone fails here at once.
+// The reference key comes from replaying the state's schedule on a fresh
+// machine, which encodes every window from scratch: the walked machines
+// are only as faithful as the stored values and the touched lists, the
+// very things under test.
 func TestVectorRoundTrip(t *testing.T) {
 	flipped4, err := system.DiningFlipped(4)
 	if err != nil {
@@ -109,6 +115,10 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 	var ct compTable
 	m := factory()
 	np, nv, w := m.NumProcs(), m.NumVars(), m.NumProcs()+m.NumVars()
+	stride := w // a Q machine's vectors add one slot id per variable
+	if m.InstrSet() == system.InstrQ {
+		stride += nv
+	}
 	keyToVec := map[string]string{}
 	vecToKey := map[string]string{}
 	var walk []walkOp // the walk so far, from the initial state
@@ -124,7 +134,7 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 		}
 		key := fresh.AppendStateKey(nil, nil, nil)
 		var spelled []byte
-		for _, id := range vec {
+		for _, id := range vec[:w] {
 			spelled = canon.AppendLenPrefixed(spelled, string(ct.window(id)))
 		}
 		if !bytes.Equal(spelled, key) {
@@ -133,7 +143,16 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 		if got := m.AppendStateKey(nil, nil, nil); !bytes.Equal(got, key) {
 			t.Fatalf("%s: cached key\n%q\ndiverged from the replayed key\n%q", name, got, key)
 		}
-		vs := fmt.Sprint(vec)
+		for v, id := range vec[w:] {
+			want := fresh.AppendVarSlots(fresh.AppendVarFingerprint(nil, v), v)
+			if got := ct.slots.window(id); !bytes.Equal(got, want) {
+				t.Fatalf("%s: variable %d's slot id %d spells %q, want %q", name, v, id, got, want)
+			}
+			if got := m.AppendVarSlots(m.AppendVarFingerprint(nil, v), v); !bytes.Equal(got, want) {
+				t.Fatalf("%s: variable %d's slots %q diverged from the replay's %q", name, v, got, want)
+			}
+		}
+		vs := fmt.Sprint(vec[:w])
 		if prev, ok := keyToVec[string(key)]; ok && prev != vs {
 			t.Fatalf("%s: one key, two vectors: %s and %s", name, prev, vs)
 		}
@@ -143,20 +162,25 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 		keyToVec[string(key)], vecToKey[vs] = vs, string(key)
 	}
 
-	cur := m
-	curVec := make([]uint32, w)
-	if err := ct.vector(curVec, cur); err != nil {
+	curVec := make([]uint32, stride)
+	if err := ct.vector(curVec, m); err != nil {
 		t.Fatal(err)
 	}
-	cur = cur.Keep(nil)
-	check(cur, curVec)
+	check(m, curVec)
 	pool := make([]machine.Machine, np)
 	ops := make([][]walkOp, np)
-	vecs := make([]uint32, np*w)
+	vecs := make([]uint32, np*stride)
+	for p := range pool {
+		m.CloneInto(&pool[p])
+		copy(vecs[p*stride:(p+1)*stride], curVec)
+	}
 	for step := 0; step < length; step++ {
 		for p := range pool {
 			child := &pool[p]
-			cur.CloneInto(child)
+			vec := vecs[p*stride : (p+1)*stride]
+			ct.load(child, vec, curVec)
+			check(child, curVec)
+			child.ResetTouched()
 			ops[p] = append(ops[p][:0], walkOp{'s', p})
 			if rng.Intn(40) == 0 {
 				ops[p] = append(ops[p], walkOp{'c', rng.Intn(np)})
@@ -175,21 +199,18 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 					touchedVars++
 				}
 			}
-			vec := vecs[p*w : (p+1)*w]
 			if err := ct.childVector(vec, curVec, child); err != nil {
 				t.Fatal(err)
 			}
-			if slices.Equal(vec, curVec) {
+			if slices.Equal(vec[:w], curVec[:w]) {
 				stutters++
 			}
 			check(child, vec, ops[p]...)
 		}
-		// Continue from one child, kept as the checker keeps a new state.
+		// Continue from one child: like the checker, keep only its vector.
 		p := rng.Intn(np)
-		cur = pool[p].Keep(nil)
-		curVec = append(curVec[:0], vecs[p*w:(p+1)*w]...)
+		curVec = append(curVec[:0], vecs[p*stride:(p+1)*stride]...)
 		walk = append(walk, ops[p]...)
-		check(cur, curVec)
 	}
 	return stutters, touchedVars
 }

@@ -191,9 +191,6 @@ func newDyn(s DynStructure, hook RoundHook) (*Dyn, error) {
 // Len returns the slot-space size (dead slots included).
 func (d *Dyn) Len() int { return len(d.label) }
 
-// AliveCount returns the number of alive slots.
-func (d *Dyn) AliveCount() int { return d.aliveSlots }
-
 // NumClasses returns the number of live classes.
 func (d *Dyn) NumClasses() int { return d.liveClasses }
 

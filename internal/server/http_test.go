@@ -174,6 +174,43 @@ func TestHTTPOversizedBody413(t *testing.T) {
 	doJSON(t, c, "POST", ts.URL+"/v1/sessions", selectConfig(0), http.StatusCreated, nil)
 }
 
+// hugeRing asks for a ring far past sysdsl.MaxGenSize. Before the bound,
+// its parse panicked inside system.Ring on the shard goroutine, which
+// took the whole daemon down.
+const hugeRing = "gen ring 9223372036854775807"
+
+// TestHTTPCreateOversizedGen400 pins the generator bound on create: the
+// directive is refused with 400 and the server keeps serving.
+func TestHTTPCreateOversizedGen400(t *testing.T) {
+	s := New(Config{Shards: 1})
+	ts := httptest.NewServer(Handler(s, nil))
+	defer ts.Close()
+	defer drainOrFail(t, s)
+	c := ts.Client()
+
+	huge := selectConfig(0)
+	huge.Topology = hugeRing
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions", huge, http.StatusBadRequest, nil)
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions", selectConfig(0), http.StatusCreated, nil)
+}
+
+// TestHTTPReloadOversizedGen400 pins the generator bound on the
+// hot-reload path: the reload is refused with 400 and the server keeps
+// serving.
+func TestHTTPReloadOversizedGen400(t *testing.T) {
+	s := New(Config{Shards: 1})
+	ts := httptest.NewServer(Handler(s, nil))
+	defer ts.Close()
+	defer drainOrFail(t, s)
+	c := ts.Client()
+
+	var snap Snapshot
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions", diningConfig(0), http.StatusCreated, &snap)
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions/"+snap.ID+"/topology",
+		map[string]string{"topology": hugeRing}, http.StatusBadRequest, nil)
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions", selectConfig(0), http.StatusCreated, nil)
+}
+
 func TestHTTPConfigVocabularyMatchesFacade(t *testing.T) {
 	// The JSON a session-create request carries is the facade's
 	// RunConfig: the same field names unmarshal into runcfg.Common.

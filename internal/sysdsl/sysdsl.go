@@ -21,6 +21,8 @@
 //	gen star 4
 //	gen tree 7
 //	gen fig1 | fig2 | fig3
+//
+// A generator's size is at most MaxGenSize.
 package sysdsl
 
 import (
@@ -40,7 +42,13 @@ var (
 	ErrSyntax     = errors.New("sysdsl: syntax error")
 	ErrUnknown    = errors.New("sysdsl: unknown reference")
 	ErrIncomplete = errors.New("sysdsl: incomplete description")
+	ErrTooLarge   = errors.New("sysdsl: generator size above MaxGenSize")
 )
+
+// MaxGenSize bounds a generator directive's size: 65,536, the largest
+// ring E6 labels. A larger size is rejected before anything is built, so
+// a short directive cannot demand an unbounded allocation.
+const MaxGenSize = 1 << 16
 
 // Load reads the system the commands' -gen and -spec flags name: the
 // generator directive gen when set, else the DSL file spec ("-" for
@@ -219,6 +227,9 @@ func generate(args []string, lineNo int) (*system.System, error) {
 			return nil, fmt.Errorf("%w: line %d: bad size %q", ErrSyntax, lineNo, args[1])
 		}
 		size = v
+	}
+	if size > MaxGenSize {
+		return nil, fmt.Errorf("%w: line %d: size %d", ErrTooLarge, lineNo, size)
 	}
 	switch args[0] {
 	case "ring":

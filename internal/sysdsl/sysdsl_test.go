@@ -3,6 +3,7 @@ package sysdsl
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -75,6 +76,7 @@ func TestGenerators(t *testing.T) {
 		{"gen dining 5", 5, false},
 		{"gen dining-flipped 6", 6, false},
 		{"gen star 3", 3, false},
+		{"gen ring 65536", 65536, false},
 		{"gen fig1", 2, false},
 		{"gen fig2", 3, false},
 		{"gen fig3", 3, false},
@@ -123,6 +125,8 @@ func TestParseErrors(t *testing.T) {
 		{"empty names", "names", ErrSyntax},
 		{"var without id", "names a\nvar", ErrSyntax},
 		{"proc without id", "names a\nvar v\nproc", ErrSyntax},
+		{"ring past the bound", "gen ring 9223372036854775807", ErrTooLarge},
+		{"tree one past the bound", "gen tree 65537", ErrTooLarge},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -156,4 +160,28 @@ func TestDOT(t *testing.T) {
 	if got := strings.Count(dot, " -- "); got != 6 {
 		t.Errorf("edges = %d, want 6", got)
 	}
+}
+
+// FuzzSysdslParse feeds Parse arbitrary text, as simsymd does with
+// request bodies. No input may panic, and whatever parses must survive
+// a Serialize round trip: Parse(Serialize(s)) succeeds and equals s.
+func FuzzSysdslParse(f *testing.F) {
+	for _, gen := range []string{"ring 5", "dining 5", "dining-flipped 6", "star 4", "tree 7", "fig1", "fig2", "fig3", "q-over-s"} {
+		f.Add("gen " + gen)
+	}
+	f.Add(diningSrc)
+	f.Fuzz(func(t *testing.T, src string) {
+		s, err := Parse(src)
+		if err != nil {
+			return
+		}
+		text := Serialize(s)
+		back, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(Serialize(s)) failed: %v\n%s", err, text)
+		}
+		if !reflect.DeepEqual(back, s) {
+			t.Fatalf("round trip changed the system:\n%#v\nvs\n%#v", s, back)
+		}
+	})
 }

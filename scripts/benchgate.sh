@@ -8,10 +8,12 @@
 #     baseline*1.10+2, and BenchmarkFingerprint/warm and
 #     BenchmarkSigTable/warm must be exactly 0 (the arena's and the
 #     warm signature table's whole contract). Only a machine from
-#     machine.New owns a fingerprint arena — clones and kept machines
-#     encode on demand — so the warm benchmark times that machine's
-#     cached key, and CheckThroughput's allocs/op cover the model
-#     checker, which keeps its states in one machine.Slab.
+#     machine.New owns a fingerprint arena — clones encode on demand —
+#     so the warm benchmark times that machine's cached key.
+#     CheckThroughput's allocs/op cover the model checker, which keeps
+#     each frontier state as its id vector and rewrites one pool machine
+#     per processor from the component table's stored values, so after
+#     warm-up it allocates only as its tables and arrays grow.
 #   * ns/op varies wildly across CI hosts, so it only gates
 #     order-of-magnitude regressions: fail at > baseline*4. Real
 #     performance work is measured with interleaved same-host A/B runs
