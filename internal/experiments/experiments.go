@@ -319,6 +319,17 @@ func E5DP6(maxStates int) (*Table, error) {
 	t.AddRow("capacity check: peak bytes/state",
 		fmt.Sprintf("%s (key bytes %d stored as id vectors + windows / %d logical, %d spilled)",
 			bytesPerState, repCap.Stats.StoredKeyBytes, repCap.Stats.LogicalKeyBytes, repCap.Stats.SpilledBytes))
+	// The same close in the orbit quotient, at the same state cap.
+	repSym, err := dining.CheckWith(s, prog, mc.Options{
+		MaxStates:      maxStates,
+		SymmetryReduce: true,
+		Progress:       MCProgress,
+		Obs:            Obs,
+	})
+	if err != nil {
+		return nil, err
+	}
+	t.AddRow("capacity check (symmetry-reduced)", symRow(repCap, repSym))
 
 	mealProg, err := dining.Program("left", "right", 3)
 	if err != nil {
@@ -365,14 +376,7 @@ func E5DP6(maxStates int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	quotient := "n/a"
-	if rep4Sym.StatesExplored > 0 {
-		quotient = fmt.Sprintf("%.2fx", float64(rep4.StatesExplored)/float64(rep4Sym.StatesExplored))
-	}
-	t.AddRow("flipped table of 4: symmetry-reduced check",
-		fmt.Sprintf("safe=%v complete=%v (%d representatives, quotient %s)",
-			rep4Sym.ExclusionViolated == nil && rep4Sym.Deadlocked == nil,
-			rep4Sym.Complete, rep4Sym.StatesExplored, quotient))
+	t.AddRow("flipped table of 4: symmetry-reduced check", symRow(rep4, rep4Sym))
 
 	// Jepsen-style fault sweep on the closed table of 4: crash and stall
 	// faults cost progress but never safety, while lock-drop attacks the
@@ -408,6 +412,17 @@ func E5DP6(maxStates int) (*Table, error) {
 	}
 	t.Note("alternate philosophers face away, so left forks form level 1 and right forks level 2 of a resource hierarchy: lock-left-then-right is deadlock-free")
 	return t, nil
+}
+
+// symRow formats a symmetry-reduced check beside the full check of the
+// same table, with the quotient once both closed.
+func symRow(full, sym *dining.Report) string {
+	quotient := "n/a"
+	if full.Complete && sym.Complete {
+		quotient = fmt.Sprintf("%.2fx", float64(full.StatesExplored)/float64(sym.StatesExplored))
+	}
+	return fmt.Sprintf("safe=%v complete=%v (%d representatives, quotient %s)",
+		sym.ExclusionViolated == nil && sym.Deadlocked == nil, sym.Complete, sym.StatesExplored, quotient)
 }
 
 // E6Scaling reproduces Theorem 5: Algorithm 1 runs in O(N log N) with

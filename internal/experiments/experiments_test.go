@@ -79,6 +79,9 @@ func TestE5DP6(t *testing.T) {
 	if got := cell(t, tbl, "capacity check (spill allowed): states explored"); !strings.Contains(got, "safe=true") {
 		t.Errorf("capacity row = %q, want a safe verdict", got)
 	}
+	if got := cell(t, tbl, "capacity check (symmetry-reduced)"); !strings.Contains(got, "safe=true") {
+		t.Errorf("symmetry-reduced capacity row = %q, want a safe verdict", got)
+	}
 	if got := cell(t, tbl, "capacity check: states/sec"); got == "" {
 		t.Error("missing capacity throughput row")
 	}

@@ -73,8 +73,11 @@ const (
 	chunkSize  = 1 << chunkShift
 
 	// bucketSlotSize is the bucket directory's exact footprint per
-	// allocated open-addressing slot: one uint64 hash + one int64 index.
-	bucketSlotSize = 16
+	// allocated open-addressing slot: one uint64 hash + one uint32 index.
+	bucketSlotSize = 12
+	// emptySlot marks an empty bucket slot, so an index must stay below
+	// it: the checker's MaxStates cap and compTable's id check see to it.
+	emptySlot = math.MaxUint32
 )
 
 // newStateIndex builds an empty index over width-component vectors;
@@ -99,18 +102,18 @@ func newStateIndex(width int, hotCapBytes int64, dir string) *stateIndex {
 // affects results.
 type bucketTable struct {
 	hashes []uint64
-	eis    []int64 // -1 marks an empty slot
+	eis    []uint32 // emptySlot marks an empty slot
 	mask   uint64
 	n      int
 }
 
 // add inserts an index under hash, growing at 3/4 load.
-func (bt *bucketTable) add(hash uint64, ei int64) {
+func (bt *bucketTable) add(hash uint64, ei uint32) {
 	if bt.n*4 >= len(bt.eis)*3 {
 		bt.grow()
 	}
 	sl := hash & bt.mask
-	for bt.eis[sl] >= 0 {
+	for bt.eis[sl] != emptySlot {
 		sl = (sl + 1) & bt.mask
 	}
 	bt.hashes[sl], bt.eis[sl] = hash, ei
@@ -124,17 +127,17 @@ func (bt *bucketTable) grow() {
 		size = len(oldE) * 2
 	}
 	bt.hashes = make([]uint64, size)
-	bt.eis = make([]int64, size)
+	bt.eis = make([]uint32, size)
 	for i := range bt.eis {
-		bt.eis[i] = -1
+		bt.eis[i] = emptySlot
 	}
 	bt.mask = uint64(size - 1)
 	for i, ei := range oldE {
-		if ei < 0 {
+		if ei == emptySlot {
 			continue
 		}
 		sl := oldH[i] & bt.mask
-		for bt.eis[sl] >= 0 {
+		for bt.eis[sl] != emptySlot {
 			sl = (sl + 1) & bt.mask
 		}
 		bt.hashes[sl], bt.eis[sl] = oldH[i], ei
@@ -148,11 +151,11 @@ func (t *stateIndex) lookupHashed(vec []uint32, hash uint64) (id int64, ok bool,
 	if bt.eis == nil {
 		return 0, false, nil
 	}
-	for sl := hash & bt.mask; bt.eis[sl] >= 0; sl = (sl + 1) & bt.mask {
+	for sl := hash & bt.mask; bt.eis[sl] != emptySlot; sl = (sl + 1) & bt.mask {
 		if bt.hashes[sl] != hash {
 			continue
 		}
-		ei := bt.eis[sl]
+		ei := int64(bt.eis[sl])
 		rec, err := t.record(ei)
 		if err != nil {
 			return 0, false, err
@@ -168,7 +171,7 @@ func (t *stateIndex) lookupHashed(vec []uint32, hash uint64) (id int64, ok bool,
 // the next dense id and returns it. vec is copied.
 func (t *stateIndex) insert(vec []uint32, hash uint64) int64 {
 	ei := t.write(vec)
-	t.buckets.add(hash, ei)
+	t.buckets.add(hash, uint32(ei))
 	return t.baseID + ei
 }
 
@@ -343,7 +346,7 @@ func (ct *compTable) intern(win []byte) (uint32, error) {
 func (ct *compTable) internHashed(win []byte, hash uint64) (uint32, error) {
 	bt := &ct.buckets
 	if bt.eis != nil {
-		for sl := hash & bt.mask; bt.eis[sl] >= 0; sl = (sl + 1) & bt.mask {
+		for sl := hash & bt.mask; bt.eis[sl] != emptySlot; sl = (sl + 1) & bt.mask {
 			if bt.hashes[sl] != hash {
 				continue
 			}
@@ -357,12 +360,12 @@ func (ct *compTable) internHashed(win []byte, hash uint64) (uint32, error) {
 		ct.offs = []int{0}
 	}
 	i := len(ct.offs) - 1
-	if ct.base+uint64(i) > math.MaxUint32 {
+	if ct.base+uint64(i) > math.MaxUint32 || uint64(i) >= emptySlot {
 		return 0, errCompIDs
 	}
 	ct.data = append(ct.data, win...)
 	ct.offs = append(ct.offs, len(ct.data))
-	bt.add(hash, int64(i))
+	bt.add(hash, uint32(i))
 	return uint32(ct.base + uint64(i)), nil
 }
 

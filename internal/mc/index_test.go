@@ -51,7 +51,10 @@ func recountHot(idx *stateIndex) int64 {
 // TestIndexIDWidthBoundary pins the int32 → int64 id fix: the old index
 // stored ids as []int32, so the id stream silently wrapped and aliased
 // distinct states past 2³¹. The baseID hook pins the stream right at the
-// boundary; crossing it must neither truncate nor alias.
+// boundary; crossing it must neither truncate nor alias. Ids are still
+// int64, but the bucket directory now stores uint32 record indices
+// (baseID-relative), which Check keeps below 2³²−1 by capping MaxStates
+// (TestMaxStatesAboveNodeIDs).
 func TestIndexIDWidthBoundary(t *testing.T) {
 	idx := newStateIndex(3, 0, "")
 	idx.baseID = (int64(1) << 31) - 2

@@ -27,8 +27,8 @@
 //     keeps the value each window encodes, so expansion rewrites one
 //     pool machine per processor from its last child to the parent,
 //     setting only the components whose ids differ, and steps it. Per
-//     state the checker keeps a parent, a step, a stuck bit and an end
-//     offset into one successor array.
+//     state the checker keeps an 8-byte node and, under StuckBad, one
+//     uint32 successor slot per processor, in chunks never copied.
 //   - Opt-in symmetry reduction (Options.SymmetryReduce) dedups states
 //     modulo the system's automorphism group — the orbit-quotient
 //     construction the paper's symmetry results suggest.
@@ -45,6 +45,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 	"unsafe"
@@ -59,6 +60,8 @@ import (
 // Sentinel errors.
 var (
 	ErrBudget = errors.New("mc: budget exhausted before closure")
+	// ErrMaxStates rejects a MaxStates past the uint32 node ids.
+	ErrMaxStates = errors.New("mc: MaxStates above 2³²−1")
 )
 
 // StatePredicate inspects a state; a non-empty return is a violation
@@ -76,11 +79,15 @@ type Options struct {
 	// MaxStates bounds exploration; 0 means the default (200_000). The
 	// checker explores at most MaxStates distinct states: exhausting the
 	// budget yields a partial Result carrying exactly MaxStates states.
+	// Node ids are uint32, so a MaxStates above 2³²−1 is ErrMaxStates.
 	MaxStates int
 	// MaxDuration bounds wall-clock exploration time; 0 means unbounded.
 	MaxDuration time.Duration
 	// MaxMemBytes bounds the checker's estimated memory footprint
-	// (visited index plus exploration bookkeeping); 0 means unbounded.
+	// (Stats.PeakMemBytes); 0 means unbounded. Process RSS runs above
+	// the estimate by the garbage collector's headroom, about 1.3× on the
+	// DP′(6) close (EXPERIMENTS.md E5), so a hard ceiling pairs
+	// MaxMemBytes with GOMEMLIMIT or debug.SetMemoryLimit.
 	MaxMemBytes int64
 	// Partial turns budget exhaustion (states, time, or memory) into a
 	// graceful partial Result — Complete=false, Exhausted naming the
@@ -175,7 +182,9 @@ type Stats struct {
 	PeakFrontier int
 	// PeakMemBytes estimates the peak heap the check holds live: the
 	// visited index with its component table and stored values, the
-	// node and successor arrays and both frontier buffers, by capacity.
+	// node and successor chunks and both frontier buffers, by capacity,
+	// and the stuck search's arrays once it runs. RSS runs above it (see
+	// Options.MaxMemBytes).
 	PeakMemBytes int64
 	// GroupOrder is the automorphism count used for symmetry reduction
 	// (1 when reduction is off or the group is trivial).
@@ -212,15 +221,68 @@ type Result struct {
 	Stats Stats
 }
 
-// node is one explored state's bookkeeping. Its successors are
-// edges[start:end], where start is the previous node's end (0 for the
-// root): merge commits a node's successors contiguously, one node at a
-// time in node order.
+// node is one explored state's bookkeeping: the node it was reached
+// from and the processor stepped to reach it, with stuckBit set in step
+// when Options.StuckBad flagged the state. The root is node 0; its
+// parent and step are 0 and never read.
 type node struct {
-	parent int  // index of parent node; -1 for root
-	step   int  // processor stepped to reach this state
-	end    int  // end of the node's successors in edges
-	stuck  bool // Options.StuckBad flagged the state
+	parent uint32
+	step   uint32
+}
+
+const (
+	stuckBit = 1 << 31
+	// selfLoop fills a successor slot whose step stutters. Node ids stop
+	// below it, because MaxStates is at most 2³²−1.
+	selfLoop = math.MaxUint32
+)
+
+// chunked is an append-only array held in chunks of chunkLen elements.
+// A full chunk is never copied: growth adds a chunk, so no growth step
+// holds an old and a new copy of the array at once. Only the first chunk
+// starts small, at firstChunkLen, and doubles up to chunkLen, so a tiny
+// check does not pay for a full chunk.
+type chunked[T any] struct {
+	chunks [][]T
+	n      int
+}
+
+const (
+	chunkLenShift = 16
+	chunkLen      = 1 << chunkLenShift
+	firstChunkLen = 256
+)
+
+func (a *chunked[T]) push(x T) {
+	ci := a.n >> chunkLenShift
+	if ci == len(a.chunks) {
+		size := chunkLen
+		if ci == 0 {
+			size = firstChunkLen
+		}
+		a.chunks = append(a.chunks, make([]T, 0, size))
+	}
+	ch := a.chunks[ci]
+	if len(ch) == cap(ch) { // the first chunk, not yet at chunkLen
+		ch = append(make([]T, 0, 2*cap(ch)), ch...)
+	}
+	a.chunks[ci] = append(ch, x)
+	a.n++
+}
+
+// at returns element i.
+func (a *chunked[T]) at(i int) T {
+	return a.chunks[i>>chunkLenShift][i&(chunkLen-1)]
+}
+
+// memBytes is the chunks' allocated size: every chunk but the first is
+// full-length.
+func (a *chunked[T]) memBytes() int64 {
+	if len(a.chunks) == 0 {
+		return 0
+	}
+	var x T
+	return int64(cap(a.chunks[0])+(len(a.chunks)-1)*chunkLen) * int64(unsafe.Sizeof(x))
 }
 
 // succInfo is one successor's dedup key hash and whether the step was a
@@ -260,11 +322,12 @@ type checker struct {
 	stride        int   // S: ids per frontier vector (see batch)
 	permAt        []int // non-identity automorphisms, W positions each (see minimize)
 	idx           *stateIndex
-	nodes         []node
-	// edges holds every node's successors (see node). Only the stuck
-	// search reads them, so they are recorded only when Options.StuckBad
-	// is set.
-	edges []int
+	nodes         chunked[node]
+	// succ holds nProcs successor slots per expanded node, in node
+	// order: slot v·nProcs+p is the node processor p's step from node v
+	// reaches, or selfLoop. Only the stuck search reads them, so they are
+	// recorded only when Options.StuckBad is set.
+	succ chunked[uint32]
 	// levelVecs and nextVecs are the current and next BFS frontiers: the
 	// states' raw (unpermuted) vectors, S per state in frontier order.
 	// States are pushed in node order, so a frontier's node ids are
@@ -295,6 +358,9 @@ type checker struct {
 // ErrBudget (or with a nil error when Options.Partial is set); on
 // machine execution errors the Result is nil.
 func Check(factory func() (*machine.Machine, error), opts Options) (*Result, error) {
+	if int64(opts.MaxStates) > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: %d", ErrMaxStates, opts.MaxStates)
+	}
 	m0, err := factory()
 	if err != nil {
 		return nil, fmt.Errorf("mc: %w", err)
@@ -368,14 +434,14 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 		c.parent, c.parentVec = m0.Clone(), slices.Clone(raw)
 	}
 	c.minimize(key, raw[:width])
-	rootIdx := c.push(m0, raw, key, canon.HashTokens(key), -1, -1)
+	rootIdx := c.push(m0, raw, key, canon.HashTokens(key), 0, 0)
 	if v := c.checkState(m0, rootIdx); v != nil {
 		c.res.Violation = v
 		return c.finish(nil)
 	}
 
-	for c.levelStart < len(c.nodes) {
-		n := len(c.nodes) - c.levelStart
+	for c.levelStart < c.nodes.n {
+		n := c.nodes.n - c.levelStart
 		c.levelVecs, c.nextVecs = c.nextVecs, c.levelVecs[:0]
 		c.stats.Depth++
 		if n > c.stats.PeakFrontier {
@@ -411,7 +477,9 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 	c.res.Complete = true
 
 	if c.opts.StuckBad != nil {
-		if idx := findStuckComponent(c.nodes, c.edges); idx >= 0 {
+		idx, searchBytes := findStuckComponent(&c.nodes, &c.succ, c.nProcs)
+		c.stats.PeakMemBytes = max(c.stats.PeakMemBytes, c.memEstimate()+searchBytes)
+		if idx >= 0 {
 			// Nodes keep only a stuck flag, so the reason is recomputed
 			// once, for the reported state: its witness schedule is
 			// replayed with Step, which emits no events, on a clone of
@@ -483,11 +551,9 @@ func (c *checker) runLevel(n int) (bool, error) {
 		if err := c.expand(c.levelVecs[i*s : (i+1)*s]); err != nil {
 			return true, err
 		}
-		idx := c.levelStart + i
-		if done, err := c.merge(idx); done {
+		if done, err := c.merge(c.levelStart + i); done {
 			return true, err
 		}
-		c.nodes[idx].end = len(c.edges)
 	}
 	return false, nil
 }
@@ -560,7 +626,8 @@ func (c *checker) minimize(key, raw []uint32) {
 // transition predicates (before the self-loop skip — stutter steps are
 // visible to predicates, excluded only from the successor graph), dedup
 // against the hashed index, budget checks before each push, state
-// predicates on new states.
+// predicates on new states. Under Options.StuckBad every processor's
+// successor fills its slot (see checker.succ).
 func (c *checker) merge(curIdx int) (bool, error) {
 	b := &c.batch
 	s := c.stride
@@ -575,43 +642,38 @@ func (c *checker) merge(curIdx int) (bool, error) {
 				return true, nil
 			}
 		}
+		to := uint32(selfLoop)
 		if si.selfLoop {
 			c.stats.SelfLoops++
-			continue
-		}
-		c.stats.Transitions++
-		key := b.keys[p*c.width : (p+1)*c.width]
-		if id, ok, err := c.idx.lookupHashed(key, si.hash); err != nil {
-			return true, err
-		} else if ok {
-			c.stats.DedupHits++
-			c.addEdge(int(id - c.idx.baseID))
-			continue
-		} else if c.res.StatesExplored >= c.maxStates {
-			// Budget check strictly before the push: the checker
-			// explores exactly MaxStates states, never MaxStates+1.
-			return true, c.exhaust("states")
 		} else {
-			id := c.push(next, b.raw[p*s:(p+1)*s], key, si.hash, curIdx, p)
-			c.addEdge(id)
-			if v := c.checkState(next, id); v != nil {
-				c.res.Violation = v
-				return true, nil
+			c.stats.Transitions++
+			key := b.keys[p*c.width : (p+1)*c.width]
+			if id, ok, err := c.idx.lookupHashed(key, si.hash); err != nil {
+				return true, err
+			} else if ok {
+				c.stats.DedupHits++
+				to = uint32(id - c.idx.baseID)
+			} else if c.res.StatesExplored >= c.maxStates {
+				// Budget check strictly before the push: the checker
+				// explores exactly MaxStates states, never MaxStates+1.
+				return true, c.exhaust("states")
+			} else {
+				id := c.push(next, b.raw[p*s:(p+1)*s], key, si.hash, curIdx, p)
+				to = uint32(id)
+				if v := c.checkState(next, id); v != nil {
+					c.res.Violation = v
+					return true, nil
+				}
+				if stop, err := c.pollBudgets(); stop {
+					return true, err
+				}
 			}
 		}
-		if stop, err := c.pollBudgets(); stop {
-			return true, err
+		if c.opts.StuckBad != nil {
+			c.succ.push(to)
 		}
 	}
 	return false, nil
-}
-
-// addEdge records id as the expanding node's next successor, when the
-// stuck search will need it.
-func (c *checker) addEdge(id int) {
-	if c.opts.StuckBad != nil {
-		c.edges = append(c.edges, id)
-	}
 }
 
 // push commits a new state m, whose vector is raw: it indexes key (the
@@ -625,9 +687,12 @@ func (c *checker) push(m *machine.Machine, raw, key []uint32, hash uint64, paren
 	c.idx.insert(key, hash)
 	c.logicalKeyBytes += c.idx.comps.keyLen(key)
 	c.nextVecs = append(c.nextVecs, raw...)
-	id := len(c.nodes)
-	stuck := c.opts.StuckBad != nil && c.opts.StuckBad(m) != ""
-	c.nodes = append(c.nodes, node{parent: parent, step: step, stuck: stuck})
+	id := c.nodes.n
+	nd := node{parent: uint32(parent), step: uint32(step)}
+	if c.opts.StuckBad != nil && c.opts.StuckBad(m) != "" {
+		nd.step |= stuckBit
+	}
+	c.nodes.push(nd)
 	c.res.StatesExplored++
 	c.sinceProgress++
 	return id
@@ -669,14 +734,13 @@ func (c *checker) pollBudgets() (bool, error) {
 	return false, nil
 }
 
-// memEstimate approximates the checker's live heap: the visited index
-// (with the component table and its stored values), the node and edge
-// arrays, and both frontier vector buffers. Capacities, not lengths: a
-// grown backing array is real memory whether or not it is full yet.
+// memEstimate approximates the checker's live heap during exploration:
+// the visited index (with the component table and its stored values),
+// the node and successor chunks, and both frontier vector buffers.
+// Capacities, not lengths: an allocated chunk or backing array is real
+// memory whether or not it is full yet.
 func (c *checker) memEstimate() int64 {
-	return c.idx.memBytes() +
-		int64(cap(c.nodes))*int64(unsafe.Sizeof(node{})) +
-		8*int64(cap(c.edges)) +
+	return c.idx.memBytes() + c.nodes.memBytes() + c.succ.memBytes() +
 		4*int64(cap(c.levelVecs)+cap(c.nextVecs))
 }
 
@@ -691,16 +755,13 @@ func (c *checker) exhaust(kind string) error {
 	return fmt.Errorf("%w (%s): %d states", ErrBudget, kind, c.res.StatesExplored)
 }
 
+// scheduleTo is the step sequence from the root to node idx.
 func (c *checker) scheduleTo(idx int) []int {
-	var rev []int
-	for idx >= 0 && c.nodes[idx].parent >= 0 {
-		rev = append(rev, c.nodes[idx].step)
-		idx = c.nodes[idx].parent
+	out := []int{}
+	for ; idx != 0; idx = int(c.nodes.at(idx).parent) {
+		out = append(out, int(c.nodes.at(idx).step&^stuckBit))
 	}
-	out := make([]int, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
+	slices.Reverse(out)
 	return out
 }
 
@@ -729,80 +790,63 @@ func isIdentity(perm system.Permutation) bool {
 }
 
 // findStuckComponent runs Tarjan's SCC algorithm (iteratively) over the
-// successor graph nodes and edges spell, and returns a representative
-// node — the component's first in node order — of the first terminal
-// SCC whose states are all flagged stuck, or -1. Under symmetry
-// reduction the graph is the orbit quotient; a terminal all-bad
-// component there corresponds to one in the full graph because the stuck
-// predicate is automorphism-invariant.
-func findStuckComponent(nodes []node, edges []int) int {
-	n := len(nodes)
-	start := func(v int) int {
-		if v == 0 {
-			return 0
-		}
-		return nodes[v-1].end
-	}
-	const unvisited = -1
-	indexOf := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	comp := make([]int, n)
+// successor graph nodes and succ spell, np slots per node, and returns a
+// representative node — the component's first in node order — of the
+// first terminal SCC whose states are all flagged stuck, or -1, with the
+// bytes its arrays took. Under symmetry reduction the graph is the orbit
+// quotient; a terminal all-bad component there corresponds to one in the
+// full graph because the stuck predicate is automorphism-invariant.
+func findStuckComponent(nodes *chunked[node], succ *chunked[uint32], np int) (int, int64) {
+	n := nodes.n
+	const none = math.MaxUint32 // an unvisited node's index, an unfinished node's component
+	indexOf := make([]uint32, n)
+	low := make([]uint32, n)
+	comp := make([]uint32, n)
 	for i := range indexOf {
-		indexOf[i] = unvisited
-		comp[i] = -1
+		indexOf[i], comp[i] = none, none
 	}
-	var stack []int
-	counter := 0
-	nComps := 0
-
-	// A frame walks v's successors edges[pos:nodes[v].end].
-	type frame struct {
-		v, pos int
+	// Tarjan's stack holds exactly the visited nodes with no component
+	// yet. A frame walks v's successor slots from p.
+	var stack []uint32
+	type frame struct{ v, p uint32 }
+	var calls []frame
+	var counter, nComps uint32
+	visit := func(v uint32) {
+		indexOf[v], low[v] = counter, counter
+		counter++
+		stack = append(stack, v)
+		calls = append(calls, frame{v: v})
 	}
-	for root := 0; root < n; root++ {
-		if indexOf[root] != unvisited {
+	for root := range n {
+		if indexOf[root] != none {
 			continue
 		}
-		callStack := []frame{{v: root, pos: start(root)}}
-		indexOf[root] = counter
-		low[root] = counter
-		counter++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(callStack) > 0 {
-			fr := &callStack[len(callStack)-1]
+		visit(uint32(root))
+		for len(calls) > 0 {
+			fr := &calls[len(calls)-1]
 			v := fr.v
-			if fr.pos < nodes[v].end {
-				w := edges[fr.pos]
-				fr.pos++
-				if indexOf[w] == unvisited {
-					indexOf[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					callStack = append(callStack, frame{v: w, pos: start(w)})
-				} else if onStack[w] {
-					if indexOf[w] < low[v] {
-						low[v] = indexOf[w]
-					}
+			if int(fr.p) < np {
+				w := succ.at(int(v)*np + int(fr.p))
+				fr.p++
+				switch {
+				case w == selfLoop:
+				case indexOf[w] == none:
+					visit(w)
+				case comp[w] == none:
+					low[v] = min(low[v], indexOf[w])
 				}
 				continue
 			}
 			// Post-visit.
-			callStack = callStack[:len(callStack)-1]
-			if len(callStack) > 0 {
-				parent := callStack[len(callStack)-1].v
-				if low[v] < low[parent] {
-					low[parent] = low[v]
-				}
+			calls = calls[:len(calls)-1]
+			if len(calls) > 0 {
+				parent := calls[len(calls)-1].v
+				low[parent] = min(low[parent], low[v])
 			}
 			if low[v] == indexOf[v] {
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[w] = false
 					comp[w] = nComps
 					if w == v {
 						break
@@ -812,58 +856,50 @@ func findStuckComponent(nodes []node, edges []int) int {
 			}
 		}
 	}
+	searchBytes := 12*int64(n) + 4*int64(cap(stack)) + 8*int64(cap(calls))
 
-	// A component is terminal when no edge leaves it; it is stuck-bad
-	// when every member is flagged.
-	terminal := make([]bool, nComps)
-	allBad := make([]bool, nComps)
-	repr := make([]int, nComps)
-	for c := range terminal {
-		terminal[c] = true
-		allBad[c] = true
-		repr[c] = -1
-	}
-	for v := range nodes {
+	// A component is reported when it is terminal (no edge leaves it) and
+	// every member is flagged; ruledOut marks the others.
+	ruledOut := make([]bool, nComps)
+	for v := range n {
 		c := comp[v]
-		if repr[c] == -1 {
-			repr[c] = v
+		if nodes.at(v).step&stuckBit == 0 {
+			ruledOut[c] = true
 		}
-		if !nodes[v].stuck {
-			allBad[c] = false
-		}
-		for _, w := range edges[start(v):nodes[v].end] {
-			if comp[w] != c {
-				terminal[c] = false
+		for p := range np {
+			if w := succ.at(v*np + p); w != selfLoop && comp[w] != c {
+				ruledOut[c] = true
 			}
 		}
 	}
-	for c := 0; c < nComps; c++ {
-		if terminal[c] && allBad[c] {
-			return repr[c]
-		}
+	if c := slices.Index(ruledOut, false); c >= 0 {
+		return slices.Index(comp, uint32(c)), searchBytes
 	}
-	return -1
+	return -1, searchBytes
 }
 
 // UniquenessPred flags states with two or more selected processors — the
-// selection problem's Uniqueness requirement.
+// selection problem's Uniqueness requirement. It allocates only for a
+// violation's message.
 func UniquenessPred(m *machine.Machine) string {
-	if sel := m.SelectedProcs(); len(sel) >= 2 {
-		return fmt.Sprintf("uniqueness violated: processors %v all selected", sel)
+	n := 0
+	for p := range m.NumProcs() {
+		if m.Selected(p) {
+			n++
+		}
+	}
+	if n >= 2 {
+		return fmt.Sprintf("uniqueness violated: processors %v all selected", m.SelectedProcs())
 	}
 	return ""
 }
 
 // StabilityPred flags transitions where a selected processor becomes
-// unselected — the selection problem's Stability requirement.
+// unselected — the selection problem's Stability requirement. It
+// allocates only for a violation's message.
 func StabilityPred(before, after *machine.Machine, _ int) string {
-	selBefore := before.SelectedProcs()
-	selAfterSet := make(map[int]bool)
-	for _, p := range after.SelectedProcs() {
-		selAfterSet[p] = true
-	}
-	for _, p := range selBefore {
-		if !selAfterSet[p] {
+	for p := range before.NumProcs() {
+		if before.Selected(p) && !after.Selected(p) {
 			return fmt.Sprintf("stability violated: processor %d unselected", p)
 		}
 	}

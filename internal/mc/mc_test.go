@@ -2,6 +2,8 @@ package mc
 
 import (
 	"errors"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -159,6 +161,147 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 	if res.Violation == nil || !strings.Contains(res.Violation.Reason, "deadlock") {
 		t.Fatalf("violation = %+v, want deadlock", res.Violation)
+	}
+}
+
+// grabAndKeep takes the left fork, then the right, spinning on each, and
+// halts still holding both.
+func grabAndKeep(b *machine.Builder) {
+	gl, gr := b.Sym("gl"), b.Sym("gr")
+	b.Label("left")
+	b.Lock("left", "gl")
+	b.JumpIf(func(r *machine.Regs) bool { return r.Get(gl) != true }, "left")
+	b.Label("right")
+	b.Lock("right", "gr")
+	b.JumpIf(func(r *machine.Regs) bool { return r.Get(gr) != true }, "right")
+	b.Halt()
+}
+
+// TestStuckComponentWithHaltedProcs: three philosophers that halt
+// holding both forks leave their neighbours spinning forever, so the
+// terminal stuck components mix halted processors, whose successor slots
+// hold the self-loop mark, with spinning ones. The verdict, witness and
+// counts are the ones the checker gave when it kept successors in a
+// variable-length []int, in every engine mode.
+func TestStuckComponentWithHaltedProcs(t *testing.T) {
+	s, err := system.Dining(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory := factoryFor(t, s, system.InstrL, grabAndKeep)
+	for _, tc := range []struct {
+		name        string
+		sym, spill  bool
+		states      int
+		transitions int64
+		selfLoops   int64
+	}{
+		{"seq", false, false, 230, 645, 45},
+		{"sym", true, false, 80, 225, 15},
+		{"spill", false, true, 230, 645, 45},
+		{"sym+spill", true, true, 80, 225, 15},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{StuckBad: NotAllHalted, SymmetryReduce: tc.sym}
+			if tc.spill {
+				opts.HotIndexBytes, opts.SpillDir = 1, t.TempDir()
+			}
+			res, err := Check(factory, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Complete || res.StatesExplored != tc.states || res.Stats.Transitions != tc.transitions ||
+				res.Stats.SelfLoops != tc.selfLoops {
+				t.Errorf("complete=%v states=%d transitions=%d self-loops=%d; want a closed space of %d/%d/%d",
+					res.Complete, res.StatesExplored, res.Stats.Transitions, res.Stats.SelfLoops,
+					tc.states, tc.transitions, tc.selfLoops)
+			}
+			want := &Violation{Reason: "stuck: processors can never all halt", Schedule: []int{0, 0, 0, 0, 0, 1, 2, 2, 2}}
+			if !reflect.DeepEqual(res.Violation, want) {
+				t.Errorf("violation = %+v, want %+v", res.Violation, want)
+			}
+		})
+	}
+}
+
+// TestMaxStatesAboveNodeIDs: node ids are uint32, so a MaxStates past
+// 2³²−1 is ErrMaxStates before the factory is called, and 2³²−1 itself
+// is accepted.
+func TestMaxStatesAboveNodeIDs(t *testing.T) {
+	called := false
+	_, err := Check(func() (*machine.Machine, error) {
+		called = true
+		return nil, errors.New("not reached")
+	}, Options{MaxStates: 1 << 32})
+	if !errors.Is(err, ErrMaxStates) || called {
+		t.Fatalf("err = %v, factory called = %v; want ErrMaxStates before any exploring", err, called)
+	}
+	res, err := Check(factoryFor(t, system.Fig1(), system.InstrS, naiveClaim), Options{MaxStates: math.MaxUint32})
+	if err != nil || !res.Complete {
+		t.Fatalf("MaxStates 2³²−1: err = %v, result = %+v; want a closed space", err, res)
+	}
+}
+
+// TestChunkedArray: elements keep their values across the first chunk's
+// doublings and later chunk boundaries, and memBytes charges the first
+// chunk's capacity plus every later chunk whole.
+func TestChunkedArray(t *testing.T) {
+	var a chunked[uint32]
+	n := 2*chunkLen + 5
+	for i := range n {
+		if i == 1 && a.memBytes() != 4*firstChunkLen {
+			t.Fatalf("one element charges %d bytes, want a %d-element first chunk", a.memBytes(), firstChunkLen)
+		}
+		a.push(uint32(i))
+	}
+	for i := range n {
+		if a.at(i) != uint32(i) {
+			t.Fatalf("element %d = %d", i, a.at(i))
+		}
+	}
+	if got, want := a.memBytes(), int64(4*3*chunkLen); got != want {
+		t.Errorf("memBytes = %d over %d elements, want three whole chunks, %d", got, n, want)
+	}
+}
+
+// TestSelectionPredsAllocationFree: UniquenessPred and StabilityPred read
+// Machine.Selected per processor, so a passing state or transition
+// allocates nothing, and a violation's message lists the processors as
+// SelectedProcs does.
+func TestSelectionPredsAllocationFree(t *testing.T) {
+	none, err := factoryFor(t, system.Fig1(), system.InstrS, func(b *machine.Builder) {
+		selected := b.Sym("selected")
+		b.Compute(func(r *machine.Regs) { r.Set(selected, true) })
+		b.Halt()
+	})()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepped := func(m *machine.Machine, p int) *machine.Machine {
+		m = m.Clone()
+		if err := m.Step(p); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	p, q := stepped(none, 0), stepped(none, 1)
+	both := stepped(p, 1)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if UniquenessPred(p) != "" || StabilityPred(p, both, 1) != "" || StabilityPred(none, q, 1) != "" {
+			t.Fatal("a passing pair was flagged")
+		}
+	}); allocs != 0 {
+		t.Errorf("passing predicates allocate %.0f times per run, want 0", allocs)
+	}
+	for _, c := range []struct{ got, want string }{
+		{UniquenessPred(both), "uniqueness violated: processors [0 1] all selected"},
+		{StabilityPred(both, none, 0), "stability violated: processor 0 unselected"},
+		{StabilityPred(both, p, 1), "stability violated: processor 1 unselected"},
+		{StabilityPred(both, q, 1), "stability violated: processor 0 unselected"},
+	} {
+		if c.got != c.want {
+			t.Errorf("message %q, want %q", c.got, c.want)
+		}
 	}
 }
 
