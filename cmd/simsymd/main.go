@@ -111,12 +111,12 @@ func run(args []string, out io.Writer) error {
 func serve(out io.Writer, cfg server.Config, addr string) error {
 	s := server.New(cfg)
 	drained := make(chan struct{}, 1)
-	hs := &http.Server{Handler: server.Handler(s, func() {
+	hs := newHTTPServer(server.Handler(s, func() {
 		select {
 		case drained <- struct{}{}:
 		default:
 		}
-	})}
+	}))
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -149,6 +149,30 @@ func serve(out io.Writer, cfg server.Config, addr string) error {
 	<-serveErr
 	fmt.Fprintf(out, "simsymd: drained, %d sessions retained\n", s.Sessions())
 	return nil
+}
+
+// The read and idle timeouts of both HTTP servers simsymd builds. A
+// client has readHeaderTimeout to send its request line and headers and
+// readTimeout to send the whole request, whose body the handler caps at
+// 1 MiB; a keep-alive connection idle for idleTimeout is closed. There
+// is no write timeout: a /run may rightly outlast any fixed bound until
+// /run gets its own deadline.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns a server for h with simsymd's timeouts, so a
+// client that stalls mid-request or holds an idle connection cannot pin
+// a connection forever.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 type loadgenConfig struct {
@@ -195,7 +219,7 @@ func runLoadgen(out io.Writer, cfg server.Config, lg loadgenConfig) error {
 		if err != nil {
 			return err
 		}
-		hs := &http.Server{Handler: server.Handler(srv, nil)}
+		hs := newHTTPServer(server.Handler(srv, nil))
 		go func() { _ = hs.Serve(ln) }()
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -64,6 +64,23 @@ func TestLoadgenDurationCap(t *testing.T) {
 	}
 }
 
+// TestHTTPServerTimeouts: both servers simsymd builds bound how long a
+// client may take to send a request and how long an idle connection
+// lives, and leave writes unbounded for long /run requests.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Fatalf("timeouts: read header %v, read %v, idle %v; want all set",
+			hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
+	}
+	if hs.ReadHeaderTimeout > hs.ReadTimeout {
+		t.Errorf("read header timeout %v exceeds the read timeout %v", hs.ReadHeaderTimeout, hs.ReadTimeout)
+	}
+	if hs.WriteTimeout != 0 {
+		t.Errorf("write timeout %v, want none", hs.WriteTimeout)
+	}
+}
+
 // TestServeDrainViaAdmin boots the daemon on an ephemeral port, creates
 // a session over HTTP, drains via the admin endpoint, and expects the
 // serve loop to exit cleanly.

@@ -80,7 +80,7 @@ func Starver(active []int) machine.Scheduler {
 
 // FLP is the Theorem 1 adversary: an adaptive general-schedule scheduler
 // that tries to prevent any run from ever settling with exactly one
-// processor selected. Before granting a step it probes it on a clone of
+// processor selected. Before granting a step it probes it on a copy of
 // the machine; a processor whose next step would newly set its selected
 // flag is starved while anyone else still has safe steps to take. Two
 // escapes close the trap:
@@ -102,6 +102,9 @@ func Starver(active []int) machine.Scheduler {
 type FLP struct {
 	next   int   // rotation cursor, so starvation is not also unfairness to low indices
 	forced []int // poised processors queued for back-to-back selection
+	// probe is the copy each candidate step is tried on, rewritten in
+	// place so probing allocates only on its first use.
+	probe machine.Machine
 }
 
 // NewFLP returns the Theorem 1 adaptive adversary.
@@ -121,7 +124,7 @@ func (a *FLP) Next(m *machine.Machine) (int, bool) {
 		if m.Halted(p) {
 			continue
 		}
-		if stepSelects(m, p) {
+		if a.stepSelects(m, p) {
 			poised = append(poised, p)
 			continue
 		}
@@ -140,18 +143,18 @@ func (a *FLP) Next(m *machine.Machine) (int, bool) {
 	return 0, false
 }
 
-// stepSelects probes, on a clone, whether stepping p would newly set p's
-// selected flag. Probe errors count as not poised (the real Step will
-// surface the error to the driver).
-func stepSelects(m *machine.Machine, p int) bool {
+// stepSelects probes, on the probe copy, whether stepping p would newly
+// set p's selected flag. Probe errors count as not poised (the real Step
+// will surface the error to the driver).
+func (a *FLP) stepSelects(m *machine.Machine, p int) bool {
 	if sel, ok := m.Local(p, "selected"); ok && sel == true {
 		return false // already selected; this step cannot newly select
 	}
-	c := m.Clone()
-	if err := c.Step(p); err != nil {
+	m.CloneInto(&a.probe)
+	if err := a.probe.Step(p); err != nil {
 		return false
 	}
-	sel, ok := c.Local(p, "selected")
+	sel, ok := a.probe.Local(p, "selected")
 	return ok && sel == true
 }
 

@@ -154,6 +154,11 @@ type Exec struct {
 	budget   int // overall MaxSlots budget, fixed at Start
 	finished bool
 	final    bool // Finalize ran
+
+	// before is the copy of m that TransPreds see as the state before
+	// each step, nil when there are none. CloneInto rewrites it in place,
+	// so after its first copy the run allocates nothing for it.
+	before *machine.Machine
 }
 
 // Start builds the machine and begins a run without advancing it.
@@ -167,7 +172,11 @@ func (h *Harness) Start() (*Exec, error) {
 		budget = defaultMaxSlots
 	}
 	h.Obs.PhaseStart("harness.run")
-	return &Exec{h: h, m: m, res: &Result{}, budget: budget}, nil
+	e := &Exec{h: h, m: m, res: &Result{}, budget: budget}
+	if len(h.TransPreds) > 0 {
+		e.before = new(machine.Machine)
+	}
+	return e, nil
 }
 
 // Finished reports whether the run has ended (convergence, budget
@@ -248,9 +257,8 @@ func (e *Exec) Advance(maxSlots int) (finished bool, err error) {
 			h.Obs.SchedStep(slot, pick, false)
 			continue
 		}
-		var before *machine.Machine
-		if len(h.TransPreds) > 0 {
-			before = m.Clone()
+		if e.before != nil {
+			m.CloneInto(e.before)
 		}
 		stepped, err := m.StepOrSkip(pick)
 		if err != nil {
@@ -275,7 +283,7 @@ func (e *Exec) Advance(maxSlots int) (finished bool, err error) {
 			}
 		}
 		for _, pred := range h.TransPreds {
-			if msg := pred(before, m, pick); msg != "" {
+			if msg := pred(e.before, m, pick); msg != "" {
 				res.Violation = &Violation{Slot: slot, Step: res.Steps, Reason: msg}
 				e.finished = true
 				return true, nil

@@ -1,12 +1,15 @@
 package adversary
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"simsym/internal/dining"
 	"simsym/internal/family"
+	"simsym/internal/machine"
+	"simsym/internal/mc"
 	"simsym/internal/sched"
 	"simsym/internal/system"
 )
@@ -240,5 +243,99 @@ func TestAlgorithm3HarnessToleratesCrashSafely(t *testing.T) {
 	}
 	if res.Violation != nil {
 		t.Fatalf("crash fault produced a mislabeling: %+v", *res.Violation)
+	}
+}
+
+// TestHarnessReportsStabilityViolation drives a transition violation
+// through the harness: every processor but the marked one selects
+// itself and then unselects, and the marked one halts at once, so its
+// later picks burn slots. StabilityPred must flag the unselecting step
+// at its slot and step count, and the replay must flag the same.
+func TestHarnessReportsStabilityViolation(t *testing.T) {
+	b := machine.NewBuilder()
+	initS, sel := b.Sym("init"), b.Sym("selected")
+	b.JumpIf(func(r *machine.Regs) bool { return r.Get(initS) == "1" }, "end")
+	b.Compute(func(r *machine.Regs) { r.Set(sel, true) })
+	b.Compute(func(r *machine.Regs) { r.Set(sel, false) })
+	b.Label("end")
+	b.Halt()
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &Harness{
+		Sys:        markedFig1(),
+		Instr:      system.InstrS,
+		Prog:       prog,
+		Sched:      FromSlice([]int{1, 1, 1, 1, 0, 0, 0}),
+		TransPreds: []mc.TransitionPredicate{mc.StabilityPred},
+	}
+	res, err := h.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Violation{Slot: 6, Step: 5, Reason: "stability violated: processor 0 unselected"}
+	if res.Violation == nil || *res.Violation != want {
+		t.Fatalf("violation = %+v, want %+v", res.Violation, want)
+	}
+	rep, err := h.Replay(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := res.Diff(rep); d != "" {
+		t.Fatalf("replay diverged: %s", d)
+	}
+}
+
+// TestHarnessBeforeMatchesReplay: the harness rewrites one before
+// machine ahead of every step, so a transition predicate must see, at
+// each executed step, the state a fresh replay of the schedule up to
+// that slot reaches.
+func TestHarnessBeforeMatchesReplay(t *testing.T) {
+	sys := system.Fig2()
+	h, err := NewSelectHarness(sys, system.InstrQ, system.SchedFair, Shuffled(rand.New(rand.NewSource(7)), sys.NumProcs()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen [][]byte
+	record := func(before, after *machine.Machine, _ int) string {
+		if before == after {
+			return "before is the running machine"
+		}
+		seen = append(seen, before.AppendStateKey(nil, nil, nil))
+		return ""
+	}
+	h.TransPreds = append([]mc.TransitionPredicate{record}, h.TransPreds...)
+	res, err := h.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Violation != nil {
+		t.Fatalf("unexpected violation: %+v", *res.Violation)
+	}
+	if len(seen) != res.Steps || res.Steps == 0 {
+		t.Fatalf("the predicate saw %d steps of %d", len(seen), res.Steps)
+	}
+	i := 0
+	for slot, p := range res.Schedule {
+		r, err := machine.New(sys, system.InstrQ, h.Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range res.Schedule[:slot] {
+			if _, err := r.StepOrSkip(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r.Halted(p) {
+			continue // a burned slot: no step, no predicate call
+		}
+		if !bytes.Equal(seen[i], r.AppendStateKey(nil, nil, nil)) {
+			t.Fatalf("slot %d (step %d): before differs from a replay of the schedule prefix", slot, i+1)
+		}
+		i++
+	}
+	if i != len(seen) {
+		t.Fatalf("replay found %d steps, the predicate saw %d", i, len(seen))
 	}
 }

@@ -192,7 +192,8 @@ func BenchmarkFingerprint(b *testing.B) {
 	})
 }
 
-// BenchmarkClone measures snapshot cost (copy-on-write sharing).
+// BenchmarkClone measures an allocating copy: a new machine with its
+// own frames, locals, variables and Q subvalue slots.
 func BenchmarkClone(b *testing.B) {
 	m := benchMachine(b, system.InstrQ, func(bl *Builder) {
 		a, x := bl.Sym("a"), bl.Sym("b")
@@ -213,9 +214,10 @@ func BenchmarkClone(b *testing.B) {
 	}
 }
 
-// BenchmarkCloneStep measures the model checker's expansion unit: clone a
-// machine and execute one locals-mutating step on the clone (the
-// copy-on-write copy happens here).
+// BenchmarkCloneStep measures a copy followed by one post or peek on the
+// copy. fresh copies with Clone, as a one-off probe does; reuse copies
+// with CloneInto into one machine, the adversary harness's per-step unit
+// when transition predicates need the state before each step.
 func BenchmarkCloneStep(b *testing.B) {
 	m := benchMachine(b, system.InstrQ, func(bl *Builder) {
 		bl.Label("loop")
@@ -228,11 +230,24 @@ func BenchmarkCloneStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c := m.Clone()
-		if err := c.Step(i % 3); err != nil {
-			b.Fatal(err)
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c := m.Clone()
+			if err := c.Step(i % 3); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("reuse", func(b *testing.B) {
+		c := m.Clone()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.CloneInto(c)
+			if err := c.Step(i % 3); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

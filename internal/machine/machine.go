@@ -56,29 +56,12 @@ func (k opKind) String() string {
 // they observe.
 //
 // Locals is a slot slice indexed by Sym (the program's symbol table);
-// unassigned slots hold the package-private unset sentinel. The slice is
-// copy-on-write: Clone shares it between machines and the first mutating
-// step afterwards copies it, so model-checker expansion stays cheap.
+// unassigned slots hold the package-private unset sentinel. Inside a
+// machine it is a window into the machine's own locals array.
 type Frame struct {
 	PC     int
 	Locals []any
 	Halted bool
-
-	// owned reports that Locals is exclusively this frame's: mutating
-	// steps may write in place. Meaningful only while the machine owns
-	// its frames array (procsOwned); cowProcs resets it when the array
-	// itself is copied after a Clone.
-	owned bool
-}
-
-// cow makes fr.Locals private to this frame, copying once after a Clone
-// and never again until the next Clone.
-func (fr *Frame) cow() {
-	if fr.owned {
-		return
-	}
-	fr.Locals = append([]any(nil), fr.Locals...)
-	fr.owned = true
 }
 
 // Machine executes a program over a system.
@@ -95,26 +78,19 @@ type Machine struct {
 	// allowedKind[k] caches instruction-set legality per opcode.
 	allowedKind [opHalt + 1]bool
 
+	// The machine owns every mutable array below: Step and the fault
+	// calls write in place, and Clone and CloneInto copy them. Processor
+	// p's Locals is the window locals[p·NumSyms : (p+1)·NumSyms].
 	frames []Frame
+	locals []any
 	// S/L variables: one value each, plus a lock bit for L.
 	varVal []any
 	locked []bool
 	// Q variables: one subvalue slot per processor (unset sentinel when
-	// the processor has not posted). Copy-on-write like frame locals:
-	// subOwned[v] reports the slice is private to this machine.
-	varSub   [][]any
-	subOwned []bool
-
-	// procsOwned and varsOwned are machine-level copy-on-write bits over
-	// the backing arrays themselves, making Clone O(1): procsOwned guards
-	// frames/crashed and varsOwned guards varVal/locked/varSub/subOwned.
-	// Clone clears both bits on both machines and shares every array; the
-	// first mutating step afterwards copies just the group it touches
-	// (cowProcs/cowVars). When an array group is shared, its
-	// finer-grained ownership bits (Frame.owned, subOwned) are stale and
-	// ignored — the cow of the outer array resets them.
-	procsOwned bool
-	varsOwned  bool
+	// the processor has not posted); varSub[v] is the window
+	// subs[v·NumProcs : (v+1)·NumProcs]. Both are nil under S and L.
+	varSub [][]any
+	subs   []any
 
 	steps int
 
@@ -151,24 +127,6 @@ type Machine struct {
 	touched  [8]int32
 	nTouched int8
 
-	// Single-component overrides, the write side of copy-on-write: a
-	// machine whose value arrays are still clone-shared keeps its first
-	// touched frame in ovFrame (ovProc = which, -1 for none) and up to two
-	// touched variables in the ovVar slots (value + lock bit), so a clone
-	// that steps once — one frame, at most two variables — mutates nothing
-	// but its own struct: a daemon session that clones before each step,
-	// or an adversary's probe clone. Reads go through
-	// frameAt/varValAt/lockedAt, which consult the overrides;
-	// cowProcs/cowVars fold them back into the freshly privatized arrays
-	// (so procsOwned ⇒ no frame override, varsOwned ⇒ no var overrides),
-	// and writes that outgrow the slots fall back to privatizing.
-	ovProc   int32
-	nOvVar   int8
-	ovVar    [2]int32
-	ovLocked [2]bool
-	ovFrame  Frame
-	ovVal    [2]any
-
 	// selSym is the slot of the conventional "selected" local, or -1 when
 	// the program never interns it.
 	selSym Sym
@@ -194,147 +152,16 @@ type fpSpan struct {
 	n   int32
 }
 
-// cowProcs makes the processor-side arrays (frames, crashed) private to
-// this machine, copying once after a Clone. The fresh frame copies drop
-// their owned bits: their Locals slices are still shared.
-func (m *Machine) cowProcs() {
-	if m.procsOwned {
-		return
+// window points every frame's Locals and every Q variable's slots at
+// their stretch of the machine's own locals and subs arrays.
+func (m *Machine) window() {
+	ns, np := m.program.NumSyms(), len(m.frames)
+	for p := range m.frames {
+		m.frames[p].Locals = m.locals[p*ns : (p+1)*ns : (p+1)*ns]
 	}
-	m.frames = slices.Clone(m.frames)
-	for i := range m.frames {
-		m.frames[i].owned = false
+	for v := range m.varSub {
+		m.varSub[v] = m.subs[v*np : (v+1)*np : (v+1)*np]
 	}
-	m.crashed = slices.Clone(m.crashed)
-	if m.ovProc >= 0 {
-		m.frames[m.ovProc] = m.ovFrame
-		m.ovFrame = Frame{}
-		m.ovProc = -1
-	}
-	m.procsOwned = true
-}
-
-// cowVars makes the variable-side arrays (varVal, locked, varSub,
-// subOwned) private to this machine. subOwned restarts zeroed: the inner
-// subvalue slices are still shared and must be copied on the next post
-// to each.
-func (m *Machine) cowVars() {
-	if m.varsOwned {
-		return
-	}
-	nl := len(m.locked)
-	lk := make([]bool, nl+len(m.subOwned))
-	copy(lk[:nl], m.locked) // subOwned half restarts zeroed
-	m.locked, m.subOwned = lk[:nl:nl], lk[nl:]
-	m.varVal = slices.Clone(m.varVal)
-	m.varSub = slices.Clone(m.varSub)
-	for i := int8(0); i < m.nOvVar; i++ {
-		v := m.ovVar[i]
-		m.varVal[v] = m.ovVal[i]
-		m.locked[v] = m.ovLocked[i]
-		m.ovVal[i] = nil
-	}
-	m.nOvVar = 0
-	m.varsOwned = true
-}
-
-// frameAt returns the authoritative view of processor p's frame,
-// consulting the override slot. Every frame read inside the machine goes
-// through here (or through a frame pointer obtained from writableFrame).
-func (m *Machine) frameAt(p int) *Frame {
-	if m.ovProc == int32(p) {
-		return &m.ovFrame
-	}
-	return &m.frames[p]
-}
-
-// writableFrame returns a frame p may be mutated through. A machine that
-// owns its processor arrays writes the array slot directly; a
-// clone-shared machine takes the single override slot, and a write to a
-// second distinct frame falls back to privatizing the arrays.
-func (m *Machine) writableFrame(p int) *Frame {
-	if m.procsOwned {
-		return &m.frames[p]
-	}
-	if m.ovProc == int32(p) {
-		return &m.ovFrame
-	}
-	if m.ovProc < 0 {
-		m.ovProc = int32(p)
-		m.ovFrame = m.frames[p]
-		m.ovFrame.owned = false // Locals still shared
-		return &m.ovFrame
-	}
-	m.cowProcs()
-	return &m.frames[p]
-}
-
-// ovVarIdx returns the override slot holding variable v, or -1.
-func (m *Machine) ovVarIdx(v int) int8 {
-	for i := int8(0); i < m.nOvVar; i++ {
-		if m.ovVar[i] == int32(v) {
-			return i
-		}
-	}
-	return -1
-}
-
-// varValAt and lockedAt are the authoritative reads of a variable's
-// value and lock bit, consulting the override slots.
-func (m *Machine) varValAt(v int) any {
-	if i := m.ovVarIdx(v); i >= 0 {
-		return m.ovVal[i]
-	}
-	return m.varVal[v]
-}
-
-func (m *Machine) lockedAt(v int) bool {
-	if i := m.ovVarIdx(v); i >= 0 {
-		return m.ovLocked[i]
-	}
-	return m.locked[v]
-}
-
-// ovVarSlot returns a write slot for variable v, claiming a free one
-// (seeded with the current value and lock bit) if needed; -1 means the
-// slots are exhausted and the caller must privatize instead.
-func (m *Machine) ovVarSlot(v int) int8 {
-	if i := m.ovVarIdx(v); i >= 0 {
-		return i
-	}
-	if int(m.nOvVar) < len(m.ovVar) {
-		i := m.nOvVar
-		m.ovVar[i] = int32(v)
-		m.ovVal[i] = m.varVal[v]
-		m.ovLocked[i] = m.locked[v]
-		m.nOvVar++
-		return i
-	}
-	return -1
-}
-
-// setVarVal and setLocked write a variable's value / lock bit through
-// the override slots when the var arrays are clone-shared.
-func (m *Machine) setVarVal(v int, val any) {
-	if !m.varsOwned {
-		if i := m.ovVarSlot(v); i >= 0 {
-			m.ovVal[i] = val
-			return
-		}
-		m.cowVars()
-	}
-	m.varVal[v] = val
-}
-
-func (m *Machine) setLocked(v int, b bool) {
-	if !m.varsOwned {
-		if i := m.ovVarSlot(v); i >= 0 {
-			m.ovLocked[i] = b
-			return
-		}
-		m.cowVars()
-	}
-	m.locked[v] = b
 }
 
 // cached reports whether component c's cached window is valid: the
@@ -404,45 +231,39 @@ func New(sys *system.System, instr system.InstrSet, program *Program) (*Machine,
 	}
 	np, nv := sys.NumProcs(), sys.NumVars()
 	m := &Machine{
-		sys:      sys,
-		instr:    instr,
-		program:  program,
-		frames:   make([]Frame, np),
-		varVal:   make([]any, nv),
-		locked:   make([]bool, nv),
-		varSub:   make([][]any, nv),
-		subOwned: make([]bool, nv),
-		crashed:  make([]bool, np),
-		spans:    make([]fpSpan, np+nv),
-		valid:    make([]uint64, (np+nv+63)/64),
-		selSym:   -1,
-		// Freshly built machines own every backing array and the (still
-		// empty) fingerprint cache, and keep no touched list.
-		procsOwned: true,
-		varsOwned:  true,
-		nTouched:   -1,
-		ovProc:     -1,
+		sys:     sys,
+		instr:   instr,
+		program: program,
+		frames:  make([]Frame, np),
+		locals:  make([]any, np*program.NumSyms()),
+		varVal:  make([]any, nv),
+		locked:  make([]bool, nv),
+		crashed: make([]bool, np),
+		spans:   make([]fpSpan, np+nv),
+		valid:   make([]uint64, (np+nv+63)/64),
+		selSym:  -1,
+		// A machine from New owns the (still empty) fingerprint cache and
+		// keeps no touched list.
+		nTouched: -1,
 	}
 	if s, ok := program.symIdx["selected"]; ok {
 		m.selSym = s
 	}
-	ns := program.NumSyms()
-	for p := range m.frames {
-		locals := make([]any, ns)
-		for i := range locals {
-			locals[i] = unset
+	for i := range m.locals {
+		m.locals[i] = unset
+	}
+	if instr == system.InstrQ {
+		m.varSub, m.subs = make([][]any, nv), make([]any, nv*np)
+		for i := range m.subs {
+			m.subs[i] = unset
 		}
-		locals[SymInit] = sys.ProcInit[p]
-		m.frames[p] = Frame{Locals: locals, owned: true}
+	}
+	m.window()
+	for p := range m.frames {
+		m.frames[p].Locals[SymInit] = sys.ProcInit[p]
 	}
 	for v := range m.varVal {
 		m.varVal[v] = sys.VarInit[v]
-		sub := make([]any, np)
-		for i := range sub {
-			sub[i] = unset
-		}
-		m.varSub[v] = sub
-		m.subOwned[v] = true
 	}
 	// Instruction-set legality per opcode (local instructions are always
 	// legal).
@@ -511,12 +332,12 @@ func (m *Machine) NumVars() int { return len(m.varVal) }
 func (m *Machine) Steps() int { return m.steps }
 
 // Halted reports whether processor p has halted.
-func (m *Machine) Halted(p int) bool { return m.frameAt(p).Halted }
+func (m *Machine) Halted(p int) bool { return m.frames[p].Halted }
 
 // AllHalted reports whether every processor has halted.
 func (m *Machine) AllHalted() bool {
 	for p := range m.frames {
-		if !m.frameAt(p).Halted {
+		if !m.frames[p].Halted {
 			return false
 		}
 	}
@@ -532,7 +353,7 @@ func (m *Machine) Local(p int, name string) (any, bool) {
 	if !ok {
 		return nil, false
 	}
-	v := m.frameAt(p).Locals[s]
+	v := m.frames[p].Locals[s]
 	if v == unset {
 		return nil, false
 	}
@@ -556,7 +377,7 @@ func (m *Machine) Step(p int) error {
 	if p < 0 || p >= len(m.frames) {
 		return fmt.Errorf("%w: %d", ErrBadProcessor, p)
 	}
-	fr := m.frameAt(p)
+	fr := &m.frames[p]
 	if fr.Halted {
 		// A halted processor's step is a counted stutter: the state is
 		// unchanged, so the cached fingerprint stays valid — don't clear it.
@@ -567,7 +388,6 @@ func (m *Machine) Step(p int) error {
 		// Running off the end halts the processor — a real state change.
 		m.steps++
 		m.markStale(p)
-		fr = m.writableFrame(p)
 		fr.Halted = true
 		return nil
 	}
@@ -576,18 +396,13 @@ func (m *Machine) Step(p int) error {
 		return fmt.Errorf("%w: %v under %v", ErrInstrNotAllowed, in.kind, m.instr)
 	}
 	// Every committed step mutates the frame and invalidates p's cached
-	// fingerprint window. writableFrame routes the mutation through the
-	// override slot on a clone-shared machine, so a clone that steps once
-	// never copies the frame array at all. Variable writes go through
-	// setVarVal/setLocked the same way.
-	fr = m.writableFrame(p)
+	// fingerprint window.
 	switch in.kind {
 	case opRead:
 		v := m.bound[p][fr.PC]
 		m.steps++
 		m.markStale(p)
-		fr.cow()
-		fr.Locals[in.sym] = m.varValAt(int(v))
+		fr.Locals[in.sym] = m.varVal[v]
 		fr.PC++
 	case opWrite:
 		v := m.bound[p][fr.PC]
@@ -597,18 +412,17 @@ func (m *Machine) Step(p int) error {
 		}
 		m.steps++
 		m.markStale(p)
-		m.setVarVal(int(v), val)
+		m.varVal[v] = val
 		m.markStale(len(m.frames) + int(v))
 		fr.PC++
 	case opLock:
 		v := m.bound[p][fr.PC]
 		m.steps++
 		m.markStale(p)
-		fr.cow()
-		if m.lockedAt(int(v)) {
+		if m.locked[v] {
 			fr.Locals[in.sym] = false
 		} else {
-			m.setLocked(int(v), true)
+			m.locked[v] = true
 			m.markStale(len(m.frames) + int(v))
 			fr.Locals[in.sym] = true
 		}
@@ -617,14 +431,13 @@ func (m *Machine) Step(p int) error {
 		v := m.bound[p][fr.PC]
 		m.steps++
 		m.markStale(p)
-		m.setLocked(int(v), false)
+		m.locked[v] = false
 		m.markStale(len(m.frames) + int(v))
 		fr.PC++
 	case opPeek:
 		v := m.bound[p][fr.PC]
 		m.steps++
 		m.markStale(p)
-		fr.cow()
 		fr.Locals[in.sym] = m.peekValue(int(v))
 		fr.PC++
 	case opPost:
@@ -635,21 +448,12 @@ func (m *Machine) Step(p int) error {
 		}
 		m.steps++
 		m.markStale(p)
-		m.cowVars()
-		// Copy-on-write so snapshots are not aliased.
-		sub := m.varSub[v]
-		if !m.subOwned[v] {
-			sub = append([]any(nil), sub...)
-			m.varSub[v] = sub
-			m.subOwned[v] = true
-		}
-		sub[p] = val
+		m.varSub[v][p] = val
 		m.markStale(len(m.frames) + int(v))
 		fr.PC++
 	case opCompute:
 		m.steps++
 		m.markStale(p)
-		fr.cow()
 		m.regs.slots = fr.Locals
 		in.f(&m.regs)
 		m.regs.slots = nil
@@ -767,7 +571,7 @@ func (m *Machine) StepOrSkip(p int) (stepped bool, err error) {
 	if p < 0 || p >= len(m.frames) {
 		return false, fmt.Errorf("%w: %d", ErrBadProcessor, p)
 	}
-	if m.frameAt(p).Halted {
+	if m.frames[p].Halted {
 		return false, nil
 	}
 	return true, m.Step(p)
@@ -781,8 +585,7 @@ func (m *Machine) Crash(p int) error {
 	if p < 0 || p >= len(m.frames) {
 		return fmt.Errorf("%w: %d", ErrBadProcessor, p)
 	}
-	if !m.frameAt(p).Halted {
-		m.cowProcs()
+	if !m.frames[p].Halted {
 		m.frames[p].Halted = true
 		m.crashed[p] = true
 		m.markStale(p)
@@ -804,8 +607,7 @@ func (m *Machine) DropLock(v int) error {
 	if v < 0 || v >= len(m.locked) {
 		return fmt.Errorf("%w: %d", ErrBadVariable, v)
 	}
-	if m.lockedAt(v) {
-		m.cowVars()
+	if m.locked[v] {
 		m.locked[v] = false
 		m.markStale(len(m.frames) + v)
 	}
@@ -813,14 +615,14 @@ func (m *Machine) DropLock(v int) error {
 }
 
 // Locked reports whether variable v's lock bit is set.
-func (m *Machine) Locked(v int) bool { return m.lockedAt(v) }
+func (m *Machine) Locked(v int) bool { return m.locked[v] }
 
 // appendProcFP writes processor p's canonical encoding into buf. Slots
 // are emitted in declaration order — fixed for a given program — so no
 // name material and no sort are needed; unset slots get their own tag so
 // "never assigned" cannot alias a value.
 func (m *Machine) appendProcFP(buf []byte, p int) []byte {
-	fr := m.frameAt(p)
+	fr := &m.frames[p]
 	buf = binary.AppendVarint(buf, int64(fr.PC))
 	if fr.Halted {
 		buf = append(buf, 1)
@@ -1020,12 +822,12 @@ func (m *Machine) appendVarFP(buf []byte, v int) []byte {
 		return m.appendQVarFP(buf, v)
 	}
 	buf = append(buf, 'v')
-	if m.lockedAt(v) {
+	if m.locked[v] {
 		buf = append(buf, 1)
 	} else {
 		buf = append(buf, 0)
 	}
-	return appendLocalValue(buf, m.varValAt(v))
+	return appendLocalValue(buf, m.varVal[v])
 }
 
 // appendQVarFP encodes a Q variable — init state plus the posted
@@ -1112,8 +914,10 @@ func (m *Machine) Fingerprint() string {
 // When procAt/varAt are non-nil they relabel the key's node positions:
 // position i of the key takes processor procAt[i]'s (variable varAt[i]'s)
 // component. Passing an automorphism's permutation yields the key of the
-// symmetric image state, which is how symmetry reduction computes orbit
-// representatives without building permuted machines.
+// symmetric image state without building a permuted machine. The model
+// checker's symmetry reduction permutes component-id vectors instead
+// (mc.minimize), so only tests, which check the relabeled key against
+// explicitly permuted machines, pass non-nil slices.
 func (m *Machine) AppendStateKey(buf []byte, procAt, varAt []int) []byte {
 	if procAt == nil && varAt == nil && m.spans != nil {
 		return m.appendStateKeyFast(buf)
@@ -1211,12 +1015,11 @@ func valueForCanon(v any) any {
 	return v
 }
 
-// Clone returns an independent snapshot of the machine in O(1): every
-// mutable array — frames, variable values, locks, subvalues — is shared
-// copy-on-write between the two machines, and the first mutating step on
-// either side copies just the array group it touches. Clearing the
-// ownership bits here covers both machines (a machine is only ever
-// touched by one goroutine at a time).
+// Clone returns an independent copy of the machine: the copy gets its
+// own frames, locals, variable values, lock bits, crash marks and Q
+// subvalue slots, so a step on either machine never shows on the other.
+// Clone only reads m, so several goroutines may clone one machine at
+// once as long as none of them mutates it.
 //
 // The fingerprint cache stays with m: the clone has none and encodes
 // every window on demand. Its touched list starts empty, so Touched
@@ -1227,19 +1030,26 @@ func (m *Machine) Clone() *Machine {
 	return c
 }
 
-// CloneInto writes a snapshot of the machine into dst, overwriting
-// whatever dst held — Clone without the allocation. dst must be a
-// different machine from m. As with Clone, the two share every array
-// copy-on-write, and dst gets no fingerprint cache and an empty touched
-// list.
+// CloneInto overwrites dst with a copy of the machine, as Clone does,
+// copying into dst's own arrays: once dst has held a machine of m's
+// shape, a repeat copy allocates nothing. dst may have run over any
+// system and program, and must be a different machine from m. Like
+// Clone it only reads m, and dst gets no fingerprint cache and an empty
+// touched list.
 func (m *Machine) CloneInto(dst *Machine) {
-	m.procsOwned = false
-	m.varsOwned = false
-	// Both machines now carry the same override frame by value; its
-	// Locals slice is shared between them, so neither may trust a stale
-	// owned bit (same rule as the cleared group bits above).
-	m.ovFrame.owned = false
+	frames, locals, varVal, locked := dst.frames, dst.locals, dst.varVal, dst.locked
+	varSub, subs, crashed := dst.varSub, dst.subs, dst.crashed
 	*dst = *m
+	dst.frames = append(frames[:0], m.frames...)
+	dst.locals = append(locals[:0], m.locals...)
+	dst.varVal = append(varVal[:0], m.varVal...)
+	dst.locked = append(locked[:0], m.locked...)
+	dst.crashed = append(crashed[:0], m.crashed...)
+	if m.subs != nil {
+		dst.varSub = append(varSub[:0], m.varSub...)
+		dst.subs = append(subs[:0], m.subs...)
+	}
+	dst.window()
 	dst.regs = Regs{}
 	dst.fpArena, dst.fpScratch, dst.spans, dst.valid = nil, nil, nil, nil
 	dst.nTouched = 0
@@ -1248,8 +1058,8 @@ func (m *Machine) CloneInto(dst *Machine) {
 // Component is the value of one state component, the value its window
 // (AppendProcFingerprint, AppendVarFingerprint) encodes: a processor's
 // Frame, or a variable's value, lock bit and Q subvalues (one slot per
-// processor). A processor component leaves the variable fields zero, and
-// a variable component leaves Frame zero.
+// processor, nil under S and L). A processor component leaves the
+// variable fields zero, and a variable component leaves Frame zero.
 type Component struct {
 	Frame  Frame
 	Val    any
@@ -1263,35 +1073,34 @@ type Component struct {
 func (m *Machine) Component(c int) Component {
 	if np := len(m.frames); c >= np {
 		v := c - np
-		return Component{Val: m.varValAt(v), Locked: m.lockedAt(v), Sub: slices.Clone(m.varSub[v])}
+		x := Component{Val: m.varVal[v], Locked: m.locked[v]}
+		if m.subs != nil {
+			x.Sub = slices.Clone(m.varSub[v])
+		}
+		return x
 	}
-	fr := *m.frameAt(c)
-	fr.Locals, fr.owned = slices.Clone(fr.Locals), false
+	fr := m.frames[c]
+	fr.Locals = slices.Clone(fr.Locals)
 	return Component{Frame: fr}
 }
 
 // SetComponent overwrites component c with x, a value Component
-// returned. It copies x's Locals or subvalues into arrays the machine
-// owns, so x stays unshared, and a machine loaded over and over
-// allocates only on its first loads. Like a step, it records c as
-// changed (see Touched); crash marks are left as they are.
+// returned for a machine running the same program over a system of the
+// same shape. It copies x's Locals or subvalues into the machine's own
+// arrays, so x stays unshared and the call allocates nothing. Like a
+// step, it records c as changed (see Touched); crash marks are left as
+// they are.
 func (m *Machine) SetComponent(c int, x Component) {
 	if np := len(m.frames); c >= np {
 		v := c - np
-		m.cowVars()
-		if !m.subOwned[v] {
-			m.varSub[v], m.subOwned[v] = nil, true
-		}
 		m.varVal[v], m.locked[v] = x.Val, x.Locked
-		m.varSub[v] = append(m.varSub[v][:0], x.Sub...)
-	} else {
-		m.cowProcs()
-		fr := &m.frames[c]
-		if !fr.owned {
-			fr.Locals, fr.owned = nil, true
+		if m.subs != nil {
+			copy(m.varSub[v], x.Sub)
 		}
+	} else {
+		fr := &m.frames[c]
 		fr.PC, fr.Halted = x.Frame.PC, x.Frame.Halted
-		fr.Locals = append(fr.Locals[:0], x.Frame.Locals...)
+		copy(fr.Locals, x.Frame.Locals)
 	}
 	m.markStale(c)
 }
@@ -1309,7 +1118,7 @@ func (m *Machine) Selected(p int) bool {
 	if m.selSym < 0 || p < 0 || p >= len(m.frames) {
 		return false
 	}
-	sel, ok := m.frameAt(p).Locals[m.selSym].(bool)
+	sel, ok := m.frames[p].Locals[m.selSym].(bool)
 	return ok && sel
 }
 
@@ -1321,7 +1130,7 @@ func (m *Machine) SelectedProcs() []int {
 	}
 	var out []int
 	for p := range m.frames {
-		if sel, ok := m.frameAt(p).Locals[m.selSym].(bool); ok && sel {
+		if sel, ok := m.frames[p].Locals[m.selSym].(bool); ok && sel {
 			out = append(out, p)
 		}
 	}
