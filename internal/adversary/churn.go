@@ -51,7 +51,6 @@ type Churn struct {
 	crashed []string
 	crashAt map[string]int
 	seq     int
-	total   int
 }
 
 // NewChurn builds a churn stream over d seeded from rng. The engine's
@@ -119,7 +118,6 @@ func (c *Churn) Step() (kind string, st partition.UpdateStats, err error) {
 		}
 		pick -= weights[ev]
 	}
-	c.total++
 	switch ev {
 	case 0: // join
 		bind, berr := c.d.Bindings(c.procs[c.rng.Intn(len(c.procs))])
@@ -181,9 +179,6 @@ func (c *Churn) Step() (kind string, st partition.UpdateStats, err error) {
 		return "rewire", st, err
 	}
 }
-
-// Events returns how many events the stream has generated.
-func (c *Churn) Events() int { return c.total }
 
 // Procs returns the current population size the stream tracks.
 func (c *Churn) Procs() int { return len(c.procs) }

@@ -80,9 +80,6 @@ func (r *Result) Diff(o *Result) string {
 	return ""
 }
 
-// Equal reports whether two results describe the identical run.
-func (r *Result) Equal(o *Result) bool { return r.Diff(o) == "" }
-
 // Harness drives one algorithm run under a streaming scheduler with
 // optional fault injection, checking invariants after every executed
 // step and recording a replayable trace. Zero values: MaxSlots defaults
@@ -192,10 +189,6 @@ func (e *Exec) Steps() int { return e.res.Steps }
 
 // Violation returns the first invariant breach, or nil.
 func (e *Exec) Violation() *Violation { return e.res.Violation }
-
-// Machine exposes the live machine for read-only inspection between
-// Advance calls (selected set, meal counts, halt flags).
-func (e *Exec) Machine() *machine.Machine { return e.m }
 
 // Trace exposes the schedule prefix consumed so far. The slice is the
 // live record — callers must copy before mutating.

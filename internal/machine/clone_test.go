@@ -99,7 +99,9 @@ func TestCloneIntoWarmAllocatesNothing(t *testing.T) {
 // either direction. Each mutation — a step, a post, a crash, a lock
 // drop, a SetComponent — applied to one side must change that side and
 // leave the other side's state as it was, for a fresh Clone and for
-// CloneInto a destination that held another machine.
+// CloneInto a destination that held another machine. The mutated side's
+// key must equal a fresh encoding's, so no mutation leaves a stale
+// window in the cache of a machine from New.
 func TestCopiesAreIndependent(t *testing.T) {
 	step := func(procs ...int) func(*Machine) error {
 		return func(m *Machine) error {
@@ -151,7 +153,7 @@ func TestCopiesAreIndependent(t *testing.T) {
 		{2, "post", step(1, 1)},
 		{2, "peek", step(2)},
 		{2, "SetComponent frame", set(false, 1)},
-		{2, "SetComponent variable", set(true, 1, 1)},
+		{2, "SetComponent frame after a post", set(false, 1, 1)},
 	} {
 		c, other := cases[tc.machine], cases[(tc.machine+1)%len(cases)]
 		for _, mode := range []string{"Clone", "CloneInto"} {
@@ -173,6 +175,9 @@ func TestCopiesAreIndependent(t *testing.T) {
 				}
 				if stateOf(mut) == mutWas {
 					t.Fatalf("%s: the mutation left its own machine unchanged", name)
+				}
+				if !bytes.Equal(mut.AppendStateKey(nil, nil, nil), mut.Clone().AppendStateKey(nil, nil, nil)) {
+					t.Errorf("%s: the mutated machine's key differs from a fresh encoding's", name)
 				}
 				if stateOf(watch) != was {
 					t.Errorf("%s: the other machine's state changed", name)

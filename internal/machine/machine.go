@@ -88,7 +88,8 @@ type Machine struct {
 	locked []bool
 	// Q variables: one subvalue slot per processor (unset sentinel when
 	// the processor has not posted); varSub[v] is the window
-	// subs[v·NumProcs : (v+1)·NumProcs]. Both are nil under S and L.
+	// subs[v·NumProcs : (v+1)·NumProcs]. Both are nil under S and L. Slot
+	// varSub[v][p] is part of processor p's state: only p posts to it.
 	varSub [][]any
 	subs   []any
 
@@ -202,7 +203,8 @@ func (m *Machine) markStale(c int) {
 // mutation records the components it writes, so a component not listed
 // is unchanged since then; a listed one may still hold its old value (a
 // jump back to its own pc). A step lists its frame and at most one
-// variable. ok is false when the machine cannot tell: it came from New,
+// variable; SetComponent of a Q processor lists it and each variable it
+// names. ok is false when the machine cannot tell: it came from New,
 // or more than eight distinct components have changed. The slice
 // aliases the machine and is valid until its next mutation.
 func (m *Machine) Touched() (comps []int32, ok bool) {
@@ -315,12 +317,6 @@ func (m *Machine) Observe(rec *obs.Recorder) { m.rec = rec }
 
 // System returns the underlying system.
 func (m *Machine) System() *system.System { return m.sys }
-
-// InstrSet returns the instruction set the machine runs.
-func (m *Machine) InstrSet() system.InstrSet { return m.instr }
-
-// Program returns the compiled program the machine runs.
-func (m *Machine) Program() *Program { return m.program }
 
 // NumProcs returns the number of processors.
 func (m *Machine) NumProcs() int { return len(m.frames) }
@@ -485,18 +481,32 @@ func (m *Machine) Step(p int) error {
 
 // peekValue builds the PeekResult for variable v: init state plus the
 // subvalue multiset sorted canonically (the paper's unordered multiset).
+// Each value's canonical string is encoded once, not once per comparison.
 func (m *Machine) peekValue(v int) PeekResult {
 	sub := m.varSub[v]
-	vals := make([]any, 0, len(sub))
+	ps := peekSort{keys: make([]string, 0, len(sub)), vals: make([]any, 0, len(sub))}
 	for _, s := range sub {
 		if s != unset {
-			vals = append(vals, s)
+			ps.vals = append(ps.vals, s)
+			ps.keys = append(ps.keys, canon.String(s))
 		}
 	}
-	sort.Slice(vals, func(a, b int) bool {
-		return canon.String(vals[a]) < canon.String(vals[b])
-	})
-	return PeekResult{Init: m.sys.VarInit[v], Values: vals}
+	sort.Sort(ps)
+	return PeekResult{Init: m.sys.VarInit[v], Values: ps.vals}
+}
+
+// peekSort orders a peek's values by their canonical strings, keys[i]
+// being vals[i]'s.
+type peekSort struct {
+	keys []string
+	vals []any
+}
+
+func (s peekSort) Len() int           { return len(s.keys) }
+func (s peekSort) Less(a, b int) bool { return s.keys[a] < s.keys[b] }
+func (s peekSort) Swap(a, b int) {
+	s.keys[a], s.keys[b] = s.keys[b], s.keys[a]
+	s.vals[a], s.vals[b] = s.vals[b], s.vals[a]
 }
 
 // Scheduler streams schedule steps to a running machine. Next observes
@@ -620,7 +630,8 @@ func (m *Machine) Locked(v int) bool { return m.locked[v] }
 // appendProcFP writes processor p's canonical encoding into buf. Slots
 // are emitted in declaration order — fixed for a given program — so no
 // name material and no sort are needed; unset slots get their own tag so
-// "never assigned" cannot alias a value.
+// "never assigned" cannot alias a value. Under Q the locals are followed
+// by p's own subvalue slot in each variable it names, in name order.
 func (m *Machine) appendProcFP(buf []byte, p int) []byte {
 	fr := &m.frames[p]
 	buf = binary.AppendVarint(buf, int64(fr.PC))
@@ -630,13 +641,23 @@ func (m *Machine) appendProcFP(buf []byte, p int) []byte {
 		buf = append(buf, 0)
 	}
 	for _, v := range fr.Locals {
-		if v == unset {
-			buf = append(buf, 'u')
-		} else {
-			buf = appendLocalValue(buf, v)
+		buf = appendSlot(buf, v)
+	}
+	if m.subs != nil {
+		for _, v := range m.sys.Nbr[p] {
+			buf = appendSlot(buf, m.varSub[v][p])
 		}
 	}
 	return buf
+}
+
+// appendSlot appends a local or subvalue slot: the unset tag, or the
+// value's encoding.
+func appendSlot(buf []byte, v any) []byte {
+	if v == unset {
+		return append(buf, 'u')
+	}
+	return appendLocalValue(buf, v)
 }
 
 // uvarintLen is the encoded size of binary.AppendUvarint(nil, uint64(n)).
@@ -734,37 +755,24 @@ func (m *Machine) arenaReserve(n int) {
 // paper's sense exactly when their fingerprints are equal. The encoding
 // walks the local slots in declaration order — injectivity survives
 // because every component is self-delimiting and the slot layout is
-// fixed per program. trace's per-round witness scans compare these
-// windows with bytes.Equal on reused buffers.
+// fixed per program. Under Q the window also holds the processor's own
+// subvalue in each variable it names, in name order: a post overwrites
+// only the poster's subvalue, so who posted what belongs to the poster,
+// and a window stays the same under any automorphism. trace's per-round
+// witness scans compare these windows with bytes.Equal on reused
+// buffers; similar processors in lockstep post equal values under each
+// name.
 func (m *Machine) AppendProcFingerprint(buf []byte, p int) []byte {
 	return m.appendWindow(buf, p)
 }
 
 // AppendVarFingerprint appends variable v's canonical fingerprint bytes
 // to buf, the variable counterpart of AppendProcFingerprint. Q subvalues
-// are encoded as an unordered multiset; the leading tag byte separates
-// the Q and S/L regimes.
+// are encoded as an unordered multiset, what a peek sees; who posted each
+// is in its poster's window. The leading tag byte separates the Q and
+// S/L regimes.
 func (m *Machine) AppendVarFingerprint(buf []byte, v int) []byte {
 	return m.appendWindow(buf, len(m.frames)+v)
-}
-
-// AppendVarSlots appends variable v's Q subvalue slots to buf, one per
-// processor in processor order. The variable's window
-// (AppendVarFingerprint) holds only their multiset, so it forgets who
-// posted what, on which the next post depends. AppendVarSlots appends
-// nothing under the other instruction sets.
-func (m *Machine) AppendVarSlots(buf []byte, v int) []byte {
-	if m.instr != system.InstrQ {
-		return buf
-	}
-	for _, s := range m.varSub[v] {
-		if s == unset {
-			buf = append(buf, 'u')
-		} else {
-			buf = appendLocalValue(buf, s)
-		}
-	}
-	return buf
 }
 
 // appendWindow appends component c's window without its length prefix.
@@ -1057,14 +1065,15 @@ func (m *Machine) CloneInto(dst *Machine) {
 
 // Component is the value of one state component, the value its window
 // (AppendProcFingerprint, AppendVarFingerprint) encodes: a processor's
-// Frame, or a variable's value, lock bit and Q subvalues (one slot per
-// processor, nil under S and L). A processor component leaves the
-// variable fields zero, and a variable component leaves Frame zero.
+// Frame and, under Q, its own subvalue in each variable it names (Sub,
+// in name order, nil under S and L); or a variable's value and lock bit,
+// which Q never changes. A processor component leaves the variable
+// fields zero, and a variable component leaves Frame and Sub zero.
 type Component struct {
 	Frame  Frame
+	Sub    []any
 	Val    any
 	Locked bool
-	Sub    []any
 }
 
 // Component returns a copy of component c — processor c when c <
@@ -1072,35 +1081,37 @@ type Component struct {
 // that shares no array the machine may write later.
 func (m *Machine) Component(c int) Component {
 	if np := len(m.frames); c >= np {
-		v := c - np
-		x := Component{Val: m.varVal[v], Locked: m.locked[v]}
-		if m.subs != nil {
-			x.Sub = slices.Clone(m.varSub[v])
-		}
-		return x
+		return Component{Val: m.varVal[c-np], Locked: m.locked[c-np]}
 	}
-	fr := m.frames[c]
-	fr.Locals = slices.Clone(fr.Locals)
-	return Component{Frame: fr}
+	x := Component{Frame: m.frames[c]}
+	x.Frame.Locals = slices.Clone(x.Frame.Locals)
+	if m.subs != nil {
+		x.Sub = make([]any, len(m.sys.Nbr[c]))
+		for j, v := range m.sys.Nbr[c] {
+			x.Sub[j] = m.varSub[v][c]
+		}
+	}
+	return x
 }
 
 // SetComponent overwrites component c with x, a value Component
 // returned for a machine running the same program over a system of the
-// same shape. It copies x's Locals or subvalues into the machine's own
+// same shape. It copies x's Locals and subvalues into the machine's own
 // arrays, so x stays unshared and the call allocates nothing. Like a
-// step, it records c as changed (see Touched); crash marks are left as
-// they are.
+// step, it records c as changed (see Touched), and under Q every
+// variable whose subvalue it sets; crash marks are left as they are.
 func (m *Machine) SetComponent(c int, x Component) {
 	if np := len(m.frames); c >= np {
-		v := c - np
-		m.varVal[v], m.locked[v] = x.Val, x.Locked
-		if m.subs != nil {
-			copy(m.varSub[v], x.Sub)
-		}
+		m.varVal[c-np], m.locked[c-np] = x.Val, x.Locked
 	} else {
 		fr := &m.frames[c]
 		fr.PC, fr.Halted = x.Frame.PC, x.Frame.Halted
 		copy(fr.Locals, x.Frame.Locals)
+		for j, v := range x.Sub {
+			w := m.sys.Nbr[c][j]
+			m.varSub[w][c] = v
+			m.markStale(np + w)
+		}
 	}
 	m.markStale(c)
 }

@@ -8,6 +8,7 @@ package machine
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"simsym/internal/canon"
@@ -27,10 +28,12 @@ func (p *Program) sortedSyms() []Sym {
 
 // ProcFingerprintOracle reproduces the pre-compilation processor encoding
 // — locals as a count-prefixed, name-sorted (name, value) list — from the
-// slot representation. It exists purely as a cross-check oracle for the
-// compiled fingerprint path (the way partition.FixpointNaive anchors the
-// interned similarity path): equality classes under the oracle encoding
-// must match equality classes under AppendProcFingerprint.
+// slot representation, followed under Q by the processor's own posts in
+// the same form, keyed by the name it posted under. It exists purely as
+// a cross-check oracle for the compiled fingerprint path (the way
+// partition.FixpointNaive anchors the interned similarity path):
+// equality classes under the oracle encoding must match equality
+// classes under AppendProcFingerprint.
 func (m *Machine) ProcFingerprintOracle(p int) string {
 	fr := m.frameAt(p)
 	buf := make([]byte, 0, 48)
@@ -54,6 +57,24 @@ func (m *Machine) ProcFingerprintOracle(p int) string {
 		}
 		buf = canon.AppendLenPrefixed(buf, m.program.names[s])
 		buf = appendLocalValueOracle(buf, v)
+	}
+	if m.instr == system.InstrQ {
+		names := slices.Clone(m.sys.Names)
+		slices.Sort(names)
+		posts := 0
+		for _, v := range m.sys.Nbr[p] {
+			if m.varSub[v][p] != unset {
+				posts++
+			}
+		}
+		buf = binary.AppendUvarint(buf, uint64(posts))
+		for _, name := range names {
+			v, _ := m.sys.NNbr(p, name)
+			if sub := m.varSub[v][p]; sub != unset {
+				buf = canon.AppendLenPrefixed(buf, string(name))
+				buf = appendLocalValueOracle(buf, sub)
+			}
+		}
 	}
 	return string(buf)
 }

@@ -83,13 +83,6 @@ func (r *Regs) Int(s Sym) int {
 	return n
 }
 
-// Bool returns the bool in slot s, or false when the slot is unset or
-// holds a different type.
-func (r *Regs) Bool(s Sym) bool {
-	b, _ := r.slots[s].(bool)
-	return b
-}
-
 // PeekResult is what a peek stores: the variable's initial state plus the
 // current multiset of subvalues. The multiset is stored canonically
 // encoded so that processor states compare correctly.

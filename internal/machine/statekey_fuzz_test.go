@@ -55,7 +55,9 @@ func fuzzTopology(t testing.TB, sel uint8) *system.System {
 //  1. Equality classes: AppendStateKey keys of two machines are equal
 //     exactly when their FingerprintOracle strings are equal — compared
 //     against replays of schedule prefixes, where the replay never
-//     primes its arena (cold encode vs. warm arena differential).
+//     primes its arena (cold encode vs. warm arena differential), and
+//     against the schedule with processors 0 and 1 exchanged, which on
+//     a symmetric topology swaps a Q program's posters.
 //  2. Relabelings: AppendStateKey with a permutation's procAt/varAt must
 //     produce byte-for-byte the plain key of an explicitly permuted
 //     machine — the same program run on system.Apply(s, perm) under the
@@ -70,6 +72,10 @@ func FuzzStateKeyOracle(f *testing.F) {
 			f.Add(topo, is, int64(topo)*31+int64(is), []byte{0, 1, 2, 0, 1, 2, 1, 0, 2, 2, 0, 1})
 		}
 	}
+	// On Fig1 under Q, seed 373's program and this schedule leave the
+	// same frames and the same multiset under n as the exchanged
+	// schedule, but with p's and q's posts swapped.
+	f.Add(uint8(0), uint8(2), int64(373), []byte{0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 0, 1, 0, 1})
 	f.Fuzz(func(t *testing.T, topo, instrSel uint8, seed int64, schedule []byte) {
 		if len(schedule) > 64 {
 			schedule = schedule[:64]
@@ -131,6 +137,14 @@ func FuzzStateKeyOracle(f *testing.F) {
 			if cut == steps && !keyEq {
 				t.Fatalf("full cold replay diverged from the warm arena key")
 			}
+		}
+		swap := make([]int, s.NumProcs())
+		for p := range swap {
+			swap[p] = p
+		}
+		swap[0], swap[1] = 1, 0
+		if o, _ := run(s, steps, swap, false); bytes.Equal(mKey, o.AppendStateKey(nil, nil, nil)) != (mOracle == o.FingerprintOracle()) {
+			t.Fatalf("exchanged processors 0 and 1: key equality disagrees with oracle equality\nkey    %q\nswapped %q", mKey, o.AppendStateKey(nil, nil, nil))
 		}
 
 		// 2. Permuted relabeling vs. the explicitly permuted machine.

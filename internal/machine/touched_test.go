@@ -112,6 +112,24 @@ func TestTouchedContract(t *testing.T) {
 	if got, ok := c.Touched(); ok {
 		t.Errorf("nine distinct changes: Touched = %v, true; want ok=false", got)
 	}
+
+	// Under Q, loading a processor sets its subvalue in each variable it
+	// names, so each of those is listed too: on Fig2, p1 names v1 and v3.
+	q, err := New(system.Fig2(), system.InstrQ, mustProg(t, func(b *Builder) {
+		b.Post("n", "init")
+		b.Post("m", "init")
+		b.Halt()
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	posted := q.Clone()
+	if _, err := posted.Run([]int{0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	c = q.Clone()
+	c.SetComponent(0, posted.Component(0))
+	touched("Q SetComponent", c, []int32{3, 5, 0})
 }
 
 // TestCloneLeavesCacheWithOriginal pins who owns the fingerprint cache:

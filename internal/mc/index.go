@@ -314,12 +314,6 @@ var errCompIDs = errors.New("mc: more than 2³² distinct component windows")
 // components holds. Beside each window the table keeps the value it
 // encodes, so a vector alone rebuilds its state (load). The zero value
 // is an empty table.
-//
-// A Q variable's window holds the multiset of its subvalues but not who
-// posted each, which the next post depends on. So a Q machine's vector
-// carries, after its W window ids, one id per variable from a second
-// table, slots, over the window followed by the slots
-// (machine.AppendVarSlots); Q variables load from those ids alone.
 type compTable struct {
 	buckets bucketTable // window hash -> local index
 	offs    []int       // window i is data[offs[i]:offs[i+1]]; offs[0] = 0 once non-empty
@@ -332,8 +326,7 @@ type compTable struct {
 	// interned it there. The kinds are kept apart because the bytes can
 	// coincide: a frame at pc 59 starts with 'v', as an S/L variable does.
 	vals     [2][]*machine.Component
-	valBytes int64      // the heap the stored values hold
-	slots    *compTable // nil until a Q machine needs it
+	valBytes int64 // the heap the stored values hold
 }
 
 // intern returns win's id, assigning the next one on first appearance.
@@ -390,77 +383,62 @@ func (ct *compTable) keyLen(vec []uint32) int64 {
 }
 
 // memBytes is the table's resident footprint, from capacities: windows,
-// offsets, buckets, the stored values and the slot table.
+// offsets, buckets and the stored values.
 func (ct *compTable) memBytes() int64 {
-	n := int64(cap(ct.data)+8*cap(ct.offs)+cap(ct.win)) + int64(len(ct.buckets.eis))*bucketSlotSize +
+	return int64(cap(ct.data)+8*cap(ct.offs)+cap(ct.win)) + int64(len(ct.buckets.eis))*bucketSlotSize +
 		8*int64(cap(ct.vals[0])+cap(ct.vals[1])) + ct.valBytes
-	if ct.slots != nil {
-		n += ct.slots.memBytes()
-	}
-	return n
 }
 
-// internEntry sets entry e of vec, a vector of m: component e's window
-// id for e < W (processors first, then variables — the state key's
-// order), and past that variable e-W's id in the slot table, which
-// interns its window and slots. The component's value is stored the
-// first time the id appears at a position of its kind.
-func (ct *compTable) internEntry(vec []uint32, m *machine.Machine, e int) error {
-	np, w := m.NumProcs(), m.NumProcs()+m.NumVars()
-	t, k, c := ct, 1, e // the table, value kind and component of entry e
-	switch {
-	case e < np:
-		k, ct.win = 0, m.AppendProcFingerprint(ct.win[:0], c)
-	case e < w:
-		ct.win = m.AppendVarFingerprint(ct.win[:0], c-np)
-	default:
-		if ct.slots == nil {
-			ct.slots = new(compTable)
-		}
-		t, c = ct.slots, e-w+np
-		ct.win = m.AppendVarSlots(m.AppendVarFingerprint(ct.win[:0], c-np), c-np)
+// valKind is the value kind of component c of m: 0 for a processor, 1
+// for a variable.
+func valKind(m *machine.Machine, c int) int {
+	if c < m.NumProcs() {
+		return 0
 	}
-	id, err := t.intern(ct.win)
+	return 1
+}
+
+// internEntry sets entry c of vec, a vector of m, to component c's
+// window id (processors first, then variables — the state key's order).
+// The component's value is stored the first time the id appears at a
+// position of its kind.
+func (ct *compTable) internEntry(vec []uint32, m *machine.Machine, c int) error {
+	k := valKind(m, c)
+	if k == 0 {
+		ct.win = m.AppendProcFingerprint(ct.win[:0], c)
+	} else {
+		ct.win = m.AppendVarFingerprint(ct.win[:0], c-m.NumProcs())
+	}
+	id, err := ct.intern(ct.win)
 	if err != nil {
 		return err
 	}
-	vec[e] = id
-	i := int(uint64(id) - t.base)
-	for len(t.vals[k]) <= i {
-		t.vals[k] = append(t.vals[k], nil)
+	vec[c] = id
+	i := int(uint64(id) - ct.base)
+	for len(ct.vals[k]) <= i {
+		ct.vals[k] = append(ct.vals[k], nil)
 	}
-	if t.vals[k][i] == nil {
+	if ct.vals[k][i] == nil {
 		x := m.Component(c)
-		t.vals[k][i] = &x
-		t.valBytes += int64(unsafe.Sizeof(x)) + 16*int64(cap(x.Frame.Locals)+cap(x.Sub))
+		ct.vals[k][i] = &x
+		ct.valBytes += int64(unsafe.Sizeof(x)) + 16*int64(cap(x.Frame.Locals)+cap(x.Sub))
 	}
 	return nil
 }
 
 // load rewrites m from the state the vector have spells to the state
 // want spells: each component whose id differs is set to the value
-// stored for its new id, and have becomes want. A Q variable is set from
-// its slot id alone.
+// stored for its new id, and have becomes want.
 func (ct *compTable) load(m *machine.Machine, have, want []uint32) {
-	np, w := m.NumProcs(), m.NumProcs()+m.NumVars()
 	for c, id := range want {
-		if have[c] == id {
-			continue
-		}
-		have[c] = id
-		switch {
-		case c < np:
-			m.SetComponent(c, *ct.vals[0][uint64(id)-ct.base])
-		case c >= w:
-			m.SetComponent(c-w+np, *ct.slots.vals[1][uint64(id)-ct.slots.base])
-		case len(want) == w:
-			m.SetComponent(c, *ct.vals[1][uint64(id)-ct.base])
+		if have[c] != id {
+			have[c] = id
+			m.SetComponent(c, *ct.vals[valKind(m, c)][uint64(id)-ct.base])
 		}
 	}
 }
 
-// vector fills dst with the vector of m, interning every entry: W
-// window ids, then on a Q machine one slot id per variable.
+// vector fills dst with the vector of m, interning every component.
 func (ct *compTable) vector(dst []uint32, m *machine.Machine) error {
 	for c := range dst {
 		if err := ct.internEntry(dst, m, c); err != nil {
@@ -481,16 +459,9 @@ func (ct *compTable) childVector(dst, parent []uint32, child *machine.Machine) e
 		return ct.vector(dst, child)
 	}
 	copy(dst, parent)
-	np, w := child.NumProcs(), child.NumProcs()+child.NumVars()
-	for _, t := range touched {
-		c := int(t)
-		if err := ct.internEntry(dst, child, c); err != nil {
+	for _, c := range touched {
+		if err := ct.internEntry(dst, child, int(c)); err != nil {
 			return err
-		}
-		if c >= np && len(dst) > w {
-			if err := ct.internEntry(dst, child, c+w-np); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

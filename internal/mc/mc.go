@@ -103,9 +103,6 @@ type Options struct {
 	// which quantify over all processors. Witness schedules remain
 	// genuine: stored states are reachable states, not permuted images.
 	SymmetryReduce bool
-	// AutLimit bounds automorphism enumeration for SymmetryReduce;
-	// 0 means the autgrp default.
-	AutLimit int
 	// HotIndexBytes > 0 caps the visited index's in-memory vector arena:
 	// when the hot tier outgrows the cap, cold arena chunks spill FIFO to
 	// a temp file under SpillDir at level boundaries and are read back
@@ -293,17 +290,16 @@ type succInfo struct {
 }
 
 // batch is the per-state expansion output: one successor machine per
-// processor plus its vectors, at fixed strides. The one batch is reused
-// for every expanded state, so steady-state expansion does not allocate
-// per state.
+// processor plus its vectors, W ids each. The one batch is reused for
+// every expanded state, so steady-state expansion does not allocate per
+// state.
 //
-// pool[p] is processor p's successor machine and raw[p·S:] its vector,
-// where the stride S is W, plus one slot id per variable on a Q machine
-// (see compTable). Between expansions pool[p] still holds the child it
-// last stepped to, so expand rewrites only the components where that
-// child's vector differs from the parent's (compTable.load), then steps
-// it. keys[p·W:] is the successor's dedup key: the least image of its W
-// window ids under symmetry reduction, the ids themselves otherwise.
+// pool[p] is processor p's successor machine and raw[p·W:] its vector.
+// Between expansions pool[p] still holds the child it last stepped to,
+// so expand rewrites only the components where that child's vector
+// differs from the parent's (compTable.load), then steps it. keys[p·W:]
+// is the successor's dedup key: the least image of its vector under
+// symmetry reduction, the vector itself otherwise.
 type batch struct {
 	pool  []machine.Machine
 	raw   []uint32
@@ -318,8 +314,7 @@ type checker struct {
 	progressEvery int
 	deadline      time.Time
 	start         time.Time
-	width         int   // W: components per state, the dedup key's length
-	stride        int   // S: ids per frontier vector (see batch)
+	width         int   // W: components per state, ids per vector
 	permAt        []int // non-identity automorphisms, W positions each (see minimize)
 	idx           *stateIndex
 	nodes         chunked[node]
@@ -329,7 +324,7 @@ type checker struct {
 	// recorded only when Options.StuckBad is set.
 	succ chunked[uint32]
 	// levelVecs and nextVecs are the current and next BFS frontiers: the
-	// states' raw (unpermuted) vectors, S per state in frontier order.
+	// states' raw (unpermuted) vectors, W ids per state in frontier order.
 	// States are pushed in node order, so a frontier's node ids are
 	// contiguous: state i of the current level is node levelStart+i.
 	// Expansion reads the parent's vector here, never from the index,
@@ -365,15 +360,11 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 	if err != nil {
 		return nil, fmt.Errorf("mc: %w", err)
 	}
-	width, stride := m0.NumProcs()+m0.NumVars(), m0.NumProcs()+m0.NumVars()
-	if m0.InstrSet() == system.InstrQ {
-		stride += m0.NumVars()
-	}
+	width := m0.NumProcs() + m0.NumVars()
 	c := &checker{
 		opts:          opts,
 		nProcs:        m0.NumProcs(),
 		width:         width,
-		stride:        stride,
 		maxStates:     opts.MaxStates,
 		progressEvery: opts.ProgressEvery,
 		start:         time.Now(),
@@ -394,7 +385,7 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 		c.deadline = c.start.Add(opts.MaxDuration)
 	}
 	if opts.SymmetryReduce {
-		auts, err := autgrp.Automorphisms(m0.System(), autgrp.Options{Limit: opts.AutLimit})
+		auts, err := autgrp.Automorphisms(m0.System(), autgrp.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("mc: symmetry: %w", err)
 		}
@@ -413,7 +404,7 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 	}
 	b := &c.batch
 	b.pool = make([]machine.Machine, c.nProcs)
-	b.raw = make([]uint32, c.nProcs*stride)
+	b.raw = make([]uint32, c.nProcs*width)
 	b.keys = make([]uint32, c.nProcs*width)
 	b.succs = make([]succInfo, c.nProcs)
 
@@ -422,18 +413,18 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 	// Every pool machine, and the parent machine, starts as a clone of
 	// the root.
 	opts.Obs.PhaseStart("mc.check")
-	raw, key := b.raw[:stride], b.keys[:width]
+	raw, key := b.raw[:width], b.keys[:width]
 	if err := c.idx.comps.vector(raw, m0); err != nil {
 		return nil, err
 	}
 	for p := range b.pool {
 		m0.CloneInto(&b.pool[p])
-		copy(b.raw[p*stride:(p+1)*stride], raw)
+		copy(b.raw[p*width:(p+1)*width], raw)
 	}
 	if len(opts.TransPreds) > 0 {
 		c.parent, c.parentVec = m0.Clone(), slices.Clone(raw)
 	}
-	c.minimize(key, raw[:width])
+	c.minimize(key, raw)
 	rootIdx := c.push(m0, raw, key, canon.HashTokens(key), 0, 0)
 	if v := c.checkState(m0, rootIdx); v != nil {
 		c.res.Violation = v
@@ -546,9 +537,9 @@ func (c *checker) finish(err error) (*Result, error) {
 // runLevel expands and merges the n states of the current level one at
 // a time, in frontier order, reusing a single batch.
 func (c *checker) runLevel(n int) (bool, error) {
-	s := c.stride
+	w := c.width
 	for i := 0; i < n; i++ {
-		if err := c.expand(c.levelVecs[i*s : (i+1)*s]); err != nil {
+		if err := c.expand(c.levelVecs[i*w : (i+1)*w]); err != nil {
 			return true, err
 		}
 		if done, err := c.merge(c.levelStart + i); done {
@@ -570,11 +561,11 @@ func (c *checker) runLevel(n int) (bool, error) {
 // re-interned — no other component is encoded, copied or read.
 func (c *checker) expand(curVec []uint32) error {
 	b := &c.batch
-	w, s := c.width, c.stride
+	w := c.width
 	ct := &c.idx.comps
 	for p := 0; p < c.nProcs; p++ {
 		next := &b.pool[p]
-		raw := b.raw[p*s : (p+1)*s]
+		raw := b.raw[p*w : (p+1)*w]
 		ct.load(next, raw, curVec)
 		next.ResetTouched()
 		if err := next.Step(p); err != nil {
@@ -584,10 +575,10 @@ func (c *checker) expand(curVec []uint32) error {
 			return err
 		}
 		si := &b.succs[p]
-		si.selfLoop = slices.Equal(raw[:w], curVec[:w])
+		si.selfLoop = slices.Equal(raw, curVec)
 		if !si.selfLoop {
 			key := b.keys[p*w : (p+1)*w]
-			c.minimize(key, raw[:w])
+			c.minimize(key, raw)
 			si.hash = canon.HashTokens(key)
 		}
 	}
@@ -630,7 +621,7 @@ func (c *checker) minimize(key, raw []uint32) {
 // successor fills its slot (see checker.succ).
 func (c *checker) merge(curIdx int) (bool, error) {
 	b := &c.batch
-	s := c.stride
+	w := c.width
 	for p, si := range b.succs {
 		next := &b.pool[p]
 		for _, pred := range c.opts.TransPreds {
@@ -647,7 +638,7 @@ func (c *checker) merge(curIdx int) (bool, error) {
 			c.stats.SelfLoops++
 		} else {
 			c.stats.Transitions++
-			key := b.keys[p*c.width : (p+1)*c.width]
+			key := b.keys[p*w : (p+1)*w]
 			if id, ok, err := c.idx.lookupHashed(key, si.hash); err != nil {
 				return true, err
 			} else if ok {
@@ -658,7 +649,7 @@ func (c *checker) merge(curIdx int) (bool, error) {
 				// explores exactly MaxStates states, never MaxStates+1.
 				return true, c.exhaust("states")
 			} else {
-				id := c.push(next, b.raw[p*s:(p+1)*s], key, si.hash, curIdx, p)
+				id := c.push(next, b.raw[p*w:(p+1)*w], key, si.hash, curIdx, p)
 				to = uint32(id)
 				if v := c.checkState(next, id); v != nil {
 					c.res.Violation = v

@@ -25,10 +25,8 @@ import (
 // loaded parent and every child must spell its state's full key: the
 // uvarint-prefixed concatenation of its vector's windows equals
 // AppendStateKey, and two vectors are equal exactly when their keys are.
-// On a Q machine each variable's slot id must also spell its window and
-// its slots (machine.AppendVarSlots), which the window forgets: loading
-// a Q variable from its window alone fails here at once.
-// The reference key comes from replaying the state's schedule on a fresh
+// Under Q the key holds every subvalue slot, in its poster's window, so
+// the key check covers who posted what. The reference key comes from replaying the state's schedule on a fresh
 // machine, which encodes every window from scratch: the walked machines
 // are only as faithful as the stored values and the touched lists, the
 // very things under test.
@@ -115,10 +113,6 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 	var ct compTable
 	m := factory()
 	np, nv, w := m.NumProcs(), m.NumVars(), m.NumProcs()+m.NumVars()
-	stride := w // a Q machine's vectors add one slot id per variable
-	if m.InstrSet() == system.InstrQ {
-		stride += nv
-	}
 	keyToVec := map[string]string{}
 	vecToKey := map[string]string{}
 	var walk []walkOp // the walk so far, from the initial state
@@ -134,7 +128,7 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 		}
 		key := fresh.AppendStateKey(nil, nil, nil)
 		var spelled []byte
-		for _, id := range vec[:w] {
+		for _, id := range vec {
 			spelled = canon.AppendLenPrefixed(spelled, string(ct.window(id)))
 		}
 		if !bytes.Equal(spelled, key) {
@@ -143,16 +137,7 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 		if got := m.AppendStateKey(nil, nil, nil); !bytes.Equal(got, key) {
 			t.Fatalf("%s: cached key\n%q\ndiverged from the replayed key\n%q", name, got, key)
 		}
-		for v, id := range vec[w:] {
-			want := fresh.AppendVarSlots(fresh.AppendVarFingerprint(nil, v), v)
-			if got := ct.slots.window(id); !bytes.Equal(got, want) {
-				t.Fatalf("%s: variable %d's slot id %d spells %q, want %q", name, v, id, got, want)
-			}
-			if got := m.AppendVarSlots(m.AppendVarFingerprint(nil, v), v); !bytes.Equal(got, want) {
-				t.Fatalf("%s: variable %d's slots %q diverged from the replay's %q", name, v, got, want)
-			}
-		}
-		vs := fmt.Sprint(vec[:w])
+		vs := fmt.Sprint(vec)
 		if prev, ok := keyToVec[string(key)]; ok && prev != vs {
 			t.Fatalf("%s: one key, two vectors: %s and %s", name, prev, vs)
 		}
@@ -162,22 +147,22 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 		keyToVec[string(key)], vecToKey[vs] = vs, string(key)
 	}
 
-	curVec := make([]uint32, stride)
+	curVec := make([]uint32, w)
 	if err := ct.vector(curVec, m); err != nil {
 		t.Fatal(err)
 	}
 	check(m, curVec)
 	pool := make([]machine.Machine, np)
 	ops := make([][]walkOp, np)
-	vecs := make([]uint32, np*stride)
+	vecs := make([]uint32, np*w)
 	for p := range pool {
 		m.CloneInto(&pool[p])
-		copy(vecs[p*stride:(p+1)*stride], curVec)
+		copy(vecs[p*w:(p+1)*w], curVec)
 	}
 	for step := 0; step < length; step++ {
 		for p := range pool {
 			child := &pool[p]
-			vec := vecs[p*stride : (p+1)*stride]
+			vec := vecs[p*w : (p+1)*w]
 			ct.load(child, vec, curVec)
 			check(child, curVec)
 			child.ResetTouched()
@@ -202,14 +187,14 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 			if err := ct.childVector(vec, curVec, child); err != nil {
 				t.Fatal(err)
 			}
-			if slices.Equal(vec[:w], curVec[:w]) {
+			if slices.Equal(vec, curVec) {
 				stutters++
 			}
 			check(child, vec, ops[p]...)
 		}
 		// Continue from one child: like the checker, keep only its vector.
 		p := rng.Intn(np)
-		curVec = append(curVec[:0], vecs[p*stride:(p+1)*stride]...)
+		curVec = append(curVec[:0], vecs[p*w:(p+1)*w]...)
 		walk = append(walk, ops[p]...)
 	}
 	return stutters, touchedVars
