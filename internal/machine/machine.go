@@ -121,13 +121,6 @@ type Machine struct {
 	spans     []fpSpan
 	valid     []uint64
 
-	// touched lists the components changed since the machine was copied
-	// or ResetTouched ran, the set Touched reports to the model checker.
-	// nTouched is -1 when the list cannot tell: on a machine from New,
-	// and once more than len(touched) distinct components have changed.
-	touched  [8]int32
-	nTouched int8
-
 	// selSym is the slot of the conventional "selected" local, or -1 when
 	// the program never interns it.
 	selSym Sym
@@ -175,43 +168,11 @@ func (m *Machine) cached(c int) bool {
 
 // markStale records that component c changed: it clears c's valid bit
 // when the machine has a cache — the window's arena bytes become
-// garbage, reclaimed by the next compaction — and adds c to the touched
-// list.
+// garbage, reclaimed by the next compaction.
 func (m *Machine) markStale(c int) {
 	if m.valid != nil {
 		m.valid[c>>6] &^= 1 << uint(c&63)
 	}
-	if m.nTouched < 0 {
-		return
-	}
-	for _, t := range m.touched[:m.nTouched] {
-		if t == int32(c) {
-			return
-		}
-	}
-	if int(m.nTouched) == len(m.touched) {
-		m.nTouched = -1
-		return
-	}
-	m.touched[m.nTouched] = int32(c)
-	m.nTouched++
-}
-
-// Touched returns the components the machine has changed since Clone or
-// CloneInto made it, or since ResetTouched: processor p is component p
-// and variable v is component NumProcs()+v, the state key's order. Every
-// mutation records the components it writes, so a component not listed
-// is unchanged since then; a listed one may still hold its old value (a
-// jump back to its own pc). A step lists its frame and at most one
-// variable; SetComponent of a Q processor lists it and each variable it
-// names. ok is false when the machine cannot tell: it came from New,
-// or more than eight distinct components have changed. The slice
-// aliases the machine and is valid until its next mutation.
-func (m *Machine) Touched() (comps []int32, ok bool) {
-	if m.nTouched < 0 {
-		return nil, false
-	}
-	return m.touched[:m.nTouched], true
 }
 
 // New initializes a machine: every processor at PC 0 with local slot
@@ -244,9 +205,6 @@ func New(sys *system.System, instr system.InstrSet, program *Program) (*Machine,
 		spans:   make([]fpSpan, np+nv),
 		valid:   make([]uint64, (np+nv+63)/64),
 		selSym:  -1,
-		// A machine from New owns the (still empty) fingerprint cache and
-		// keeps no touched list.
-		nTouched: -1,
 	}
 	if s, ok := program.symIdx["selected"]; ok {
 		m.selSym = s
@@ -358,7 +316,9 @@ func (m *Machine) Local(p int, name string) (any, bool) {
 
 // Step executes one atomic instruction of processor p (a schedule step).
 // Stepping a halted processor is a legal no-op, matching the paper's
-// schedules which may name any processor at any time.
+// schedules which may name any processor at any time. A step reads and
+// writes only p's frame, under Q p's own subvalue slots, and the one
+// variable StepVar names.
 //
 // Step is atomic on failure: every input (local lookups, instruction-set
 // membership) is validated before the first mutation, so a Step that
@@ -477,6 +437,16 @@ func (m *Machine) Step(p int) error {
 		return fmt.Errorf("machine: unknown opcode %v", in.kind)
 	}
 	return nil
+}
+
+// StepVar returns the variable a step of processor p from frame fr
+// reads or writes, or -1 when the step touches no variable: fr is
+// halted, its pc is past the program's end, or its instruction is local.
+func (m *Machine) StepVar(p int, fr *Frame) int {
+	if fr.Halted || fr.PC >= len(m.program.code) || !isSharedKind(m.program.code[fr.PC].kind) {
+		return -1
+	}
+	return int(m.bound[p][fr.PC])
 }
 
 // peekValue builds the PeekResult for variable v: init state plus the
@@ -1030,8 +1000,7 @@ func valueForCanon(v any) any {
 // once as long as none of them mutates it.
 //
 // The fingerprint cache stays with m: the clone has none and encodes
-// every window on demand. Its touched list starts empty, so Touched
-// reports exactly what the clone changes afterwards.
+// every window on demand.
 func (m *Machine) Clone() *Machine {
 	c := new(Machine)
 	m.CloneInto(c)
@@ -1042,8 +1011,7 @@ func (m *Machine) Clone() *Machine {
 // copying into dst's own arrays: once dst has held a machine of m's
 // shape, a repeat copy allocates nothing. dst may have run over any
 // system and program, and must be a different machine from m. Like
-// Clone it only reads m, and dst gets no fingerprint cache and an empty
-// touched list.
+// Clone it only reads m, and dst gets no fingerprint cache.
 func (m *Machine) CloneInto(dst *Machine) {
 	frames, locals, varVal, locked := dst.frames, dst.locals, dst.varVal, dst.locked
 	varSub, subs, crashed := dst.varSub, dst.subs, dst.crashed
@@ -1060,7 +1028,6 @@ func (m *Machine) CloneInto(dst *Machine) {
 	dst.window()
 	dst.regs = Regs{}
 	dst.fpArena, dst.fpScratch, dst.spans, dst.valid = nil, nil, nil, nil
-	dst.nTouched = 0
 }
 
 // Component is the value of one state component, the value its window
@@ -1097,9 +1064,8 @@ func (m *Machine) Component(c int) Component {
 // SetComponent overwrites component c with x, a value Component
 // returned for a machine running the same program over a system of the
 // same shape. It copies x's Locals and subvalues into the machine's own
-// arrays, so x stays unshared and the call allocates nothing. Like a
-// step, it records c as changed (see Touched), and under Q every
-// variable whose subvalue it sets; crash marks are left as they are.
+// arrays, so x stays unshared and the call allocates nothing. Crash
+// marks are left as they are.
 func (m *Machine) SetComponent(c int, x Component) {
 	if np := len(m.frames); c >= np {
 		m.varVal[c-np], m.locked[c-np] = x.Val, x.Locked
@@ -1115,11 +1081,6 @@ func (m *Machine) SetComponent(c int, x Component) {
 	}
 	m.markStale(c)
 }
-
-// ResetTouched empties the touched list, so Touched reports only what
-// the machine changes from here on. The model checker calls it between
-// loading a pool machine with SetComponent and stepping it.
-func (m *Machine) ResetTouched() { m.nTouched = 0 }
 
 // Selected reports whether processor p's conventional "selected" local
 // holds true (false when the program has no such local or p is out of

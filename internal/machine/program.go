@@ -240,13 +240,16 @@ func (b *Builder) Post(name system.Name, src string) *Builder {
 // Compute appends an arbitrary local instruction. f must be
 // deterministic, must not mutate values in place, and must not capture
 // mutable state — it sees and edits only the processor's local slots.
+// The model checker relies on this: its step memo runs f once per
+// processor and distinct frame and reuses the result.
 func (b *Builder) Compute(f func(r *Regs)) *Builder {
 	return b.emit(op{kind: opCompute, f: f})
 }
 
 // JumpIf appends a conditional jump to the instruction labeled target,
 // taken when cond evaluates true on the locals. cond must be
-// deterministic and read-only.
+// deterministic and read-only, as the model checker's step memo
+// assumes of Compute's f.
 func (b *Builder) JumpIf(cond func(r *Regs) bool, target string) *Builder {
 	b.jumps = append(b.jumps, jumpTo{pc: len(b.code), label: target})
 	return b.emit(op{kind: opJumpIf, cond: cond})

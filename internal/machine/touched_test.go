@@ -2,7 +2,8 @@ package machine
 
 import (
 	"bytes"
-	"slices"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"simsym/internal/system"
@@ -21,115 +22,86 @@ func touchedProg(t *testing.T) *Program {
 	})
 }
 
-// TestTouchedContract pins the set Touched reports, which the model
-// checker trusts to name every component a child's step changed: nothing
-// on a machine from New; on a copy, exactly the components changed since
-// the copy was made, each once, until more than eight distinct ones have
-// changed.
-func TestTouchedContract(t *testing.T) {
-	ring, err := system.Ring(5)
+// aliasingSystem is a system in which p1 gives v1 both names while p0
+// names v0 and v1: one processor names one variable twice.
+func aliasingSystem() *system.System {
+	return &system.System{
+		Names:    []system.Name{"a", "b"},
+		ProcIDs:  []string{"p0", "p1"},
+		VarIDs:   []string{"v0", "v1"},
+		Nbr:      [][]int{{0, 1}, {1, 1}},
+		ProcInit: []string{"0", "0"},
+		VarInit:  []string{"0", "0"},
+	}
+}
+
+// TestStepWritesOnlyItsFrameAndVar pins the contract the model checker's
+// step memo rests on: a step of processor p changes no component and no
+// window other than p's and those of the variable StepVar reports, and
+// no variable's at all when StepVar reports -1. Along seeded random walks
+// of random S, L and Q programs over Fig1, Fig2, the flipped table of
+// four and a system that aliases a variable, every processor's step from
+// every visited state is compared with the state before it.
+func TestStepWritesOnlyItsFrameAndVar(t *testing.T) {
+	flipped4, err := system.DiningFlipped(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(ring, system.InstrL, touchedProg(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	np := int32(m.NumProcs())
-	if _, ok := m.Touched(); ok {
-		t.Fatal("a machine from New reported a touched list")
-	}
-	if err := m.Step(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m.Touched(); ok {
-		t.Fatal("stepping a machine from New started a touched list")
-	}
-	touched := func(what string, m *Machine, want []int32) {
-		t.Helper()
-		got, ok := m.Touched()
-		if !ok || !slices.Equal(got, want) {
-			t.Errorf("%s: Touched = %v, %v; want %v, true", what, got, ok, want)
-		}
-	}
-	touched("fresh clone", m.Clone(), nil)
-
-	// Processor 1's right variable is v1 and its left is v0. Each step
-	// runs on a fresh clone of the state before it.
-	cur := m
-	for _, st := range []struct {
-		what string
-		want []int32
-	}{
-		{"read", []int32{1}},
-		{"write", []int32{1, np + 1}},
-		{"lock", []int32{1, np + 0}},
-		{"halt", []int32{1}},
-		{"halted stutter", nil},
-	} {
-		c := cur.Clone()
-		if err := c.Step(1); err != nil {
-			t.Fatal(err)
-		}
-		touched(st.what, c, st.want)
-		cur = c
-	}
-
-	// Steps on one copy accumulate, each component listed once.
-	c := m.Clone()
-	for i := 0; i < 3; i++ {
-		if err := c.Step(2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	touched("read, write, lock", c, []int32{2, np + 2, np + 1})
-
-	// Every processor holds its left lock; crash all five and drop four
-	// locks: the ninth distinct component overflows the list.
-	held := m.Clone()
-	for p := 0; p < int(np); p++ {
-		for held.frameAt(p).PC < 3 {
-			if err := held.Step(p); err != nil {
-				t.Fatal(err)
+	var shared, none int
+	for _, topo := range []struct {
+		name string
+		sys  *system.System
+	}{{"fig1", system.Fig1()}, {"fig2", system.Fig2()}, {"flipped4", flipped4}, {"aliasing", aliasingSystem()}} {
+		for _, instr := range []system.InstrSet{system.InstrS, system.InstrL, system.InstrQ} {
+			for seed := int64(1); seed <= 6; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				prog, err := RandomProgram(rng, topo.sys.Names, instr, 2+rng.Intn(7))
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := New(topo.sys, instr, prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				np, nv := m.NumProcs(), m.NumVars()
+				window := func(m *Machine, c int) []byte {
+					if c < np {
+						return m.AppendProcFingerprint(nil, c)
+					}
+					return m.AppendVarFingerprint(nil, c-np)
+				}
+				for range 60 {
+					for p := range np {
+						fr := m.Component(p).Frame
+						v := m.StepVar(p, &fr)
+						if v >= 0 {
+							shared++
+						} else {
+							none++
+						}
+						c := m.Clone()
+						if err := c.Step(p); err != nil {
+							t.Fatal(err)
+						}
+						for comp := range np + nv {
+							if comp == p || v >= 0 && comp == np+v {
+								continue
+							}
+							if !reflect.DeepEqual(m.Component(comp), c.Component(comp)) || !bytes.Equal(window(m, comp), window(c, comp)) {
+								t.Fatalf("%s/%v/seed=%d: a step of %d (StepVar %d) changed component %d", topo.name, instr, seed, p, v, comp)
+							}
+						}
+					}
+					if err := m.Step(rng.Intn(np)); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 		}
 	}
-	c = held.Clone()
-	for p := 0; p < int(np); p++ {
-		if err := c.Crash(p); err != nil {
-			t.Fatal(err)
-		}
+	if shared == 0 || none == 0 {
+		t.Fatalf("the walks never stepped with (%d) or without (%d) a variable", shared, none)
 	}
-	for v := 0; v < 3; v++ {
-		if err := c.DropLock(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	touched("eight faults", c, []int32{0, 1, 2, 3, 4, np, np + 1, np + 2})
-	if err := c.DropLock(3); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := c.Touched(); ok {
-		t.Errorf("nine distinct changes: Touched = %v, true; want ok=false", got)
-	}
-
-	// Under Q, loading a processor sets its subvalue in each variable it
-	// names, so each of those is listed too: on Fig2, p1 names v1 and v3.
-	q, err := New(system.Fig2(), system.InstrQ, mustProg(t, func(b *Builder) {
-		b.Post("n", "init")
-		b.Post("m", "init")
-		b.Halt()
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	posted := q.Clone()
-	if _, err := posted.Run([]int{0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	c = q.Clone()
-	c.SetComponent(0, posted.Component(0))
-	touched("Q SetComponent", c, []int32{3, 5, 0})
 }
 
 // TestCloneLeavesCacheWithOriginal pins who owns the fingerprint cache:

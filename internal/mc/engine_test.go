@@ -162,6 +162,27 @@ func TestStatsPopulated(t *testing.T) {
 	}
 }
 
+// TestMemoCountsFig1 pins the step memo's counters on lockClaim over
+// Fig1, counted by hand. A processor's frame is at the lock (A), past it
+// having won or lost (B1, B0), past the claim (C1, C0) or halted there
+// (D1, D0). Only the lock reads the variable, from A with n unlocked or
+// locked, and each processor both wins and loses: per processor, two
+// keys at A and six keyless ones, B1 through D0. So 16 distinct steps,
+// each a miss once; every other step is a hit.
+func TestMemoCountsFig1(t *testing.T) {
+	res, err := Check(factoryFor(t, system.Fig1(), system.InstrL, lockClaim), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	if st.MemoEntries != 16 || st.MemoMisses != 16 {
+		t.Errorf("memo entries %d, misses %d; want 16 and 16", st.MemoEntries, st.MemoMisses)
+	}
+	if steps := st.Transitions + st.SelfLoops; steps <= st.MemoMisses {
+		t.Errorf("%d steps, %d misses: the memo answered none", steps, st.MemoMisses)
+	}
+}
+
 // TestProgressCallback: snapshots arrive repeatedly, the last one
 // mirrors the Result, and every snapshot is internally consistent —
 // counters monotone, and Transitions never behind StatesExplored-1

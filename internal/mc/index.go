@@ -319,7 +319,7 @@ type compTable struct {
 	offs    []int       // window i is data[offs[i]:offs[i+1]]; offs[0] = 0 once non-empty
 	data    []byte
 	base    uint64 // first id assigned; nonzero only in overflow tests
-	win     []byte // encode scratch for vector and childVector
+	win     []byte // encode scratch for internEntry
 
 	// vals[k][i] is the value window i encodes at a processor (k = 0) or
 	// variable (k = 1) position, copied from the machine that first
@@ -448,21 +448,50 @@ func (ct *compTable) vector(dst []uint32, m *machine.Machine) error {
 	return nil
 }
 
-// childVector fills dst with the vector of child, a machine in the state
-// whose vector is parent that has stepped since its touched list was
-// last emptied: the parent's ids, with only the entries of the
-// components the step touched re-interned. Every other window is
-// unchanged, so none of it is read.
-func (ct *compTable) childVector(dst, parent []uint32, child *machine.Machine) error {
-	touched, ok := child.Touched()
-	if !ok {
-		return ct.vector(dst, child)
-	}
-	copy(dst, parent)
-	for _, c := range touched {
-		if err := ct.internEntry(dst, child, int(c)); err != nil {
-			return err
+// frame returns the frame window id encodes at a processor position.
+func (ct *compTable) frame(id uint32) *machine.Frame {
+	return &ct.vals[0][uint64(id)-ct.base].Frame
+}
+
+// stepMemo maps a step of processor p from frame id f, touching the
+// variable whose window id is v (v = f for a step that touches none), to
+// the frame id f2 and variable id v2 after it. A step reads and writes
+// only those two components (machine.StepVar), so (p, f, v) fixes
+// (f2, v2). p is part of the key because naming may alias: under Q a
+// post rewrites every slot of p's window that lists the variable, which
+// depends on p.
+type stepMemo struct {
+	buckets bucketTable // key hash -> entry index
+	entries []memoEntry
+}
+
+type memoEntry struct{ p, f, v, f2, v2 uint32 }
+
+// lookup returns the entry for (p, f, v) and whether there is one, with
+// the key's hash for a following add.
+func (sm *stepMemo) lookup(p, f, v uint32) (memoEntry, uint64, bool) {
+	hash := canon.HashTokens([]uint32{p, f, v})
+	bt := &sm.buckets
+	if bt.eis != nil {
+		for sl := hash & bt.mask; bt.eis[sl] != emptySlot; sl = (sl + 1) & bt.mask {
+			if bt.hashes[sl] != hash {
+				continue
+			}
+			if e := sm.entries[bt.eis[sl]]; e.p == p && e.f == f && e.v == v {
+				return e, hash, true
+			}
 		}
 	}
-	return nil
+	return memoEntry{}, hash, false
+}
+
+// add records e under its key's hash.
+func (sm *stepMemo) add(hash uint64, e memoEntry) {
+	sm.buckets.add(hash, uint32(len(sm.entries)))
+	sm.entries = append(sm.entries, e)
+}
+
+// memBytes is the memo's footprint, from capacities.
+func (sm *stepMemo) memBytes() int64 {
+	return int64(len(sm.buckets.eis))*bucketSlotSize + int64(cap(sm.entries))*int64(unsafe.Sizeof(memoEntry{}))
 }

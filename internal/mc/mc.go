@@ -19,16 +19,23 @@
 //     each processor frame's and variable's canonical window (the units
 //     of machine.AppendStateKey) as a dense uint32 id, and the hashed
 //     index (stateIndex, mirroring partition.SigTable) stores each state
-//     as its fixed-width vector of ids. A successor copies its parent's
-//     vector and re-interns only the components its step touched
-//     (machine.Touched), and Options.HotIndexBytes spills cold vectors
-//     to disk.
+//     as its fixed-width vector of ids. Options.HotIndexBytes spills
+//     cold vectors to disk.
+//   - Expansion steps on ids. A step of processor p reads and writes
+//     only p's frame and the one variable machine.StepVar names, so a
+//     successor's vector is its parent's with at most those two ids
+//     replaced, and a step memo maps (p, frame id, variable id) to the
+//     new pair. Only a miss runs the machine: it loads one scratch
+//     machine to the parent, steps it and interns the two windows. The
+//     worst case, a key that never repeats, costs one memo probe and
+//     insert on top of that load, step and intern.
 //   - A frontier state is nothing but its vector. The component table
-//     keeps the value each window encodes, so expansion rewrites one
-//     pool machine per processor from its last child to the parent,
-//     setting only the components whose ids differ, and steps it. Per
-//     state the checker keeps an 8-byte node and, under StuckBad, one
-//     uint32 successor slot per processor, in chunks never copied.
+//     keeps the value each window encodes, so a vector alone rebuilds
+//     its state, rewriting only the components whose ids differ: for a
+//     memo miss, for a new state's StatePreds and StuckBad, and for both
+//     ends of every transition when TransPreds are set. Per state the
+//     checker keeps an 8-byte node and, under StuckBad, one uint32
+//     successor slot per processor, in chunks never copied.
 //   - Opt-in symmetry reduction (Options.SymmetryReduce) dedups states
 //     modulo the system's automorphism group — the orbit-quotient
 //     construction the paper's symmetry results suggest.
@@ -196,6 +203,11 @@ type Stats struct {
 	// SpilledBytes counts visited-index bytes resident on disk (their
 	// peak; spilled bytes are excluded from PeakMemBytes).
 	SpilledBytes int64
+	// MemoEntries is the step memo's size, and MemoMisses counts the
+	// processor steps it could not answer, each of which ran the machine
+	// and added an entry. Every other step, of Transitions + SelfLoops,
+	// was a memo hit.
+	MemoEntries, MemoMisses int64
 	// Elapsed is the wall-clock time spent exploring so far.
 	Elapsed time.Duration
 	// StatesPerSec is StatesExplored / Elapsed.
@@ -289,19 +301,14 @@ type succInfo struct {
 	selfLoop bool
 }
 
-// batch is the per-state expansion output: one successor machine per
-// processor plus its vectors, W ids each. The one batch is reused for
-// every expanded state, so steady-state expansion does not allocate per
-// state.
+// batch is the per-state expansion output: one successor vector per
+// processor, W ids each. The one batch is reused for every expanded
+// state, so steady-state expansion does not allocate per state.
 //
-// pool[p] is processor p's successor machine and raw[p·W:] its vector.
-// Between expansions pool[p] still holds the child it last stepped to,
-// so expand rewrites only the components where that child's vector
-// differs from the parent's (compTable.load), then steps it. keys[p·W:]
-// is the successor's dedup key: the least image of its vector under
-// symmetry reduction, the vector itself otherwise.
+// raw[p·W:] is processor p's successor and keys[p·W:] its dedup key:
+// the least image of its vector under symmetry reduction, the vector
+// itself otherwise.
 type batch struct {
-	pool  []machine.Machine
 	raw   []uint32
 	keys  []uint32
 	succs []succInfo
@@ -332,12 +339,14 @@ type checker struct {
 	levelVecs, nextVecs []uint32
 	levelStart          int
 	// root is the initial machine, on which the stuck search replays its
-	// witness. parent, loaded to the state parentVec spells, is the
-	// "before" machine transition predicates see; it is kept only when
-	// there are any.
+	// witness. m, loaded to the state mVec spells, is the scratch machine
+	// a memo miss steps and predicates read. parent, loaded to the state
+	// parentVec spells, is the "before" machine transition predicates
+	// see; it is kept only when there are any.
 	root            *machine.Machine
-	parent          *machine.Machine
-	parentVec       []uint32
+	m, parent       *machine.Machine
+	mVec, parentVec []uint32
+	memo            stepMemo
 	res             *Result
 	stats           *Stats
 	sinceProgress   int
@@ -403,30 +412,26 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 		}
 	}
 	b := &c.batch
-	b.pool = make([]machine.Machine, c.nProcs)
 	b.raw = make([]uint32, c.nProcs*width)
 	b.keys = make([]uint32, c.nProcs*width)
 	b.succs = make([]succInfo, c.nProcs)
 
 	// Root. The initial state is fixed by every automorphism (they
 	// preserve initial values), but canonicalize anyway for uniformity.
-	// Every pool machine, and the parent machine, starts as a clone of
+	// The scratch machine, and the parent machine, start as clones of
 	// the root.
 	opts.Obs.PhaseStart("mc.check")
 	raw, key := b.raw[:width], b.keys[:width]
 	if err := c.idx.comps.vector(raw, m0); err != nil {
 		return nil, err
 	}
-	for p := range b.pool {
-		m0.CloneInto(&b.pool[p])
-		copy(b.raw[p*width:(p+1)*width], raw)
-	}
+	c.m, c.mVec = m0.Clone(), slices.Clone(raw)
 	if len(opts.TransPreds) > 0 {
 		c.parent, c.parentVec = m0.Clone(), slices.Clone(raw)
 	}
 	c.minimize(key, raw)
-	rootIdx := c.push(m0, raw, key, canon.HashTokens(key), 0, 0)
-	if v := c.checkState(m0, rootIdx); v != nil {
+	rootIdx := c.push(raw, key, canon.HashTokens(key), 0, 0)
+	if v := c.checkState(raw, rootIdx); v != nil {
 		c.res.Violation = v
 		return c.finish(nil)
 	}
@@ -510,6 +515,8 @@ func (c *checker) finish(err error) (*Result, error) {
 		rec.Count("mc.transitions", c.stats.Transitions)
 		rec.Count("mc.dedup_hits", c.stats.DedupHits)
 		rec.Count("mc.self_loops", c.stats.SelfLoops)
+		rec.Count("mc.memo_entries", c.stats.MemoEntries)
+		rec.Count("mc.memo_misses", c.stats.MemoMisses)
 		if c.opts.HotIndexBytes > 0 {
 			// Spill-mode telemetry only: the emissions below would
 			// perturb the deterministic event stream golden-file tests
@@ -550,30 +557,45 @@ func (c *checker) runLevel(n int) (bool, error) {
 }
 
 // expand computes all successors of the state curVec spells into
-// c.batch: stepped pool machines plus their vectors and dedup-key
-// hashes. Predicates never run here.
+// c.batch: their vectors and dedup-key hashes. Predicates never run
+// here.
 //
-// This is the batch-stepping hot loop. Each pool machine is rewritten
-// to the parent through the component table, only where its last
-// child's ids differ, and stepped with an emptied touched list, so it
-// reports exactly the ≤1 frame and ≤1 variable its step touched
-// (machine.Touched). Its vector is the parent's with just those
-// re-interned — no other component is encoded, copied or read.
+// This is the hot loop. Processor p's successor is curVec with p's frame
+// id and the id of the variable its step touches (machine.StepVar)
+// replaced by the pair the step memo holds for them. On a miss the
+// scratch machine is loaded to the parent, stepped, and its two
+// windows interned — no other component is encoded, copied or read.
 func (c *checker) expand(curVec []uint32) error {
 	b := &c.batch
 	w := c.width
 	ct := &c.idx.comps
 	for p := 0; p < c.nProcs; p++ {
-		next := &b.pool[p]
 		raw := b.raw[p*w : (p+1)*w]
-		ct.load(next, raw, curVec)
-		next.ResetTouched()
-		if err := next.Step(p); err != nil {
-			return fmt.Errorf("mc: stepping %d: %w", p, err)
+		copy(raw, curVec)
+		// vc is the position of the variable p's step touches, or p's own
+		// when it touches none: a frame's steps touch one always or never,
+		// so the key (p, frame, frame) cannot mean both.
+		vc := p
+		if v := c.root.StepVar(p, ct.frame(curVec[p])); v >= 0 {
+			vc = c.nProcs + v
 		}
-		if err := ct.childVector(raw, curVec, next); err != nil {
-			return err
+		e, hash, ok := c.memo.lookup(uint32(p), curVec[p], curVec[vc])
+		if !ok {
+			ct.load(c.m, c.mVec, curVec)
+			if err := c.m.Step(p); err != nil {
+				return fmt.Errorf("mc: stepping %d: %w", p, err)
+			}
+			for _, comp := range [2]int{p, vc} {
+				if err := ct.internEntry(c.mVec, c.m, comp); err != nil {
+					return err
+				}
+			}
+			e = memoEntry{uint32(p), curVec[p], curVec[vc], c.mVec[p], c.mVec[vc]}
+			c.memo.add(hash, e)
+			c.stats.MemoMisses++
+			c.stats.MemoEntries = int64(len(c.memo.entries))
 		}
+		raw[p], raw[vc] = e.f2, e.v2
 		si := &b.succs[p]
 		si.selfLoop = slices.Equal(raw, curVec)
 		if !si.selfLoop {
@@ -623,9 +645,9 @@ func (c *checker) merge(curIdx int) (bool, error) {
 	b := &c.batch
 	w := c.width
 	for p, si := range b.succs {
-		next := &b.pool[p]
+		raw := b.raw[p*w : (p+1)*w]
 		for _, pred := range c.opts.TransPreds {
-			if reason := pred(c.parent, next, p); reason != "" {
+			if reason := pred(c.parent, c.load(raw), p); reason != "" {
 				c.res.Violation = &Violation{
 					Reason:   reason,
 					Schedule: append(c.scheduleTo(curIdx), p),
@@ -649,9 +671,9 @@ func (c *checker) merge(curIdx int) (bool, error) {
 				// explores exactly MaxStates states, never MaxStates+1.
 				return true, c.exhaust("states")
 			} else {
-				id := c.push(next, b.raw[p*w:(p+1)*w], key, si.hash, curIdx, p)
+				id := c.push(raw, key, si.hash, curIdx, p)
 				to = uint32(id)
-				if v := c.checkState(next, id); v != nil {
+				if v := c.checkState(raw, id); v != nil {
 					c.res.Violation = v
 					return true, nil
 				}
@@ -667,20 +689,18 @@ func (c *checker) merge(curIdx int) (bool, error) {
 	return false, nil
 }
 
-// push commits a new state m, whose vector is raw: it indexes key (the
-// state's dedup vector) and appends the state's node with its stuck
-// flag, its raw vector to the next frontier, and the explored-state
-// counters. It returns the node index, which equals the index id minus
-// baseID because ids are dense and assigned in the same order as nodes.
-// m itself is not kept: the vector rebuilds the state when its turn to
-// expand comes.
-func (c *checker) push(m *machine.Machine, raw, key []uint32, hash uint64, parent, step int) int {
+// push commits the new state raw spells: it indexes key (the state's
+// dedup vector) and appends the state's node with its stuck flag, raw
+// to the next frontier, and the explored-state counters. It returns the
+// node index, which equals the index id minus baseID because ids are
+// dense and assigned in the same order as nodes.
+func (c *checker) push(raw, key []uint32, hash uint64, parent, step int) int {
 	c.idx.insert(key, hash)
 	c.logicalKeyBytes += c.idx.comps.keyLen(key)
 	c.nextVecs = append(c.nextVecs, raw...)
 	id := c.nodes.n
 	nd := node{parent: uint32(parent), step: uint32(step)}
-	if c.opts.StuckBad != nil && c.opts.StuckBad(m) != "" {
+	if c.opts.StuckBad != nil && c.opts.StuckBad(c.load(raw)) != "" {
 		nd.step |= stuckBit
 	}
 	c.nodes.push(nd)
@@ -727,11 +747,11 @@ func (c *checker) pollBudgets() (bool, error) {
 
 // memEstimate approximates the checker's live heap during exploration:
 // the visited index (with the component table and its stored values),
-// the node and successor chunks, and both frontier vector buffers.
-// Capacities, not lengths: an allocated chunk or backing array is real
-// memory whether or not it is full yet.
+// the step memo, the node and successor chunks, and both frontier vector
+// buffers. Capacities, not lengths: an allocated chunk or backing array
+// is real memory whether or not it is full yet.
 func (c *checker) memEstimate() int64 {
-	return c.idx.memBytes() + c.nodes.memBytes() + c.succ.memBytes() +
+	return c.idx.memBytes() + c.memo.memBytes() + c.nodes.memBytes() + c.succ.memBytes() +
 		4*int64(cap(c.levelVecs)+cap(c.nextVecs))
 }
 
@@ -756,9 +776,16 @@ func (c *checker) scheduleTo(idx int) []int {
 	return out
 }
 
-func (c *checker) checkState(m *machine.Machine, idx int) *Violation {
+// load rewrites the scratch machine to the state vec spells and returns
+// it.
+func (c *checker) load(vec []uint32) *machine.Machine {
+	c.idx.comps.load(c.m, c.mVec, vec)
+	return c.m
+}
+
+func (c *checker) checkState(vec []uint32, idx int) *Violation {
 	for _, pred := range c.opts.StatePreds {
-		if reason := pred(m); reason != "" {
+		if reason := pred(c.load(vec)); reason != "" {
 			return &Violation{Reason: reason, Schedule: c.scheduleTo(idx)}
 		}
 	}

@@ -73,11 +73,13 @@ func TestObsEventCountsMatchStats(t *testing.T) {
 	// Counters mirror Stats exactly.
 	reg := rec.Metrics()
 	for name, want := range map[string]int64{
-		"mc.checks":      1,
-		"mc.states":      int64(res.StatesExplored),
-		"mc.transitions": res.Stats.Transitions,
-		"mc.dedup_hits":  res.Stats.DedupHits,
-		"mc.self_loops":  res.Stats.SelfLoops,
+		"mc.checks":       1,
+		"mc.states":       int64(res.StatesExplored),
+		"mc.transitions":  res.Stats.Transitions,
+		"mc.dedup_hits":   res.Stats.DedupHits,
+		"mc.self_loops":   res.Stats.SelfLoops,
+		"mc.memo_entries": res.Stats.MemoEntries,
+		"mc.memo_misses":  res.Stats.MemoMisses,
 	} {
 		if got := reg.Counter(name).Value(); got != want {
 			t.Errorf("counter %s = %d, want %d", name, got, want)

@@ -3,10 +3,8 @@ package mc
 import (
 	"bytes"
 	"fmt"
-	"strconv"
 	"testing"
 
-	"simsym/internal/autgrp"
 	"simsym/internal/machine"
 	"simsym/internal/system"
 )
@@ -31,108 +29,13 @@ func countPosts(b *machine.Builder) {
 	b.Halt()
 }
 
-// exactState spells m's state without its windows: every component's
-// value (machine.Component), which holds every frame and every
-// subvalue slot.
-func exactState(m *machine.Machine) string {
-	buf := make([]byte, 0, 256)
-	for c := range m.NumProcs() + m.NumVars() {
-		x := m.Component(c)
-		buf = strconv.AppendInt(append(buf, '|'), int64(x.Frame.PC), 10)
-		buf = strconv.AppendBool(append(buf, ' '), x.Frame.Halted)
-		buf = strconv.AppendBool(append(buf, ' '), x.Locked)
-		buf = appendExact(append(buf, ' '), x.Val)
-		for _, v := range append(x.Frame.Locals, x.Sub...) {
-			buf = appendExact(append(buf, ' '), v)
-		}
-	}
-	return string(buf)
-}
-
-// appendExact appends an unambiguous spelling of v, a value countPosts
-// stores.
-func appendExact(buf []byte, v any) []byte {
-	switch v := v.(type) {
-	case nil:
-		return append(buf, 'n')
-	case int:
-		return strconv.AppendInt(append(buf, 'i'), int64(v), 10)
-	case string:
-		return strconv.AppendQuote(append(buf, 's'), v)
-	case machine.PeekResult:
-		buf = strconv.AppendQuote(append(buf, 'p'), v.Init)
-		for _, e := range v.Values {
-			buf = appendExact(append(buf, ','), e)
-		}
-		return append(buf, ';')
-	}
-	return fmt.Appendf(buf, "%#v", v) // the unset sentinel
-}
-
-// slotWalk counts the states reachable from the factory's machine by a
-// breadth-first walk keyed on exactState, and their orbits under the
-// automorphisms of sys. The walk carries each state's images as
-// explicitly permuted machines: the image of a state under an
-// automorphism steps processor ProcPerm[p] where the state steps p.
-func slotWalk(t *testing.T, sys *system.System, factory func() (*machine.Machine, error)) (states, orbits int) {
-	t.Helper()
-	auts, err := autgrp.Automorphisms(sys, autgrp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type state struct {
-		m    *machine.Machine
-		imgs []*machine.Machine // imgs[k] is m's image under auts[k]
-	}
-	root := state{}
-	if root.m, err = factory(); err != nil {
-		t.Fatal(err)
-	}
-	for range auts {
-		root.imgs = append(root.imgs, root.m.Clone())
-	}
-	seen := map[string]bool{exactState(root.m): true}
-	reps := map[string]bool{}
-	for level := []state{root}; len(level) > 0; {
-		var next []state
-		for _, s := range level {
-			least := ""
-			for i, img := range s.imgs {
-				if k := exactState(img); i == 0 || k < least {
-					least = k
-				}
-			}
-			reps[least] = true
-			for p := 0; p < s.m.NumProcs(); p++ {
-				child := state{m: s.m.Clone()}
-				if err := child.m.Step(p); err != nil {
-					t.Fatal(err)
-				}
-				k := exactState(child.m)
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				for i, a := range auts {
-					child.imgs = append(child.imgs, s.imgs[i].Clone())
-					if err := child.imgs[i].Step(a.ProcPerm[p]); err != nil {
-						t.Fatal(err)
-					}
-				}
-				next = append(next, child)
-			}
-		}
-		level = next
-	}
-	return len(seen), len(reps)
-}
-
 // TestQCheckMatchesSlotWalk: under Q the checker explores exactly the
-// states a walk keyed on frames plus every subvalue slot reaches, and
-// under symmetry reduction exactly their orbits. A key that holds only
-// each variable's multiset of subvalues explores fewer, merging states
-// whose posters differ; one that drops the poster's slots from its
-// window explores more than are reachable.
+// states, transitions, self-loops and dedup hits of a walk keyed on
+// frames plus every subvalue slot, and under symmetry reduction exactly
+// their orbits. A key that holds only each variable's multiset of
+// subvalues explores fewer, merging states whose posters differ; one
+// that drops the poster's slots from its window explores more than are
+// reachable.
 func TestQCheckMatchesSlotWalk(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
@@ -144,21 +47,23 @@ func TestQCheckMatchesSlotWalk(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			factory := factoryFor(t, tc.sys, system.InstrQ, countPosts)
-			states, orbits := slotWalk(t, tc.sys, factory)
-			if states != tc.states || orbits != tc.orbits {
-				t.Fatalf("the walk reaches %d states in %d orbits, pinned %d in %d", states, orbits, tc.states, tc.orbits)
+			w := walkExact(t, factory, nil, tc.sys, 0)
+			if w.states != tc.states || w.orbits != tc.orbits {
+				t.Fatalf("the walk reaches %d states in %d orbits, pinned %d in %d", w.states, w.orbits, tc.states, tc.orbits)
 			}
 			for _, sym := range []bool{false, true} {
 				res, err := Check(factory, Options{SymmetryReduce: sym})
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := states
+				want := w.states
 				if sym {
-					want = orbits
+					want = w.orbits
 					if res.Stats.GroupOrder != 2 {
 						t.Errorf("GroupOrder = %d, want 2", res.Stats.GroupOrder)
 					}
+				} else {
+					w.assertCounts(t, res)
 				}
 				if !res.Complete || res.StatesExplored != want {
 					t.Errorf("SymmetryReduce=%v: Check explored %d states (complete=%v), want %d", sym, res.StatesExplored, res.Complete, want)

@@ -14,28 +14,27 @@ import (
 
 // TestVectorRoundTrip pins the two premises the checker's frontier rests
 // on: a vector alone rebuilds its state through the component table
-// (compTable.load), and a step's touched set (machine.Touched) names
-// every component the step changed. Along seeded random walks — random
-// programs over Fig1, Fig2 and the flipped table of four under S, L and
-// Q, with Post/Peek multisets, halting, running off the end and stutter
-// steps — every state is expanded the way the checker expands it: each
-// processor's pool machine is rewritten from its last child's vector to
-// the parent's, its touched list is emptied, it steps, and the parent's
-// vector with the touched components re-interned is the child's. Every
-// loaded parent and every child must spell its state's full key: the
-// uvarint-prefixed concatenation of its vector's windows equals
-// AppendStateKey, and two vectors are equal exactly when their keys are.
-// Under Q the key holds every subvalue slot, in its poster's window, so
-// the key check covers who posted what. The reference key comes from replaying the state's schedule on a fresh
-// machine, which encodes every window from scratch: the walked machines
-// are only as faithful as the stored values and the touched lists, the
-// very things under test.
+// (compTable.load), and the step memo turns a parent's vector into each
+// child's. Along seeded random walks — random programs over Fig1, Fig2
+// and the flipped table of four under S, L and Q, with Post/Peek
+// multisets, halting, running off the end and stutter steps — every
+// state is expanded the way the checker expands it (checker.expand).
+// Each child's vector must equal the vector of a fresh machine that
+// replays the child's schedule and interns every window, whether the
+// memo hit or missed. Every loaded parent and every child must spell
+// its state's full key: the uvarint-prefixed concatenation of its
+// vector's windows equals AppendStateKey, and two vectors are equal
+// exactly when their keys are. Under Q the key holds every subvalue
+// slot, in its poster's window, so the key check covers who posted
+// what. The reference key comes from the replay, which encodes every
+// window from scratch: the walked vectors are only as faithful as the
+// stored values and the memo, the very things under test.
 func TestVectorRoundTrip(t *testing.T) {
 	flipped4, err := system.DiningFlipped(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stutters, touchedVars int
+	var stutters, varSteps, hits int
 	for _, topo := range []struct {
 		name string
 		sys  *system.System
@@ -60,14 +59,15 @@ func TestVectorRoundTrip(t *testing.T) {
 					}
 					return m
 				}
-				s, v := walkVectors(t, name, rng, factory, 60)
+				s, v, h := walkVectors(t, name, rng, factory, 60)
 				stutters += s
-				touchedVars += v
+				varSteps += v
+				hits += h
 			}
 		}
 	}
-	if stutters == 0 || touchedVars == 0 {
-		t.Fatalf("walks never exercised a stutter (%d) or a variable write (%d)", stutters, touchedVars)
+	if stutters == 0 || varSteps == 0 || hits == 0 {
+		t.Fatalf("walks never exercised a stutter (%d), a variable access (%d) or a memo hit (%d)", stutters, varSteps, hits)
 	}
 }
 
@@ -104,27 +104,36 @@ func (op walkOp) apply(m *machine.Machine) error {
 }
 
 // walkVectors runs one random walk of the given length from a fresh
-// machine, checking every successor of every state on it, and returns
-// how many successors were stutters and how many touched a variable.
-// Now and then a crash or lock drop lands on a successor after its step,
-// as the fault harness injects them.
-func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *machine.Machine, length int) (stutters, touchedVars int) {
+// machine, expanding every state on it with a checker, and returns how
+// many successors were stutters, how many steps accessed a variable and
+// how many the memo answered. Now and then a crash or lock drop lands on
+// the state the walk continues from, as the fault harness injects them.
+func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *machine.Machine, length int) (stutters, varSteps, hits int) {
 	t.Helper()
-	var ct compTable
 	m := factory()
 	np, nv, w := m.NumProcs(), m.NumVars(), m.NumProcs()+m.NumVars()
+	c := &checker{nProcs: np, width: w, idx: newStateIndex(w, 0, ""), root: m, stats: &Stats{}}
+	c.batch = batch{raw: make([]uint32, np*w), keys: make([]uint32, np*w), succs: make([]succInfo, np)}
+	ct := &c.idx.comps
 	keyToVec := map[string]string{}
 	vecToKey := map[string]string{}
 	var walk []walkOp // the walk so far, from the initial state
-	// check verifies m, reached by walk plus last (a successor's ops, if
-	// any), against its vector.
-	check := func(m *machine.Machine, vec []uint32, last ...walkOp) {
+	// check verifies vec, the state reached by walk plus last, against a
+	// fresh machine that replays them.
+	check := func(vec []uint32, last ...walkOp) {
 		t.Helper()
 		fresh := factory()
 		for _, op := range slices.Concat(walk, last) {
 			if err := op.apply(fresh); err != nil {
 				t.Fatal(err)
 			}
+		}
+		freshVec := make([]uint32, w)
+		if err := ct.vector(freshVec, fresh); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(freshVec, vec) {
+			t.Fatalf("%s: expansion gave the vector %v, a fresh step and intern %v", name, vec, freshVec)
 		}
 		key := fresh.AppendStateKey(nil, nil, nil)
 		var spelled []byte
@@ -134,8 +143,8 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 		if !bytes.Equal(spelled, key) {
 			t.Fatalf("%s: vector %v spells\n%q\nbut the state key is\n%q", name, vec, spelled, key)
 		}
-		if got := m.AppendStateKey(nil, nil, nil); !bytes.Equal(got, key) {
-			t.Fatalf("%s: cached key\n%q\ndiverged from the replayed key\n%q", name, got, key)
+		if got := c.load(vec).AppendStateKey(nil, nil, nil); !bytes.Equal(got, key) {
+			t.Fatalf("%s: loaded key\n%q\ndiverged from the replayed key\n%q", name, got, key)
 		}
 		vs := fmt.Sprint(vec)
 		if prev, ok := keyToVec[string(key)]; ok && prev != vs {
@@ -151,51 +160,43 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 	if err := ct.vector(curVec, m); err != nil {
 		t.Fatal(err)
 	}
-	check(m, curVec)
-	pool := make([]machine.Machine, np)
-	ops := make([][]walkOp, np)
-	vecs := make([]uint32, np*w)
-	for p := range pool {
-		m.CloneInto(&pool[p])
-		copy(vecs[p*w:(p+1)*w], curVec)
-	}
-	for step := 0; step < length; step++ {
-		for p := range pool {
-			child := &pool[p]
-			vec := vecs[p*w : (p+1)*w]
-			ct.load(child, vec, curVec)
-			check(child, curVec)
-			child.ResetTouched()
-			ops[p] = append(ops[p][:0], walkOp{'s', p})
-			if rng.Intn(40) == 0 {
-				ops[p] = append(ops[p], walkOp{'c', rng.Intn(np)})
-			}
-			if rng.Intn(10) == 0 {
-				ops[p] = append(ops[p], walkOp{'d', rng.Intn(nv)})
-			}
-			for _, op := range ops[p] {
-				if err := op.apply(child); err != nil {
-					t.Fatalf("%s: %c %d: %v", name, op.kind, op.arg, err)
-				}
-			}
-			touched, _ := child.Touched()
-			for _, c := range touched {
-				if int(c) >= np {
-					touchedVars++
-				}
-			}
-			if err := ct.childVector(vec, curVec, child); err != nil {
-				t.Fatal(err)
-			}
+	c.m, c.mVec = m.Clone(), slices.Clone(curVec)
+	check(curVec)
+	for range length {
+		misses := c.stats.MemoMisses
+		if err := c.expand(curVec); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		hits += np - int(c.stats.MemoMisses-misses)
+		for p := range np {
+			vec := c.batch.raw[p*w : (p+1)*w]
 			if slices.Equal(vec, curVec) {
 				stutters++
 			}
-			check(child, vec, ops[p]...)
+			if m.StepVar(p, ct.frame(curVec[p])) >= 0 {
+				varSteps++
+			}
+			check(vec, walkOp{'s', p})
 		}
 		// Continue from one child: like the checker, keep only its vector.
 		p := rng.Intn(np)
-		curVec = append(curVec[:0], vecs[p*w:(p+1)*w]...)
-		walk = append(walk, ops[p]...)
+		curVec = append(curVec[:0], c.batch.raw[p*w:(p+1)*w]...)
+		walk = append(walk, walkOp{'s', p})
+		op := walkOp{'c', rng.Intn(np)}
+		if rng.Intn(2) == 0 {
+			op = walkOp{'d', rng.Intn(nv)}
+		}
+		if rng.Intn(10) == 0 {
+			if err := op.apply(c.load(curVec)); err != nil {
+				t.Fatalf("%s: %c %d: %v", name, op.kind, op.arg, err)
+			}
+			if err := ct.vector(curVec, c.m); err != nil {
+				t.Fatal(err)
+			}
+			copy(c.mVec, curVec)
+			walk = append(walk, op)
+			check(curVec)
+		}
 	}
-	return stutters, touchedVars
+	return stutters, varSteps, hits
 }

@@ -31,7 +31,11 @@ func (d Duration) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON accepts a Go duration string or a number of nanoseconds.
+// JSON null leaves d as it is, as it does every other Common field.
 func (d *Duration) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return nil
+	}
 	var s string
 	if err := json.Unmarshal(data, &s); err == nil {
 		parsed, err := time.ParseDuration(s)

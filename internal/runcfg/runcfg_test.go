@@ -3,6 +3,7 @@ package runcfg
 import (
 	"encoding/json"
 	"testing"
+	"time"
 )
 
 // FuzzRuncfgDecode feeds arbitrary bytes to the JSON decoding simsymd
@@ -19,7 +20,7 @@ func FuzzRuncfgDecode(f *testing.F) {
 		`{"max_duration":1500000000}`,
 		`{"max_duration":"-2562047h47m16.854775808s"}`,
 		`{"max_duration":"bogus"}`,
-		`{"max_duration":null}`,
+		nullDuration,
 		`{"epsilon":1e308,"delta":5e-324,"seed":9223372036854775807}`,
 		`{"MAX_STATES":1,"max_states":2}`,
 		`[1]`,
@@ -28,7 +29,11 @@ func FuzzRuncfgDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var c Common
-		if err := json.Unmarshal(data, &c); err != nil {
+		err := json.Unmarshal(data, &c)
+		if string(data) == nullDuration && (err != nil || c.MaxDuration != 0) {
+			t.Fatalf("%s decoded to %+v, %v; want an unset MaxDuration", data, c, err)
+		}
+		if err != nil {
 			return
 		}
 		enc, err := json.Marshal(c)
@@ -43,4 +48,22 @@ func FuzzRuncfgDecode(f *testing.F) {
 			t.Fatalf("round trip changed the config:\n%+v\n%+v\nvia %s", c, back, enc)
 		}
 	})
+}
+
+// nullDuration is a config whose max_duration is JSON null.
+const nullDuration = `{"max_duration":null}`
+
+// TestDurationNullIsUnset: JSON null leaves a Duration unset, as it
+// leaves every other Common field: a zero Common stays zero, and a set
+// MaxDuration keeps its value.
+func TestDurationNullIsUnset(t *testing.T) {
+	var c Common
+	if err := json.Unmarshal([]byte(nullDuration), &c); err != nil || c != (Common{}) {
+		t.Fatalf("%s decoded to %+v, %v; want the zero Common", nullDuration, c, err)
+	}
+	c = Common{MaxDuration: Duration(time.Second), MaxStates: 7}
+	if err := json.Unmarshal([]byte(`{"max_duration":null,"max_states":null}`), &c); err != nil ||
+		c != (Common{MaxDuration: Duration(time.Second), MaxStates: 7}) {
+		t.Fatalf("null fields changed a set config: %+v, %v", c, err)
+	}
 }

@@ -123,7 +123,7 @@ type reply struct {
 }
 
 type shard struct {
-	reqs     chan request
+	reqs     chan *request
 	sessions map[string]*session
 }
 
@@ -162,7 +162,7 @@ func New(cfg Config) *Server {
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
 		sh := &shard{
-			reqs:     make(chan request, cfg.QueueDepth),
+			reqs:     make(chan *request, cfg.QueueDepth),
 			sessions: make(map[string]*session),
 		}
 		s.shards[i] = sh
@@ -196,7 +196,7 @@ func (s *Server) submit(sh *shard, req request) (reply, error) {
 		return reply{}, ErrDraining
 	}
 	select {
-	case sh.reqs <- req:
+	case sh.reqs <- &req:
 		s.inflight.Add(1)
 		s.gate.mu.RUnlock()
 	default:
@@ -356,7 +356,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // queue in batches until the queue is closed and empty.
 func (s *Server) run(sh *shard) {
 	defer s.wg.Done()
-	batch := make([]request, 0, s.cfg.BatchSize)
+	batch := make([]*request, 0, s.cfg.BatchSize)
 	for req := range sh.reqs {
 		// Drain whatever else is already queued, up to the batch cap, so
 		// one wakeup amortizes over many requests.
@@ -376,15 +376,12 @@ func (s *Server) run(sh *shard) {
 
 // tryRecv receives without blocking. A closed channel yields ok=false
 // once empty, which ends the enclosing range loop on the next iteration.
-func tryRecv(ch chan request) (request, bool) {
+func tryRecv(ch chan *request) (*request, bool) {
 	select {
 	case req, open := <-ch:
-		if !open {
-			return request{}, false
-		}
-		return req, true
+		return req, open
 	default:
-		return request{}, false
+		return nil, false
 	}
 }
 
@@ -393,7 +390,7 @@ func tryRecv(ch chan request) (request, bool) {
 // coalesced request still gets its own reply, carrying the post-advance
 // snapshot). Adjacency — not whole-batch grouping — preserves ordering
 // against deletes and inspects in the same batch.
-func (s *Server) processBatch(sh *shard, batch []request) {
+func (s *Server) processBatch(sh *shard, batch []*request) {
 	for i := 0; i < len(batch); {
 		req := batch[i]
 		if req.op != opStep {
@@ -419,7 +416,7 @@ func (s *Server) processBatch(sh *shard, batch []request) {
 }
 
 // apply executes one non-step request on the shard's session table.
-func (s *Server) apply(sh *shard, req request) reply {
+func (s *Server) apply(sh *shard, req *request) reply {
 	switch req.op {
 	case opCreate:
 		sess, err := newSession(req.id, req.cfg)

@@ -17,7 +17,7 @@ func parkShard(t *testing.T, s *Server, i int) (release func()) {
 	t.Helper()
 	block := make(chan struct{})
 	ack := make(chan struct{})
-	s.shards[i].reqs <- request{op: opBarrier, block: block, ack: ack, reply: make(chan reply, 1)}
+	s.shards[i].reqs <- &request{op: opBarrier, block: block, ack: ack, reply: make(chan reply, 1)}
 	select {
 	case <-ack:
 	case <-time.After(5 * time.Second):

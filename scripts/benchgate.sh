@@ -11,9 +11,9 @@
 #     machine.New owns a fingerprint arena — clones encode on demand —
 #     so the warm benchmark times that machine's cached key.
 #     CheckThroughput's allocs/op cover the model checker, which keeps
-#     each frontier state as its id vector and rewrites one pool machine
-#     per processor from the component table's stored values, so after
-#     warm-up it allocates only as its tables and arrays grow.
+#     each frontier state as its id vector and steps a machine only on a
+#     step-memo miss, so after warm-up it allocates only as its tables
+#     and arrays grow.
 #   * ns/op varies wildly across CI hosts, so it only gates
 #     order-of-magnitude regressions: fail at > baseline*4. Real
 #     performance work is measured with interleaved same-host A/B runs
