@@ -461,13 +461,15 @@ func NewDiningHarness(sys *system.System, meals int, s machine.Scheduler) (*Harn
 	if err != nil {
 		return nil, err
 	}
-	excl, err := dining.ExclusionPred(sys)
+	excl, err := dining.ExclusionPred(sys, prog)
 	if err != nil {
 		return nil, err
 	}
+	mealsS, _ := prog.Lookup("meals")
 	done := func(m *machine.Machine) bool {
-		for p, got := range dining.Meals(m) {
-			if !m.Crashed(p) && got < meals {
+		for p := range m.NumProcs() {
+			v, _ := m.LocalAt(p, mealsS)
+			if got, _ := v.(int); !m.Crashed(p) && got < meals {
 				return false
 			}
 		}

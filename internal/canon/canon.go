@@ -328,18 +328,25 @@ func HashBytes(b []byte) uint64 {
 
 // HashTokens returns a 64-bit hash of a token stream of words. Each step
 // folds one whole token in (rotate, xor, multiply, as in FxHash) and a
-// final avalanche (MurmurHash3's fmix64) spreads every input bit into
-// the low bits, which open-addressed tables index by. It is the
-// token-stream companion of Hash: the partition package's SigTable
-// probes on it over uint64 signatures and the model checker's visited
-// index over uint32 component-id vectors, and both resolve collisions
-// by comparing the token sequences themselves, so hash quality affects
-// only speed, never correctness.
+// final avalanche (Mix64) spreads every input bit into every output
+// bit, which open-addressed tables index by. It is the token-stream
+// companion of Hash: the partition package's SigTable probes on it over
+// uint64 signatures and the model checker's step memo over (processor,
+// frame id, variable id) keys, and both resolve collisions by comparing
+// the tokens themselves, so hash quality affects only speed, never
+// correctness.
 func HashTokens[T uint32 | uint64](tokens []T) uint64 {
 	h := uint64(len(tokens))
 	for _, t := range tokens {
 		h = (bits.RotateLeft64(h, 5) ^ uint64(t)) * 0x517cc1b727220a95
 	}
+	return Mix64(h)
+}
+
+// Mix64 is MurmurHash3's fmix64 avalanche: a bijection on 64-bit words
+// under which each input bit flips each output bit with probability
+// about one half.
+func Mix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33

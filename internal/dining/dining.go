@@ -93,17 +93,26 @@ func Adjacency(sys *system.System) ([][2]int, error) {
 	return pairs, nil
 }
 
+// eater returns a test of whether philosopher p of a machine running
+// prog is eating, which reads the "eating" local through the slot prog
+// resolves once.
+func eater(prog *machine.Program) func(m *machine.Machine, p int) bool {
+	s, ok := prog.Lookup("eating")
+	return func(m *machine.Machine, p int) bool {
+		v, set := m.LocalAt(p, s)
+		return ok && set && v == true
+	}
+}
+
 // ExclusionPred builds a model-checker predicate flagging states where
-// two adjacent philosophers eat simultaneously.
-func ExclusionPred(sys *system.System) (mc.StatePredicate, error) {
+// two adjacent philosophers eat simultaneously, for machines running
+// prog.
+func ExclusionPred(sys *system.System, prog *machine.Program) (mc.StatePredicate, error) {
 	pairs, err := Adjacency(sys)
 	if err != nil {
 		return nil, err
 	}
-	eating := func(m *machine.Machine, p int) bool {
-		v, ok := m.Local(p, "eating")
-		return ok && v == true
-	}
+	eating := eater(prog)
 	return func(m *machine.Machine) string {
 		for _, pr := range pairs {
 			if eating(m, pr[0]) && eating(m, pr[1]) {
@@ -121,7 +130,7 @@ func ExclusionPred(sys *system.System) (mc.StatePredicate, error) {
 // executed step — at O(degree) instead of O(forks) per step. (Fault
 // injection preserves this: crashes and lock drops never set "eating".)
 // The violation messages match ExclusionPred's format.
-func LocalExclusionPred(sys *system.System) (mc.ProcPredicate, error) {
+func LocalExclusionPred(sys *system.System, prog *machine.Program) (mc.ProcPredicate, error) {
 	pairs, err := Adjacency(sys)
 	if err != nil {
 		return nil, err
@@ -131,10 +140,7 @@ func LocalExclusionPred(sys *system.System) (mc.ProcPredicate, error) {
 		neighbors[pr[0]] = append(neighbors[pr[0]], pr[1])
 		neighbors[pr[1]] = append(neighbors[pr[1]], pr[0])
 	}
-	eating := func(m *machine.Machine, p int) bool {
-		v, ok := m.Local(p, "eating")
-		return ok && v == true
-	}
+	eating := eater(prog)
 	return func(m *machine.Machine, p int) string {
 		if p < 0 || p >= len(neighbors) || !eating(m, p) {
 			return ""
@@ -181,7 +187,7 @@ func Check(sys *system.System, prog *machine.Program, maxStates int) (*Report, e
 // reduction, budgets, spill, and progress reporting. The
 // exclusion and deadlock predicates are installed on top of opts.
 func CheckWith(sys *system.System, prog *machine.Program, opts mc.Options) (*Report, error) {
-	exclusion, err := ExclusionPred(sys)
+	exclusion, err := ExclusionPred(sys, prog)
 	if err != nil {
 		return nil, err
 	}
@@ -304,7 +310,7 @@ func CheckGreedy(sys *system.System, maxStates int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	exclusion, err := ExclusionPred(sys)
+	exclusion, err := ExclusionPred(sys, prog)
 	if err != nil {
 		return nil, err
 	}

@@ -72,7 +72,7 @@ func TestChandyMisraFiveTableSafety(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exclusion, err := ExclusionPred(s)
+		exclusion, err := ExclusionPred(s, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestChandyMisraExclusionLongRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exclusion, err := ExclusionPred(s)
+	exclusion, err := ExclusionPred(s, prog)
 	if err != nil {
 		t.Fatal(err)
 	}

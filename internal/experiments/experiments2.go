@@ -110,7 +110,11 @@ func E13Encapsulated() (*Table, error) {
 	// faults must leave exclusion intact (they can only starve the
 	// crashed philosopher's neighbors), checked after every step by the
 	// streaming adversary harness.
-	excl, err := dining.ExclusionPred(s)
+	fprog, err := dining.ChandyMisraProgram(2)
+	if err != nil {
+		return nil, err
+	}
+	excl, err := dining.ExclusionPred(s, fprog)
 	if err != nil {
 		return nil, err
 	}
@@ -121,10 +125,6 @@ func E13Encapsulated() (*Table, error) {
 		{"crash", adversary.Spec{CrashRate: 0.005, MaxCrashes: 1, CrashSeed: 13}},
 		{"stall", adversary.Spec{StallRate: 0.05, StallLen: 9, StallSeed: 13}},
 	} {
-		fprog, err := dining.ChandyMisraProgram(2)
-		if err != nil {
-			return nil, err
-		}
 		h := &adversary.Harness{
 			Sys:        s,
 			Instr:      system.InstrL,

@@ -105,7 +105,7 @@ func E16Statistical(eps float64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		excl, err := dining.LocalExclusionPred(sys)
+		excl, err := dining.LocalExclusionPred(sys, prog)
 		if err != nil {
 			return nil, err
 		}

@@ -303,10 +303,16 @@ func (m *Machine) AllHalted() bool {
 // and resolves the name through the program's symbol table; compiled
 // execution never goes through here.
 func (m *Machine) Local(p int, name string) (any, bool) {
-	s, ok := m.program.symIdx[name]
-	if !ok {
-		return nil, false
+	if s, ok := m.program.Lookup(name); ok {
+		return m.LocalAt(p, s)
 	}
+	return nil, false
+}
+
+// LocalAt is Local for a slot the machine's program resolved
+// (Program.Lookup): a predicate evaluated on every state resolves its
+// names once.
+func (m *Machine) LocalAt(p int, s Sym) (any, bool) {
 	v := m.frames[p].Locals[s]
 	if v == unset {
 		return nil, false

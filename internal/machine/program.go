@@ -135,6 +135,13 @@ func (p *Program) Len() int { return len(p.code) }
 // NumSyms returns the number of interned local slots.
 func (p *Program) NumSyms() int { return len(p.names) }
 
+// Lookup returns the slot of the local name, and whether the program
+// has one, so a reader resolves a name once (see Machine.LocalAt).
+func (p *Program) Lookup(name string) (Sym, bool) {
+	s, ok := p.symIdx[name]
+	return s, ok
+}
+
 // Sentinel errors for program construction.
 var (
 	ErrUnknownLabel = errors.New("machine: jump to unknown label")

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"slices"
 	"unsafe"
@@ -20,10 +21,11 @@ import (
 // length-prefixes — and the index stores each state as the fixed-width
 // vector of its windows' ids in a component table (compTable) instead of
 // as key bytes. Window ids are exact, so two states are equal exactly
-// when their vectors are. Vectors are bucketed by their full 64-bit
-// HashTokens hash and a bucket hit is confirmed by one fixed-width
-// compare, so ids are collision-free by construction — hash quality
-// affects only speed, never verdicts.
+// when their vectors are. Vectors are bucketed by their Zobrist hash
+// (hashVec), which the checker updates per step by a delta its step memo
+// carries, and a tag match is confirmed by one fixed-width compare, so
+// ids are collision-free by construction — hash quality affects only
+// speed, never verdicts.
 //
 //   - Ids are int64 (they used to be int32, which silently truncated
 //     and aliased distinct states past 2³¹ — exactly the scale this
@@ -73,12 +75,28 @@ const (
 	chunkSize  = 1 << chunkShift
 
 	// bucketSlotSize is the bucket directory's exact footprint per
-	// allocated open-addressing slot: one uint64 hash + one uint32 index.
-	bucketSlotSize = 12
-	// emptySlot marks an empty bucket slot, so an index must stay below
-	// it: the checker's MaxStates cap and compTable's id check see to it.
-	emptySlot = math.MaxUint32
+	// allocated open-addressing slot: a tag and an index in one uint64.
+	bucketSlotSize = 8
+	// maxIndices bounds a bucket table's indices, so index+1 fits a
+	// slot's 32 bits and a table never fills its 2³² slots: the
+	// checker's MaxStates cap and compTable's id check see to it.
+	maxIndices = math.MaxUint32
 )
+
+// hashVec is the Zobrist hash of a vector: the xor of vecWord over its
+// positions, so a new id at one position xors in its word and the old's.
+func hashVec(vec []uint32) uint64 {
+	var h uint64
+	for c, id := range vec {
+		h ^= vecWord(c, id)
+	}
+	return h
+}
+
+// vecWord is the hash word of id at position c of a vector.
+func vecWord(c int, id uint32) uint64 {
+	return canon.Mix64(uint64(c)<<32 | uint64(id))
+}
 
 // newStateIndex builds an empty index over width-component vectors;
 // hotCapBytes > 0 arms the spill tier, writing under dir (os.TempDir()
@@ -92,76 +110,91 @@ func newStateIndex(width int, hotCapBytes int64, dir string) *stateIndex {
 	return t
 }
 
-// bucketTable is an open-addressed multimap from full 64-bit hashes to
-// dense indices — the bucket directory of both the visited index and
-// the component table. A lookup is one masked index plus a short linear
-// scan (load never exceeds 3/4), with no hashing of the already-hashed
-// key and no per-key slice headers. Indices sharing a full hash
-// (collisions, effectively nonexistent) occupy separate slots along the
-// probe chain; exact comparison disambiguates them, so probe order never
+// bucketTable is an open-addressed multimap from 64-bit hashes to dense
+// indices — the bucket directory of the visited index, the component
+// table and the step memo. A slot is one uint64: the hash's top 32 bits,
+// its tag, above index+1, or 0 when empty. Its home is the tag's top
+// bits, so a lookup reads one array, the home slot and a short linear
+// scan (load never exceeds 3/4), and growth re-homes each slot from its
+// tag alone, reading no key; the table stops doubling at 2³² slots.
+// Indices sharing a tag occupy separate slots along the probe chain and
+// the caller's exact comparison disambiguates them, so probe order never
 // affects results.
 type bucketTable struct {
-	hashes []uint64
-	eis    []uint32 // emptySlot marks an empty slot
-	mask   uint64
-	n      int
+	slots []uint64
+	shift uint // a tag's home is tag >> shift
+	n     int
 }
 
-// add inserts an index under hash, growing at 3/4 load.
-func (bt *bucketTable) add(hash uint64, ei uint32) {
-	if bt.n*4 >= len(bt.eis)*3 {
+// add inserts index i under hash, growing at 3/4 load.
+func (bt *bucketTable) add(hash uint64, i uint32) {
+	if bt.n*4 >= len(bt.slots)*3 && uint64(len(bt.slots)) < 1<<32 {
 		bt.grow()
 	}
-	sl := hash & bt.mask
-	for bt.eis[sl] != emptySlot {
-		sl = (sl + 1) & bt.mask
-	}
-	bt.hashes[sl], bt.eis[sl] = hash, ei
+	bt.place(hash>>32<<32 | (uint64(i) + 1))
 	bt.n++
 }
 
+// place puts slot s at or after its home.
+func (bt *bucketTable) place(s uint64) {
+	mask := uint64(len(bt.slots) - 1)
+	sl := s >> 32 >> bt.shift
+	for bt.slots[sl] != 0 {
+		sl = (sl + 1) & mask
+	}
+	bt.slots[sl] = s
+}
+
 func (bt *bucketTable) grow() {
-	oldH, oldE := bt.hashes, bt.eis
+	old := bt.slots
 	size := 1024
-	if len(oldE) > 0 {
-		size = len(oldE) * 2
+	if len(old) > 0 {
+		size = len(old) * 2
 	}
-	bt.hashes = make([]uint64, size)
-	bt.eis = make([]uint32, size)
-	for i := range bt.eis {
-		bt.eis[i] = emptySlot
-	}
-	bt.mask = uint64(size - 1)
-	for i, ei := range oldE {
-		if ei == emptySlot {
-			continue
+	bt.slots = make([]uint64, size)
+	bt.shift = uint(32 - bits.TrailingZeros(uint(size)))
+	for _, s := range old {
+		if s != 0 {
+			bt.place(s)
 		}
-		sl := oldH[i] & bt.mask
-		for bt.eis[sl] != emptySlot {
-			sl = (sl + 1) & bt.mask
-		}
-		bt.hashes[sl], bt.eis[sl] = oldH[i], ei
 	}
+}
+
+// probe returns hash's tag and home, where its probe chain starts.
+func (bt *bucketTable) probe(hash uint64) (tag, sl uint64) {
+	return hash >> 32, hash >> 32 >> bt.shift
+}
+
+// next walks the probe chain from slot *sl to the first slot whose tag
+// is tag, returns its index and leaves *sl after it; it returns false at
+// the chain's end.
+func (bt *bucketTable) next(tag uint64, sl *uint64) (uint32, bool) {
+	mask := uint64(len(bt.slots) - 1)
+	for i := *sl; i < uint64(len(bt.slots)); i = (i + 1) & mask {
+		s := bt.slots[i]
+		if s == 0 {
+			break
+		}
+		if s>>32 == tag {
+			*sl = (i + 1) & mask
+			return uint32(s) - 1, true
+		}
+	}
+	return 0, false
 }
 
 // lookupHashed reports whether vec (with its precomputed hash) is
 // already indexed, and its id if so.
 func (t *stateIndex) lookupHashed(vec []uint32, hash uint64) (id int64, ok bool, err error) {
 	bt := &t.buckets
-	if bt.eis == nil {
-		return 0, false, nil
-	}
-	for sl := hash & bt.mask; bt.eis[sl] != emptySlot; sl = (sl + 1) & bt.mask {
-		if bt.hashes[sl] != hash {
-			continue
-		}
-		ei := int64(bt.eis[sl])
-		rec, err := t.record(ei)
+	tag, sl := bt.probe(hash)
+	for i, ok := bt.next(tag, &sl); ok; i, ok = bt.next(tag, &sl) {
+		rec, err := t.record(int64(i))
 		if err != nil {
 			return 0, false, err
 		}
 		if slices.Equal(rec, vec) {
-			return t.baseID + ei, true, nil
+			return t.baseID + int64(i), true, nil
 		}
 	}
 	return 0, false, nil
@@ -298,7 +331,7 @@ func (t *stateIndex) release() {
 // O(1), because the budget polls it after every push.
 func (t *stateIndex) memBytes() int64 {
 	return t.hot +
-		int64(len(t.buckets.eis))*bucketSlotSize +
+		int64(len(t.buckets.slots))*bucketSlotSize +
 		t.comps.memBytes() +
 		int64(cap(t.chunkBuf)+cap(t.recBuf)+4*cap(t.recVec))
 }
@@ -308,7 +341,7 @@ var errCompIDs = errors.New("mc: more than 2³² distinct component windows")
 
 // compTable interns component windows — the canonical encodings of
 // single processor frames and variables — as dense uint32 ids in
-// first-appearance order. A hash match is confirmed by comparing the
+// first-appearance order. A tag match is confirmed by comparing the
 // exact window bytes, so ids are collision-free. Ids name byte strings,
 // not positions: a state's vector says which window each of its
 // components holds. Beside each window the table keeps the value it
@@ -318,8 +351,9 @@ type compTable struct {
 	buckets bucketTable // window hash -> local index
 	offs    []int       // window i is data[offs[i]:offs[i+1]]; offs[0] = 0 once non-empty
 	data    []byte
-	base    uint64 // first id assigned; nonzero only in overflow tests
-	win     []byte // encode scratch for internEntry
+	keyLens []int64 // keyLens[i]: window i's bytes in a state key, with its uvarint length prefix
+	base    uint64  // first id assigned; nonzero only in overflow tests
+	win     []byte  // encode scratch for internEntry
 
 	// vals[k][i] is the value window i encodes at a processor (k = 0) or
 	// variable (k = 1) position, copied from the machine that first
@@ -330,42 +364,36 @@ type compTable struct {
 }
 
 // intern returns win's id, assigning the next one on first appearance.
+// A slot's home lies in the hash's top bits, which FNV-1a hardly mixes
+// the last bytes into (windows that differ in their last byte share one
+// home in a 1024-slot table), so Mix64 finishes the hash.
 func (ct *compTable) intern(win []byte) (uint32, error) {
-	return ct.internHashed(win, canon.HashBytes(win))
+	return ct.internHashed(win, canon.Mix64(canon.HashBytes(win)))
 }
 
 // internHashed is intern with a precomputed hash — the seam tests use to
 // force equal hashes.
 func (ct *compTable) internHashed(win []byte, hash uint64) (uint32, error) {
 	bt := &ct.buckets
-	if bt.eis != nil {
-		for sl := hash & bt.mask; bt.eis[sl] != emptySlot; sl = (sl + 1) & bt.mask {
-			if bt.hashes[sl] != hash {
-				continue
-			}
-			i := bt.eis[sl]
-			if bytes.Equal(ct.data[ct.offs[i]:ct.offs[i+1]], win) {
-				return uint32(ct.base + uint64(i)), nil
-			}
+	tag, sl := bt.probe(hash)
+	for i, ok := bt.next(tag, &sl); ok; i, ok = bt.next(tag, &sl) {
+		if bytes.Equal(ct.data[ct.offs[i]:ct.offs[i+1]], win) {
+			return uint32(ct.base + uint64(i)), nil
 		}
 	}
 	if ct.offs == nil {
 		ct.offs = []int{0}
 	}
 	i := len(ct.offs) - 1
-	if ct.base+uint64(i) > math.MaxUint32 || uint64(i) >= emptySlot {
+	if ct.base+uint64(i) > math.MaxUint32 || uint64(i) >= maxIndices {
 		return 0, errCompIDs
 	}
 	ct.data = append(ct.data, win...)
 	ct.offs = append(ct.offs, len(ct.data))
+	var prefix [binary.MaxVarintLen64]byte
+	ct.keyLens = append(ct.keyLens, int64(binary.PutUvarint(prefix[:], uint64(len(win)))+len(win)))
 	bt.add(hash, uint32(i))
 	return uint32(ct.base + uint64(i)), nil
-}
-
-// window returns the bytes of window id.
-func (ct *compTable) window(id uint32) []byte {
-	i := uint64(id) - ct.base
-	return ct.data[ct.offs[i]:ct.offs[i+1]]
 }
 
 // keyLen is the length of the full state key (machine.AppendStateKey)
@@ -373,19 +401,15 @@ func (ct *compTable) window(id uint32) []byte {
 func (ct *compTable) keyLen(vec []uint32) int64 {
 	var total int64
 	for _, id := range vec {
-		n := len(ct.window(id))
-		total += int64(n + 1)
-		for v := n; v >= 0x80; v >>= 7 {
-			total++
-		}
+		total += ct.keyLens[uint64(id)-ct.base]
 	}
 	return total
 }
 
 // memBytes is the table's resident footprint, from capacities: windows,
-// offsets, buckets and the stored values.
+// offsets, key lengths, buckets and the stored values.
 func (ct *compTable) memBytes() int64 {
-	return int64(cap(ct.data)+8*cap(ct.offs)+cap(ct.win)) + int64(len(ct.buckets.eis))*bucketSlotSize +
+	return int64(cap(ct.data)+8*cap(ct.offs)+8*cap(ct.keyLens)+cap(ct.win)) + int64(len(ct.buckets.slots))*bucketSlotSize +
 		8*int64(cap(ct.vals[0])+cap(ct.vals[1])) + ct.valBytes
 }
 
@@ -455,43 +479,48 @@ func (ct *compTable) frame(id uint32) *machine.Frame {
 
 // stepMemo maps a step of processor p from frame id f, touching the
 // variable whose window id is v (v = f for a step that touches none), to
-// the frame id f2 and variable id v2 after it. A step reads and writes
-// only those two components (machine.StepVar), so (p, f, v) fixes
-// (f2, v2). p is part of the key because naming may alias: under Q a
-// post rewrites every slot of p's window that lists the variable, which
-// depends on p.
+// the frame id f2 and variable id v2 after it, and to the delta that
+// change makes to a vector's hash. A step reads and writes only those
+// two components (machine.StepVar), so (p, f, v) fixes (f2, v2). p is
+// part of the key because naming may alias: under Q a post rewrites
+// every slot of p's window that lists the variable, which depends on p.
 type stepMemo struct {
 	buckets bucketTable // key hash -> entry index
 	entries []memoEntry
 }
 
-type memoEntry struct{ p, f, v, f2, v2 uint32 }
+// memoEntry is one memoized step. delta is the change the step makes to
+// a vector's hash: the xor of vecWord for f and f2 at p's position and,
+// when the step touches a variable, for v and v2 at its position; a step
+// that touches none keys as (p, f, f) and covers p's position once. The
+// step stutters exactly when f2 == f and v2 == v.
+type memoEntry struct {
+	p, f, v, f2, v2 uint32
+	delta           uint64
+}
 
 // lookup returns the entry for (p, f, v) and whether there is one, with
 // the key's hash for a following add.
-func (sm *stepMemo) lookup(p, f, v uint32) (memoEntry, uint64, bool) {
+func (sm *stepMemo) lookup(p, f, v uint32) (*memoEntry, uint64, bool) {
 	hash := canon.HashTokens([]uint32{p, f, v})
 	bt := &sm.buckets
-	if bt.eis != nil {
-		for sl := hash & bt.mask; bt.eis[sl] != emptySlot; sl = (sl + 1) & bt.mask {
-			if bt.hashes[sl] != hash {
-				continue
-			}
-			if e := sm.entries[bt.eis[sl]]; e.p == p && e.f == f && e.v == v {
-				return e, hash, true
-			}
+	tag, sl := bt.probe(hash)
+	for i, ok := bt.next(tag, &sl); ok; i, ok = bt.next(tag, &sl) {
+		if e := &sm.entries[i]; e.p == p && e.f == f && e.v == v {
+			return e, hash, true
 		}
 	}
-	return memoEntry{}, hash, false
+	return nil, hash, false
 }
 
-// add records e under its key's hash.
-func (sm *stepMemo) add(hash uint64, e memoEntry) {
+// add records e under its key's hash and returns the stored entry.
+func (sm *stepMemo) add(hash uint64, e memoEntry) *memoEntry {
 	sm.buckets.add(hash, uint32(len(sm.entries)))
 	sm.entries = append(sm.entries, e)
+	return &sm.entries[len(sm.entries)-1]
 }
 
 // memBytes is the memo's footprint, from capacities.
 func (sm *stepMemo) memBytes() int64 {
-	return int64(len(sm.buckets.eis))*bucketSlotSize + int64(cap(sm.entries))*int64(unsafe.Sizeof(memoEntry{}))
+	return int64(len(sm.buckets.slots))*bucketSlotSize + int64(cap(sm.entries))*int64(unsafe.Sizeof(memoEntry{}))
 }

@@ -30,7 +30,7 @@ func testVec(i, width int) []uint32 {
 // mustInsert inserts a vector known to be absent and returns its gid.
 func mustInsert(t *testing.T, idx *stateIndex, vec []uint32) int64 {
 	t.Helper()
-	hash := canon.HashTokens(vec)
+	hash := hashVec(vec)
 	if _, ok, err := idx.lookupHashed(vec, hash); err != nil {
 		t.Fatal(err)
 	} else if ok {
@@ -74,7 +74,7 @@ func TestIndexIDWidthBoundary(t *testing.T) {
 	// Every vector must resolve to its own id — an int32-width index
 	// would alias ids 2147483646 and beyond after truncation.
 	for i, vec := range vecs {
-		gid, ok, err := idx.lookupHashed(vec, canon.HashTokens(vec))
+		gid, ok, err := idx.lookupHashed(vec, hashVec(vec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestIndexMemBytesCountsCapacities(t *testing.T) {
 	// full hash must land in separate slots that all still resolve
 	// exactly (the probe chain disambiguates by vector comparison).
 	idx2 := newStateIndex(3, 0, "")
-	hash := canon.HashTokens([]uint32{7})
+	hash := hashVec([]uint32{7})
 	for i := 0; i < 100; i++ {
 		idx2.insert(testVec(i, 3), hash)
 	}
@@ -116,7 +116,7 @@ func TestIndexMemBytesCountsCapacities(t *testing.T) {
 			t.Errorf("same-hash vector %d resolved to gid %d", i, gid)
 		}
 	}
-	if got, wantMin := idx2.memBytes(), int64(len(idx2.buckets.eis))*bucketSlotSize; got < wantMin {
+	if got, wantMin := idx2.memBytes(), int64(len(idx2.buckets.slots))*bucketSlotSize; got < wantMin {
 		t.Errorf("memBytes = %d must cover the bucket directory's %d bytes", got, wantMin)
 	}
 
@@ -125,7 +125,7 @@ func TestIndexMemBytesCountsCapacities(t *testing.T) {
 	if _, err := idx2.comps.intern([]byte("a window")); err != nil {
 		t.Fatal(err)
 	}
-	if got := idx2.memBytes(); got-before < int64(len(idx2.comps.buckets.eis))*bucketSlotSize {
+	if got := idx2.memBytes(); got-before < int64(len(idx2.comps.buckets.slots))*bucketSlotSize {
 		t.Errorf("memBytes grew %d after the first intern; the component table's bucket directory must be charged", got-before)
 	}
 }
@@ -162,7 +162,7 @@ func TestIndexSpillRoundTrip(t *testing.T) {
 
 			for i, gid := range gids {
 				vec := testVec(i, width)
-				got, ok, err := idx.lookupHashed(vec, canon.HashTokens(vec))
+				got, ok, err := idx.lookupHashed(vec, hashVec(vec))
 				if err != nil {
 					t.Fatalf("vector %d: %v", i, err)
 				}
@@ -245,7 +245,7 @@ func TestCompTableMatchesMapReference(t *testing.T) {
 				if i%97 == 0 {
 					win = nil
 				}
-				hash := canon.HashBytes(win)
+				hash := canon.Mix64(canon.HashBytes(win))
 				if forced {
 					hash = math.MaxUint64
 				}
@@ -262,8 +262,8 @@ func TestCompTableMatchesMapReference(t *testing.T) {
 					t.Fatalf("intern %d (%q) = %d, want %d", i, win, id, want)
 				}
 			}
-			if len(ct.buckets.eis) <= 1024 {
-				t.Errorf("table never grew: %d slots", len(ct.buckets.eis))
+			if len(ct.buckets.slots) <= 1024 {
+				t.Errorf("table never grew: %d slots", len(ct.buckets.slots))
 			}
 			for w, id := range ref {
 				if got := ct.window(id); !bytes.Equal(got, []byte(w)) {
@@ -272,6 +272,43 @@ func TestCompTableMatchesMapReference(t *testing.T) {
 			}
 			if got := len(ct.offs) - 1; got != len(ref) {
 				t.Errorf("table holds %d windows, reference %d", got, len(ref))
+			}
+		})
+	}
+}
+
+// TestBucketTableGrowth grows a bucket table through four doublings and
+// then finds every index on its hash's probe chain, which only holds if
+// each doubling re-homed every slot from its tag's top bits. With
+// distinct tags the indices spread over the table; with forced-equal
+// tags (distinct hashes, one top half) they form one chain, which must
+// start at the tag's home, mid-table.
+func TestBucketTableGrowth(t *testing.T) {
+	const n = 7000 // 1024 slots doubled to 16384
+	for _, forced := range []bool{false, true} {
+		t.Run(fmt.Sprint("forced=", forced), func(t *testing.T) {
+			hash := func(i int) uint64 {
+				if forced {
+					return 0x8000_0001<<32 | uint64(i)
+				}
+				return canon.Mix64(uint64(i))
+			}
+			var bt bucketTable
+			for i := range n {
+				bt.add(hash(i), uint32(i))
+			}
+			if len(bt.slots) != 16384 || bt.n != n {
+				t.Fatalf("%d indices in %d slots; want %d in 16384", bt.n, len(bt.slots), n)
+			}
+			for i := range n {
+				found := false
+				tag, sl := bt.probe(hash(i))
+				for j, ok := bt.next(tag, &sl); ok && !found; j, ok = bt.next(tag, &sl) {
+					found = j == uint32(i)
+				}
+				if !found {
+					t.Fatalf("index %d is not on the probe chain of its hash %#x", i, hash(i))
+				}
 			}
 		})
 	}
@@ -296,4 +333,10 @@ func TestCompTableIDOverflow(t *testing.T) {
 	if id, err := ct.intern([]byte{1}); err != nil || id != math.MaxUint32 {
 		t.Errorf("re-intern of a known window = %d, %v", id, err)
 	}
+}
+
+// window returns the bytes of window id.
+func (ct *compTable) window(id uint32) []byte {
+	i := uint64(id) - ct.base
+	return ct.data[ct.offs[i]:ct.offs[i+1]]
 }

@@ -18,18 +18,19 @@
 //   - The visited set is collapse-compressed: a component table interns
 //     each processor frame's and variable's canonical window (the units
 //     of machine.AppendStateKey) as a dense uint32 id, and the hashed
-//     index (stateIndex, mirroring partition.SigTable) stores each state
-//     as its fixed-width vector of ids. Options.HotIndexBytes spills
-//     cold vectors to disk.
+//     index (stateIndex) stores each state as its fixed-width vector of
+//     ids, under an xor hash of its (position, id) pairs in 8-byte tag
+//     slots. Options.HotIndexBytes spills cold vectors to disk.
 //   - Expansion steps on ids. A step of processor p reads and writes
 //     only p's frame and the one variable machine.StepVar names, so a
 //     successor's vector is its parent's with at most those two ids
 //     replaced, and a step memo maps (p, frame id, variable id) to the
-//     new pair. Only a miss runs the machine: it loads one scratch
-//     machine to the parent, steps it and interns the two windows. The
-//     worst case, a key that never repeats, costs one memo probe and
-//     insert on top of that load, step and intern.
-//   - A frontier state is nothing but its vector. The component table
+//     new pair and the xor it makes to the hash, so a successor costs a
+//     probe and an xor at any width. Only a miss runs the machine: it
+//     loads one scratch machine to the parent, steps it and interns the
+//     two windows. The worst case, a key that never repeats, costs one
+//     memo probe and insert on top of that load, step and intern.
+//   - A frontier state is its vector and hash. The component table
 //     keeps the value each window encodes, so a vector alone rebuilds
 //     its state, rewriting only the components whose ids differ: for a
 //     memo miss, for a new state's StatePreds and StuckBad, and for both
@@ -58,7 +59,6 @@ import (
 	"unsafe"
 
 	"simsym/internal/autgrp"
-	"simsym/internal/canon"
 	"simsym/internal/machine"
 	"simsym/internal/obs"
 	"simsym/internal/system"
@@ -294,25 +294,31 @@ func (a *chunked[T]) memBytes() int64 {
 	return int64(cap(a.chunks[0])+(len(a.chunks)-1)*chunkLen) * int64(unsafe.Sizeof(x))
 }
 
-// succInfo is one successor's dedup key hash and whether the step was a
-// stutter (self-loop).
+// succInfo is one successor's dedup key with its hash, and whether the
+// step was a stutter (self-loop).
 type succInfo struct {
+	key      []uint32
 	hash     uint64
 	selfLoop bool
 }
 
-// batch is the per-state expansion output: one successor vector per
-// processor, W ids each. The one batch is reused for every expanded
-// state, so steady-state expansion does not allocate per state.
+// batch is the per-state expansion output: one successor record per
+// processor. The one batch is reused for every expanded state, so
+// steady-state expansion does not allocate per state.
 //
-// raw[p·W:] is processor p's successor and keys[p·W:] its dedup key:
-// the least image of its vector under symmetry reduction, the vector
-// itself otherwise.
+// raw[p·(W+2):] is processor p's successor as the frontier stores it:
+// its W ids, then its vector's hash in two words (putHash). keys[p·W:]
+// holds its least image under symmetry reduction.
 type batch struct {
 	raw   []uint32
 	keys  []uint32
 	succs []succInfo
 }
+
+// putHash stores h in dst[0:2], low word first; getHash reads it back.
+func putHash(dst []uint32, h uint64) { dst[0], dst[1] = uint32(h), uint32(h>>32) }
+
+func getHash(src []uint32) uint64 { return uint64(src[0]) | uint64(src[1])<<32 }
 
 type checker struct {
 	opts          Options
@@ -331,11 +337,12 @@ type checker struct {
 	// recorded only when Options.StuckBad is set.
 	succ chunked[uint32]
 	// levelVecs and nextVecs are the current and next BFS frontiers: the
-	// states' raw (unpermuted) vectors, W ids per state in frontier order.
-	// States are pushed in node order, so a frontier's node ids are
-	// contiguous: state i of the current level is node levelStart+i.
-	// Expansion reads the parent's vector here, never from the index,
-	// which stores permuted representatives and may have spilled them.
+	// states' raw (unpermuted) vectors in frontier order, W ids and then
+	// the vector's hash in two words per state (see batch). States are
+	// pushed in node order, so a frontier's node ids are contiguous: state
+	// i of the current level is node levelStart+i. Expansion reads the
+	// parent's vector and hash here, never from the index, which stores
+	// permuted representatives and may have spilled them.
 	levelVecs, nextVecs []uint32
 	levelStart          int
 	// root is the initial machine, on which the stuck search replays its
@@ -412,7 +419,7 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 		}
 	}
 	b := &c.batch
-	b.raw = make([]uint32, c.nProcs*width)
+	b.raw = make([]uint32, c.nProcs*(width+2))
 	b.keys = make([]uint32, c.nProcs*width)
 	b.succs = make([]succInfo, c.nProcs)
 
@@ -421,17 +428,18 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 	// The scratch machine, and the parent machine, start as clones of
 	// the root.
 	opts.Obs.PhaseStart("mc.check")
-	raw, key := b.raw[:width], b.keys[:width]
-	if err := c.idx.comps.vector(raw, m0); err != nil {
+	raw := b.raw[:width+2]
+	if err := c.idx.comps.vector(raw[:width], m0); err != nil {
 		return nil, err
 	}
-	c.m, c.mVec = m0.Clone(), slices.Clone(raw)
+	c.m, c.mVec = m0.Clone(), slices.Clone(raw[:width])
 	if len(opts.TransPreds) > 0 {
-		c.parent, c.parentVec = m0.Clone(), slices.Clone(raw)
+		c.parent, c.parentVec = m0.Clone(), slices.Clone(raw[:width])
 	}
-	c.minimize(key, raw)
-	rootIdx := c.push(raw, key, canon.HashTokens(key), 0, 0)
-	if v := c.checkState(raw, rootIdx); v != nil {
+	putHash(raw[width:], hashVec(raw[:width]))
+	c.dedup(0)
+	rootIdx := c.push(raw, &b.succs[0], 0, 0)
+	if v := c.checkState(raw[:width], rootIdx); v != nil {
 		c.res.Violation = v
 		return c.finish(nil)
 	}
@@ -544,9 +552,9 @@ func (c *checker) finish(err error) (*Result, error) {
 // runLevel expands and merges the n states of the current level one at
 // a time, in frontier order, reusing a single batch.
 func (c *checker) runLevel(n int) (bool, error) {
-	w := c.width
+	s := c.width + 2
 	for i := 0; i < n; i++ {
-		if err := c.expand(c.levelVecs[i*w : (i+1)*w]); err != nil {
+		if err := c.expand(c.levelVecs[i*s : (i+1)*s]); err != nil {
 			return true, err
 		}
 		if done, err := c.merge(c.levelStart + i); done {
@@ -556,21 +564,23 @@ func (c *checker) runLevel(n int) (bool, error) {
 	return false, nil
 }
 
-// expand computes all successors of the state curVec spells into
-// c.batch: their vectors and dedup-key hashes. Predicates never run
-// here.
+// expand computes all successors of the frontier record cur (a vector
+// and its hash) into c.batch: their records and dedup-key hashes.
+// Predicates never run here.
 //
-// This is the hot loop. Processor p's successor is curVec with p's frame
-// id and the id of the variable its step touches (machine.StepVar)
-// replaced by the pair the step memo holds for them. On a miss the
-// scratch machine is loaded to the parent, stepped, and its two
-// windows interned — no other component is encoded, copied or read.
-func (c *checker) expand(curVec []uint32) error {
+// This is the hot loop. Processor p's successor is cur with p's frame id
+// and the id of the variable its step touches (machine.StepVar) replaced
+// by the pair the step memo holds for them, and its hash is cur's xor
+// the entry's delta. On a miss the scratch machine is loaded to the
+// parent, stepped, and its two windows interned — no other component is
+// encoded, copied or read.
+func (c *checker) expand(cur []uint32) error {
 	b := &c.batch
 	w := c.width
 	ct := &c.idx.comps
+	curVec, hash := cur[:w], getHash(cur[w:])
 	for p := 0; p < c.nProcs; p++ {
-		raw := b.raw[p*w : (p+1)*w]
+		raw := b.raw[p*(w+2) : (p+1)*(w+2)]
 		copy(raw, curVec)
 		// vc is the position of the variable p's step touches, or p's own
 		// when it touches none: a frame's steps touch one always or never,
@@ -579,7 +589,8 @@ func (c *checker) expand(curVec []uint32) error {
 		if v := c.root.StepVar(p, ct.frame(curVec[p])); v >= 0 {
 			vc = c.nProcs + v
 		}
-		e, hash, ok := c.memo.lookup(uint32(p), curVec[p], curVec[vc])
+		f, v := curVec[p], curVec[vc]
+		e, mhash, ok := c.memo.lookup(uint32(p), f, v)
 		if !ok {
 			ct.load(c.m, c.mVec, curVec)
 			if err := c.m.Step(p); err != nil {
@@ -590,18 +601,20 @@ func (c *checker) expand(curVec []uint32) error {
 					return err
 				}
 			}
-			e = memoEntry{uint32(p), curVec[p], curVec[vc], c.mVec[p], c.mVec[vc]}
-			c.memo.add(hash, e)
+			f2, v2 := c.mVec[p], c.mVec[vc]
+			delta := vecWord(p, f) ^ vecWord(p, f2)
+			if vc != p {
+				delta ^= vecWord(vc, v) ^ vecWord(vc, v2)
+			}
+			e = c.memo.add(mhash, memoEntry{uint32(p), f, v, f2, v2, delta})
 			c.stats.MemoMisses++
 			c.stats.MemoEntries = int64(len(c.memo.entries))
 		}
 		raw[p], raw[vc] = e.f2, e.v2
+		putHash(raw[w:], hash^e.delta)
 		si := &b.succs[p]
-		si.selfLoop = slices.Equal(raw, curVec)
-		if !si.selfLoop {
-			key := b.keys[p*w : (p+1)*w]
-			c.minimize(key, raw)
-			si.hash = canon.HashTokens(key)
+		if si.selfLoop = e.f2 == e.f && e.v2 == e.v; !si.selfLoop {
+			c.dedup(p)
 		}
 	}
 	if c.parent != nil {
@@ -610,12 +623,25 @@ func (c *checker) expand(curVec []uint32) error {
 	return nil
 }
 
+// dedup sets the dedup key of processor p's successor in the batch and
+// its hash: the successor's vector and the hash its record carries, or
+// under symmetry reduction its least image, hashed in full.
+func (c *checker) dedup(p int) {
+	b, w := &c.batch, c.width
+	rec, si := b.raw[p*(w+2):(p+1)*(w+2)], &b.succs[p]
+	si.key, si.hash = rec[:w], getHash(rec[w:])
+	if c.permAt != nil {
+		si.key = b.keys[p*w : (p+1)*w]
+		c.minimize(si.key, rec[:w])
+		si.hash = hashVec(si.key)
+	}
+}
+
 // minimize writes into key the least image of raw, in lexicographic id
 // order, over the automorphism group — the orbit-canonical dedup key.
 // Automorphism k maps position i to the component at permAt[k·W+i]
 // (processors by ProcPerm, variables by VarPerm), the relabeling
-// machine.AppendStateKey's procAt/varAt apply to keys. Without symmetry
-// reduction the key is raw itself.
+// machine.AppendStateKey's procAt/varAt apply to keys.
 func (c *checker) minimize(key, raw []uint32) {
 	copy(key, raw)
 	for k := 0; k < len(c.permAt); k += c.width {
@@ -645,9 +671,9 @@ func (c *checker) merge(curIdx int) (bool, error) {
 	b := &c.batch
 	w := c.width
 	for p, si := range b.succs {
-		raw := b.raw[p*w : (p+1)*w]
+		raw := b.raw[p*(w+2) : (p+1)*(w+2)]
 		for _, pred := range c.opts.TransPreds {
-			if reason := pred(c.parent, c.load(raw), p); reason != "" {
+			if reason := pred(c.parent, c.load(raw[:w]), p); reason != "" {
 				c.res.Violation = &Violation{
 					Reason:   reason,
 					Schedule: append(c.scheduleTo(curIdx), p),
@@ -660,8 +686,7 @@ func (c *checker) merge(curIdx int) (bool, error) {
 			c.stats.SelfLoops++
 		} else {
 			c.stats.Transitions++
-			key := b.keys[p*w : (p+1)*w]
-			if id, ok, err := c.idx.lookupHashed(key, si.hash); err != nil {
+			if id, ok, err := c.idx.lookupHashed(si.key, si.hash); err != nil {
 				return true, err
 			} else if ok {
 				c.stats.DedupHits++
@@ -671,9 +696,9 @@ func (c *checker) merge(curIdx int) (bool, error) {
 				// explores exactly MaxStates states, never MaxStates+1.
 				return true, c.exhaust("states")
 			} else {
-				id := c.push(raw, key, si.hash, curIdx, p)
+				id := c.push(raw, &si, curIdx, p)
 				to = uint32(id)
-				if v := c.checkState(raw, id); v != nil {
+				if v := c.checkState(raw[:w], id); v != nil {
 					c.res.Violation = v
 					return true, nil
 				}
@@ -689,18 +714,18 @@ func (c *checker) merge(curIdx int) (bool, error) {
 	return false, nil
 }
 
-// push commits the new state raw spells: it indexes key (the state's
-// dedup vector) and appends the state's node with its stuck flag, raw
-// to the next frontier, and the explored-state counters. It returns the
-// node index, which equals the index id minus baseID because ids are
-// dense and assigned in the same order as nodes.
-func (c *checker) push(raw, key []uint32, hash uint64, parent, step int) int {
-	c.idx.insert(key, hash)
-	c.logicalKeyBytes += c.idx.comps.keyLen(key)
-	c.nextVecs = append(c.nextVecs, raw...)
+// push commits the new state whose frontier record is rec: it indexes
+// the state's dedup key and appends the state's node with its stuck
+// flag, rec to the next frontier, and the explored-state counters. It
+// returns the node index, which equals the index id minus baseID because
+// ids are dense and assigned in the same order as nodes.
+func (c *checker) push(rec []uint32, si *succInfo, parent, step int) int {
+	c.idx.insert(si.key, si.hash)
+	c.logicalKeyBytes += c.idx.comps.keyLen(si.key)
+	c.nextVecs = append(c.nextVecs, rec...)
 	id := c.nodes.n
 	nd := node{parent: uint32(parent), step: uint32(step)}
-	if c.opts.StuckBad != nil && c.opts.StuckBad(c.load(raw)) != "" {
+	if c.opts.StuckBad != nil && c.opts.StuckBad(c.load(rec[:c.width])) != "" {
 		nd.step |= stuckBit
 	}
 	c.nodes.push(nd)
@@ -747,9 +772,10 @@ func (c *checker) pollBudgets() (bool, error) {
 
 // memEstimate approximates the checker's live heap during exploration:
 // the visited index (with the component table and its stored values),
-// the step memo, the node and successor chunks, and both frontier vector
-// buffers. Capacities, not lengths: an allocated chunk or backing array
-// is real memory whether or not it is full yet.
+// the step memo, the node and successor chunks, and both frontier
+// buffers with their vectors' hashes. Capacities, not lengths: an
+// allocated chunk or backing array is real memory whether or not it is
+// full yet.
 func (c *checker) memEstimate() int64 {
 	return c.idx.memBytes() + c.memo.memBytes() + c.nodes.memBytes() + c.succ.memBytes() +
 		4*int64(cap(c.levelVecs)+cap(c.nextVecs))

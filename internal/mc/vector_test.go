@@ -21,7 +21,10 @@ import (
 // state is expanded the way the checker expands it (checker.expand).
 // Each child's vector must equal the vector of a fresh machine that
 // replays the child's schedule and interns every window, whether the
-// memo hit or missed. Every loaded parent and every child must spell
+// memo hit or missed; its hash, the parent's xor the memo entry's
+// delta, must equal its vector's full hash (hashVec), and its stutter
+// bit must say whether its vector is the parent's. Every loaded parent
+// and every child must spell
 // its state's full key: the uvarint-prefixed concatenation of its
 // vector's windows equals AppendStateKey, and two vectors are equal
 // exactly when their keys are. Under Q the key holds every subvalue
@@ -113,7 +116,7 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 	m := factory()
 	np, nv, w := m.NumProcs(), m.NumVars(), m.NumProcs()+m.NumVars()
 	c := &checker{nProcs: np, width: w, idx: newStateIndex(w, 0, ""), root: m, stats: &Stats{}}
-	c.batch = batch{raw: make([]uint32, np*w), keys: make([]uint32, np*w), succs: make([]succInfo, np)}
+	c.batch = batch{raw: make([]uint32, np*(w+2)), keys: make([]uint32, np*w), succs: make([]succInfo, np)}
 	ct := &c.idx.comps
 	keyToVec := map[string]string{}
 	vecToKey := map[string]string{}
@@ -156,21 +159,33 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 		keyToVec[string(key)], vecToKey[vs] = vs, string(key)
 	}
 
-	curVec := make([]uint32, w)
+	// cur is the frontier record of the walk's state: its vector, then
+	// the vector's hash in two words.
+	cur := make([]uint32, w+2)
+	curVec := cur[:w]
 	if err := ct.vector(curVec, m); err != nil {
 		t.Fatal(err)
 	}
+	putHash(cur[w:], hashVec(curVec))
 	c.m, c.mVec = m.Clone(), slices.Clone(curVec)
 	check(curVec)
 	for range length {
 		misses := c.stats.MemoMisses
-		if err := c.expand(curVec); err != nil {
+		if err := c.expand(cur); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		hits += np - int(c.stats.MemoMisses-misses)
 		for p := range np {
-			vec := c.batch.raw[p*w : (p+1)*w]
-			if slices.Equal(vec, curVec) {
+			rec := c.batch.raw[p*(w+2) : (p+1)*(w+2)]
+			vec := rec[:w]
+			if got, want := getHash(rec[w:]), hashVec(vec); got != want {
+				t.Fatalf("%s: the step of %d from %v reaches %v with hash %#x; its full hash is %#x", name, p, curVec, vec, got, want)
+			}
+			stutter := slices.Equal(vec, curVec)
+			if c.batch.succs[p].selfLoop != stutter {
+				t.Fatalf("%s: the step of %d from %v has stutter bit %v, but reaches %v", name, p, curVec, c.batch.succs[p].selfLoop, vec)
+			}
+			if stutter {
 				stutters++
 			}
 			if m.StepVar(p, ct.frame(curVec[p])) >= 0 {
@@ -178,9 +193,9 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 			}
 			check(vec, walkOp{'s', p})
 		}
-		// Continue from one child: like the checker, keep only its vector.
+		// Continue from one child: like the checker, keep only its record.
 		p := rng.Intn(np)
-		curVec = append(curVec[:0], c.batch.raw[p*w:(p+1)*w]...)
+		copy(cur, c.batch.raw[p*(w+2):(p+1)*(w+2)])
 		walk = append(walk, walkOp{'s', p})
 		op := walkOp{'c', rng.Intn(np)}
 		if rng.Intn(2) == 0 {
@@ -193,6 +208,7 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 			if err := ct.vector(curVec, c.m); err != nil {
 				t.Fatal(err)
 			}
+			putHash(cur[w:], hashVec(curVec))
 			copy(c.mVec, curVec)
 			walk = append(walk, op)
 			check(curVec)

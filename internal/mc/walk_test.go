@@ -179,6 +179,8 @@ func (w *exactWalk) assertCounts(t *testing.T, res *Result) {
 }
 
 // walkPreds are the state predicates FuzzCheckMatchesWalk picks from.
+// Every one but the last is invariant under the system's automorphisms,
+// so symmetric runs pick from walkPreds[:len(walkPreds)-1].
 var walkPreds = []StatePredicate{
 	nil,
 	UniquenessPred,
@@ -292,33 +294,45 @@ const walkCap = 4000
 // FuzzCheckMatchesWalk checks the checker against exactWalk on a random
 // system of at most 4 processors, 3 variables and 2 names (a processor
 // may give one variable two names) running a random S, L or Q program,
-// or on a fixture. The input also picks a state predicate and whether a
-// transition predicate runs; that predicate checks every step the
-// checker shows it against the walk's. Check must count the walk's
-// states, transitions, self-loops and dedup hits, find a violation
-// exactly when the walk does, and give a witness that a fresh machine
-// replays to a flagged state at the walk's depth.
+// or on a fixture. The input also picks a state predicate, whether a
+// transition predicate runs and whether Check reduces by symmetry; the
+// transition predicate checks every step the checker shows it against
+// the walk's. Check must find a violation exactly when the walk does
+// and give a witness that a fresh machine replays to a flagged state at
+// the walk's depth. Without a violation it must count the walk's
+// states, transitions, self-loops and dedup hits, or under symmetry
+// reduction explore one state per orbit the walk counts; symmetric runs
+// use only the automorphism-invariant predicates.
 func FuzzCheckMatchesWalk(f *testing.F) {
 	for _, fix := range []uint8{fixFig1Posts, fixFig2Posts, fixWindowCollision, fixAliasedPosts} {
-		f.Add(fix, int64(0), uint8(0), uint8(0), uint8(0), int64(0), uint8(0), uint8(0), uint8(0), true)
+		f.Add(fix, int64(0), uint8(0), uint8(0), uint8(0), int64(0), uint8(0), uint8(0), uint8(0), true, false)
 	}
-	f.Add(uint8(fixFig1Posts), int64(0), uint8(0), uint8(0), uint8(0), int64(0), uint8(0), uint8(0), uint8(3), false)
+	f.Add(uint8(fixFig1Posts), int64(0), uint8(0), uint8(0), uint8(0), int64(0), uint8(0), uint8(0), uint8(3), false, false)
 	for _, seed := range []int64{1, 3, 4, 5, 8, 9, 10, 13} {
-		f.Add(uint8(fixRandom), seed, uint8(seed), uint8(seed%2), uint8(1), seed, uint8(seed), uint8(5), uint8(seed), seed%2 == 0)
+		f.Add(uint8(fixRandom), seed, uint8(seed), uint8(seed%2), uint8(1), seed, uint8(seed), uint8(5), uint8(seed), seed%2 == 0, false)
 	}
-	f.Fuzz(func(t *testing.T, fixture uint8, sysSeed int64, procs, vars, names uint8, progSeed int64, instr, length, predIdx uint8, trans bool) {
+	f.Add(uint8(fixFig2Posts), int64(0), uint8(0), uint8(0), uint8(0), int64(0), uint8(0), uint8(0), uint8(0), true, true)
+	f.Add(uint8(fixFig2Posts), int64(0), uint8(0), uint8(0), uint8(0), int64(0), uint8(0), uint8(0), uint8(3), false, true)
+	for _, seed := range []int64{34, 86, 126} { // groups of order 6, 2, 6 under L, Q, S
+		f.Add(uint8(fixRandom), seed, uint8(seed), uint8(seed%2), uint8(1), seed, uint8(seed), uint8(5), uint8(seed), seed == 86, true)
+	}
+	f.Fuzz(func(t *testing.T, fixture uint8, sysSeed int64, procs, vars, names uint8, progSeed int64, instr, length, predIdx uint8, trans, sym bool) {
 		sys, set, prog := walkFixture(t, fixture, sysSeed, procs, vars, names, progSeed, instr, length)
 		factory := func() (*machine.Machine, error) { return machine.New(sys, set, prog) }
-		pred := walkPreds[int(predIdx)%len(walkPreds)]
+		preds, orbitsOf := walkPreds, (*system.System)(nil)
+		if sym {
+			preds, orbitsOf = walkPreds[:len(walkPreds)-1], sys
+		}
+		pred := preds[int(predIdx)%len(preds)]
 		limit := walkCap
 		if fixture >= fixFig1Posts && fixture <= fixAliasedPosts {
 			limit = 0
 		}
-		w := walkExact(t, factory, pred, nil, limit)
+		w := walkExact(t, factory, pred, orbitsOf, limit)
 		if w.truncated {
 			t.Skipf("the walk passed %d states", walkCap)
 		}
-		opts := Options{}
+		opts := Options{SymmetryReduce: sym}
 		if pred != nil {
 			opts.StatePreds = []StatePredicate{pred}
 		}
@@ -343,6 +357,12 @@ func FuzzCheckMatchesWalk(f *testing.F) {
 		}
 		if (res.Violation != nil) != (w.violation != "") {
 			t.Fatalf("Check found %+v; the walk found %q", res.Violation, w.violation)
+		}
+		if w.violation == "" && sym {
+			if res.StatesExplored != w.orbits {
+				t.Fatalf("Check explored %d states under symmetry reduction; the walk counts %d orbits", res.StatesExplored, w.orbits)
+			}
+			return
 		}
 		if w.violation == "" {
 			w.assertCounts(t, res)

@@ -144,29 +144,6 @@ func (p *Partition) Classes() [][]int {
 	return out
 }
 
-// ClassSizes returns the size of each class.
-func (p *Partition) ClassSizes() []int {
-	out := make([]int, len(p.members))
-	for c, m := range p.members {
-		out[c] = len(m)
-	}
-	return out
-}
-
-// SingletonClasses returns the nodes that are alone in their class, in
-// ascending order. For similarity labelings these are the uniquely-labeled
-// nodes — the candidates the paper's SELECT can elect.
-func (p *Partition) SingletonClasses() []int {
-	var out []int
-	for _, m := range p.members {
-		if len(m) == 1 {
-			out = append(out, m[0])
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Canonical returns the label vector renumbered so that class ids appear
 // in order of first occurrence. Two partitions of the same node set induce
 // the same equivalence relation iff their Canonical vectors are equal.
@@ -196,28 +173,6 @@ func SameRelation(p, q *Partition) bool {
 	for i := range a {
 		if a[i] != b[i] {
 			return false
-		}
-	}
-	return true
-}
-
-// Refines reports whether p refines q: every class of p is contained in a
-// class of q (p is "finer"). The paper's subsimilarity labelings are
-// exactly the labelings refined by the similarity labeling, and
-// supersimilarity labelings are exactly those that refine it.
-func Refines(p, q *Partition) bool {
-	if len(p.label) != len(q.label) {
-		return false
-	}
-	// p refines q iff p-label determines q-label.
-	image := make(map[int]int)
-	for i := range p.label {
-		if img, ok := image[p.label[i]]; ok {
-			if img != q.label[i] {
-				return false
-			}
-		} else {
-			image[p.label[i]] = q.label[i]
 		}
 	}
 	return true

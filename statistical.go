@@ -229,7 +229,7 @@ func CheckStatisticalDining(sys *System, prog *Program, opts ...Option) (*StatRe
 		return nil, fmt.Errorf("%w: CheckStatisticalDining: nil system or program", ErrBadArgs)
 	}
 	o := buildOptions(opts)
-	excl, err := dining.LocalExclusionPred(sys)
+	excl, err := dining.LocalExclusionPred(sys, prog)
 	if err != nil {
 		return nil, fmt.Errorf("CheckStatisticalDining: %w", err)
 	}

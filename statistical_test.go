@@ -78,7 +78,7 @@ func TestCheckStatisticalDiningLockDropViolationReplays(t *testing.T) {
 		t.Fatal("a lock-drop violation needs at least one fault in its log")
 	}
 
-	excl, err := dining.LocalExclusionPred(sys)
+	excl, err := dining.LocalExclusionPred(sys, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
