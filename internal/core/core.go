@@ -620,20 +620,6 @@ func IsSubsimilarity(sys *system.System, rule Rule, lab *Labeling) (bool, error)
 	return true, nil
 }
 
-// IsSimilarityLabeling reports whether lab IS the similarity labeling:
-// both a supersimilarity labeling (stable) and a subsimilarity labeling
-// (coarser than or equal to Θ) — which pins it to Θ up to renaming.
-func IsSimilarityLabeling(sys *system.System, rule Rule, lab *Labeling) (bool, error) {
-	super, err := IsStable(sys, rule, lab)
-	if err != nil {
-		return false, err
-	}
-	if !super {
-		return false, nil
-	}
-	return IsSubsimilarity(sys, rule, lab)
-}
-
 // NoSameNameSharers reports whether no two same-labeled processors give
 // the same name to the same variable (the side condition of Theorem 8).
 func NoSameNameSharers(sys *system.System, lab *Labeling) (bool, error) {

@@ -640,3 +640,17 @@ func TestSimilarityWithSetRuleRounds(t *testing.T) {
 		}
 	}
 }
+
+// IsSimilarityLabeling reports whether lab IS the similarity labeling:
+// both a supersimilarity labeling (stable) and a subsimilarity labeling
+// (coarser than or equal to Θ) — which pins it to Θ up to renaming.
+func IsSimilarityLabeling(sys *system.System, rule Rule, lab *Labeling) (bool, error) {
+	super, err := IsStable(sys, rule, lab)
+	if err != nil {
+		return false, err
+	}
+	if !super {
+		return false, nil
+	}
+	return IsSubsimilarity(sys, rule, lab)
+}

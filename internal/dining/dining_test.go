@@ -1,8 +1,10 @@
 package dining
 
 import (
+	"fmt"
 	"testing"
 
+	"simsym/internal/machine"
 	"simsym/internal/mc"
 	"simsym/internal/system"
 )
@@ -257,4 +259,55 @@ func TestAdjacency(t *testing.T) {
 	if _, err := Adjacency(system.Fig2()); err == nil {
 		t.Error("Fig2 should not be accepted as a dining table")
 	}
+}
+
+// GreedyProgram is the strawman that ignores locking: read both forks,
+// and if both look free, mark them taken and eat. Exclusion fails under
+// schedules that interleave the reads — the Figure 4 "all philosophers
+// eat together" scenario in miniature (runs in S).
+func GreedyProgram() (*machine.Program, error) {
+	b := machine.NewBuilder()
+	l, r0 := b.Sym("_l"), b.Sym("_r")
+	eatingS, markS := b.Sym("eating"), b.Sym("_mark")
+	b.Read("left", "_l")
+	b.Read("right", "_r")
+	b.JumpIf(func(r *machine.Regs) bool {
+		return r.Get(l) != "0" || r.Get(r0) != "0"
+	}, "skip")
+	b.Compute(func(r *machine.Regs) {
+		r.Set(eatingS, true)
+		r.Set(markS, "taken")
+	})
+	b.Write("left", "_mark")
+	b.Write("right", "_mark")
+	b.Label("skip")
+	b.Halt()
+	return b.Build()
+}
+
+// CheckGreedy model-checks the greedy program (instruction set S) for
+// exclusion violations.
+func CheckGreedy(sys *system.System, maxStates int) (*Report, error) {
+	prog, err := GreedyProgram()
+	if err != nil {
+		return nil, err
+	}
+	exclusion, err := ExclusionPred(sys, prog)
+	if err != nil {
+		return nil, err
+	}
+	res, err := mc.Check(func() (*machine.Machine, error) {
+		return machine.New(sys, system.InstrS, prog)
+	}, mc.Options{
+		MaxStates:  maxStates,
+		StatePreds: []mc.StatePredicate{exclusion},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dining: %w", err)
+	}
+	rep := &Report{StatesExplored: res.StatesExplored, Complete: res.Complete, Stats: res.Stats}
+	if res.Violation != nil {
+		rep.ExclusionViolated = res.Violation.Schedule
+	}
+	return rep, nil
 }

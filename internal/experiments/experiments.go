@@ -296,8 +296,10 @@ func E5DP6(maxStates int) (*Table, error) {
 	t.AddRow("model check: dedup hits / states per second",
 		fmt.Sprintf("%d / %.0f", rep.Stats.DedupHits, rep.Stats.StatesPerSec))
 
-	// Capacity headline: component-id vectors plus a 256 MiB hot-index
-	// cap with disk spill close the full 8.56M-state table.
+	// Capacity headline: component-id vectors close the full
+	// 8.56M-state table. Its 20 distinct windows take one byte per id, so
+	// the vectors (≈103 MB) fit under the 256 MiB hot-index cap and
+	// nothing spills; the cap stays so a wider table degrades to disk.
 	repCap, err := dining.CheckWith(s, prog, mc.Options{
 		MaxStates:     maxStates,
 		HotIndexBytes: 256 << 20,

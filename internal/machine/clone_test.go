@@ -123,7 +123,7 @@ func TestCopiesAreIndependent(t *testing.T) {
 			}
 			for c := lo; c < hi; c++ {
 				if x := o.Component(c); !slices.Equal(o.appendFP(nil, c), m.appendFP(nil, c)) {
-					m.SetComponent(c, x)
+					m.SetComponent(c, &x)
 				}
 			}
 			return nil

@@ -1067,12 +1067,12 @@ func (m *Machine) Component(c int) Component {
 	return x
 }
 
-// SetComponent overwrites component c with x, a value Component
+// SetComponent overwrites component c with *x, a value Component
 // returned for a machine running the same program over a system of the
 // same shape. It copies x's Locals and subvalues into the machine's own
 // arrays, so x stays unshared and the call allocates nothing. Crash
 // marks are left as they are.
-func (m *Machine) SetComponent(c int, x Component) {
+func (m *Machine) SetComponent(c int, x *Component) {
 	if np := len(m.frames); c >= np {
 		m.varVal[c-np], m.locked[c-np] = x.Val, x.Locked
 	} else {

@@ -431,8 +431,9 @@ func TestBudgetMidLevelDeterministic(t *testing.T) {
 }
 
 // TestStorageStatsExact: the storage telemetry is exact and does not
-// depend on residency. StoredKeyBytes is 4·W bytes per stored vector plus
-// the component table's distinct windows, and LogicalKeyBytes is the
+// depend on residency. StoredKeyBytes is w·W bytes per stored vector plus
+// the component table's distinct windows, where w = 1 because both
+// systems have fewer than 256 distinct windows, and LogicalKeyBytes is the
 // stored states' full key lengths — both recomputed here from an
 // independent breadth-first walk of the reachable states. A complete
 // symmetry-reduced run interns the same windows as the plain one (a
@@ -453,6 +454,9 @@ func TestStorageStatsExact(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			modes := checkModes(t, tc.factory, Options{StuckBad: NotAllHalted})
 			ref := reachableStorage(t, tc.sys, tc.factory)
+			if ref.windows >= 256 {
+				t.Fatalf("%d distinct windows; 1-byte ids need fewer than 256", ref.windows)
+			}
 			width := int64(tc.sys.NumProcs() + tc.sys.NumVars())
 			for name, want := range map[string]struct{ states, logical int64 }{
 				"seq": {ref.states, ref.logical}, "spill": {ref.states, ref.logical},
@@ -462,8 +466,8 @@ func TestStorageStatsExact(t *testing.T) {
 				if !modes[name].Complete || int64(modes[name].StatesExplored) != want.states {
 					t.Fatalf("%s: %d states (complete=%v), reference %d", name, modes[name].StatesExplored, modes[name].Complete, want.states)
 				}
-				if wantStored := 4*width*want.states + ref.windowBytes; st.StoredKeyBytes != wantStored {
-					t.Errorf("%s: StoredKeyBytes = %d, want 4·%d·%d + %d = %d", name, st.StoredKeyBytes, width, want.states, ref.windowBytes, wantStored)
+				if wantStored := width*want.states + ref.windowBytes; st.StoredKeyBytes != wantStored {
+					t.Errorf("%s: StoredKeyBytes = %d, want 1·%d·%d + %d = %d", name, st.StoredKeyBytes, width, want.states, ref.windowBytes, wantStored)
 				}
 				if st.LogicalKeyBytes != want.logical {
 					t.Errorf("%s: LogicalKeyBytes = %d, want %d", name, st.LogicalKeyBytes, want.logical)
@@ -486,7 +490,7 @@ func TestStorageStatsExact(t *testing.T) {
 // without the checker.
 type storageRef struct {
 	states, orbits        int64
-	windowBytes           int64 // distinct component windows, summed
+	windows, windowBytes  int64 // distinct component windows: their count and bytes
 	logical, orbitLogical int64 // full key bytes: every state, one per orbit
 }
 
@@ -553,6 +557,7 @@ func reachableStorage(t *testing.T, sys *system.System, factory func() (*machine
 	for w := range windows {
 		ref.windowBytes += int64(len(w))
 	}
+	ref.windows = int64(len(windows))
 	return ref
 }
 

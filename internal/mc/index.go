@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/bits"
 	"os"
-	"slices"
 	"unsafe"
 
 	"simsym/internal/canon"
@@ -33,15 +32,19 @@ import (
 //     state's id is baseID plus its record index and doubles as its node
 //     index in the checker's bookkeeping; baseID lets tests pin the id
 //     stream right at the old 32-bit boundary.
-//   - Vectors live in a chunked arena (fixed-size chunks, append-only,
-//     never moved once allocated) at a fixed stride: record i sits at
-//     logical byte offset (i/perChunk)<<shift + (i%perChunk)·4W, so no
-//     per-state location table is needed.
-//   - When a hot-bytes cap is set, full chunks spill FIFO to a temp file
-//     (BFS rarely re-touches old levels, so the spilled majority is read
-//     back only on genuine dedup hits against deep history). File
-//     offsets equal logical offsets, so a spilled record is one ReadAt.
-//     The component table is small and stays resident.
+//   - Vectors live in a chunked byte arena (fixed-size chunks,
+//     append-only, never moved once full). Each chunk stores its ids at
+//     one width w of 1, 2 or 4 little-endian bytes: it opens at the
+//     fewest bytes that hold the component table's largest id, and only
+//     the open chunk is ever re-encoded wider, when an id outgrows it.
+//     Record i sits at logical byte offset (i/perChunk)<<shift +
+//     (i%perChunk)·w·W, perChunk being what fits at 4 bytes, so no
+//     per-state location table is needed and no widening moves an offset.
+//   - When a hot-bytes cap is set, full chunks spill FIFO to a temp file,
+//     as stored (BFS rarely re-touches old levels, so the spilled
+//     majority is read back only on genuine dedup hits against deep
+//     history). File offsets equal logical offsets, so a spilled record
+//     is one ReadAt. The component table is small and stays resident.
 type stateIndex struct {
 	buckets bucketTable // full vector hash -> record index
 	comps   compTable
@@ -52,19 +55,15 @@ type stateIndex struct {
 	shift    uint  // a chunk spans 1<<shift logical bytes
 	n        int64 // records written
 
-	chunks  [][]uint32 // chunk i holds records [i·perChunk, (i+1)·perChunk)
-	spilled int        // chunks[:spilled] are on disk and nil-ed
-	hot     int64      // resident chunk bytes, kept by write and maybeSpill
+	chunks  [][]byte // chunk i holds records [i·perChunk, (i+1)·perChunk)
+	widths  []uint8  // widths[i]: chunk i's bytes per id, 1, 2 or 4
+	spilled int      // chunks[:spilled] are on disk and nil-ed
+	hot     int64    // resident chunk bytes, kept by write, widen and maybeSpill
 
 	hotCapBytes int64    // spill threshold; 0 = never spill
 	spillDir    string   // directory for the spill file ("" = os.TempDir())
 	file        *os.File // spill file; nil until the first spill
-
-	// Scratch for spill I/O: one chunk's bytes on the way out, one
-	// record's bytes and words on the way back in.
-	chunkBuf []byte
-	recBuf   []byte
-	recVec   []uint32
+	recBuf      []byte   // scratch for a spilled record read back
 
 	spilledBytes int64
 	spillFlushes int64
@@ -189,11 +188,11 @@ func (t *stateIndex) lookupHashed(vec []uint32, hash uint64) (id int64, ok bool,
 	bt := &t.buckets
 	tag, sl := bt.probe(hash)
 	for i, ok := bt.next(tag, &sl); ok; i, ok = bt.next(tag, &sl) {
-		rec, err := t.record(int64(i))
+		rec, w, err := t.record(int64(i))
 		if err != nil {
 			return 0, false, err
 		}
-		if slices.Equal(rec, vec) {
+		if equalAt(rec, w, vec) {
 			return t.baseID + int64(i), true, nil
 		}
 	}
@@ -208,49 +207,136 @@ func (t *stateIndex) insert(vec []uint32, hash uint64) int64 {
 	return t.baseID + ei
 }
 
-// write appends vec as the next record and returns its index, opening a
-// new chunk when the last one is full.
+// idWidth is the fewest bytes, 1, 2 or 4, that hold id.
+func idWidth(id uint64) uint8 {
+	switch {
+	case id <= math.MaxUint8:
+		return 1
+	case id <= math.MaxUint16:
+		return 2
+	}
+	return 4
+}
+
+// write appends vec as the next record and returns its index. A new
+// chunk opens at the width of the component table's largest id; the open
+// chunk is re-encoded wider first when one of vec's ids needs it.
 func (t *stateIndex) write(vec []uint32) int64 {
 	ei := t.n
 	ci := int(ei / t.perChunk)
-	if ci == len(t.chunks) {
-		t.chunks = append(t.chunks, make([]uint32, int(t.perChunk)*t.width))
-		t.hot += 4 * t.perChunk * int64(t.width)
+	var top uint32
+	for _, id := range vec {
+		top = max(top, id)
 	}
-	pos := int(ei%t.perChunk) * t.width
-	copy(t.chunks[ci][pos:pos+t.width], vec)
+	w := idWidth(uint64(top))
+	if ci == len(t.chunks) {
+		w = max(w, idWidth(t.comps.maxID()))
+		t.chunks = append(t.chunks, make([]byte, t.perChunk*int64(w)*int64(t.width)))
+		t.widths = append(t.widths, w)
+		t.hot += int64(len(t.chunks[ci]))
+	} else if w > t.widths[ci] {
+		t.widen(ci, w)
+	}
+	w = t.widths[ci]
+	rec := t.chunks[ci][int(ei%t.perChunk)*int(w)*t.width:]
+	for c, id := range vec {
+		putID(rec, w, c, id)
+	}
 	t.n++
 	return ei
 }
 
-// record returns record ei: zero-copy from a hot chunk, read back from
-// the spill file into scratch otherwise (valid until the next spilled
-// read).
-func (t *stateIndex) record(ei int64) ([]uint32, error) {
-	ci := int(ei / t.perChunk)
-	slot := ei % t.perChunk
-	if ci >= t.spilled {
-		pos := int(slot) * t.width
-		return t.chunks[ci][pos : pos+t.width], nil
+// widen re-encodes chunk ci, the open one, at w bytes per id.
+func (t *stateIndex) widen(ci int, w uint8) {
+	old, ow := t.chunks[ci], t.widths[ci]
+	t.chunks[ci] = make([]byte, t.perChunk*int64(w)*int64(t.width))
+	for i := range int(t.n-int64(ci)*t.perChunk) * t.width {
+		putID(t.chunks[ci], w, i, getID(old, ow, i))
 	}
-	n := 4 * t.width
-	if t.recBuf == nil {
-		t.recBuf = make([]byte, n)
-		t.recVec = make([]uint32, t.width)
-	}
-	if _, err := t.file.ReadAt(t.recBuf, int64(ci)<<t.shift+slot*int64(n)); err != nil {
-		return nil, fmt.Errorf("mc: spill read: %w", err)
-	}
-	for i := range t.recVec {
-		t.recVec[i] = binary.LittleEndian.Uint32(t.recBuf[4*i:])
-	}
-	return t.recVec, nil
+	t.widths[ci] = w
+	t.hot += int64(len(t.chunks[ci]) - len(old))
 }
 
-// storedBytes is what the index stores per state key: the vectors plus
-// the component table's distinct windows.
+// putID stores id as the i-th w-byte word of b.
+func putID(b []byte, w uint8, i int, id uint32) {
+	switch w {
+	case 1:
+		b[i] = byte(id)
+	case 2:
+		binary.LittleEndian.PutUint16(b[2*i:], uint16(id))
+	default:
+		binary.LittleEndian.PutUint32(b[4*i:], id)
+	}
+}
+
+// getID reads the i-th w-byte word of b.
+func getID(b []byte, w uint8, i int) uint32 {
+	switch w {
+	case 1:
+		return uint32(b[i])
+	case 2:
+		return uint32(binary.LittleEndian.Uint16(b[2*i:]))
+	}
+	return binary.LittleEndian.Uint32(b[4*i:])
+}
+
+// equalAt reports whether rec, a record stored at w bytes per id, holds
+// vec. An id too wide for w never equals a stored one.
+func equalAt(rec []byte, w uint8, vec []uint32) bool {
+	switch w {
+	case 1:
+		rec = rec[:len(vec)]
+		for i, id := range vec {
+			if uint32(rec[i]) != id {
+				return false
+			}
+		}
+	case 2:
+		rec = rec[:2*len(vec)]
+		for i, id := range vec {
+			if uint32(binary.LittleEndian.Uint16(rec[2*i:])) != id {
+				return false
+			}
+		}
+	default:
+		rec = rec[:4*len(vec)]
+		for i, id := range vec {
+			if binary.LittleEndian.Uint32(rec[4*i:]) != id {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// record returns record ei's bytes and their width per id: zero-copy
+// from a hot chunk, read back from the spill file into scratch otherwise
+// (valid until the next spilled read).
+func (t *stateIndex) record(ei int64) ([]byte, uint8, error) {
+	ci := int(ei / t.perChunk)
+	w := t.widths[ci]
+	n := int(w) * t.width
+	off := int(ei%t.perChunk) * n
+	if ci >= t.spilled {
+		return t.chunks[ci][off : off+n], w, nil
+	}
+	if t.recBuf == nil {
+		t.recBuf = make([]byte, 4*t.width)
+	}
+	if _, err := t.file.ReadAt(t.recBuf[:n], int64(ci)<<t.shift+int64(off)); err != nil {
+		return nil, 0, fmt.Errorf("mc: spill read: %w", err)
+	}
+	return t.recBuf[:n], w, nil
+}
+
+// storedBytes is what the index stores per state key: the vectors, each
+// at its chunk's width, plus the component table's distinct windows.
 func (t *stateIndex) storedBytes() int64 {
-	return 4*int64(t.width)*t.n + int64(len(t.comps.data))
+	total := int64(len(t.comps.data))
+	for ci, w := range t.widths {
+		total += min(t.perChunk, t.n-int64(ci)*t.perChunk) * int64(w) * int64(t.width)
+	}
+	return total
 }
 
 // spillWriteHook, when non-nil, intercepts each chunk write to the spill
@@ -258,10 +344,10 @@ func (t *stateIndex) storedBytes() int64 {
 // write path (disk full, revoked permissions) without a real bad disk.
 var spillWriteHook func() error
 
-// maybeSpill flushes full chunks FIFO to the spill file until the hot
-// arena fits under the cap again. Called between BFS levels, when no
-// caller holds a zero-copy record slice. Returns the bytes moved to disk
-// by this call.
+// maybeSpill flushes full chunks FIFO to the spill file, as stored, until
+// the hot arena fits under the cap again. Called between BFS levels, when
+// no caller holds a zero-copy record slice. Returns the bytes moved to
+// disk by this call.
 //
 // Any mid-spill failure releases the spill tier before returning: the
 // index is unusable for further lookups once a chunk write is lost, so
@@ -292,15 +378,11 @@ func (t *stateIndex) maybeSpill() (int64, error) {
 			}
 		}
 		c := t.chunks[ci]
-		t.chunkBuf = t.chunkBuf[:0]
-		for _, w := range c {
-			t.chunkBuf = binary.LittleEndian.AppendUint32(t.chunkBuf, w)
-		}
-		if _, err := t.file.WriteAt(t.chunkBuf, int64(ci)<<t.shift); err != nil {
+		if _, err := t.file.WriteAt(c, int64(ci)<<t.shift); err != nil {
 			t.release()
 			return freed, fmt.Errorf("mc: spill write: %w", err)
 		}
-		n := int64(4 * len(c))
+		n := int64(len(c))
 		freed += n
 		t.hot -= n
 		t.spilledBytes += n
@@ -323,17 +405,17 @@ func (t *stateIndex) release() {
 }
 
 // memBytes estimates the index's resident memory footprint from
-// capacities, not lengths: allocated chunk bytes (a half-filled chunk
-// costs its full size), the bucket directory's exact slot count, the
-// component table and the spill scratch. Spilled bytes live on disk and
-// are deliberately excluded. Keeping this honest is what lets
-// MaxMemBytes degrade into a Partial result instead of an OOM; it is
-// O(1), because the budget polls it after every push.
+// capacities, not lengths: allocated chunk bytes at their widths (a
+// half-filled chunk costs its full size), the bucket directory's exact
+// slot count, the component table and the spill scratch. Spilled bytes
+// live on disk and are deliberately excluded. Keeping this honest is
+// what lets MaxMemBytes degrade into a Partial result instead of an OOM;
+// it is O(1), because the budget polls it after every push.
 func (t *stateIndex) memBytes() int64 {
 	return t.hot +
 		int64(len(t.buckets.slots))*bucketSlotSize +
 		t.comps.memBytes() +
-		int64(cap(t.chunkBuf)+cap(t.recBuf)+4*cap(t.recVec))
+		int64(cap(t.recBuf))
 }
 
 // errCompIDs reports a component table that ran out of uint32 ids.
@@ -394,6 +476,14 @@ func (ct *compTable) internHashed(win []byte, hash uint64) (uint32, error) {
 	ct.keyLens = append(ct.keyLens, int64(binary.PutUvarint(prefix[:], uint64(len(win)))+len(win)))
 	bt.add(hash, uint32(i))
 	return uint32(ct.base + uint64(i)), nil
+}
+
+// maxID is the largest id the table has assigned, or 0 while it is empty.
+func (ct *compTable) maxID() uint64 {
+	if len(ct.offs) < 2 {
+		return 0
+	}
+	return ct.base + uint64(len(ct.offs)-2)
 }
 
 // keyLen is the length of the full state key (machine.AppendStateKey)
@@ -457,7 +547,7 @@ func (ct *compTable) load(m *machine.Machine, have, want []uint32) {
 	for c, id := range want {
 		if have[c] != id {
 			have[c] = id
-			m.SetComponent(c, *ct.vals[valKind(m, c)][uint64(id)-ct.base])
+			m.SetComponent(c, ct.vals[valKind(m, c)][uint64(id)-ct.base])
 		}
 	}
 }

@@ -2,11 +2,11 @@ package mc
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"testing"
 
 	"simsym/internal/canon"
@@ -43,7 +43,7 @@ func mustInsert(t *testing.T, idx *stateIndex, vec []uint32) int64 {
 func recountHot(idx *stateIndex) int64 {
 	var total int64
 	for _, c := range idx.chunks {
-		total += int64(4 * len(c))
+		total += int64(len(c))
 	}
 	return total
 }
@@ -87,12 +87,13 @@ func TestIndexIDWidthBoundary(t *testing.T) {
 // TestIndexMemBytesCountsCapacities pins the capacity-accounting fix:
 // the arena allocates whole chunks, so even a single tiny vector must be
 // charged a full chunk — the old length-based estimate undercounted by
-// nearly the whole allocation and fired the memory budget late.
+// nearly the whole allocation and fired the memory budget late. Ids
+// below 256 take one byte each, so that chunk is perChunk·W bytes.
 func TestIndexMemBytesCountsCapacities(t *testing.T) {
 	idx := newStateIndex(2, 0, "")
 	mustInsert(t, idx, []uint32{1, 2})
-	if got := idx.memBytes(); got < chunkSize {
-		t.Errorf("memBytes = %d after one insert; a %d-byte chunk is allocated and must be charged", got, chunkSize)
+	if chunk := idx.perChunk * 2; int64(len(idx.chunks[0])) != chunk || idx.memBytes() < chunk {
+		t.Errorf("memBytes = %d after one insert; a %d-byte chunk is allocated and must be charged", idx.memBytes(), chunk)
 	}
 
 	// The bucket directory must charge exactly bucketSlotSize per
@@ -172,17 +173,19 @@ func TestIndexSpillRoundTrip(t *testing.T) {
 			}
 
 			// File offset equals logical offset: record i sits at
-			// (i/perChunk)<<shift + (i%perChunk)·4W.
-			rec := make([]byte, 4*width)
+			// (i/perChunk)<<shift + (i%perChunk)·w·W, w being its chunk's
+			// bytes per id.
 			for _, i := range []int64{0, idx.perChunk - 1, int64(idx.spilled)*idx.perChunk - 1} {
-				off := (i/idx.perChunk)<<idx.shift + (i%idx.perChunk)*int64(4*width)
+				w := int64(idx.widths[i/idx.perChunk])
+				rec := make([]byte, w*int64(width))
+				off := (i/idx.perChunk)<<idx.shift + (i%idx.perChunk)*w*int64(width)
 				if _, err := idx.file.ReadAt(rec, off); err != nil {
 					t.Fatal(err)
 				}
 				want := testVec(int(i), width)
 				for c := range want {
-					if got := binary.LittleEndian.Uint32(rec[4*c:]); got != want[c] {
-						t.Fatalf("record %d word %d on disk = %d, want %d", i, c, got, want[c])
+					if got := getID(rec, uint8(w), c); got != want[c] {
+						t.Fatalf("record %d id %d on disk = %d, want %d", i, c, got, want[c])
 					}
 				}
 			}
@@ -225,6 +228,128 @@ func TestIndexHotBytesRunningCount(t *testing.T) {
 	}
 	if idx.hot != recountHot(idx) || idx.hot > idx.hotCapBytes {
 		t.Errorf("hot = %d after spilling, cap %d", idx.hot, idx.hotCapBytes)
+	}
+}
+
+// TestIndexWidensOpenChunk: ids that cross 255, and then 65,535, in the
+// middle of a chunk widen that chunk alone. The component table's base
+// starts two ids below the boundary, so chunk 0 opens narrow and fills;
+// halfway through chunk 1 the table assigns the boundary id, the next
+// vector holds it, and chunk 1 is re-encoded wider; chunk 2 opens wide.
+// Every record must be found at its chunk's width, vectors never written
+// must not be — nor one that equals a record modulo its chunk's width,
+// probed under that record's hash — and the byte counts must be exact.
+// Under a 1-byte hot cap the full chunks of both widths spill and are
+// read back.
+func TestIndexWidensOpenChunk(t *testing.T) {
+	for _, boundary := range []uint64{1 << 8, 1 << 16} {
+		for _, hotCap := range []int64{0, 1} {
+			t.Run(fmt.Sprintf("boundary=%d/hot=%d", boundary, hotCap), func(t *testing.T) {
+				idx := newStateIndex(testWidth, hotCap, t.TempDir())
+				defer idx.release()
+				idx.comps.base = boundary - 2
+				intern := func(win string) uint32 {
+					id, err := idx.comps.intern([]byte(win))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return id
+				}
+				narrow, wide := idWidth(boundary-1), idWidth(boundary)
+				// Record i spells i in binary: id zero at its 0 bits, and
+				// id one at its 1 bits, which is the boundary id from
+				// record switchAt on.
+				zero, one := intern("a"), intern("b")
+				vec := func(i int, one uint32) []uint32 {
+					v := make([]uint32, testWidth)
+					for c := range v {
+						v[c] = zero
+						if i>>c&1 == 1 {
+							v[c] = one
+						}
+					}
+					return v
+				}
+				pc := int(idx.perChunk)
+				switchAt, n := pc+pc/2, 2*pc+pc/2
+				oneAt := func(i int) uint32 {
+					if i < switchAt {
+						return one
+					}
+					return uint32(boundary)
+				}
+				for i := range n {
+					if i == switchAt {
+						if id := intern("c"); uint64(id) != boundary {
+							t.Fatalf("the third window's id = %d, want %d", id, boundary)
+						}
+						if idx.widths[1] != narrow {
+							t.Fatalf("chunk 1 holds %d-byte ids before the boundary id, want %d", idx.widths[1], narrow)
+						}
+					}
+					if got := mustInsert(t, idx, vec(i, oneAt(i))); got != int64(i) {
+						t.Fatalf("record %d got id %d", i, got)
+					}
+					if _, err := idx.maybeSpill(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if want := []uint8{narrow, wide, wide}; !slices.Equal(idx.widths, want) {
+					t.Fatalf("chunk widths %v, want %v", idx.widths, want)
+				}
+				if want := hotCap * 2; int64(idx.spilled) != want {
+					t.Fatalf("%d chunks spilled, want %d", idx.spilled, want)
+				}
+
+				for i := range n {
+					v := vec(i, oneAt(i))
+					if got, ok, err := idx.lookupHashed(v, hashVec(v)); err != nil || !ok || got != int64(i) {
+						t.Fatalf("record %d resolved to %d (ok=%v, err=%v)", i, got, ok, err)
+					}
+				}
+				for i := n; i < n+pc; i++ {
+					v := vec(i, uint32(boundary))
+					if got, ok, err := idx.lookupHashed(v, hashVec(v)); err != nil || ok {
+						t.Fatalf("vector %d was never written but resolved to %d (ok=%v, err=%v)", i, got, ok, err)
+					}
+				}
+				for _, i := range []int{0, 1, pc - 1, pc, switchAt - 1, n - 1} {
+					w := idx.widths[i/pc]
+					if w == 4 {
+						continue // no uint32 id aliases a 4-byte one
+					}
+					v := vec(i, oneAt(i))
+					alias := slices.Clone(v)
+					alias[0] += 1 << (8 * w)
+					if got, ok, err := idx.lookupHashed(alias, hashVec(v)); err != nil || ok {
+						t.Fatalf("record %d's alias %d at %d-byte ids resolved to %d (ok=%v, err=%v)", i, alias[0], w, got, ok, err)
+					}
+				}
+
+				// Exact byte counts: each chunk at its width, the hot tier
+				// the resident chunks' full allocations.
+				perChunkBytes := idx.perChunk * testWidth
+				stored := perChunkBytes*int64(narrow) + perChunkBytes*int64(wide) + int64(n-2*pc)*testWidth*int64(wide)
+				if want := stored + int64(len(idx.comps.data)); idx.storedBytes() != want {
+					t.Errorf("storedBytes = %d, want %d", idx.storedBytes(), want)
+				}
+				hot := perChunkBytes * int64(narrow+2*wide)
+				if hotCap > 0 {
+					hot = perChunkBytes * int64(wide)
+				}
+				if idx.hot != hot || recountHot(idx) != hot {
+					t.Errorf("hot = %d (recount %d), want %d", idx.hot, recountHot(idx), hot)
+				}
+				recBuf := int64(0)
+				if hotCap > 0 {
+					recBuf = 4 * testWidth
+				}
+				want := hot + int64(len(idx.buckets.slots))*bucketSlotSize + idx.comps.memBytes() + recBuf
+				if got := idx.memBytes(); got != want {
+					t.Errorf("memBytes = %d, want %d", got, want)
+				}
+			})
+		}
 	}
 }
 

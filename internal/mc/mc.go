@@ -20,7 +20,10 @@
 //     of machine.AppendStateKey) as a dense uint32 id, and the hashed
 //     index (stateIndex) stores each state as its fixed-width vector of
 //     ids, under an xor hash of its (position, id) pairs in 8-byte tag
-//     slots. Options.HotIndexBytes spills cold vectors to disk.
+//     slots. A vector is stored at 1, 2 or 4 bytes per id, the fewest
+//     that hold the table's ids when its chunk was written, so a state
+//     costs W bytes while the table holds fewer than 256 windows.
+//     Options.HotIndexBytes spills cold vectors to disk.
 //   - Expansion steps on ids. A step of processor p reads and writes
 //     only p's frame and the one variable machine.StepVar names, so a
 //     successor's vector is its parent's with at most those two ids
@@ -110,9 +113,10 @@ type Options struct {
 	// which quantify over all processors. Witness schedules remain
 	// genuine: stored states are reachable states, not permuted images.
 	SymmetryReduce bool
-	// HotIndexBytes > 0 caps the visited index's in-memory vector arena:
-	// when the hot tier outgrows the cap, cold arena chunks spill FIFO to
-	// a temp file under SpillDir at level boundaries and are read back
+	// HotIndexBytes > 0 caps the visited index's in-memory vector arena,
+	// counted at the bytes each chunk holds (1, 2 or 4 per id): when the
+	// hot tier outgrows the cap, full arena chunks spill FIFO, as stored,
+	// to a temp file under SpillDir at level boundaries and are read back
 	// transparently on dedup probes against deep history. The cap
 	// governs only state-vector storage; the component table, the bucket
 	// table and node bookkeeping stay resident (MaxMemBytes still bounds
@@ -194,10 +198,10 @@ type Stats struct {
 	// (1 when reduction is off or the group is trivial).
 	GroupOrder int
 	// StoredKeyBytes and LogicalKeyBytes measure key compression:
-	// StoredKeyBytes is what the visited set stores — 4 bytes per
-	// component per state for the id vectors, plus the component
-	// table's distinct windows — and LogicalKeyBytes is what the full
-	// state keys (machine.AppendStateKey) would have occupied.
+	// StoredKeyBytes is what the visited set stores — the id vectors at
+	// the 1, 2 or 4 bytes per component their chunks hold, plus the
+	// component table's distinct windows — and LogicalKeyBytes is what
+	// the full state keys (machine.AppendStateKey) would have occupied.
 	StoredKeyBytes  int64
 	LogicalKeyBytes int64
 	// SpilledBytes counts visited-index bytes resident on disk (their

@@ -47,7 +47,7 @@ func TestQCheckMatchesSlotWalk(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			factory := factoryFor(t, tc.sys, system.InstrQ, countPosts)
-			w := walkExact(t, factory, nil, tc.sys, 0)
+			w := walkExact(t, factory, nil, nil, tc.sys, 0)
 			if w.states != tc.states || w.orbits != tc.orbits {
 				t.Fatalf("the walk reaches %d states in %d orbits, pinned %d in %d", w.states, w.orbits, tc.states, tc.orbits)
 			}

@@ -3,7 +3,9 @@ package mc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"simsym/internal/autgrp"
@@ -67,16 +69,20 @@ type exactWalk struct {
 	// succ maps exactState(s) + "/" + p to the exactState of the state a
 	// step of p reaches from s.
 	succ map[string]string
+	// unflagged holds the states the stuck predicate leaves unflagged.
+	unflagged map[string]bool
 }
 
 // walkExact walks the states reachable from the factory's machine, at
 // most maxStates of them when maxStates > 0. pred, when non-nil, is the
-// state predicate whose shallowest violation the walk finds. When sys is
+// state predicate whose shallowest violation the walk finds; stuck, when
+// non-nil, is a StuckBad predicate, and the walk notes the states it
+// leaves unflagged (see stuckStates). When sys is
 // non-nil the walk also counts orbits under its automorphisms, carrying
 // each state's images as explicitly permuted machines: the image of a
 // state under an automorphism steps processor ProcPerm[p] where the
 // state steps p.
-func walkExact(t *testing.T, factory func() (*machine.Machine, error), pred StatePredicate, sys *system.System, maxStates int) *exactWalk {
+func walkExact(t *testing.T, factory func() (*machine.Machine, error), pred, stuck StatePredicate, sys *system.System, maxStates int) *exactWalk {
 	t.Helper()
 	var auts []system.Permutation
 	if sys != nil {
@@ -90,7 +96,7 @@ func walkExact(t *testing.T, factory func() (*machine.Machine, error), pred Stat
 		key  string
 		imgs []*machine.Machine // imgs[k] is m's image under auts[k]
 	}
-	w := &exactWalk{succ: map[string]string{}}
+	w := &exactWalk{succ: map[string]string{}, unflagged: map[string]bool{}}
 	root := state{}
 	var err error
 	if root.m, err = factory(); err != nil {
@@ -104,6 +110,9 @@ func walkExact(t *testing.T, factory func() (*machine.Machine, error), pred Stat
 	reps := map[string]bool{}
 	w.states = 1
 	flag := func(s state, depth int) bool {
+		if stuck != nil && stuck(s.m) == "" {
+			w.unflagged[s.key] = true
+		}
 		if pred != nil {
 			if w.violation = pred(s.m); w.violation != "" {
 				w.depth = depth
@@ -178,6 +187,35 @@ func (w *exactWalk) assertCounts(t *testing.T, res *Result) {
 	}
 }
 
+// stuckStates returns the states of a whole walk from which no path
+// reaches a state its stuck predicate leaves unflagged: every state but
+// those a reverse search over succ reaches from the unflagged ones. A
+// terminal component all of whose states are flagged is exactly what
+// such a state's reachable states contain, so Check reports a stuck
+// violation exactly when this set is not empty.
+func (w *exactWalk) stuckStates() map[string]bool {
+	into := map[string][]string{}
+	stuck := map[string]bool{}
+	for k, to := range w.succ {
+		from := k[:strings.LastIndexByte(k, '/')]
+		into[to] = append(into[to], from)
+		stuck[from] = true
+	}
+	var queue []string
+	for s := range w.unflagged {
+		queue = append(queue, s)
+	}
+	for len(queue) > 0 {
+		s := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		if stuck[s] {
+			delete(stuck, s)
+			queue = append(queue, into[s]...)
+		}
+	}
+	return stuck
+}
+
 // walkPreds are the state predicates FuzzCheckMatchesWalk picks from.
 // Every one but the last is invariant under the system's automorphisms,
 // so symmetric runs pick from walkPreds[:len(walkPreds)-1].
@@ -222,7 +260,12 @@ const (
 	fixFig2Posts
 	fixWindowCollision
 	fixAliasedPosts
+	fixCrossedLocks
 )
+
+// stuckPreds are the StuckBad predicates FuzzCheckMatchesWalk picks
+// from: none, the automorphism-invariant walkPreds and NotAllHalted.
+var stuckPreds = append(slices.Clone(walkPreds[:len(walkPreds)-1]), NotAllHalted)
 
 // walkFixture builds the system and program the fuzz input names.
 func walkFixture(t *testing.T, fixture uint8, sysSeed int64, procs, vars, names uint8, progSeed int64, instr uint8, length uint8) (*system.System, system.InstrSet, *machine.Program) {
@@ -272,6 +315,8 @@ func walkFixture(t *testing.T, fixture uint8, sysSeed int64, procs, vars, names 
 			b.Post("b", "x")
 			b.Halt()
 		})
+	case fixCrossedLocks:
+		return crossedLocks(), system.InstrL, build(spinLockBoth)
 	}
 	sys, err := system.RandomSystem(rand.New(rand.NewSource(sysSeed)), system.RandomOpts{
 		Procs: 1 + int(procs%4), Vars: 1 + int(vars%3), Names: 1 + int(names%2), InitStates: 2,
@@ -294,45 +339,70 @@ const walkCap = 4000
 // FuzzCheckMatchesWalk checks the checker against exactWalk on a random
 // system of at most 4 processors, 3 variables and 2 names (a processor
 // may give one variable two names) running a random S, L or Q program,
-// or on a fixture. The input also picks a state predicate, whether a
-// transition predicate runs and whether Check reduces by symmetry; the
-// transition predicate checks every step the checker shows it against
-// the walk's. Check must find a violation exactly when the walk does
-// and give a witness that a fresh machine replays to a flagged state at
-// the walk's depth. Without a violation it must count the walk's
-// states, transitions, self-loops and dedup hits, or under symmetry
-// reduction explore one state per orbit the walk counts; symmetric runs
+// or on a fixture. The input also picks a state predicate, a StuckBad
+// predicate (stuckPreds), whether a transition predicate runs and
+// whether Check reduces by symmetry; the transition predicate checks
+// every step the checker shows it against the walk's. Check must find a
+// state-predicate violation exactly when the walk does and give a
+// witness that a fresh machine replays to a flagged state at the walk's
+// depth. Without one it must count the walk's states, transitions,
+// self-loops and dedup hits, or under symmetry reduction explore one
+// state per orbit the walk counts, and report a stuck violation exactly
+// when the walk has states that cannot reach one StuckBad leaves
+// unflagged, with a witness that replays to such a state. Symmetric runs
 // use only the automorphism-invariant predicates.
 func FuzzCheckMatchesWalk(f *testing.F) {
+	notAllHalted := uint8(len(stuckPreds) - 1)
 	for _, fix := range []uint8{fixFig1Posts, fixFig2Posts, fixWindowCollision, fixAliasedPosts} {
-		f.Add(fix, int64(0), uint8(0), uint8(0), uint8(0), int64(0), uint8(0), uint8(0), uint8(0), true, false)
+		f.Add(fix, int64(0), uint8(0), uint8(0), uint8(0), int64(0), uint8(0), uint8(0), uint8(0), uint8(0), true, false)
 	}
-	f.Add(uint8(fixFig1Posts), int64(0), uint8(0), uint8(0), uint8(0), int64(0), uint8(0), uint8(0), uint8(3), false, false)
+	f.Add(uint8(fixFig1Posts), int64(0), uint8(0), uint8(0), uint8(0), int64(0), uint8(0), uint8(0), uint8(3), uint8(0), false, false)
 	for _, seed := range []int64{1, 3, 4, 5, 8, 9, 10, 13} {
-		f.Add(uint8(fixRandom), seed, uint8(seed), uint8(seed%2), uint8(1), seed, uint8(seed), uint8(5), uint8(seed), seed%2 == 0, false)
+		f.Add(uint8(fixRandom), seed, uint8(seed), uint8(seed%2), uint8(1), seed, uint8(seed), uint8(5), uint8(seed), uint8(0), seed%2 == 0, false)
 	}
-	f.Add(uint8(fixFig2Posts), int64(0), uint8(0), uint8(0), uint8(0), int64(0), uint8(0), uint8(0), uint8(0), true, true)
-	f.Add(uint8(fixFig2Posts), int64(0), uint8(0), uint8(0), uint8(0), int64(0), uint8(0), uint8(0), uint8(3), false, true)
+	f.Add(uint8(fixFig2Posts), int64(0), uint8(0), uint8(0), uint8(0), int64(0), uint8(0), uint8(0), uint8(0), uint8(0), true, true)
+	f.Add(uint8(fixFig2Posts), int64(0), uint8(0), uint8(0), uint8(0), int64(0), uint8(0), uint8(0), uint8(3), uint8(0), false, true)
 	for _, seed := range []int64{34, 86, 126} { // groups of order 6, 2, 6 under L, Q, S
-		f.Add(uint8(fixRandom), seed, uint8(seed), uint8(seed%2), uint8(1), seed, uint8(seed), uint8(5), uint8(seed), seed == 86, true)
+		f.Add(uint8(fixRandom), seed, uint8(seed), uint8(seed%2), uint8(1), seed, uint8(seed), uint8(5), uint8(seed), uint8(0), seed == 86, true)
 	}
-	f.Fuzz(func(t *testing.T, fixture uint8, sysSeed int64, procs, vars, names uint8, progSeed int64, instr, length, predIdx uint8, trans, sym bool) {
+	// StuckBad seeds: the crossed locks' reachable deadlock, where every
+	// state is stuck under NotAllHalted and only those with a halted
+	// processor under "processor halted", and Fig1's counting program,
+	// whose processors can always all halt.
+	for _, sym := range []bool{false, true} {
+		for _, stuck := range []uint8{notAllHalted, 3} {
+			f.Add(uint8(fixCrossedLocks), int64(0), uint8(0), uint8(0), uint8(0), int64(0), uint8(0), uint8(0), uint8(0), stuck, !sym, sym)
+		}
+		f.Add(uint8(fixFig1Posts), int64(0), uint8(0), uint8(0), uint8(0), int64(0), uint8(0), uint8(0), uint8(0), notAllHalted, false, sym)
+	}
+	f.Fuzz(func(t *testing.T, fixture uint8, sysSeed int64, procs, vars, names uint8, progSeed int64, instr, length, predIdx, stuckIdx uint8, trans, sym bool) {
 		sys, set, prog := walkFixture(t, fixture, sysSeed, procs, vars, names, progSeed, instr, length)
 		factory := func() (*machine.Machine, error) { return machine.New(sys, set, prog) }
+		replay := func(schedule []int) *machine.Machine {
+			m, err := factory()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Run(schedule); err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
 		preds, orbitsOf := walkPreds, (*system.System)(nil)
 		if sym {
 			preds, orbitsOf = walkPreds[:len(walkPreds)-1], sys
 		}
 		pred := preds[int(predIdx)%len(preds)]
+		stuck := stuckPreds[int(stuckIdx)%len(stuckPreds)]
 		limit := walkCap
-		if fixture >= fixFig1Posts && fixture <= fixAliasedPosts {
+		if fixture >= fixFig1Posts && fixture <= fixCrossedLocks {
 			limit = 0
 		}
-		w := walkExact(t, factory, pred, orbitsOf, limit)
+		w := walkExact(t, factory, pred, stuck, orbitsOf, limit)
 		if w.truncated {
 			t.Skipf("the walk passed %d states", walkCap)
 		}
-		opts := Options{SymmetryReduce: sym}
+		opts := Options{SymmetryReduce: sym, StuckBad: stuck}
 		if pred != nil {
 			opts.StatePreds = []StatePredicate{pred}
 		}
@@ -355,29 +425,32 @@ func FuzzCheckMatchesWalk(f *testing.F) {
 		if bad != "" {
 			t.Fatal(bad)
 		}
-		if (res.Violation != nil) != (w.violation != "") {
-			t.Fatalf("Check found %+v; the walk found %q", res.Violation, w.violation)
+		var stuckAt map[string]bool
+		if stuck != nil && w.violation == "" {
+			stuckAt = w.stuckStates()
 		}
-		if w.violation == "" && sym {
-			if res.StatesExplored != w.orbits {
-				t.Fatalf("Check explored %d states under symmetry reduction; the walk counts %d orbits", res.StatesExplored, w.orbits)
-			}
-			return
+		if (res.Violation != nil) != (w.violation != "" || len(stuckAt) > 0) {
+			t.Fatalf("Check found %+v; the walk found %q and %d states that cannot reach one StuckBad leaves unflagged", res.Violation, w.violation, len(stuckAt))
 		}
 		if w.violation == "" {
-			w.assertCounts(t, res)
-			if trans && steps != w.transitions+w.selfLoops {
-				t.Fatalf("the transition predicate saw %d steps, want %d", steps, w.transitions+w.selfLoops)
+			switch {
+			case sym && res.StatesExplored != w.orbits:
+				t.Fatalf("Check explored %d states under symmetry reduction; the walk counts %d orbits", res.StatesExplored, w.orbits)
+			case !sym:
+				w.assertCounts(t, res)
+				if trans && steps != w.transitions+w.selfLoops {
+					t.Fatalf("the transition predicate saw %d steps, want %d", steps, w.transitions+w.selfLoops)
+				}
+			}
+			if res.Violation != nil {
+				if k := exactState(replay(res.Violation.Schedule)); !strings.HasPrefix(res.Violation.Reason, "stuck: ") || !stuckAt[k] {
+					t.Fatalf("the stuck witness %v (%q) replays to %s, which can reach a state StuckBad leaves unflagged",
+						res.Violation.Schedule, res.Violation.Reason, k)
+				}
 			}
 			return
 		}
-		m, err := factory()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Run(res.Violation.Schedule); err != nil {
-			t.Fatal(err)
-		}
+		m := replay(res.Violation.Schedule)
 		if len(res.Violation.Schedule) != w.depth || pred(m) == "" {
 			t.Fatalf("the witness %v replays to a state at depth %d that the predicate flags %q; the walk's is at depth %d",
 				res.Violation.Schedule, len(res.Violation.Schedule), pred(m), w.depth)

@@ -117,20 +117,3 @@ func Compute(sys *system.System) (*Relation, error) {
 	}
 	return rel, nil
 }
-
-// SimilarImpliesMimic verifies the sanity property that full-system
-// similarity (the Σ' = Σ case) is contained in mimicry.
-func SimilarImpliesMimic(sys *system.System, rel *Relation) (bool, error) {
-	lab, err := core.Similarity(sys, core.RuleSetS)
-	if err != nil {
-		return false, fmt.Errorf("mimic: %w", err)
-	}
-	for x := range lab.ProcLabels {
-		for y := range lab.ProcLabels {
-			if x != y && lab.ProcLabels[x] == lab.ProcLabels[y] && !rel.Pairs[x][y] {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
-}

@@ -2,9 +2,11 @@ package mimic
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"simsym/internal/core"
 	"simsym/internal/system"
 )
 
@@ -142,4 +144,21 @@ func TestInvalidSystem(t *testing.T) {
 	if _, err := Compute(s); err == nil {
 		t.Error("invalid system should fail")
 	}
+}
+
+// SimilarImpliesMimic verifies the sanity property that full-system
+// similarity (the Σ' = Σ case) is contained in mimicry.
+func SimilarImpliesMimic(sys *system.System, rel *Relation) (bool, error) {
+	lab, err := core.Similarity(sys, core.RuleSetS)
+	if err != nil {
+		return false, fmt.Errorf("mimic: %w", err)
+	}
+	for x := range lab.ProcLabels {
+		for y := range lab.ProcLabels {
+			if x != y && lab.ProcLabels[x] == lab.ProcLabels[y] && !rel.Pairs[x][y] {
+				return false, nil
+			}
+		}
+	}
+	return true, nil
 }

@@ -154,36 +154,3 @@ func (ck *syncChecker) check(m *machine.Machine) *Violation {
 	}
 	return nil
 }
-
-// EventuallySelectsTwo runs prog under the class-sorted round-robin and
-// reports whether at some point two same-labeled processors are both
-// selected — the Theorem 2 violation scenario (if a selection algorithm
-// selects p under this schedule, the similar q is selected too).
-func EventuallySelectsTwo(sys *system.System, instr system.InstrSet, prog *machine.Program, lab *core.Labeling, rounds int) (bool, error) {
-	if len(lab.ProcLabels) != sys.NumProcs() {
-		return false, ErrShape
-	}
-	m, err := machine.New(sys, instr, prog)
-	if err != nil {
-		return false, fmt.Errorf("trace: %w", err)
-	}
-	round := ClassSortedRound(lab)
-	for r := 0; r < rounds; r++ {
-		for _, p := range round {
-			if err := m.Step(p); err != nil {
-				return false, fmt.Errorf("trace: %w", err)
-			}
-			// Check after every step, not just at round boundaries: a
-			// double selection can appear and resolve within one round
-			// (one twin selecting before the other deselects), which a
-			// boundary-only check never sees.
-			if len(m.SelectedProcs()) >= 2 {
-				return true, nil
-			}
-		}
-		if m.AllHalted() {
-			break
-		}
-	}
-	return len(m.SelectedProcs()) >= 2, nil
-}
