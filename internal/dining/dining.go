@@ -184,8 +184,8 @@ func Check(sys *system.System, prog *machine.Program, maxStates int) (*Report, e
 }
 
 // CheckWith is Check with full control over the engine: symmetry
-// reduction, budgets, spill, and progress reporting. The
-// exclusion and deadlock predicates are installed on top of opts.
+// reduction, budgets and progress reporting. The exclusion and deadlock
+// predicates are installed on top of opts.
 func CheckWith(sys *system.System, prog *machine.Program, opts mc.Options) (*Report, error) {
 	exclusion, err := ExclusionPred(sys, prog)
 	if err != nil {

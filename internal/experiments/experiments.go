@@ -245,9 +245,8 @@ func E4DP5() (*Table, error) {
 // a shared-left or shared-right fork; the same uniform program is now
 // deadlock-free (model-checked) and everyone eats under round-robin.
 // With maxStates above the table's ~8.56M-state closure, the capacity
-// check (collapse-compressed keys, spill allowed) closes the space
-// exhaustively (the bounded in-memory probe stays capped at 60k
-// regardless).
+// check (collapse-compressed keys) closes the space exhaustively (the
+// bounded probe stays capped at 60k regardless).
 func E5DP6(maxStates int) (*Table, error) {
 	t := &Table{
 		ID:     "E5",
@@ -276,8 +275,8 @@ func E5DP6(maxStates int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The bounded in-memory probe stays capped at 60k states; the
-	// capacity check below is what takes the table to closure.
+	// The bounded probe stays capped at 60k states; the capacity check
+	// below is what takes the table to closure.
 	bounded := maxStates
 	if bounded > 60_000 {
 		bounded = 60_000
@@ -298,18 +297,16 @@ func E5DP6(maxStates int) (*Table, error) {
 
 	// Capacity headline: component-id vectors close the full
 	// 8.56M-state table. Its 20 distinct windows take one byte per id, so
-	// the vectors (≈103 MB) fit under the 256 MiB hot-index cap and
-	// nothing spills; the cap stays so a wider table degrades to disk.
+	// the vectors take about 103 MB.
 	repCap, err := dining.CheckWith(s, prog, mc.Options{
-		MaxStates:     maxStates,
-		HotIndexBytes: 256 << 20,
-		Progress:      MCProgress,
-		Obs:           Obs,
+		MaxStates: maxStates,
+		Progress:  MCProgress,
+		Obs:       Obs,
 	})
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("capacity check (spill allowed): states explored",
+	t.AddRow("capacity check: states explored",
 		fmt.Sprintf("%d (complete=%v, safe=%v, depth=%d)", repCap.StatesExplored, repCap.Complete,
 			repCap.ExclusionViolated == nil && repCap.Deadlocked == nil, repCap.Stats.Depth))
 	bytesPerState := "n/a"
@@ -319,8 +316,8 @@ func E5DP6(maxStates int) (*Table, error) {
 	t.AddRow("capacity check: states/sec",
 		fmt.Sprintf("%.0f (one goroutine, %s elapsed)", repCap.Stats.StatesPerSec, repCap.Stats.Elapsed.Round(time.Millisecond)))
 	t.AddRow("capacity check: peak bytes/state",
-		fmt.Sprintf("%s (key bytes %d stored as id vectors + windows / %d logical, %d spilled)",
-			bytesPerState, repCap.Stats.StoredKeyBytes, repCap.Stats.LogicalKeyBytes, repCap.Stats.SpilledBytes))
+		fmt.Sprintf("%s (key bytes %d stored as id vectors + windows / %d logical)",
+			bytesPerState, repCap.Stats.StoredKeyBytes, repCap.Stats.LogicalKeyBytes))
 	// The same close in the orbit quotient, at the same state cap.
 	repSym, err := dining.CheckWith(s, prog, mc.Options{
 		MaxStates:      maxStates,

@@ -76,7 +76,7 @@ func TestE5DP6(t *testing.T) {
 	assertCell(t, tbl, "model check: exclusion violated", "no")
 	assertCell(t, tbl, "model check: deadlock found", "no")
 	assertCell(t, tbl, "round-robin progress (3 meals each)", "yes")
-	if got := cell(t, tbl, "capacity check (spill allowed): states explored"); !strings.Contains(got, "safe=true") {
+	if got := cell(t, tbl, "capacity check: states explored"); !strings.Contains(got, "safe=true") {
 		t.Errorf("capacity row = %q, want a safe verdict", got)
 	}
 	if got := cell(t, tbl, "capacity check (symmetry-reduced)"); !strings.Contains(got, "safe=true") {

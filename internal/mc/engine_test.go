@@ -224,29 +224,47 @@ func TestProgressCallback(t *testing.T) {
 	}
 }
 
-// checkModes runs the same check in every engine mode — in memory, and
-// with a spill tier so tight that every finalized index chunk lands on
-// disk, each with and without symmetry reduction — and returns the
-// results keyed by mode name.
+// flippedFourTable is the Figure 5 table of four philosophers, forks
+// alternating, with a program that spins for its left fork, then its
+// right, puts both down and halts: a closed space of 5,689 states.
+func flippedFourTable(tb testing.TB) (*system.System, *machine.Program) {
+	tb.Helper()
+	s, err := system.DiningFlipped(4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bl := machine.NewBuilder()
+	g1, g2 := bl.Sym("_g1"), bl.Sym("_g2")
+	bl.Label("grab1")
+	bl.Lock("left", "_g1")
+	bl.JumpIf(func(r *machine.Regs) bool { return r.Get(g1) != true }, "grab1")
+	bl.Label("grab2")
+	bl.Lock("right", "_g2")
+	bl.JumpIf(func(r *machine.Regs) bool { return r.Get(g2) != true }, "grab2")
+	bl.Unlock("right")
+	bl.Unlock("left")
+	bl.Halt()
+	prog, err := bl.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s, prog
+}
+
+// checkModes runs the same check in both engine modes, without and with
+// symmetry reduction, and returns the results keyed by mode name.
 func checkModes(t *testing.T, factory func() (*machine.Machine, error), opts Options) map[string]*Result {
 	t.Helper()
 	out := make(map[string]*Result)
 	for _, mode := range []struct {
 		name string
 		sym  bool
-		hot  int64
 	}{
-		{"seq", false, 0},
-		{"sym", true, 0},
-		{"spill", false, 1},
-		{"sym+spill", true, 1},
+		{"seq", false},
+		{"sym", true},
 	} {
 		o := opts
 		o.SymmetryReduce = mode.sym
-		o.HotIndexBytes = mode.hot
-		if mode.hot > 0 {
-			o.SpillDir = t.TempDir()
-		}
 		res, err := Check(factory, o)
 		if err != nil {
 			t.Fatalf("%s: %v", mode.name, err)
@@ -342,106 +360,40 @@ func TestSymmetryVerdictEquivalence(t *testing.T) {
 	}
 }
 
-// TestSpillIdenticalToInMemory: forcing the visited set through the
-// spill tier must change residency only — verdict, witness, and every
-// counter stay identical to the in-memory run, with and without symmetry
-// reduction.
-func TestSpillIdenticalToInMemory(t *testing.T) {
-	cases := []struct {
-		name    string
-		factory func() (*machine.Machine, error)
-		opts    Options
-	}{
-		{"fig1-naive-violation", factoryFor(t, system.Fig1(), system.InstrS, naiveClaim),
-			Options{StatePreds: []StatePredicate{UniquenessPred}}},
-		{"fig1-lock-safe", factoryFor(t, system.Fig1(), system.InstrL, lockClaim),
-			Options{StatePreds: []StatePredicate{UniquenessPred}, TransPreds: []TransitionPredicate{StabilityPred}}},
-		{"crossed-locks-deadlock", factoryFor(t, crossedLocks(), system.InstrL, spinLockBoth),
-			Options{StuckBad: NotAllHalted}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			modes := checkModes(t, tc.factory, tc.opts)
-			assertIdentical(t, modes["seq"], modes["spill"], "spill vs in-memory")
-			assertIdentical(t, modes["sym"], modes["sym+spill"], "sym+spill vs sym")
-		})
-	}
-}
-
-// TestSpillDegradesNotCorrupts: a spill-forced run keeps what the
-// in-memory run finds. The crossed-locks deadlock must survive with its
-// witness, and the flipped 4-table is large enough that index chunks
-// really are read back from disk (SpilledBytes > 0).
-func TestSpillDegradesNotCorrupts(t *testing.T) {
-	s4, prog4 := spillFaultModel(t)
-	cases := []struct {
-		name                 string
-		factory              func() (*machine.Machine, error)
-		opts                 Options
-		wantStuck, wantSpill bool
-	}{
-		{"crossed-locks-deadlock", factoryFor(t, crossedLocks(), system.InstrL, spinLockBoth),
-			Options{StuckBad: NotAllHalted}, true, false},
-		{"flipped-4-table", func() (*machine.Machine, error) { return machine.New(s4, system.InstrL, prog4) },
-			Options{StuckBad: NotAllHalted, MaxStates: 100_000}, false, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			modes := checkModes(t, tc.factory, tc.opts)
-			assertIdentical(t, modes["seq"], modes["spill"], "spill vs in-memory")
-			assertIdentical(t, modes["sym"], modes["sym+spill"], "sym+spill vs sym")
-			if v := modes["spill"].Violation; tc.wantStuck && (v == nil || !strings.Contains(v.Reason, "stuck") || len(v.Schedule) == 0) {
-				t.Errorf("deadlock and its witness must survive the spill tier, got %+v", v)
-			}
-			if tc.wantSpill && modes["spill"].Stats.SpilledBytes == 0 {
-				t.Error("spill tier never engaged; the comparison read nothing back from disk")
-			}
-		})
-	}
-}
-
 // TestBudgetMidLevelDeterministic: when MaxStates lands in the middle of
 // a BFS level the run stops at exactly the budget with the same partial
-// result, run after run, with or without the spill tier. spinForever's
-// frontier widens level over level, so a budget of 97 (prime, far from
-// any level boundary) is guaranteed to land mid-level.
+// result, run after run. spinForever's frontier widens level over level,
+// so a budget of 97 (prime, far from any level boundary) is guaranteed to
+// land mid-level.
 func TestBudgetMidLevelDeterministic(t *testing.T) {
 	factory := factoryFor(t, system.Fig1(), system.InstrS, spinForever)
 	var first *Result
-	for _, hot := range []int64{0, 1} {
-		for run := 0; run < 3; run++ {
-			o := Options{MaxStates: 97, Partial: true, HotIndexBytes: hot}
-			if hot > 0 {
-				o.SpillDir = t.TempDir()
-			}
-			res, err := Check(factory, o)
-			if err != nil {
-				t.Fatalf("hot=%d run %d: %v", hot, run, err)
-			}
-			if res.StatesExplored != 97 || res.Complete || res.Exhausted != "states" {
-				t.Fatalf("hot=%d run %d: want exactly 97 states, budget-exhausted: %+v", hot, run, res)
-			}
-			if first == nil {
-				first = res
-				continue
-			}
-			assertIdentical(t, first, res, fmt.Sprintf("hot=%d run %d", hot, run))
+	for run := 0; run < 3; run++ {
+		res, err := Check(factory, Options{MaxStates: 97, Partial: true})
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
 		}
+		if res.StatesExplored != 97 || res.Complete || res.Exhausted != "states" {
+			t.Fatalf("run %d: want exactly 97 states, budget-exhausted: %+v", run, res)
+		}
+		if first == nil {
+			first = res
+			continue
+		}
+		assertIdentical(t, first, res, fmt.Sprintf("run %d", run))
 	}
 }
 
-// TestStorageStatsExact: the storage telemetry is exact and does not
-// depend on residency. StoredKeyBytes is w·W bytes per stored vector plus
+// TestStorageStatsExact: the storage telemetry is exact. StoredKeyBytes is w·W bytes per stored vector plus
 // the component table's distinct windows, where w = 1 because both
 // systems have fewer than 256 distinct windows, and LogicalKeyBytes is the
 // stored states' full key lengths — both recomputed here from an
 // independent breadth-first walk of the reachable states. A complete
 // symmetry-reduced run interns the same windows as the plain one (a
 // state's window set is invariant under automorphisms, and every orbit
-// is expanded), while its logical bytes sum one key per orbit. Spilling
-// changes neither counter.
+// is expanded), while its logical bytes sum one key per orbit.
 func TestStorageStatsExact(t *testing.T) {
-	s4, prog4 := spillFaultModel(t)
+	s4, prog4 := flippedFourTable(t)
 	cases := []struct {
 		name    string
 		sys     *system.System
@@ -459,8 +411,8 @@ func TestStorageStatsExact(t *testing.T) {
 			}
 			width := int64(tc.sys.NumProcs() + tc.sys.NumVars())
 			for name, want := range map[string]struct{ states, logical int64 }{
-				"seq": {ref.states, ref.logical}, "spill": {ref.states, ref.logical},
-				"sym": {ref.orbits, ref.orbitLogical}, "sym+spill": {ref.orbits, ref.orbitLogical},
+				"seq": {ref.states, ref.logical},
+				"sym": {ref.orbits, ref.orbitLogical},
 			} {
 				st := modes[name].Stats
 				if !modes[name].Complete || int64(modes[name].StatesExplored) != want.states {
@@ -472,15 +424,6 @@ func TestStorageStatsExact(t *testing.T) {
 				if st.LogicalKeyBytes != want.logical {
 					t.Errorf("%s: LogicalKeyBytes = %d, want %d", name, st.LogicalKeyBytes, want.logical)
 				}
-			}
-			for _, pair := range [][2]string{{"seq", "spill"}, {"sym", "sym+spill"}} {
-				a, b := modes[pair[0]].Stats, modes[pair[1]].Stats
-				if a.StoredKeyBytes != b.StoredKeyBytes || a.LogicalKeyBytes != b.LogicalKeyBytes {
-					t.Errorf("%s vs %s: storage telemetry diverged:\n%+v\n%+v", pair[0], pair[1], a, b)
-				}
-			}
-			if modes["spill"].Stats.SpilledBytes == 0 && tc.name == "flipped-4-table" {
-				t.Error("spill tier never engaged; the residency comparison is vacuous")
 			}
 		})
 	}

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"math/bits"
-	"os"
 	"unsafe"
 
 	"simsym/internal/canon"
@@ -26,25 +24,20 @@ import (
 // ids are collision-free by construction — hash quality affects only
 // speed, never verdicts.
 //
-//   - Ids are int64 (they used to be int32, which silently truncated
-//     and aliased distinct states past 2³¹ — exactly the scale this
-//     index targets). States are inserted in BFS commit order, so a
-//     state's id is baseID plus its record index and doubles as its node
-//     index in the checker's bookkeeping; baseID lets tests pin the id
-//     stream right at the old 32-bit boundary.
+//   - Ids are int64, so they neither truncate nor alias past 2³¹.
+//     States are inserted in BFS commit order, so a state's id is baseID
+//     plus its record index and doubles as its node index in the
+//     checker's bookkeeping; baseID lets tests pin the id stream right
+//     at the 32-bit boundary.
 //   - Vectors live in a chunked byte arena (fixed-size chunks,
 //     append-only, never moved once full). Each chunk stores its ids at
 //     one width w of 1, 2 or 4 little-endian bytes: it opens at the
 //     fewest bytes that hold the component table's largest id, and only
 //     the open chunk is ever re-encoded wider, when an id outgrows it.
-//     Record i sits at logical byte offset (i/perChunk)<<shift +
-//     (i%perChunk)·w·W, perChunk being what fits at 4 bytes, so no
-//     per-state location table is needed and no widening moves an offset.
-//   - When a hot-bytes cap is set, full chunks spill FIFO to a temp file,
-//     as stored (BFS rarely re-touches old levels, so the spilled
-//     majority is read back only on genuine dedup hits against deep
-//     history). File offsets equal logical offsets, so a spilled record
-//     is one ReadAt. The component table is small and stays resident.
+//     Record i sits in chunk i/perChunk at byte (i%perChunk)·w·W,
+//     perChunk being what fits in a chunk at 4 bytes, so no per-state
+//     location table is needed and no widening moves a record to
+//     another chunk.
 type stateIndex struct {
 	buckets bucketTable // full vector hash -> record index
 	comps   compTable
@@ -52,26 +45,17 @@ type stateIndex struct {
 
 	width    int   // W: components per vector
 	perChunk int64 // records per chunk
-	shift    uint  // a chunk spans 1<<shift logical bytes
 	n        int64 // records written
 
-	chunks  [][]byte // chunk i holds records [i·perChunk, (i+1)·perChunk)
-	widths  []uint8  // widths[i]: chunk i's bytes per id, 1, 2 or 4
-	spilled int      // chunks[:spilled] are on disk and nil-ed
-	hot     int64    // resident chunk bytes, kept by write, widen and maybeSpill
-
-	hotCapBytes int64    // spill threshold; 0 = never spill
-	spillDir    string   // directory for the spill file ("" = os.TempDir())
-	file        *os.File // spill file; nil until the first spill
-	recBuf      []byte   // scratch for a spilled record read back
-
-	spilledBytes int64
-	spillFlushes int64
+	chunks [][]byte // chunk i holds records [i·perChunk, (i+1)·perChunk)
+	widths []uint8  // widths[i]: chunk i's bytes per id, 1, 2 or 4
+	hot    int64    // allocated chunk bytes, kept by write and widen
 }
 
 const (
-	chunkShift = 16 // 64 KiB chunks, widened only for vectors larger than that
-	chunkSize  = 1 << chunkShift
+	// chunkSize is a chunk's span at 4 bytes per id: a chunk holds the
+	// records that fit in it at that width, and at least one.
+	chunkSize = 64 << 10
 
 	// bucketSlotSize is the bucket directory's exact footprint per
 	// allocated open-addressing slot: a tag and an index in one uint64.
@@ -97,16 +81,11 @@ func vecWord(c int, id uint32) uint64 {
 	return canon.Mix64(uint64(c)<<32 | uint64(id))
 }
 
-// newStateIndex builds an empty index over width-component vectors;
-// hotCapBytes > 0 arms the spill tier, writing under dir (os.TempDir()
-// when dir is empty).
-func newStateIndex(width int, hotCapBytes int64, dir string) *stateIndex {
-	t := &stateIndex{width: width, hotCapBytes: hotCapBytes, spillDir: dir, shift: chunkShift}
-	for 1<<t.shift < 4*width {
-		t.shift++
-	}
-	t.perChunk = int64(1<<t.shift) / int64(4*width)
-	return t
+// newStateIndex builds an empty index over width-component vectors.
+// A chunk holds at least one record, so a vector wider than a chunk
+// gets a chunk of its own.
+func newStateIndex(width int) *stateIndex {
+	return &stateIndex{width: width, perChunk: max(1, chunkSize/(4*int64(width)))}
 }
 
 // bucketTable is an open-addressed multimap from 64-bit hashes to dense
@@ -184,19 +163,15 @@ func (bt *bucketTable) next(tag uint64, sl *uint64) (uint32, bool) {
 
 // lookupHashed reports whether vec (with its precomputed hash) is
 // already indexed, and its id if so.
-func (t *stateIndex) lookupHashed(vec []uint32, hash uint64) (id int64, ok bool, err error) {
+func (t *stateIndex) lookupHashed(vec []uint32, hash uint64) (id int64, ok bool) {
 	bt := &t.buckets
 	tag, sl := bt.probe(hash)
 	for i, ok := bt.next(tag, &sl); ok; i, ok = bt.next(tag, &sl) {
-		rec, w, err := t.record(int64(i))
-		if err != nil {
-			return 0, false, err
-		}
-		if equalAt(rec, w, vec) {
-			return t.baseID + int64(i), true, nil
+		if rec, w := t.record(int64(i)); equalAt(rec, w, vec) {
+			return t.baseID + int64(i), true
 		}
 	}
-	return 0, false, nil
+	return 0, false
 }
 
 // insert appends vec (not yet present; hash as from lookupHashed) with
@@ -309,24 +284,13 @@ func equalAt(rec []byte, w uint8, vec []uint32) bool {
 	return true
 }
 
-// record returns record ei's bytes and their width per id: zero-copy
-// from a hot chunk, read back from the spill file into scratch otherwise
-// (valid until the next spilled read).
-func (t *stateIndex) record(ei int64) ([]byte, uint8, error) {
+// record returns record ei's bytes, zero-copy, and their width per id.
+func (t *stateIndex) record(ei int64) ([]byte, uint8) {
 	ci := int(ei / t.perChunk)
 	w := t.widths[ci]
 	n := int(w) * t.width
 	off := int(ei%t.perChunk) * n
-	if ci >= t.spilled {
-		return t.chunks[ci][off : off+n], w, nil
-	}
-	if t.recBuf == nil {
-		t.recBuf = make([]byte, 4*t.width)
-	}
-	if _, err := t.file.ReadAt(t.recBuf[:n], int64(ci)<<t.shift+int64(off)); err != nil {
-		return nil, 0, fmt.Errorf("mc: spill read: %w", err)
-	}
-	return t.recBuf[:n], w, nil
+	return t.chunks[ci][off : off+n], w
 }
 
 // storedBytes is what the index stores per state key: the vectors, each
@@ -339,83 +303,14 @@ func (t *stateIndex) storedBytes() int64 {
 	return total
 }
 
-// spillWriteHook, when non-nil, intercepts each chunk write to the spill
-// tier and can force it to fail — a test seam for fault-injecting the
-// write path (disk full, revoked permissions) without a real bad disk.
-var spillWriteHook func() error
-
-// maybeSpill flushes full chunks FIFO to the spill file, as stored, until
-// the hot arena fits under the cap again. Called between BFS levels, when
-// no caller holds a zero-copy record slice. Returns the bytes moved to
-// disk by this call.
-//
-// Any mid-spill failure releases the spill tier before returning: the
-// index is unusable for further lookups once a chunk write is lost, so
-// holding the file open would only leak it — the caller surfaces the
-// error (or degrades to a partial result) and never touches the spilled
-// tier again.
-func (t *stateIndex) maybeSpill() (int64, error) {
-	if t.hotCapBytes <= 0 {
-		return 0, nil
-	}
-	var freed int64
-	for t.hot > t.hotCapBytes {
-		ci := t.spilled
-		if int64(ci+1)*t.perChunk > t.n {
-			break // the active chunk still accepts appends
-		}
-		if t.file == nil {
-			f, err := os.CreateTemp(t.spillDir, "mc-spill-*")
-			if err != nil {
-				return freed, fmt.Errorf("mc: spill: %w", err)
-			}
-			t.file = f
-		}
-		if spillWriteHook != nil {
-			if err := spillWriteHook(); err != nil {
-				t.release()
-				return freed, fmt.Errorf("mc: spill write: %w", err)
-			}
-		}
-		c := t.chunks[ci]
-		if _, err := t.file.WriteAt(c, int64(ci)<<t.shift); err != nil {
-			t.release()
-			return freed, fmt.Errorf("mc: spill write: %w", err)
-		}
-		n := int64(len(c))
-		freed += n
-		t.hot -= n
-		t.spilledBytes += n
-		t.chunks[ci] = nil
-		t.spilled++
-	}
-	if freed > 0 {
-		t.spillFlushes++
-	}
-	return freed, nil
-}
-
-// release closes and removes the spill file. Idempotent.
-func (t *stateIndex) release() {
-	if t.file != nil {
-		t.file.Close()
-		os.Remove(t.file.Name())
-		t.file = nil
-	}
-}
-
 // memBytes estimates the index's resident memory footprint from
 // capacities, not lengths: allocated chunk bytes at their widths (a
 // half-filled chunk costs its full size), the bucket directory's exact
-// slot count, the component table and the spill scratch. Spilled bytes
-// live on disk and are deliberately excluded. Keeping this honest is
-// what lets MaxMemBytes degrade into a Partial result instead of an OOM;
-// it is O(1), because the budget polls it after every push.
+// slot count and the component table. Keeping this honest is what lets
+// MaxMemBytes degrade into a Partial result instead of an OOM; it is
+// O(1), because the budget polls it after every push.
 func (t *stateIndex) memBytes() int64 {
-	return t.hot +
-		int64(len(t.buckets.slots))*bucketSlotSize +
-		t.comps.memBytes() +
-		int64(cap(t.recBuf))
+	return t.hot + int64(len(t.buckets.slots))*bucketSlotSize + t.comps.memBytes()
 }
 
 // errCompIDs reports a component table that ran out of uint32 ids.

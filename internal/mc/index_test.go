@@ -5,15 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"slices"
 	"testing"
 
 	"simsym/internal/canon"
 )
 
-// testWidth is wide enough (256-byte records, 256 per chunk) that a few
-// thousand vectors finalize several chunks — only full chunks spill.
+// testWidth is wide enough (256 records a chunk) that a few thousand
+// vectors fill several chunks.
 const testWidth = 64
 
 // testVec builds a distinct width-component vector for each i.
@@ -31,9 +30,7 @@ func testVec(i, width int) []uint32 {
 func mustInsert(t *testing.T, idx *stateIndex, vec []uint32) int64 {
 	t.Helper()
 	hash := hashVec(vec)
-	if _, ok, err := idx.lookupHashed(vec, hash); err != nil {
-		t.Fatal(err)
-	} else if ok {
+	if _, ok := idx.lookupHashed(vec, hash); ok {
 		t.Fatalf("vector %v unexpectedly present", vec)
 	}
 	return idx.insert(vec, hash)
@@ -56,7 +53,7 @@ func recountHot(idx *stateIndex) int64 {
 // (baseID-relative), which Check keeps below 2³²−1 by capping MaxStates
 // (TestMaxStatesAboveNodeIDs).
 func TestIndexIDWidthBoundary(t *testing.T) {
-	idx := newStateIndex(3, 0, "")
+	idx := newStateIndex(3)
 	idx.baseID = (int64(1) << 31) - 2
 
 	vecs := make([][]uint32, 6)
@@ -74,11 +71,7 @@ func TestIndexIDWidthBoundary(t *testing.T) {
 	// Every vector must resolve to its own id — an int32-width index
 	// would alias ids 2147483646 and beyond after truncation.
 	for i, vec := range vecs {
-		gid, ok, err := idx.lookupHashed(vec, hashVec(vec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok || gid != gids[i] {
+		if gid, ok := idx.lookupHashed(vec, hashVec(vec)); !ok || gid != gids[i] {
 			t.Errorf("vector %d resolved to gid %d (ok=%v), want %d", i, gid, ok, gids[i])
 		}
 	}
@@ -90,7 +83,7 @@ func TestIndexIDWidthBoundary(t *testing.T) {
 // nearly the whole allocation and fired the memory budget late. Ids
 // below 256 take one byte each, so that chunk is perChunk·W bytes.
 func TestIndexMemBytesCountsCapacities(t *testing.T) {
-	idx := newStateIndex(2, 0, "")
+	idx := newStateIndex(2)
 	mustInsert(t, idx, []uint32{1, 2})
 	if chunk := idx.perChunk * 2; int64(len(idx.chunks[0])) != chunk || idx.memBytes() < chunk {
 		t.Errorf("memBytes = %d after one insert; a %d-byte chunk is allocated and must be charged", idx.memBytes(), chunk)
@@ -100,7 +93,7 @@ func TestIndexMemBytesCountsCapacities(t *testing.T) {
 	// allocated open-addressing slot, and vectors forced to share one
 	// full hash must land in separate slots that all still resolve
 	// exactly (the probe chain disambiguates by vector comparison).
-	idx2 := newStateIndex(3, 0, "")
+	idx2 := newStateIndex(3)
 	hash := hashVec([]uint32{7})
 	for i := 0; i < 100; i++ {
 		idx2.insert(testVec(i, 3), hash)
@@ -109,9 +102,9 @@ func TestIndexMemBytesCountsCapacities(t *testing.T) {
 		t.Errorf("bucket table holds %d entries, want 100", idx2.buckets.n)
 	}
 	for i := 0; i < 100; i++ {
-		gid, ok, err := idx2.lookupHashed(testVec(i, 3), hash)
-		if err != nil || !ok {
-			t.Fatalf("same-hash vector %d not found (ok=%v, err=%v)", i, ok, err)
+		gid, ok := idx2.lookupHashed(testVec(i, 3), hash)
+		if !ok {
+			t.Fatalf("same-hash vector %d not found", i)
 		}
 		if gid != int64(i) {
 			t.Errorf("same-hash vector %d resolved to gid %d", i, gid)
@@ -131,69 +124,44 @@ func TestIndexMemBytesCountsCapacities(t *testing.T) {
 	}
 }
 
-// TestIndexSpillRoundTrip: with a hot cap far below the written volume,
-// full chunks migrate to disk at their logical offsets and every vector
-// still resolves exactly through file reads; release removes the file.
-func TestIndexSpillRoundTrip(t *testing.T) {
-	for _, width := range []int{testWidth, chunkSize/4 + 1} { // the second needs widened chunks
-		t.Run(fmt.Sprint("W=", width), func(t *testing.T) {
-			idx := newStateIndex(width, chunkSize/2, t.TempDir()) // cap below one chunk: spill every full one
-			n := 3000
-			if width > chunkSize/4 {
-				n = 5
+// TestIndexRoundTrip: every vector resolves to its id, and record i sits
+// in chunk i/perChunk at byte (i%perChunk)·w·W, w being its chunk's bytes
+// per id. The second width is one id past what a chunk holds at 4 bytes
+// per id, so each of its records gets a chunk of its own.
+func TestIndexRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		width       int
+		n, perChunk int64
+	}{
+		{testWidth, 3000, 256},
+		{chunkSize/4 + 1, 5, 1},
+	} {
+		t.Run(fmt.Sprint("W=", tc.width), func(t *testing.T) {
+			idx := newStateIndex(tc.width)
+			for i := range tc.n {
+				if gid := mustInsert(t, idx, testVec(int(i), tc.width)); gid != i {
+					t.Fatalf("vector %d got id %d", i, gid)
+				}
 			}
-			gids := make([]int64, n)
-			for i := range gids {
-				gids[i] = mustInsert(t, idx, testVec(i, width))
-				if i%500 == 499 {
-					if _, err := idx.maybeSpill(); err != nil {
-						t.Fatal(err)
+			if idx.perChunk != tc.perChunk {
+				t.Fatalf("perChunk = %d, want %d", idx.perChunk, tc.perChunk)
+			}
+			if want := int((tc.n + tc.perChunk - 1) / tc.perChunk); len(idx.chunks) != want {
+				t.Errorf("%d chunks, want %d", len(idx.chunks), want)
+			}
+			for i := range tc.n {
+				vec := testVec(int(i), tc.width)
+				if got, ok := idx.lookupHashed(vec, hashVec(vec)); !ok || got != i {
+					t.Errorf("vector %d resolved to %d/%v", i, got, ok)
+				}
+				ci := i / idx.perChunk
+				w := idx.widths[ci]
+				rec := idx.chunks[ci][(i%idx.perChunk)*int64(w)*int64(tc.width):]
+				for c := range vec {
+					if got := getID(rec, w, c); got != vec[c] {
+						t.Fatalf("record %d id %d = %d, want %d", i, c, got, vec[c])
 					}
 				}
-			}
-			if _, err := idx.maybeSpill(); err != nil {
-				t.Fatal(err)
-			}
-			if idx.spilledBytes == 0 {
-				t.Fatal("spill tier never engaged despite a sub-chunk hot cap")
-			}
-			if idx.hot > int64(1)<<idx.shift {
-				t.Errorf("hot tier holds %d bytes after spilling; at most the active chunk should remain", idx.hot)
-			}
-
-			for i, gid := range gids {
-				vec := testVec(i, width)
-				got, ok, err := idx.lookupHashed(vec, hashVec(vec))
-				if err != nil {
-					t.Fatalf("vector %d: %v", i, err)
-				}
-				if !ok || got != gid {
-					t.Errorf("vector %d resolved to %d/%v, want %d", i, got, ok, gid)
-				}
-			}
-
-			// File offset equals logical offset: record i sits at
-			// (i/perChunk)<<shift + (i%perChunk)·w·W, w being its chunk's
-			// bytes per id.
-			for _, i := range []int64{0, idx.perChunk - 1, int64(idx.spilled)*idx.perChunk - 1} {
-				w := int64(idx.widths[i/idx.perChunk])
-				rec := make([]byte, w*int64(width))
-				off := (i/idx.perChunk)<<idx.shift + (i%idx.perChunk)*w*int64(width)
-				if _, err := idx.file.ReadAt(rec, off); err != nil {
-					t.Fatal(err)
-				}
-				want := testVec(int(i), width)
-				for c := range want {
-					if got := getID(rec, uint8(w), c); got != want[c] {
-						t.Fatalf("record %d id %d on disk = %d, want %d", i, c, got, want[c])
-					}
-				}
-			}
-
-			path := idx.file.Name()
-			idx.release()
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Errorf("release must remove the spill file; stat err = %v", err)
 			}
 		})
 	}
@@ -202,32 +170,14 @@ func TestIndexSpillRoundTrip(t *testing.T) {
 // TestIndexHotBytesRunningCount pins the memory-budget fix: memBytes
 // used to walk every chunk, and the budget polls it after every push,
 // so a budgeted check was quadratic in its chunk count. The running
-// count must equal a recount after inserts and after spills.
+// count must equal a recount after every insert.
 func TestIndexHotBytesRunningCount(t *testing.T) {
-	idx := newStateIndex(testWidth, 3*chunkSize, t.TempDir())
-	defer idx.release()
+	idx := newStateIndex(testWidth)
 	for i := 0; i < 4000; i++ {
 		mustInsert(t, idx, testVec(i, testWidth))
 		if got, want := idx.hot, recountHot(idx); got != want {
 			t.Fatalf("after insert %d: hot = %d, recount %d", i, got, want)
 		}
-		if i%700 == 699 {
-			if _, err := idx.maybeSpill(); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := idx.hot, recountHot(idx); got != want {
-				t.Fatalf("after spill at %d: hot = %d, recount %d", i, got, want)
-			}
-		}
-	}
-	if idx.spilled == 0 {
-		t.Fatal("spill tier never engaged; the test covered inserts only")
-	}
-	if _, err := idx.maybeSpill(); err != nil {
-		t.Fatal(err)
-	}
-	if idx.hot != recountHot(idx) || idx.hot > idx.hotCapBytes {
-		t.Errorf("hot = %d after spilling, cap %d", idx.hot, idx.hotCapBytes)
 	}
 }
 
@@ -239,117 +189,99 @@ func TestIndexHotBytesRunningCount(t *testing.T) {
 // Every record must be found at its chunk's width, vectors never written
 // must not be — nor one that equals a record modulo its chunk's width,
 // probed under that record's hash — and the byte counts must be exact.
-// Under a 1-byte hot cap the full chunks of both widths spill and are
-// read back.
 func TestIndexWidensOpenChunk(t *testing.T) {
 	for _, boundary := range []uint64{1 << 8, 1 << 16} {
-		for _, hotCap := range []int64{0, 1} {
-			t.Run(fmt.Sprintf("boundary=%d/hot=%d", boundary, hotCap), func(t *testing.T) {
-				idx := newStateIndex(testWidth, hotCap, t.TempDir())
-				defer idx.release()
-				idx.comps.base = boundary - 2
-				intern := func(win string) uint32 {
-					id, err := idx.comps.intern([]byte(win))
-					if err != nil {
-						t.Fatal(err)
-					}
-					return id
+		t.Run(fmt.Sprint("boundary=", boundary), func(t *testing.T) {
+			idx := newStateIndex(testWidth)
+			idx.comps.base = boundary - 2
+			intern := func(win string) uint32 {
+				id, err := idx.comps.intern([]byte(win))
+				if err != nil {
+					t.Fatal(err)
 				}
-				narrow, wide := idWidth(boundary-1), idWidth(boundary)
-				// Record i spells i in binary: id zero at its 0 bits, and
-				// id one at its 1 bits, which is the boundary id from
-				// record switchAt on.
-				zero, one := intern("a"), intern("b")
-				vec := func(i int, one uint32) []uint32 {
-					v := make([]uint32, testWidth)
-					for c := range v {
-						v[c] = zero
-						if i>>c&1 == 1 {
-							v[c] = one
-						}
-					}
-					return v
-				}
-				pc := int(idx.perChunk)
-				switchAt, n := pc+pc/2, 2*pc+pc/2
-				oneAt := func(i int) uint32 {
-					if i < switchAt {
-						return one
-					}
-					return uint32(boundary)
-				}
-				for i := range n {
-					if i == switchAt {
-						if id := intern("c"); uint64(id) != boundary {
-							t.Fatalf("the third window's id = %d, want %d", id, boundary)
-						}
-						if idx.widths[1] != narrow {
-							t.Fatalf("chunk 1 holds %d-byte ids before the boundary id, want %d", idx.widths[1], narrow)
-						}
-					}
-					if got := mustInsert(t, idx, vec(i, oneAt(i))); got != int64(i) {
-						t.Fatalf("record %d got id %d", i, got)
-					}
-					if _, err := idx.maybeSpill(); err != nil {
-						t.Fatal(err)
+				return id
+			}
+			narrow, wide := idWidth(boundary-1), idWidth(boundary)
+			// Record i spells i in binary: id zero at its 0 bits, and id
+			// one at its 1 bits, which is the boundary id from record
+			// switchAt on.
+			zero, one := intern("a"), intern("b")
+			vec := func(i int, one uint32) []uint32 {
+				v := make([]uint32, testWidth)
+				for c := range v {
+					v[c] = zero
+					if i>>c&1 == 1 {
+						v[c] = one
 					}
 				}
-				if want := []uint8{narrow, wide, wide}; !slices.Equal(idx.widths, want) {
-					t.Fatalf("chunk widths %v, want %v", idx.widths, want)
+				return v
+			}
+			pc := int(idx.perChunk)
+			switchAt, n := pc+pc/2, 2*pc+pc/2
+			oneAt := func(i int) uint32 {
+				if i < switchAt {
+					return one
 				}
-				if want := hotCap * 2; int64(idx.spilled) != want {
-					t.Fatalf("%d chunks spilled, want %d", idx.spilled, want)
+				return uint32(boundary)
+			}
+			for i := range n {
+				if i == switchAt {
+					if id := intern("c"); uint64(id) != boundary {
+						t.Fatalf("the third window's id = %d, want %d", id, boundary)
+					}
+					if idx.widths[1] != narrow {
+						t.Fatalf("chunk 1 holds %d-byte ids before the boundary id, want %d", idx.widths[1], narrow)
+					}
 				}
+				if got := mustInsert(t, idx, vec(i, oneAt(i))); got != int64(i) {
+					t.Fatalf("record %d got id %d", i, got)
+				}
+			}
+			if want := []uint8{narrow, wide, wide}; !slices.Equal(idx.widths, want) {
+				t.Fatalf("chunk widths %v, want %v", idx.widths, want)
+			}
 
-				for i := range n {
-					v := vec(i, oneAt(i))
-					if got, ok, err := idx.lookupHashed(v, hashVec(v)); err != nil || !ok || got != int64(i) {
-						t.Fatalf("record %d resolved to %d (ok=%v, err=%v)", i, got, ok, err)
-					}
+			for i := range n {
+				v := vec(i, oneAt(i))
+				if got, ok := idx.lookupHashed(v, hashVec(v)); !ok || got != int64(i) {
+					t.Fatalf("record %d resolved to %d (ok=%v)", i, got, ok)
 				}
-				for i := n; i < n+pc; i++ {
-					v := vec(i, uint32(boundary))
-					if got, ok, err := idx.lookupHashed(v, hashVec(v)); err != nil || ok {
-						t.Fatalf("vector %d was never written but resolved to %d (ok=%v, err=%v)", i, got, ok, err)
-					}
+			}
+			for i := n; i < n+pc; i++ {
+				v := vec(i, uint32(boundary))
+				if got, ok := idx.lookupHashed(v, hashVec(v)); ok {
+					t.Fatalf("vector %d was never written but resolved to %d", i, got)
 				}
-				for _, i := range []int{0, 1, pc - 1, pc, switchAt - 1, n - 1} {
-					w := idx.widths[i/pc]
-					if w == 4 {
-						continue // no uint32 id aliases a 4-byte one
-					}
-					v := vec(i, oneAt(i))
-					alias := slices.Clone(v)
-					alias[0] += 1 << (8 * w)
-					if got, ok, err := idx.lookupHashed(alias, hashVec(v)); err != nil || ok {
-						t.Fatalf("record %d's alias %d at %d-byte ids resolved to %d (ok=%v, err=%v)", i, alias[0], w, got, ok, err)
-					}
+			}
+			for _, i := range []int{0, 1, pc - 1, pc, switchAt - 1, n - 1} {
+				w := idx.widths[i/pc]
+				if w == 4 {
+					continue // no uint32 id aliases a 4-byte one
 				}
+				v := vec(i, oneAt(i))
+				alias := slices.Clone(v)
+				alias[0] += 1 << (8 * w)
+				if got, ok := idx.lookupHashed(alias, hashVec(v)); ok {
+					t.Fatalf("record %d's alias %d at %d-byte ids resolved to %d", i, alias[0], w, got)
+				}
+			}
 
-				// Exact byte counts: each chunk at its width, the hot tier
-				// the resident chunks' full allocations.
-				perChunkBytes := idx.perChunk * testWidth
-				stored := perChunkBytes*int64(narrow) + perChunkBytes*int64(wide) + int64(n-2*pc)*testWidth*int64(wide)
-				if want := stored + int64(len(idx.comps.data)); idx.storedBytes() != want {
-					t.Errorf("storedBytes = %d, want %d", idx.storedBytes(), want)
-				}
-				hot := perChunkBytes * int64(narrow+2*wide)
-				if hotCap > 0 {
-					hot = perChunkBytes * int64(wide)
-				}
-				if idx.hot != hot || recountHot(idx) != hot {
-					t.Errorf("hot = %d (recount %d), want %d", idx.hot, recountHot(idx), hot)
-				}
-				recBuf := int64(0)
-				if hotCap > 0 {
-					recBuf = 4 * testWidth
-				}
-				want := hot + int64(len(idx.buckets.slots))*bucketSlotSize + idx.comps.memBytes() + recBuf
-				if got := idx.memBytes(); got != want {
-					t.Errorf("memBytes = %d, want %d", got, want)
-				}
-			})
-		}
+			// Exact byte counts: each chunk at its width, the arena the
+			// chunks' full allocations.
+			perChunkBytes := idx.perChunk * testWidth
+			stored := perChunkBytes*int64(narrow) + perChunkBytes*int64(wide) + int64(n-2*pc)*testWidth*int64(wide)
+			if want := stored + int64(len(idx.comps.data)); idx.storedBytes() != want {
+				t.Errorf("storedBytes = %d, want %d", idx.storedBytes(), want)
+			}
+			hot := perChunkBytes * int64(narrow+2*wide)
+			if idx.hot != hot || recountHot(idx) != hot {
+				t.Errorf("hot = %d (recount %d), want %d", idx.hot, recountHot(idx), hot)
+			}
+			want := hot + int64(len(idx.buckets.slots))*bucketSlotSize + idx.comps.memBytes()
+			if got := idx.memBytes(); got != want {
+				t.Errorf("memBytes = %d, want %d", got, want)
+			}
+		})
 	}
 }
 

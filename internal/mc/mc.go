@@ -23,7 +23,6 @@
 //     slots. A vector is stored at 1, 2 or 4 bytes per id, the fewest
 //     that hold the table's ids when its chunk was written, so a state
 //     costs W bytes while the table holds fewer than 256 windows.
-//     Options.HotIndexBytes spills cold vectors to disk.
 //   - Expansion steps on ids. A step of processor p reads and writes
 //     only p's frame and the one variable machine.StepVar names, so a
 //     successor's vector is its parent's with at most those two ids
@@ -113,19 +112,6 @@ type Options struct {
 	// which quantify over all processors. Witness schedules remain
 	// genuine: stored states are reachable states, not permuted images.
 	SymmetryReduce bool
-	// HotIndexBytes > 0 caps the visited index's in-memory vector arena,
-	// counted at the bytes each chunk holds (1, 2 or 4 per id): when the
-	// hot tier outgrows the cap, full arena chunks spill FIFO, as stored,
-	// to a temp file under SpillDir at level boundaries and are read back
-	// transparently on dedup probes against deep history. The cap
-	// governs only state-vector storage; the component table, the bucket
-	// table and node bookkeeping stay resident (MaxMemBytes still bounds
-	// the estimated total, which excludes spilled bytes). Verdicts,
-	// witnesses and counters do not depend on the cap.
-	HotIndexBytes int64
-	// SpillDir is the directory for the spill file (os.TempDir() when
-	// empty); the file is removed when the check returns.
-	SpillDir string
 	// Progress, when non-nil, receives a Stats snapshot roughly every
 	// ProgressEvery explored states and once when the check finishes.
 	Progress func(Stats)
@@ -204,9 +190,6 @@ type Stats struct {
 	// the full state keys (machine.AppendStateKey) would have occupied.
 	StoredKeyBytes  int64
 	LogicalKeyBytes int64
-	// SpilledBytes counts visited-index bytes resident on disk (their
-	// peak; spilled bytes are excluded from PeakMemBytes).
-	SpilledBytes int64
 	// MemoEntries is the step memo's size, and MemoMisses counts the
 	// processor steps it could not answer, each of which ran the machine
 	// and added an entry. Every other step, of Transitions + SelfLoops,
@@ -346,7 +329,7 @@ type checker struct {
 	// pushed in node order, so a frontier's node ids are contiguous: state
 	// i of the current level is node levelStart+i. Expansion reads the
 	// parent's vector and hash here, never from the index, which stores
-	// permuted representatives and may have spilled them.
+	// permuted representatives.
 	levelVecs, nextVecs []uint32
 	levelStart          int
 	// root is the initial machine, on which the stuck search replays its
@@ -389,10 +372,9 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 		progressEvery: opts.ProgressEvery,
 		start:         time.Now(),
 		res:           &Result{},
-		idx:           newStateIndex(width, opts.HotIndexBytes, opts.SpillDir),
+		idx:           newStateIndex(width),
 		root:          m0,
 	}
-	defer c.idx.release()
 	c.stats = &c.res.Stats
 	c.stats.GroupOrder = 1
 	if c.maxStates <= 0 {
@@ -461,25 +443,6 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 		if opts.Obs.Enabled() {
 			opts.Obs.StateExpansion("mc", c.res.StatesExplored, c.stats.Depth, c.stats.Transitions)
 		}
-		// The level boundary is the one point where merge holds no
-		// zero-copy slice of a hot chunk, so it is the safe place to
-		// migrate cold index chunks to disk.
-		freed, serr := c.idx.maybeSpill()
-		if serr != nil {
-			// A failed spill (disk full, unwritable dir) ends exploration,
-			// but everything explored so far is intact in memory — degrade
-			// to a partial result when the caller opted in, exactly like a
-			// budget exhaustion.
-			c.res.Complete = false
-			c.res.Exhausted = "spill"
-			if c.opts.Partial {
-				return c.finish(nil)
-			}
-			return c.finish(serr)
-		}
-		if freed > 0 && opts.Obs.Enabled() {
-			opts.Obs.Spill("mc", freed, c.idx.spilledBytes, c.idx.spillFlushes)
-		}
 		c.levelStart += n
 	}
 	c.res.Complete = true
@@ -517,7 +480,6 @@ func (c *checker) finish(err error) (*Result, error) {
 	}
 	c.stats.StoredKeyBytes = c.idx.storedBytes()
 	c.stats.LogicalKeyBytes = c.logicalKeyBytes
-	c.stats.SpilledBytes = c.idx.spilledBytes
 	if c.opts.Progress != nil {
 		c.opts.Progress(*c.stats)
 	}
@@ -529,14 +491,8 @@ func (c *checker) finish(err error) (*Result, error) {
 		rec.Count("mc.self_loops", c.stats.SelfLoops)
 		rec.Count("mc.memo_entries", c.stats.MemoEntries)
 		rec.Count("mc.memo_misses", c.stats.MemoMisses)
-		if c.opts.HotIndexBytes > 0 {
-			// Spill-mode telemetry only: the emissions below would
-			// perturb the deterministic event stream golden-file tests
-			// pin for the in-memory configuration.
-			rec.Count("mc.stored_key_bytes", c.stats.StoredKeyBytes)
-			rec.Count("mc.logical_key_bytes", c.stats.LogicalKeyBytes)
-			rec.Count("mc.spilled_bytes", c.stats.SpilledBytes)
-		}
+		rec.Count("mc.stored_key_bytes", c.stats.StoredKeyBytes)
+		rec.Count("mc.logical_key_bytes", c.stats.LogicalKeyBytes)
 		rec.Stat("mc.depth", int64(c.stats.Depth))
 		rec.Stat("mc.peak_frontier", int64(c.stats.PeakFrontier))
 		rec.Observe("mc.check", c.stats.Elapsed)
@@ -690,9 +646,7 @@ func (c *checker) merge(curIdx int) (bool, error) {
 			c.stats.SelfLoops++
 		} else {
 			c.stats.Transitions++
-			if id, ok, err := c.idx.lookupHashed(si.key, si.hash); err != nil {
-				return true, err
-			} else if ok {
+			if id, ok := c.idx.lookupHashed(si.key, si.hash); ok {
 				c.stats.DedupHits++
 				to = uint32(id - c.idx.baseID)
 			} else if c.res.StatesExplored >= c.maxStates {

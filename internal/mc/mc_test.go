@@ -182,7 +182,7 @@ func grabAndKeep(b *machine.Builder) {
 // terminal stuck components mix halted processors, whose successor slots
 // hold the self-loop mark, with spinning ones. The verdict, witness and
 // counts are the ones the checker gave when it kept successors in a
-// variable-length []int, in every engine mode.
+// variable-length []int, with and without symmetry reduction.
 func TestStuckComponentWithHaltedProcs(t *testing.T) {
 	s, err := system.Dining(3)
 	if err != nil {
@@ -191,22 +191,16 @@ func TestStuckComponentWithHaltedProcs(t *testing.T) {
 	factory := factoryFor(t, s, system.InstrL, grabAndKeep)
 	for _, tc := range []struct {
 		name        string
-		sym, spill  bool
+		sym         bool
 		states      int
 		transitions int64
 		selfLoops   int64
 	}{
-		{"seq", false, false, 230, 645, 45},
-		{"sym", true, false, 80, 225, 15},
-		{"spill", false, true, 230, 645, 45},
-		{"sym+spill", true, true, 80, 225, 15},
+		{"seq", false, 230, 645, 45},
+		{"sym", true, 80, 225, 15},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{StuckBad: NotAllHalted, SymmetryReduce: tc.sym}
-			if tc.spill {
-				opts.HotIndexBytes, opts.SpillDir = 1, t.TempDir()
-			}
-			res, err := Check(factory, opts)
+			res, err := Check(factory, Options{StuckBad: NotAllHalted, SymmetryReduce: tc.sym})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -73,13 +73,15 @@ func TestObsEventCountsMatchStats(t *testing.T) {
 	// Counters mirror Stats exactly.
 	reg := rec.Metrics()
 	for name, want := range map[string]int64{
-		"mc.checks":       1,
-		"mc.states":       int64(res.StatesExplored),
-		"mc.transitions":  res.Stats.Transitions,
-		"mc.dedup_hits":   res.Stats.DedupHits,
-		"mc.self_loops":   res.Stats.SelfLoops,
-		"mc.memo_entries": res.Stats.MemoEntries,
-		"mc.memo_misses":  res.Stats.MemoMisses,
+		"mc.checks":            1,
+		"mc.states":            int64(res.StatesExplored),
+		"mc.transitions":       res.Stats.Transitions,
+		"mc.dedup_hits":        res.Stats.DedupHits,
+		"mc.self_loops":        res.Stats.SelfLoops,
+		"mc.memo_entries":      res.Stats.MemoEntries,
+		"mc.memo_misses":       res.Stats.MemoMisses,
+		"mc.stored_key_bytes":  res.Stats.StoredKeyBytes,
+		"mc.logical_key_bytes": res.Stats.LogicalKeyBytes,
 	} {
 		if got := reg.Counter(name).Value(); got != want {
 			t.Errorf("counter %s = %d, want %d", name, got, want)

@@ -115,7 +115,7 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 	t.Helper()
 	m := factory()
 	np, nv, w := m.NumProcs(), m.NumVars(), m.NumProcs()+m.NumVars()
-	c := &checker{nProcs: np, width: w, idx: newStateIndex(w, 0, ""), root: m, stats: &Stats{}}
+	c := &checker{nProcs: np, width: w, idx: newStateIndex(w), root: m, stats: &Stats{}}
 	c.batch = batch{raw: make([]uint32, np*(w+2)), keys: make([]uint32, np*w), succs: make([]succInfo, np)}
 	ct := &c.idx.comps
 	keyToVec := map[string]string{}

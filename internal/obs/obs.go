@@ -60,12 +60,6 @@ const (
 	KindVerdict
 	// KindStat reports a named point statistic: A=value.
 	KindStat
-	// KindSpill reports one visited-index spill flush: Name is the
-	// engine, A=bytes moved to disk by this flush, B=total bytes on
-	// disk after it, C=flush ordinal. Spill events are deterministic:
-	// they depend only on configured byte budgets and the explored
-	// state space, never on wall-clock time.
-	KindSpill
 	// KindSample reports statistical-checker progress, one event per
 	// merged sampling round: Name is the engine, A=trials merged so
 	// far, B=violations among them, C=the stopping-rule target sample
@@ -92,7 +86,6 @@ var kindNames = map[Kind]string{
 	KindFault:          "fault",
 	KindVerdict:        "verdict",
 	KindStat:           "stat",
-	KindSpill:          "spill",
 	KindSample:         "sample",
 	KindRelabel:        "relabel",
 }
@@ -288,16 +281,6 @@ func (r *Recorder) Stat(name string, v int64) {
 		return
 	}
 	r.Emit(Event{Kind: KindStat, Name: name, A: v})
-}
-
-// Spill emits one visited-index spill flush for the named engine:
-// bytes moved to disk by this flush, the resulting on-disk total, and
-// the flush ordinal.
-func (r *Recorder) Spill(engine string, bytes, total, flush int64) {
-	if r == nil {
-		return
-	}
-	r.Emit(Event{Kind: KindSpill, Name: engine, A: bytes, B: total, C: flush})
 }
 
 // SampleRound emits one merged statistical-checker round for the named

@@ -69,11 +69,6 @@ type Common struct {
 	// results are identical to sequential runs. Every other engine runs
 	// sequentially and ignores it.
 	Workers int `json:"workers,omitempty"`
-	// HotIndexBytes > 0 caps the checker's in-memory state-vector
-	// storage; colder vectors spill to a temp file under SpillDir.
-	HotIndexBytes int64 `json:"hot_index_bytes,omitempty"`
-	// SpillDir hosts the checker's spill files (os.TempDir() when empty).
-	SpillDir string `json:"spill_dir,omitempty"`
 	// Seed drives every seeded randomness consumer: RunFair, statistical
 	// trials, and daemon session schedules and fault streams.
 	Seed int64 `json:"seed,omitempty"`

@@ -67,3 +67,15 @@ func TestDurationNullIsUnset(t *testing.T) {
 		t.Fatalf("null fields changed a set config: %+v, %v", c, err)
 	}
 }
+
+// TestSpillKeysStillDecode: configs from when the checker had a disk
+// spill tier carry hot_index_bytes and spill_dir. Common no longer has
+// those fields and ignores unknown keys, so such a config decodes to its
+// other fields without error.
+func TestSpillKeysStillDecode(t *testing.T) {
+	const old = `{"hot_index_bytes":65536,"spill_dir":"/tmp","max_states":7}`
+	var c Common
+	if err := json.Unmarshal([]byte(old), &c); err != nil || c != (Common{MaxStates: 7}) {
+		t.Fatalf("%s decoded to %+v, %v; want {MaxStates: 7} and no error", old, c, err)
+	}
+}

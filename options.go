@@ -63,7 +63,7 @@ func ReadJSONL(r io.Reader) ([]ObsEvent, error) { return obs.ReadJSONL(r) }
 
 // RunConfig is the serializable option set shared by the options-based
 // entry points and the simsymd daemon's session API: budgets, workers,
-// spill, seed, symmetry reduction, the statistical stopping rule, fault
+// seed, symmetry reduction, the statistical stopping rule, fault
 // classes, and the schedule kind. Its JSON form is exactly
 // the "config" object a simsymd session-create request carries, so
 // daemon configs and Go options are one vocabulary. Apply a whole
@@ -126,18 +126,6 @@ func WithBudget(maxStates int, maxDuration time.Duration, maxMemBytes int64) Opt
 // and ignores it.
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 
-// WithSpill caps the model checker's in-memory state-vector storage at
-// hotBytes and spills colder vectors to a temp file under dir ("" uses
-// the system temp directory). The component table the vectors index
-// stays resident. Exploration verdicts are unaffected; only residency
-// changes.
-func WithSpill(hotBytes int64, dir string) Option {
-	return func(o *Options) {
-		o.HotIndexBytes = hotBytes
-		o.SpillDir = dir
-	}
-}
-
 // WithSeed sets the seed for entry points that consume randomness.
 func WithSeed(seed int64) Option { return func(o *Options) { o.Seed = seed } }
 
@@ -188,8 +176,6 @@ func (o Options) mcOptions() mc.Options {
 		MaxStates:      o.MaxStates,
 		MaxDuration:    o.MaxDuration.Std(),
 		MaxMemBytes:    o.MaxMemBytes,
-		HotIndexBytes:  o.HotIndexBytes,
-		SpillDir:       o.SpillDir,
 		SymmetryReduce: o.Symmetry,
 		Obs:            o.Obs,
 		Ctx:            o.Ctx,
@@ -280,7 +266,7 @@ type CheckReport struct {
 // unselects one (Stability). Budget exhaustion and context cancellation
 // yield a partial report (Safe=true, Complete=false, Exhausted set), not
 // an error. Recognized options: WithObserver, WithMaxStates, WithBudget,
-// WithSpill, WithSymmetry, WithContext.
+// WithSymmetry, WithContext.
 func CheckOpts(sys *System, instr InstrSet, prog *Program, opts ...Option) (*CheckReport, error) {
 	if sys == nil || prog == nil {
 		return nil, fmt.Errorf("%w: Check: nil system or program", ErrBadArgs)
@@ -314,7 +300,7 @@ func CheckOpts(sys *System, instr InstrSet, prog *Program, opts ...Option) (*Che
 
 // CheckDiningOpts model-checks a dining program for exclusion and
 // deadlock with full engine control. Recognized options: WithObserver,
-// WithMaxStates, WithBudget, WithSpill, WithSymmetry, WithContext.
+// WithMaxStates, WithBudget, WithSymmetry, WithContext.
 func CheckDiningOpts(sys *System, prog *Program, opts ...Option) (*DiningReport, error) {
 	if sys == nil || prog == nil {
 		return nil, fmt.Errorf("%w: CheckDining: nil system or program", ErrBadArgs)

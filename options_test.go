@@ -211,41 +211,6 @@ func TestCheckDiningOptsBudgetAndSymmetry(t *testing.T) {
 	}
 }
 
-// TestCheckOptsSpill: the spill tier reaches the checker through the
-// facade options and leaves the verdict and counters identical to the
-// in-memory run.
-func TestCheckOptsSpill(t *testing.T) {
-	table, err := simsym.DiningFlipped(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := simsym.DiningProgram("left", "right", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := simsym.CheckDiningOpts(table, prog, simsym.WithMaxStates(100_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spilled, err := simsym.CheckDiningOpts(table, prog,
-		simsym.WithMaxStates(100_000),
-		simsym.WithSpill(1, t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.StatesExplored != spilled.StatesExplored || plain.Complete != spilled.Complete ||
-		plain.Stats.Transitions != spilled.Stats.Transitions || plain.Stats.DedupHits != spilled.Stats.DedupHits {
-		t.Errorf("spill facade run diverged: plain %d/%v %+v, spilled %d/%v %+v",
-			plain.StatesExplored, plain.Complete, plain.Stats, spilled.StatesExplored, spilled.Complete, spilled.Stats)
-	}
-	if spilled.Stats.SpilledBytes == 0 {
-		t.Error("a 1-byte hot cap must spill index chunks on the flipped 4-table")
-	}
-	if spilled.Deadlocked != nil || spilled.ExclusionViolated != nil {
-		t.Error("flipped table must stay safe with the spill tier")
-	}
-}
-
 // TestRunFair: seed determinism and observer capture.
 func TestRunFair(t *testing.T) {
 	sys := simsym.Fig2()

@@ -27,7 +27,7 @@ trap 'rm -f "$OUT"' EXIT
 
 go test -run '^$' -bench 'BenchmarkFingerprint/warm' -benchtime 2000x ./internal/machine/ | tee -a "$OUT"
 go test -run '^$' -bench 'BenchmarkSigTable/warm' -benchtime 2000x ./internal/partition/ | tee -a "$OUT"
-go test -run '^$' -bench 'BenchmarkCheckThroughput/(seq|sym|spill)$' -benchtime 10x ./internal/mc/ | tee -a "$OUT"
+go test -run '^$' -bench 'BenchmarkCheckThroughput/(seq|sym)$' -benchtime 10x ./internal/mc/ | tee -a "$OUT"
 go test -run '^$' -bench 'BenchmarkChurnSplice/n=1024$' -benchtime 2000x . | tee -a "$OUT"
 go test -run '^$' -bench 'BenchmarkChurnTree/n=1000$' -benchtime 1000x . | tee -a "$OUT"
 
