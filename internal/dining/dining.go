@@ -95,12 +95,14 @@ func Adjacency(sys *system.System) ([][2]int, error) {
 
 // eater returns a test of whether philosopher p of a machine running
 // prog is eating, which reads the "eating" local through the slot prog
-// resolves once.
+// resolves once. The type assertion answers as v == true would, without
+// the runtime's interface comparison.
 func eater(prog *machine.Program) func(m *machine.Machine, p int) bool {
 	s, ok := prog.Lookup("eating")
 	return func(m *machine.Machine, p int) bool {
-		v, set := m.LocalAt(p, s)
-		return ok && set && v == true
+		v, _ := m.LocalAt(p, s)
+		b, _ := v.(bool)
+		return ok && b
 	}
 }
 

@@ -57,7 +57,8 @@ func (k opKind) String() string {
 //
 // Locals is a slot slice indexed by Sym (the program's symbol table);
 // unassigned slots hold the package-private unset sentinel. Inside a
-// machine it is a window into the machine's own locals array.
+// machine it is a window into the machine's own locals array, except
+// where ViewComponent set it.
 type Frame struct {
 	PC     int
 	Locals []any
@@ -1072,13 +1073,26 @@ func (m *Machine) Component(c int) Component {
 // same shape. It copies x's Locals and subvalues into the machine's own
 // arrays, so x stays unshared and the call allocates nothing. Crash
 // marks are left as they are.
-func (m *Machine) SetComponent(c int, x *Component) {
+func (m *Machine) SetComponent(c int, x *Component) { m.setComponent(c, x, false) }
+
+// ViewComponent is SetComponent without the copy: processor c's Locals
+// become x's own array, which the machine then reads in place. It is
+// for a machine that is never stepped or written, one that predicates
+// only read: a step or a write through it would write x, and a Clone of
+// it would copy the machine's own locals, not x's.
+func (m *Machine) ViewComponent(c int, x *Component) { m.setComponent(c, x, true) }
+
+func (m *Machine) setComponent(c int, x *Component, view bool) {
 	if np := len(m.frames); c >= np {
 		m.varVal[c-np], m.locked[c-np] = x.Val, x.Locked
 	} else {
 		fr := &m.frames[c]
-		fr.PC, fr.Halted = x.Frame.PC, x.Frame.Halted
-		copy(fr.Locals, x.Frame.Locals)
+		if view {
+			*fr = x.Frame
+		} else {
+			fr.PC, fr.Halted = x.Frame.PC, x.Frame.Halted
+			copy(fr.Locals, x.Frame.Locals)
+		}
 		for j, v := range x.Sub {
 			w := m.sys.Nbr[c][j]
 			m.varSub[w][c] = v

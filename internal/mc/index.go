@@ -436,13 +436,25 @@ func (ct *compTable) internEntry(vec []uint32, m *machine.Machine, c int) error 
 }
 
 // load rewrites m from the state the vector have spells to the state
-// want spells: each component whose id differs is set to the value
-// stored for its new id, and have becomes want.
+// want spells: each component whose id differs is set to a copy of the
+// value stored for its new id, and have becomes want. m may then step.
 func (ct *compTable) load(m *machine.Machine, have, want []uint32) {
 	for c, id := range want {
 		if have[c] != id {
 			have[c] = id
 			m.SetComponent(c, ct.vals[valKind(m, c)][uint64(id)-ct.base])
+		}
+	}
+}
+
+// view is load without the copies: each differing component of m is
+// pointed at the stored value itself (machine.ViewComponent), so m must
+// only be read.
+func (ct *compTable) view(m *machine.Machine, have, want []uint32) {
+	for c, id := range want {
+		if have[c] != id {
+			have[c] = id
+			m.ViewComponent(c, ct.vals[valKind(m, c)][uint64(id)-ct.base])
 		}
 	}
 }
@@ -469,9 +481,11 @@ func (ct *compTable) frame(id uint32) *machine.Frame {
 // two components (machine.StepVar), so (p, f, v) fixes (f2, v2). p is
 // part of the key because naming may alias: under Q a post rewrites
 // every slot of p's window that lists the variable, which depends on p.
+// A step slot per (p, f) answers most steps without hashing the key.
 type stepMemo struct {
 	buckets bucketTable // key hash -> entry index
 	entries []memoEntry
+	slots   []stepSlot // slots[(f−compTable.base)·P+p], for P processors
 }
 
 // memoEntry is one memoized step. delta is the change the step makes to
@@ -484,28 +498,55 @@ type memoEntry struct {
 	delta           uint64
 }
 
-// lookup returns the entry for (p, f, v) and whether there is one, with
-// the key's hash for a following add.
-func (sm *stepMemo) lookup(p, f, v uint32) (*memoEntry, uint64, bool) {
+// stepSlot holds, each plus one and zero until set, what p's frame id f
+// fixes: vc, the position of the component its step touches (the
+// variable machine.StepVar names, or p's own when none: the key (p, f,
+// f)), and last, the entry last used here, which a step takes when its
+// variable id is that entry's.
+type stepSlot struct{ vc, last uint32 }
+
+// slot returns slot i, doubling the slots, from 256, until they hold it.
+func (sm *stepMemo) slot(i int) *stepSlot {
+	if i >= len(sm.slots) {
+		slots := make([]stepSlot, max(i+1, 2*len(sm.slots), 256))
+		copy(slots, sm.slots)
+		sm.slots = slots
+	}
+	return &sm.slots[i]
+}
+
+// lookup returns the entry for (p, f, v), whose slot is s, and whether
+// there is one, with the key's hash for a following add. An entry the
+// hashed lookup finds becomes s's last.
+func (sm *stepMemo) lookup(s *stepSlot, p, f, v uint32) (*memoEntry, uint64, bool) {
+	if s.last != 0 {
+		if e := &sm.entries[s.last-1]; e.v == v {
+			return e, 0, true
+		}
+	}
 	hash := canon.HashTokens([]uint32{p, f, v})
 	bt := &sm.buckets
 	tag, sl := bt.probe(hash)
 	for i, ok := bt.next(tag, &sl); ok; i, ok = bt.next(tag, &sl) {
 		if e := &sm.entries[i]; e.p == p && e.f == f && e.v == v {
+			s.last = i + 1
 			return e, hash, true
 		}
 	}
 	return nil, hash, false
 }
 
-// add records e under its key's hash and returns the stored entry.
-func (sm *stepMemo) add(hash uint64, e memoEntry) *memoEntry {
+// add records e, the entry for slot s, under its key's hash and returns
+// the stored entry, which becomes s's last.
+func (sm *stepMemo) add(s *stepSlot, hash uint64, e memoEntry) *memoEntry {
 	sm.buckets.add(hash, uint32(len(sm.entries)))
 	sm.entries = append(sm.entries, e)
+	s.last = uint32(len(sm.entries))
 	return &sm.entries[len(sm.entries)-1]
 }
 
 // memBytes is the memo's footprint, from capacities.
 func (sm *stepMemo) memBytes() int64 {
-	return int64(len(sm.buckets.slots))*bucketSlotSize + int64(cap(sm.entries))*int64(unsafe.Sizeof(memoEntry{}))
+	return int64(len(sm.buckets.slots))*bucketSlotSize + int64(cap(sm.entries))*int64(unsafe.Sizeof(memoEntry{})) +
+		int64(cap(sm.slots))*int64(unsafe.Sizeof(stepSlot{}))
 }

@@ -27,18 +27,21 @@
 //     only p's frame and the one variable machine.StepVar names, so a
 //     successor's vector is its parent's with at most those two ids
 //     replaced, and a step memo maps (p, frame id, variable id) to the
-//     new pair and the xor it makes to the hash, so a successor costs a
-//     probe and an xor at any width. Only a miss runs the machine: it
-//     loads one scratch machine to the parent, steps it and interns the
+//     new pair and the xor it makes to the hash. In front of it, a step
+//     slot per (p, frame id) holds the variable's position and the entry
+//     last used there, so a successor usually costs two array reads and
+//     an xor at any width; a slot whose variable id differs falls back
+//     to the hashed lookup. Only a miss runs the machine: it loads (by
+//     copy) one scratch machine to the parent, steps it and interns the
 //     two windows. The worst case, a key that never repeats, costs one
 //     memo probe and insert on top of that load, step and intern.
 //   - A frontier state is its vector and hash. The component table
 //     keeps the value each window encodes, so a vector alone rebuilds
-//     its state, rewriting only the components whose ids differ: for a
-//     memo miss, for a new state's StatePreds and StuckBad, and for both
-//     ends of every transition when TransPreds are set. Per state the
-//     checker keeps an 8-byte node and, under StuckBad, one uint32
-//     successor slot per processor, in chunks never copied.
+//     its state, rewriting only the components whose ids differ. A
+//     predicate reads a view machine, pointed at the stored values
+//     rather than copies (machine.ViewComponent). Per state the checker
+//     keeps an 8-byte node and, under StuckBad, one uint32 successor
+//     slot per processor, in chunks never copied.
 //   - Opt-in symmetry reduction (Options.SymmetryReduce) dedups states
 //     modulo the system's automorphism group — the orbit-quotient
 //     construction the paper's symmetry results suggest.
@@ -74,13 +77,17 @@ var (
 )
 
 // StatePredicate inspects a state; a non-empty return is a violation
-// description.
+// description. It must not modify, step or clone the machine it is
+// given, which reads the checker's stored values in place
+// (machine.ViewComponent).
 type StatePredicate func(m *machine.Machine) string
 
 // TransitionPredicate inspects a transition (before --proc--> after); a
 // non-empty return is a violation description. Transition predicates see
 // every scheduled step, including stutter steps whose target state equals
 // the source (self-loops are excluded only from the successor graph).
+// Like a StatePredicate, it must not modify, step or clone either
+// machine.
 type TransitionPredicate func(before, after *machine.Machine, proc int) string
 
 // Options configures a check.
@@ -175,10 +182,10 @@ type Stats struct {
 	// PeakFrontier is the widest BFS level.
 	PeakFrontier int
 	// PeakMemBytes estimates the peak heap the check holds live: the
-	// visited index with its component table and stored values, the
-	// node and successor chunks and both frontier buffers, by capacity,
-	// and the stuck search's arrays once it runs. RSS runs above it (see
-	// Options.MaxMemBytes).
+	// visited index with its component table and stored values, the step
+	// memo with its step slots, the node and successor chunks and both
+	// frontier buffers, by capacity, and the stuck search's arrays once
+	// it runs. RSS runs above it (see Options.MaxMemBytes).
 	PeakMemBytes int64
 	// GroupOrder is the automorphism count used for symmetry reduction
 	// (1 when reduction is off or the group is trivial).
@@ -333,13 +340,15 @@ type checker struct {
 	levelVecs, nextVecs []uint32
 	levelStart          int
 	// root is the initial machine, on which the stuck search replays its
-	// witness. m, loaded to the state mVec spells, is the scratch machine
-	// a memo miss steps and predicates read. parent, loaded to the state
-	// parentVec spells, is the "before" machine transition predicates
-	// see; it is kept only when there are any.
-	root            *machine.Machine
-	m, parent       *machine.Machine
-	mVec, parentVec []uint32
+	// witness. m, loaded (compTable.load) to the state mVec spells, is the
+	// scratch machine a memo miss steps. view and parent are never
+	// stepped (compTable.view): view, at viewVec, is the machine
+	// StatePreds, StuckBad and TransPreds' "after" read, and parent, at
+	// parentVec and kept only for TransPreds, their "before".
+	root                     *machine.Machine
+	m, view, parent          *machine.Machine
+	mVec, viewVec, parentVec []uint32
+
 	memo            stepMemo
 	res             *Result
 	stats           *Stats
@@ -356,6 +365,11 @@ type checker struct {
 // ErrBudget (or with a nil error when Options.Partial is set); on
 // machine execution errors the Result is nil.
 func Check(factory func() (*machine.Machine, error), opts Options) (*Result, error) {
+	return new(checker).check(factory, opts)
+}
+
+// check is Check run on c, which tests inspect after it returns.
+func (c *checker) check(factory func() (*machine.Machine, error), opts Options) (*Result, error) {
 	if int64(opts.MaxStates) > math.MaxUint32 {
 		return nil, fmt.Errorf("%w: %d", ErrMaxStates, opts.MaxStates)
 	}
@@ -364,7 +378,7 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 		return nil, fmt.Errorf("mc: %w", err)
 	}
 	width := m0.NumProcs() + m0.NumVars()
-	c := &checker{
+	*c = checker{
 		opts:          opts,
 		nProcs:        m0.NumProcs(),
 		width:         width,
@@ -411,14 +425,15 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 
 	// Root. The initial state is fixed by every automorphism (they
 	// preserve initial values), but canonicalize anyway for uniformity.
-	// The scratch machine, and the parent machine, start as clones of
-	// the root.
+	// The scratch machine and the view machines start as clones of the
+	// root.
 	opts.Obs.PhaseStart("mc.check")
 	raw := b.raw[:width+2]
 	if err := c.idx.comps.vector(raw[:width], m0); err != nil {
 		return nil, err
 	}
 	c.m, c.mVec = m0.Clone(), slices.Clone(raw[:width])
+	c.view, c.viewVec = m0.Clone(), slices.Clone(raw[:width])
 	if len(opts.TransPreds) > 0 {
 		c.parent, c.parentVec = m0.Clone(), slices.Clone(raw[:width])
 	}
@@ -529,9 +544,10 @@ func (c *checker) runLevel(n int) (bool, error) {
 // Predicates never run here.
 //
 // This is the hot loop. Processor p's successor is cur with p's frame id
-// and the id of the variable its step touches (machine.StepVar) replaced
-// by the pair the step memo holds for them, and its hash is cur's xor
-// the entry's delta. On a miss the scratch machine is loaded to the
+// and the id of the variable its step touches replaced by the pair the
+// step memo holds for them, and its hash is cur's xor the entry's delta.
+// The step slot of (p, frame id) names that variable's position and
+// usually the entry. On a miss the scratch machine is loaded to the
 // parent, stepped, and its two windows interned — no other component is
 // encoded, copied or read.
 func (c *checker) expand(cur []uint32) error {
@@ -542,15 +558,17 @@ func (c *checker) expand(cur []uint32) error {
 	for p := 0; p < c.nProcs; p++ {
 		raw := b.raw[p*(w+2) : (p+1)*(w+2)]
 		copy(raw, curVec)
-		// vc is the position of the variable p's step touches, or p's own
-		// when it touches none: a frame's steps touch one always or never,
-		// so the key (p, frame, frame) cannot mean both.
-		vc := p
-		if v := c.root.StepVar(p, ct.frame(curVec[p])); v >= 0 {
-			vc = c.nProcs + v
+		f := curVec[p]
+		s := c.memo.slot(int(uint64(f)-ct.base)*c.nProcs + p)
+		if s.vc == 0 {
+			s.vc = uint32(p) + 1
+			if v := c.root.StepVar(p, ct.frame(f)); v >= 0 {
+				s.vc = uint32(c.nProcs+v) + 1
+			}
 		}
-		f, v := curVec[p], curVec[vc]
-		e, mhash, ok := c.memo.lookup(uint32(p), f, v)
+		vc := int(s.vc - 1)
+		v := curVec[vc]
+		e, mhash, ok := c.memo.lookup(s, uint32(p), f, v)
 		if !ok {
 			ct.load(c.m, c.mVec, curVec)
 			if err := c.m.Step(p); err != nil {
@@ -566,7 +584,7 @@ func (c *checker) expand(cur []uint32) error {
 			if vc != p {
 				delta ^= vecWord(vc, v) ^ vecWord(vc, v2)
 			}
-			e = c.memo.add(mhash, memoEntry{uint32(p), f, v, f2, v2, delta})
+			e = c.memo.add(s, mhash, memoEntry{uint32(p), f, v, f2, v2, delta})
 			c.stats.MemoMisses++
 			c.stats.MemoEntries = int64(len(c.memo.entries))
 		}
@@ -578,7 +596,7 @@ func (c *checker) expand(cur []uint32) error {
 		}
 	}
 	if c.parent != nil {
-		ct.load(c.parent, c.parentVec, curVec)
+		ct.view(c.parent, c.parentVec, curVec)
 	}
 	return nil
 }
@@ -633,7 +651,7 @@ func (c *checker) merge(curIdx int) (bool, error) {
 	for p, si := range b.succs {
 		raw := b.raw[p*(w+2) : (p+1)*(w+2)]
 		for _, pred := range c.opts.TransPreds {
-			if reason := pred(c.parent, c.load(raw[:w]), p); reason != "" {
+			if reason := pred(c.parent, c.look(raw[:w]), p); reason != "" {
 				c.res.Violation = &Violation{
 					Reason:   reason,
 					Schedule: append(c.scheduleTo(curIdx), p),
@@ -683,7 +701,7 @@ func (c *checker) push(rec []uint32, si *succInfo, parent, step int) int {
 	c.nextVecs = append(c.nextVecs, rec...)
 	id := c.nodes.n
 	nd := node{parent: uint32(parent), step: uint32(step)}
-	if c.opts.StuckBad != nil && c.opts.StuckBad(c.load(rec[:c.width])) != "" {
+	if c.opts.StuckBad != nil && c.opts.StuckBad(c.look(rec[:c.width])) != "" {
 		nd.step |= stuckBit
 	}
 	c.nodes.push(nd)
@@ -730,10 +748,10 @@ func (c *checker) pollBudgets() (bool, error) {
 
 // memEstimate approximates the checker's live heap during exploration:
 // the visited index (with the component table and its stored values),
-// the step memo, the node and successor chunks, and both frontier
-// buffers with their vectors' hashes. Capacities, not lengths: an
-// allocated chunk or backing array is real memory whether or not it is
-// full yet.
+// the step memo and its slots, the node and successor chunks, and both
+// frontier buffers with their vectors' hashes. Capacities, not lengths:
+// an allocated chunk or backing array is real memory whether or not it
+// is full yet.
 func (c *checker) memEstimate() int64 {
 	return c.idx.memBytes() + c.memo.memBytes() + c.nodes.memBytes() + c.succ.memBytes() +
 		4*int64(cap(c.levelVecs)+cap(c.nextVecs))
@@ -760,16 +778,15 @@ func (c *checker) scheduleTo(idx int) []int {
 	return out
 }
 
-// load rewrites the scratch machine to the state vec spells and returns
-// it.
-func (c *checker) load(vec []uint32) *machine.Machine {
-	c.idx.comps.load(c.m, c.mVec, vec)
-	return c.m
+// look points the view machine at the state vec spells and returns it.
+func (c *checker) look(vec []uint32) *machine.Machine {
+	c.idx.comps.view(c.view, c.viewVec, vec)
+	return c.view
 }
 
 func (c *checker) checkState(vec []uint32, idx int) *Violation {
 	for _, pred := range c.opts.StatePreds {
-		if reason := pred(c.load(vec)); reason != "" {
+		if reason := pred(c.look(vec)); reason != "" {
 			return &Violation{Reason: reason, Schedule: c.scheduleTo(idx)}
 		}
 	}
@@ -794,31 +811,36 @@ func isIdentity(perm system.Permutation) bool {
 // findStuckComponent runs Tarjan's SCC algorithm (iteratively) over the
 // successor graph nodes and succ spell, np slots per node, and returns a
 // representative node — the component's first in node order — of the
-// first terminal SCC whose states are all flagged stuck, or -1, with the
-// bytes its arrays took. Under symmetry reduction the graph is the orbit
-// quotient; a terminal all-bad component there corresponds to one in the
-// full graph because the stuck predicate is automorphism-invariant.
+// first terminal SCC, in completion order, whose states are all flagged
+// stuck, or -1, with the bytes its arrays took. Under symmetry reduction
+// the graph is the orbit quotient; a terminal all-bad component there
+// corresponds to one in the full graph because the stuck predicate is
+// automorphism-invariant.
+// An edge leaves its source's component exactly when it reaches a
+// finished node or is the tree edge to a child that roots its own
+// component; either sets the source's exit flag.
 func findStuckComponent(nodes *chunked[node], succ *chunked[uint32], np int) (int, int64) {
 	n := nodes.n
-	const none = math.MaxUint32 // an unvisited node's index, an unfinished node's component
+	const none = math.MaxUint32 // an unvisited node's index, a finished node's low
 	indexOf := make([]uint32, n)
 	low := make([]uint32, n)
-	comp := make([]uint32, n)
+	exit := make([]bool, n)
 	for i := range indexOf {
-		indexOf[i], comp[i] = none, none
+		indexOf[i] = none
 	}
 	// Tarjan's stack holds exactly the visited nodes with no component
 	// yet. A frame walks v's successor slots from p.
 	var stack []uint32
 	type frame struct{ v, p uint32 }
 	var calls []frame
-	var counter, nComps uint32
+	var counter uint32
 	visit := func(v uint32) {
 		indexOf[v], low[v] = counter, counter
 		counter++
 		stack = append(stack, v)
 		calls = append(calls, frame{v: v})
 	}
+	searchBytes := func() int64 { return 9*int64(n) + 4*int64(cap(stack)) + 8*int64(cap(calls)) }
 	for root := range n {
 		if indexOf[root] != none {
 			continue
@@ -834,50 +856,40 @@ func findStuckComponent(nodes *chunked[node], succ *chunked[uint32], np int) (in
 				case w == selfLoop:
 				case indexOf[w] == none:
 					visit(w)
-				case comp[w] == none:
+				case low[w] == none:
+					exit[v] = true
+				default:
 					low[v] = min(low[v], indexOf[w])
 				}
 				continue
 			}
 			// Post-visit.
 			calls = calls[:len(calls)-1]
-			if len(calls) > 0 {
+			if low[v] != indexOf[v] {
 				parent := calls[len(calls)-1].v
 				low[parent] = min(low[parent], low[v])
+				continue
 			}
-			if low[v] == indexOf[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					comp[w] = nComps
-					if w == v {
-						break
-					}
+			if len(calls) > 0 {
+				exit[calls[len(calls)-1].v] = true
+			}
+			first, bad := v, true
+			for {
+				w := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				low[w] = none
+				first = min(first, w)
+				bad = bad && !exit[w] && nodes.at(int(w)).step&stuckBit != 0
+				if w == v {
+					break
 				}
-				nComps++
+			}
+			if bad {
+				return int(first), searchBytes()
 			}
 		}
 	}
-	searchBytes := 12*int64(n) + 4*int64(cap(stack)) + 8*int64(cap(calls))
-
-	// A component is reported when it is terminal (no edge leaves it) and
-	// every member is flagged; ruledOut marks the others.
-	ruledOut := make([]bool, nComps)
-	for v := range n {
-		c := comp[v]
-		if nodes.at(v).step&stuckBit == 0 {
-			ruledOut[c] = true
-		}
-		for p := range np {
-			if w := succ.at(v*np + p); w != selfLoop && comp[w] != c {
-				ruledOut[c] = true
-			}
-		}
-	}
-	if c := slices.Index(ruledOut, false); c >= 0 {
-		return slices.Index(comp, uint32(c)), searchBytes
-	}
-	return -1, searchBytes
+	return -1, searchBytes()
 }
 
 // UniquenessPred flags states with two or more selected processors — the

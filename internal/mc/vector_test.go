@@ -118,6 +118,10 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 	c := &checker{nProcs: np, width: w, idx: newStateIndex(w), root: m, stats: &Stats{}}
 	c.batch = batch{raw: make([]uint32, np*(w+2)), keys: make([]uint32, np*w), succs: make([]succInfo, np)}
 	ct := &c.idx.comps
+	load := func(vec []uint32) *machine.Machine {
+		ct.load(c.m, c.mVec, vec)
+		return c.m
+	}
 	keyToVec := map[string]string{}
 	vecToKey := map[string]string{}
 	var walk []walkOp // the walk so far, from the initial state
@@ -146,7 +150,7 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 		if !bytes.Equal(spelled, key) {
 			t.Fatalf("%s: vector %v spells\n%q\nbut the state key is\n%q", name, vec, spelled, key)
 		}
-		if got := c.load(vec).AppendStateKey(nil, nil, nil); !bytes.Equal(got, key) {
+		if got := load(vec).AppendStateKey(nil, nil, nil); !bytes.Equal(got, key) {
 			t.Fatalf("%s: loaded key\n%q\ndiverged from the replayed key\n%q", name, got, key)
 		}
 		vs := fmt.Sprint(vec)
@@ -202,7 +206,7 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 			op = walkOp{'d', rng.Intn(nv)}
 		}
 		if rng.Intn(10) == 0 {
-			if err := op.apply(c.load(curVec)); err != nil {
+			if err := op.apply(load(curVec)); err != nil {
 				t.Fatalf("%s: %c %d: %v", name, op.kind, op.arg, err)
 			}
 			if err := ct.vector(curVec, c.m); err != nil {
@@ -215,4 +219,88 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 		}
 	}
 	return stutters, varSteps, hits
+}
+
+// TestStepSlotFallback: the reader of readAndBump reads a from one
+// frame while the bumper writes it, so that frame's step slot meets a's
+// four ids, and a step whose id is not its last entry's takes the hashed
+// lookup, which answers when a returns to 1. Counted by hand, one memo
+// entry per (processor, frame, variable id) key. The reader: its branch
+// and first reset (2), its read from one frame at each of a's four
+// values (4), its reset after each (4) and its jump (1). The bumper: its
+// branch (1), four sets (4), four writes, each over the one value a
+// holds then (4), its halt and the halted stutter (2). So 22 entries,
+// each a miss once, and the counts the walk's.
+func TestStepSlotFallback(t *testing.T) {
+	sys, set, prog := walkFixture(t, fixSlotFallback, 0, 0, 0, 0, 0, 0, 0)
+	factory := func() (*machine.Machine, error) { return machine.New(sys, set, prog) }
+	res, err := Check(factory, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Stats; st.MemoEntries != 22 || st.MemoMisses != 22 {
+		t.Errorf("memo entries %d, misses %d; want 22 and 22", st.MemoEntries, st.MemoMisses)
+	}
+	walkExact(t, factory, nil, nil, nil, 0).assertCounts(t, res)
+}
+
+// TestStoredValuesNeverWritten: predicates read view machines, whose
+// frames are the component table's stored values themselves, and only
+// the scratch machine a memo miss loads by copy ever steps. After checks
+// that run StatePreds, TransPreds and StuckBad, every stored value must
+// still encode to its window: each stored state, loaded from its vector,
+// spells its ids' windows.
+func TestStoredValuesNeverWritten(t *testing.T) {
+	flipped, flippedProg := flippedFourTable(t)
+	type input struct {
+		name  string
+		sys   *system.System
+		instr system.InstrSet
+		prog  *machine.Program
+	}
+	inputs := []input{{"flipped4", flipped, system.InstrL, flippedProg}}
+	for _, fix := range []struct {
+		name string
+		fix  uint8
+	}{{"fig1-posts", fixFig1Posts}, {"fig2-posts", fixFig2Posts}, {"aliased-posts", fixAliasedPosts}} {
+		sys, set, prog := walkFixture(t, fix.fix, 0, 0, 0, 0, 0, 0, 0)
+		inputs = append(inputs, input{fix.name, sys, set, prog})
+	}
+	read := func(m *machine.Machine) string { exactState(m); return "" }
+	for _, in := range inputs {
+		factory := func() (*machine.Machine, error) { return machine.New(in.sys, in.instr, in.prog) }
+		c := new(checker)
+		res, err := c.check(factory, Options{
+			StatePreds: []StatePredicate{read},
+			TransPreds: []TransitionPredicate{func(before, after *machine.Machine, _ int) string { return read(before) + read(after) }},
+			StuckBad:   NotAllHalted,
+		})
+		if err != nil || !res.Complete || res.Violation != nil {
+			t.Fatalf("%s: result %+v, err %v; want a closed, safe space", in.name, res, err)
+		}
+		// Each stored state is loaded by copy into a fresh machine: under
+		// Q a variable's window reads its posters' slots too.
+		ct, m := &c.idx.comps, c.root.Clone()
+		have := make([]uint32, c.width)
+		if err := ct.vector(have, m); err != nil {
+			t.Fatal(err)
+		}
+		vec := make([]uint32, c.width)
+		for i := range c.idx.n {
+			rec, rw := c.idx.record(i)
+			for pos := range vec {
+				vec[pos] = getID(rec, rw, pos)
+			}
+			ct.load(m, have, vec)
+			for pos, id := range vec {
+				win := m.AppendProcFingerprint(nil, pos)
+				if pos >= m.NumProcs() {
+					win = m.AppendVarFingerprint(nil, pos-m.NumProcs())
+				}
+				if !bytes.Equal(win, ct.window(id)) {
+					t.Fatalf("%s: state %d loads with position %d encoding as\n%q\nbut the window of its id %d is\n%q", in.name, i, pos, win, id, ct.window(id))
+				}
+			}
+		}
+	}
 }

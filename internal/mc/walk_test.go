@@ -261,6 +261,7 @@ const (
 	fixWindowCollision
 	fixAliasedPosts
 	fixCrossedLocks
+	fixSlotFallback
 )
 
 // stuckPreds are the StuckBad predicates FuzzCheckMatchesWalk picks
@@ -317,6 +318,16 @@ func walkFixture(t *testing.T, fixture uint8, sysSeed int64, procs, vars, names 
 		})
 	case fixCrossedLocks:
 		return crossedLocks(), system.InstrL, build(spinLockBoth)
+	case fixSlotFallback:
+		sys := &system.System{
+			Names:    []system.Name{"a"},
+			ProcIDs:  []string{"reader", "bumper"},
+			VarIDs:   []string{"v"},
+			Nbr:      [][]int{{0}, {0}},
+			ProcInit: []string{"r", "w"},
+			VarInit:  []string{"0"},
+		}
+		return sys, system.InstrS, build(readAndBump)
 	}
 	sys, err := system.RandomSystem(rand.New(rand.NewSource(sysSeed)), system.RandomOpts{
 		Procs: 1 + int(procs%4), Vars: 1 + int(vars%3), Names: 1 + int(names%2), InitStates: 2,
@@ -330,6 +341,29 @@ func walkFixture(t *testing.T, fixture uint8, sysSeed int64, procs, vars, names 
 		t.Fatal(err)
 	}
 	return sys, set, prog
+}
+
+// readAndBump runs by init value: the reader ("r") reads a forever,
+// from one frame at the read, while the bumper ("w") writes 1, 2, 1 and
+// 3 to a and halts, so the reader's read slot sees a take four values
+// and return to 1 once.
+//
+//	if init = "w" goto bump; x := 0; loop: read a → x; x := 0; goto loop
+//	bump: for v in 1, 2, 1, 3 { n := v; write a ← n }; halt
+func readAndBump(b *machine.Builder) {
+	x, n := b.Sym("x"), b.Sym("n")
+	b.JumpIf(func(r *machine.Regs) bool { return r.Get(machine.SymInit) == "w" }, "bump")
+	b.Compute(func(r *machine.Regs) { r.Set(x, 0) })
+	b.Label("loop")
+	b.Read("a", "x")
+	b.Compute(func(r *machine.Regs) { r.Set(x, 0) })
+	b.Jump("loop")
+	b.Label("bump")
+	for _, v := range []int{1, 2, 1, 3} {
+		b.Compute(func(r *machine.Regs) { r.Set(n, v) })
+		b.Write("a", "n")
+	}
+	b.Halt()
 }
 
 // walkCap is the most states a random input's walk may reach before
@@ -375,6 +409,8 @@ func FuzzCheckMatchesWalk(f *testing.F) {
 		}
 		f.Add(uint8(fixFig1Posts), int64(0), uint8(0), uint8(0), uint8(0), int64(0), uint8(0), uint8(0), uint8(0), notAllHalted, false, sym)
 	}
+	// A step slot whose variable takes four values (TestStepSlotFallback).
+	f.Add(uint8(fixSlotFallback), int64(0), uint8(0), uint8(0), uint8(0), int64(0), uint8(0), uint8(0), uint8(0), uint8(0), true, false)
 	f.Fuzz(func(t *testing.T, fixture uint8, sysSeed int64, procs, vars, names uint8, progSeed int64, instr, length, predIdx, stuckIdx uint8, trans, sym bool) {
 		sys, set, prog := walkFixture(t, fixture, sysSeed, procs, vars, names, progSeed, instr, length)
 		factory := func() (*machine.Machine, error) { return machine.New(sys, set, prog) }
@@ -395,7 +431,7 @@ func FuzzCheckMatchesWalk(f *testing.F) {
 		pred := preds[int(predIdx)%len(preds)]
 		stuck := stuckPreds[int(stuckIdx)%len(stuckPreds)]
 		limit := walkCap
-		if fixture >= fixFig1Posts && fixture <= fixCrossedLocks {
+		if fixture >= fixFig1Posts && fixture <= fixSlotFallback {
 			limit = 0
 		}
 		w := walkExact(t, factory, pred, stuck, orbitsOf, limit)
