@@ -13,7 +13,6 @@
 package adversary
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -70,12 +69,6 @@ func Shuffled(rng *rand.Rand, n int) machine.Scheduler {
 // fair with probability 1 but not k-bounded for any k).
 func Uniform(rng *rand.Rand, n int) machine.Scheduler {
 	return &generator{gen: func() ([]int, error) { return sched.UniformRandom(rng, n, 1) }}
-}
-
-// Starver streams only the given processors, round-robin, forever —
-// Theorem 1's static starving adversary (sched.Starve as a stream).
-func Starver(active []int) machine.Scheduler {
-	return &generator{gen: func() ([]int, error) { return sched.Starve(active, 1) }}
 }
 
 // FLP is the Theorem 1 adversary: an adaptive general-schedule scheduler
@@ -170,27 +163,14 @@ func (a *FLP) stepSelects(m *machine.Machine, p int) bool {
 //
 // Halted processors are still emitted (stepping a halted processor is a
 // legal stutter), keeping the emitted stream k-bounded in the schedule
-// sense even when parts of the system have finished or crashed.
+// sense even when parts of the system have finished or crashed. Its
+// constructor, NewKBounded, lives with its only callers, the tests.
 type KBounded struct {
 	inner machine.Scheduler
 	k     int
 	last  []int // emission step each processor was last named; -1 = never
 	t     int   // next emission step index
 	ds    []int // scratch: deadlines of the non-picked processors
-}
-
-// NewKBounded wraps inner so the emitted stream is k-bounded fair for n
-// processors. Requires k >= n (no schedule with fewer slots than
-// processors per window can cover them all).
-func NewKBounded(inner machine.Scheduler, n, k int) (*KBounded, error) {
-	if n < 1 || k < n {
-		return nil, fmt.Errorf("%w: n=%d k=%d (need k >= n >= 1)", sched.ErrBadArgs, n, k)
-	}
-	last := make([]int, n)
-	for i := range last {
-		last[i] = -1
-	}
-	return &KBounded{inner: inner, k: k, last: last, ds: make([]int, 0, n-1)}, nil
 }
 
 // Next implements machine.Scheduler. It ends the schedule when the inner

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -205,4 +206,24 @@ func TestFLPForcesDoubleSelectionOnSymmetricSystem(t *testing.T) {
 	if got := res.Final.SelectedProcs(); len(got) < 2 {
 		t.Errorf("expected >= 2 selected, got %v", got)
 	}
+}
+
+// Starver streams only the given processors, round-robin, forever —
+// Theorem 1's static starving adversary (sched.Starve as a stream).
+func Starver(active []int) machine.Scheduler {
+	return &generator{gen: func() ([]int, error) { return sched.Starve(active, 1) }}
+}
+
+// NewKBounded wraps inner so the emitted stream is k-bounded fair for n
+// processors. Requires k >= n (no schedule with fewer slots than
+// processors per window can cover them all).
+func NewKBounded(inner machine.Scheduler, n, k int) (*KBounded, error) {
+	if n < 1 || k < n {
+		return nil, fmt.Errorf("%w: n=%d k=%d (need k >= n >= 1)", sched.ErrBadArgs, n, k)
+	}
+	last := make([]int, n)
+	for i := range last {
+		last[i] = -1
+	}
+	return &KBounded{inner: inner, k: k, last: last, ds: make([]int, 0, n-1)}, nil
 }

@@ -5,8 +5,6 @@ import (
 	"io"
 
 	"simsym/internal/dining"
-	"simsym/internal/distlabel"
-	"simsym/internal/family"
 	"simsym/internal/machine"
 	"simsym/internal/mc"
 	"simsym/internal/obs"
@@ -407,48 +405,6 @@ func NewSelectHarness(sys *system.System, instr system.InstrSet, sch system.Sche
 		StatePreds: []mc.StatePredicate{mc.UniquenessPred},
 		TransPreds: []mc.TransitionPredicate{mc.StabilityPred},
 		Done:       selection.Settled,
-	}, nil
-}
-
-// NewAlgorithm3Harness builds a harness running distlabel Algorithm 3's
-// uniform program on member of fam (instruction set Q), with an invariant
-// that any processor halting on its own has learned its correct family
-// label, and convergence when all of them have.
-func NewAlgorithm3Harness(fam *family.Family, member int, s machine.Scheduler) (*Harness, error) {
-	if member < 0 || member >= len(fam.Members) {
-		return nil, fmt.Errorf("adversary: member %d out of range (%d members)", member, len(fam.Members))
-	}
-	plan, err := distlabel.PlanAlgorithm3(fam)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := plan.Program(distlabel.Options{})
-	if err != nil {
-		return nil, err
-	}
-	want := plan.MemberLabels[member]
-	labelCheck := func(m *machine.Machine) string {
-		for p := 0; p < m.NumProcs(); p++ {
-			if !m.Halted(p) || m.Crashed(p) {
-				continue // crashed processors owe nothing
-			}
-			v, ok := m.Local(p, "label2")
-			if !ok {
-				return fmt.Sprintf("algorithm 3: processor %d halted without a family label", p)
-			}
-			if v != want[p] {
-				return fmt.Sprintf("algorithm 3: processor %d halted with label %v, want %d", p, v, want[p])
-			}
-		}
-		return ""
-	}
-	return &Harness{
-		Sys:        fam.Members[member],
-		Instr:      system.InstrQ,
-		Prog:       prog,
-		Sched:      s,
-		StatePreds: []mc.StatePredicate{labelCheck},
-		Done:       func(m *machine.Machine) bool { return distlabel.AllResolved(m, "label2") },
 	}, nil
 }
 

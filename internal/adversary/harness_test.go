@@ -2,11 +2,13 @@ package adversary
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"simsym/internal/dining"
+	"simsym/internal/distlabel"
 	"simsym/internal/family"
 	"simsym/internal/machine"
 	"simsym/internal/mc"
@@ -338,4 +340,46 @@ func TestHarnessBeforeMatchesReplay(t *testing.T) {
 	if i != len(seen) {
 		t.Fatalf("replay found %d steps, the predicate saw %d", i, len(seen))
 	}
+}
+
+// NewAlgorithm3Harness builds a harness running distlabel Algorithm 3's
+// uniform program on member of fam (instruction set Q), with an invariant
+// that any processor halting on its own has learned its correct family
+// label, and convergence when all of them have.
+func NewAlgorithm3Harness(fam *family.Family, member int, s machine.Scheduler) (*Harness, error) {
+	if member < 0 || member >= len(fam.Members) {
+		return nil, fmt.Errorf("adversary: member %d out of range (%d members)", member, len(fam.Members))
+	}
+	plan, err := distlabel.PlanAlgorithm3(fam)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := plan.Program(distlabel.Options{})
+	if err != nil {
+		return nil, err
+	}
+	want := plan.MemberLabels[member]
+	labelCheck := func(m *machine.Machine) string {
+		for p := 0; p < m.NumProcs(); p++ {
+			if !m.Halted(p) || m.Crashed(p) {
+				continue // crashed processors owe nothing
+			}
+			v, ok := m.Local(p, "label2")
+			if !ok {
+				return fmt.Sprintf("algorithm 3: processor %d halted without a family label", p)
+			}
+			if v != want[p] {
+				return fmt.Sprintf("algorithm 3: processor %d halted with label %v, want %d", p, v, want[p])
+			}
+		}
+		return ""
+	}
+	return &Harness{
+		Sys:        fam.Members[member],
+		Instr:      system.InstrQ,
+		Prog:       prog,
+		Sched:      s,
+		StatePreds: []mc.StatePredicate{labelCheck},
+		Done:       func(m *machine.Machine) bool { return distlabel.AllResolved(m, "label2") },
+	}, nil
 }

@@ -157,76 +157,3 @@ func fold(own string, received []string, counting bool) string {
 	b.WriteString("]")
 	return canon.String(b.String())
 }
-
-// ColorsPartition converts flooding colors into canonical dense labels.
-func ColorsPartition(colors []string) []int {
-	remap := make(map[string]int)
-	out := make([]int, len(colors))
-	next := 0
-	for i, c := range colors {
-		id, ok := remap[c]
-		if !ok {
-			id = next
-			remap[c] = id
-			next++
-		}
-		out[i] = id
-	}
-	return out
-}
-
-// SamePartition reports whether two label vectors induce the same
-// equivalence relation.
-func SamePartition(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	fwd := make(map[int]int)
-	bwd := make(map[int]int)
-	for i := range a {
-		if x, ok := fwd[a[i]]; ok && x != b[i] {
-			return false
-		}
-		if x, ok := bwd[b[i]]; ok && x != a[i] {
-			return false
-		}
-		fwd[a[i]] = b[i]
-		bwd[b[i]] = a[i]
-	}
-	return true
-}
-
-// ElectByFlooding is the message-passing SELECT: run flooding until the
-// colors stabilize, then the processor whose color is globally unique
-// and lexicographically least among unique colors is the leader. It
-// returns the elected processor, or ok=false when no processor ends up
-// with a unique color (every processor similar to another — Theorem 2's
-// message-passing face).
-func ElectByFlooding(n *Network, counting bool, seed int64) (leader int, ok bool, err error) {
-	if err := n.Validate(); err != nil {
-		return 0, false, err
-	}
-	colors, err := Flood(n, counting, n.NumProcs()+2, seed)
-	if err != nil {
-		return 0, false, err
-	}
-	count := make(map[string]int)
-	for _, c := range colors {
-		count[c]++
-	}
-	best := ""
-	leader = -1
-	for p, c := range colors {
-		if count[c] != 1 {
-			continue
-		}
-		if best == "" || c < best {
-			best = c
-			leader = p
-		}
-	}
-	if leader < 0 {
-		return 0, false, nil
-	}
-	return leader, true, nil
-}

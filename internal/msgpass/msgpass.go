@@ -21,7 +21,6 @@ package msgpass
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 
@@ -76,51 +75,6 @@ func (n *Network) In() [][]int {
 		sort.Ints(in[p])
 	}
 	return in
-}
-
-// Bidirectional reports whether every edge has a reverse edge.
-func (n *Network) Bidirectional() bool {
-	has := make(map[[2]int]bool)
-	for p, outs := range n.Out {
-		for _, q := range outs {
-			has[[2]int{p, q}] = true
-		}
-	}
-	for e := range has {
-		if !has[[2]int{e[1], e[0]}] {
-			return false
-		}
-	}
-	return true
-}
-
-// StronglyConnected reports whether the digraph is strongly connected.
-func (n *Network) StronglyConnected() bool {
-	if n.NumProcs() == 0 {
-		return true
-	}
-	reach := func(adj [][]int) int {
-		seen := make([]bool, n.NumProcs())
-		stack := []int{0}
-		seen[0] = true
-		count := 1
-		for len(stack) > 0 {
-			p := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, q := range adj[p] {
-				if !seen[q] {
-					seen[q] = true
-					count++
-					stack = append(stack, q)
-				}
-			}
-		}
-		return count
-	}
-	if reach(n.Out) != n.NumProcs() {
-		return false
-	}
-	return reach(n.In()) == n.NumProcs()
 }
 
 // netStructure adapts a Network to partition.Structure and
@@ -433,31 +387,6 @@ func Chain(n int) (*Network, error) {
 		net.Init[i] = "0"
 		if i+1 < n {
 			net.Out[i] = []int{i + 1}
-		}
-	}
-	return net, nil
-}
-
-// Random returns a random digraph with the given edge probability.
-func Random(rng *rand.Rand, n int, p float64, inits int) (*Network, error) {
-	if n < 1 {
-		return nil, ErrEmpty
-	}
-	if inits < 1 {
-		inits = 1
-	}
-	net := &Network{
-		ProcIDs: make([]string, n),
-		Init:    make([]string, n),
-		Out:     make([][]int, n),
-	}
-	for i := 0; i < n; i++ {
-		net.ProcIDs[i] = fmt.Sprintf("p%d", i)
-		net.Init[i] = fmt.Sprintf("s%d", rng.Intn(inits))
-		for j := 0; j < n; j++ {
-			if i != j && rng.Float64() < p {
-				net.Out[i] = append(net.Out[i], j)
-			}
 		}
 	}
 	return net, nil

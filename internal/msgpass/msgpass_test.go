@@ -2,6 +2,7 @@ package msgpass
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -379,4 +380,147 @@ func TestTokenSignatureMatchesStringOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Bidirectional reports whether every edge has a reverse edge.
+func (n *Network) Bidirectional() bool {
+	has := make(map[[2]int]bool)
+	for p, outs := range n.Out {
+		for _, q := range outs {
+			has[[2]int{p, q}] = true
+		}
+	}
+	for e := range has {
+		if !has[[2]int{e[1], e[0]}] {
+			return false
+		}
+	}
+	return true
+}
+
+// StronglyConnected reports whether the digraph is strongly connected.
+func (n *Network) StronglyConnected() bool {
+	if n.NumProcs() == 0 {
+		return true
+	}
+	reach := func(adj [][]int) int {
+		seen := make([]bool, n.NumProcs())
+		stack := []int{0}
+		seen[0] = true
+		count := 1
+		for len(stack) > 0 {
+			p := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, q := range adj[p] {
+				if !seen[q] {
+					seen[q] = true
+					count++
+					stack = append(stack, q)
+				}
+			}
+		}
+		return count
+	}
+	if reach(n.Out) != n.NumProcs() {
+		return false
+	}
+	return reach(n.In()) == n.NumProcs()
+}
+
+// Random returns a random digraph with the given edge probability.
+func Random(rng *rand.Rand, n int, p float64, inits int) (*Network, error) {
+	if n < 1 {
+		return nil, ErrEmpty
+	}
+	if inits < 1 {
+		inits = 1
+	}
+	net := &Network{
+		ProcIDs: make([]string, n),
+		Init:    make([]string, n),
+		Out:     make([][]int, n),
+	}
+	for i := 0; i < n; i++ {
+		net.ProcIDs[i] = fmt.Sprintf("p%d", i)
+		net.Init[i] = fmt.Sprintf("s%d", rng.Intn(inits))
+		for j := 0; j < n; j++ {
+			if i != j && rng.Float64() < p {
+				net.Out[i] = append(net.Out[i], j)
+			}
+		}
+	}
+	return net, nil
+}
+
+// ColorsPartition converts flooding colors into canonical dense labels.
+func ColorsPartition(colors []string) []int {
+	remap := make(map[string]int)
+	out := make([]int, len(colors))
+	next := 0
+	for i, c := range colors {
+		id, ok := remap[c]
+		if !ok {
+			id = next
+			remap[c] = id
+			next++
+		}
+		out[i] = id
+	}
+	return out
+}
+
+// SamePartition reports whether two label vectors induce the same
+// equivalence relation.
+func SamePartition(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	fwd := make(map[int]int)
+	bwd := make(map[int]int)
+	for i := range a {
+		if x, ok := fwd[a[i]]; ok && x != b[i] {
+			return false
+		}
+		if x, ok := bwd[b[i]]; ok && x != a[i] {
+			return false
+		}
+		fwd[a[i]] = b[i]
+		bwd[b[i]] = a[i]
+	}
+	return true
+}
+
+// ElectByFlooding is the message-passing SELECT: run flooding until the
+// colors stabilize, then the processor whose color is globally unique
+// and lexicographically least among unique colors is the leader. It
+// returns the elected processor, or ok=false when no processor ends up
+// with a unique color (every processor similar to another — Theorem 2's
+// message-passing face).
+func ElectByFlooding(n *Network, counting bool, seed int64) (leader int, ok bool, err error) {
+	if err := n.Validate(); err != nil {
+		return 0, false, err
+	}
+	colors, err := Flood(n, counting, n.NumProcs()+2, seed)
+	if err != nil {
+		return 0, false, err
+	}
+	count := make(map[string]int)
+	for _, c := range colors {
+		count[c]++
+	}
+	best := ""
+	leader = -1
+	for p, c := range colors {
+		if count[c] != 1 {
+			continue
+		}
+		if best == "" || c < best {
+			best = c
+			leader = p
+		}
+	}
+	if leader < 0 {
+		return 0, false, nil
+	}
+	return leader, true, nil
 }

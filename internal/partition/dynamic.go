@@ -146,10 +146,13 @@ type Dyn struct {
 	dirty []bool
 	queue []int
 
-	// Reusable scratch. Settle and splitOut sort packed uint64 keys
-	// (class<<32 | slot, id<<32 | position), so slots, class ids and
-	// signature ids must stay below 2^32.
-	keys      []uint64
+	// Reusable scratch. Settle buckets its dirty batch by class: ccount
+	// (grown by allocClass, zero between rounds) counts a class's dirty
+	// members and then locates its bucket in batch, and settled lists
+	// the classes with any. splitOut sorts packed id<<32 | position
+	// keys, so signature ids and class sizes must stay below 2^32.
+	ccount    []int
+	settled   []int
 	batch     []int
 	relabeled []int
 	idsBuf    []int
@@ -303,6 +306,7 @@ func (d *Dyn) allocClass(initID int) int {
 		d.members = append(d.members, nil)
 		d.csig = append(d.csig, -1)
 		d.cinit = append(d.cinit, initID)
+		d.ccount = append(d.ccount, 0)
 	}
 	d.liveClasses++
 	d.byInit[initID] = append(d.byInit[initID], c)
@@ -405,36 +409,43 @@ func (d *Dyn) settle(st *UpdateStats, quotChanged *bool) {
 	for len(d.queue) > 0 {
 		st.Rounds++
 		splits := st.Splits
-		// Group dirty slots by their class at gather time, members
-		// ascending, with one sort of class<<32 | slot keys; splits only
-		// relabel slots within the group being processed, so later
-		// groups stay intact.
-		keys := d.keys[:0]
+		// Bucket the dirty slots by their class at gather time: count
+		// each class's slots, turn the counts into bucket starts in
+		// ascending class order, and fill the buckets in queue order. A
+		// queued slot is dirty exactly once, so the queue holds no
+		// duplicates. Splits only relabel slots within the class being
+		// processed, so later buckets stay intact.
+		settled := d.settled[:0]
 		for _, x := range d.queue {
-			if d.dirty[x] {
-				d.dirty[x] = false
-				if d.label[x] >= 0 {
-					keys = append(keys, uint64(d.label[x])<<32|uint64(x))
+			d.dirty[x] = false
+			if c := d.label[x]; c >= 0 {
+				if d.ccount[c] == 0 {
+					settled = append(settled, c)
 				}
+				d.ccount[c]++
+			}
+		}
+		slices.Sort(settled)
+		n := 0
+		for _, c := range settled {
+			n, d.ccount[c] = n+d.ccount[c], n
+		}
+		batch := fit(d.batch, n)
+		for _, x := range d.queue {
+			if c := d.label[x]; c >= 0 {
+				batch[d.ccount[c]] = x
+				d.ccount[c]++
 			}
 		}
 		d.queue = d.queue[:0]
-		slices.Sort(keys)
-		d.keys = keys
-		batch := d.batch[:0]
-		for _, k := range keys {
-			batch = append(batch, int(uint32(k)))
-		}
-		d.batch = batch
+		d.settled, d.batch = settled, batch
 		relabeled := d.relabeled[:0]
-		for i := 0; i < len(batch); {
-			c := keys[i] >> 32
-			j := i + 1
-			for j < len(batch) && keys[j]>>32 == c {
-				j++
-			}
-			relabeled = d.settleClass(int(c), batch[i:j], st, quotChanged, relabeled)
-			i = j
+		lo := 0
+		for _, c := range settled {
+			members := batch[lo:d.ccount[c]]
+			lo, d.ccount[c] = d.ccount[c], 0
+			slices.Sort(members)
+			relabeled = d.settleClass(c, members, st, quotChanged, relabeled)
 		}
 		d.relabeled = relabeled
 		for _, x := range relabeled {
@@ -561,7 +572,7 @@ func (d *Dyn) mergePass(st *UpdateStats) {
 	var p *Partition
 	var err error
 	if d.s.Counting() {
-		p, err = d.ref.run(q, func(int, int, int) { st.Rounds++ })
+		p, err = d.refineQuotient(q, func(int, int, int) { st.Rounds++ })
 	} else {
 		// The nested build's work is read off its stats: a hook closure
 		// over st would be kept by the heap Dyn and move st, and with it
@@ -641,12 +652,24 @@ func (d *Dyn) mergePass(st *UpdateStats) {
 	d.settle(st, &dummy)
 }
 
+// refineQuotient refines q with the merge pass's Hopcroft refiner,
+// which reads q's edge arrays in place. A node's initial class is its
+// class's init key, ranked among the keys q holds from the integer cinit
+// ids, so no key string is looked up per node.
+func (d *Dyn) refineQuotient(q *quotient, hook RoundHook) (*Partition, error) {
+	q.init = fit(q.init, len(q.cls))
+	for n, c := range q.cls {
+		q.init[n] = d.cinit[c]
+	}
+	return d.ref.run(q.off, q.edges, q.init, d.ref.rankInit(q.init, d.initStr), hook)
+}
+
 // quotient is the class graph the merge pass refines: one node per live
 // class, in ascending class id, whose edges and signature are read off
 // one representative member with every target mapped to its class's
 // node. The settled partition is stable, so every member of a class
 // sees the same classes through its edges and any representative does.
-// It is a CountStructure for the Hopcroft driver and a TokenStructure
+// The Hopcroft refiner reads its edge arrays, and it is a TokenStructure
 // for the nested build. Dyn keeps one and rebuilds it in place.
 type quotient struct {
 	d     *Dyn
@@ -654,6 +677,7 @@ type quotient struct {
 	node  []int        // class id -> node, for live classes
 	off   []int        // node -> its first edge in edges; off[len(cls)] = len(edges)
 	edges []TaggedEdge // representatives' out-edges, targets as nodes
+	init  []int        // node -> initial class, for the refiner
 	deps  [][]int      // node -> nodes with an edge into it (set rule only)
 
 	lbl  func(int) int // the nested build's current quotient labeling
@@ -701,10 +725,6 @@ func (q *quotient) linkDependents() {
 func (q *quotient) Len() int               { return len(q.cls) }
 func (q *quotient) InitKey(n int) string   { return q.d.initStr[q.d.cinit[q.cls[n]]] }
 func (q *quotient) Dependents(n int) []int { return q.deps[n] }
-
-func (q *quotient) AppendOutEdges(buf []TaggedEdge, n int) []TaggedEdge {
-	return append(buf, q.edges[q.off[n]:q.off[n+1]]...)
-}
 
 // AppendSignature encodes quotient node n as its representative's
 // signature under the composed labeling.

@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strconv"
 	"testing"
@@ -224,15 +225,20 @@ func TestDynMatchesOracleOnScriptedTrace(t *testing.T) {
 	}
 }
 
-func TestDynMergeRestoresCoarseness(t *testing.T) {
-	// A 12-cycle: fully symmetric, one class.
-	n := 12
+// cycleDyn is the n-cycle: state i moves to i+1 on symbol 0 and to i-1
+// on symbol 1, and no state accepts, so it is one class. Accepting one
+// state tells every other state apart by its signed distance to it.
+func cycleDyn(n int) *dyndfa {
 	next := make([][]int, n)
-	acc := make([]bool, n)
-	for i := 0; i < n; i++ {
+	for i := range next {
 		next[i] = []int{(i + 1) % n, (i + n - 1) % n}
 	}
-	m := newDynDFA(newDFA(acc, next))
+	return newDynDFA(newDFA(make([]bool, n), next))
+}
+
+func TestDynMergeRestoresCoarseness(t *testing.T) {
+	// A 12-cycle: fully symmetric, one class.
+	m := cycleDyn(12)
 	d, err := NewDyn(m)
 	if err != nil {
 		t.Fatal(err)
@@ -560,5 +566,185 @@ func TestDynEmptyStructure(t *testing.T) {
 	m := &dyndfa{}
 	if _, err := NewDyn(m); err != ErrEmptyStructure {
 		t.Fatalf("err = %v, want ErrEmptyStructure", err)
+	}
+}
+
+// quotientView is a CountStructure over a Dyn quotient, so that
+// FixpointHopcroft can refine it through its CountStructure entry.
+type quotientView struct{ *quotient }
+
+func (q quotientView) AppendOutEdges(buf []TaggedEdge, n int) []TaggedEdge {
+	return append(buf, q.edges[q.off[n]:q.off[n+1]]...)
+}
+
+// entryRun is one merge pass's quotient as updateComparingEntries saw
+// it: its nodes' init keys and its refinement.
+type entryRun struct {
+	keys []string
+	hopcroftRun
+}
+
+// classes returns the number of classes the quotient refined to, 0
+// when no merge pass ran.
+func (e entryRun) classes() int {
+	if len(e.labels) == 0 {
+		return 0
+	}
+	return slices.Max(e.labels) + 1
+}
+
+// updateComparingEntries applies touched as Update does. When the event
+// runs the merge pass, the pass's quotient is first refined through both
+// Hopcroft entries, the merge pass's in-place refineQuotient and
+// FixpointHopcroft over quotientView, which must agree in labels and
+// RoundHook stream. It reports whether the pass ran.
+func updateComparingEntries(t *testing.T, d *Dyn, touched []int) (entryRun, bool) {
+	t.Helper()
+	var st UpdateStats
+	var seen entryRun
+	changed := false
+	d.grow(d.s.Len())
+	for _, x := range touched {
+		d.reconcile(x, &st, &changed)
+	}
+	d.settle(&st, &changed)
+	ran := changed && d.liveClasses > 1
+	if ran {
+		q := d.newQuotient()
+		for n := range q.cls {
+			seen.keys = append(seen.keys, q.InitKey(n))
+		}
+		want := runHopcroft(FixpointHopcroft, quotientView{q})
+		seen.hopcroftRun = runHopcroft(func(_ CountStructure, hook RoundHook) (*Partition, error) {
+			return d.refineQuotient(q, hook)
+		}, quotientView{q})
+		if !reflect.DeepEqual(seen.hopcroftRun, want) {
+			t.Fatalf("quotient of %d nodes (init keys %v): in-place entry gave %+v, FixpointHopcroft %+v",
+				len(q.cls), seen.keys, seen.hopcroftRun, want)
+		}
+		d.mergePass(&st)
+	}
+	d.compactIDs(&st)
+	return seen, ran
+}
+
+// TestDynQuotientEntriesAgree refines Dyn merge-pass quotients through
+// both Hopcroft entries: the merge pass hands the refiner the
+// quotient's own arrays and ranks its init classes from integer ids,
+// and FixpointHopcroft reads the same quotient as a CountStructure. The
+// cases are a tree under leaf churn, the broken 12-cycle merging back
+// into one class, and a quotient whose node 0 has the larger init key,
+// so that numbering the initial classes in any order but key order
+// shows in the RoundHook stream.
+func TestDynQuotientEntriesAgree(t *testing.T) {
+	t.Run("tree", func(t *testing.T) {
+		// A complete binary tree of 63 states whose 32 leaves accept
+		// and loop. A join points one edge of a live state at a fresh
+		// rejecting sink, which splits the classes along its root
+		// path; a leave removes the latest join and restores the edge.
+		const n = 63
+		acc := make([]bool, n)
+		next := make([][]int, n)
+		for i := range next {
+			if l := 2*i + 1; l < n {
+				next[i] = []int{l, l + 1}
+			} else {
+				acc[i], next[i] = true, []int{i, i}
+			}
+		}
+		m := newDynDFA(newDFA(acc, next))
+		d, err := NewDyn(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(31))
+		type join struct{ x, old int }
+		var stack []join
+		passes, merging := 0, 0
+		for ev := 0; ev < 300; ev++ {
+			var touched []int
+			if len(stack) == 8 || len(stack) > 0 && rng.Intn(2) == 1 {
+				j := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				touched = m.removeState(j.x, j.old)
+			} else {
+				live := m.liveStates()
+				y, sym := live[rng.Intn(len(live))], rng.Intn(2)
+				x := m.Len()
+				old := m.next[y][sym]
+				touched = append(m.addState(false, x, x), m.rewire(y, sym, x)...)
+				stack = append(stack, join{x, old})
+			}
+			if e, ok := updateComparingEntries(t, d, touched); ok {
+				passes++
+				if e.classes() < len(e.keys) {
+					merging++
+				}
+			}
+		}
+		dynOracleCheck(t, d, m)
+		if passes < 100 || merging == 0 {
+			t.Fatalf("%d merge passes, %d of them merging: the trace no longer exercises the pass", passes, merging)
+		}
+	})
+	t.Run("cycle", func(t *testing.T) {
+		m := cycleDyn(12)
+		d, err := NewDyn(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := updateComparingEntries(t, d, m.setAccept(0, true)); !ok {
+			t.Fatal("breaking the cycle ran no merge pass")
+		}
+		e, ok := updateComparingEntries(t, d, m.setAccept(0, false))
+		if !ok || len(e.keys) != 12 || e.classes() != 1 {
+			t.Fatalf("restoring the cycle refined %d quotient nodes to %d classes, want 12 to 1", len(e.keys), e.classes())
+		}
+		dynOracleCheck(t, d, m)
+	})
+	t.Run("node0-larger-key", func(t *testing.T) {
+		// modDFA(5, 3) with no accepting state is one class, 0, keyed
+		// "rej". Accepting state 7 splits it, and class 0, quotient node
+		// 0, keeps the larger key.
+		m := newDynDFA(modDFA(5, 3))
+		clear(m.accept)
+		d, err := NewDyn(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, ok := updateComparingEntries(t, d, m.setAccept(7, true))
+		if !ok || e.keys[0] != "rej" || !slices.Contains(e.keys, "acc") || len(e.hooks) == 0 {
+			t.Fatalf("quotient init keys %v, hooks %v (merge pass %v): want node 0 at \"rej\", an \"acc\" node and a split", e.keys, e.hooks, ok)
+		}
+		dynOracleCheck(t, d, m)
+	})
+}
+
+// TestDynWarmMergePassAllocatesNothing pins FixpointHopcroft's promise
+// that a warm Dyn merge pass allocates nothing. Accepting state 0 of a
+// 64-cycle splits it into 64 singleton classes, and rejecting it again
+// runs a merge pass that merges 63 of them back into one.
+func TestDynWarmMergePassAllocatesNothing(t *testing.T) {
+	const n = 64
+	m := cycleDyn(n)
+	d, err := NewDyn(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	touched := []int{0}
+	toggle := func() (split, merge UpdateStats) {
+		m.accept[0] = true
+		split = d.Update(touched)
+		m.accept[0] = false
+		return split, d.Update(touched)
+	}
+	for range 10 {
+		toggle()
+	}
+	if split, merge := toggle(); split.Classes != n || !merge.MergePass || merge.Merges != n-1 || merge.Classes != 1 {
+		t.Fatalf("split %+v, merge %+v: want %d classes, then a pass merging %d", split, merge, n, n-1)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { toggle() }); allocs != 0 {
+		t.Fatalf("a warm split and merge pass allocate %v times, want 0", allocs)
 	}
 }

@@ -67,7 +67,7 @@ func FuzzInternedSignatures(f *testing.F) {
 		var r refiner
 		for k, dd := range []*dfa{d, dfaFromBytes(data[len(data)/2:]), d} {
 			fresh := runHopcroft(FixpointHopcroft, dd)
-			if reused := runHopcroft(r.run, dd); !reflect.DeepEqual(reused, fresh) {
+			if reused := runHopcroft(r.refine, dd); !reflect.DeepEqual(reused, fresh) {
 				t.Fatalf("run %d (n=%d): reused refiner gave %+v, fresh %+v", k, dd.Len(), reused, fresh)
 			}
 		}

@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"slices"
+	"strings"
 )
 
 // TaggedEdge is a directed, integer-tagged edge: the color of From (the
@@ -45,7 +46,7 @@ type segments struct {
 	classOf []int // node -> class id
 	start   []int // class id -> first index of its segment
 	length  []int // class id -> segment length
-	carved  []int // class id -> nodes carved off the segment front (scratch)
+	carved  []int // class id -> nodes carved or marked at the segment front (scratch)
 }
 
 // moveToFront swaps node x to the carved prefix of its class segment.
@@ -95,24 +96,28 @@ func fit[T any](s []T, n int) []T {
 // behind. The returned Partition aliases the refiner and is valid until
 // its next run.
 type refiner struct {
-	seg    segments
-	keyID  map[string]int // init key -> first-appearance id
-	keys   []string       // distinct init keys
-	rank   []int          // first-appearance id -> rank in key order
-	off    []int          // node -> first out-edge in out; off[n] = m
-	out    []TaggedEdge   // every node's out-edges, node by node
-	revOff []int          // node -> first in-edge in rev; revOff[n] = m
-	rev    []TaggedEdge   // (x, tag) per edge x --tag--> y, grouped by y
+	seg segments
+	// refine's copy of a CountStructure: every node's out-edges, node by
+	// node, its init-key id and the distinct keys by first appearance.
+	off    []int
+	out    []TaggedEdge
+	init   []int
+	keys   []string
+	ids    []int        // rankInit scratch: the distinct key ids present
+	rank   []int        // rankInit scratch: key id -> rank
+	revOff []int        // node -> first in-edge in rev; revOff[n] = m
+	rev    []TaggedEdge // (x, tag) per edge x --tag--> y, grouped by y
 
 	inQueue []bool
 	queue   []int
-	// Splitter scratch: touched holds class<<32 | node of every node
-	// with edges into the splitter (nodes and class ids stay below
-	// 2^32), and node x's tags into it are tags[off[x]:off[x]+ntags[x]];
-	// x has at most off[x+1]-off[x] of them, so the windows never
-	// overlap. groups[id] lists the members whose interned tag multiset
-	// got dense id `id`.
-	touched []uint64
+	// Splitter scratch. spl copies the splitter's members; touched lists
+	// the classes whose carved prefix holds their touched members (nodes
+	// with edges into the splitter). Node x's tags into the splitter are
+	// tags[off[x]:off[x]+ntags[x]]; x has at most off[x+1]-off[x] of
+	// them, so the windows never overlap. groups lists a class's touched
+	// members per tag multiset, least member first.
+	spl     []int
+	touched []int
 	ntags   []int
 	tags    []uint64
 	tab     SigTable
@@ -130,11 +135,13 @@ type refiner struct {
 // enter the queue while the largest part stays out, so every node is
 // processed O(log n) times per incident edge — O((n + m) log n) overall.
 //
-// Touched-member grouping interns sorted tag multisets through a
-// SigTable, so the hot loop compares small dense ints. Every array of
-// the run lives in an unexported refiner; this entry point runs a fresh
-// one, and Dyn's merge pass keeps one and reuses its storage across
-// passes, so a warm pass allocates nothing.
+// Touched nodes are grouped by marking, not sorting: each moves to the
+// front of its class segment, and only the touched class ids are
+// sorted. A class's touched members are grouped by sorted tag multiset,
+// interned through a SigTable so the hot loop compares small dense
+// ints. Every array of the run lives in an unexported refiner; this
+// entry point reads cs into a fresh one, and Dyn's merge pass keeps one
+// and hands it the quotient's arrays, so a warm pass allocates nothing.
 //
 // hook, when non-nil, fires once per splitter iteration that carved at
 // least one new class; quiet iterations (no edges into the splitter, or
@@ -142,7 +149,7 @@ type refiner struct {
 // actual refinement work.
 func FixpointHopcroft(cs CountStructure, hook RoundHook) (*Partition, error) {
 	var r refiner
-	p, err := r.run(cs, hook)
+	p, err := r.refine(cs, hook)
 	if err != nil {
 		return nil, err
 	}
@@ -150,15 +157,69 @@ func FixpointHopcroft(cs CountStructure, hook RoundHook) (*Partition, error) {
 	return &Partition{label: p.label, members: p.members}, nil
 }
 
-func (r *refiner) run(cs CountStructure, hook RoundHook) (*Partition, error) {
+// refine reads cs's out-edges and init keys into the refiner's own input
+// arrays and runs on them.
+func (r *refiner) refine(cs CountStructure, hook RoundHook) (*Partition, error) {
 	n := cs.Len()
+	r.off = fit(r.off, n+1)
+	r.out = r.out[:0]
+	for i := 0; i < n; i++ {
+		r.off[i] = len(r.out)
+		r.out = cs.AppendOutEdges(r.out, i)
+	}
+	r.off[n] = len(r.out)
+	keyID := make(map[string]int)
+	r.keys = r.keys[:0]
+	r.init = fit(r.init, n)
+	for i := range r.init {
+		k := cs.InitKey(i)
+		id, ok := keyID[k]
+		if !ok {
+			id = len(r.keys)
+			keyID[k] = id
+			r.keys = append(r.keys, k)
+		}
+		r.init[i] = id
+	}
+	return r.run(r.off, r.out, r.init, r.rankInit(r.init, r.keys), hook)
+}
+
+// rankInit rewrites init, whose entries index keys, to the rank of each
+// entry's key among the distinct keys init holds, so the initial classes
+// are numbered in key order; it returns their count. Only the distinct
+// keys are sorted.
+func (r *refiner) rankInit(init []int, keys []string) int {
+	r.rank = fit(r.rank, len(keys))
+	r.ids = r.ids[:0]
+	for _, id := range init {
+		if r.rank[id] == 0 {
+			r.rank[id] = 1
+			r.ids = append(r.ids, id)
+		}
+	}
+	slices.SortFunc(r.ids, func(a, b int) int { return strings.Compare(keys[a], keys[b]) })
+	for rank, id := range r.ids {
+		r.rank[id] = rank
+	}
+	for i, id := range init {
+		init[i] = r.rank[id]
+	}
+	return len(r.ids)
+}
+
+// run refines the structure whose node i has the out-edges
+// edges[off[i]:off[i+1]] and starts in class init[i], one of k classes
+// numbered in init-key order. It reads off, edges and init in place and
+// writes none of them.
+func (r *refiner) run(off []int, edges []TaggedEdge, init []int, k int, hook RoundHook) (*Partition, error) {
+	n := len(init)
 	if n == 0 {
 		return nil, ErrEmptyStructure
 	}
-	if err := r.readEdges(cs, n); err != nil {
+	if err := r.reverse(off, edges, n); err != nil {
 		return nil, err
 	}
-	r.initSegments(cs, n)
+	r.initSegments(init, k)
 	seg := &r.seg
 	r.inQueue = fit(r.inQueue, n) // a partition of n nodes has at most n classes
 	r.queue = r.queue[:0]
@@ -166,65 +227,48 @@ func (r *refiner) run(cs CountStructure, hook RoundHook) (*Partition, error) {
 		r.enqueue(c)
 	}
 	r.ntags = fit(r.ntags, n)
-	r.tags = fit(r.tags, len(r.out))
+	r.tags = fit(r.tags, len(edges))
 
 	for head := 0; head < len(r.queue); head++ {
 		splitter := r.queue[head]
 		r.inQueue[splitter] = false
 		classesBefore := len(seg.start)
 
-		// Gather the nodes with edges into the splitter and their tags.
+		// Gather the nodes with edges into the splitter and their tags,
+		// marking each by moving it to the front of its class segment.
+		// That can permute the splitter's own segment, so its members
+		// are copied first. A singleton class cannot split, so its nodes
+		// are skipped.
+		lo := seg.start[splitter]
+		r.spl = append(r.spl[:0], seg.order[lo:lo+seg.length[splitter]]...)
 		touched := r.touched[:0]
-		for i := seg.start[splitter]; i < seg.start[splitter]+seg.length[splitter]; i++ {
-			y := seg.order[i]
+		for _, y := range r.spl {
 			for _, e := range r.rev[r.revOff[y]:r.revOff[y+1]] {
 				x := e.To
-				if r.ntags[x] == 0 {
-					touched = append(touched, uint64(seg.classOf[x])<<32|uint64(x))
+				c := seg.classOf[x]
+				if seg.length[c] == 1 {
+					continue
 				}
-				r.tags[r.off[x]+r.ntags[x]] = uint64(int64(e.Tag))
+				if r.ntags[x] == 0 {
+					if seg.carved[c] == 0 {
+						touched = append(touched, c)
+					}
+					seg.moveToFront(x)
+				}
+				r.tags[off[x]+r.ntags[x]] = uint64(int64(e.Tag))
 				r.ntags[x]++
 			}
 		}
 		r.touched = touched
-		if len(touched) == 0 {
-			continue
-		}
 
-		// Group touched nodes by class, deterministically: classes in
-		// ascending id, members ascending. Carving a class relabels only
-		// its own members, so the runs found before carving stay valid.
+		// Split the touched classes in ascending id. Carving a class
+		// relabels only its own members, so the marks of the classes
+		// after it stay valid.
 		slices.Sort(touched)
-		for lo := 0; lo < len(touched); {
-			c := int(touched[lo] >> 32)
-			hi := lo + 1
-			for hi < len(touched) && int(touched[hi]>>32) == c {
-				hi++
-			}
-			xs := touched[lo:hi]
-			lo = hi
-			if seg.length[c] <= 1 {
-				continue
-			}
-			// Group the touched members by interned tag-multiset id; ids
-			// are dense per class in first-appearance order.
-			r.tab.Reset()
-			ngroups := 0
-			for _, key := range xs {
-				x := int(uint32(key))
-				tags := r.tags[r.off[x] : r.off[x]+r.ntags[x]]
-				slices.Sort(tags)
-				id := r.tab.Intern(tags)
-				if id == ngroups {
-					if ngroups < len(r.groups) {
-						r.groups[ngroups] = r.groups[ngroups][:0]
-					} else {
-						r.groups = append(r.groups, nil)
-					}
-					ngroups++
-				}
-				r.groups[id] = append(r.groups[id], x)
-			}
+		for _, c := range touched {
+			xs := seg.order[seg.start[c] : seg.start[c]+seg.carved[c]]
+			seg.carved[c] = 0
+			ngroups := r.group(xs, off)
 			untouched := seg.length[c] - len(xs)
 			if untouched == 0 && ngroups == 1 {
 				continue // whole class shares one signature: no split
@@ -279,14 +323,57 @@ func (r *refiner) run(cs CountStructure, hook RoundHook) (*Partition, error) {
 			}
 		}
 
-		for _, key := range touched {
-			r.ntags[uint32(key)] = 0
-		}
 		if hook != nil && len(seg.start) > classesBefore {
 			hook(head+1, len(seg.start), len(seg.start)-classesBefore)
 		}
 	}
 	return r.partition(n), nil
+}
+
+// group sorts each touched member's tags, clears its tag count, and
+// groups the members by tag multiset into groups[:ngroups], ordered by
+// least member. That is the order in which the groups first appear over
+// ascending members, so the carving order does not depend on the order
+// the members were touched in. A member whose tags equal the previous
+// member's joins its group without a table probe, and the first
+// multiset is interned only once a second one shows up.
+func (r *refiner) group(xs, off []int) (ngroups int) {
+	r.tab.Reset()
+	var first, prev []uint64
+	id := 0
+	for _, x := range xs {
+		tags := r.tags[off[x] : off[x]+r.ntags[x]]
+		r.ntags[x] = 0
+		slices.Sort(tags)
+		switch {
+		case ngroups == 0:
+			first = tags
+		case slices.Equal(tags, prev):
+		default:
+			if r.tab.Len() == 0 {
+				r.tab.Intern(first)
+			}
+			id = r.tab.Intern(tags)
+		}
+		if id == ngroups {
+			if ngroups < len(r.groups) {
+				r.groups[ngroups] = r.groups[ngroups][:0]
+			} else {
+				r.groups = append(r.groups, nil)
+			}
+			ngroups++
+		}
+		prev = tags
+		g := append(r.groups[id], x)
+		if x < g[0] {
+			g[0], g[len(g)-1] = x, g[0]
+		}
+		r.groups[id] = g
+	}
+	if ngroups > 1 {
+		slices.SortFunc(r.groups[:ngroups], func(a, b []int) int { return a[0] - b[0] })
+	}
+	return ngroups
 }
 
 func (r *refiner) enqueue(c int) {
@@ -296,20 +383,11 @@ func (r *refiner) enqueue(c int) {
 	}
 }
 
-// readEdges appends every node's out-edges into one array and builds the
-// reverse adjacency in another, each node's run of in-edges ascending by
-// source as the edges were read.
-func (r *refiner) readEdges(cs CountStructure, n int) error {
-	r.off = fit(r.off, n+1)
-	r.out = r.out[:0]
-	for i := 0; i < n; i++ {
-		r.off[i] = len(r.out)
-		r.out = cs.AppendOutEdges(r.out, i)
-	}
-	m := len(r.out)
-	r.off[n] = m
+// reverse builds the reverse adjacency of the n nodes' out-edges, each
+// node's run of in-edges ascending by source.
+func (r *refiner) reverse(off []int, edges []TaggedEdge, n int) error {
 	r.revOff = fit(r.revOff, n+1)
-	for _, e := range r.out {
+	for _, e := range edges {
 		if e.To < 0 || e.To >= n {
 			return fmt.Errorf("partition: edge target %d out of range", e.To)
 		}
@@ -320,10 +398,10 @@ func (r *refiner) readEdges(cs CountStructure, n int) error {
 	for y := 1; y <= n; y++ {
 		r.revOff[y] += r.revOff[y-1]
 	}
-	r.rev = fit(r.rev, m)
+	r.rev = fit(r.rev, len(edges))
 	for x := n - 1; x >= 0; x-- {
-		for k := r.off[x+1] - 1; k >= r.off[x]; k-- {
-			e := r.out[k]
+		for k := off[x+1] - 1; k >= off[x]; k-- {
+			e := edges[k]
 			r.revOff[e.To]--
 			r.rev[r.revOff[e.To]] = TaggedEdge{To: x, Tag: e.Tag}
 		}
@@ -331,42 +409,19 @@ func (r *refiner) readEdges(cs CountStructure, n int) error {
 	return nil
 }
 
-// initSegments lays out the initial partition: one class per distinct
-// init key, numbered in key order, each segment holding its nodes
-// ascending. The keys are interned to dense ids and only the distinct
-// ones are sorted; a counting sort then places the nodes.
-func (r *refiner) initSegments(cs CountStructure, n int) {
+// initSegments lays out the initial partition: node i in class init[i],
+// one of k, each segment holding its nodes ascending, placed by a
+// counting sort.
+func (r *refiner) initSegments(init []int, k int) {
 	seg := &r.seg
-	if r.keyID == nil {
-		r.keyID = make(map[string]int)
-	}
-	clear(r.keyID)
-	r.keys = r.keys[:0]
-	seg.classOf = fit(seg.classOf, n)
-	for i := 0; i < n; i++ {
-		k := cs.InitKey(i)
-		id, ok := r.keyID[k]
-		if !ok {
-			id = len(r.keys)
-			r.keyID[k] = id
-			r.keys = append(r.keys, k)
-		}
-		seg.classOf[i] = id
-	}
-	k := len(r.keys)
-	r.rank = fit(r.rank, k)
-	slices.Sort(r.keys)
-	for rank, key := range r.keys {
-		r.rank[r.keyID[key]] = rank
-	}
+	n := len(init)
 	// Carving appends a class per split, at most n in all, so the
 	// per-class arrays get capacity n once and never regrow.
 	seg.start = slices.Grow(seg.start[:0], n)[:k]
 	seg.length = fit(slices.Grow(seg.length[:0], n), k)
 	seg.carved = fit(slices.Grow(seg.carved[:0], n), k)
-	for i := 0; i < n; i++ {
-		c := r.rank[seg.classOf[i]]
-		seg.classOf[i] = c
+	seg.classOf = append(seg.classOf[:0], init...)
+	for _, c := range init {
 		seg.length[c]++
 	}
 	for c, at := 0, 0; c < k; c++ {
@@ -376,8 +431,7 @@ func (r *refiner) initSegments(cs CountStructure, n int) {
 	// carved serves as each class's fill cursor, and is zero again after.
 	seg.order = fit(seg.order, n)
 	seg.pos = fit(seg.pos, n)
-	for i := 0; i < n; i++ {
-		c := seg.classOf[i]
+	for i, c := range init {
 		at := seg.start[c] + seg.carved[c]
 		seg.carved[c]++
 		seg.order[at], seg.pos[i] = i, at

@@ -182,7 +182,7 @@ func TestRefinerReuseMatchesFresh(t *testing.T) {
 	var r refiner
 	for k, cs := range runs {
 		want := runHopcroft(FixpointHopcroft, cs)
-		got := runHopcroft(r.run, cs)
+		got := runHopcroft(r.refine, cs)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("run %d (n=%d): reused refiner gave %+v, fresh %+v", k, cs.Len(), got, want)
 		}

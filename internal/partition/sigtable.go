@@ -8,9 +8,9 @@ import (
 
 // SigTable interns uint64 signature token sequences as small dense
 // integer ids: the first distinct sequence gets id 0, the next id 1, and
-// so on. Dyn interns every node's signature and FixpointHopcroft every
-// touched node's tag multiset, then split classes by comparing small
-// ints instead of strings — the constant-time signature comparison
+// so on. Dyn interns every node's signature and FixpointHopcroft the tag
+// multisets of a class's touched nodes, then split classes by comparing
+// small ints instead of strings — the constant-time signature comparison
 // Hopcroft's bound [H71] and the paper's Theorem 5 assume.
 //
 // The table is open-addressed with linear probing over flat hash and
