@@ -132,16 +132,13 @@ func BenchmarkStepJumpIf(b *testing.B) {
 // BenchmarkFingerprint measures the whole-state encode path in its
 // three regimes:
 //
-//	warm — every window cached: AppendStateKey is pure arena copies and
-//	       MUST report 0 allocs/op (the tentpole's contract; the gate in
-//	       scripts/benchgate.sh enforces it).
-//	step — one running machine's incremental key, as a repeated
-//	       Fingerprint() of a machine from New pays it: one step
-//	       invalidates ≤1 frame and ≤2 variables, the key re-encodes
-//	       only those.
+//	warm — AppendStateKey of one unchanging state into a reused buffer:
+//	       every window is encoded, and the call MUST report 0 allocs/op
+//	       (the gate in scripts/benchgate.sh enforces it).
+//	step — one step, then the whole key, as a running machine's
+//	       repeated Fingerprint() pays it.
 //	string — the test oracle's string encoding (FingerprintOracle, the
-//	       pre-arena Fingerprint), kept for scale: this is what the
-//	       arena replaced.
+//	       original Fingerprint), kept for scale.
 func BenchmarkFingerprint(b *testing.B) {
 	setup := func() *Machine {
 		return benchMachine(b, system.InstrQ, func(bl *Builder) {
@@ -158,7 +155,6 @@ func BenchmarkFingerprint(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		m.AppendStateKey(nil, nil, nil)
 		buf := make([]byte, 0, 4*len(m.AppendStateKey(nil, nil, nil)))
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -168,7 +164,6 @@ func BenchmarkFingerprint(b *testing.B) {
 	})
 	b.Run("step", func(b *testing.B) {
 		m := setup()
-		m.AppendStateKey(nil, nil, nil)
 		buf := make([]byte, 0, 256)
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -70,9 +70,9 @@ func (c copyCase) machine(t *testing.T) *Machine {
 	return m
 }
 
-// stateOf is the state key of m together with the oracle encoding,
-// which reads the arrays directly: a cached window on a machine from New
-// cannot hide a write that reached its arrays through a copy.
+// stateOf is the state key of m together with the oracle encoding, two
+// independent encoders of the same arrays, so a write that reached them
+// through a copy shows in both.
 func stateOf(m *Machine) string {
 	return string(m.AppendStateKey(nil, nil, nil)) + "|" + m.FingerprintOracle()
 }
@@ -100,8 +100,7 @@ func TestCloneIntoWarmAllocatesNothing(t *testing.T) {
 // drop, a SetComponent — applied to one side must change that side and
 // leave the other side's state as it was, for a fresh Clone and for
 // CloneInto a destination that held another machine. The mutated side's
-// key must equal a fresh encoding's, so no mutation leaves a stale
-// window in the cache of a machine from New.
+// key must equal its own fresh clone's.
 func TestCopiesAreIndependent(t *testing.T) {
 	step := func(procs ...int) func(*Machine) error {
 		return func(m *Machine) error {

@@ -52,9 +52,9 @@ func TestRunIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestFingerprintConsistency: the incremental fingerprint caches must
-// never go stale — the fingerprint after any step sequence equals the
-// fingerprint of a fresh machine replaying the same steps.
+// TestFingerprintConsistency: the fingerprint after any step sequence
+// equals its clone's after every step, and the fingerprint of a fresh
+// machine replaying the same steps.
 func TestFingerprintConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	s := system.Fig2()
@@ -87,6 +87,6 @@ func TestFingerprintConsistency(t *testing.T) {
 		}
 	}
 	if m.Fingerprint() != replay.Fingerprint() {
-		t.Fatal("replayed machine fingerprint differs (stale cache or nondeterminism)")
+		t.Fatal("replayed machine fingerprint differs (nondeterminism)")
 	}
 }

@@ -103,25 +103,6 @@ type Machine struct {
 	// processors from convergence and correctness obligations.
 	crashed []bool
 
-	// Fingerprint cache. It belongs to the machine New built and to no
-	// copy of it: Clone and CloneInto leave all four fields nil, so
-	// a copy encodes every window on demand while the original keeps
-	// caching. A step touches one processor frame and at most one
-	// variable, so the cache makes repeated whole-state fingerprints of
-	// one running machine incremental. It is one component table in the
-	// state key's order: component c < NumProcs is processor c, and
-	// component NumProcs+v is variable v. Cached encodings live as byte
-	// windows in fpArena addressed by spans[c]; the valid bitmask — not
-	// the window — is the cache authority, so a legitimately empty
-	// encoding can never alias "uncached". fpArena is append-only; when
-	// an append would overflow it, arenaReserve compacts the valid
-	// windows into fpScratch (a ping-pong buffer) instead of growing
-	// forever.
-	fpArena   []byte
-	fpScratch []byte
-	spans     []fpSpan
-	valid     []uint64
-
 	// selSym is the slot of the conventional "selected" local, or -1 when
 	// the program never interns it.
 	selSym Sym
@@ -141,7 +122,7 @@ type Machine struct {
 // isSharedKind reports whether the opcode addresses a shared variable.
 func isSharedKind(k opKind) bool { return k >= opRead && k <= opPost }
 
-// fpSpan addresses one cached fingerprint window inside fpArena.
+// fpSpan addresses one encoded subvalue inside appendQVarFP's buffer.
 type fpSpan struct {
 	off int32
 	n   int32
@@ -156,23 +137,6 @@ func (m *Machine) window() {
 	}
 	for v := range m.varSub {
 		m.varSub[v] = m.subs[v*np : (v+1)*np : (v+1)*np]
-	}
-}
-
-// cached reports whether component c's cached window is valid: the
-// bitmask decides — window length is state, not status. A machine
-// without a cache has no bits.
-func (m *Machine) cached(c int) bool {
-	w := c >> 6
-	return w < len(m.valid) && m.valid[w]&(1<<uint(c&63)) != 0
-}
-
-// markStale records that component c changed: it clears c's valid bit
-// when the machine has a cache — the window's arena bytes become
-// garbage, reclaimed by the next compaction.
-func (m *Machine) markStale(c int) {
-	if m.valid != nil {
-		m.valid[c>>6] &^= 1 << uint(c&63)
 	}
 }
 
@@ -203,8 +167,6 @@ func New(sys *system.System, instr system.InstrSet, program *Program) (*Machine,
 		varVal:  make([]any, nv),
 		locked:  make([]bool, nv),
 		crashed: make([]bool, np),
-		spans:   make([]fpSpan, np+nv),
-		valid:   make([]uint64, (np+nv+63)/64),
 		selSym:  -1,
 	}
 	if s, ok := program.symIdx["selected"]; ok {
@@ -329,9 +291,8 @@ func (m *Machine) LocalAt(p int, s Sym) (any, bool) {
 //
 // Step is atomic on failure: every input (local lookups, instruction-set
 // membership) is validated before the first mutation, so a Step that
-// returns an error leaves the step counter, the fingerprint caches, and
-// the machine state exactly as they were. (Shared-variable names were
-// validated and bound at New.)
+// returns an error leaves the step counter and the machine state exactly
+// as they were. (Shared-variable names were validated and bound at New.)
 //
 // The compiled path does no map operations and no name resolutions:
 // locals are slot loads, shared operands index the pre-bound table, and
@@ -343,14 +304,13 @@ func (m *Machine) Step(p int) error {
 	fr := &m.frames[p]
 	if fr.Halted {
 		// A halted processor's step is a counted stutter: the state is
-		// unchanged, so the cached fingerprint stays valid — don't clear it.
+		// unchanged.
 		m.steps++
 		return nil
 	}
 	if fr.PC >= len(m.program.code) {
 		// Running off the end halts the processor — a real state change.
 		m.steps++
-		m.markStale(p)
 		fr.Halted = true
 		return nil
 	}
@@ -358,13 +318,10 @@ func (m *Machine) Step(p int) error {
 	if !m.allowedKind[in.kind] {
 		return fmt.Errorf("%w: %v under %v", ErrInstrNotAllowed, in.kind, m.instr)
 	}
-	// Every committed step mutates the frame and invalidates p's cached
-	// fingerprint window.
 	switch in.kind {
 	case opRead:
 		v := m.bound[p][fr.PC]
 		m.steps++
-		m.markStale(p)
 		fr.Locals[in.sym] = m.varVal[v]
 		fr.PC++
 	case opWrite:
@@ -374,33 +331,26 @@ func (m *Machine) Step(p int) error {
 			return fmt.Errorf("%w: %q", ErrMissingLocal, m.program.names[in.sym])
 		}
 		m.steps++
-		m.markStale(p)
 		m.varVal[v] = val
-		m.markStale(len(m.frames) + int(v))
 		fr.PC++
 	case opLock:
 		v := m.bound[p][fr.PC]
 		m.steps++
-		m.markStale(p)
 		if m.locked[v] {
 			fr.Locals[in.sym] = false
 		} else {
 			m.locked[v] = true
-			m.markStale(len(m.frames) + int(v))
 			fr.Locals[in.sym] = true
 		}
 		fr.PC++
 	case opUnlock:
 		v := m.bound[p][fr.PC]
 		m.steps++
-		m.markStale(p)
 		m.locked[v] = false
-		m.markStale(len(m.frames) + int(v))
 		fr.PC++
 	case opPeek:
 		v := m.bound[p][fr.PC]
 		m.steps++
-		m.markStale(p)
 		fr.Locals[in.sym] = m.peekValue(int(v))
 		fr.PC++
 	case opPost:
@@ -410,20 +360,16 @@ func (m *Machine) Step(p int) error {
 			return fmt.Errorf("%w: %q", ErrMissingLocal, m.program.names[in.sym])
 		}
 		m.steps++
-		m.markStale(p)
 		m.varSub[v][p] = val
-		m.markStale(len(m.frames) + int(v))
 		fr.PC++
 	case opCompute:
 		m.steps++
-		m.markStale(p)
 		m.regs.slots = fr.Locals
 		in.f(&m.regs)
 		m.regs.slots = nil
 		fr.PC++
 	case opJumpIf:
 		m.steps++
-		m.markStale(p)
 		m.regs.slots = fr.Locals
 		taken := in.cond(&m.regs)
 		m.regs.slots = nil
@@ -434,11 +380,9 @@ func (m *Machine) Step(p int) error {
 		}
 	case opJump:
 		m.steps++
-		m.markStale(p)
 		fr.PC = in.tgt
 	case opHalt:
 		m.steps++
-		m.markStale(p)
 		fr.Halted = true
 	default:
 		return fmt.Errorf("machine: unknown opcode %v", in.kind)
@@ -575,7 +519,6 @@ func (m *Machine) Crash(p int) error {
 	if !m.frames[p].Halted {
 		m.frames[p].Halted = true
 		m.crashed[p] = true
-		m.markStale(p)
 	}
 	return nil
 }
@@ -596,7 +539,6 @@ func (m *Machine) DropLock(v int) error {
 	}
 	if m.locked[v] {
 		m.locked[v] = false
-		m.markStale(len(m.frames) + v)
 	}
 	return nil
 }
@@ -637,16 +579,6 @@ func appendSlot(buf []byte, v any) []byte {
 	return appendLocalValue(buf, v)
 }
 
-// uvarintLen is the encoded size of binary.AppendUvarint(nil, uint64(n)).
-func uvarintLen(n int32) int32 {
-	l := int32(1)
-	for n >= 0x80 {
-		n >>= 7
-		l++
-	}
-	return l
-}
-
 // appendFP writes component c's canonical encoding into buf.
 func (m *Machine) appendFP(buf []byte, c int) []byte {
 	if np := len(m.frames); c >= np {
@@ -655,92 +587,21 @@ func (m *Machine) appendFP(buf []byte, c int) []byte {
 	return m.appendProcFP(buf, c)
 }
 
-// Arena window layout: every cached window is stored with its uvarint
-// length prefix immediately before the body, and the span points at the
-// body. appendKeyed therefore emits a cached component with one copy of
-// [off-uvarintLen(n), off+n), and runs of windows that are adjacent in
-// the arena — the common case after a machine's first AppendStateKey,
-// which caches them back to back — collapse into a single bulk copy in
-// AppendStateKey's unpermuted fast path.
-
-// cacheFP records win — just encoded into a caller buffer — as component
-// c's cached window by copying it (length-prefixed) into the arena. A
-// copy of a machine has no cache and skips this.
-func (m *Machine) cacheFP(c int, win []byte) {
-	if m.spans == nil {
-		return
-	}
-	m.arenaReserve(int(uvarintLen(int32(len(win)))) + len(win))
-	m.fpArena = binary.AppendUvarint(m.fpArena, uint64(len(win)))
-	m.spans[c] = fpSpan{off: int32(len(m.fpArena)), n: int32(len(win))}
-	m.fpArena = append(m.fpArena, win...)
-	m.valid[c>>6] |= 1 << uint(c&63)
-}
-
-// arenaReserve makes room to append n more bytes to the arena without
-// growing it forever: when the append would exceed capacity, the
-// still-valid windows are compacted into the scratch buffer, sized for
-// live bytes plus n, and the two buffers swap roles, so steady-state
-// caching allocates nothing.
-func (m *Machine) arenaReserve(n int) {
-	if len(m.fpArena)+n <= cap(m.fpArena) {
-		return
-	}
-	live := 0
-	for c, sp := range m.spans {
-		if m.cached(c) {
-			live += int(uvarintLen(sp.n) + sp.n)
-		}
-	}
-	need := live + n
-	dst := m.fpScratch[:0]
-	if cap(dst) < need {
-		dst = make([]byte, 0, 2*need+64)
-	}
-	// Valid windows that sit back to back in the source arena move as
-	// single runs: after a step all but the few stale components are
-	// still in key order, so the whole compaction collapses into one or
-	// two bulk copies.
-	runSrc, runEnd := int32(-1), int32(-1)
-	runDst := int32(0)
-	for c := range m.spans {
-		if !m.cached(c) {
-			continue
-		}
-		sp := &m.spans[c]
-		oldOff := sp.off
-		if wStart := oldOff - uvarintLen(sp.n); wStart != runEnd {
-			if runSrc >= 0 {
-				dst = append(dst, m.fpArena[runSrc:runEnd]...)
-			}
-			runDst = int32(len(dst))
-			runSrc = wStart
-		}
-		sp.off = runDst + (oldOff - runSrc)
-		runEnd = oldOff + sp.n
-	}
-	if runSrc >= 0 {
-		dst = append(dst, m.fpArena[runSrc:runEnd]...)
-	}
-	m.fpScratch = m.fpArena[:0]
-	m.fpArena = dst
-}
-
 // AppendProcFingerprint appends processor p's canonical fingerprint bytes
-// to buf and returns the extended slice, refreshing the cache when stale.
-// Two processors running the same program "have the same state" in the
-// paper's sense exactly when their fingerprints are equal. The encoding
-// walks the local slots in declaration order — injectivity survives
-// because every component is self-delimiting and the slot layout is
-// fixed per program. Under Q the window also holds the processor's own
-// subvalue in each variable it names, in name order: a post overwrites
-// only the poster's subvalue, so who posted what belongs to the poster,
-// and a window stays the same under any automorphism. trace's per-round
-// witness scans compare these windows with bytes.Equal on reused
-// buffers; similar processors in lockstep post equal values under each
-// name.
+// to buf and returns the extended slice; p must be a processor index, in
+// [0, NumProcs()). Two processors running the same program "have the
+// same state" in the paper's sense exactly when their fingerprints are
+// equal. The encoding walks the local slots in declaration order —
+// injectivity survives because every component is self-delimiting and
+// the slot layout is fixed per program. Under Q the window also holds
+// the processor's own subvalue in each variable it names, in name order:
+// a post overwrites only the poster's subvalue, so who posted what
+// belongs to the poster, and a window stays the same under any
+// automorphism. trace's per-round witness scans compare these windows
+// with bytes.Equal on reused buffers; similar processors in lockstep
+// post equal values under each name.
 func (m *Machine) AppendProcFingerprint(buf []byte, p int) []byte {
-	return m.appendWindow(buf, p)
+	return m.appendProcFP(buf, p)
 }
 
 // AppendVarFingerprint appends variable v's canonical fingerprint bytes
@@ -749,20 +610,7 @@ func (m *Machine) AppendProcFingerprint(buf []byte, p int) []byte {
 // is in its poster's window. The leading tag byte separates the Q and
 // S/L regimes.
 func (m *Machine) AppendVarFingerprint(buf []byte, v int) []byte {
-	return m.appendWindow(buf, len(m.frames)+v)
-}
-
-// appendWindow appends component c's window without its length prefix.
-// A miss encodes directly into buf and caches from the appended window.
-func (m *Machine) appendWindow(buf []byte, c int) []byte {
-	if m.cached(c) {
-		sp := m.spans[c]
-		return append(buf, m.fpArena[sp.off:sp.off+sp.n]...)
-	}
-	start := len(buf)
-	buf = m.appendFP(buf, c)
-	m.cacheFP(c, buf[start:])
-	return buf
+	return m.appendVarFP(buf, v)
 }
 
 // appendLocalValue appends a tagged self-delimiting encoding of a local
@@ -893,8 +741,7 @@ func (m *Machine) Fingerprint() string {
 // uvarint-length-prefixed component windows in table order — every
 // processor, then every variable — so two machines over the same system
 // have equal keys iff they are in the same state. Callers reuse buf
-// across states; on a machine from New the component windows stay
-// cached between calls, and a copy encodes them on demand.
+// across states; every call encodes every window.
 //
 // When procAt/varAt are non-nil they relabel the key's node positions:
 // position i of the key takes processor procAt[i]'s (variable varAt[i]'s)
@@ -904,9 +751,6 @@ func (m *Machine) Fingerprint() string {
 // (mc.minimize), so only tests, which check the relabeled key against
 // explicitly permuted machines, pass non-nil slices.
 func (m *Machine) AppendStateKey(buf []byte, procAt, varAt []int) []byte {
-	if procAt == nil && varAt == nil && m.spans != nil {
-		return m.appendStateKeyFast(buf)
-	}
 	np := len(m.frames)
 	for i := 0; i < np+len(m.varVal); i++ {
 		c := i
@@ -920,56 +764,13 @@ func (m *Machine) AppendStateKey(buf []byte, procAt, varAt []int) []byte {
 	return buf
 }
 
-// appendStateKeyFast is the unpermuted AppendStateKey of a machine with
-// a cache: identical bytes, but runs of cached components whose prefixed
-// windows sit back to back in the arena (the layout a first full key
-// leaves) are emitted as one bulk copy instead of one copy per
-// component. After a step the key re-encodes the ≤1 touched frame and
-// ≤2 variables and bulk-copies everything between them.
-func (m *Machine) appendStateKeyFast(buf []byte) []byte {
-	runStart, runEnd := int32(-1), int32(-1)
-	for c := range m.spans {
-		if m.cached(c) {
-			sp := m.spans[c]
-			start := sp.off - uvarintLen(sp.n)
-			if start == runEnd {
-				runEnd = sp.off + sp.n
-				continue
-			}
-			if runStart >= 0 {
-				buf = append(buf, m.fpArena[runStart:runEnd]...)
-			}
-			runStart, runEnd = start, sp.off+sp.n
-			continue
-		}
-		if runStart >= 0 {
-			buf = append(buf, m.fpArena[runStart:runEnd]...)
-			runStart, runEnd = -1, -1
-		}
-		// The miss path may cache into (and thereby compact) the arena,
-		// so no run may be held open across it.
-		buf = m.appendKeyed(buf, c)
-	}
-	if runStart >= 0 {
-		buf = append(buf, m.fpArena[runStart:runEnd]...)
-	}
-	return buf
-}
-
-// appendKeyed appends component c with its uvarint length prefix. A
-// cached window is a pure copy; a miss encodes in place behind a
-// reserved 1-byte prefix that fixupLenPrefix widens in the (rare)
-// ≥128-byte case, and the freshly encoded window is cached when the
-// machine has a cache.
+// appendKeyed appends component c with its uvarint length prefix: the
+// window is encoded in place behind a reserved 1-byte prefix that
+// fixupLenPrefix widens in the (rare) ≥128-byte case.
 func (m *Machine) appendKeyed(buf []byte, c int) []byte {
-	if m.cached(c) {
-		sp := m.spans[c]
-		return append(buf, m.fpArena[sp.off-uvarintLen(sp.n):sp.off+sp.n]...)
-	}
 	buf = append(buf, 0)
 	start := len(buf)
 	buf = m.appendFP(buf, c)
-	m.cacheFP(c, buf[start:])
 	return fixupLenPrefix(buf, start)
 }
 
@@ -1005,9 +806,6 @@ func valueForCanon(v any) any {
 // subvalue slots, so a step on either machine never shows on the other.
 // Clone only reads m, so several goroutines may clone one machine at
 // once as long as none of them mutates it.
-//
-// The fingerprint cache stays with m: the clone has none and encodes
-// every window on demand.
 func (m *Machine) Clone() *Machine {
 	c := new(Machine)
 	m.CloneInto(c)
@@ -1018,7 +816,7 @@ func (m *Machine) Clone() *Machine {
 // copying into dst's own arrays: once dst has held a machine of m's
 // shape, a repeat copy allocates nothing. dst may have run over any
 // system and program, and must be a different machine from m. Like
-// Clone it only reads m, and dst gets no fingerprint cache.
+// Clone it only reads m.
 func (m *Machine) CloneInto(dst *Machine) {
 	frames, locals, varVal, locked := dst.frames, dst.locals, dst.varVal, dst.locked
 	varSub, subs, crashed := dst.varSub, dst.subs, dst.crashed
@@ -1034,7 +832,6 @@ func (m *Machine) CloneInto(dst *Machine) {
 	}
 	dst.window()
 	dst.regs = Regs{}
-	dst.fpArena, dst.fpScratch, dst.spans, dst.valid = nil, nil, nil, nil
 }
 
 // Component is the value of one state component, the value its window
@@ -1094,12 +891,9 @@ func (m *Machine) setComponent(c int, x *Component, view bool) {
 			copy(fr.Locals, x.Frame.Locals)
 		}
 		for j, v := range x.Sub {
-			w := m.sys.Nbr[c][j]
-			m.varSub[w][c] = v
-			m.markStale(np + w)
+			m.varSub[m.sys.Nbr[c][j]][c] = v
 		}
 	}
-	m.markStale(c)
 }
 
 // Selected reports whether processor p's conventional "selected" local

@@ -294,20 +294,25 @@ func TestHaltedStepIsNoop(t *testing.T) {
 	if !m.Halted(0) {
 		t.Fatal("proc 0 should be halted")
 	}
-	before := procFP(m, 0)
+	before, stepsBefore := procFP(m, 0), m.Steps()
 	if err := m.Step(0); err != nil {
 		t.Fatal(err)
 	}
 	if procFP(m, 0) != before {
 		t.Error("stepping a halted processor changed its state")
 	}
+	if m.Steps() != stepsBefore+1 {
+		t.Error("halted step must still count as a schedule step")
+	}
 }
 
 // TestHaltedStepPreservesFingerprintCache is the regression test for the
-// halted-step cache bug: stepping an already-halted processor used to
-// clear p's cached window (and re-assign Halted), forcing a pointless
-// re-encode of an unchanged state. The halted no-op must keep the cache
-// warm.
+// halted-step bug: stepping an already-halted processor used to clear
+// its window (and re-assign Halted) although the state was unchanged.
+// The name dates from the fingerprint cache, since deleted; what stays
+// is that the halted stutter leaves every window alone: the whole-state
+// key, re-encoded into the same buffer, is byte-identical, while a
+// second processor that has not yet run keeps its own window.
 func TestHaltedStepPreservesFingerprintCache(t *testing.T) {
 	m, err := New(system.Fig1(), system.InstrS, mustProg(t, func(b *Builder) { b.Halt() }))
 	if err != nil {
@@ -316,10 +321,8 @@ func TestHaltedStepPreservesFingerprintCache(t *testing.T) {
 	if err := m.Step(0); err != nil {
 		t.Fatal(err)
 	}
-	fp := procFP(m, 0)
-	if !m.cached(0) {
-		t.Fatal("fingerprint should be cached after AppendProcFingerprint")
-	}
+	key := m.AppendStateKey(nil, nil, nil)
+	want, fp1 := string(key), procFP(m, 1)
 	stepsBefore := m.Steps()
 	if err := m.Step(0); err != nil {
 		t.Fatal(err)
@@ -327,11 +330,27 @@ func TestHaltedStepPreservesFingerprintCache(t *testing.T) {
 	if m.Steps() != stepsBefore+1 {
 		t.Error("halted step must still count as a schedule step")
 	}
-	if !m.cached(0) {
-		t.Error("halted step invalidated the cached fingerprint window")
+	if !m.Halted(0) || m.Halted(1) {
+		t.Errorf("halted step changed who is halted: p0 %v, p1 %v", m.Halted(0), m.Halted(1))
 	}
-	if got := procFP(m, 0); got != fp {
-		t.Errorf("halted step changed the cached fingerprint: %q -> %q", fp, got)
+	if got := string(m.AppendStateKey(key[:0], nil, nil)); got != want {
+		t.Errorf("halted step changed the state key: %q -> %q", want, got)
+	}
+	if got := procFP(m, 1); got != fp1 {
+		t.Errorf("halted step of p0 changed p1's window: %q -> %q", fp1, got)
+	}
+}
+
+// TestAppendProcFingerprintRejectsVariables: AppendProcFingerprint takes
+// a processor index only. Index NumProcs() names no processor, so the
+// call must panic rather than hand back variable 0's window.
+func TestAppendProcFingerprintRejectsVariables(t *testing.T) {
+	m, err := New(system.Fig2(), system.InstrQ, mustProg(t, func(b *Builder) { b.Halt() }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !panics(func() { m.AppendProcFingerprint(nil, m.NumProcs()) }) {
+		t.Error("AppendProcFingerprint(nil, NumProcs()) did not panic")
 	}
 }
 
@@ -486,6 +505,15 @@ func TestNewBindsSharedNames(t *testing.T) {
 
 // procFP is processor p's fingerprint window as a string.
 func procFP(m *Machine, p int) string { return string(m.AppendProcFingerprint(nil, p)) }
+
+// panics reports whether fn panicked.
+func panics(fn func()) (panicked bool) {
+	defer func() {
+		panicked = recover() != nil
+	}()
+	fn()
+	return
+}
 
 func mustProg(t *testing.T, f func(*Builder)) *Program {
 	t.Helper()

@@ -79,7 +79,7 @@ func (m *Machine) ProcFingerprintOracle(p int) string {
 	return string(buf)
 }
 
-// appendLocalValueOracle is the pre-arena local-value encoding: scalars
+// appendLocalValueOracle is the original local-value encoding: scalars
 // direct, everything composite (including PeekResult) through the 'c'
 // canonical-string fallback. appendLocalValue since gained a direct
 // PeekResult path; the oracle keeps the original bytes so its encoding
@@ -105,7 +105,7 @@ func appendLocalValueOracle(buf []byte, v any) []byte {
 	}
 }
 
-// VarFingerprintOracle reproduces the pre-arena variable encoding — the
+// VarFingerprintOracle reproduces the original variable encoding — the
 // Q regime as "q"+canon.String of an {init, sub-multiset} map, S/L as
 // the tagged lock-byte form. It anchors the direct binary encoding in
 // appendVarFP the way ProcFingerprintOracle anchors the slot walk:

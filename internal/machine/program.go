@@ -9,9 +9,9 @@
 // state canonically, which is how the paper's similarity claims ("same
 // state at the same time infinitely often") are checked empirically.
 //
-// A machine keeps one encoding of its state: a component table holding
-// every processor, then every variable, each with a cached canonical
-// window. The state key (AppendStateKey) concatenates the windows in
+// A machine has one encoding of its state: a component table holding
+// every processor, then every variable, each with one canonical window
+// encoder. The state key (AppendStateKey) concatenates the windows in
 // table order, and Fingerprint is the same key as a string. The model
 // checker interns the windows one by one, and rebuilds states from
 // their values (Component, SetComponent).

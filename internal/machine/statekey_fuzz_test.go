@@ -1,10 +1,10 @@
 package machine_test
 
-// Differential fuzzing of the arena-backed AppendStateKey against the
-// pre-compilation oracle encodings. The harness lives in an external
-// test package so it can seed from every shipped topology, including the
-// oriented tables (internal/dining imports machine, so an internal test
-// file could not import it back).
+// Differential fuzzing of AppendStateKey against the pre-compilation
+// oracle encodings. The harness lives in an external test package so it
+// can seed from every shipped topology, including the oriented tables
+// (internal/dining imports machine, so an internal test file could not
+// import it back).
 
 import (
 	"bytes"
@@ -54,18 +54,19 @@ func fuzzTopology(t testing.TB, sel uint8) *system.System {
 //
 //  1. Equality classes: AppendStateKey keys of two machines are equal
 //     exactly when their FingerprintOracle strings are equal — compared
-//     against replays of schedule prefixes, where the replay never
-//     primes its arena (cold encode vs. warm arena differential), and
-//     against the schedule with processors 0 and 1 exchanged, which on
-//     a symmetric topology swaps a Q program's posters.
+//     against replays of schedule prefixes, of which the full-length
+//     one must reproduce the key, and against the schedule with
+//     processors 0 and 1 exchanged, which on a symmetric topology swaps
+//     a Q program's posters.
 //  2. Relabelings: AppendStateKey with a permutation's procAt/varAt must
 //     produce byte-for-byte the plain key of an explicitly permuted
 //     machine — the same program run on system.Apply(s, perm) under the
 //     correspondingly permuted schedule.
-//  3. Sampled schedules: the same differential holds along a schedule
-//     drawn the way the statistical checker draws them — a PRNG stream
-//     seeded per sample index (mc.SampleSeed) — so the arena's warm
-//     paths are fuzzed on the exact step distributions mc.Sample runs.
+//  3. Sampled schedules: two runs of a schedule drawn the way the
+//     statistical checker draws them — a PRNG stream seeded per sample
+//     index (mc.SampleSeed) — land on equal keys and equal oracle
+//     strings, so the encoders are fuzzed on the exact step
+//     distributions mc.Sample runs.
 func FuzzStateKeyOracle(f *testing.F) {
 	for topo := uint8(0); topo < 6; topo++ {
 		for is := uint8(0); is < 3; is++ {
@@ -94,10 +95,8 @@ func FuzzStateKeyOracle(f *testing.F) {
 		}
 
 		// run executes the schedule (proc indices mod NumProcs, remapped
-		// through mapProc when set) and reports how far it got; prime
-		// re-encodes every window into the arena mid-run, so later steps
-		// exercise the invalidation and re-encode paths.
-		run := func(sys *system.System, n int, mapProc []int, prime bool) (*machine.Machine, int) {
+		// through mapProc when set) and reports how far it got.
+		run := func(sys *system.System, n int, mapProc []int) (*machine.Machine, int) {
 			m, err := machine.New(sys, instr, prog)
 			if err != nil {
 				t.Fatal(err)
@@ -110,21 +109,18 @@ func FuzzStateKeyOracle(f *testing.F) {
 				if _, err := m.StepOrSkip(p); err != nil {
 					return m, i
 				}
-				if prime && i == n/2 {
-					m.AppendStateKey(nil, nil, nil)
-				}
 			}
 			return m, n
 		}
 
-		m, steps := run(s, len(schedule), nil, true)
+		m, steps := run(s, len(schedule), nil)
 		mKey := m.AppendStateKey(nil, nil, nil)
 		mOracle := m.FingerprintOracle()
 
 		// 1. Key equality ⇔ oracle equality against prefix replays. The
-		// full-length replay (cold arena) must land in m's own class.
+		// full-length replay must land in m's own class.
 		for _, cut := range []int{steps, steps / 2, 0} {
-			o, osteps := run(s, cut, nil, false)
+			o, osteps := run(s, cut, nil)
 			if osteps != cut {
 				t.Fatalf("replay of %d steps stopped at %d; execution is not deterministic", cut, osteps)
 			}
@@ -135,7 +131,7 @@ func FuzzStateKeyOracle(f *testing.F) {
 					cut, steps, keyEq, oracleEq, mKey, mOracle)
 			}
 			if cut == steps && !keyEq {
-				t.Fatalf("full cold replay diverged from the warm arena key")
+				t.Fatalf("full-length replay diverged from the key")
 			}
 		}
 		swap := make([]int, s.NumProcs())
@@ -143,12 +139,12 @@ func FuzzStateKeyOracle(f *testing.F) {
 			swap[p] = p
 		}
 		swap[0], swap[1] = 1, 0
-		if o, _ := run(s, steps, swap, false); bytes.Equal(mKey, o.AppendStateKey(nil, nil, nil)) != (mOracle == o.FingerprintOracle()) {
+		if o, _ := run(s, steps, swap); bytes.Equal(mKey, o.AppendStateKey(nil, nil, nil)) != (mOracle == o.FingerprintOracle()) {
 			t.Fatalf("exchanged processors 0 and 1: key equality disagrees with oracle equality\nkey    %q\nswapped %q", mKey, o.AppendStateKey(nil, nil, nil))
 		}
 
 		// 2. Permuted relabeling vs. the explicitly permuted machine.
-		m2, steps2 := run(s2, steps, perm.ProcPerm, false)
+		m2, steps2 := run(s2, steps, perm.ProcPerm)
 		if steps2 != steps {
 			t.Fatalf("permuted machine stopped at %d/%d; permutation broke execution symmetry", steps2, steps)
 		}
@@ -168,9 +164,9 @@ func FuzzStateKeyOracle(f *testing.F) {
 
 		// 3. One sampled-schedule execution: derive the per-sample seed
 		// exactly as mc.Sample would for trial 0 of this base seed, draw a
-		// uniform schedule from it, and check that a warm-arena run and a
-		// cold replay of the same draws land in the same key/oracle class.
-		sampled := func(sys *system.System, prime bool) *machine.Machine {
+		// uniform schedule from it, and check that two runs of the same
+		// draws land in the same key/oracle class.
+		sampled := func(sys *system.System) *machine.Machine {
 			srng := rand.New(rand.NewSource(mc.SampleSeed(seed, 0)))
 			m, err := machine.New(sys, instr, prog)
 			if err != nil {
@@ -180,18 +176,15 @@ func FuzzStateKeyOracle(f *testing.F) {
 				if _, err := m.StepOrSkip(srng.Intn(sys.NumProcs())); err != nil {
 					break
 				}
-				if prime && i == 24 {
-					m.AppendStateKey(nil, nil, nil)
-				}
 			}
 			return m
 		}
-		warm, cold := sampled(s, true), sampled(s, false)
-		if !bytes.Equal(warm.AppendStateKey(nil, nil, nil), cold.AppendStateKey(nil, nil, nil)) {
-			t.Fatalf("sampled schedule: warm arena key diverged from cold replay")
+		first, second := sampled(s), sampled(s)
+		if !bytes.Equal(first.AppendStateKey(nil, nil, nil), second.AppendStateKey(nil, nil, nil)) {
+			t.Fatalf("sampled schedule: the key diverged between two runs")
 		}
-		if warm.FingerprintOracle() != cold.FingerprintOracle() {
-			t.Fatalf("sampled schedule: oracle strings diverged between warm and cold runs")
+		if first.FingerprintOracle() != second.FingerprintOracle() {
+			t.Fatalf("sampled schedule: oracle strings diverged between two runs")
 		}
 	})
 }

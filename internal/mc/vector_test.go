@@ -293,9 +293,11 @@ func TestStoredValuesNeverWritten(t *testing.T) {
 			}
 			ct.load(m, have, vec)
 			for pos, id := range vec {
-				win := m.AppendProcFingerprint(nil, pos)
-				if pos >= m.NumProcs() {
-					win = m.AppendVarFingerprint(nil, pos-m.NumProcs())
+				var win []byte
+				if np := m.NumProcs(); pos < np {
+					win = m.AppendProcFingerprint(nil, pos)
+				} else {
+					win = m.AppendVarFingerprint(nil, pos-np)
 				}
 				if !bytes.Equal(win, ct.window(id)) {
 					t.Fatalf("%s: state %d loads with position %d encoding as\n%q\nbut the window of its id %d is\n%q", in.name, i, pos, win, id, ct.window(id))

@@ -65,27 +65,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the total observed duration.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
-// Quantile returns an upper-bound estimate of the q-quantile (0..1)
-// from the bucket boundaries, or 0 with no samples.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.buckets[i].Load()
-		if cum > rank {
-			return time.Duration(int64(1) << uint(i))
-		}
-	}
-	return time.Duration(int64(1) << (histBuckets - 1))
-}
-
 // Registry holds named counters and histograms. The zero value is not
 // usable; construct with NewRegistry. Lookup interns on first use, so
 // call sites never pre-register.

@@ -6,6 +6,27 @@ import (
 	"time"
 )
 
+// Quantile returns an upper-bound estimate of the q-quantile (0..1)
+// from the bucket boundaries, or 0 with no samples.
+func (h *Histogram) Quantile(q float64) time.Duration {
+	total := h.count.Load()
+	if total == 0 {
+		return 0
+	}
+	rank := int64(q * float64(total))
+	if rank >= total {
+		rank = total - 1
+	}
+	var cum int64
+	for i := 0; i < histBuckets; i++ {
+		cum += h.buckets[i].Load()
+		if cum > rank {
+			return time.Duration(int64(1) << uint(i))
+		}
+	}
+	return time.Duration(int64(1) << (histBuckets - 1))
+}
+
 // TestNilRecorderSafe exercises every Recorder method on a nil receiver:
 // the whole instrumentation contract is that unobserved hot paths cost a
 // nil check and nothing else.

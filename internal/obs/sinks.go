@@ -70,13 +70,6 @@ func (r *Ring) Total() int64 {
 	return r.total
 }
 
-// Dropped returns how many events have been evicted by capacity.
-func (r *Ring) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total - int64(len(r.buf))
-}
-
 // CountByKind tallies the retained events per kind.
 func (r *Ring) CountByKind() map[Kind]int {
 	r.mu.Lock()

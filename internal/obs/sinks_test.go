@@ -9,6 +9,13 @@ import (
 	"testing"
 )
 
+// Dropped returns how many events have been evicted by capacity.
+func (r *Ring) Dropped() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.total - int64(len(r.buf))
+}
+
 // TestRingConcurrentEmitOrdering hammers one recorder + ring from many
 // goroutines under -race and checks the sink's ordering contract: no
 // event is lost or duplicated, and each goroutine's events appear in

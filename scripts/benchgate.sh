@@ -6,10 +6,10 @@
 # Two classes of check, with very different tolerances:
 #   * allocs/op is host-independent and pinned tightly: at most
 #     baseline*1.10+2, and BenchmarkFingerprint/warm and
-#     BenchmarkSigTable/warm must be exactly 0 (the arena's and the
-#     warm signature table's whole contract). Only a machine from
-#     machine.New owns a fingerprint arena — clones encode on demand —
-#     so the warm benchmark times that machine's cached key.
+#     BenchmarkSigTable/warm must be exactly 0 (the state-key encoders'
+#     and the warm signature table's whole contract). The machine keeps
+#     no fingerprint cache, so the warm benchmark times a whole-state
+#     encode into a reused buffer.
 #     CheckThroughput's allocs/op cover the model checker, which keeps
 #     each frontier state as its id vector and steps a machine only on a
 #     step-memo miss, so after warm-up it allocates only as its tables
