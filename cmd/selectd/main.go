@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -150,15 +151,17 @@ func run(args []string, out io.Writer) error {
 			Obs:        rec,
 		})
 		if err != nil {
-			fmt.Fprintf(out, "verification: inconclusive (%v)\n", err)
-			return obsFlags.Close(out)
+			return errors.Join(fmt.Errorf("verify: %w", err), obsFlags.Close(out))
 		}
-		if res.Violation != nil {
+		switch {
+		case res.Violation != nil:
 			fmt.Fprintf(out, "verification: VIOLATION %s (schedule %v)\n",
 				res.Violation.Reason, res.Violation.Schedule)
-		} else {
-			fmt.Fprintf(out, "verification: safe over %d states (complete=%v)\n",
-				res.StatesExplored, res.Complete)
+		case !res.Complete:
+			fmt.Fprintf(out, "verification: inconclusive (%s budget spent after %d states)\n",
+				res.Exhausted, res.StatesExplored)
+		default:
+			fmt.Fprintf(out, "verification: safe over %d states\n", res.StatesExplored)
 		}
 	}
 	return obsFlags.Close(out)

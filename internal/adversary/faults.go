@@ -76,6 +76,15 @@ type Spec struct {
 	DropSeed int64
 }
 
+// Seeded returns s with its crash, stall and drop streams seeded from
+// seed+1, seed+2 and seed+3: a run seeds its schedule stream with seed
+// itself, and no fault stream may start from the schedule's seed or from
+// another class's.
+func (s Spec) Seeded(seed int64) Spec {
+	s.CrashSeed, s.StallSeed, s.DropSeed = seed+1, seed+2, seed+3
+	return s
+}
+
 // Enabled reports whether any fault class has a non-zero rate.
 func (s Spec) Enabled() bool {
 	return s.CrashRate > 0 || s.StallRate > 0 || s.DropRate > 0
@@ -185,9 +194,9 @@ func (r *Replayer) Apply(slot, pick int, m *machine.Machine) (bool, []Event) {
 }
 
 // ParseSpec builds a fault Spec from a comma-separated list of class
-// names ("crash", "stall", "lockdrop") with default rates, deriving each
-// class's stream seed from the given base seed. It is the shared parser
-// behind the -faults CLI flags.
+// names ("crash", "stall", "lockdrop") with default rates, its streams
+// Seeded from the given base seed. It is the shared parser behind the
+// -faults CLI flags.
 func ParseSpec(classes string, seed int64) (Spec, error) {
 	var spec Spec
 	for _, c := range strings.Split(classes, ",") {
@@ -196,17 +205,14 @@ func ParseSpec(classes string, seed int64) (Spec, error) {
 		case "crash":
 			spec.CrashRate = 0.02
 			spec.MaxCrashes = 1
-			spec.CrashSeed = seed
 		case "stall":
 			spec.StallRate = 0.05
 			spec.StallLen = 7
-			spec.StallSeed = seed + 1
 		case "lockdrop":
 			spec.DropRate = 0.02
-			spec.DropSeed = seed + 2
 		default:
 			return Spec{}, fmt.Errorf("adversary: unknown fault class %q (want crash, stall, lockdrop)", c)
 		}
 	}
-	return spec, nil
+	return spec.Seeded(seed), nil
 }

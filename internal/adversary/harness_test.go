@@ -189,6 +189,26 @@ func TestDiningLockDropBreaksExclusion(t *testing.T) {
 	}
 }
 
+// TestParseSpecSeedsApart: ParseSpec seeds the crash, stall and drop
+// streams apart from the base seed, which a run's schedule stream takes,
+// and from each other, so no two of a run's streams draw alike.
+func TestParseSpecSeedsApart(t *testing.T) {
+	for _, seed := range []int64{0, 7, -3} {
+		spec, err := ParseSpec("crash,stall,lockdrop", seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds := []int64{seed, spec.CrashSeed, spec.StallSeed, spec.DropSeed}
+		for i := range seeds {
+			for j := i + 1; j < len(seeds); j++ {
+				if seeds[i] == seeds[j] {
+					t.Errorf("base seed %d: the base, crash, stall and drop seeds %v repeat one", seed, seeds)
+				}
+			}
+		}
+	}
+}
+
 func markedRingFamily(t *testing.T) *family.Family {
 	t.Helper()
 	base, err := system.Ring(4)

@@ -654,3 +654,41 @@ func IsSimilarityLabeling(sys *system.System, rule Rule, lab *Labeling) (bool, e
 	}
 	return IsSubsimilarity(sys, rule, lab)
 }
+
+// IsSubsimilarity reports whether lab is a subsimilarity labeling under
+// the rule: similar nodes have the same label, i.e. lab is a coarsening
+// of the similarity labeling Θ (section 3; the trivial subsimilarity
+// labeling gives every node one label). Together with IsStable this
+// brackets Θ: a labeling that is both is THE similarity labeling, unique
+// up to renaming.
+func IsSubsimilarity(sys *system.System, rule Rule, lab *Labeling) (bool, error) {
+	if err := lab.validateAgainst(sys); err != nil {
+		return false, err
+	}
+	theta, err := Similarity(sys, rule)
+	if err != nil {
+		return false, err
+	}
+	// Θ-same must imply lab-same; check per class of Θ.
+	repProc := make(map[int]int)
+	for p, l := range theta.ProcLabels {
+		if rep, ok := repProc[l]; ok {
+			if lab.ProcLabels[rep] != lab.ProcLabels[p] {
+				return false, nil
+			}
+		} else {
+			repProc[l] = p
+		}
+	}
+	repVar := make(map[int]int)
+	for v, l := range theta.VarLabels {
+		if rep, ok := repVar[l]; ok {
+			if lab.VarLabels[rep] != lab.VarLabels[v] {
+				return false, nil
+			}
+		} else {
+			repVar[l] = v
+		}
+	}
+	return true, nil
+}

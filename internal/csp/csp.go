@@ -28,7 +28,6 @@ import (
 
 	"simsym/internal/core"
 	"simsym/internal/family"
-	"simsym/internal/machine"
 	"simsym/internal/selection"
 	"simsym/internal/system"
 )
@@ -181,17 +180,6 @@ func TransferCondition(n *Net) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// SelectExtended generates the runnable election program (Algorithm 4 on
-// the channel-shaped system — the rendezvous race is the lock race) for
-// an extended-CSP-solvable network.
-func SelectExtended(n *Net) (*machine.Program, *selection.Decision, error) {
-	s, err := n.ToSystem()
-	if err != nil {
-		return nil, nil, err
-	}
-	return selection.Select(s, system.InstrL, system.SchedFair)
 }
 
 // PlainLimitation documents the paper's open point: plain CSP (input

@@ -7,6 +7,7 @@ import (
 
 	"simsym/internal/machine"
 	"simsym/internal/sched"
+	"simsym/internal/selection"
 	"simsym/internal/system"
 )
 
@@ -156,4 +157,15 @@ func TestPlainLimitation(t *testing.T) {
 	if err := PlainLimitation(); err == nil {
 		t.Error("plain CSP limitation should be an error")
 	}
+}
+
+// SelectExtended generates the runnable election program (Algorithm 4 on
+// the channel-shaped system — the rendezvous race is the lock race) for
+// an extended-CSP-solvable network.
+func SelectExtended(n *Net) (*machine.Program, *selection.Decision, error) {
+	s, err := n.ToSystem()
+	if err != nil {
+		return nil, nil, err
+	}
+	return selection.Select(s, system.InstrL, system.SchedFair)
 }

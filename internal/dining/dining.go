@@ -187,7 +187,9 @@ func Check(sys *system.System, prog *machine.Program, maxStates int) (*Report, e
 
 // CheckWith is Check with full control over the engine: symmetry
 // reduction, budgets and progress reporting. The exclusion and deadlock
-// predicates are installed on top of opts.
+// predicates are installed on top of opts. Any spent budget (states,
+// time, memory or cancellation) yields the report of the explored part
+// with Complete=false, as mc.Check returns its partial Result.
 func CheckWith(sys *system.System, prog *machine.Program, opts mc.Options) (*Report, error) {
 	exclusion, err := ExclusionPred(sys, prog)
 	if err != nil {
@@ -198,9 +200,6 @@ func CheckWith(sys *system.System, prog *machine.Program, opts mc.Options) (*Rep
 	res, err := mc.Check(func() (*machine.Machine, error) {
 		return machine.New(sys, system.InstrL, prog)
 	}, opts)
-	if errors.Is(err, mc.ErrBudget) {
-		return &Report{StatesExplored: res.StatesExplored, Complete: false, Stats: res.Stats}, nil
-	}
 	if err != nil {
 		return nil, fmt.Errorf("dining: %w", err)
 	}

@@ -78,16 +78,6 @@ func cyclic(towardRight []bool) bool {
 	return allTrue || allFalse
 }
 
-// AlternatingOrientation flips direction on every fork (acyclic for all
-// even n; for odd n one adjacent pair shares direction, still acyclic).
-func AlternatingOrientation(n int) []bool {
-	out := make([]bool, n)
-	for f := range out {
-		out[f] = f%2 == 0
-	}
-	return out
-}
-
 // SingleFlipOrientation sends every fork counterclockwise except fork 0
 // — the minimal acyclic orientation, with one doubly-owning philosopher.
 func SingleFlipOrientation(n int) []bool {

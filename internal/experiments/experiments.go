@@ -502,6 +502,9 @@ func E7FLP() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	if res.Exhausted != "" {
+		return nil, fmt.Errorf("E7: the %s budget was spent after %d states", res.Exhausted, res.StatesExplored)
+	}
 	t.AddRow("states explored", fmt.Sprint(res.StatesExplored))
 	t.AddRow("transitions / dedup hits / stutter steps",
 		fmt.Sprintf("%d / %d / %d", res.Stats.Transitions, res.Stats.DedupHits, res.Stats.SelfLoops))

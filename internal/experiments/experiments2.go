@@ -94,7 +94,6 @@ func E13Encapsulated() (*Table, error) {
 	}
 	rep, err := dining.CheckWith(s, mcProg, mc.Options{
 		MaxStates: 10_000,
-		Partial:   true,
 		Progress:  MCProgress,
 		Obs:       Obs,
 	})

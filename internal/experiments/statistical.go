@@ -116,14 +116,12 @@ func E16Statistical(eps float64) (*Table, error) {
 		procs, vars := sys.NumProcs(), sys.NumVars()
 		trial := func(seed int64, depth int, capture bool) (mc.Trial, error) {
 			rng := rand.New(rand.NewSource(seed))
-			s := spec
-			s.CrashSeed, s.StallSeed, s.DropSeed = seed+1, seed+2, seed+3
 			h := adversary.Harness{
 				Sys:       sys,
 				Instr:     system.InstrL,
 				Prog:      prog,
 				Sched:     adversary.Uniform(rng, procs),
-				Faults:    adversary.NewFaults(s, procs, vars),
+				Faults:    adversary.NewFaults(spec.Seeded(seed), procs, vars),
 				MaxSlots:  depth,
 				ProcPreds: []mc.ProcPredicate{excl},
 			}

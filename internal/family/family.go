@@ -17,7 +17,6 @@ package family
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"simsym/internal/core"
@@ -110,20 +109,6 @@ func (ml *MemberLabeling) EveryProcPaired() bool {
 		}
 	}
 	return true
-}
-
-// LabelSet returns the member's set of processor labels, sorted.
-func (ml *MemberLabeling) LabelSet() []int {
-	seen := make(map[int]bool)
-	for _, l := range ml.ProcLabels {
-		seen[l] = true
-	}
-	out := make([]int, 0, len(seen))
-	for l := range seen {
-		out = append(out, l)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Labeling computes the similarity labeling of the family — the labeling

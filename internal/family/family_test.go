@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"simsym/internal/core"
@@ -250,4 +251,18 @@ func TestRelabelStateInjective(t *testing.T) {
 			seen[enc] = id
 		}
 	}
+}
+
+// LabelSet returns the member's set of processor labels, sorted.
+func (ml *MemberLabeling) LabelSet() []int {
+	seen := make(map[int]bool)
+	for _, l := range ml.ProcLabels {
+		seen[l] = true
+	}
+	out := make([]int, 0, len(seen))
+	for l := range seen {
+		out = append(out, l)
+	}
+	sort.Ints(out)
+	return out
 }

@@ -97,25 +97,6 @@ func Diff(a, b []int) []int {
 	return out
 }
 
-// Intersect returns the canonical intersection.
-func Intersect(a, b []int) []int {
-	out := make([]int, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 func dedup(sorted []int) []int {
 	out := sorted[:0]
 	for i, x := range sorted {

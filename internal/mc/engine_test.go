@@ -2,7 +2,6 @@ package mc
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -25,13 +24,13 @@ func spinForever(b *machine.Builder) {
 
 // TestBudgetExploresExactlyMaxStates pins the off-by-one fix: the old
 // checker pushed first and tested after, exploring MaxStates+1 states.
+// A spent budget is not an error: it returns the partial Result. The
+// budget is checked only before a push, so a budget equal to the size of
+// a finite space still closes it, and one state less does not.
 func TestBudgetExploresExactlyMaxStates(t *testing.T) {
 	res, err := Check(factoryFor(t, system.Fig1(), system.InstrS, spinForever), Options{MaxStates: 100})
-	if !errors.Is(err, ErrBudget) {
-		t.Fatalf("err = %v, want ErrBudget", err)
-	}
-	if res == nil {
-		t.Fatal("ErrBudget must return the partial Result, not nil")
+	if err != nil {
+		t.Fatalf("a spent budget returned the error %v", err)
 	}
 	if res.StatesExplored != 100 {
 		t.Errorf("StatesExplored = %d, want exactly 100", res.StatesExplored)
@@ -42,17 +41,36 @@ func TestBudgetExploresExactlyMaxStates(t *testing.T) {
 	if res.Exhausted != "states" {
 		t.Errorf("Exhausted = %q, want \"states\"", res.Exhausted)
 	}
+
+	factory := factoryFor(t, system.Fig1(), system.InstrL, lockClaim)
+	full, err := Check(factory, Options{})
+	if err != nil || !full.Complete {
+		t.Fatalf("lockClaim should close: %+v, %v", full, err)
+	}
+	for _, budget := range []int{full.StatesExplored, full.StatesExplored - 1} {
+		res, err := Check(factory, Options{MaxStates: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		closes := budget == full.StatesExplored
+		if res.StatesExplored != budget || res.Complete != closes || (res.Exhausted == "") != closes {
+			t.Errorf("budget %d of a %d-state space: %d states, complete=%v, exhausted=%q", budget, full.StatesExplored, res.StatesExplored, res.Complete, res.Exhausted)
+		}
+	}
 }
 
+// TestPartialBudgetReturnsGracefulResult: a partial result carries no
+// stuck verdict. Every spinForever state is flagged, but the stuck search
+// runs only on a closed space: a budget leaves the frontier unexpanded.
 func TestPartialBudgetReturnsGracefulResult(t *testing.T) {
 	res, err := Check(factoryFor(t, system.Fig1(), system.InstrS, spinForever), Options{
 		MaxStates: 50,
-		Partial:   true,
+		StuckBad:  NotAllHalted,
 	})
 	if err != nil {
-		t.Fatalf("Partial budget exhaustion should not error: %v", err)
+		t.Fatalf("a spent budget returned the error %v", err)
 	}
-	if res.StatesExplored != 50 || res.Complete || res.Exhausted != "states" {
+	if res.StatesExplored != 50 || res.Complete || res.Exhausted != "states" || res.Violation != nil {
 		t.Errorf("partial result = %+v", res)
 	}
 }
@@ -60,7 +78,6 @@ func TestPartialBudgetReturnsGracefulResult(t *testing.T) {
 func TestTimeBudgetDegrades(t *testing.T) {
 	res, err := Check(factoryFor(t, system.Fig1(), system.InstrS, spinForever), Options{
 		MaxDuration: 1, // one nanosecond: exhausted at the first poll
-		Partial:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +90,6 @@ func TestTimeBudgetDegrades(t *testing.T) {
 func TestMemoryBudgetDegrades(t *testing.T) {
 	res, err := Check(factoryFor(t, system.Fig1(), system.InstrS, spinForever), Options{
 		MaxMemBytes: 1,
-		Partial:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,8 +160,8 @@ func TestStatsPopulated(t *testing.T) {
 	res, err := Check(factoryFor(t, system.Fig1(), system.InstrL, lockClaim), Options{
 		StatePreds: []StatePredicate{UniquenessPred},
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || !res.Complete {
+		t.Fatalf("result %+v, err %v; want a closed space", res, err)
 	}
 	st := res.Stats
 	if st.StatesExplored != res.StatesExplored {
@@ -171,8 +187,8 @@ func TestStatsPopulated(t *testing.T) {
 // each a miss once; every other step is a hit.
 func TestMemoCountsFig1(t *testing.T) {
 	res, err := Check(factoryFor(t, system.Fig1(), system.InstrL, lockClaim), Options{})
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || !res.Complete {
+		t.Fatalf("result %+v, err %v; want a closed space", res, err)
 	}
 	st := res.Stats
 	if st.MemoEntries != 16 || st.MemoMisses != 16 {
@@ -183,21 +199,24 @@ func TestMemoCountsFig1(t *testing.T) {
 	}
 }
 
-// TestProgressCallback: snapshots arrive repeatedly, the last one
-// mirrors the Result, and every snapshot is internally consistent —
-// counters monotone, and Transitions never behind StatesExplored-1
-// (every non-root state is found by a counted transition) — both on a
-// closing space and on a run stopped by its state budget.
+// TestProgressCallback: snapshots arrive every 16,384 states and once at
+// the end, the last one mirrors the Result, and every snapshot is
+// internally consistent — counters monotone, and Transitions never
+// behind StatesExplored-1 (every non-root state is found by a counted
+// transition) — both on a closing space of 30,420 states and on a run
+// stopped by its state budget at 40,000.
 func TestProgressCallback(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		factory func() (*machine.Machine, error)
-		opts    Options
+		name      string
+		factory   func() (*machine.Machine, error)
+		opts      Options
+		states    int
+		exhausted string
 	}{
-		{"closing", factoryFor(t, system.Fig1(), system.InstrS, naiveClaim),
-			Options{ProgressEvery: 1, StuckBad: NotAllHalted}},
+		{"closing", factoryFor(t, system.Fig2(), system.InstrQ, countPosts),
+			Options{StuckBad: NotAllHalted}, 30_420, ""},
 		{"budget", factoryFor(t, system.Fig1(), system.InstrS, spinForever),
-			Options{ProgressEvery: 64, MaxStates: 3000, Partial: true}},
+			Options{MaxStates: 40_000}, 40_000, "states"},
 	} {
 		var snaps []Stats
 		o := tc.opts
@@ -206,8 +225,12 @@ func TestProgressCallback(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if len(snaps) < 2 {
-			t.Fatalf("%s: expected several progress snapshots, got %d", tc.name, len(snaps))
+		if res.StatesExplored != tc.states || res.Exhausted != tc.exhausted || res.Complete != (tc.exhausted == "") {
+			t.Fatalf("%s: %d states, complete=%v, exhausted=%q; want %d, %v, %q", tc.name,
+				res.StatesExplored, res.Complete, res.Exhausted, tc.states, tc.exhausted == "", tc.exhausted)
+		}
+		if want := tc.states/progressEvery + 1; len(snaps) != want {
+			t.Fatalf("%s: %d progress snapshots, want %d", tc.name, len(snaps), want)
 		}
 		last := snaps[len(snaps)-1]
 		if last.StatesExplored != res.StatesExplored {
@@ -369,7 +392,7 @@ func TestBudgetMidLevelDeterministic(t *testing.T) {
 	factory := factoryFor(t, system.Fig1(), system.InstrS, spinForever)
 	var first *Result
 	for run := 0; run < 3; run++ {
-		res, err := Check(factory, Options{MaxStates: 97, Partial: true})
+		res, err := Check(factory, Options{MaxStates: 97})
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -513,7 +536,6 @@ func TestMemoryBudgetFiresPromptly(t *testing.T) {
 	const budget = 512 << 10
 	res, err := Check(factoryFor(t, system.Fig1(), system.InstrS, spinForever), Options{
 		MaxMemBytes: budget,
-		Partial:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -551,7 +573,7 @@ func TestMemEstimateTracksLiveHeap(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	_, err := Check(factory, Options{MaxStates: 120_000, Partial: true, StuckBad: NotAllHalted, Progress: progress})
+	_, err := Check(factory, Options{MaxStates: 120_000, StuckBad: NotAllHalted, Progress: progress})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -307,8 +307,8 @@ func (t *stateIndex) storedBytes() int64 {
 // capacities, not lengths: allocated chunk bytes at their widths (a
 // half-filled chunk costs its full size), the bucket directory's exact
 // slot count and the component table. Keeping this honest is what lets
-// MaxMemBytes degrade into a Partial result instead of an OOM; it is
-// O(1), because the budget polls it after every push.
+// a MaxMemBytes budget end the check with its partial Result instead of
+// an OOM; it is O(1), because the budget polls it after every push.
 func (t *stateIndex) memBytes() int64 {
 	return t.hot + int64(len(t.buckets.slots))*bucketSlotSize + t.comps.memBytes()
 }

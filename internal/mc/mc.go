@@ -45,13 +45,15 @@
 //   - Opt-in symmetry reduction (Options.SymmetryReduce) dedups states
 //     modulo the system's automorphism group — the orbit-quotient
 //     construction the paper's symmetry results suggest.
-//   - There is one engine: each BFS level is expanded and merged one
-//     state at a time on the calling goroutine, so verdicts, witness
-//     schedules and counters are deterministic by construction.
+//   - There is one engine, on the calling goroutine: each processor's
+//     successor of a frontier state is merged into the exploration as
+//     soon as it is stepped, before the next processor steps, so
+//     verdicts, witness schedules and counters are deterministic by
+//     construction.
 //   - Stats (states/sec, depth, dedup hits, memory estimate, group
-//     order) are surfaced through Result and a progress callback, and
-//     time/memory/state budgets can degrade gracefully into a partial
-//     Result instead of an error.
+//     order) are surfaced through Result and a progress callback. A
+//     spent budget (states, time, memory or cancellation) ends the check
+//     with its partial Result and a nil error.
 package mc
 
 import (
@@ -69,12 +71,8 @@ import (
 	"simsym/internal/system"
 )
 
-// Sentinel errors.
-var (
-	ErrBudget = errors.New("mc: budget exhausted before closure")
-	// ErrMaxStates rejects a MaxStates past the uint32 node ids.
-	ErrMaxStates = errors.New("mc: MaxStates above 2³²−1")
-)
+// ErrMaxStates rejects a MaxStates past the uint32 node ids.
+var ErrMaxStates = errors.New("mc: MaxStates above 2³²−1")
 
 // StatePredicate inspects a state; a non-empty return is a violation
 // description. It must not modify, step or clone the machine it is
@@ -105,11 +103,6 @@ type Options struct {
 	// DP′(6) close (EXPERIMENTS.md E5), so a hard ceiling pairs
 	// MaxMemBytes with GOMEMLIMIT or debug.SetMemoryLimit.
 	MaxMemBytes int64
-	// Partial turns budget exhaustion (states, time, or memory) into a
-	// graceful partial Result — Complete=false, Exhausted naming the
-	// spent budget, nil error — instead of ErrBudget. Absence of a
-	// violation in a partial result is bounded evidence, not proof.
-	Partial bool
 	// SymmetryReduce dedups states modulo the automorphism group of the
 	// system (computed via autgrp): each newly discovered state is
 	// canonicalized to the least component-id vector over its orbit, so
@@ -119,21 +112,18 @@ type Options struct {
 	// which quantify over all processors. Witness schedules remain
 	// genuine: stored states are reachable states, not permuted images.
 	SymmetryReduce bool
-	// Progress, when non-nil, receives a Stats snapshot roughly every
-	// ProgressEvery explored states and once when the check finishes.
+	// Progress, when non-nil, receives a Stats snapshot every 16,384
+	// explored states and once when the check finishes.
 	Progress func(Stats)
-	// ProgressEvery is the state interval between Progress callbacks;
-	// 0 means the default (16384).
-	ProgressEvery int
 	// Obs, when non-nil, receives structured events and metrics: an
 	// mc.check phase, one KindStateExpansion event per completed BFS
 	// level, counters mirroring Stats, and the final verdict. Events are
 	// deterministic (no wall-clock payloads); durations go to the
 	// mc.check histogram only. A nil recorder costs one pointer check.
 	Obs *obs.Recorder
-	// Ctx, when non-nil, cancels exploration: cancellation is treated as
-	// an exhausted budget (Exhausted="canceled"), degrading into a
-	// partial Result under Options.Partial like any other budget.
+	// Ctx, when non-nil, cancels exploration, polled every 64 new states:
+	// cancellation is a spent budget (Exhausted="canceled") and returns
+	// the partial Result like any other.
 	Ctx context.Context
 	// States are violations when any StatePredicate flags them.
 	StatePreds []StatePredicate
@@ -150,8 +140,8 @@ type Options struct {
 // DefaultMaxStates is the default exploration budget.
 const DefaultMaxStates = 200_000
 
-// DefaultProgressEvery is the default Progress callback interval.
-const DefaultProgressEvery = 16384
+// progressEvery is the number of new states between Progress callbacks.
+const progressEvery = 16384
 
 // Violation describes a found counterexample.
 type Violation struct {
@@ -213,7 +203,8 @@ type Result struct {
 	// StatesExplored counts distinct states visited.
 	StatesExplored int
 	// Complete is true when the reachable state space was exhausted
-	// within budget, making the absence of violations a proof.
+	// within budget, making the absence of violations a proof. Absence
+	// of a violation in an incomplete result is bounded evidence only.
 	Complete bool
 	// Exhausted names the budget that ended an incomplete exploration:
 	// "states", "time", "memory", or "canceled"; empty otherwise.
@@ -288,43 +279,21 @@ func (a *chunked[T]) memBytes() int64 {
 	return int64(cap(a.chunks[0])+(len(a.chunks)-1)*chunkLen) * int64(unsafe.Sizeof(x))
 }
 
-// succInfo is one successor's dedup key with its hash, and whether the
-// step was a stutter (self-loop).
-type succInfo struct {
-	key      []uint32
-	hash     uint64
-	selfLoop bool
-}
-
-// batch is the per-state expansion output: one successor record per
-// processor. The one batch is reused for every expanded state, so
-// steady-state expansion does not allocate per state.
-//
-// raw[p·(W+2):] is processor p's successor as the frontier stores it:
-// its W ids, then its vector's hash in two words (putHash). keys[p·W:]
-// holds its least image under symmetry reduction.
-type batch struct {
-	raw   []uint32
-	keys  []uint32
-	succs []succInfo
-}
-
 // putHash stores h in dst[0:2], low word first; getHash reads it back.
 func putHash(dst []uint32, h uint64) { dst[0], dst[1] = uint32(h), uint32(h>>32) }
 
 func getHash(src []uint32) uint64 { return uint64(src[0]) | uint64(src[1])<<32 }
 
 type checker struct {
-	opts          Options
-	nProcs        int
-	maxStates     int
-	progressEvery int
-	deadline      time.Time
-	start         time.Time
-	width         int   // W: components per state, ids per vector
-	permAt        []int // non-identity automorphisms, W positions each (see minimize)
-	idx           *stateIndex
-	nodes         chunked[node]
+	opts      Options
+	nProcs    int
+	maxStates int
+	deadline  time.Time
+	start     time.Time
+	width     int   // W: components per state, ids per vector
+	permAt    []int // non-identity automorphisms, W positions each (see minimize)
+	idx       *stateIndex
+	nodes     chunked[node]
 	// succ holds nProcs successor slots per expanded node, in node
 	// order: slot v·nProcs+p is the node processor p's step from node v
 	// reaches, or selfLoop. Only the stuck search reads them, so they are
@@ -332,7 +301,7 @@ type checker struct {
 	succ chunked[uint32]
 	// levelVecs and nextVecs are the current and next BFS frontiers: the
 	// states' raw (unpermuted) vectors in frontier order, W ids and then
-	// the vector's hash in two words per state (see batch). States are
+	// the vector's hash in two words per state (putHash). States are
 	// pushed in node order, so a frontier's node ids are contiguous: state
 	// i of the current level is node levelStart+i. Expansion reads the
 	// parent's vector and hash here, never from the index, which stores
@@ -349,11 +318,15 @@ type checker struct {
 	m, view, parent          *machine.Machine
 	mVec, viewVec, parentVec []uint32
 
+	// rec is the frontier record of the successor being merged, and key
+	// its least image under symmetry reduction. Both are reused for every
+	// successor, so steady-state expansion does not allocate.
+	rec, key []uint32
+
 	memo            stepMemo
 	res             *Result
 	stats           *Stats
 	sinceProgress   int
-	batch           batch
 	logicalKeyBytes int64 // full key bytes of the stored states
 }
 
@@ -361,9 +334,9 @@ type checker struct {
 // The factory must return a fresh machine in its initial state on every
 // call (Check calls it once).
 //
-// On budget exhaustion Check returns the partial Result alongside
-// ErrBudget (or with a nil error when Options.Partial is set); on
-// machine execution errors the Result is nil.
+// A spent budget returns the partial Result, with Complete=false,
+// Exhausted naming the budget and a nil error. On any error the Result is
+// nil.
 func Check(factory func() (*machine.Machine, error), opts Options) (*Result, error) {
 	return new(checker).check(factory, opts)
 }
@@ -379,23 +352,20 @@ func (c *checker) check(factory func() (*machine.Machine, error), opts Options) 
 	}
 	width := m0.NumProcs() + m0.NumVars()
 	*c = checker{
-		opts:          opts,
-		nProcs:        m0.NumProcs(),
-		width:         width,
-		maxStates:     opts.MaxStates,
-		progressEvery: opts.ProgressEvery,
-		start:         time.Now(),
-		res:           &Result{},
-		idx:           newStateIndex(width),
-		root:          m0,
+		opts:      opts,
+		nProcs:    m0.NumProcs(),
+		width:     width,
+		maxStates: opts.MaxStates,
+		start:     time.Now(),
+		res:       &Result{},
+		idx:       newStateIndex(width),
+		root:      m0,
+		rec:       make([]uint32, width+2),
 	}
 	c.stats = &c.res.Stats
 	c.stats.GroupOrder = 1
 	if c.maxStates <= 0 {
 		c.maxStates = DefaultMaxStates
-	}
-	if c.progressEvery <= 0 {
-		c.progressEvery = DefaultProgressEvery
 	}
 	if opts.MaxDuration > 0 {
 		c.deadline = c.start.Add(opts.MaxDuration)
@@ -417,18 +387,15 @@ func (c *checker) check(factory func() (*machine.Machine, error), opts Options) 
 				c.permAt = append(c.permAt, c.nProcs+v)
 			}
 		}
+		c.key = make([]uint32, width)
 	}
-	b := &c.batch
-	b.raw = make([]uint32, c.nProcs*(width+2))
-	b.keys = make([]uint32, c.nProcs*width)
-	b.succs = make([]succInfo, c.nProcs)
 
 	// Root. The initial state is fixed by every automorphism (they
 	// preserve initial values), but canonicalize anyway for uniformity.
 	// The scratch machine and the view machines start as clones of the
 	// root.
 	opts.Obs.PhaseStart("mc.check")
-	raw := b.raw[:width+2]
+	raw := c.rec
 	if err := c.idx.comps.vector(raw[:width], m0); err != nil {
 		return nil, err
 	}
@@ -438,8 +405,8 @@ func (c *checker) check(factory func() (*machine.Machine, error), opts Options) 
 		c.parent, c.parentVec = m0.Clone(), slices.Clone(raw[:width])
 	}
 	putHash(raw[width:], hashVec(raw[:width]))
-	c.dedup(0)
-	rootIdx := c.push(raw, &b.succs[0], 0, 0)
+	key, hash := c.keyOf(raw)
+	rootIdx := c.push(raw, key, hash, 0, 0)
 	if v := c.checkState(raw[:width], rootIdx); v != nil {
 		c.res.Violation = v
 		return c.finish(nil)
@@ -452,8 +419,11 @@ func (c *checker) check(factory func() (*machine.Machine, error), opts Options) 
 		if n > c.stats.PeakFrontier {
 			c.stats.PeakFrontier = n
 		}
-		if done, err := c.runLevel(n); done {
-			return c.finish(err)
+		for i := range n {
+			cur := c.levelVecs[i*(width+2) : (i+1)*(width+2)]
+			if done, err := c.expand(cur, c.levelStart+i); done {
+				return c.finish(err)
+			}
 		}
 		if opts.Obs.Enabled() {
 			opts.Obs.StateExpansion("mc", c.res.StatesExplored, c.stats.Depth, c.stats.Transitions)
@@ -483,7 +453,8 @@ func (c *checker) check(factory func() (*machine.Machine, error), opts Options) 
 }
 
 // finish finalizes stats, emits the last progress snapshot, and mirrors
-// the exploration counters into the Result.
+// the exploration counters into the Result, which it returns unless err
+// is set.
 func (c *checker) finish(err error) (*Result, error) {
 	c.stats.StatesExplored = c.res.StatesExplored
 	c.stats.Elapsed = time.Since(c.start)
@@ -521,98 +492,73 @@ func (c *checker) finish(err error) (*Result, error) {
 		rec.Verdict("mc.check", c.res.Violation == nil, detail)
 		rec.PhaseEnd("mc.check", int64(c.res.StatesExplored))
 	}
-	return c.res, err
-}
-
-// runLevel expands and merges the n states of the current level one at
-// a time, in frontier order, reusing a single batch.
-func (c *checker) runLevel(n int) (bool, error) {
-	s := c.width + 2
-	for i := 0; i < n; i++ {
-		if err := c.expand(c.levelVecs[i*s : (i+1)*s]); err != nil {
-			return true, err
-		}
-		if done, err := c.merge(c.levelStart + i); done {
-			return true, err
-		}
+	if err != nil {
+		return nil, err
 	}
-	return false, nil
+	return c.res, nil
 }
 
-// expand computes all successors of the frontier record cur (a vector
-// and its hash) into c.batch: their records and dedup-key hashes.
-// Predicates never run here.
+// successor writes into rec the frontier record of processor p's step
+// from the record cur (a vector and its hash), and returns the step's
+// memo entry. Predicates never run here.
 //
-// This is the hot loop. Processor p's successor is cur with p's frame id
-// and the id of the variable its step touches replaced by the pair the
-// step memo holds for them, and its hash is cur's xor the entry's delta.
-// The step slot of (p, frame id) names that variable's position and
-// usually the entry. On a miss the scratch machine is loaded to the
-// parent, stepped, and its two windows interned — no other component is
-// encoded, copied or read.
-func (c *checker) expand(cur []uint32) error {
-	b := &c.batch
+// This is the hot loop. The successor is cur with p's frame id and the
+// id of the variable its step touches replaced by the pair the step memo
+// holds for them, and its hash is cur's xor the entry's delta. The step
+// slot of (p, frame id) names that variable's position and usually the
+// entry. On a miss the scratch machine is loaded to the parent, stepped,
+// and its two windows interned — no other component is encoded, copied
+// or read.
+func (c *checker) successor(cur, rec []uint32, p int) (*memoEntry, error) {
 	w := c.width
 	ct := &c.idx.comps
-	curVec, hash := cur[:w], getHash(cur[w:])
-	for p := 0; p < c.nProcs; p++ {
-		raw := b.raw[p*(w+2) : (p+1)*(w+2)]
-		copy(raw, curVec)
-		f := curVec[p]
-		s := c.memo.slot(int(uint64(f)-ct.base)*c.nProcs + p)
-		if s.vc == 0 {
-			s.vc = uint32(p) + 1
-			if v := c.root.StepVar(p, ct.frame(f)); v >= 0 {
-				s.vc = uint32(c.nProcs+v) + 1
-			}
-		}
-		vc := int(s.vc - 1)
-		v := curVec[vc]
-		e, mhash, ok := c.memo.lookup(s, uint32(p), f, v)
-		if !ok {
-			ct.load(c.m, c.mVec, curVec)
-			if err := c.m.Step(p); err != nil {
-				return fmt.Errorf("mc: stepping %d: %w", p, err)
-			}
-			for _, comp := range [2]int{p, vc} {
-				if err := ct.internEntry(c.mVec, c.m, comp); err != nil {
-					return err
-				}
-			}
-			f2, v2 := c.mVec[p], c.mVec[vc]
-			delta := vecWord(p, f) ^ vecWord(p, f2)
-			if vc != p {
-				delta ^= vecWord(vc, v) ^ vecWord(vc, v2)
-			}
-			e = c.memo.add(s, mhash, memoEntry{uint32(p), f, v, f2, v2, delta})
-			c.stats.MemoMisses++
-			c.stats.MemoEntries = int64(len(c.memo.entries))
-		}
-		raw[p], raw[vc] = e.f2, e.v2
-		putHash(raw[w:], hash^e.delta)
-		si := &b.succs[p]
-		if si.selfLoop = e.f2 == e.f && e.v2 == e.v; !si.selfLoop {
-			c.dedup(p)
+	curVec := cur[:w]
+	copy(rec, curVec)
+	f := curVec[p]
+	s := c.memo.slot(int(uint64(f)-ct.base)*c.nProcs + p)
+	if s.vc == 0 {
+		s.vc = uint32(p) + 1
+		if v := c.root.StepVar(p, ct.frame(f)); v >= 0 {
+			s.vc = uint32(c.nProcs+v) + 1
 		}
 	}
-	if c.parent != nil {
-		ct.view(c.parent, c.parentVec, curVec)
+	vc := int(s.vc - 1)
+	v := curVec[vc]
+	e, mhash, ok := c.memo.lookup(s, uint32(p), f, v)
+	if !ok {
+		ct.load(c.m, c.mVec, curVec)
+		if err := c.m.Step(p); err != nil {
+			return nil, fmt.Errorf("mc: stepping %d: %w", p, err)
+		}
+		for _, comp := range [2]int{p, vc} {
+			if err := ct.internEntry(c.mVec, c.m, comp); err != nil {
+				return nil, err
+			}
+		}
+		f2, v2 := c.mVec[p], c.mVec[vc]
+		delta := vecWord(p, f) ^ vecWord(p, f2)
+		if vc != p {
+			delta ^= vecWord(vc, v) ^ vecWord(vc, v2)
+		}
+		e = c.memo.add(s, mhash, memoEntry{uint32(p), f, v, f2, v2, delta})
+		c.stats.MemoMisses++
+		c.stats.MemoEntries = int64(len(c.memo.entries))
 	}
-	return nil
+	rec[p], rec[vc] = e.f2, e.v2
+	putHash(rec[w:], getHash(cur[w:])^e.delta)
+	return e, nil
 }
 
-// dedup sets the dedup key of processor p's successor in the batch and
-// its hash: the successor's vector and the hash its record carries, or
-// under symmetry reduction its least image, hashed in full.
-func (c *checker) dedup(p int) {
-	b, w := &c.batch, c.width
-	rec, si := b.raw[p*(w+2):(p+1)*(w+2)], &b.succs[p]
-	si.key, si.hash = rec[:w], getHash(rec[w:])
-	if c.permAt != nil {
-		si.key = b.keys[p*w : (p+1)*w]
-		c.minimize(si.key, rec[:w])
-		si.hash = hashVec(si.key)
+// keyOf returns the dedup key of the frontier record rec and its hash:
+// rec's vector and the hash it carries, or under symmetry reduction its
+// least image (in c.key), hashed in full.
+func (c *checker) keyOf(rec []uint32) ([]uint32, uint64) {
+	w := c.width
+	if c.permAt == nil {
+		return rec[:w], getHash(rec[w:])
 	}
+	c.minimize(c.key, rec[:w])
+	return c.key, hashVec(c.key)
 }
 
 // minimize writes into key the least image of raw, in lexicographic id
@@ -639,19 +585,26 @@ func (c *checker) minimize(key, raw []uint32) {
 	}
 }
 
-// merge folds the expanded batch of node curIdx into the exploration:
+// expand steps every processor from the frontier record cur, the state
+// of node curIdx, and merges each successor before the next is stepped:
 // transition predicates (before the self-loop skip — stutter steps are
 // visible to predicates, excluded only from the successor graph), dedup
-// against the hashed index, budget checks before each push, state
-// predicates on new states. Under Options.StuckBad every processor's
-// successor fills its slot (see checker.succ).
-func (c *checker) merge(curIdx int) (bool, error) {
-	b := &c.batch
-	w := c.width
-	for p, si := range b.succs {
-		raw := b.raw[p*(w+2) : (p+1)*(w+2)]
+// against the hashed index, the state budget before each push, state
+// predicates on new states and the other budgets after. Under
+// Options.StuckBad every processor's successor fills its slot (see
+// checker.succ). It reports whether the check ends here.
+func (c *checker) expand(cur []uint32, curIdx int) (bool, error) {
+	w, rec := c.width, c.rec
+	if c.parent != nil {
+		c.idx.comps.view(c.parent, c.parentVec, cur[:w])
+	}
+	for p := range c.nProcs {
+		e, err := c.successor(cur, rec, p)
+		if err != nil {
+			return true, err
+		}
 		for _, pred := range c.opts.TransPreds {
-			if reason := pred(c.parent, c.look(raw[:w]), p); reason != "" {
+			if reason := pred(c.parent, c.look(rec[:w]), p); reason != "" {
 				c.res.Violation = &Violation{
 					Reason:   reason,
 					Schedule: append(c.scheduleTo(curIdx), p),
@@ -660,26 +613,27 @@ func (c *checker) merge(curIdx int) (bool, error) {
 			}
 		}
 		to := uint32(selfLoop)
-		if si.selfLoop {
+		if e.f2 == e.f && e.v2 == e.v {
 			c.stats.SelfLoops++
 		} else {
 			c.stats.Transitions++
-			if id, ok := c.idx.lookupHashed(si.key, si.hash); ok {
+			key, hash := c.keyOf(rec)
+			if id, ok := c.idx.lookupHashed(key, hash); ok {
 				c.stats.DedupHits++
 				to = uint32(id - c.idx.baseID)
 			} else if c.res.StatesExplored >= c.maxStates {
 				// Budget check strictly before the push: the checker
 				// explores exactly MaxStates states, never MaxStates+1.
-				return true, c.exhaust("states")
+				return c.exhaust("states"), nil
 			} else {
-				id := c.push(raw, &si, curIdx, p)
+				id := c.push(rec, key, hash, curIdx, p)
 				to = uint32(id)
-				if v := c.checkState(raw[:w], id); v != nil {
+				if v := c.checkState(rec[:w], id); v != nil {
 					c.res.Violation = v
 					return true, nil
 				}
-				if stop, err := c.pollBudgets(); stop {
-					return true, err
+				if c.pollBudgets() {
+					return true, nil
 				}
 			}
 		}
@@ -691,13 +645,13 @@ func (c *checker) merge(curIdx int) (bool, error) {
 }
 
 // push commits the new state whose frontier record is rec: it indexes
-// the state's dedup key and appends the state's node with its stuck
-// flag, rec to the next frontier, and the explored-state counters. It
-// returns the node index, which equals the index id minus baseID because
-// ids are dense and assigned in the same order as nodes.
-func (c *checker) push(rec []uint32, si *succInfo, parent, step int) int {
-	c.idx.insert(si.key, si.hash)
-	c.logicalKeyBytes += c.idx.comps.keyLen(si.key)
+// the state's dedup key with its hash and appends the state's node with
+// its stuck flag, rec to the next frontier, and the explored-state
+// counters. It returns the node index, which equals the index id minus
+// baseID because ids are dense and assigned in the same order as nodes.
+func (c *checker) push(rec, key []uint32, hash uint64, parent, step int) int {
+	c.idx.insert(key, hash)
+	c.logicalKeyBytes += c.idx.comps.keyLen(key)
 	c.nextVecs = append(c.nextVecs, rec...)
 	id := c.nodes.n
 	nd := node{parent: uint32(parent), step: uint32(step)}
@@ -710,10 +664,11 @@ func (c *checker) push(rec []uint32, si *succInfo, parent, step int) int {
 	return id
 }
 
-// pollBudgets emits progress snapshots and enforces the time and memory
-// budgets. Called after each push.
-func (c *checker) pollBudgets() (bool, error) {
-	if c.sinceProgress >= c.progressEvery {
+// pollBudgets emits progress snapshots and enforces the time, memory and
+// cancellation budgets, reporting whether one is spent. Called after each
+// push.
+func (c *checker) pollBudgets() bool {
+	if c.sinceProgress >= progressEvery {
 		c.sinceProgress = 0
 		if mem := c.memEstimate(); mem > c.stats.PeakMemBytes {
 			c.stats.PeakMemBytes = mem
@@ -732,18 +687,18 @@ func (c *checker) pollBudgets() (bool, error) {
 			if mem > c.stats.PeakMemBytes {
 				c.stats.PeakMemBytes = mem
 			}
-			return true, c.exhaust("memory")
+			return c.exhaust("memory")
 		}
 	}
 	if c.res.StatesExplored%64 == 0 {
 		if !c.deadline.IsZero() && time.Now().After(c.deadline) {
-			return true, c.exhaust("time")
+			return c.exhaust("time")
 		}
 		if c.opts.Ctx != nil && c.opts.Ctx.Err() != nil {
-			return true, c.exhaust("canceled")
+			return c.exhaust("canceled")
 		}
 	}
-	return false, nil
+	return false
 }
 
 // memEstimate approximates the checker's live heap during exploration:
@@ -757,15 +712,11 @@ func (c *checker) memEstimate() int64 {
 		4*int64(cap(c.levelVecs)+cap(c.nextVecs))
 }
 
-// exhaust records which budget ended the run; with Options.Partial the
-// partial Result is returned without error.
-func (c *checker) exhaust(kind string) error {
+// exhaust records which budget ended the run and reports that the check
+// ends: the partial Result is returned without error.
+func (c *checker) exhaust(kind string) bool {
 	c.res.Exhausted = kind
-	c.res.Complete = false
-	if c.opts.Partial {
-		return nil
-	}
-	return fmt.Errorf("%w (%s): %d states", ErrBudget, kind, c.res.StatesExplored)
+	return true
 }
 
 // scheduleTo is the step sequence from the root to node idx.
@@ -925,15 +876,6 @@ func StabilityPred(before, after *machine.Machine, _ int) string {
 func NotAllHalted(m *machine.Machine) string {
 	if !m.AllHalted() {
 		return "processors can never all halt"
-	}
-	return ""
-}
-
-// NoneSelectedAndAllHalted flags states where every processor halted
-// without anyone selected — a selection algorithm that gave up.
-func NoneSelectedAndAllHalted(m *machine.Machine) string {
-	if m.AllHalted() && len(m.SelectedProcs()) == 0 {
-		return "all processors halted with no selection"
 	}
 	return ""
 }

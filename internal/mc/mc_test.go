@@ -332,16 +332,18 @@ func TestNoDeadlockWhenOrdered(t *testing.T) {
 	}
 }
 
+// TestBudgetExhaustion: under symmetry reduction too, a spent state
+// budget returns the partial Result with exactly MaxStates states.
 func TestBudgetExhaustion(t *testing.T) {
-	_, err := Check(factoryFor(t, system.Fig1(), system.InstrS, func(b *machine.Builder) {
+	res, err := Check(factoryFor(t, system.Fig1(), system.InstrS, func(b *machine.Builder) {
 		n := b.Sym("n")
 		b.Compute(func(r *machine.Regs) { r.Set(n, 0) })
 		b.Label("loop")
 		b.Compute(func(r *machine.Regs) { r.Set(n, r.Int(n)+1) })
 		b.Jump("loop")
-	}), Options{MaxStates: 100})
-	if !errors.Is(err, ErrBudget) {
-		t.Errorf("err = %v, want ErrBudget", err)
+	}), Options{MaxStates: 100, SymmetryReduce: true})
+	if err != nil || res.StatesExplored != 100 || res.Complete || res.Exhausted != "states" {
+		t.Errorf("result %+v, err %v; want 100 states, the states budget spent and no error", res, err)
 	}
 }
 
@@ -376,6 +378,20 @@ func TestNoneSelectedAndAllHalted(t *testing.T) {
 	}
 }
 
+// TestStepErrorReturnsNilResult: a machine step's error ends the check
+// with a nil Result, not with the states pushed before it. Each
+// processor's second step writes the unset local y.
+func TestStepErrorReturnsNilResult(t *testing.T) {
+	res, err := Check(factoryFor(t, system.Fig1(), system.InstrS, func(b *machine.Builder) {
+		b.Compute(func(r *machine.Regs) {})
+		b.Write("n", "y")
+		b.Halt()
+	}), Options{})
+	if !errors.Is(err, machine.ErrMissingLocal) || res != nil {
+		t.Fatalf("result %+v, err %v; want a nil Result and ErrMissingLocal", res, err)
+	}
+}
+
 func TestFactoryErrorPropagates(t *testing.T) {
 	_, err := Check(func() (*machine.Machine, error) {
 		return nil, errors.New("boom")
@@ -383,4 +399,13 @@ func TestFactoryErrorPropagates(t *testing.T) {
 	if err == nil {
 		t.Error("factory error should propagate")
 	}
+}
+
+// NoneSelectedAndAllHalted flags states where every processor halted
+// without anyone selected — a selection algorithm that gave up.
+func NoneSelectedAndAllHalted(m *machine.Machine) string {
+	if m.AllHalted() && len(m.SelectedProcs()) == 0 {
+		return "all processors halted with no selection"
+	}
+	return ""
 }

@@ -86,8 +86,8 @@ type SampleOptions struct {
 	Delta float64
 	// MaxSamples caps the number of trials; 0 means uncapped (the
 	// Okamoto bound decides). A cap below the bound exhausts the
-	// "samples" budget: the run degrades per Partial like any other
-	// budget, with the achieved (wider) half-width reported.
+	// "samples" budget: like any other spent budget, the run returns its
+	// partial result, with the achieved (wider) half-width reported.
 	MaxSamples int
 	// Depth is the per-trial scheduler-slot budget; 0 means the default
 	// (1024).
@@ -103,10 +103,6 @@ type SampleOptions struct {
 	// MaxDuration bounds wall-clock sampling time, checked at round
 	// boundaries; 0 means unbounded.
 	MaxDuration time.Duration
-	// Partial turns budget exhaustion (samples, time, cancellation)
-	// into a graceful partial SampleResult — Complete=false, Exhausted
-	// naming the spent budget, nil error — instead of ErrBudget.
-	Partial bool
 	// Progress, when non-nil, receives a SampleStats snapshot after
 	// every merged round and once when sampling finishes.
 	Progress func(SampleStats)
@@ -122,8 +118,8 @@ type SampleOptions struct {
 	// histogram only.
 	Obs *obs.Recorder
 	// Ctx, when non-nil, cancels sampling at round boundaries:
-	// cancellation is treated as an exhausted budget
-	// (Exhausted="canceled"), degrading per Partial.
+	// cancellation is a spent budget (Exhausted="canceled") and returns
+	// the partial result like any other.
 	Ctx context.Context
 }
 
@@ -232,9 +228,9 @@ func SampleSeed(base int64, i int) int64 {
 
 // Sample draws i.i.d. trials until the Okamoto target (or a tighter
 // budget) is met and returns the violation-probability estimate with its
-// confidence interval. On budget exhaustion it errors with ErrBudget (or
-// degrades gracefully under SampleOptions.Partial); a trial error aborts
-// the run and is returned as-is (first in sample-index order).
+// confidence interval. A spent budget returns the partial result, with
+// Complete=false, Exhausted naming the budget and a nil error; a trial
+// error aborts the run and is returned as-is (first in sample-index order).
 func Sample(trial TrialFunc, opts SampleOptions) (*SampleResult, error) {
 	if trial == nil {
 		return nil, fmt.Errorf("mc: Sample requires a trial function")
@@ -397,9 +393,6 @@ func Sample(trial TrialFunc, opts SampleOptions) (*SampleResult, error) {
 	}
 	if opts.Progress != nil {
 		opts.Progress(res.Stats)
-	}
-	if !res.Complete && !opts.Partial {
-		return res, fmt.Errorf("%w (%s): %d samples of %d", ErrBudget, res.Exhausted, res.Samples, target)
 	}
 	return res, nil
 }

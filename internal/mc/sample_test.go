@@ -164,12 +164,7 @@ func TestSampleFirstViolationIsIndexLeast(t *testing.T) {
 }
 
 func TestSampleMaxSamplesBudget(t *testing.T) {
-	trial := syntheticTrial(0, 2)
-	_, err := Sample(trial, SampleOptions{Epsilon: 0.05, Delta: 0.05, MaxSamples: 100})
-	if !errors.Is(err, ErrBudget) {
-		t.Fatalf("capped run should exhaust: err = %v", err)
-	}
-	res, err := Sample(trial, SampleOptions{Epsilon: 0.05, Delta: 0.05, MaxSamples: 100, Partial: true})
+	res, err := Sample(syntheticTrial(0, 2), SampleOptions{Epsilon: 0.05, Delta: 0.05, MaxSamples: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +183,7 @@ func TestSampleCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := Sample(syntheticTrial(0, 2), SampleOptions{
-		Epsilon: 0.05, Delta: 0.05, ProgressEvery: 10, Partial: true, Ctx: ctx,
+		Epsilon: 0.05, Delta: 0.05, ProgressEvery: 10, Ctx: ctx,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +233,7 @@ func TestSampleObsStream(t *testing.T) {
 	ring := obs.NewRing(64)
 	rec := obs.New(ring)
 	res, err := Sample(syntheticTrial(1, 4), SampleOptions{
-		Epsilon: 0.05, Delta: 0.05, MaxSamples: 30, ProgressEvery: 10, Partial: true, Obs: rec,
+		Epsilon: 0.05, Delta: 0.05, MaxSamples: 30, ProgressEvery: 10, Obs: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +270,7 @@ func TestSampleTimeBudget(t *testing.T) {
 	}
 	res, err := Sample(slow, SampleOptions{
 		Epsilon: 0.05, Delta: 0.05, ProgressEvery: 5,
-		MaxDuration: 10 * time.Millisecond, Partial: true,
+		MaxDuration: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,8 @@ import (
 // child's. Along seeded random walks — random programs over Fig1, Fig2
 // and the flipped table of four under S, L and Q, with Post/Peek
 // multisets, halting, running off the end and stutter steps — every
-// state is expanded the way the checker expands it (checker.expand).
+// processor's successor of every state is made the way the checker makes
+// it (checker.successor).
 // Each child's vector must equal the vector of a fresh machine that
 // replays the child's schedule and interns every window, whether the
 // memo hit or missed; its hash, the parent's xor the memo entry's
@@ -107,7 +108,8 @@ func (op walkOp) apply(m *machine.Machine) error {
 }
 
 // walkVectors runs one random walk of the given length from a fresh
-// machine, expanding every state on it with a checker, and returns how
+// machine, stepping every processor from every state on it with a
+// checker's successor, and returns how
 // many successors were stutters, how many steps accessed a variable and
 // how many the memo answered. Now and then a crash or lock drop lands on
 // the state the walk continues from, as the fault harness injects them.
@@ -116,7 +118,7 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 	m := factory()
 	np, nv, w := m.NumProcs(), m.NumVars(), m.NumProcs()+m.NumVars()
 	c := &checker{nProcs: np, width: w, idx: newStateIndex(w), root: m, stats: &Stats{}}
-	c.batch = batch{raw: make([]uint32, np*(w+2)), keys: make([]uint32, np*w), succs: make([]succInfo, np)}
+	recs := make([]uint32, np*(w+2)) // processor p's successor record at p·(W+2)
 	ct := &c.idx.comps
 	load := func(vec []uint32) *machine.Machine {
 		ct.load(c.m, c.mVec, vec)
@@ -174,20 +176,23 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 	c.m, c.mVec = m.Clone(), slices.Clone(curVec)
 	check(curVec)
 	for range length {
-		misses := c.stats.MemoMisses
-		if err := c.expand(cur); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		hits += np - int(c.stats.MemoMisses-misses)
 		for p := range np {
-			rec := c.batch.raw[p*(w+2) : (p+1)*(w+2)]
+			rec := recs[p*(w+2) : (p+1)*(w+2)]
+			misses := c.stats.MemoMisses
+			e, err := c.successor(cur, rec, p)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if c.stats.MemoMisses == misses {
+				hits++
+			}
 			vec := rec[:w]
 			if got, want := getHash(rec[w:]), hashVec(vec); got != want {
 				t.Fatalf("%s: the step of %d from %v reaches %v with hash %#x; its full hash is %#x", name, p, curVec, vec, got, want)
 			}
 			stutter := slices.Equal(vec, curVec)
-			if c.batch.succs[p].selfLoop != stutter {
-				t.Fatalf("%s: the step of %d from %v has stutter bit %v, but reaches %v", name, p, curVec, c.batch.succs[p].selfLoop, vec)
+			if selfLoop := e.f2 == e.f && e.v2 == e.v; selfLoop != stutter {
+				t.Fatalf("%s: the step of %d from %v has stutter bit %v, but reaches %v", name, p, curVec, selfLoop, vec)
 			}
 			if stutter {
 				stutters++
@@ -199,7 +204,7 @@ func walkVectors(t *testing.T, name string, rng *rand.Rand, factory func() *mach
 		}
 		// Continue from one child: like the checker, keep only its record.
 		p := rng.Intn(np)
-		copy(cur, c.batch.raw[p*(w+2):(p+1)*(w+2)])
+		copy(cur, recs[p*(w+2):(p+1)*(w+2)])
 		walk = append(walk, walkOp{'s', p})
 		op := walkOp{'c', rng.Intn(np)}
 		if rng.Intn(2) == 0 {

@@ -215,3 +215,10 @@ func TestSortTokenPairs(t *testing.T) {
 		}
 	}
 }
+
+// Tokens returns the interned token sequence for id. The returned slice
+// aliases the table's backing storage and is valid until the next Reset.
+func (t *SigTable) Tokens(id int) []uint64 {
+	sp := t.spans[id]
+	return t.toks[sp[0]:sp[1]]
+}

@@ -80,13 +80,6 @@ func (t *SigTable) grow() {
 	}
 }
 
-// Tokens returns the interned token sequence for id. The returned slice
-// aliases the table's backing storage and is valid until the next Reset.
-func (t *SigTable) Tokens(id int) []uint64 {
-	sp := t.spans[id]
-	return t.toks[sp[0]:sp[1]]
-}
-
 // Reset forgets every interned sequence but keeps the allocated storage.
 // It clears only the slots the current ids occupy, so it costs O(Len()),
 // not O(capacity), and per-class reuse stays cheap. Ids from different

@@ -92,6 +92,6 @@ type Common struct {
 	SchedKind string `json:"sched,omitempty"`
 	// MaxSlots bounds a harness-driven run's schedule slots, including
 	// skipped ones (0 = harness default, 10000). Consumed by daemon
-	// sessions and statistical trials' depth fallback.
+	// sessions only: a sampled trial's slots are bounded by Depth.
 	MaxSlots int `json:"max_slots,omitempty"`
 }

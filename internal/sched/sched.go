@@ -134,24 +134,3 @@ func IsKBounded(schedule []int, n, k int) bool {
 	}
 	return true
 }
-
-// Occurrences counts how many times each processor 0..n-1 appears.
-func Occurrences(schedule []int, n int) []int {
-	out := make([]int, n)
-	for _, p := range schedule {
-		if p >= 0 && p < n {
-			out[p]++
-		}
-	}
-	return out
-}
-
-// CoversAll reports whether every processor 0..n-1 appears at least once.
-func CoversAll(schedule []int, n int) bool {
-	for _, c := range Occurrences(schedule, n) {
-		if c == 0 {
-			return false
-		}
-	}
-	return true
-}

@@ -1,7 +1,6 @@
 package selection
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -58,7 +57,7 @@ func TestCrossValidateQDecisionsAgainstModelChecker(t *testing.T) {
 			StatePreds: []mc.StatePredicate{mc.UniquenessPred},
 			TransPreds: []mc.TransitionPredicate{mc.StabilityPred},
 		})
-		if err != nil && !errors.Is(err, mc.ErrBudget) {
+		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Violation != nil {

@@ -259,7 +259,10 @@ func TestSelectLFig1ModelChecked(t *testing.T) {
 	if res.Violation != nil {
 		t.Fatalf("Algorithm 4 violated safety: %s (schedule %v)", res.Violation.Reason, res.Violation.Schedule)
 	}
-	t.Logf("explored %d states, complete=%v", res.StatesExplored, res.Complete)
+	if !res.Complete || res.StatesExplored != 140_781 {
+		t.Fatalf("explored %d states (complete=%v, %q budget spent); want the closed space of 140,781",
+			res.StatesExplored, res.Complete, res.Exhausted)
+	}
 }
 
 func TestSelectLFig2EndToEnd(t *testing.T) {

@@ -146,10 +146,6 @@ func buildHarness(cfg SessionConfig, sys *system.System) (*adversary.Harness, er
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadSession, err)
 		}
-		// Offset the per-class streams from the schedule stream exactly
-		// like the statistical checkers, so a session trace and a
-		// same-seed statistical trial draw identical fault sequences.
-		spec.CrashSeed, spec.StallSeed, spec.DropSeed = cfg.Config.Seed+1, cfg.Config.Seed+2, cfg.Config.Seed+3
 		h.Faults = adversary.NewFaults(spec, sys.NumProcs(), sys.NumVars())
 	}
 	if cfg.Config.MaxSlots > 0 {

@@ -179,7 +179,6 @@ func (o Options) mcOptions() mc.Options {
 		SymmetryReduce: o.Symmetry,
 		Obs:            o.Obs,
 		Ctx:            o.Ctx,
-		Partial:        true,
 	}
 }
 

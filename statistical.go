@@ -88,11 +88,7 @@ func (s *statHarness) run(seed int64, depth int) (*adversary.Result, error) {
 		h.Sched = adversary.Uniform(rng, s.procs)
 	}
 	if s.spec.Enabled() {
-		spec := s.spec
-		// Per-class streams get their own trial-local seeds, offset so
-		// the schedule stream and the three fault streams never alias.
-		spec.CrashSeed, spec.StallSeed, spec.DropSeed = seed+1, seed+2, seed+3
-		h.Faults = adversary.NewFaults(spec, s.procs, s.vars)
+		h.Faults = adversary.NewFaults(s.spec.Seeded(seed), s.procs, s.vars)
 	}
 	return h.Run()
 }
@@ -143,7 +139,6 @@ func (sh *statHarness) check(name string, o Options) (*StatReport, error) {
 		Workers:     o.Workers,
 		Seed:        o.Seed,
 		MaxDuration: o.MaxDuration.Std(),
-		Partial:     true,
 		Obs:         o.Obs,
 		Ctx:         o.Ctx,
 	})
