@@ -85,7 +85,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "every processor paired: %v\n", lab.EveryProcPaired())
 
 	if *orbits {
-		o, err := autgrp.Compute(sys, autgrp.Options{})
+		o, err := autgrp.Compute(sys)
 		if err != nil {
 			fmt.Fprintf(out, "orbits: skipped (%v)\n", err)
 		} else {

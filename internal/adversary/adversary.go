@@ -66,9 +66,21 @@ func Shuffled(rng *rand.Rand, n int) machine.Scheduler {
 }
 
 // Uniform streams uniform random picks (sched.UniformRandom as a stream;
-// fair with probability 1 but not k-bounded for any k).
-func Uniform(rng *rand.Rand, n int) machine.Scheduler {
-	return &generator{gen: func() ([]int, error) { return sched.UniformRandom(rng, n, 1) }}
+// fair with probability 1 but not k-bounded for any k). Each pick is one
+// draw from rng, as sched.UniformRandom makes it, so a slot allocates
+// nothing. n < 1 ends the stream.
+func Uniform(rng *rand.Rand, n int) machine.Scheduler { return &uniform{rng: rng, n: n} }
+
+type uniform struct {
+	rng *rand.Rand
+	n   int
+}
+
+func (u *uniform) Next(*machine.Machine) (int, bool) {
+	if u.n < 1 {
+		return 0, false
+	}
+	return u.rng.Intn(u.n), true
 }
 
 // FLP is the Theorem 1 adversary: an adaptive general-schedule scheduler

@@ -82,6 +82,14 @@ func TestAdaptersMatchSchedGenerators(t *testing.T) {
 		t.Errorf("Uniform adapter %v != sched %v", got, want)
 	}
 
+	if _, ok := Uniform(rand.New(rand.NewSource(9)), 0).Next(m); ok {
+		t.Error("Uniform over no processors should end the stream")
+	}
+	u := Uniform(rand.New(rand.NewSource(9)), n)
+	if allocs := testing.AllocsPerRun(100, func() { u.Next(m) }); allocs != 0 {
+		t.Errorf("a Uniform pick allocates %v times, want 0", allocs)
+	}
+
 	want, err = sched.Starve([]int{1, 3}, rounds)
 	if err != nil {
 		t.Fatal(err)

@@ -28,25 +28,20 @@ var (
 	ErrTooMany = errors.New("autgrp: automorphism limit exceeded")
 )
 
-// Options configures the search.
-type Options struct {
-	// Limit bounds the number of automorphisms enumerated; 0 means the
-	// default (1<<20). Exceeding it returns ErrTooMany.
-	Limit int
-}
-
-// DefaultLimit is the default automorphism enumeration bound.
+// DefaultLimit bounds the number of automorphisms enumerated; past it
+// Automorphisms returns ErrTooMany.
 const DefaultLimit = 1 << 20
 
 // Automorphisms enumerates every automorphism of sys (including the
 // identity), in deterministic order.
-func Automorphisms(sys *system.System, opts Options) ([]system.Permutation, error) {
+func Automorphisms(sys *system.System) ([]system.Permutation, error) {
+	return automorphisms(sys, DefaultLimit)
+}
+
+// automorphisms is Automorphisms with the enumeration bound given.
+func automorphisms(sys *system.System, limit int) ([]system.Permutation, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, fmt.Errorf("autgrp: %w", err)
-	}
-	limit := opts.Limit
-	if limit <= 0 {
-		limit = DefaultLimit
 	}
 	// Similarity classes bound the orbits (Theorem 10): a processor can
 	// only map within its similarity class.
@@ -164,8 +159,8 @@ type Orbits struct {
 }
 
 // Compute enumerates the automorphism group and returns node orbits.
-func Compute(sys *system.System, opts Options) (*Orbits, error) {
-	auts, err := Automorphisms(sys, opts)
+func Compute(sys *system.System) (*Orbits, error) {
+	auts, err := Automorphisms(sys)
 	if err != nil {
 		return nil, err
 	}

@@ -17,7 +17,7 @@ func TestRingGroupIsCyclic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, err := Compute(s, Options{})
+		o, err := Compute(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestDiningFlippedGroupIsDihedralLike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := Compute(s, Options{})
+	o, err := Compute(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestDining5FullOrbit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := Compute(s, Options{})
+	o, err := Compute(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestDining5FullOrbit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o6, err := Compute(s6, Options{})
+	o6, err := Compute(s6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestMarkedRingIsRigid(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.ProcInit[2] = "leader"
-	o, err := Compute(s, Options{})
+	o, err := Compute(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestMarkedRingIsRigid(t *testing.T) {
 }
 
 func TestFig2Orbits(t *testing.T) {
-	o, err := Compute(system.Fig2(), Options{})
+	o, err := Compute(system.Fig2())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +136,8 @@ func TestTheorem10OrbitsRefineSimilarity(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		o, err := Compute(s, Options{Limit: 1 << 16})
-		if errors.Is(err, ErrTooMany) {
-			continue
-		}
+		// At most 6!·4! = 17,280 automorphisms, well inside DefaultLimit.
+		o, err := Compute(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +163,7 @@ func TestGroupClosureAndIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auts, err := Automorphisms(s, Options{})
+	auts, err := Automorphisms(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +209,7 @@ func TestLimitExceeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Automorphisms(s, Options{Limit: 3}); !errors.Is(err, ErrTooMany) {
+	if _, err := automorphisms(s, 3); !errors.Is(err, ErrTooMany) {
 		t.Errorf("limit error = %v, want ErrTooMany", err)
 	}
 }
@@ -219,7 +217,7 @@ func TestLimitExceeded(t *testing.T) {
 func TestInvalidSystem(t *testing.T) {
 	s := system.Fig1()
 	s.Nbr[0][0] = 42
-	if _, err := Automorphisms(s, Options{}); err == nil {
+	if _, err := Automorphisms(s); err == nil {
 		t.Error("invalid system should fail")
 	}
 }
@@ -251,7 +249,7 @@ func BenchmarkOrbitsDining(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compute(s, Options{}); err != nil {
+		if _, err := Compute(s); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -86,18 +86,19 @@ type Labeling struct {
 // alike, read under an environment rule. newGraph lays out a static
 // System (processor p is slot p, variable v is slot NumProcs+v) for the
 // static entry points, and DynSystem mutates one in place. It is a
-// partition.DynStructure and partition.CountStructure for the
-// production drivers, and a partition.Structure for the naive oracle
-// and IsStable.
+// partition.DynStructure for the production drivers, and a
+// partition.Structure for the naive oracle and IsStable.
 //
-// A variable's incident edges are kept as two parallel lists, so
-// Dependents hands out the stored processor list without building one.
+// Every list is stored the way OutEdges and Dependents hand it out: a
+// variable's incident edges as two parallel lists, and a processor's
+// name indices as one shared 0..k-1 list.
 type graph struct {
 	rule    Rule
 	kind    []byte   // 'P' or 'V', 0 for a free slot
 	init    []string // slot -> initial state
 	crashed []bool   // proc slot -> crashed (crashMark in its InitKey)
 	nbr     [][]int  // proc slot -> var slot per name index
+	names   []int    // 0..k-1, the name indices of every processor's edges
 	inProc  [][]int  // var slot -> incident proc slots
 	inName  [][]int  // var slot -> name index of each inProc edge
 }
@@ -117,8 +118,12 @@ func newGraph(sys *system.System, rule Rule) (*graph, error) {
 		init:    append(append(make([]string, 0, n), sys.ProcInit...), sys.VarInit...),
 		crashed: make([]bool, n),
 		nbr:     make([][]int, n),
+		names:   make([]int, len(sys.Names)),
 		inProc:  make([][]int, n),
 		inName:  make([][]int, n),
+	}
+	for k := range g.names {
+		g.names[k] = k
 	}
 	m, deg := 0, make([]int, n)
 	for _, row := range sys.Nbr {
@@ -156,6 +161,18 @@ func (g *graph) Alive(i int) bool { return g.kind[i] != 0 }
 // worklist.
 func (g *graph) Counting() bool { return g.rule == RuleQ }
 
+// OutEdges hands out a slot's stored edges, each tagged by a name index:
+// a processor reads its n-neighbor for each name n (condition (2)), and
+// a variable each incident processor through the name that processor
+// gives it (condition (3)). partition counts the (name, label) pairs
+// under Q and takes their set under S.
+func (g *graph) OutEdges(i int) (to, tags []int) {
+	if g.kind[i] == 'P' {
+		return g.nbr[i], g.names[:len(g.nbr[i])]
+	}
+	return g.inProc[i], g.inName[i]
+}
+
 func (g *graph) InitKey(i int) string {
 	// Kind tag plus length-prefixed initial state: the length field runs
 	// to the first ':', then exactly that many bytes follow, so an
@@ -171,8 +188,9 @@ func (g *graph) InitKey(i int) string {
 	return "P" + strconv.Itoa(len(init)) + ":" + init
 }
 
-// Signature is the string spelling of AppendSignature that the naive
-// oracle and IsStable read.
+// Signature spells a slot's environment as a string, for the naive
+// oracle and IsStable. Two slots of one kind have equal Signatures iff
+// the signatures partition derives from their OutEdges are equal.
 func (g *graph) Signature(i int, label func(int) int) string {
 	var b strings.Builder
 	if g.kind[i] == 'P' {
@@ -206,63 +224,6 @@ func (g *graph) Signature(i int, label func(int) int) string {
 		b.WriteByte(';')
 	}
 	return b.String()
-}
-
-// AppendSignature implements partition.TokenStructure: the same
-// environment information as Signature, emitted as uint64 tokens into a
-// caller-owned buffer. Classes never mix processors and variables
-// (InitKey separates the kinds), so the two encodings need no kind tag:
-//
-//   - processor: the n-neighbor labels in NAMES order (condition (2));
-//   - variable under Q: the sorted multiset of (name, label) pairs,
-//     which encodes the per-(name, label) counts of condition (3);
-//   - variable under S: the sorted set of (name, label) pairs.
-//
-// Two nodes of one kind produce equal token sequences iff their
-// Signature strings are equal.
-func (g *graph) AppendSignature(buf []uint64, i int, label func(int) int) []uint64 {
-	if g.kind[i] == 'P' {
-		for _, vs := range g.nbr[i] {
-			buf = append(buf, uint64(int64(label(vs))))
-		}
-		return buf
-	}
-	start := len(buf)
-	for k, p := range g.inProc[i] {
-		buf = append(buf, uint64(int64(g.inName[i][k])), uint64(int64(label(p))))
-	}
-	partition.SortTokenPairs(buf[start:])
-	if g.rule == RuleQ {
-		return buf
-	}
-	// Set rule: writes overwrite, so only distinct pairs are observable.
-	out := start
-	for k := start; k < len(buf); k += 2 {
-		if k > start && buf[k] == buf[out-2] && buf[k+1] == buf[out-1] {
-			continue
-		}
-		buf[out], buf[out+1] = buf[k], buf[k+1]
-		out += 2
-	}
-	return buf[:out]
-}
-
-// AppendOutEdges implements partition.CountStructure for the Q
-// (counting) rule: a processor depends on its n-neighbor through an
-// edge tagged by the name index, and a variable depends on each
-// incident processor the same way. The multiset of tags into a class is
-// exactly the paper's environment conditions (2) and (3).
-func (g *graph) AppendOutEdges(buf []partition.TaggedEdge, i int) []partition.TaggedEdge {
-	if g.kind[i] == 'P' {
-		for k, vs := range g.nbr[i] {
-			buf = append(buf, partition.TaggedEdge{To: vs, Tag: k})
-		}
-		return buf
-	}
-	for k, p := range g.inProc[i] {
-		buf = append(buf, partition.TaggedEdge{To: p, Tag: g.inName[i][k]})
-	}
-	return buf
 }
 
 // Dependents: a processor's label feeds the environments of its

@@ -2,10 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"simsym/internal/obs"
+	"simsym/internal/partition"
 	"simsym/internal/system"
 )
 
@@ -347,5 +350,71 @@ func TestDynSystemObsCounters(t *testing.T) {
 	}
 	if found != 2 {
 		t.Fatalf("relabel events = %d, want 2", found)
+	}
+}
+
+// outEdgeLists copies every slot's OutEdges lists.
+func outEdgeLists(g *graph) [][2][]int {
+	out := make([][2][]int, g.Len())
+	for i := range out {
+		to, tags := g.OutEdges(i)
+		out[i] = [2][]int{slices.Clone(to), slices.Clone(tags)}
+	}
+	return out
+}
+
+// TestOutEdgesUnchanged pins the zero-copy contract of graph.OutEdges:
+// the drivers read the graph's own lists and never write through them.
+// Under both rules, on Tree(63) as laid out and after churn that runs
+// merge passes, every list is snapshot, then FixpointHopcroft,
+// FixpointWorklist and Dyn updates run over the graph, and every list
+// must read as before. The updates crash and restart processors, which
+// changes init keys only, so settle and the merge pass re-read edges
+// that did not change.
+func TestOutEdgesUnchanged(t *testing.T) {
+	for _, rule := range []Rule{RuleQ, RuleSetS} {
+		for _, events := range []int{0, 200} {
+			churnPasses := 0
+			d := treeChurn(t, 63, events, rule, 3, func(_ *DynSystem, st partition.UpdateStats) {
+				if st.MergePass {
+					churnPasses++
+				}
+			})
+			if events > 0 && churnPasses == 0 {
+				t.Fatalf("%v: %d churn events ran no merge pass", rule, events)
+			}
+			want := outEdgeLists(d.g)
+			check := func(after string) {
+				t.Helper()
+				if !reflect.DeepEqual(outEdgeLists(d.g), want) {
+					t.Fatalf("%v after %d churn events: %s wrote through an OutEdges list", rule, events, after)
+				}
+			}
+			if _, err := partition.FixpointHopcroft(d.g, nil); err != nil {
+				t.Fatal(err)
+			}
+			check("FixpointHopcroft")
+			if _, err := partition.FixpointWorklist(d.g, nil); err != nil {
+				t.Fatal(err)
+			}
+			check("FixpointWorklist")
+			passes := 0
+			for _, id := range d.ProcIDs()[:16] {
+				for _, op := range []MutOp{OpCrash, OpRestart} {
+					st, err := d.Apply(Mutation{Op: op, Proc: id})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st.MergePass {
+						passes++
+					}
+					check(fmt.Sprintf("Dyn.Update (%s %s)", op, id))
+				}
+			}
+			if passes == 0 {
+				t.Fatalf("%v: crash and restart ran no merge pass", rule)
+			}
+			assertDynOracle(t, d)
+		}
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"fmt"
 
 	"simsym/internal/core"
-	"simsym/internal/family"
 	"simsym/internal/selection"
 	"simsym/internal/system"
 )
@@ -148,7 +147,7 @@ func DecideExtended(n *Net) (*selection.Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	return selection.DecideL(s, family.RelabelOptions{})
+	return selection.DecideL(s)
 }
 
 // TransferCondition reports whether the similarity labeling of the

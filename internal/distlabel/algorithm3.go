@@ -151,7 +151,7 @@ func PlanAlgorithm3(fam *family.Family) (*Plan3, error) {
 //
 // The outcomes are returned alongside so callers can correlate
 // MemberLabels[i] with outcome i.
-func PlanAlgorithm4(sys *system.System, relOpts family.RelabelOptions) (*Plan3, []*system.System, error) {
+func PlanAlgorithm4(sys *system.System) (*Plan3, []*system.System, error) {
 	if err := ValidateRuntime(sys); err != nil {
 		return nil, nil, err
 	}
@@ -161,7 +161,7 @@ func PlanAlgorithm4(sys *system.System, relOpts family.RelabelOptions) (*Plan3, 
 				ErrShape, "0", v, sys.VarInit[v])
 		}
 	}
-	outcomes, err := family.RelabelOutcomes(sys, relOpts)
+	outcomes, err := family.RelabelOutcomes(sys)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -308,7 +308,7 @@ func TestAlgorithm4DirectOnFig1(t *testing.T) {
 	// Direct in-package exercise of the L pipeline: relabel by lock
 	// race, lock-simulated posts, two phases, ELITE election.
 	s := system.Fig1()
-	plan, outcomes, err := PlanAlgorithm4(s, family.RelabelOptions{})
+	plan, outcomes, err := PlanAlgorithm4(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestAlgorithm4DirectOnFig1(t *testing.T) {
 func TestAlgorithm4Preconditions(t *testing.T) {
 	bad := system.Fig1()
 	bad.VarInit[0] = "7"
-	if _, _, err := PlanAlgorithm4(bad, family.RelabelOptions{}); err == nil {
+	if _, _, err := PlanAlgorithm4(bad); err == nil {
 		t.Error("nonzero variable counter should be rejected")
 	}
 	dup := &system.System{

@@ -10,7 +10,6 @@ import (
 	"simsym/internal/core"
 	"simsym/internal/dining"
 	"simsym/internal/distlabel"
-	"simsym/internal/family"
 	"simsym/internal/machine"
 	"simsym/internal/mc"
 	"simsym/internal/mimic"
@@ -202,7 +201,7 @@ func E4DP5() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	o, err := autgrp.Compute(s, autgrp.Options{})
+	o, err := autgrp.Compute(s)
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +256,7 @@ func E5DP6(maxStates int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	o, err := autgrp.Compute(s, autgrp.Options{})
+	o, err := autgrp.Compute(s)
 	if err != nil {
 		return nil, err
 	}
@@ -673,7 +672,7 @@ func E10Orbits() (*Table, error) {
 	}
 	entries = append(entries, entry{"fig2", system.Fig2()})
 	for _, e := range entries {
-		o, err := autgrp.Compute(e.sys, autgrp.Options{})
+		o, err := autgrp.Compute(e.sys)
 		if err != nil {
 			return nil, err
 		}
@@ -712,7 +711,7 @@ func E11EliteL(runsPerSystem int) (*Table, error) {
 		{"dining(5)", mustDining(5)},
 	}
 	for _, e := range entries {
-		d, err := selection.DecideL(e.sys, family.RelabelOptions{})
+		d, err := selection.DecideL(e.sys)
 		if err != nil {
 			return nil, err
 		}

@@ -140,12 +140,6 @@ func (f *Family) Labeling(rule core.Rule) ([]*MemberLabeling, error) {
 	return out, nil
 }
 
-// RelabelOptions configures relabel-outcome enumeration.
-type RelabelOptions struct {
-	// Limit bounds the number of outcomes; 0 means DefaultOutcomeLimit.
-	Limit int
-}
-
 // RelabelState encodes a processor's post-relabel initial state: its
 // original initial state plus, for each name in order, the count it read
 // when it locked that neighbor (its rank among the variable's lockers).
@@ -177,14 +171,11 @@ func RelabelState(orig string, ranks []int) string {
 // relabel's sequential locking can correlate orders across variables in
 // some networks. The over-approximation is conservative for the paper's
 // constructions and exact on its examples (see DESIGN.md).
-func RelabelOutcomes(sys *system.System, opts RelabelOptions) ([]*system.System, error) {
+func RelabelOutcomes(sys *system.System) ([]*system.System, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, fmt.Errorf("family: %w", err)
 	}
-	limit := opts.Limit
-	if limit <= 0 {
-		limit = DefaultOutcomeLimit
-	}
+	const limit = DefaultOutcomeLimit
 	vn := sys.VarNeighbors()
 	// Count outcomes: product of d_v! over variables.
 	total := 1
@@ -252,8 +243,8 @@ func buildOutcome(sys *system.System, vn [][]system.Edge, perVar [][][]system.Ed
 // Versions computes the paper's VERSIONS for a system in L: the
 // similarity labelings (in Q, shared label space) of every relabel
 // outcome, deduplicated up to identical label vectors.
-func Versions(sys *system.System, opts RelabelOptions) ([]*MemberLabeling, error) {
-	outcomes, err := RelabelOutcomes(sys, opts)
+func Versions(sys *system.System) ([]*MemberLabeling, error) {
+	outcomes, err := RelabelOutcomes(sys)
 	if err != nil {
 		return nil, err
 	}

@@ -91,7 +91,7 @@ func TestIdenticalMembersShareLabels(t *testing.T) {
 
 func TestRelabelOutcomesFig1(t *testing.T) {
 	// Fig1: one variable with two lockers: exactly 2 outcomes.
-	outcomes, err := RelabelOutcomes(system.Fig1(), RelabelOptions{})
+	outcomes, err := RelabelOutcomes(system.Fig1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestRelabelOutcomesDining5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outcomes, err := RelabelOutcomes(dp, RelabelOptions{})
+	outcomes, err := RelabelOutcomes(dp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestRelabelOutcomesDining5(t *testing.T) {
 func TestVersionsFig1AllDistinguish(t *testing.T) {
 	// Fig1 in L: both outcomes isomorphic; every version labels the two
 	// processors differently (they share v under the same name).
-	versions, err := Versions(system.Fig1(), RelabelOptions{})
+	versions, err := Versions(system.Fig1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestVersionsRingNeverDistinguish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	versions, err := Versions(ring, RelabelOptions{})
+	versions, err := Versions(ring)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestVersionsRingNeverDistinguish(t *testing.T) {
 func TestVersionsShareLabelSpace(t *testing.T) {
 	// Labels must be comparable across versions: the same rank pattern
 	// in two different outcomes gets the same label.
-	versions, err := Versions(system.Fig1(), RelabelOptions{})
+	versions, err := Versions(system.Fig1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,11 +216,13 @@ func TestVersionsShareLabelSpace(t *testing.T) {
 }
 
 func TestRelabelOutcomeLimit(t *testing.T) {
-	ring, err := system.Ring(12)
+	// Ring(15) has 2^15 = 32,768 outcomes, past DefaultOutcomeLimit;
+	// they are counted before any is built.
+	ring, err := system.Ring(15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RelabelOutcomes(ring, RelabelOptions{Limit: 100}); !errors.Is(err, ErrTooManyOutcomes) {
+	if _, err := RelabelOutcomes(ring); !errors.Is(err, ErrTooManyOutcomes) {
 		t.Errorf("limit error = %v, want ErrTooManyOutcomes", err)
 	}
 }

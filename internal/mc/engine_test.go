@@ -465,7 +465,7 @@ type storageRef struct {
 // permuted key over the automorphism group.
 func reachableStorage(t *testing.T, sys *system.System, factory func() (*machine.Machine, error)) storageRef {
 	t.Helper()
-	auts, err := autgrp.Automorphisms(sys, autgrp.Options{})
+	auts, err := autgrp.Automorphisms(sys)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -371,7 +371,7 @@ func (c *checker) check(factory func() (*machine.Machine, error), opts Options) 
 		c.deadline = c.start.Add(opts.MaxDuration)
 	}
 	if opts.SymmetryReduce {
-		auts, err := autgrp.Automorphisms(m0.System(), autgrp.Options{})
+		auts, err := autgrp.Automorphisms(m0.System())
 		if err != nil {
 			return nil, fmt.Errorf("mc: symmetry: %w", err)
 		}

@@ -12,7 +12,7 @@
 // for its predicate types; the root facade closes the loop by wiring
 // harness-backed trials into Sample. Determinism is by construction:
 // every trial's PRNG seed is derived from (base seed, sample index) via
-// SplitMix64, trials are merged in sample-index order, and progress
+// SplitMix64, trials are merged in sample-index order, and round
 // events fire at fixed round boundaries — so the result is byte-for-byte
 // identical across worker counts.
 package mc
@@ -93,9 +93,10 @@ type SampleOptions struct {
 	// (1024).
 	Depth int
 	// Workers > 1 runs trials of each round concurrently over that many
-	// goroutines. Seeds are per-sample, not per-worker, and merging is
-	// in sample-index order, so the result is identical for every
-	// worker count.
+	// goroutines. A round is sampleRound (512) trials, the unit of
+	// merging, budget polling and KindSample events. Seeds are
+	// per-sample, not per-worker, and merging is in sample-index order,
+	// so the result is identical for every worker count.
 	Workers int
 	// Seed is the base PRNG seed; each trial i runs with
 	// SampleSeed(Seed, i).
@@ -103,14 +104,6 @@ type SampleOptions struct {
 	// MaxDuration bounds wall-clock sampling time, checked at round
 	// boundaries; 0 means unbounded.
 	MaxDuration time.Duration
-	// Progress, when non-nil, receives a SampleStats snapshot after
-	// every merged round and once when sampling finishes.
-	Progress func(SampleStats)
-	// ProgressEvery is the round size in samples — the unit of merging,
-	// budget polling, and progress reporting; 0 means the default
-	// (512). Round boundaries are fixed by this option alone, so the
-	// event stream does not depend on Workers.
-	ProgressEvery int
 	// Obs, when non-nil, receives structured events and metrics: an
 	// mc.sample phase, one KindSample event per merged round, counters
 	// mirroring SampleStats, and the final verdict. Events are
@@ -128,11 +121,13 @@ const (
 	DefaultEpsilon     = 0.01
 	DefaultDelta       = 0.05
 	DefaultSampleDepth = 1024
-	DefaultSampleEvery = 512
 )
 
+// sampleRound is the number of trials per round.
+const sampleRound = 512
+
 // SampleStats is the sampler's observability surface, exposed through
-// SampleResult and the Progress callback. Every field is a deterministic
+// SampleResult. Every field is a deterministic
 // function of (seed, options): wall-clock and worker-count facts are
 // deliberately absent so that same-seed results compare byte-for-byte.
 type SampleStats struct {
@@ -256,10 +251,6 @@ func Sample(trial TrialFunc, opts SampleOptions) (*SampleResult, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	round := opts.ProgressEvery
-	if round <= 0 {
-		round = DefaultSampleEvery
-	}
 
 	target := OkamotoBound(eps, delta)
 	draw := target
@@ -276,13 +267,13 @@ func Sample(trial TrialFunc, opts SampleOptions) (*SampleResult, error) {
 
 	res := &SampleResult{Target: target}
 	res.Stats = SampleStats{Target: target, Depth: depth}
-	outcomes := make([]Trial, round)
-	errs := make([]error, round)
+	outcomes := make([]Trial, sampleRound)
+	errs := make([]error, sampleRound)
 	firstIdx := -1
 	var firstTrial Trial
 
-	for base := 0; base < draw && res.Exhausted == ""; base += round {
-		m := round
+	for base := 0; base < draw && res.Exhausted == ""; base += sampleRound {
+		m := sampleRound
 		if base+m > draw {
 			m = draw - base
 		}
@@ -331,9 +322,6 @@ func Sample(trial TrialFunc, opts SampleOptions) (*SampleResult, error) {
 		res.Stats.Violations = res.Violations
 		res.Stats.Rounds++
 		opts.Obs.SampleRound("mc.sample", res.Samples, res.Violations, target)
-		if opts.Progress != nil {
-			opts.Progress(res.Stats)
-		}
 		switch {
 		case opts.Ctx != nil && opts.Ctx.Err() != nil:
 			res.Exhausted = "canceled"
@@ -390,9 +378,6 @@ func Sample(trial TrialFunc, opts SampleOptions) (*SampleResult, error) {
 		}
 		r.Verdict("mc.sample", res.Violations == 0, detail)
 		r.PhaseEnd("mc.sample", int64(res.Samples))
-	}
-	if opts.Progress != nil {
-		opts.Progress(res.Stats)
 	}
 	return res, nil
 }

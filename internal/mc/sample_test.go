@@ -112,7 +112,7 @@ func TestSampleDeterministicAcrossWorkers(t *testing.T) {
 	var results []*SampleResult
 	for _, workers := range []int{1, 3, 8} {
 		res, err := Sample(trial, SampleOptions{
-			Epsilon: 0.05, Delta: 0.05, Seed: 99, Workers: workers, ProgressEvery: 100,
+			Epsilon: 0.05, Delta: 0.05, Seed: 99, Workers: workers,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -129,12 +129,13 @@ func TestSampleDeterministicAcrossWorkers(t *testing.T) {
 func TestSampleFirstViolationIsIndexLeast(t *testing.T) {
 	// Violating trials are identified by their derived seeds; the
 	// reported one must be the lowest sample index, not the first found
-	// by any worker.
+	// by any worker or in the last round merged. Index 600 lies in the
+	// second round of 512.
 	const base int64 = 5
 	violating := map[int64]bool{
 		SampleSeed(base, 123): true,
 		SampleSeed(base, 77):  true,
-		SampleSeed(base, 500): true,
+		SampleSeed(base, 600): true,
 	}
 	trial := func(seed int64, depth int, capture bool) (Trial, error) {
 		t := Trial{Steps: 1, Slots: 1}
@@ -149,7 +150,7 @@ func TestSampleFirstViolationIsIndexLeast(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		res, err := Sample(trial, SampleOptions{
-			Epsilon: 0.05, Delta: 0.05, Seed: base, Workers: workers, ProgressEvery: 64,
+			Epsilon: 0.05, Delta: 0.05, Seed: base, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -183,7 +184,7 @@ func TestSampleCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := Sample(syntheticTrial(0, 2), SampleOptions{
-		Epsilon: 0.05, Delta: 0.05, ProgressEvery: 10, Ctx: ctx,
+		Epsilon: 0.05, Delta: 0.05, Ctx: ctx,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -191,8 +192,8 @@ func TestSampleCancellation(t *testing.T) {
 	if res.Exhausted != "canceled" || res.Complete {
 		t.Errorf("canceled run: %+v", res)
 	}
-	if res.Samples != 10 {
-		t.Errorf("cancellation polls at round boundaries: samples = %d, want one round of 10", res.Samples)
+	if res.Samples != sampleRound {
+		t.Errorf("cancellation polls at round boundaries: samples = %d, want one round of %d", res.Samples, sampleRound)
 	}
 }
 
@@ -233,7 +234,7 @@ func TestSampleObsStream(t *testing.T) {
 	ring := obs.NewRing(64)
 	rec := obs.New(ring)
 	res, err := Sample(syntheticTrial(1, 4), SampleOptions{
-		Epsilon: 0.05, Delta: 0.05, MaxSamples: 30, ProgressEvery: 10, Obs: rec,
+		Epsilon: 0.05, Delta: 0.05, Obs: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -243,17 +244,21 @@ func TestSampleObsStream(t *testing.T) {
 	for _, e := range evs {
 		kinds = append(kinds, e.Kind)
 	}
+	// 738 samples are a round of 512 and one of 226.
 	want := []obs.Kind{
 		obs.KindPhaseStart,
-		obs.KindSample, obs.KindSample, obs.KindSample,
+		obs.KindSample, obs.KindSample,
 		obs.KindStat, obs.KindVerdict, obs.KindPhaseEnd,
 	}
 	if !reflect.DeepEqual(kinds, want) {
 		t.Fatalf("event kinds = %v, want %v", kinds, want)
 	}
-	first := evs[1] // first sample round
-	if first.A != 10 || first.C != int64(res.Target) {
-		t.Errorf("first round event = %+v, want 10 merged toward target %d", first, res.Target)
+	first, last := evs[1], evs[2]
+	if first.A != sampleRound || first.C != int64(res.Target) {
+		t.Errorf("first round event = %+v, want %d merged toward target %d", first, sampleRound, res.Target)
+	}
+	if res.Target != 738 || last.A != int64(res.Target) {
+		t.Errorf("last round event = %+v, want all %d samples of target 738 merged", last, res.Target)
 	}
 	if got := rec.Metrics().Counter("mc.samples").Value(); got != int64(res.Samples) {
 		t.Errorf("mc.samples counter = %d, want %d", got, res.Samples)
@@ -264,18 +269,22 @@ func TestSampleObsStream(t *testing.T) {
 }
 
 func TestSampleTimeBudget(t *testing.T) {
+	// Each trial spins for 50µs, so a round of 512 outlasts the 10 ms
+	// budget, which is polled when the round ends. (A sleep that short
+	// can take a millisecond on a host with a coarse timer.)
 	slow := func(seed int64, depth int, capture bool) (Trial, error) {
-		time.Sleep(2 * time.Millisecond)
+		for start := time.Now(); time.Since(start) < 50*time.Microsecond; {
+		}
 		return Trial{Steps: 1, Slots: 1}, nil
 	}
 	res, err := Sample(slow, SampleOptions{
-		Epsilon: 0.05, Delta: 0.05, ProgressEvery: 5,
+		Epsilon: 0.05, Delta: 0.05,
 		MaxDuration: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Complete || res.Exhausted != "time" {
-		t.Errorf("slow run should hit the time budget: %+v", res)
+	if res.Complete || res.Exhausted != "time" || res.Samples != sampleRound {
+		t.Errorf("slow run should hit the time budget after one round: %+v", res)
 	}
 }

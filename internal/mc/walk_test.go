@@ -87,7 +87,7 @@ func walkExact(t *testing.T, factory func() (*machine.Machine, error), pred, stu
 	var auts []system.Permutation
 	if sys != nil {
 		var err error
-		if auts, err = autgrp.Automorphisms(sys, autgrp.Options{}); err != nil {
+		if auts, err = autgrp.Automorphisms(sys); err != nil {
 			t.Fatal(err)
 		}
 	}

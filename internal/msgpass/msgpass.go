@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"simsym/internal/partition"
 )
@@ -77,75 +76,31 @@ func (n *Network) In() [][]int {
 	return in
 }
 
-// netStructure adapts a Network to partition.Structure and
-// partition.TokenStructure. The production path is AppendSignature's
-// interned tokens (FixpointWorklist); the string Signature below is the
-// oracle path, kept only so FixpointNaive can cross-check the token
-// encoding on random networks (see the agreement test).
+// netStructure adapts a Network to partition.TokenStructure. A
+// processor's out-edges are its in-neighbors, all tagged 0, so
+// partition's signature is the multiset (counting) or set of their
+// labels.
 type netStructure struct {
 	net      *Network
 	in       [][]int
+	zeros    []int // one 0 tag per in-edge of the largest in-degree
 	counting bool
 }
 
-func (s *netStructure) Len() int             { return s.net.NumProcs() }
-func (s *netStructure) InitKey(i int) string { return s.net.Init[i] }
-
-// Signature is the run-length string encoding of the in-neighbor label
-// multiset (counting) or set (overwrite) — the oracle spelling of
-// AppendSignature.
-func (s *netStructure) Signature(i int, label func(int) int) string {
-	labels := make([]int, 0, len(s.in[i]))
-	for _, p := range s.in[i] {
-		labels = append(labels, label(p))
+func newNetStructure(n *Network, counting bool) *netStructure {
+	s := &netStructure{net: n, in: n.In(), counting: counting}
+	deg := 0
+	for _, in := range s.in {
+		deg = max(deg, len(in))
 	}
-	sort.Ints(labels)
-	var b strings.Builder
-	prev := -1
-	run := 0
-	flush := func() {
-		if run > 0 {
-			if s.counting {
-				fmt.Fprintf(&b, "%d*%d;", prev, run)
-			} else {
-				fmt.Fprintf(&b, "%d;", prev)
-			}
-		}
-	}
-	for _, l := range labels {
-		if l != prev {
-			flush()
-			prev = l
-			run = 0
-		}
-		run++
-	}
-	flush()
-	return b.String()
+	s.zeros = make([]int, deg)
+	return s
 }
 
-// AppendSignature implements partition.TokenStructure: the sorted
-// multiset (counting) or set (overwrite) of in-neighbor labels as raw
-// tokens, so refinement interns ints instead of formatting strings.
-func (s *netStructure) AppendSignature(buf []uint64, i int, label func(int) int) []uint64 {
-	start := len(buf)
-	for _, p := range s.in[i] {
-		buf = append(buf, uint64(int64(label(p))))
-	}
-	partition.SortTokens(buf[start:])
-	if s.counting {
-		return buf
-	}
-	out := start
-	for k := start; k < len(buf); k++ {
-		if k > start && buf[k] == buf[out-1] {
-			continue
-		}
-		buf[out] = buf[k]
-		out++
-	}
-	return buf[:out]
-}
+func (s *netStructure) Len() int                        { return s.net.NumProcs() }
+func (s *netStructure) InitKey(i int) string            { return s.net.Init[i] }
+func (s *netStructure) OutEdges(i int) (to, tags []int) { return s.in[i], s.zeros[:len(s.in[i])] }
+func (s *netStructure) Counting() bool                  { return s.counting }
 
 func (s *netStructure) Dependents(i int) []int { return s.net.Out[i] }
 
@@ -158,8 +113,7 @@ func Similarity(n *Network, counting bool) ([]int, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	st := &netStructure{net: n, in: n.In(), counting: counting}
-	p, err := partition.FixpointWorklist(st, nil)
+	p, err := partition.FixpointWorklist(newNetStructure(n, counting), nil)
 	if err != nil {
 		return nil, fmt.Errorf("msgpass: %w", err)
 	}

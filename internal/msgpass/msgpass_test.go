@@ -4,6 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"simsym/internal/partition"
@@ -339,8 +343,44 @@ func TestElectByFlooding(t *testing.T) {
 	}
 }
 
+// stringOracle is netStructure with a string Signature, so FixpointNaive
+// can cross-check the token path on random networks: the run-length
+// string encoding of the in-neighbor label multiset (counting) or set
+// (overwrite).
+type stringOracle struct{ *netStructure }
+
+func (s stringOracle) Signature(i int, label func(int) int) string {
+	labels := make([]int, 0, len(s.in[i]))
+	for _, p := range s.in[i] {
+		labels = append(labels, label(p))
+	}
+	sort.Ints(labels)
+	var b strings.Builder
+	prev := -1
+	run := 0
+	flush := func() {
+		if run > 0 {
+			if s.counting {
+				fmt.Fprintf(&b, "%d*%d;", prev, run)
+			} else {
+				fmt.Fprintf(&b, "%d;", prev)
+			}
+		}
+	}
+	for _, l := range labels {
+		if l != prev {
+			flush()
+			prev = l
+			run = 0
+		}
+		run++
+	}
+	flush()
+	return b.String()
+}
+
 // TestTokenSignatureMatchesStringOracle cross-checks the interned token
-// path (netStructure.AppendSignature via FixpointWorklist, the
+// path (netStructure.OutEdges via FixpointWorklist, the
 // production driver) against the string-signature oracle (FixpointNaive)
 // on random networks, in both the counting and overwrite regimes. The
 // two encodings must induce the same refinement relation.
@@ -354,12 +394,12 @@ func TestTokenSignatureMatchesStringOracle(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for _, counting := range []bool{true, false} {
-			st := &netStructure{net: net, in: net.In(), counting: counting}
+			st := newNetStructure(net, counting)
 			fast, err := partition.FixpointWorklist(st, nil)
 			if err != nil {
 				t.Fatalf("trial %d counting=%v: worklist: %v", trial, counting, err)
 			}
-			slow, err := partition.FixpointNaive(st)
+			slow, err := partition.FixpointNaive(stringOracle{st})
 			if err != nil {
 				t.Fatalf("trial %d counting=%v: naive: %v", trial, counting, err)
 			}
@@ -378,6 +418,70 @@ func TestTokenSignatureMatchesStringOracle(t *testing.T) {
 						trial, counting, got, want)
 				}
 			}
+		}
+	}
+}
+
+// aliveNet views a netStructure as a partition.DynStructure.
+type aliveNet struct{ *netStructure }
+
+func (aliveNet) Alive(int) bool { return true }
+
+// TestOutEdgesUnchanged pins the zero-copy contract of
+// netStructure.OutEdges: the drivers read its in-neighbor lists and its
+// shared zero tags and never write through them. Under both regimes
+// every list is snapshot, then FixpointHopcroft, FixpointWorklist and
+// Dyn updates run, and every list must read as before. The updates give
+// processors a fresh initial state and back, which changes init keys
+// only, so settle and the merge pass re-read edges that did not change.
+func TestOutEdgesUnchanged(t *testing.T) {
+	net, err := Random(rand.New(rand.NewSource(17)), 40, 0.08, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, counting := range []bool{true, false} {
+		st := newNetStructure(net, counting)
+		lists := func() (out [][2][]int) {
+			for i := 0; i < st.Len(); i++ {
+				to, tags := st.OutEdges(i)
+				out = append(out, [2][]int{slices.Clone(to), slices.Clone(tags)})
+			}
+			return out
+		}
+		want := lists()
+		check := func(after string) {
+			t.Helper()
+			if !reflect.DeepEqual(lists(), want) {
+				t.Fatalf("counting=%v: %s wrote through an OutEdges list", counting, after)
+			}
+		}
+		if _, err := partition.FixpointHopcroft(st, nil); err != nil {
+			t.Fatal(err)
+		}
+		check("FixpointHopcroft")
+		if _, err := partition.FixpointWorklist(st, nil); err != nil {
+			t.Fatal(err)
+		}
+		check("FixpointWorklist")
+		d, err := partition.NewDyn(aliveNet{st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		passes := 0
+		for p := 0; p < 16; p++ {
+			for _, init := range []string{"fresh", net.Init[p]} {
+				net.Init[p] = init
+				if d.Update([]int{p}).MergePass {
+					passes++
+				}
+				check(fmt.Sprintf("Dyn.Update (p%d init %q)", p, init))
+			}
+		}
+		if passes == 0 {
+			t.Fatalf("counting=%v: no update ran a merge pass", counting)
+		}
+		if err := d.Check(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -8,27 +8,19 @@ import (
 
 // DynStructure is a TokenStructure whose node set mutates in place:
 // slots may be born, die, change their initial key, or change their
-// environment between calls to Dyn.Update. Len reports the slot-space
-// size (dead slots included); Alive reports whether slot i currently
-// exists. Signatures, Dependents and out-edges must never reference
-// dead slots.
+// out-edges between calls to Dyn.Update. Len reports the slot-space size
+// (dead slots included); Alive reports whether slot i currently exists.
+// Out-edges and Dependents must never reference dead slots.
 //
-// From CountStructure it takes AppendOutEdges, which must append slot
-// i's tagged dependency edges, one for every slot whose label i's
-// signature reads: the merge pass builds its class quotient by
-// appending one representative's edges per class into an array it
-// reuses, rewriting their targets in place.
+// Settle encodes a slot's signature from its OutEdges, and the merge
+// pass builds its class quotient from one representative's OutEdges per
+// class, copying the targets as quotient nodes into arrays it owns.
+// Counting picks the quotient's driver: Hopcroft's smaller-half rule
+// when environments count, a nested Dyn build when they are sets.
 type DynStructure interface {
 	TokenStructure
-	CountStructure
 	// Alive reports whether slot i is currently part of the structure.
 	Alive(i int) bool
-	// Counting reports whether the signature is the multiset of (Tag,
-	// label(To)) pairs over the out-edges, as for a CountStructure. The
-	// merge pass then refines the quotient with Hopcroft's smaller-half
-	// rule; set-valued signatures, for which that rule is unsound, must
-	// report false and get a nested Dyn build.
-	Counting() bool
 }
 
 // UpdateStats describes the work one Dyn.Update performed. Counters are
@@ -128,13 +120,12 @@ type Dyn struct {
 	// unaffected classes.
 	enc sigEncoder
 
-	label   []int         // slot -> class id, -1 when dead
-	lbl     func(int) int // reads label; built once, as a method value would allocate per signature
-	pos     []int         // slot -> index within members[label[slot]]
-	members [][]int       // class -> member slots (internal; see ClassMembers)
-	freeCls []int         // recycled class ids
-	csig    []int         // class -> stable signature id, -1 unknown
-	cinit   []int         // class -> interned init-key id
+	label   []int   // slot -> class id, -1 when dead
+	pos     []int   // slot -> index within members[label[slot]]
+	members [][]int // class -> member slots (internal; see ClassMembers)
+	freeCls []int   // recycled class ids
+	csig    []int   // class -> stable signature id, -1 unknown
+	cinit   []int   // class -> interned init-key id
 
 	initTab map[string]int // init key -> dense id
 	initStr []string       // dense id -> init key
@@ -177,11 +168,10 @@ func newDyn(s DynStructure, hook RoundHook) (*Dyn, error) {
 	d := &Dyn{
 		s:       s,
 		hook:    hook,
-		enc:     sigEncoder{s: s},
+		enc:     sigEncoder{s: s, set: !s.Counting()},
 		initTab: make(map[string]int),
 		byInit:  make(map[int][]int),
 	}
-	d.lbl = func(v int) int { return d.label[v] }
 	d.grow(s.Len())
 	st := d.build()
 	if d.aliveSlots == 0 {
@@ -473,7 +463,7 @@ func (d *Dyn) settleClass(c int, dirtyMembers []int, st *UpdateStats, quotChange
 	}
 	ids := d.idsBuf[:0]
 	for _, x := range work {
-		ids = append(ids, d.enc.sigID(x, d.lbl))
+		ids = append(ids, d.enc.sigID(x, d.label))
 	}
 	d.idsBuf = ids
 	st.SigComputes += len(work)
@@ -661,35 +651,30 @@ func (d *Dyn) refineQuotient(q *quotient, hook RoundHook) (*Partition, error) {
 	for n, c := range q.cls {
 		q.init[n] = d.cinit[c]
 	}
-	return d.ref.run(q.off, q.edges, q.init, d.ref.rankInit(q.init, d.initStr), hook)
+	return d.ref.run(q.off, q.to, q.tag, q.init, d.ref.rankInit(q.init, d.initStr), hook)
 }
 
 // quotient is the class graph the merge pass refines: one node per live
-// class, in ascending class id, whose edges and signature are read off
-// one representative member with every target mapped to its class's
-// node. The settled partition is stable, so every member of a class
-// sees the same classes through its edges and any representative does.
-// The Hopcroft refiner reads its edge arrays, and it is a TokenStructure
-// for the nested build. Dyn keeps one and rebuilds it in place.
+// class, in ascending class id, whose edges are read off one
+// representative member with every target mapped to its class's node.
+// The settled partition is stable, so every member of a class sees the
+// same classes through its edges and any representative does. The
+// Hopcroft refiner reads its edge arrays, and it is a TokenStructure for
+// the nested build. Dyn keeps one and rebuilds it in place.
 type quotient struct {
-	d     *Dyn
-	cls   []int        // node -> class id
-	node  []int        // class id -> node, for live classes
-	off   []int        // node -> its first edge in edges; off[len(cls)] = len(edges)
-	edges []TaggedEdge // representatives' out-edges, targets as nodes
-	init  []int        // node -> initial class, for the refiner
-	deps  [][]int      // node -> nodes with an edge into it (set rule only)
-
-	lbl  func(int) int // the nested build's current quotient labeling
-	comp func(int) int // slot -> lbl(node of the slot's class)
+	d    *Dyn
+	cls  []int   // node -> class id
+	node []int   // class id -> node, for live classes
+	off  []int   // node -> its first edge in to and tag; off[len(cls)] = len(to)
+	to   []int   // representatives' edge targets, as nodes
+	tag  []int   // their tags
+	init []int   // node -> initial class, for the refiner
+	deps [][]int // node -> nodes with an edge into it (set rule only)
 }
 
 func (d *Dyn) newQuotient() *quotient {
 	q := &d.quot
-	if q.d == nil {
-		q.d = d
-		q.comp = func(v int) int { return q.lbl(q.node[d.label[v]]) }
-	}
+	q.d = d
 	q.node = fit(q.node, len(d.members))
 	q.cls = q.cls[:0]
 	for c, m := range d.members {
@@ -699,15 +684,16 @@ func (d *Dyn) newQuotient() *quotient {
 		}
 	}
 	q.off = fit(q.off, len(q.cls)+1)
-	q.edges = q.edges[:0]
+	q.to, q.tag = q.to[:0], q.tag[:0]
 	for n, c := range q.cls {
-		q.off[n] = len(q.edges)
-		q.edges = d.s.AppendOutEdges(q.edges, d.members[c][0])
-		for k := q.off[n]; k < len(q.edges); k++ {
-			q.edges[k].To = q.node[d.label[q.edges[k].To]]
+		q.off[n] = len(q.to)
+		to, tags := d.s.OutEdges(d.members[c][0])
+		for _, x := range to {
+			q.to = append(q.to, q.node[d.label[x]])
 		}
+		q.tag = append(q.tag, tags...)
 	}
-	q.off[len(q.cls)] = len(q.edges)
+	q.off[len(q.cls)] = len(q.to)
 	return q
 }
 
@@ -716,21 +702,19 @@ func (d *Dyn) newQuotient() *quotient {
 func (q *quotient) linkDependents() {
 	q.deps = make([][]int, len(q.cls))
 	for n := range q.cls {
-		for _, e := range q.edges[q.off[n]:q.off[n+1]] {
-			q.deps[e.To] = append(q.deps[e.To], n)
+		for _, y := range q.to[q.off[n]:q.off[n+1]] {
+			q.deps[y] = append(q.deps[y], n)
 		}
 	}
 }
 
 func (q *quotient) Len() int               { return len(q.cls) }
 func (q *quotient) InitKey(n int) string   { return q.d.initStr[q.d.cinit[q.cls[n]]] }
+func (q *quotient) Counting() bool         { return q.d.s.Counting() }
 func (q *quotient) Dependents(n int) []int { return q.deps[n] }
 
-// AppendSignature encodes quotient node n as its representative's
-// signature under the composed labeling.
-func (q *quotient) AppendSignature(buf []uint64, n int, label func(int) int) []uint64 {
-	q.lbl = label
-	return q.d.s.AppendSignature(buf, q.d.members[q.cls[n]][0], q.comp)
+func (q *quotient) OutEdges(n int) (to, tags []int) {
+	return q.to[q.off[n]:q.off[n+1]], q.tag[q.off[n]:q.off[n+1]]
 }
 
 // compactIDs bounds the persistent signature-id space. Settling interns
@@ -745,7 +729,7 @@ func (d *Dyn) compactIDs(st *UpdateStats) {
 	d.enc.tab.Reset()
 	for c, m := range d.members {
 		if len(m) > 0 {
-			d.csig[c] = d.enc.sigID(m[0], d.lbl)
+			d.csig[c] = d.enc.sigID(m[0], d.label)
 		}
 	}
 	st.SigComputes += d.liveClasses
@@ -790,13 +774,10 @@ func (d *Dyn) build() UpdateStats {
 }
 
 // allAlive views a static TokenStructure as a DynStructure with every
-// node alive. Only builds run over it, and a build never runs the merge
-// pass, so AppendOutEdges and Counting are never called.
+// node alive.
 type allAlive struct{ TokenStructure }
 
-func (allAlive) Alive(int) bool                                      { return true }
-func (allAlive) AppendOutEdges(buf []TaggedEdge, _ int) []TaggedEdge { return buf }
-func (allAlive) Counting() bool                                      { return false }
+func (allAlive) Alive(int) bool { return true }
 
 // partition returns the classes of a build over an allAlive view. A
 // build never empties a class and every slot is alive, so the labels and
@@ -840,7 +821,7 @@ func (d *Dyn) Check() error {
 			if d.label[x] != c {
 				return fmt.Errorf("partition: member %d of class %d labeled %d", x, c, d.label[x])
 			}
-			if got := d.enc.sigID(x, d.lbl); got != d.csig[c] {
+			if got := d.enc.sigID(x, d.label); got != d.csig[c] {
 				return fmt.Errorf("partition: slot %d signature %d != class %d stable %d",
 					x, got, c, d.csig[c])
 			}

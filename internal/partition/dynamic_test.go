@@ -58,23 +58,12 @@ func (m *dyndfa) InitKey(i int) string {
 	return "rej"
 }
 
-func (m *dyndfa) AppendSignature(buf []uint64, i int, label func(int) int) []uint64 {
-	for _, t := range m.next[i] {
-		buf = append(buf, uint64(int64(label(t))))
-	}
-	return buf
-}
+func (m *dyndfa) OutEdges(i int) (to, tags []int) { return m.next[i], binarySyms[:len(m.next[i])] }
+func (m *dyndfa) Counting() bool                  { return m.counting }
+func (m *dyndfa) Dependents(i int) []int          { return m.prev[i] }
 
-func (m *dyndfa) Dependents(i int) []int { return m.prev[i] }
-
-func (m *dyndfa) AppendOutEdges(buf []TaggedEdge, i int) []TaggedEdge {
-	for sym, t := range m.next[i] {
-		buf = append(buf, TaggedEdge{To: t, Tag: sym})
-	}
-	return buf
-}
-
-func (m *dyndfa) Counting() bool { return m.counting }
+// binarySyms are the tags of a dyndfa state's two edges.
+var binarySyms = []int{0, 1}
 
 func (m *dyndfa) dropPrev(t, s int) {
 	for k, v := range m.prev[t] {
@@ -328,14 +317,25 @@ func testDynRandomTraces(t *testing.T, counting bool) {
 
 // fanDyn is n leaves (slots 0..n-1) over 256 anchors with distinct init
 // keys (slots n..n+255): leaf i reads the anchors along the base-256
-// digits of i, so the leaves share an initial class and all differ in
-// signature.
-type fanDyn struct{ n, digits int }
+// digits of i, digit d through an edge tagged d, so the leaves share an
+// initial class and all differ in signature.
+type fanDyn struct {
+	n, digits int
+	to        []int // leaf i's anchors, digits per leaf
+	tags      []int // 0..digits-1
+}
 
 func newFanDyn(n int) fanDyn {
 	f := fanDyn{n: n}
 	for span := 1; span < n; span *= 256 {
+		f.tags = append(f.tags, f.digits)
 		f.digits++
+	}
+	f.to = make([]int, 0, n*f.digits)
+	for i := 0; i < n; i++ {
+		for d := range f.digits {
+			f.to = append(f.to, n+i>>(8*d)&255)
+		}
 	}
 	return f
 }
@@ -352,30 +352,26 @@ func (f fanDyn) InitKey(i int) string {
 }
 
 func (f fanDyn) Signature(i int, label func(int) int) string {
-	return fmt.Sprint(f.AppendSignature(nil, i, label))
+	to, _ := f.OutEdges(i)
+	sig := make([]int, len(to))
+	for k, x := range to {
+		sig[k] = label(x)
+	}
+	return fmt.Sprint(sig)
 }
 
-func (f fanDyn) AppendSignature(buf []uint64, i int, label func(int) int) []uint64 {
-	for _, e := range f.AppendOutEdges(nil, i) {
-		buf = append(buf, uint64(label(e.To)))
+func (f fanDyn) OutEdges(i int) (to, tags []int) {
+	if i >= f.n {
+		return nil, nil
 	}
-	return buf
-}
-
-func (f fanDyn) AppendOutEdges(buf []TaggedEdge, i int) []TaggedEdge {
-	for d := 0; i < f.n && d < f.digits; d++ {
-		buf = append(buf, TaggedEdge{To: f.n + i>>(8*d)&255, Tag: d})
-	}
-	return buf
+	return f.to[i*f.digits : (i+1)*f.digits], f.tags
 }
 
 func (f fanDyn) Dependents(i int) []int {
 	var out []int
 	for x := 0; i >= f.n && x < f.n; x++ {
-		for _, e := range f.AppendOutEdges(nil, x) {
-			if e.To == i {
-				out = append(out, x)
-			}
+		if to, _ := f.OutEdges(x); slices.Contains(to, i) {
+			out = append(out, x)
 		}
 	}
 	return out
@@ -588,14 +584,6 @@ func TestDynEmptyStructure(t *testing.T) {
 	}
 }
 
-// quotientView is a CountStructure over a Dyn quotient, so that
-// FixpointHopcroft can refine it through its CountStructure entry.
-type quotientView struct{ *quotient }
-
-func (q quotientView) AppendOutEdges(buf []TaggedEdge, n int) []TaggedEdge {
-	return append(buf, q.edges[q.off[n]:q.off[n+1]]...)
-}
-
 // entryRun is one merge pass's quotient as updateComparingEntries saw
 // it: its nodes' init keys and its refinement.
 type entryRun struct {
@@ -615,8 +603,8 @@ func (e entryRun) classes() int {
 // updateComparingEntries applies touched as Update does. When the event
 // runs the merge pass, the pass's quotient is first refined through both
 // Hopcroft entries, the merge pass's in-place refineQuotient and
-// FixpointHopcroft over quotientView, which must agree in labels and
-// RoundHook stream. It reports whether the pass ran.
+// FixpointHopcroft over the quotient's OutEdges, which must agree in
+// labels and RoundHook stream. It reports whether the pass ran.
 func updateComparingEntries(t *testing.T, d *Dyn, touched []int) (entryRun, bool) {
 	t.Helper()
 	var st UpdateStats
@@ -633,10 +621,10 @@ func updateComparingEntries(t *testing.T, d *Dyn, touched []int) (entryRun, bool
 		for n := range q.cls {
 			seen.keys = append(seen.keys, q.InitKey(n))
 		}
-		want := runHopcroft(FixpointHopcroft, quotientView{q})
+		want := runHopcroft(FixpointHopcroft, q)
 		seen.hopcroftRun = runHopcroft(func(_ CountStructure, hook RoundHook) (*Partition, error) {
 			return d.refineQuotient(q, hook)
-		}, quotientView{q})
+		}, q)
 		if !reflect.DeepEqual(seen.hopcroftRun, want) {
 			t.Fatalf("quotient of %d nodes (init keys %v): in-place entry gave %+v, FixpointHopcroft %+v",
 				len(q.cls), seen.keys, seen.hopcroftRun, want)

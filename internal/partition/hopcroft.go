@@ -6,35 +6,9 @@ import (
 	"strings"
 )
 
-// TaggedEdge is a directed, integer-tagged edge: the color of From (the
-// owner) depends on the color of To through an edge with this Tag.
-type TaggedEdge struct {
-	To  int
-	Tag int
-}
-
-// CountStructure describes a structure refinable by counting signatures:
-// a node's environment is the multiset of (tag, target-class) pairs over
-// its out-edges. For such structures the Hopcroft smaller-half strategy
-// is sound — the count of edges into a split-off part determines the
-// count into the remainder — which is not true of set-based signatures;
-// set-rule refinement must use FixpointWorklist instead.
-//
-// The paper's Q-environment rules are counting signatures: a processor
-// has exactly one edge per name to its n-neighbor (condition (2)) and a
-// variable's environment counts n-neighbors per processor label
-// (condition (3)).
-type CountStructure interface {
-	// Len returns the number of nodes.
-	Len() int
-	// InitKey returns the initial-coloring key of node i.
-	InitKey(i int) string
-	// AppendOutEdges appends node i's dependency edges to buf and
-	// returns the extended slice, as AppendSignature does for tokens:
-	// the drivers read every node's edges into one backing array they
-	// reuse. Implementations must not retain buf.
-	AppendOutEdges(buf []TaggedEdge, i int) []TaggedEdge
-}
+// inEdge is one edge x --tag--> y in y's run of the refiner's reverse
+// adjacency.
+type inEdge struct{ from, tag int }
 
 // segments is the classic Hopcroft partition structure: a permutation of
 // the nodes in which every class occupies a contiguous segment, so moving
@@ -97,16 +71,18 @@ func fit[T any](s []T, n int) []T {
 // its next run.
 type refiner struct {
 	seg segments
-	// refine's copy of a CountStructure: every node's out-edges, node by
-	// node, its init-key id and the distinct keys by first appearance.
+	// refine's copy of a CountStructure: every node's out-edge targets
+	// and tags, node by node, its init-key id and the distinct keys by
+	// first appearance.
 	off    []int
-	out    []TaggedEdge
+	to     []int
+	tag    []int
 	init   []int
 	keys   []string
-	ids    []int        // rankInit scratch: the distinct key ids present
-	rank   []int        // rankInit scratch: key id -> rank
-	revOff []int        // node -> first in-edge in rev; revOff[n] = m
-	rev    []TaggedEdge // (x, tag) per edge x --tag--> y, grouped by y
+	ids    []int    // rankInit scratch: the distinct key ids present
+	rank   []int    // rankInit scratch: key id -> rank
+	revOff []int    // node -> first in-edge in rev; revOff[n] = m
+	rev    []inEdge // every edge, grouped by target
 
 	inQueue []bool
 	queue   []int
@@ -162,12 +138,14 @@ func FixpointHopcroft(cs CountStructure, hook RoundHook) (*Partition, error) {
 func (r *refiner) refine(cs CountStructure, hook RoundHook) (*Partition, error) {
 	n := cs.Len()
 	r.off = fit(r.off, n+1)
-	r.out = r.out[:0]
+	r.to, r.tag = r.to[:0], r.tag[:0]
 	for i := 0; i < n; i++ {
-		r.off[i] = len(r.out)
-		r.out = cs.AppendOutEdges(r.out, i)
+		r.off[i] = len(r.to)
+		to, tags := cs.OutEdges(i)
+		r.to = append(r.to, to...)
+		r.tag = append(r.tag, tags...)
 	}
-	r.off[n] = len(r.out)
+	r.off[n] = len(r.to)
 	keyID := make(map[string]int)
 	r.keys = r.keys[:0]
 	r.init = fit(r.init, n)
@@ -181,7 +159,7 @@ func (r *refiner) refine(cs CountStructure, hook RoundHook) (*Partition, error) 
 		}
 		r.init[i] = id
 	}
-	return r.run(r.off, r.out, r.init, r.rankInit(r.init, r.keys), hook)
+	return r.run(r.off, r.to, r.tag, r.init, r.rankInit(r.init, r.keys), hook)
 }
 
 // rankInit rewrites init, whose entries index keys, to the rank of each
@@ -207,16 +185,16 @@ func (r *refiner) rankInit(init []int, keys []string) int {
 	return len(r.ids)
 }
 
-// run refines the structure whose node i has the out-edges
-// edges[off[i]:off[i+1]] and starts in class init[i], one of k classes
-// numbered in init-key order. It reads off, edges and init in place and
-// writes none of them.
-func (r *refiner) run(off []int, edges []TaggedEdge, init []int, k int, hook RoundHook) (*Partition, error) {
+// run refines the structure whose node i has its out-edges' targets in
+// to[off[i]:off[i+1]] and their tags in the same window of tag, and
+// starts in class init[i], one of k classes numbered in init-key order.
+// It reads off, to, tag and init in place and writes none of them.
+func (r *refiner) run(off, to, tag, init []int, k int, hook RoundHook) (*Partition, error) {
 	n := len(init)
 	if n == 0 {
 		return nil, ErrEmptyStructure
 	}
-	if err := r.reverse(off, edges, n); err != nil {
+	if err := r.reverse(off, to, tag, n); err != nil {
 		return nil, err
 	}
 	r.initSegments(init, k)
@@ -227,7 +205,7 @@ func (r *refiner) run(off []int, edges []TaggedEdge, init []int, k int, hook Rou
 		r.enqueue(c)
 	}
 	r.ntags = fit(r.ntags, n)
-	r.tags = fit(r.tags, len(edges))
+	r.tags = fit(r.tags, len(to))
 
 	for head := 0; head < len(r.queue); head++ {
 		splitter := r.queue[head]
@@ -244,7 +222,7 @@ func (r *refiner) run(off []int, edges []TaggedEdge, init []int, k int, hook Rou
 		touched := r.touched[:0]
 		for _, y := range r.spl {
 			for _, e := range r.rev[r.revOff[y]:r.revOff[y+1]] {
-				x := e.To
+				x := e.from
 				c := seg.classOf[x]
 				if seg.length[c] == 1 {
 					continue
@@ -255,7 +233,7 @@ func (r *refiner) run(off []int, edges []TaggedEdge, init []int, k int, hook Rou
 					}
 					seg.moveToFront(x)
 				}
-				r.tags[off[x]+r.ntags[x]] = uint64(int64(e.Tag))
+				r.tags[off[x]+r.ntags[x]] = uint64(e.tag)
 				r.ntags[x]++
 			}
 		}
@@ -385,25 +363,25 @@ func (r *refiner) enqueue(c int) {
 
 // reverse builds the reverse adjacency of the n nodes' out-edges, each
 // node's run of in-edges ascending by source.
-func (r *refiner) reverse(off []int, edges []TaggedEdge, n int) error {
+func (r *refiner) reverse(off, to, tag []int, n int) error {
 	r.revOff = fit(r.revOff, n+1)
-	for _, e := range edges {
-		if e.To < 0 || e.To >= n {
-			return fmt.Errorf("partition: edge target %d out of range", e.To)
+	for _, y := range to {
+		if y < 0 || y >= n {
+			return fmt.Errorf("partition: edge target %d out of range", y)
 		}
-		r.revOff[e.To]++
+		r.revOff[y]++
 	}
 	// Prefix sums make revOff[y] the end of y's run; filling each run
 	// backwards from its end leaves revOff[y] at its start.
 	for y := 1; y <= n; y++ {
 		r.revOff[y] += r.revOff[y-1]
 	}
-	r.rev = fit(r.rev, len(edges))
+	r.rev = fit(r.rev, len(to))
 	for x := n - 1; x >= 0; x-- {
 		for k := off[x+1] - 1; k >= off[x]; k-- {
-			e := edges[k]
-			r.revOff[e.To]--
-			r.rev[r.revOff[e.To]] = TaggedEdge{To: x, Tag: e.Tag}
+			y := to[k]
+			r.revOff[y]--
+			r.rev[r.revOff[y]] = inEdge{from: x, tag: tag[k]}
 		}
 	}
 	return nil

@@ -9,14 +9,6 @@ import (
 	"time"
 )
 
-// dfa implements CountStructure as well: transitions become tagged edges.
-func (d *dfa) AppendOutEdges(buf []TaggedEdge, i int) []TaggedEdge {
-	for sym, t := range d.next[i] {
-		buf = append(buf, TaggedEdge{To: t, Tag: sym})
-	}
-	return buf
-}
-
 func TestHopcroftMinimizesDFA(t *testing.T) {
 	for _, tc := range []struct{ n, k int }{{3, 1}, {3, 4}, {5, 3}, {7, 2}, {1, 5}} {
 		t.Run(fmt.Sprintf("mod%dx%d", tc.n, tc.k), func(t *testing.T) {
@@ -136,12 +128,15 @@ func randomDFA(rng *rand.Rand, n, symbols int) *dfa {
 // range, so a run reads every edge before it fails.
 type badTail struct{ *dfa }
 
-func (b badTail) AppendOutEdges(buf []TaggedEdge, i int) []TaggedEdge {
-	buf = b.dfa.AppendOutEdges(buf, i)
+func (b badTail) OutEdges(i int) (to, tags []int) {
+	to, tags = b.dfa.OutEdges(i)
 	if i == b.Len()-1 {
-		buf = append(buf, TaggedEdge{To: b.Len(), Tag: 1})
+		// Full slice expressions make append copy, not write past the
+		// dfa's lists.
+		to = append(to[:len(to):len(to)], b.Len())
+		tags = append(tags[:len(tags):len(tags)], 1)
 	}
-	return buf
+	return to, tags
 }
 
 // hopcroftRun is one refinement's observable output: its labels, its
@@ -195,20 +190,9 @@ func TestRefinerReuseMatchesFresh(t *testing.T) {
 // badEdgeStructure has an edge pointing outside the node range.
 type badEdgeStructure struct{}
 
-func (badEdgeStructure) Len() int           { return 1 }
-func (badEdgeStructure) InitKey(int) string { return "x" }
-func (badEdgeStructure) AppendOutEdges(buf []TaggedEdge, _ int) []TaggedEdge {
-	return append(buf, TaggedEdge{To: 5, Tag: 0})
-}
-
-// AppendOutEdges makes the chain a CountStructure: node i reads node
-// i+1.
-func (c chainStructure) AppendOutEdges(buf []TaggedEdge, i int) []TaggedEdge {
-	if i == c.n-1 {
-		return buf
-	}
-	return append(buf, TaggedEdge{To: i + 1})
-}
+func (badEdgeStructure) Len() int                      { return 1 }
+func (badEdgeStructure) InitKey(int) string            { return "x" }
+func (badEdgeStructure) OutEdges(int) (to, tags []int) { return []int{5}, []int{0} }
 
 // TestRoundHookContract pins the RoundHook contract for both drivers on
 // random DFAs and on the chain: rounds ascend from 1 (FixpointWorklist's
@@ -217,11 +201,7 @@ func (c chainStructure) AppendOutEdges(buf []TaggedEdge, i int) []TaggedEdge {
 // final class count, and the splits sum to the final class count minus
 // the initial one.
 func TestRoundHookContract(t *testing.T) {
-	type structure interface {
-		CountStructure
-		TokenStructure
-	}
-	structs := []structure{chainStructure{n: 64}, modDFA(7, 3)}
+	structs := []TokenStructure{newChain(64), modDFA(7, 3)}
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 100; trial++ {
 		n := 2 + rng.Intn(40)
@@ -236,10 +216,10 @@ func TestRoundHookContract(t *testing.T) {
 	drivers := []struct {
 		name       string
 		contiguous bool
-		run        func(structure, RoundHook) (*Partition, error)
+		run        func(TokenStructure, RoundHook) (*Partition, error)
 	}{
-		{"hopcroft", false, func(s structure, h RoundHook) (*Partition, error) { return FixpointHopcroft(s, h) }},
-		{"worklist", true, func(s structure, h RoundHook) (*Partition, error) { return FixpointWorklist(s, h) }},
+		{"hopcroft", false, func(s TokenStructure, h RoundHook) (*Partition, error) { return FixpointHopcroft(s, h) }},
+		{"worklist", true, FixpointWorklist},
 	}
 	for _, drv := range drivers {
 		for k, s := range structs {

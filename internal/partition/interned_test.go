@@ -9,15 +9,6 @@ import (
 	"simsym/internal/canon"
 )
 
-// AppendSignature mirrors dfa.Signature as tokens, so the dfa-based
-// tests drive the interned token path of FixpointWorklist.
-func (d *dfa) AppendSignature(buf []uint64, i int, label func(int) int) []uint64 {
-	for _, t := range d.next[i] {
-		buf = append(buf, uint64(int64(label(t))))
-	}
-	return buf
-}
-
 func TestSigTableInternsDenseIDs(t *testing.T) {
 	var tab SigTable
 	seqs := [][]uint64{
@@ -195,25 +186,6 @@ func BenchmarkSigTable(b *testing.B) {
 			}
 		}
 	})
-}
-
-func TestSortTokenPairs(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		m := rng.Intn(40)
-		toks := make([]uint64, 2*m)
-		for i := range toks {
-			toks[i] = uint64(rng.Intn(5))
-		}
-		SortTokenPairs(toks)
-		for i := 2; i < len(toks); i += 2 {
-			a0, a1 := toks[i-2], toks[i-1]
-			b0, b1 := toks[i], toks[i+1]
-			if a0 > b0 || (a0 == b0 && a1 > b1) {
-				t.Fatalf("trial %d: pairs out of order at %d: %v", trial, i, toks)
-			}
-		}
-	}
 }
 
 // Tokens returns the interned token sequence for id. The returned slice

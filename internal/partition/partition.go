@@ -27,6 +27,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -51,23 +52,45 @@ type Structure interface {
 	Dependents(i int) []int
 }
 
-// TokenStructure is the input of FixpointWorklist and Dyn: Structure
-// with the string Signature replaced by an allocation-free token
-// encoder. AppendSignature appends node i's environment under the
-// current labeling to buf as uint64 tokens and returns the extended
-// slice; two nodes of the same class must produce equal token sequences
-// iff they should share a class. Dyn interns the sequences through a
-// SigTable and splits classes by comparing small ints.
-// Implementations must not retain buf.
-type TokenStructure interface {
+// CountStructure is the input of FixpointHopcroft: a set of nodes, an
+// initial coloring, and each node's tagged dependency edges. A node's
+// environment is the multiset of (tag, target class) pairs over its
+// out-edges. For such structures Hopcroft's smaller-half rule is sound:
+// the count of edges into a split-off part determines the count into the
+// remainder. That is not true when the environment is the set of pairs,
+// which is why set-rule refinement goes to Dyn instead.
+//
+// The paper's environment conditions are tagged edges: a processor has
+// one edge per name to its n-neighbor (condition (2)), and a variable
+// one edge per incident processor, tagged by the name that processor
+// gives it (condition (3)).
+type CountStructure interface {
 	// Len returns the number of nodes, indexed 0..Len()-1.
 	Len() int
 	// InitKey returns the initial-coloring key of node i.
 	InitKey(i int) string
-	// AppendSignature appends node i's environment tokens to buf.
-	AppendSignature(buf []uint64, i int, label func(int) int) []uint64
+	// OutEdges returns node i's out-edges as two lists of equal length:
+	// edge k runs to node to[k] with tag tags[k]. Tags must be
+	// nonnegative and below 2^32. The lists are the structure's own
+	// storage, handed out without a copy; the drivers only read them and
+	// never keep them past the call that read them.
+	OutEdges(i int) (to, tags []int)
+}
+
+// TokenStructure is the input of FixpointWorklist and Dyn: a
+// CountStructure that says whether its environments count, and whose
+// label changes propagate along Dependents. Dyn derives every signature
+// from OutEdges and interns it through a SigTable, so splitting a class
+// compares small ints.
+type TokenStructure interface {
+	CountStructure
+	// Counting reports whether a node's environment is the multiset of
+	// (tag, label(to)) pairs over its out-edges (the paper's Q rule).
+	// When false it is the set of those pairs (the S rule).
+	Counting() bool
 	// Dependents returns the nodes whose signature may change when node
-	// i's label changes. It may contain duplicates and i itself.
+	// i's label changes: the nodes with an edge into i. It may contain
+	// duplicates and i itself.
 	Dependents(i int) []int
 }
 
@@ -231,19 +254,38 @@ func (p *Partition) splitClass(c int, sig func(i int) string) []int {
 	return changed
 }
 
-// sigEncoder interns the token signatures of s through a SigTable,
-// reusing one token buffer across calls. Ids are dense per reset window
-// in first-appearance order; ids from different windows are not
-// comparable.
+// sigEncoder derives node signatures from a structure's out-edges and
+// interns them through a SigTable. Each edge is one token, its tag in the
+// high 32 bits and its target's label (read from the caller's label
+// array) in the low ones; the tokens are sorted (only when out of order),
+// and repeats are dropped when the structure does not count. Ids are
+// dense per reset window in first-appearance order; ids from different
+// windows are not comparable.
 type sigEncoder struct {
 	s   TokenStructure
+	set bool // !s.Counting(), read once
 	tab SigTable
 	buf []uint64
 }
 
-func (e *sigEncoder) sigID(i int, label func(int) int) int {
-	e.buf = e.s.AppendSignature(e.buf[:0], i, label)
-	return e.tab.Intern(e.buf)
+func (e *sigEncoder) sigID(i int, label []int) int {
+	to, tags := e.s.OutEdges(i)
+	buf, sorted := e.buf[:0], true
+	for k, x := range to {
+		tok := uint64(tags[k])<<32 | uint64(uint32(label[x]))
+		if len(buf) > 0 && tok < buf[len(buf)-1] {
+			sorted = false
+		}
+		buf = append(buf, tok)
+	}
+	if !sorted {
+		slices.Sort(buf)
+	}
+	if e.set {
+		buf = slices.Compact(buf)
+	}
+	e.buf = buf
+	return e.tab.Intern(buf)
 }
 
 // FixpointNaive refines the initial partition of s until stable,

@@ -15,13 +15,17 @@ type dfa struct {
 	accept []bool
 	next   [][]int // next[state][symbol]
 	prev   [][]int // reverse edges (all symbols merged)
+	syms   []int   // 0, 1, ...: the tags of every state's edges
 }
 
 func newDFA(accept []bool, next [][]int) *dfa {
 	d := &dfa{accept: accept, next: next, prev: make([][]int, len(accept))}
 	for s := range next {
-		for _, t := range next[s] {
+		for sym, t := range next[s] {
 			d.prev[t] = append(d.prev[t], s)
+			if sym == len(d.syms) {
+				d.syms = append(d.syms, sym)
+			}
 		}
 	}
 	return d
@@ -44,7 +48,13 @@ func (d *dfa) Signature(i int, label func(int) int) string {
 	return sig
 }
 
-func (d *dfa) Dependents(i int) []int { return d.prev[i] }
+// OutEdges makes transitions tagged edges, one per symbol. A state's
+// signature, its successors' labels in symbol order, is then the
+// multiset and the set of its (symbol, label) pairs alike, so the dfa
+// reports Counting and every driver applies.
+func (d *dfa) OutEdges(i int) (to, tags []int) { return d.next[i], d.syms[:len(d.next[i])] }
+func (d *dfa) Counting() bool                  { return true }
+func (d *dfa) Dependents(i int) []int          { return d.prev[i] }
 
 // modDFA builds a DFA over alphabet {0,1} with n*k states (value mod n
 // replicated k times) accepting when value mod n == 0. Its minimal DFA has
@@ -280,8 +290,21 @@ func TestMembersReturnsCopy(t *testing.T) {
 }
 
 // chainStructure is adversarial for naive refinement: a long chain where
-// distinctions propagate one hop per round.
-type chainStructure struct{ n int }
+// distinctions propagate one hop per round. Node i reads node i+1 through
+// one edge tagged 0.
+type chainStructure struct {
+	n    int
+	next []int // next[i] = i+1
+	tags []int // {0}
+}
+
+func newChain(n int) chainStructure {
+	c := chainStructure{n: n, next: make([]int, n), tags: []int{0}}
+	for i := range c.next {
+		c.next[i] = i + 1
+	}
+	return c
+}
 
 func (c chainStructure) Len() int { return c.n }
 func (c chainStructure) InitKey(i int) string {
@@ -296,12 +319,13 @@ func (c chainStructure) Signature(i int, label func(int) int) string {
 	}
 	return fmt.Sprintf("%d", label(i+1))
 }
-func (c chainStructure) AppendSignature(buf []uint64, i int, label func(int) int) []uint64 {
+func (c chainStructure) OutEdges(i int) (to, tags []int) {
 	if i == c.n-1 {
-		return buf
+		return nil, nil
 	}
-	return append(buf, uint64(label(i+1)))
+	return c.next[i : i+1], c.tags
 }
+func (c chainStructure) Counting() bool { return true }
 func (c chainStructure) Dependents(i int) []int {
 	if i == 0 {
 		return nil
@@ -321,7 +345,7 @@ var chainDrivers = []struct {
 func TestChainFullySeparates(t *testing.T) {
 	for _, driver := range chainDrivers {
 		t.Run(driver.name, func(t *testing.T) {
-			p, err := driver.run(chainStructure{n: 64})
+			p, err := driver.run(newChain(64))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -343,7 +367,7 @@ func BenchmarkWorklistChain(b *testing.B) {
 func benchDriver(b *testing.B, run func(chainStructure) (*Partition, error)) {
 	for _, n := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			s := chainStructure{n: n}
+			s := newChain(n)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := run(s); err != nil {

@@ -92,48 +92,3 @@ func (t *SigTable) Reset() {
 	t.toks = t.toks[:0]
 	t.spans = t.spans[:0]
 }
-
-// SortTokens sorts a token slice ascending in place. Helper for
-// TokenStructure implementors that encode label multisets.
-func SortTokens(toks []uint64) { slices.Sort(toks) }
-
-// SortTokenPairs sorts consecutive (a, b) token pairs of toks
-// lexicographically in place, without allocating. len(toks) must be
-// even. Helper for TokenStructure implementors that encode multisets of
-// tagged labels, e.g. the paper's (name, label) environment pairs.
-func SortTokenPairs(toks []uint64) {
-	m := len(toks) / 2
-	less := func(i, j int) bool {
-		if toks[2*i] != toks[2*j] {
-			return toks[2*i] < toks[2*j]
-		}
-		return toks[2*i+1] < toks[2*j+1]
-	}
-	swap := func(i, j int) {
-		toks[2*i], toks[2*j] = toks[2*j], toks[2*i]
-		toks[2*i+1], toks[2*j+1] = toks[2*j+1], toks[2*i+1]
-	}
-	siftDown := func(root, end int) {
-		for {
-			child := 2*root + 1
-			if child >= end {
-				return
-			}
-			if child+1 < end && less(child, child+1) {
-				child++
-			}
-			if !less(root, child) {
-				return
-			}
-			swap(root, child)
-			root = child
-		}
-	}
-	for root := m/2 - 1; root >= 0; root-- {
-		siftDown(root, m)
-	}
-	for end := m - 1; end > 0; end-- {
-		swap(0, end)
-		siftDown(0, end)
-	}
-}

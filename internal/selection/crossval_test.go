@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"simsym/internal/distlabel"
-	"simsym/internal/family"
 	"simsym/internal/machine"
 	"simsym/internal/mc"
 	"simsym/internal/sched"
@@ -109,7 +108,7 @@ func TestCrossValidateLDecisionsEndToEnd(t *testing.T) {
 			continue // generated programs reject duplicate name edges
 		}
 		examined++
-		d, err := DecideL(s, family.RelabelOptions{})
+		d, err := DecideL(s)
 		if err != nil {
 			t.Fatal(err)
 		}

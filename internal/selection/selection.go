@@ -27,7 +27,6 @@ import (
 
 	"simsym/internal/core"
 	"simsym/internal/distlabel"
-	"simsym/internal/family"
 	"simsym/internal/intset"
 	"simsym/internal/machine"
 	"simsym/internal/mimic"
@@ -103,7 +102,7 @@ func decide(sys *system.System, instr system.InstrSet, sch system.ScheduleClass,
 		}
 		return decideFairS(sys)
 	case system.InstrL:
-		return decideL(sys, family.RelabelOptions{}, rec)
+		return decideL(sys, rec)
 	default:
 		return nil, fmt.Errorf("%w: %v/%v", ErrUnsupportedModel, instr, sch)
 	}
@@ -143,12 +142,12 @@ func decideFairS(sys *system.System) (*Decision, error) {
 
 // DecideL runs the L-model decision: enumerate relabel outcomes, compute
 // VERSIONS, and build ELITE when possible. Fair and bounded-fair coincide.
-func DecideL(sys *system.System, relOpts family.RelabelOptions) (*Decision, error) {
-	return decideL(sys, relOpts, nil)
+func DecideL(sys *system.System) (*Decision, error) {
+	return decideL(sys, nil)
 }
 
-func decideL(sys *system.System, relOpts family.RelabelOptions, rec *obs.Recorder) (*Decision, error) {
-	plan, _, err := distlabel.PlanAlgorithm4(sys, relOpts)
+func decideL(sys *system.System, rec *obs.Recorder) (*Decision, error) {
+	plan, _, err := distlabel.PlanAlgorithm4(sys)
 	if err != nil {
 		return nil, fmt.Errorf("selection: %w", err)
 	}
@@ -307,14 +306,14 @@ func buildSelect(sys *system.System, instr system.InstrSet, sch system.ScheduleC
 		}
 		return prog, d, nil
 	case system.InstrL:
-		d, err := decideL(sys, family.RelabelOptions{}, rec)
+		d, err := decideL(sys, rec)
 		if err != nil {
 			return nil, nil, err
 		}
 		if !d.Solvable {
 			return nil, d, fmt.Errorf("%w: %s", ErrNotSolvable, d.Reason)
 		}
-		plan, _, err := distlabel.PlanAlgorithm4(sys, family.RelabelOptions{})
+		plan, _, err := distlabel.PlanAlgorithm4(sys)
 		if err != nil {
 			return nil, nil, fmt.Errorf("selection: %w", err)
 		}

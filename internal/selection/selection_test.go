@@ -334,8 +334,8 @@ func TestSelectUnsolvableReturnsError(t *testing.T) {
 }
 
 func TestDecideLOutcomeLimit(t *testing.T) {
-	big := mustRing(t, 16)
-	if _, err := DecideL(big, family.RelabelOptions{Limit: 64}); !errors.Is(err, family.ErrTooManyOutcomes) {
+	big := mustRing(t, 16) // 2^16 outcomes, past family.DefaultOutcomeLimit
+	if _, err := DecideL(big); !errors.Is(err, family.ErrTooManyOutcomes) {
 		t.Errorf("err = %v, want ErrTooManyOutcomes", err)
 	}
 }

@@ -161,9 +161,9 @@ func (n Node) String() string {
 }
 
 // System is the network N together with the initial state. The instruction
-// set and schedule class are carried separately (see Config) because the
-// paper routinely asks "what changes if the same network runs under a
-// different model?".
+// set and schedule class are carried separately because the paper
+// routinely asks "what changes if the same network runs under a different
+// model?".
 //
 // Processors and variables are dense indices. Nbr[p][j] gives the variable
 // that processor p calls Names[j]; it is the paper's n-nbr function.
@@ -187,13 +187,6 @@ type System struct {
 	ProcInit []string
 	// VarInit[v] is the initial state of variable v.
 	VarInit []string
-}
-
-// Config pairs a network with the model it runs under.
-type Config struct {
-	Sys   *System
-	Instr InstrSet
-	Sched ScheduleClass
 }
 
 // Sentinel errors returned by Validate.

@@ -188,7 +188,7 @@ func ComputeOrbits(sys *System) (*Orbits, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("%w: ComputeOrbits: nil system", ErrBadArgs)
 	}
-	return autgrp.Compute(sys, autgrp.Options{})
+	return autgrp.Compute(sys)
 }
 
 // MimicsNobody returns the processors that mimic no other processor in a
@@ -238,7 +238,7 @@ func RelabelVersions(sys *System) ([][]int, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("%w: RelabelVersions: nil system", ErrBadArgs)
 	}
-	versions, err := family.Versions(sys, family.RelabelOptions{})
+	versions, err := family.Versions(sys)
 	if err != nil {
 		return nil, err
 	}
